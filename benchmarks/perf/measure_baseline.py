@@ -11,9 +11,10 @@ record the pre-optimization baseline the harness reports speedups against:
         --sha <seed-sha> --output benchmarks/perf/baseline.json
     git worktree remove .seed
 
-Only seed-stable APIs are used; in particular the engine is constructed
-without the ``batch_events`` keyword (the seed engine does not have it), so
-against a post-perf checkout this measures the legacy per-event path.
+Only seed-stable APIs are used: the engine is constructed with its
+default arguments, so each checkout is measured on its own default path.
+The engine scenarios have no in-process ratio; ``repro-bench`` reports
+their speedup against the seed walls recorded here.
 """
 
 from __future__ import annotations
@@ -135,18 +136,17 @@ def main(argv=None) -> int:
             "pipeline_e2e": measure_pipeline(args.reps),
         },
         # Minimum fast-path speedup ratios CI enforces (see bench.py):
-        # measured in the same process against the legacy path, so they are
+        # measured in the same process against a legacy path, so they are
         # machine-portable, unlike the absolute walls above.  The gate
         # fires at floor * 0.75 (REGRESSION_MARGIN), and CI measures in
         # --smoke mode, so each floor must clear smoke-size ratios too —
         # select's floor stays well under its full-size ratio because the
         # GEMM advantage shrinks on the smoke-size population.
-        # pipeline_e2e's floor is the issue's acceptance bar: the live
-        # streaming pass must stay >= 2x faster than offline
-        # record+profile+select (measured ~3.1x when it landed).
+        # pipeline_e2e's floor: the live streaming pass must stay >= 2x
+        # faster than offline record+profile+select (measured ~3.1x when
+        # it landed).  The engine scenarios have no legacy path left to
+        # ratio against; their seed walls above are the reference.
         "expected_min_ratio": {
-            "engine_fine": 12.0,
-            "engine_coarse": 3.4,
             "select": 1.5,
             "pipeline_e2e": 2.0,
         },

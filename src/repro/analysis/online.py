@@ -2,7 +2,7 @@
 extrapolation.
 
 The offline pipeline replays the recorded execution once to slice it and
-collect BBVs, clusters the fingerprints afterwards, then replays again to
+collect BBVs, clusters the fingerprints afterwards, then walks it again to
 extract the chosen regions.  Live mode (Pac-Sim's idea applied to the
 LoopPoint substrate) folds all of that into a *single* constrained replay:
 
@@ -53,8 +53,8 @@ from ..isa.blocks import BasicBlock
 from ..isa.image import Program
 from ..obs.tracer import active_metrics, active_tracer
 from ..pinplay.pinball import Pinball, RegionPinball
-from ..pinplay.region import _renumber_gseq
-from ..pinplay.replayer import ConstrainedReplayer, ReplayCursor
+from ..pinplay.region import build_region_pinball
+from ..pinplay.replayer import ConstrainedReplayer, CutPoint, ReplayCursor
 from ..profiling.filters import FilterPolicy
 from ..profiling.markers import Marker
 from ..profiling.profile_result import ProfileData
@@ -521,10 +521,10 @@ class LiveSampler:
 
         Reconstructs the same three cuts
         :func:`~repro.pinplay.region.extract_region_pinballs` finds with
-        its full extraction replay — warmup start at a global filtered
+        its extraction walk — warmup start at a global filtered
         coordinate, detail start at the region's start cut, detail end
         at its end cut — from the region-start snapshots the streaming
-        pass kept, so no extra replay is ever needed.
+        pass kept, so no extra walk is ever needed.
         """
         state = self._states[index]
         replayer = self.replayer
@@ -547,37 +547,17 @@ class LiveSampler:
             warm.positions,
             self.marker_pcs,
         )
-        pinball = self.pinball
-        logs = [
-            list(pinball.logs[tid][warm.positions[tid]:
-                                   state.end_positions[tid]])
-            for tid in range(pinball.nthreads)
-        ]
-        _renumber_gseq(logs)
-        start = state.start
-        end = state.end
-        return RegionPinball(
-            program_name=pinball.program_name,
-            nthreads=pinball.nthreads,
-            wait_policy=pinball.wait_policy,
-            seed=pinball.seed,
-            logs=logs,
-            total_instructions=state.end_total - warm.total,
-            filtered_instructions=state.end_filtered - warm.filtered,
-            metadata={
-                "warmup_total": state.start_total - warm.total,
-                "warmup_filtered": state.start_filtered - warm.filtered,
-                "detail_total": state.end_total - state.start_total,
-                "detail_filtered": state.end_filtered - state.start_filtered,
-                "start": None if start is None else (start.pc, start.count),
-                "end": None if end is None else (end.pc, end.count),
-            },
+        return build_region_pinball(
+            self.pinball, state.index, state.start, state.end,
+            warm=warm,
+            detail=CutPoint(
+                state.cursor.positions, state.start_total,
+                state.start_filtered,
+            ),
+            stop=CutPoint(
+                state.end_positions, state.end_total, state.end_filtered
+            ),
             start_exec_counts=warm_counts,
-            detail_positions=[
-                state.cursor.positions[tid] - warm.positions[tid]
-                for tid in range(pinball.nthreads)
-            ],
-            region_id=state.index,
         )
 
     # -- detailed simulation and top-up ---------------------------------------

@@ -237,46 +237,6 @@ def get_scale(name: str = "") -> ReproScale:
         ) from None
 
 
-def default_batch_events() -> bool:
-    """Whether execution drivers use the batched observer path by default.
-
-    Honours the ``REPRO_BATCH_EVENTS`` environment variable (``1``/``true``
-    /``on`` enable, ``0``/``false``/``off`` disable).  Defaults to enabled:
-    the batched path is bit-identical to the legacy per-event path and
-    several times faster.  Disabling is a debugging escape hatch and the
-    way benchmarks time the legacy baseline.
-    """
-    raw = os.environ.get("REPRO_BATCH_EVENTS", "1").strip().lower()
-    if raw in ("1", "true", "on", "yes", ""):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    raise WorkloadError(
-        f"REPRO_BATCH_EVENTS must be a boolean flag, got {raw!r}"
-    )
-
-
-def default_sched_compile() -> bool:
-    """Whether the engine compiles thread programs into scheduler tapes.
-
-    Honours ``REPRO_SCHED_COMPILE`` (``1``/``true``/``on`` enable, ``0``/
-    ``false``/``off`` disable).  Defaults to enabled: compiled tapes are
-    bit-identical to the generator path (see
-    :mod:`repro.exec_engine.schedcore`) and remove the per-event generator
-    resumption cost.  Disabling is a debugging escape hatch; programs with
-    constructs the compiler does not understand fall back automatically
-    either way.
-    """
-    raw = os.environ.get("REPRO_SCHED_COMPILE", "1").strip().lower()
-    if raw in ("1", "true", "on", "yes", ""):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    raise WorkloadError(
-        f"REPRO_SCHED_COMPILE must be a boolean flag, got {raw!r}"
-    )
-
-
 def default_trace_value() -> Optional[str]:
     """The ``REPRO_TRACE`` environment value, or ``None`` when tracing is
     off.

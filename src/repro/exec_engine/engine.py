@@ -11,14 +11,19 @@ Synchronization library code (:class:`~repro.runtime.omp.OmpRuntime` blocks)
 is executed here on behalf of threads: barrier entry/exit, spin iterations
 while blocked (ACTIVE), futex paths (PASSIVE), lock handoffs, chunk fetches.
 
-Two observer-dispatch paths exist.  The default *batched* path buffers
-block events in a :class:`~repro.perf.ring.EventRing` and flushes them to
-observers as numpy column batches (flushed before every sync event, so
-block/sync ordering is exact); the *legacy* path dispatches every event
-through ``Observer.on_block`` as the original implementation did.  Both
-produce bit-identical :class:`EngineResult` and observer state — the
-batched path is just faster.  Select with ``batch_events=`` or the
-``REPRO_BATCH_EVENTS`` environment variable.
+Block events reach observers through an
+:class:`~repro.perf.ring.EventRing` as numpy column batches.  The ring is
+flushed before every sync event, so block/sync ordering is exact, unless
+every attached observer declares its state independent of that
+interleaving; then sync events are buffered too and delivered as row runs
+through ``Observer.on_sync_rows``.  A ring of capacity 1 delivers every
+event on its own, which is the per-event reference the equivalence tests
+compare against.
+
+Programs :func:`~.schedcore.compile_streams` can tape run on the scheduler
+kernel (:mod:`repro.perf.kernels`); the rest (dynamic schedules with
+criticals, custom constructs) run the generator loop in
+:meth:`ExecutionEngine.run`.  Both produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -31,13 +36,12 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..config import default_batch_events, default_sched_compile
 from ..errors import DeadlockError, ExecutionError
 from ..obs.heartbeat import active_heartbeat
 from ..obs.tracer import active_metrics
 from ..isa.blocks import BasicBlock
 from ..isa.image import Program
-from ..perf.kernels import VALID_TIERS, get_kernel, select_tier
+from ..perf.kernels import VALID_TIERS, get_kernel
 from ..perf.ring import DEFAULT_CAPACITY, EventRing
 from ..policy import WaitPolicy
 from .events import (
@@ -135,23 +139,19 @@ class ExecutionEngine:
         flow_control: Optional[FlowControl] = None,
         quantum_instructions: int = 600,
         max_events: Optional[int] = None,
-        batch_events: Optional[bool] = None,
         batch_capacity: int = DEFAULT_CAPACITY,
-        sched_compile: Optional[bool] = None,
-        kernel_tier: Optional[str] = None,
+        kernel_tier: str = "compiled",
     ) -> None:
         if nthreads < 1:
             raise ExecutionError(f"need at least one thread, got {nthreads}")
-        if kernel_tier is None:
-            kernel_tier = select_tier()
-        elif kernel_tier not in VALID_TIERS:
+        if kernel_tier not in VALID_TIERS:
             raise ValueError(
                 f"kernel_tier must be one of {VALID_TIERS}, "
                 f"got {kernel_tier!r}"
             )
         #: Scheduler-kernel tier (see :mod:`repro.perf.kernels`):
         #: ``reference`` keeps every configuration test as a runtime
-        #: branch; ``compiled``/``auto`` fold this run's configuration out
+        #: branch; ``compiled`` folds this run's configuration out
         #: of the hot loop's bytecode.  Bit-identical by construction.
         self.kernel_tier = kernel_tier
         self.program = program
@@ -166,29 +166,15 @@ class ExecutionEngine:
         #: event-count quantum far too coarse for balanced interleavings.
         self.quantum_instructions = quantum_instructions
         self.max_events = max_events
-        if batch_events is None:
-            batch_events = default_batch_events()
-        self.batch_events = batch_events
 
         self._threads = [
             _Thread(tid, thread_program.thread_main(tid, nthreads))
             for tid in range(nthreads)
         ]
-        nblocks = program.num_blocks
-        #: The block-event ring owns the execution-count table while the
-        #: batched path is active; ``exec_counts`` is then materialized from
-        #: it at the end of :meth:`run`.
-        self._ring: Optional[EventRing] = (
-            EventRing(
-                program.blocks, nthreads, self.observers,
-                capacity=batch_capacity,
-            )
-            if batch_events
-            else None
+        #: The block-event ring owns the execution-count table.
+        self._ring = EventRing(
+            program.blocks, nthreads, self.observers, capacity=batch_capacity
         )
-        self.exec_counts: List[List[int]] = [
-            [0] * nblocks for _ in range(nthreads)
-        ]
         self.total_instructions = 0
         self.filtered_instructions = 0
         self.per_thread_total = [0] * nthreads
@@ -208,47 +194,24 @@ class ExecutionEngine:
         self._sched_dirty = True
         self._runnable: List[int] = []
         self._runnable_arr = None
-        #: Observers that actually override ``on_sync``: the per-sync
-        #: dispatch loop skips base-class no-ops.
+        #: Observers that actually override ``on_sync``/``on_sync_rows``:
+        #: sync delivery skips base-class no-ops.
         self._sync_obs = [
             ob for ob in self.observers
             if type(ob).on_sync is not Observer.on_sync
-            or type(ob).on_sync_batch is not Observer.on_sync_batch
             or type(ob).on_sync_rows is not Observer.on_sync_rows
         ]
-        #: Split of ``_sync_obs`` for buffered delivery: observers that
-        #: natively consume row batches get the buffer list itself (no
-        #: transpose); the rest get columns via ``on_sync_batch``.
-        self._sync_obs_rows = [
-            ob for ob in self._sync_obs
-            if type(ob).on_sync_rows is not Observer.on_sync_rows
-        ]
-        self._sync_obs_cols = [
-            ob for ob in self._sync_obs
-            if type(ob).on_sync_rows is Observer.on_sync_rows
-        ]
-        #: Sync-event buffer: ``(tid, kind, obj_id, response, gseq)`` rows,
-        #: unzipped into columns at flush.  Active only when every observer
-        #: declared its final state independent of block/sync interleaving
-        #: (the ring's ``flush_on_sync`` is False): syncs then reach
-        #: observers through ``on_sync_batch`` in gseq-ordered runs instead
-        #: of one Python call per observer per sync.  ``None`` means
-        #: per-event delivery.
-        self._sync_buf = (
-            []
-            if self._ring is not None and not self._ring.flush_on_sync
-            else None
-        )
-        #: Per-thread scheduler tapes (see repro.exec_engine.schedcore),
-        #: compiled when the batched path is active and every construct is
-        #: a known built-in; ``None`` falls back to the generator path.
-        if sched_compile is None:
-            sched_compile = default_sched_compile()
-        self._streams = (
-            compile_streams(thread_program, nthreads)
-            if (self._ring is not None and sched_compile)
-            else None
-        )
+        #: Sync-event buffer of ``(tid, kind, obj_id, response, gseq)``
+        #: rows.  Active only when every observer declared its final state
+        #: independent of block/sync interleaving (the ring's
+        #: ``flush_on_sync`` is False): syncs then reach observers through
+        #: ``on_sync_rows`` in gseq-ordered runs instead of one Python call
+        #: per observer per sync.  ``None`` means per-event delivery.
+        self._sync_buf = None if self._ring.flush_on_sync else []
+        #: Per-thread scheduler tapes (see repro.exec_engine.schedcore);
+        #: ``None`` when some construct cannot be taped, which selects the
+        #: generator loop.
+        self._streams = compile_streams(thread_program, nthreads)
 
     # -- shared bookkeeping -------------------------------------------------
 
@@ -259,13 +222,7 @@ class ExecutionEngine:
         if not block.image.is_library:
             self.filtered_instructions += n
             self.per_thread_filtered[tid] += n
-        if self._ring is not None:
-            self._ring.append(tid, block.bid, repeat)
-            return
-        start = self.exec_counts[tid][block.bid]
-        self.exec_counts[tid][block.bid] = start + repeat
-        for ob in self.observers:
-            ob.on_block(tid, block, repeat, start)
+        self._ring.append(tid, block.bid, repeat)
 
     def _sync(self, tid: int, kind: str, obj_id: int, response) -> None:
         g = self._gseq
@@ -276,34 +233,23 @@ class ExecutionEngine:
             if len(buf) >= SYNC_BUFFER_LIMIT:
                 self._flush_syncs()
             return
-        ring = self._ring
-        if ring is not None and ring.flush_on_sync:
-            # Some attached observer correlates the block and sync streams
-            # (lint concurrency passes, DCFG building): every buffered
-            # block event must precede this sync action.
-            ring.flush()
+        # Some attached observer correlates the block and sync streams
+        # (lint concurrency passes, DCFG building): every buffered block
+        # event must precede this sync action.
+        self._ring.flush()
         for ob in self._sync_obs:
             ob.on_sync(tid, kind, obj_id, response, g)
 
     def _flush_syncs(self) -> None:
-        """Deliver the buffered sync events in one batch per observer.
+        """Deliver the buffered sync rows in one call per observer.
 
-        The buffer holds rows (one tuple append per sync on the hot path).
-        Row-native observers receive the buffer directly through
-        ``on_sync_rows`` (they copy it; the list is cleared and reused
-        here); the ``zip(*)`` transpose into columns only runs when some
-        attached observer still takes ``on_sync_batch``.
+        Observers copy the rows; the list is cleared and reused here.
         """
         buf = self._sync_buf
         if not buf:
             return
-        for ob in self._sync_obs_rows:
+        for ob in self._sync_obs:
             ob.on_sync_rows(buf)
-        cols_obs = self._sync_obs_cols
-        if cols_obs:
-            tids, kinds, obj_ids, responses, gseqs = zip(*buf)
-            for ob in cols_obs:
-                ob.on_sync_batch(tids, kinds, obj_ids, responses, gseqs)
         buf.clear()
 
     # -- synchronization handling --------------------------------------------
@@ -385,9 +331,8 @@ class ExecutionEngine:
         thread.response = granted
 
     def _dispatch(self, thread: _Thread, event) -> None:
-        if type(event) is BlockExec:
-            self._exec_block(thread.tid, event.block, event.repeat)
-        elif type(event) is BarrierWait:
+        """Handle one non-block event (block events never reach here)."""
+        if type(event) is BarrierWait:
             self._handle_barrier(thread, event)
         elif type(event) is LockAcquire:
             self._handle_lock_acquire(thread, event)
@@ -437,8 +382,7 @@ class ExecutionEngine:
         """Common end-of-run tail: counts, observer finish, metrics."""
         self.num_events = num_events
         ring = self._ring
-        if ring is not None:
-            self.exec_counts = ring.exec_counts()  # flushes the ring
+        exec_counts = ring.exec_counts()  # flushes the ring
         if self._sync_buf is not None:
             self._flush_syncs()
         for ob in self.observers:
@@ -450,16 +394,15 @@ class ExecutionEngine:
         if reg is not None:  # once per run, never per event
             reg.inc("engine.runs")
             reg.inc("engine.events", num_events)
-            if ring is not None:
-                reg.inc("engine.ring.flushes", ring.flushes)
-                reg.inc("engine.ring.small_flushes", ring.small_flushes)
-                reg.inc("engine.ring.events_flushed", ring.events_flushed)
+            reg.inc("engine.ring.flushes", ring.flushes)
+            reg.inc("engine.ring.small_flushes", ring.small_flushes)
+            reg.inc("engine.ring.events_flushed", ring.events_flushed)
         return EngineResult(
             total_instructions=self.total_instructions,
             filtered_instructions=self.filtered_instructions,
             per_thread_total=list(self.per_thread_total),
             per_thread_filtered=list(self.per_thread_filtered),
-            exec_counts=[list(row) for row in self.exec_counts],
+            exec_counts=exec_counts,
             num_events=self.num_events,
             wait_policy=self.wait_policy,
             seed=self.seed,
@@ -476,10 +419,9 @@ class ExecutionEngine:
         rng = self._rng
         ring = self._ring
 
-        # Hot-loop locals.  The batched inner loop below additionally
-        # inlines the BlockExec case around direct ring-buffer appends; the
-        # legacy path routes every event through ``_dispatch`` exactly as
-        # the original per-event implementation did.
+        # Hot-loop locals.  The inner loop inlines the BlockExec case
+        # around direct ring-buffer appends; every other event goes
+        # through ``_dispatch``.
         per_thread_total = self.per_thread_total
         per_thread_filtered = self.per_thread_filtered
         runnable_state = ThreadState.RUNNABLE
@@ -497,12 +439,11 @@ class ExecutionEngine:
         # single is-None check hoisted here.
         hb = active_heartbeat()
         hb_countdown = 0
-        if ring is not None:
-            ring_rows = ring.buffers()
-            append_row = ring_rows.append
-            ring_encode = ring.encode
-            ring_capacity = ring.capacity
-            ring_flush = ring.flush
+        ring_rows = ring.buffers()
+        append_row = ring_rows.append
+        ring_encode = ring.encode
+        ring_capacity = ring.capacity
+        ring_flush = ring.flush
 
         while True:
             if hb is not None:
@@ -545,72 +486,55 @@ class ExecutionEngine:
 
             jitter = 1.0 + rng_random() * 0.5
             stop_at = per_thread_total[tid] + int(quantum * jitter)
-            if ring is not None:
-                # Batched fast path: the BlockExec case is inlined reading
-                # the event's precomputed slots; this thread's totals live
-                # in locals and sync back to engine state around any
-                # non-block event (whose handlers read/write that state).
-                send = thread.gen.send
-                response = thread.response
-                thread.response = None
-                total_acc = 0
-                filtered_acc = 0
-                ptt = per_thread_total[tid]
-                ptf = per_thread_filtered[tid]
-                while ptt < stop_at:
-                    try:
-                        event = send(response)
-                    except StopIteration:
-                        thread.state = ThreadState.DONE
-                        self._sched_dirty = True
-                        break
-                    response = None
-                    num_events += 1
-                    if type(event) is BlockExec:
-                        n = event.n_total
-                        total_acc += n
-                        ptt += n
-                        if not event.is_library:
-                            filtered_acc += n
-                            ptf += n
-                        append_row(
-                            ring_encode(tid, event.bid, event.repeat)
-                        )
-                        if len(ring_rows) >= ring_capacity:
-                            ring_flush()
-                    else:
-                        per_thread_total[tid] = ptt
-                        per_thread_filtered[tid] = ptf
-                        self.total_instructions += total_acc
-                        self.filtered_instructions += filtered_acc
-                        total_acc = 0
-                        filtered_acc = 0
-                        self._dispatch(thread, event)
-                        response = thread.response
-                        thread.response = None
-                        ptt = per_thread_total[tid]
-                        ptf = per_thread_filtered[tid]
-                        if thread.state is not runnable_state:
-                            break
-                per_thread_total[tid] = ptt
-                per_thread_filtered[tid] = ptf
-                self.total_instructions += total_acc
-                self.filtered_instructions += filtered_acc
-                thread.response = response
-            else:
-                while (
-                    per_thread_total[tid] < stop_at
-                    and thread.state is runnable_state
-                ):
-                    try:
-                        event = thread.gen.send(thread.response)
-                    except StopIteration:
-                        thread.state = ThreadState.DONE
-                        self._sched_dirty = True
-                        break
-                    thread.response = None
+            # The BlockExec case is inlined reading the event's
+            # precomputed slots; this thread's totals live in locals and
+            # sync back to engine state around any non-block event (whose
+            # handlers read/write that state).
+            send = thread.gen.send
+            response = thread.response
+            thread.response = None
+            total_acc = 0
+            filtered_acc = 0
+            ptt = per_thread_total[tid]
+            ptf = per_thread_filtered[tid]
+            while ptt < stop_at:
+                try:
+                    event = send(response)
+                except StopIteration:
+                    thread.state = ThreadState.DONE
+                    self._sched_dirty = True
+                    break
+                response = None
+                num_events += 1
+                if type(event) is BlockExec:
+                    n = event.n_total
+                    total_acc += n
+                    ptt += n
+                    if not event.is_library:
+                        filtered_acc += n
+                        ptf += n
+                    append_row(ring_encode(tid, event.bid, event.repeat))
+                    if len(ring_rows) >= ring_capacity:
+                        ring_flush()
+                else:
+                    per_thread_total[tid] = ptt
+                    per_thread_filtered[tid] = ptf
+                    self.total_instructions += total_acc
+                    self.filtered_instructions += filtered_acc
+                    total_acc = 0
+                    filtered_acc = 0
                     self._dispatch(thread, event)
-                    num_events += 1
+                    response = thread.response
+                    thread.response = None
+                    ptt = per_thread_total[tid]
+                    ptf = per_thread_filtered[tid]
+                    if thread.state is not runnable_state:
+                        break
+            per_thread_total[tid] = ptt
+            per_thread_filtered[tid] = ptf
+            self.total_instructions += total_acc
+            self.filtered_instructions += filtered_acc
+            thread.response = response
             if max_events is not None and num_events > max_events:
                 self.num_events = num_events
                 raise ExecutionError(
@@ -623,7 +547,7 @@ class ExecutionEngine:
     def _run_compiled(self) -> EngineResult:
         """The tape-driven hot loop (see :mod:`.schedcore`).
 
-        Bit-identical to :meth:`run`'s generator paths: identical event
+        Bit-identical to :meth:`run`'s generator loop: identical event
         order, rng-stream consumption, observer state and result.  The
         differences are purely mechanical — block runs are consumed with
         one ``bisect_left`` over a cumulative-instruction list per quantum

@@ -1,16 +1,19 @@
 """Observer interface for execution drivers.
 
-Both the functional engine and the timing simulator publish the same two
-callbacks, so profiling tools (BBV collection, marker counting, recording)
-are driver-agnostic — like pintools that work under both Pin and PinPlay.
+The functional engine, the constrained replayer and the timing simulator
+publish the same callbacks, so profiling tools (BBV collection, marker
+counting, recording) are driver-agnostic — like pintools that work under
+both Pin and PinPlay.
 
-Drivers with a batched hot path (the functional engine, the constrained
-replayer) deliver block events through :meth:`Observer.on_block_batch` as
-parallel numpy columns (see :class:`repro.perf.ring.EventBatch`).  The base
-class's implementation replays a batch through :meth:`Observer.on_block`
-one event at a time, so observers written against the per-event interface
-— including third-party ones — keep working unchanged; observers on hot
-paths override ``on_block_batch`` with vectorized reductions.
+Events arrive through four delivery methods.  Block events come one at a
+time through :meth:`Observer.on_block` or as parallel numpy columns through
+:meth:`Observer.on_block_batch` (see :class:`repro.perf.ring.EventBatch`);
+sync events come one at a time through :meth:`Observer.on_sync` or as
+buffered row runs through :meth:`Observer.on_sync_rows`.  The base class
+replays each batch method through its per-event twin, so an observer that
+only defines the per-event methods sees identical calls under any driver;
+observers on hot paths override the batch methods with vectorized
+reductions.
 """
 
 from __future__ import annotations
@@ -75,38 +78,17 @@ class Observer:
     ) -> None:
         """A synchronization action with global sequence number ``gseq``."""
 
-    def on_sync_batch(
-        self,
-        tids: List[int],
-        kinds: List[str],
-        obj_ids: List[int],
-        responses: list,
-        gseqs: List[int],
-    ) -> None:
-        """A run of buffered synchronization actions, in gseq order.
-
-        Drivers may buffer sync events (only when every attached observer
-        cleared ``needs_flush_before_sync``, i.e. declared its final state
-        independent of the block/sync interleaving) and deliver them here
-        in bulk.  The default replays through :meth:`on_sync` per event, so
-        per-event observers see identical calls.  The columns are parallel
-        sequences owned by the driver and only valid during the call —
-        copy, don't keep references.
-        """
-        on_sync = self.on_sync
-        for i in range(len(tids)):
-            on_sync(tids[i], kinds[i], obj_ids[i], responses[i], gseqs[i])
-
     def on_sync_rows(self, rows) -> None:
         """A run of buffered sync actions as ``(tid, kind, obj_id,
         response, gseq)`` row tuples, in gseq order.
 
-        The row-oriented twin of :meth:`on_sync_batch`: drivers buffering
-        syncs as rows deliver through this method to observers that
-        override it (skipping the row→column transpose) and through
-        :meth:`on_sync_batch` otherwise.  The ``rows`` list is owned by the
-        driver and reused after the call — copy the rows (they are
-        immutable tuples), never keep the list itself.
+        Drivers buffer sync events only when every attached observer
+        cleared ``needs_flush_before_sync``, i.e. declared its final state
+        independent of the block/sync interleaving.  The default replays
+        the rows through :meth:`on_sync`, so per-event observers see
+        identical calls.  The ``rows`` list is owned by the driver and
+        reused after the call — copy the rows (they are immutable tuples),
+        never keep the list itself.
         """
         on_sync = self.on_sync
         for tid, kind, obj_id, response, gseq in rows:
@@ -253,9 +235,6 @@ class SyncEventLog(Observer):
     def on_sync_rows(self, rows) -> None:
         self._pending.append(tuple(rows))
 
-    def on_sync_batch(self, tids, kinds, obj_ids, responses, gseqs) -> None:
-        self._pending.append(tuple(zip(tids, kinds, obj_ids, responses, gseqs)))
-
     def _drain(self) -> None:
         per_thread = self._per_thread
         order = self._gseq_order
@@ -303,8 +282,8 @@ class TraceCollector(Observer):
     def __init__(self, limit: Optional[int] = 5_000_000) -> None:
         # The block and sync streams are stored separately, so interleaving
         # only matters when a cap can clip them mid-run: truncation must
-        # stop the sync stream at the same interleaved point the legacy
-        # path would, hence strict ordering with a finite limit.
+        # stop the sync stream at the same interleaved point per-event
+        # delivery would, hence strict ordering with a finite limit.
         self.needs_flush_before_sync = limit is not None
         # The block trace is stored as ordered parts — lists of
         # ``(tid, bid, repeat)`` tuples from per-event delivery, and raw
@@ -411,6 +390,3 @@ class TraceCollector(Observer):
             self._sync_tail = []
         self._sync_parts.append(tuple(rows))
         self._n_syncs += len(rows)
-
-    def on_sync_batch(self, tids, kinds, obj_ids, responses, gseqs) -> None:
-        self.on_sync_rows(tuple(zip(tids, kinds, obj_ids, responses, gseqs)))

@@ -33,7 +33,7 @@ rng-stream consumption, observer callbacks and
 :class:`~repro.exec_engine.engine.EngineResult` of the generator path.
 Compilation is conservative: any construct subclass or combination this
 module does not understand makes :func:`compile_streams` return ``None``
-and the engine falls back to the generator fast path unchanged.
+and the engine runs its generator loop instead.
 """
 
 from __future__ import annotations

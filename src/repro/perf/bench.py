@@ -2,14 +2,16 @@
 
 Times the pipeline's hot paths in two honest ways:
 
-* **In-process ratios** — each scenario runs its *legacy* path (per-event
-  observer dispatch; broadcast k-means assignment) and its *fast* path
-  (batched ring; GEMM assignment) in the same interpreter, same machine,
-  same moment.  Ratios are machine-portable, which is what CI gates on:
-  a ratio regressing past 25% of its recorded floor fails the build.
+* **In-process ratios** — the ``select`` and ``pipeline_e2e`` scenarios
+  run a *legacy* path (broadcast k-means assignment; offline
+  record+profile+select) and a *fast* path (GEMM assignment; the live
+  streaming pass) in the same interpreter, same machine, same moment.
+  Ratios are machine-portable, which is what CI gates on: a ratio
+  regressing past 25% of its recorded floor fails the build.
 * **Speedups vs the recorded seed baseline** — ``baseline.json`` holds
   median walls measured from the pre-optimization seed checkout (see
-  ``benchmarks/perf/measure_baseline.py`` for the recipe).  Absolute
+  ``benchmarks/perf/measure_baseline.py`` for the recipe).  The engine
+  scenarios time the engine alone and are judged this way.  Absolute
   speedups are machine-specific, so they are reported, not gated —
   except that they are the evidence ``BENCH_perf.json`` commits to.
 
@@ -108,7 +110,7 @@ def _git_sha() -> Optional[str]:
     return sha
 
 
-def _run_engine(build, batch_events: bool, nthreads: int, seed: int) -> int:
+def _run_engine(build, nthreads: int, seed: int) -> int:
     from ..exec_engine.engine import ExecutionEngine
     from ..exec_engine.observers import (
         InstructionCounter,
@@ -124,26 +126,19 @@ def _run_engine(build, batch_events: bool, nthreads: int, seed: int) -> int:
     )
     result = ExecutionEngine(
         program, tp, omp, nthreads, observers=observers, seed=seed,
-        batch_events=batch_events,
     ).run()
     return result.num_events
 
 
 def bench_engine(build, reps: int, nthreads: int, seed: int) -> Dict:
-    """Legacy vs batched wall for one engine scenario."""
-    events = _run_engine(build, True, nthreads, seed)  # warm imports/caches
-    batch_wall = _median_wall(
-        lambda: _run_engine(build, True, nthreads, seed), reps
-    )
-    legacy_wall = _median_wall(
-        lambda: _run_engine(build, False, nthreads, seed), reps
-    )
+    """Engine wall for one scenario (no in-process ratio: the seed wall
+    in ``baseline.json`` is the reference)."""
+    events = _run_engine(build, nthreads, seed)  # warm imports/caches
+    wall = _median_wall(lambda: _run_engine(build, nthreads, seed), reps)
     return {
         "events": events,
-        "legacy_wall_seconds": legacy_wall,
-        "fast_wall_seconds": batch_wall,
-        "fast_events_per_second": events / batch_wall,
-        "ratio": legacy_wall / batch_wall,
+        "fast_wall_seconds": wall,
+        "fast_events_per_second": events / wall,
     }
 
 
@@ -393,16 +388,17 @@ def format_summary(report: Dict) -> str:
              f"({'smoke' if report['smoke'] else 'full'}, "
              f"reps={report['reps']})"]
     for name, data in report["scenarios"].items():
-        extra = ""
+        line = f"  {name:14s} fast {data['fast_wall_seconds']:.4f}s"
+        if "ratio" in data:
+            line += (
+                f"  legacy {data['legacy_wall_seconds']:.4f}s"
+                f"  ratio {data['ratio']:.2f}x"
+            )
         if report.get("speedup_vs_baseline"):
             s = report["speedup_vs_baseline"].get(name)
             if s is not None:
-                extra = f"  speedup vs seed {s:.2f}x"
-        lines.append(
-            f"  {name:14s} legacy {data['legacy_wall_seconds']:.4f}s  "
-            f"fast {data['fast_wall_seconds']:.4f}s  "
-            f"ratio {data['ratio']:.2f}x{extra}"
-        )
+                line += f"  speedup vs seed {s:.2f}x"
+        lines.append(line)
     return "\n".join(lines)
 
 

@@ -33,31 +33,16 @@ construction (enforced by the tier-parity tests): identical event order,
 rng-stream consumption, observer state and
 :class:`~repro.exec_engine.engine.EngineResult`.
 
-Tier selection: the ``REPRO_KERNEL_TIER`` environment variable (or the
-engine's ``kernel_tier=`` argument) takes ``reference``, ``compiled`` or
-``auto``.  ``auto`` — the default — resolves to ``compiled``: the most
-specialized tier that is unconditionally available.  If ``numba`` is
-importable, :func:`maybe_jit` lets *numeric* helpers opt into JIT
-compilation; the scheduler loop itself walks an object graph (threads,
-events, observers) that no nopython JIT can express, so numba never
-changes tier resolution and the pure-Python rendering stays authoritative
-everywhere.
+The engine takes the tier as its ``kernel_tier=`` argument and defaults
+to ``compiled``; the ``reference`` tier is what the tier-parity tests
+compare against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the baked toolchain has no numba
-    numba = None
-    HAVE_NUMBA = False
 
 #: Row-chunk size for the GEMM assignment: bounds the distance temporary at
 #: ``DEFAULT_CHUNK_ROWS * k`` doubles regardless of the population size.
@@ -132,31 +117,8 @@ def weighted_means(
 
 # -- scheduler-kernel tiers ---------------------------------------------------
 
-#: Recognized values for ``REPRO_KERNEL_TIER`` / ``kernel_tier=``.
-VALID_TIERS = ("reference", "compiled", "auto")
-
-
-def maybe_jit(fn: Callable, **jit_kwargs) -> Callable:
-    """``numba.njit(fn)`` when numba is importable, else ``fn`` unchanged.
-
-    The guard keeping the pure-Python definition authoritative: helpers
-    decorated with this must be correct *without* numba, because the baked
-    CI toolchain does not ship it.
-    """
-    if HAVE_NUMBA:  # pragma: no cover - numba absent in the baked image
-        return numba.njit(**jit_kwargs)(fn)
-    return fn
-
-
-def select_tier(env: Optional[dict] = None) -> str:
-    """Resolve the kernel tier from the environment (default ``auto``)."""
-    source = os.environ if env is None else env
-    raw = source.get("REPRO_KERNEL_TIER", "auto").strip().lower()
-    if raw not in VALID_TIERS:
-        raise ValueError(
-            f"REPRO_KERNEL_TIER must be one of {VALID_TIERS}, got {raw!r}"
-        )
-    return raw
+#: Recognized values for the engine's ``kernel_tier=`` argument.
+VALID_TIERS = ("reference", "compiled")
 
 
 _KERNEL_TEMPLATE = '''\
@@ -735,8 +697,6 @@ def get_kernel(
     tier ignores the configuration flags: it is the single all-runtime-
     branches rendering.
     """
-    if tier == "auto":
-        tier = "compiled"
     if tier == "reference":
         key: Tuple = ("reference",)
         flags = {"active": True, "flow": True, "bounded": True}

@@ -16,7 +16,7 @@ Observer` base default — correct for third-party observers of unknown
 ordering sensitivity), the driver must call :meth:`EventRing.flush` before
 delivering any ``on_sync`` event, so observers that correlate block and
 synchronization streams (the lint concurrency passes, DCFG building) see
-the exact per-event order the legacy path produced.  Drivers check
+the exact per-event execution order.  Drivers check
 :attr:`EventRing.flush_on_sync` for this.  Observers whose final state is
 independent of block/sync interleaving (the built-in counters, logs and
 unbounded trace collectors) clear the flag, which lets sync-dense programs
@@ -59,8 +59,8 @@ class EventBatch:
     """One flushed batch of block events as parallel numpy columns.
 
     ``start_index[i]`` is thread ``tid[i]``'s execution count of block
-    ``bid[i]`` *before* event ``i`` — the same value the per-event path
-    passes to ``on_block`` — reconstructed vectorially at flush time.
+    ``bid[i]`` *before* event ``i`` — the same value a per-event
+    ``on_block`` call receives — reconstructed vectorially at flush time.
     When no attached observer declares ``needs_start_index``, the ring
     skips the reconstruction and ``start_index`` is ``None``.
     ``blocks`` is the program's block table so shims (and observers that

@@ -2,15 +2,19 @@
 
 The paper generates region pinballs "with a large enough warmup region added
 to the representative region" (Sec. V-A.1) so checkpoint-driven simulation
-starts from warmed microarchitectural state.  We replay the whole-program
-pinball once and, for every requested region, capture three cut points per
-thread: warmup start (a filtered-instruction coordinate), detail start (the
-region's start marker), and detail end (the end marker).
+starts from warmed microarchitectural state.  Every region needs three cut
+points: warmup start (the first entry whose pre-entry filtered-instruction
+count reaches a coordinate), detail start (the region's start marker), and
+detail end (the end marker).  :func:`extract_region_pinballs` finds all of
+them in one forward skip walk over the pinball
+(:meth:`~repro.pinplay.replayer.ConstrainedReplayer.skip`), stopping only
+at pending cut points and delivering no events.
+:func:`build_region_pinball` turns three cuts into a pinball; live sampling
+uses it too.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -19,13 +23,7 @@ from ..isa.image import Program
 from ..profiling.markers import Marker
 from ..resilience import REGION_EXTRACT, maybe_inject
 from .pinball import Pinball, RegionPinball
-from .replayer import ConstrainedReplayer
-
-# Cut stages.
-_AWAIT_WARMUP = 0
-_AWAIT_START = 1
-_AWAIT_END = 2
-_DONE = 3
+from .replayer import ConstrainedReplayer, CutPoint
 
 
 @dataclass(frozen=True)
@@ -43,28 +41,6 @@ class RegionCut:
     warmup_filtered: int = 0
 
 
-class _CutState:
-    __slots__ = (
-        "cut", "stage", "warm_pos", "warm_counts", "warm_total",
-        "warm_filtered", "detail_pos", "end_pos", "detail_total",
-        "detail_filtered", "end_total", "end_filtered",
-    )
-
-    def __init__(self, cut: RegionCut) -> None:
-        self.cut = cut
-        self.stage = _AWAIT_WARMUP
-        self.warm_pos: Optional[List[int]] = None
-        self.warm_counts: Optional[List[List[int]]] = None
-        self.warm_total = 0
-        self.warm_filtered = 0
-        self.detail_pos: Optional[List[int]] = None
-        self.detail_total = 0
-        self.detail_filtered = 0
-        self.end_pos: Optional[List[int]] = None
-        self.end_total = 0
-        self.end_filtered = 0
-
-
 def extract_region_pinballs(
     program: Program,
     pinball: Pinball,
@@ -72,107 +48,124 @@ def extract_region_pinballs(
 ) -> List[RegionPinball]:
     """Extract one :class:`RegionPinball` per :class:`RegionCut`.
 
-    A single constrained replay of ``pinball`` locates every cut point, so
-    extraction cost is one replay regardless of the number of regions.
+    One forward skip walk over ``pinball`` locates every cut point.  A
+    region's start marker becomes a pending target once its warmup cut is
+    found, and its end marker once its detail cut is found, which is the
+    order the cuts occur in.
     """
     maybe_inject(REGION_EXTRACT, f"extract:{program.name}:{len(cuts)}")
-    states = [_CutState(cut) for cut in cuts]
-    marker_pcs = set()
-    for cut in cuts:
-        for marker in (cut.start, cut.end):
-            if marker is not None:
-                marker_pcs.add(marker.pc)
-    bid_to_pc = {program.block_at(pc).bid: pc for pc in marker_pcs}
-    marker_counts: Dict[int, int] = {pc: 0 for pc in marker_pcs}
-
+    marker_pcs = sorted({
+        m.pc for cut in cuts for m in (cut.start, cut.end) if m is not None
+    })
     replayer = ConstrainedReplayer(program, pinball)
+    n = len(cuts)
+    warm: List[Optional[CutPoint]] = [None] * n
+    warm_counts: List[Optional[List[List[int]]]] = [None] * n
+    detail: List[Optional[CutPoint]] = [None] * n
+    stop: List[Optional[CutPoint]] = [None] * n
+    # Cut indices waiting for a marker execution, by marker.
+    starts: Dict[Marker, List[int]] = {}
+    ends: Dict[Marker, List[int]] = {}
+    by_warmup = sorted(range(n), key=lambda i: cuts[i].warmup_filtered)
+    next_warm = 0
+    open_ended = any(cut.end is None for cut in cuts)
 
-    def hook(tid: int, pos: int, entry) -> None:
-        filtered = replayer.filtered_instructions
-        total = replayer.total_instructions
-        positions = replayer.positions
-        for state in states:
-            if (
-                state.stage == _AWAIT_WARMUP
-                and filtered >= state.cut.warmup_filtered
-            ):
-                state.warm_pos = list(positions)
-                state.warm_counts = copy.deepcopy(replayer.exec_counts)
-                state.warm_total = total
-                state.warm_filtered = filtered
-                state.stage = _AWAIT_START
-                if state.cut.start is None:
-                    state.detail_pos = list(positions)
-                    state.detail_total = total
-                    state.detail_filtered = filtered
-                    state.stage = _AWAIT_END
+    def await_end(i: int, here: CutPoint) -> None:
+        detail[i] = here
+        if cuts[i].end is not None:
+            ends.setdefault(cuts[i].end, []).append(i)
 
-        if entry[0] != "b":
-            return
-        pc = bid_to_pc.get(entry[1])
-        if pc is None:
-            return
-        before = marker_counts[pc]
-        repeat = entry[2]
-        marker_counts[pc] = before + repeat
-        for state in states:
-            if state.stage == _AWAIT_START:
-                m = state.cut.start
-                if m is not None and m.pc == pc and before <= m.count < before + repeat:
-                    if m.count != before:
-                        raise RegionError(
-                            f"start marker {m} falls inside a batched entry"
-                        )
-                    state.detail_pos = list(positions)
-                    state.detail_total = total
-                    state.detail_filtered = filtered
-                    state.stage = _AWAIT_END
-            if state.stage == _AWAIT_END:
-                m = state.cut.end
-                if m is not None and m.pc == pc and before <= m.count < before + repeat:
-                    if m.count != before:
-                        raise RegionError(
-                            f"end marker {m} falls inside a batched entry"
-                        )
-                    state.end_pos = list(positions)
-                    state.end_total = total
-                    state.end_filtered = filtered
-                    state.stage = _DONE
-
-    replayer.entry_hook = hook
-    replayer.run()
-
-    # Finalize open-ended cuts at program end.
-    log_ends = [len(log) for log in pinball.logs]
-    for state in states:
-        if state.stage == _AWAIT_WARMUP:
+    while True:
+        filtered = (
+            cuts[by_warmup[next_warm]].warmup_filtered
+            if next_warm < n else None
+        )
+        targets: Dict[int, int] = {}
+        for m in (*starts, *ends):
+            if m.count < targets.get(m.pc, m.count + 1):
+                targets[m.pc] = m.count
+        if filtered is None and not targets and not open_ended:
+            break
+        stopped, hit = replayer.skip(
+            targets, filtered=filtered, track_pcs=marker_pcs
+        )
+        if not stopped:
+            break
+        here = replayer.cut_point()
+        if hit is None:
+            counts = replayer.exec_counts
+            while (next_warm < n and
+                   cuts[by_warmup[next_warm]].warmup_filtered
+                   <= here.filtered):
+                i = by_warmup[next_warm]
+                next_warm += 1
+                warm[i] = here
+                warm_counts[i] = [list(row) for row in counts]
+                if cuts[i].start is None:
+                    await_end(i, here)
+                else:
+                    starts.setdefault(cuts[i].start, []).append(i)
+            continue
+        target = Marker(hit.pc, targets[hit.pc])
+        if hit != target:
             raise RegionError(
-                f"region {state.cut.region_id}: warmup coordinate "
-                f"{state.cut.warmup_filtered} beyond end of execution"
+                f"marker {target} falls inside a batched entry or was "
+                f"passed before it became pending (the execution starts "
+                f"at count {hit.count})"
             )
-        if state.stage == _AWAIT_START:
+        for i in starts.pop(hit, ()):
+            await_end(i, here)
+        for i in ends.pop(hit, ()):
+            stop[i] = here
+
+    # Open-ended cuts close at program end.
+    final = replayer.cut_point()
+    regions = []
+    for i, cut in enumerate(cuts):
+        if warm[i] is None:
             raise RegionError(
-                f"region {state.cut.region_id}: start marker "
-                f"{state.cut.start} never reached"
+                f"region {cut.region_id}: warmup coordinate "
+                f"{cut.warmup_filtered} beyond end of execution"
             )
-        if state.stage == _AWAIT_END:
-            if state.cut.end is not None:
+        if detail[i] is None:
+            raise RegionError(
+                f"region {cut.region_id}: start marker {cut.start} never "
+                f"reached"
+            )
+        if stop[i] is None:
+            if cut.end is not None:
                 raise RegionError(
-                    f"region {state.cut.region_id}: end marker "
-                    f"{state.cut.end} never reached"
+                    f"region {cut.region_id}: end marker {cut.end} never "
+                    f"reached"
                 )
-            state.end_pos = log_ends
-            state.end_total = replayer.total_instructions
-            state.end_filtered = replayer.filtered_instructions
+            stop[i] = final
+        regions.append(build_region_pinball(
+            pinball, cut.region_id, cut.start, cut.end,
+            warm=warm[i], detail=detail[i], stop=stop[i],
+            start_exec_counts=warm_counts[i],
+        ))
+    return regions
 
-    return [_build_region_pinball(pinball, state) for state in states]
 
+def build_region_pinball(
+    pinball: Pinball,
+    region_id: int,
+    start: Optional[Marker],
+    end: Optional[Marker],
+    *,
+    warm: CutPoint,
+    detail: CutPoint,
+    stop: CutPoint,
+    start_exec_counts: List[List[int]],
+) -> RegionPinball:
+    """The region pinball between the ``warm`` and ``stop`` cuts.
 
-def _build_region_pinball(pinball: Pinball, state: _CutState) -> RegionPinball:
-    assert state.warm_pos is not None and state.detail_pos is not None
-    assert state.end_pos is not None and state.warm_counts is not None
+    ``detail`` is where the simulated region starts (the ``start``
+    marker's cut) and ``start_exec_counts`` the execution counts at
+    ``warm``.
+    """
     logs = [
-        list(pinball.logs[tid][state.warm_pos[tid]:state.end_pos[tid]])
+        list(pinball.logs[tid][warm.positions[tid]:stop.positions[tid]])
         for tid in range(pinball.nthreads)
     ]
     _renumber_gseq(logs)
@@ -182,24 +175,22 @@ def _build_region_pinball(pinball: Pinball, state: _CutState) -> RegionPinball:
         wait_policy=pinball.wait_policy,
         seed=pinball.seed,
         logs=logs,
-        total_instructions=state.end_total - state.warm_total,
-        filtered_instructions=state.end_filtered - state.warm_filtered,
+        total_instructions=stop.total - warm.total,
+        filtered_instructions=stop.filtered - warm.filtered,
         metadata={
-            "warmup_total": state.detail_total - state.warm_total,
-            "warmup_filtered": state.detail_filtered - state.warm_filtered,
-            "detail_total": state.end_total - state.detail_total,
-            "detail_filtered": state.end_filtered - state.detail_filtered,
-            "start": None if state.cut.start is None else
-                     (state.cut.start.pc, state.cut.start.count),
-            "end": None if state.cut.end is None else
-                   (state.cut.end.pc, state.cut.end.count),
+            "warmup_total": detail.total - warm.total,
+            "warmup_filtered": detail.filtered - warm.filtered,
+            "detail_total": stop.total - detail.total,
+            "detail_filtered": stop.filtered - detail.filtered,
+            "start": None if start is None else (start.pc, start.count),
+            "end": None if end is None else (end.pc, end.count),
         },
-        start_exec_counts=state.warm_counts,
+        start_exec_counts=start_exec_counts,
         detail_positions=[
-            state.detail_pos[tid] - state.warm_pos[tid]
+            detail.positions[tid] - warm.positions[tid]
             for tid in range(pinball.nthreads)
         ],
-        region_id=state.cut.region_id,
+        region_id=region_id,
     )
 
 

@@ -10,13 +10,10 @@ Every analysis pass of the LoopPoint pipeline (BBV profiling, DCFG
 construction, slicing) runs on a replay, so analysis is reproducible no
 matter how noisy the original host was — requirement (1a) of the paper.
 
-Block events go to observers through the batched
-:class:`~repro.perf.ring.EventRing` hot path by default (same contract as
-the engine: bit-identical observer state, batch-vectorized dispatch).  The
-legacy per-event path remains for ``batch_events=False`` and is forced
-whenever an ``entry_hook`` is set: hooks observe (and read
-``exec_counts``) *between* events, which a batch by definition cannot
-honor.
+Block events go to observers through an
+:class:`~repro.perf.ring.EventRing` (same contract as the engine: the ring
+flushes before each sync event unless every observer opts out, and a
+capacity-1 ring delivers every event on its own).
 
 Marker-to-marker replay: :meth:`ConstrainedReplayer.fast_forward_to`
 jumps the replay to a ``(PC, count)`` marker's cut without delivering
@@ -25,7 +22,10 @@ region boundary instead of simulating up to it — and
 ``run(until=end_marker)`` stops exactly at the end boundary.  The skip
 reproduces the deterministic schedule bit-exactly, so observers attached
 for the region see precisely the events a full replay delivers between
-the two markers.
+the two markers.  :meth:`ConstrainedReplayer.skip` is the general form:
+it stops at whichever of several pending marker cuts or a filtered
+coordinate comes first, which is how region extraction finds every cut
+of every region in one forward pass.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import (
 
 import numpy as np
 
-from ..config import default_batch_events
 from ..dcfg.graph import ENTRY as DCFG_ENTRY
 from ..errors import ReplayError
 from ..exec_engine.engine import EngineResult
@@ -95,9 +94,9 @@ class RegionScout:
 
 
 @dataclass
-class FilteredCut:
-    """The cut at the first entry whose pre-entry filtered count meets a
-    target coordinate (how live mode places warmup starts)."""
+class CutPoint:
+    """A replay cut: per-thread log positions and the global instruction
+    counters reached there."""
 
     positions: List[int]
     total: int
@@ -198,20 +197,21 @@ def _walk(
     index: _SkipIndex,
     state: _WalkState,
     *,
-    target_bid: int = -1,
-    target_count: int = -1,
-    marker_desc=None,
+    targets: Optional[Dict[int, int]] = None,
     boundary_abs: Optional[int] = None,
     probe_abs: Optional[int] = None,
     filtered_abs: Optional[int] = None,
 ) -> Tuple[bool, Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
     """Advance ``state`` along the deterministic schedule until a stop.
 
-    Three stop modes (the caller picks one):
+    Stop modes:
 
-    - *marker target* (``target_bid``/``target_count``): stop just
-      before the ``count``-th global execution of the target block —
-      :meth:`ConstrainedReplayer.fast_forward_to`'s rule, verbatim.
+    - *marker targets* (``targets``, block id -> pending global count):
+      stop just before the first execution of a target block whose
+      repeat run reaches its pending count.  The returned boundary is
+      that execution's pre-entry ``(pc, count)``; it differs from the
+      target when the target falls inside a batched entry, which the
+      caller rejects.
     - *region boundary* (``boundary_abs``): stop at the first marker
       execution whose pre-entry global filtered count reaches the
       target; additionally records the first marker execution at/after
@@ -220,7 +220,8 @@ def _walk(
       offline :class:`~repro.profiling.slicer.LoopAlignedSlicer` cuts.
     - *filtered coordinate* (``filtered_abs``): stop at the first entry
       whose pre-entry global filtered count reaches the target — the
-      warmup-cut rule of region extraction.
+      warmup-cut rule of region extraction.  Combines with marker
+      targets: the walk stops at whichever comes first.
 
     Plain block runs between stops are consumed whole by bisecting the
     prefix sums; scheduling (least-filtered-first, quantum boundaries,
@@ -233,11 +234,11 @@ def _walk(
     counts = state.counts
     next_gseq = state.next_gseq
     pc_of = index.pc_of
+    targets = targets or {}
     ends = index.ends
     nthreads = len(logs)
     gf = sum(ptf)
     live = set(t for t in range(nthreads) if pos[t] < ends[t])
-    searchsorted = np.searchsorted
     found = False
     probe: Optional[Tuple[int, int]] = None
     boundary: Optional[Tuple[int, int]] = None
@@ -276,7 +277,7 @@ def _walk(
                     found = True
                     state.quantum_resume = (tid, stop_at - tt)
                     break
-                s = int(t_stops[searchsorted(t_stops, p)])
+                s = int(t_stops[t_stops.searchsorted(p)])
                 if s > p:
                     # Plain block entries up to the next stop: the
                     # quantum admits every entry whose pre-entry
@@ -284,15 +285,15 @@ def _walk(
                     # loop's exact rule), found by one bisect.
                     base = int(t_cum[p - 1]) if p else 0
                     f_base = int(f_cum[p - 1]) if p else 0
-                    j = int(searchsorted(t_cum, stop_at - tt + base))
+                    j = int(t_cum.searchsorted(stop_at - tt + base))
                     new_p = j + 1
                     if new_p > s:
                         new_p = s
                     if filtered_abs is not None:
                         # Truncate the run so the entry that first sees
                         # the filtered target is the next to consume.
-                        jj = int(searchsorted(
-                            f_cum, f_base + (filtered_abs - gf)
+                        jj = int(f_cum.searchsorted(
+                            f_base + (filtered_abs - gf)
                         ))
                         if jj + 1 < new_p:
                             new_p = jj + 1
@@ -318,14 +319,9 @@ def _walk(
                             found = True
                             state.quantum_resume = (tid, stop_at - tt)
                             break
-                    if bid == target_bid and c + rep > target_count:
-                        if c != target_count:
-                            raise ReplayError(
-                                f"fast-forward marker {marker_desc} "
-                                f"falls inside a batched entry "
-                                f"(repeat {rep} spans counts "
-                                f"{c}..{c + rep})"
-                            )
+                    target = targets.get(bid)
+                    if target is not None and c + rep > target:
+                        boundary = (pc, c)
                         found = True
                         state.quantum_resume = (tid, stop_at - tt)
                         break
@@ -379,8 +375,6 @@ class ConstrainedReplayer:
         observers: Sequence[Observer] = (),
         quantum_instructions: int = 600,
         initial_exec_counts: Optional[List[List[int]]] = None,
-        entry_hook=None,
-        batch_events: Optional[bool] = None,
         batch_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         if pinball.program_name != program.name:
@@ -393,12 +387,6 @@ class ConstrainedReplayer:
         self.observers = list(observers)
         #: Scheduling quantum in instructions (mirrors the engine's).
         self.quantum_instructions = quantum_instructions
-        #: Called as ``entry_hook(tid, pos, entry)`` immediately *before* an
-        #: entry is processed; used by region extraction to find cut points.
-        self.entry_hook = entry_hook
-        if batch_events is None:
-            batch_events = default_batch_events()
-        self.batch_events = batch_events
         self._batch_capacity = batch_capacity
         #: Per-thread index of the next unprocessed log entry.
         self.positions: List[int] = [0] * pinball.nthreads
@@ -410,7 +398,6 @@ class ConstrainedReplayer:
             self.exec_counts = [list(row) for row in initial_exec_counts]
         else:
             self.exec_counts = [[0] * nblocks for _ in range(nthreads)]
-        self._ring: Optional[EventRing] = None
         self.total_instructions = 0
         self.filtered_instructions = 0
         self.per_thread_total = [0] * nthreads
@@ -434,19 +421,6 @@ class ConstrainedReplayer:
         #: thread's quantum (not grant a fresh one) or the interleaving
         #: diverges from an uninterrupted replay's.
         self._quantum_resume: Optional[tuple] = None
-
-    def _exec_block(self, tid: int, bid: int, repeat: int) -> None:
-        block = self.program.blocks[bid]
-        start = self.exec_counts[tid][bid]
-        self.exec_counts[tid][bid] = start + repeat
-        n = block.n_instr * repeat
-        self.total_instructions += n
-        self.per_thread_total[tid] += n
-        if not block.image.is_library:
-            self.filtered_instructions += n
-            self.per_thread_filtered[tid] += n
-        for ob in self.observers:
-            ob.on_block(tid, block, repeat, start)
 
     def fast_forward_to(
         self,
@@ -484,34 +458,74 @@ class ConstrainedReplayer:
         :class:`ReplayError` if the marker never triggers, falls inside
         a batched entry, or is unreachable per the DCFG.
         """
-        if self.entry_hook is not None:
-            raise ReplayError(
-                "fast_forward_to is incompatible with entry_hook: hooks "
-                "observe every entry, which a skip by definition omits"
-            )
         program = self.program
-        pcs = {marker.pc: program.block_at(marker.pc).bid}
-        for pc in track_pcs:
-            pcs[pc] = program.block_at(pc).bid
-        target_bid = pcs[marker.pc]
-        target_count = marker.count
         if dcfg is not None:
             reachable = dcfg.reachable_from(DCFG_ENTRY)
-            for pc, bid in pcs.items():
+            for pc in (marker.pc, *track_pcs):
+                bid = program.block_at(pc).bid
                 if bid not in reachable:
                     raise ReplayError(
                         f"marker pc {pc:#x} (bid {bid}) is unreachable "
                         f"in the DCFG: the fast-forward target would "
                         f"never trigger"
                     )
+        events_before = self.num_events
+        found, hit = self.skip({marker.pc: marker.count}, track_pcs=track_pcs)
+        if not found:
+            raise ReplayError(
+                f"fast-forward target {marker} never reached "
+                f"(global count stopped at {self._marker_counts[marker.pc]})"
+            )
+        if hit.count != marker.count:
+            raise ReplayError(
+                f"fast-forward marker {marker} falls inside a batched "
+                f"entry (the entry starts at count {hit.count})"
+            )
+        skipped = self.num_events - events_before
+        reg = active_metrics()
+        if reg is not None:
+            reg.inc("replay.fast_forward.runs")
+            reg.inc("replay.fast_forward.entries", skipped)
+        return skipped
+
+    def skip(
+        self,
+        targets: Dict[int, int],
+        *,
+        filtered: Optional[int] = None,
+        track_pcs: Iterable[int] = (),
+    ) -> Tuple[bool, Optional["Marker"]]:
+        """Advance to the next pending cut without delivering any event.
+
+        ``targets`` maps marker PCs to pending global execution counts.
+        The replay stops just before the first execution of a target PC
+        whose repeat run reaches its pending count, or — with
+        ``filtered`` — at the first entry whose pre-entry global filtered
+        count reaches that coordinate, whichever comes first.
+        ``track_pcs`` names further marker PCs whose global counts must
+        stay known across the skip.  State advances exactly as in
+        :meth:`fast_forward_to`.
+
+        Returns ``(stopped, hit)``.  ``stopped`` is False when the logs
+        ran out first.  ``hit`` is the marker execution the replay
+        stopped before, with its pre-entry global count, or ``None`` for
+        a filtered stop.  A ``hit.count`` other than the target's means
+        the target falls inside a batched entry or was already passed.
+        """
+        from ..profiling.markers import Marker
+
+        program = self.program
+        bid_of = {
+            pc: program.block_at(pc).bid for pc in (*targets, *track_pcs)
+        }
         counts = self._marker_counts
-        for pc in pcs:
+        for pc in bid_of:
             counts.setdefault(pc, 0)
         self._fast_forwarded = True
 
         nthreads = self.pinball.nthreads
         nblocks = program.num_blocks
-        index = self._skip_index(frozenset(pcs.values()))
+        index = self._skip_index(frozenset(bid_of.values()))
         state = _WalkState(
             pos=list(self.positions),
             ptt=list(self.per_thread_total),
@@ -521,16 +535,11 @@ class ConstrainedReplayer:
             quantum_resume=self._quantum_resume,
         )
         self._quantum_resume = None
-        found, _, _ = _walk(
+        found, _, hit = _walk(
             self.pinball.logs, self.quantum_instructions, index, state,
-            target_bid=target_bid, target_count=target_count,
-            marker_desc=marker,
+            targets={bid_of[pc]: n for pc, n in targets.items()},
+            filtered_abs=filtered,
         )
-        if not found:
-            raise ReplayError(
-                f"fast-forward target {marker} never reached "
-                f"(global count stopped at {counts[marker.pc]})"
-            )
 
         flat = np.asarray(self.exec_counts, dtype=np.int64).reshape(-1)
         skipped = index.add_counts(flat, self.positions, state.pos, nblocks)
@@ -547,11 +556,15 @@ class ConstrainedReplayer:
         self.num_events += skipped
         self._next_gseq = state.next_gseq
         self._quantum_resume = state.quantum_resume
-        reg = active_metrics()
-        if reg is not None:
-            reg.inc("replay.fast_forward.runs")
-            reg.inc("replay.fast_forward.entries", skipped)
-        return skipped
+        return found, None if hit is None else Marker(*hit)
+
+    def cut_point(self) -> CutPoint:
+        """The current cut's positions and global counters."""
+        return CutPoint(
+            positions=list(self.positions),
+            total=self.total_instructions,
+            filtered=self.filtered_instructions,
+        )
 
     def _skip_index(self, stop_bids: FrozenSet[int]) -> _SkipIndex:
         """The per-thread skip tables for this stop set, built once."""
@@ -641,12 +654,11 @@ class ConstrainedReplayer:
         *,
         cursor: ReplayCursor,
         target_filtered: int,
-    ) -> FilteredCut:
+    ) -> CutPoint:
         """Locate the first entry at/after ``cursor`` whose pre-entry
         global filtered count reaches ``target_filtered``.
 
-        This is region extraction's warmup-cut rule (the first hook
-        call with ``filtered >= warmup_filtered``), replayed on copied
+        This is region extraction's warmup-cut rule, walked on copied
         scalar state without advancing this replayer.
         """
         index = self._skip_index(self._stop_bids(marker_pcs))
@@ -667,7 +679,7 @@ class ConstrainedReplayer:
                 f"filtered coordinate {target_filtered} beyond end of "
                 f"execution (stopped at {sum(state.ptf)})"
             )
-        return FilteredCut(
+        return CutPoint(
             positions=state.pos,
             total=sum(state.ptt),
             filtered=sum(state.ptf),
@@ -713,7 +725,6 @@ class ConstrainedReplayer:
         logs = self.pinball.logs
         nthreads = self.pinball.nthreads
         pos = self.positions
-        hook = self.entry_hook
         blocks = self.program.blocks
         until_bid = -1
         until_count = -1
@@ -736,24 +747,17 @@ class ConstrainedReplayer:
                 )
             until_count = until.count
             until_c = base
-        # The batch/legacy decision happens here, not at construction:
-        # callers (region extraction) may assign entry_hook after __init__,
-        # and hooks read per-event state (positions, exec_counts) between
-        # events, which a batch by definition cannot keep fresh.
-        ring = None
-        if self.batch_events and hook is None:
-            ring = self._ring = EventRing(
-                blocks, nthreads, self.observers,
-                capacity=self._batch_capacity,
-                initial_exec_counts=self.exec_counts,
-            )
-        if ring is not None:
-            ring_rows = ring.buffers()
-            ring_append_row = ring_rows.append
-            ring_encode = ring.encode
-            ring_capacity = ring.capacity
-            ring_flush = ring.flush
-            flush_on_sync = ring.flush_on_sync
+        ring = EventRing(
+            blocks, nthreads, self.observers,
+            capacity=self._batch_capacity,
+            initial_exec_counts=self.exec_counts,
+        )
+        ring_rows = ring.buffers()
+        ring_append_row = ring_rows.append
+        ring_encode = ring.encode
+        ring_capacity = ring.capacity
+        ring_flush = ring.flush
+        flush_on_sync = ring.flush_on_sync
         ends = [len(log) for log in logs]
         next_gseq = self._next_gseq
         live = set(tid for tid in range(nthreads) if pos[tid] < ends[tid])
@@ -785,88 +789,48 @@ class ConstrainedReplayer:
                     stop_at = (
                         self.per_thread_total[tid] + self.quantum_instructions
                     )
-                if ring is not None:
-                    ptt = self.per_thread_total[tid]
-                    ptf = self.per_thread_filtered[tid]
-                    while ptt < stop_at and pos[tid] < ends[tid]:
-                        entry = log[pos[tid]]
-                        if entry[0] == "b":
-                            bid = entry[1]
-                            repeat = entry[2]
-                            if bid == until_bid:
-                                if until_c + repeat > until_count:
-                                    if until_c != until_count:
-                                        raise ReplayError(
-                                            f"until marker {until} falls "
-                                            f"inside a batched entry"
-                                        )
-                                    stopped = True
-                                    self._quantum_resume = (
-                                        tid, stop_at - ptt
+                ptt = self.per_thread_total[tid]
+                ptf = self.per_thread_filtered[tid]
+                while ptt < stop_at and pos[tid] < ends[tid]:
+                    entry = log[pos[tid]]
+                    if entry[0] == "b":
+                        bid = entry[1]
+                        repeat = entry[2]
+                        if bid == until_bid:
+                            if until_c + repeat > until_count:
+                                if until_c != until_count:
+                                    raise ReplayError(
+                                        f"until marker {until} falls "
+                                        f"inside a batched entry"
                                     )
-                                    break
-                                until_c += repeat
-                            block = blocks[bid]
-                            n = block.n_instr * repeat
-                            ptt += n
-                            if not block.image.is_library:
-                                ptf += n
-                                self.filtered_instructions += n
-                            self.total_instructions += n
-                            ring_append_row(ring_encode(tid, bid, repeat))
-                            if len(ring_rows) >= ring_capacity:
-                                ring_flush()
-                        else:
-                            _, kind, obj_id, response, gseq = entry
-                            if gseq != next_gseq:
-                                break  # not this thread's turn at the order
-                            next_gseq += 1
-                            if flush_on_sync:
-                                ring_flush()
-                            for ob in self.observers:
-                                ob.on_sync(tid, kind, obj_id, response, gseq)
-                        pos[tid] += 1
-                        self.num_events += 1
-                        progressed = True
-                    self.per_thread_total[tid] = ptt
-                    self.per_thread_filtered[tid] = ptf
-                else:
-                    while (
-                        self.per_thread_total[tid] < stop_at
-                        and pos[tid] < ends[tid]
-                    ):
-                        entry = log[pos[tid]]
-                        if entry[0] == "b":
-                            if entry[1] == until_bid:
-                                repeat = entry[2]
-                                if until_c + repeat > until_count:
-                                    if until_c != until_count:
-                                        raise ReplayError(
-                                            f"until marker {until} falls "
-                                            f"inside a batched entry"
-                                        )
-                                    stopped = True
-                                    self._quantum_resume = (
-                                        tid,
-                                        stop_at - self.per_thread_total[tid],
-                                    )
-                                    break
-                                until_c += repeat
-                            if hook is not None:
-                                hook(tid, pos[tid], entry)
-                            self._exec_block(tid, entry[1], entry[2])
-                        else:
-                            _, kind, obj_id, response, gseq = entry
-                            if gseq != next_gseq:
-                                break  # not this thread's turn at the order
-                            if hook is not None:
-                                hook(tid, pos[tid], entry)
-                            next_gseq += 1
-                            for ob in self.observers:
-                                ob.on_sync(tid, kind, obj_id, response, gseq)
-                        pos[tid] += 1
-                        self.num_events += 1
-                        progressed = True
+                                stopped = True
+                                self._quantum_resume = (tid, stop_at - ptt)
+                                break
+                            until_c += repeat
+                        block = blocks[bid]
+                        n = block.n_instr * repeat
+                        ptt += n
+                        if not block.image.is_library:
+                            ptf += n
+                            self.filtered_instructions += n
+                        self.total_instructions += n
+                        ring_append_row(ring_encode(tid, bid, repeat))
+                        if len(ring_rows) >= ring_capacity:
+                            ring_flush()
+                    else:
+                        _, kind, obj_id, response, gseq = entry
+                        if gseq != next_gseq:
+                            break  # not this thread's turn at the order
+                        next_gseq += 1
+                        if flush_on_sync:
+                            ring_flush()
+                        for ob in self.observers:
+                            ob.on_sync(tid, kind, obj_id, response, gseq)
+                    pos[tid] += 1
+                    self.num_events += 1
+                    progressed = True
+                self.per_thread_total[tid] = ptt
+                self.per_thread_filtered[tid] = ptf
                 if pos[tid] >= ends[tid]:
                     live.discard(tid)
                 if stopped or progressed:
@@ -886,8 +850,7 @@ class ConstrainedReplayer:
         self._next_gseq = next_gseq
         if until is not None:
             self._marker_counts[until.pc] = until_c
-        if ring is not None:
-            self.exec_counts = ring.exec_counts()  # flushes the ring
+        self.exec_counts = ring.exec_counts()  # flushes the ring
         if finish:
             for ob in self.observers:
                 ob.on_finish()
@@ -895,10 +858,9 @@ class ConstrainedReplayer:
         if reg is not None:  # once per replay, never per event
             reg.inc("replay.runs")
             reg.inc("replay.events", self.num_events)
-            if ring is not None:
-                reg.inc("replay.ring.flushes", ring.flushes)
-                reg.inc("replay.ring.small_flushes", ring.small_flushes)
-                reg.inc("replay.ring.events_flushed", ring.events_flushed)
+            reg.inc("replay.ring.flushes", ring.flushes)
+            reg.inc("replay.ring.small_flushes", ring.small_flushes)
+            reg.inc("replay.ring.events_flushed", ring.events_flushed)
         return EngineResult(
             total_instructions=self.total_instructions,
             filtered_instructions=self.filtered_instructions,

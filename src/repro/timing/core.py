@@ -63,9 +63,10 @@ class CoreModel:
 
         Updates all microarchitectural state (caches, predictor) and the
         core's counters, advances the local clock, and returns the cycles
-        consumed.  In ``warming`` mode state is still updated but time
-        advances at one instruction per cycle (functional warming during
-        fast-forward).
+        consumed.  ``warming`` marks functional warming during
+        fast-forward; it is costed exactly like detailed mode (see the
+        note above the stall computation), so the flag does not change
+        the result.
         """
         n = block.n_instr * repeat
         self.instructions += n

@@ -432,55 +432,52 @@ class MultiCoreSimulator:
             tid = thread.tid
             # Single-event turns keep inter-core drift at one block batch,
             # which bounds region-boundary jitter on the global clock.
-            for _burst in range(1):
-                if thread.state != _RUNNABLE or ctl.finished:
-                    break
-                try:
-                    event = thread.gen.send(thread.response)
-                except StopIteration:
-                    thread.state = _DONE
-                    break
-                thread.response = None
-                num_events += 1
-                etype = type(event)
-                if etype is BlockExec:
-                    ctl.pre_block(event.block, event.repeat)
-                    if ctl.finished:
-                        break
-                    self._exec(tid, event.block, event.repeat, not ctl.detailed)
-                    ctl.post_block(event.block.n_instr * event.repeat)
-                elif etype is BarrierWait:
-                    self._handle_barrier_timed(
-                        thread, event.barrier_id, barriers, threads, active, ctl
-                    )
-                elif etype is LockAcquire:
-                    self._handle_lock_acquire_timed(
-                        thread, event.lock_id, locks, active, ctl.detailed
-                    )
-                elif etype is LockRelease:
-                    self._handle_lock_release_timed(
-                        thread, event.lock_id, locks, threads, active,
-                        ctl.detailed,
-                    )
-                elif etype is ChunkRequest:
-                    cursor = chunks.get(event.loop_id, 0)
-                    self._exec(tid, self.omp.chunk_fetch, 1, not ctl.detailed)
-                    if cursor >= event.total_iters:
-                        thread.response = -1
-                    else:
-                        thread.response = cursor
-                        chunks[event.loop_id] = cursor + event.chunk_size
-                elif etype is SingleRequest:
-                    granted = event.single_id not in singles
-                    if granted:
-                        singles.add(event.single_id)
-                    thread.response = granted
-                elif etype is Reduce:
-                    self._exec(tid, self.omp.reduce_combine, 1, not ctl.detailed)
+            try:
+                event = thread.gen.send(thread.response)
+            except StopIteration:
+                thread.state = _DONE
+                continue
+            thread.response = None
+            num_events += 1
+            etype = type(event)
+            if etype is BlockExec:
+                ctl.pre_block(event.block, event.repeat)
+                if ctl.finished:
+                    continue
+                self._exec(tid, event.block, event.repeat, not ctl.detailed)
+                ctl.post_block(event.block.n_instr * event.repeat)
+            elif etype is BarrierWait:
+                self._handle_barrier_timed(
+                    thread, event.barrier_id, barriers, threads, active, ctl
+                )
+            elif etype is LockAcquire:
+                self._handle_lock_acquire_timed(
+                    thread, event.lock_id, locks, active, ctl.detailed
+                )
+            elif etype is LockRelease:
+                self._handle_lock_release_timed(
+                    thread, event.lock_id, locks, threads, active,
+                    ctl.detailed,
+                )
+            elif etype is ChunkRequest:
+                cursor = chunks.get(event.loop_id, 0)
+                self._exec(tid, self.omp.chunk_fetch, 1, not ctl.detailed)
+                if cursor >= event.total_iters:
+                    thread.response = -1
                 else:
-                    raise SimulationError(f"unknown event {event!r}")
-                if max_events is not None and num_events > max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
+                    thread.response = cursor
+                    chunks[event.loop_id] = cursor + event.chunk_size
+            elif etype is SingleRequest:
+                granted = event.single_id not in singles
+                if granted:
+                    singles.add(event.single_id)
+                thread.response = granted
+            elif etype is Reduce:
+                self._exec(tid, self.omp.reduce_combine, 1, not ctl.detailed)
+            else:
+                raise SimulationError(f"unknown event {event!r}")
+            if max_events is not None and num_events > max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
 
         ctl.finalize(whole_run, clip_at_end)
         if len(ctl.results) != len(ctl.rois) and not clip_at_end:

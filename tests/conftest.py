@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ReproScale
+from repro.exec_engine.observers import Observer
 from repro.isa import ProgramBuilder, StridedAccess
 from repro.isa.blocks import BRANCH_COND, BRANCH_LOOP, BranchSpec
 from repro.policy import WaitPolicy
@@ -71,6 +72,53 @@ def build_toy(nthreads_hint: int = 4, steps: int = 12, with_critical: bool = Fal
         constructs.append(Serial(swork, iters=6))
         constructs.append(Barrier())
     return program, ThreadProgram(constructs), omp
+
+
+class PerEvent(Observer):
+    """Forwards events one at a time to ``inner`` observers.
+
+    With the default strict flags the driver flushes its ring before
+    every sync and never buffers syncs; with ``batch_capacity=1`` as
+    well, every block and sync reaches ``inner`` through ``on_block`` /
+    ``on_sync`` in execution order — the per-event reference the batched
+    paths must match.
+    """
+
+    def __init__(self, *inner):
+        self.inner = inner
+
+    def on_block(self, tid, block, repeat, start_index):
+        for ob in self.inner:
+            ob.on_block(tid, block, repeat, start_index)
+
+    def on_sync(self, tid, kind, obj_id, response, gseq):
+        for ob in self.inner:
+            ob.on_sync(tid, kind, obj_id, response, gseq)
+
+    def on_finish(self):
+        for ob in self.inner:
+            ob.on_finish()
+
+
+_UNTAPED = {}
+
+
+def untaped(thread_program):
+    """``thread_program`` with every construct's class swapped for a
+    trivial subclass.
+
+    ``compile_streams`` matches exact construct types, so the engine runs
+    such a program on its generator loop instead of the tape kernel.
+    """
+    for construct in thread_program.constructs:
+        base = type(construct)
+        sub = _UNTAPED.get(base)
+        if sub is None:
+            sub = _UNTAPED[base] = type(
+                f"Untaped{base.__name__}", (base,), {"__slots__": ()}
+            )
+        construct.__class__ = sub
+    return thread_program
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ must hand observers exactly the region's events.  These tests enforce the
 contract on every demo and NPB workload, on a wrap-around marker pair
 (certified by MARK006's dynamic rung — the oracle for legitimacy), and
 pin the error surface: unreachable markers, batched-entry interior cuts,
-untracked ``until`` PCs, and hook incompatibility.
+and untracked ``until`` PCs.
 """
 
 import numpy as np
@@ -17,7 +17,11 @@ import pytest
 
 from repro.dcfg.graph import ENTRY, build_dcfg_from_pinball
 from repro.errors import ReplayError
-from repro.exec_engine.observers import InstructionCounter, TraceCollector
+from repro.exec_engine.observers import (
+    InstructionCounter,
+    Observer,
+    TraceCollector,
+)
 from repro.lint.dataflow import dominance_sets, dominates
 from repro.lint.dcfg_passes import _certify_region_on_graph
 from repro.pinplay.recorder import record_execution
@@ -32,16 +36,14 @@ from conftest import TEST_SCALE, build_toy
 ALL_WORKLOADS = ["demo-matrix-1", "demo-matrix-2", "demo-matrix-3"] + NPB_APPS
 
 
-class Gate:
+class Gate(Observer):
     """Forward events to inner observers only between two marker cuts.
 
-    Runs on the legacy per-event path and reproduces the marker semantics
-    exactly: triggers *just before* the ``count``-th global execution of
-    the marker block, counting repeats.
+    Runs on a capacity-1 ring, so it sees every event on its own, in
+    execution order, and reproduces the marker semantics exactly:
+    triggers *just before* the ``count``-th global execution of the
+    marker block, counting repeats.
     """
-
-    needs_flush_before_sync = False
-    needs_start_index = False
 
     def __init__(self, inner, start_bid, start_count, end_bid, end_count):
         self.inner = inner
@@ -110,9 +112,7 @@ class TestFastForwardEquivalence:
 
         # Fast-forward path: skip to the start cut, replay to the end cut.
         ic_ff, tc_ff = _observer_pair(nthreads)
-        ff = ConstrainedReplayer(
-            program, pinball, observers=(ic_ff, tc_ff), batch_events=True
-        )
+        ff = ConstrainedReplayer(program, pinball, observers=(ic_ff, tc_ff))
         skipped = ff.fast_forward_to(start, track_pcs=[end.pc])
         bbv_at_start = np.asarray(ff.exec_counts, dtype=np.int64)
         result_ff = ff.run(until=end)
@@ -122,13 +122,13 @@ class TestFastForwardEquivalence:
         # Reference 1 — EngineResult: a scratch replay run to the same
         # end cut must produce the identical result (totals, per-thread
         # counters, exec counts, event count).
-        scratch = ConstrainedReplayer(program, pinball, batch_events=True)
+        scratch = ConstrainedReplayer(program, pinball)
         result_full = scratch.run(until=end)
         assert result_ff == result_full
 
         # Reference 2 — region BBV: exec-count delta between the two cuts
         # of scratch replays equals the fast-forwarded path's delta.
-        at_start = ConstrainedReplayer(program, pinball, batch_events=True)
+        at_start = ConstrainedReplayer(program, pinball)
         at_start.run(until=start)
         bbv_region_full = (
             np.asarray(scratch.exec_counts, dtype=np.int64)
@@ -145,7 +145,7 @@ class TestFastForwardEquivalence:
             (ic_ref, tc_ref), start_bid, start.count, end_bid, end.count
         )
         ConstrainedReplayer(
-            program, pinball, observers=(gate,), batch_events=False
+            program, pinball, observers=(gate,), batch_capacity=1
         ).run()
         assert ic_ff.total == ic_ref.total
         assert ic_ff.filtered == ic_ref.filtered
@@ -202,23 +202,21 @@ class TestWrapAroundMarkers:
         program, pinball, hdr, body, start, end = self._wrap_setup()
 
         ic_ff, tc_ff = _observer_pair(4)
-        ff = ConstrainedReplayer(
-            program, pinball, observers=(ic_ff, tc_ff), batch_events=True
-        )
+        ff = ConstrainedReplayer(program, pinball, observers=(ic_ff, tc_ff))
         ff.fast_forward_to(start, track_pcs=[end.pc])
         # The wrap property itself: the end PC already has a nonzero
         # global count at the start cut.
         assert ff._marker_counts[end.pc] > 0
         result_ff = ff.run(until=end)
 
-        scratch = ConstrainedReplayer(program, pinball, batch_events=True)
+        scratch = ConstrainedReplayer(program, pinball)
         assert result_ff == scratch.run(until=end)
 
         ic_ref, tc_ref = _observer_pair(4)
         gate = Gate((ic_ref, tc_ref), body.bid, start.count,
                     hdr.bid, end.count)
         ConstrainedReplayer(
-            program, pinball, observers=(gate,), batch_events=False
+            program, pinball, observers=(gate,), batch_capacity=1
         ).run()
         assert ic_ff.per_thread_total == ic_ref.per_thread_total
         assert ic_ff.per_thread_filtered == ic_ref.per_thread_filtered
@@ -232,14 +230,6 @@ class TestFastForwardErrors:
         program, tp, omp = build_toy()
         pinball, _ = record_execution(program, tp, omp, 4, seed=3)
         return program, pinball
-
-    def test_entry_hook_incompatible(self, toy_pinball):
-        program, pinball = toy_pinball
-        replayer = ConstrainedReplayer(
-            program, pinball, entry_hook=lambda tid, pos, entry: None
-        )
-        with pytest.raises(ReplayError, match="entry_hook"):
-            replayer.fast_forward_to(Marker(program.blocks[1].pc, 40))
 
     def test_dcfg_unreachable_marker_rejected(self, toy_pinball):
         program, pinball = toy_pinball

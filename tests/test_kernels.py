@@ -1,4 +1,4 @@
-"""Scheduler-kernel tiers: template rendering, tier selection, parity.
+"""Scheduler-kernel tiers: template rendering, tier validation, parity.
 
 The ``compiled`` tier folds a run's configuration (wait policy, flow
 control, event bound) out of the hot loop's bytecode; the ``reference``
@@ -18,13 +18,7 @@ from repro.exec_engine.observers import (
     TraceCollector,
 )
 from repro.perf import kernels
-from repro.perf.kernels import (
-    VALID_TIERS,
-    get_kernel,
-    maybe_jit,
-    render_kernel_source,
-    select_tier,
-)
+from repro.perf.kernels import get_kernel, render_kernel_source
 from repro.policy import WaitPolicy
 
 from conftest import build_toy
@@ -45,7 +39,7 @@ def _run_tier(tier, *, policy=WaitPolicy.PASSIVE, seed=0, nthreads=4,
     engine = ExecutionEngine(
         program, tp, omp, nthreads, wait_policy=policy, seed=seed,
         observers=obs, flow_control=flow, max_events=max_events,
-        batch_events=True, kernel_tier=tier,
+        kernel_tier=tier,
     )
     try:
         result = engine.run()
@@ -97,41 +91,12 @@ class TestTierParity:
                       flow=FlowControl(window=200), max_events=500),
         )
 
-    def test_auto_matches_compiled(self):
-        _assert_equal_state(
-            _run_tier("auto"), _run_tier("compiled"),
-        )
-
 
 class TestTierSelection:
-    def test_default_is_auto(self):
-        assert select_tier(env={}) == "auto"
-
-    @pytest.mark.parametrize("raw", ["reference", "Compiled", "  AUTO  "])
-    def test_env_value_normalized(self, raw):
-        tier = select_tier(env={"REPRO_KERNEL_TIER": raw})
-        assert tier == raw.strip().lower()
-        assert tier in VALID_TIERS
-
-    def test_invalid_env_value_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_KERNEL_TIER"):
-            select_tier(env={"REPRO_KERNEL_TIER": "turbo"})
-
-    def test_engine_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-        program, tp, omp = build_toy()
-        assert ExecutionEngine(program, tp, omp, 2).kernel_tier == "reference"
-
     def test_engine_rejects_unknown_tier(self):
         program, tp, omp = build_toy()
         with pytest.raises(ValueError, match="kernel_tier"):
             ExecutionEngine(program, tp, omp, 2, kernel_tier="turbo")
-
-    def test_explicit_tier_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-        program, tp, omp = build_toy()
-        eng = ExecutionEngine(program, tp, omp, 2, kernel_tier="compiled")
-        assert eng.kernel_tier == "compiled"
 
 
 class TestTemplateRendering:
@@ -210,29 +175,8 @@ class TestKernelCache:
         assert a is not b
         assert a is c
 
-    def test_auto_resolves_to_compiled(self):
-        ns = {}
-        a = get_kernel("auto", active=True, flow=True, bounded=False,
-                       namespace=ns)
-        b = get_kernel("compiled", active=True, flow=True, bounded=False,
-                       namespace=ns)
-        assert a is b
-
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="tier"):
             get_kernel("turbo", active=True, flow=True, bounded=True,
                        namespace={})
 
-
-class TestMaybeJit:
-    def test_passthrough_without_numba(self):
-        """The pure-Python definition stays authoritative: with numba
-        absent (the baked image), maybe_jit is the identity."""
-
-        def f(x):
-            return x + 1
-
-        wrapped = maybe_jit(f, cache=True)
-        if not kernels.HAVE_NUMBA:
-            assert wrapped is f
-        assert wrapped(2) == 3

@@ -1,11 +1,12 @@
 """The batched event hot path: equivalence, the ring, and the fast kernels.
 
-The optimization's contract is *bit-identical* observer state between the
-legacy per-event path and the batched ring, for the engine and for the
-constrained replayer.  These tests enforce that contract across wait
-policies, seeds, and awkward ring capacities, then cover the ring's
-start-index reconstruction, the GEMM k-means kernels, the sweep modes, and
-the parallel k-fit fan-out.
+The optimization's contract is *bit-identical* observer state between
+per-event delivery (a capacity-1 ring feeding observers through
+``on_block``/``on_sync`` one event at a time) and the batched ring, for the
+engine and for the constrained replayer.  These tests enforce that contract
+across wait policies, seeds, and awkward ring capacities, then cover the
+ring's start-index reconstruction, the GEMM k-means kernels, the sweep
+modes, and the parallel k-fit fan-out.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.policy import WaitPolicy
 from repro.profiling.filters import FilterPolicy
 from repro.profiling.slicer import LoopAlignedSlicer
 
-from conftest import build_toy
+from conftest import PerEvent, build_toy
 
 
 def _observers(nthreads, limit=None):
@@ -39,22 +40,25 @@ def _observers(nthreads, limit=None):
     )
 
 
-def _run(batch, *, policy=WaitPolicy.PASSIVE, seed=0, nthreads=4,
+def _run(*, per_event=False, policy=WaitPolicy.PASSIVE, seed=0, nthreads=4,
          capacity=None, limit=None):
+    """One engine run; ``per_event`` selects the per-event reference."""
     program, tp, omp = build_toy(nthreads_hint=nthreads)
     obs = _observers(nthreads, limit)
-    kwargs = {"batch_events": batch}
-    if capacity is not None:
+    kwargs = {}
+    if per_event:
+        kwargs["batch_capacity"] = 1
+    elif capacity is not None:
         kwargs["batch_capacity"] = capacity
     engine = ExecutionEngine(
         program, tp, omp, nthreads, wait_policy=policy, seed=seed,
-        observers=obs, **kwargs,
+        observers=(PerEvent(*obs),) if per_event else obs, **kwargs,
     )
     return engine.run(), obs
 
 
-def _assert_equal_state(legacy, batched):
-    result_l, obs_l = legacy
+def _assert_equal_state(reference, batched):
+    result_l, obs_l = reference
     result_b, obs_b = batched
     assert result_l == result_b
     assert obs_l[0].per_thread_total == obs_b[0].per_thread_total
@@ -70,22 +74,22 @@ class TestEngineBatchEquivalence:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bit_identical_results(self, policy, seed):
         _assert_equal_state(
-            _run(False, policy=policy, seed=seed),
-            _run(True, policy=policy, seed=seed),
+            _run(per_event=True, policy=policy, seed=seed),
+            _run(policy=policy, seed=seed),
         )
 
     def test_odd_capacity(self):
         """A capacity that never aligns with quantum boundaries."""
-        _assert_equal_state(_run(False), _run(True, capacity=7))
+        _assert_equal_state(_run(per_event=True), _run(capacity=7))
 
     def test_capacity_one(self):
-        _assert_equal_state(_run(False), _run(True, capacity=1))
+        _assert_equal_state(_run(per_event=True), _run(capacity=1))
 
     def test_bounded_trace_same_truncation_point(self):
         """A finite collector cap forces strict ordering; the clipped
-        prefix must be identical to the legacy path's."""
+        prefix must be identical to per-event delivery's."""
         _assert_equal_state(
-            _run(False, limit=100), _run(True, limit=100)
+            _run(per_event=True, limit=100), _run(limit=100)
         )
 
     def test_third_party_observer_sees_per_event_calls(self):
@@ -101,23 +105,14 @@ class TestEngineBatchEquivalence:
 
         program, tp, omp = build_toy()
         runs = []
-        for batch in (False, True):
+        for capacity in (1, 8192):
             spy = Spy()
             ExecutionEngine(
                 program, tp, omp, 4, observers=(spy,), seed=0,
-                batch_events=batch,
+                batch_capacity=capacity,
             ).run()
             runs.append(spy.calls)
         assert runs[0] == runs[1]
-
-    def test_env_toggle_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_EVENTS", "0")
-        program, tp, omp = build_toy()
-        eng = ExecutionEngine(program, tp, omp, 4)
-        assert eng._ring is None
-        monkeypatch.setenv("REPRO_BATCH_EVENTS", "1")
-        eng = ExecutionEngine(program, tp, omp, 4)
-        assert eng._ring is not None
 
 
 class TestReplayerBatchEquivalence:
@@ -130,12 +125,12 @@ class TestReplayerBatchEquivalence:
         program, pinball = self._pinball()
         obs_l = _observers(4)
         r_l = ConstrainedReplayer(
-            program, pinball, observers=obs_l, batch_events=False
+            program, pinball, observers=(PerEvent(*obs_l),),
+            batch_capacity=1,
         ).run()
         obs_b = _observers(4)
         r_b = ConstrainedReplayer(
-            program, pinball, observers=obs_b, batch_events=True,
-            batch_capacity=13,
+            program, pinball, observers=obs_b, batch_capacity=13,
         ).run()
         _assert_equal_state((r_l, obs_l), (r_b, obs_b))
 
@@ -144,31 +139,30 @@ class TestReplayerBatchEquivalence:
         policy = FilterPolicy()
         markers = [b for b in program.blocks if policy.marker_eligible(b)]
 
-        def run(batch):
+        def run(per_event):
             slicer = LoopAlignedSlicer(
                 4, program.num_blocks, markers, slice_size=600
             )
-            ConstrainedReplayer(
-                program, pinball, observers=(slicer,), batch_events=batch
-            ).run()
+            if per_event:
+                replayer = ConstrainedReplayer(
+                    program, pinball, observers=(PerEvent(slicer),),
+                    batch_capacity=1,
+                )
+            else:
+                replayer = ConstrainedReplayer(
+                    program, pinball, observers=(slicer,)
+                )
+            replayer.run()
             return slicer.slices
 
-        legacy, batched = run(False), run(True)
-        assert len(legacy) == len(batched)
-        for a, b in zip(legacy, batched):
+        reference, batched = run(True), run(False)
+        assert len(reference) == len(batched)
+        for a, b in zip(reference, batched):
             assert (a.start, a.end) == (b.start, b.end)
             assert np.array_equal(a.bbv, b.bbv)
             assert a.filtered_instructions == b.filtered_instructions
             assert a.per_thread_filtered == b.per_thread_filtered
             assert a.start_filtered == b.start_filtered
-
-    def test_entry_hook_forces_legacy_path(self):
-        program, pinball = self._pinball()
-        replayer = ConstrainedReplayer(
-            program, pinball, entry_hook=lambda tid, pos, entry: None
-        )
-        assert replayer._ring is None
-        assert replayer.run().num_events > 0
 
 
 class TestRingInternals:

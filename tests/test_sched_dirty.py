@@ -8,7 +8,7 @@ blocking, or stay invisible after waking — which corrupts the recorded
 interleaving without crashing.  These tests pin every transition:
 barrier arrival/release, lock contention handoff, and thread completion,
 both as direct flag assertions and as schedule bit-identity between the
-cached-queue paths and the legacy per-event path.
+tape kernel and the generator loop.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.exec_engine.observers import (
 )
 from repro.policy import WaitPolicy
 
-from conftest import build_toy
+from conftest import build_toy, untaped
 
 
 def _engine(**kwargs):
@@ -108,12 +108,15 @@ class TestDirtyFlagPerTransition:
 
 class TestScheduleIdentityAcrossPaths:
     """A missed invalidation shows up as schedule divergence between the
-    cached-queue paths (batched kernel, fallback loop) and the legacy
-    per-event loop.  Lock-handoff traffic (criticals) exercises the
-    out-of-line dirty resync inside the kernel."""
+    tape kernel (which maintains its run-queue in-line) and the generator
+    loop (which rebuilds it from thread states).  Lock-handoff traffic
+    (criticals) exercises the out-of-line dirty resync inside the
+    kernel."""
 
-    def _run(self, *, batch, tier="auto", policy=WaitPolicy.PASSIVE):
+    def _run(self, *, taped, tier="compiled", policy=WaitPolicy.PASSIVE):
         program, tp, omp = build_toy(with_critical=True)
+        if not taped:
+            tp = untaped(tp)
         obs = (
             InstructionCounter(4),
             SyncEventLog(4),
@@ -121,15 +124,16 @@ class TestScheduleIdentityAcrossPaths:
         )
         engine = ExecutionEngine(
             program, tp, omp, 4, wait_policy=policy, seed=11,
-            observers=obs, batch_events=batch, kernel_tier=tier,
+            observers=obs, kernel_tier=tier,
         )
+        assert (engine._streams is not None) == taped
         return engine.run(), obs
 
     @pytest.mark.parametrize("policy", [WaitPolicy.PASSIVE, WaitPolicy.ACTIVE])
     @pytest.mark.parametrize("tier", ["reference", "compiled"])
     def test_lock_handoff_schedule_identical(self, policy, tier):
-        result_l, obs_l = self._run(batch=False, policy=policy)
-        result_b, obs_b = self._run(batch=True, tier=tier, policy=policy)
+        result_l, obs_l = self._run(taped=False, policy=policy)
+        result_b, obs_b = self._run(taped=True, tier=tier, policy=policy)
         assert result_l == result_b
         assert obs_l[0].per_thread_total == obs_b[0].per_thread_total
         assert obs_l[1].per_thread == obs_b[1].per_thread

@@ -19,7 +19,7 @@ from repro.exec_engine.observers import (
 )
 from repro.perf.ring import EventRing, SMALL_BATCH_THRESHOLD
 
-from conftest import build_toy
+from conftest import PerEvent, build_toy
 
 BOUNDARY_SIZES = [
     SMALL_BATCH_THRESHOLD - 1,  # last scalar flush
@@ -97,17 +97,17 @@ class TestFlushPathBitIdentity:
 
 class TestEngineBoundaryCapacities:
     """Capacities at the threshold and ±1 force every flush through the
-    boundary; the engine must stay bit-identical to the legacy path —
+    boundary; the engine must stay bit-identical to per-event delivery —
     same rng stream (identical schedule), same observer state."""
 
-    def _run(self, batch, capacity=None, seed=5):
+    def _run(self, capacity=None, seed=5):
+        """``capacity=None`` runs the per-event reference."""
         program, tp, omp = build_toy()
         obs = (InstructionCounter(4), TraceCollector(limit=None))
-        kwargs = {"batch_events": batch}
-        if capacity is not None:
-            kwargs["batch_capacity"] = capacity
         engine = ExecutionEngine(
-            program, tp, omp, 4, seed=seed, observers=obs, **kwargs
+            program, tp, omp, 4, seed=seed,
+            observers=obs if capacity else (PerEvent(*obs),),
+            batch_capacity=capacity or 1,
         )
         result = engine.run()
         # The rng stream position after the run is part of bit-identity:
@@ -116,8 +116,8 @@ class TestEngineBoundaryCapacities:
 
     @pytest.mark.parametrize("capacity", BOUNDARY_SIZES)
     def test_boundary_capacity_bit_identical(self, capacity):
-        result_l, obs_l, rng_l = self._run(False)
-        result_b, obs_b, rng_b = self._run(True, capacity=capacity)
+        result_l, obs_l, rng_l = self._run()
+        result_b, obs_b, rng_b = self._run(capacity=capacity)
         assert result_l == result_b
         assert rng_l == rng_b
         assert obs_l[0].per_thread_total == obs_b[0].per_thread_total
