@@ -135,20 +135,20 @@ def main(argv=None) -> int:
             "select": measure_select(args.reps),
             "pipeline_e2e": measure_pipeline(args.reps),
         },
-        # Minimum fast-path speedup ratios CI enforces (see bench.py):
-        # measured in the same process against a legacy path, so they are
+        # Minimum fast-path speedup ratio CI enforces (see bench.py):
+        # measured in the same process against a legacy path, so it is
         # machine-portable, unlike the absolute walls above.  The gate
         # fires at floor * 0.75 (REGRESSION_MARGIN), and CI measures in
-        # --smoke mode, so each floor must clear smoke-size ratios too —
-        # select's floor stays well under its full-size ratio because the
-        # GEMM advantage shrinks on the smoke-size population.
-        # pipeline_e2e's floor: the live streaming pass must stay >= 2x
-        # faster than offline record+profile+select (measured ~3.1x when
-        # it landed).  The engine scenarios have no legacy path left to
-        # ratio against; their seed walls above are the reference.
+        # --smoke mode, so the floor must clear smoke-size ratios too.
+        # pipeline_e2e's floor: the live streaming pass must stay >= 1.5x
+        # faster than offline record+profile+select.  It measured ~3.1x
+        # when live mode landed; building the DCFG during recording and
+        # the cheaper k-means sweep sped the offline side up, and the
+        # ratio now measures 1.6-2.9x (median ~1.9x, 2-core host).  The
+        # engine and select scenarios have no legacy path left to ratio
+        # against; their seed walls above are the reference.
         "expected_min_ratio": {
-            "select": 1.5,
-            "pipeline_e2e": 2.0,
+            "pipeline_e2e": 1.5,
         },
     }
     with open(args.output, "w") as fh:

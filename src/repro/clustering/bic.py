@@ -8,6 +8,7 @@ Sec. III-E).  Higher is better.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -40,21 +41,38 @@ def bic_score(
     the data's overall variance), penalized by ``p/2 * log(n)`` free
     parameters, ``p = k*(d+1)``.
     """
-    n, d = points.shape
-    k = result.k
-    if n <= k:
-        raise ClusteringError(f"BIC needs more points ({n}) than clusters ({k})")
-    variance = result.inertia / (d * (n - k))
-    total_variance = float(points.var(axis=0).mean())
-    variance = max(variance, noise_floor ** 2 * total_variance, _VARIANCE_FLOOR)
+    return bic_scorer(points, noise_floor)(result)
 
-    sizes = np.bincount(result.labels, minlength=k).astype(np.float64)
-    nonzero = sizes[sizes > 0]
-    log_likelihood = (
-        float((nonzero * np.log(nonzero)).sum())
-        - n * math.log(n)
-        - 0.5 * n * d * math.log(2.0 * math.pi * variance)
-        - 0.5 * d * (n - k)
-    )
-    num_params = k * (d + 1)
-    return log_likelihood - 0.5 * num_params * math.log(n)
+
+def bic_scorer(
+    points: np.ndarray, noise_floor: float = DEFAULT_NOISE_FLOOR
+) -> Callable[[KMeansResult], float]:
+    """:func:`bic_score` for many clusterings of the same ``points``.
+
+    The data's overall variance is computed once, not once per
+    clustering; every score is bit-identical to :func:`bic_score`'s.
+    """
+    n, d = points.shape
+    noise_variance = noise_floor ** 2 * float(points.var(axis=0).mean())
+
+    def score(result: KMeansResult) -> float:
+        k = result.k
+        if n <= k:
+            raise ClusteringError(
+                f"BIC needs more points ({n}) than clusters ({k})"
+            )
+        variance = result.inertia / (d * (n - k))
+        variance = max(variance, noise_variance, _VARIANCE_FLOOR)
+
+        sizes = np.bincount(result.labels, minlength=k).astype(np.float64)
+        nonzero = sizes[sizes > 0]
+        log_likelihood = (
+            float((nonzero * np.log(nonzero)).sum())
+            - n * math.log(n)
+            - 0.5 * n * d * math.log(2.0 * math.pi * variance)
+            - 0.5 * d * (n - k)
+        )
+        num_params = k * (d + 1)
+        return log_likelihood - 0.5 * num_params * math.log(n)
+
+    return score

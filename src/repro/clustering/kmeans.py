@@ -1,20 +1,25 @@
 """K-means with k-means++ seeding (Forgy/Lloyd iteration), pure numpy.
 
-The assignment step runs in GEMM form by default (``|x|^2 + |c|^2 -
-2 x . c^T`` with row chunking, see :mod:`repro.perf.kernels`): the same
-squared distances as the naive broadcast without the ``O(n * k * d)``
-temporary, and the inner product goes through BLAS.  The broadcast form is
-kept behind ``assignment="broadcast"`` (or ``REPRO_KMEANS_ASSIGN``) as a
-debugging reference.  The update step accumulates weighted sums per cluster
-with ``np.bincount`` — one pass over the points per dimension instead of
-``k`` boolean-mask scans.
+The assignment step runs in GEMM form (``|x|^2 + |c|^2 - 2 x . c^T`` with
+row chunking, see :mod:`repro.perf.kernels`): the squared distances
+without an ``O(n * k * d)`` temporary, and the inner product goes through
+BLAS.  The update step accumulates weighted sums per cluster with a single
+``np.bincount`` over flattened ``(cluster, dimension)`` cells.
+
+k-means++ centroids are always data points, so the distance column a draw
+adds, ``|points - points[j]|^2``, depends only on ``j``.
+:class:`DistanceColumns` memoizes those columns; a caller fitting the same
+points many times (the SimPoint k sweep) shares one memo across fits via
+:func:`kmeanspp_seed` and ``kmeans(init_centroids=...)``.  Each draw is the
+explicit inverse-CDF form of ``rng.choice(n, p=...)``: the same
+arithmetic and the same rng consumption, without ``choice``'s argument
+validation on every draw.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -22,19 +27,6 @@ from ..errors import ClusteringError
 from ..obs.tracer import active_metrics
 from ..perf.kernels import assign_labels, weighted_means
 from ..resilience import KMEANS_DIVERGE, maybe_inject
-
-_ASSIGNMENT_MODES = ("gemm", "broadcast")
-
-
-def default_assignment() -> str:
-    """Assignment mode from ``REPRO_KMEANS_ASSIGN`` (default ``gemm``)."""
-    mode = os.environ.get("REPRO_KMEANS_ASSIGN", "gemm").strip().lower()
-    if mode not in _ASSIGNMENT_MODES:
-        raise ClusteringError(
-            f"REPRO_KMEANS_ASSIGN must be one of {_ASSIGNMENT_MODES}, "
-            f"got {mode!r}"
-        )
-    return mode
 
 
 @dataclass
@@ -48,14 +40,56 @@ class KMeansResult:
     iterations: int
 
 
-def _kmeanspp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
+class DistanceColumns:
+    """Memoized squared distances from every point to point ``j``.
+
+    ``columns[j]`` is ``((points - points[j]) ** 2).sum(axis=1)``, computed
+    on first use.  Callers must not write into a returned column.
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.points = points
+        self._columns: Dict[int, np.ndarray] = {}
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        column = self._columns.get(j)
+        if column is None:
+            points = self.points
+            column = self._columns[j] = ((points - points[j]) ** 2).sum(axis=1)
+        return column
+
+
+def weighted_draw(
+    rng: np.random.Generator, dist2: np.ndarray, total: float
+) -> int:
+    """Index drawn with probability ``dist2 / total``.
+
+    The inverse-CDF computation ``rng.choice(n, p=dist2 / total)``
+    performs, consuming one ``rng.random()`` exactly like it.
+    """
+    if not np.isfinite(total):
+        raise ClusteringError(
+            f"k-means++ draw over non-finite distance mass {total!r}"
+        )
+    cdf = np.cumsum(dist2 / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
+def kmeanspp_seed(
+    points: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    columns: Optional[DistanceColumns] = None,
 ) -> np.ndarray:
+    """k-means++ initial centroids (``columns`` memoizes distance columns)."""
+    if columns is None:
+        columns = DistanceColumns(points)
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    dist2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    dist2 = columns[first].copy()
     for i in range(1, k):
         total = dist2.sum()
         if total <= 0.0:
@@ -66,21 +100,10 @@ def _kmeanspp_init(
             # that cannot matter.
             centroids[i:] = centroids[0]
             break
-        probs = dist2 / total
-        choice = int(rng.choice(n, p=probs))
+        choice = weighted_draw(rng, dist2, total)
         centroids[i] = points[choice]
-        new_d = ((points - centroids[i]) ** 2).sum(axis=1)
-        np.minimum(dist2, new_d, out=dist2)
+        np.minimum(dist2, columns[choice], out=dist2)
     return centroids
-
-
-def _assign(points: np.ndarray, centroids: np.ndarray, mode: str):
-    """``(labels, min_sq_dist)`` under either assignment mode."""
-    if mode == "gemm":
-        return assign_labels(points, centroids)
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    return labels, d2[np.arange(points.shape[0]), labels]
 
 
 def kmeans(
@@ -91,7 +114,6 @@ def kmeans(
     tol: float = 1e-8,
     weights: Optional[np.ndarray] = None,
     init_centroids: Optional[np.ndarray] = None,
-    assignment: Optional[str] = None,
 ) -> KMeansResult:
     """Lloyd's algorithm; optionally instruction-weighted points.
 
@@ -99,10 +121,11 @@ def kmeans(
     centroids harder, matching how extrapolation later weights clusters.
 
     ``init_centroids`` skips k-means++ seeding and starts Lloyd iteration
-    from the given ``(k, d)`` array — the warm-start hook the incremental-k
-    sweep in :mod:`repro.clustering.simpoint` uses.  ``assignment`` picks
-    the distance computation (``gemm``/``broadcast``); default comes from
-    :func:`default_assignment`.
+    from the given ``(k, d)`` array — the hook the SimPoint sweep uses both
+    to warm-start k from k-1 and to seed with a shared
+    :class:`DistanceColumns` memo (``kmeanspp_seed(points, k,
+    default_rng(seed), columns)`` gives exactly the centroids ``seed``
+    would).
     """
     if points.ndim != 2:
         raise ClusteringError(f"expected 2-D points, got shape {points.shape}")
@@ -113,11 +136,6 @@ def kmeans(
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,) or np.any(weights < 0):
             raise ClusteringError("weights must be non-negative, one per point")
-    mode = assignment or default_assignment()
-    if mode not in _ASSIGNMENT_MODES:
-        raise ClusteringError(
-            f"assignment must be one of {_ASSIGNMENT_MODES}, got {mode!r}"
-        )
 
     maybe_inject(KMEANS_DIVERGE, f"kmeans:k={k}")
     if init_centroids is not None:
@@ -129,13 +147,12 @@ def kmeans(
             )
         centroids = centroids.copy()
     else:
-        rng = np.random.default_rng(seed)
-        centroids = _kmeanspp_init(points, k, rng)
+        centroids = kmeanspp_seed(points, k, np.random.default_rng(seed))
     labels = np.zeros(n, dtype=np.int64)
     iterations = 0
     # The counter is read after the loop for the iteration report.
     for iterations in range(1, max_iter + 1):  # noqa: B007
-        labels, min_d2 = _assign(points, centroids, mode)
+        labels, min_d2 = assign_labels(points, centroids)
         new_centroids, wsum = weighted_means(points, labels, k, weights)
         empty = wsum == 0
         if empty.any():
@@ -146,7 +163,7 @@ def kmeans(
         centroids = new_centroids
         if shift <= tol:
             break
-    labels, min_d2 = _assign(points, centroids, mode)
+    labels, min_d2 = assign_labels(points, centroids)
     inertia = float(min_d2.sum())
     reg = active_metrics()
     if reg is not None:  # once per fit, never per iteration

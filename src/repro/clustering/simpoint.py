@@ -10,14 +10,21 @@ filtered instructions — the "multiplier" numerator of Eq. (2) in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ClusteringError
 from ..obs.tracer import active_metrics
-from .bic import bic_score
-from .kmeans import KMeansResult, kmeans
+from ..perf.kernels import assign_labels
+from .bic import bic_scorer
+from .kmeans import (
+    DistanceColumns,
+    KMeansResult,
+    kmeans,
+    kmeanspp_seed,
+    weighted_draw,
+)
 from .projection import DEFAULT_DIMENSIONS, project
 
 
@@ -74,11 +81,6 @@ class SimPointSelection:
     def representative_indices(self) -> List[int]:
         return [c.representative for c in self.clusters]
 
-    def coverage(self) -> float:
-        """Fraction of instruction mass carried by representatives' clusters
-        (1.0 by construction — every slice belongs to a cluster)."""
-        return 1.0
-
 
 def select_simpoints(
     bbvs: np.ndarray,
@@ -89,17 +91,22 @@ def select_simpoints(
 ) -> SimPointSelection:
     """Cluster slice BBVs and select one representative per cluster.
 
-    ``ineligible`` slices may not be chosen as representatives (their
-    instruction mass still counts toward their cluster's multiplier).  The
-    pipeline passes the program-startup slices here: they execute the same
-    code as later occurrences but on cold microarchitectural state, so they
-    are valid cluster *members* but poor cluster *representatives* — the
-    standard SimPoint practice of steering clear of initialization.
+    ``ineligible`` slices are passed over as representatives whenever
+    their cluster has an eligible member (their instruction mass still
+    counts toward their cluster's multiplier).  A cluster made up only of
+    ineligible slices still needs a representative, so it falls back to
+    choosing among them.  The pipeline passes the program-startup slices
+    here: they execute the same code as later occurrences but on cold
+    microarchitectural state, so they are valid cluster *members* but poor
+    cluster *representatives* — the standard SimPoint practice of steering
+    clear of initialization.
 
     ``jobs > 1`` fans the full sweep's independent seeded k-fits across a
     process pool (each fit is deterministic given its seed, so the result
     is bit-identical to the serial sweep); the warm sweep is inherently
-    sequential and ignores ``jobs``.
+    sequential and ignores ``jobs``.  The serial full sweep shares one
+    :class:`~repro.clustering.kmeans.DistanceColumns` memo across every k
+    and restart; each fan-out task computes its own.
     """
     opts = options or SimPointOptions()
     if opts.sweep not in ("full", "warm"):
@@ -121,9 +128,9 @@ def select_simpoints(
     # the variance estimate collapses and BIC diverges.
     max_k = min(opts.max_k, max(1, n // 2)) if n > 1 else 1
     if opts.sweep == "warm":
-        results, scores = _warm_sweep(points, weights, opts, max_k, n)
+        results, scores = _warm_sweep(points, weights, opts, max_k)
     else:
-        results, scores = _full_sweep(points, weights, opts, max_k, n, jobs)
+        results, scores = _full_sweep(points, weights, opts, max_k, jobs)
 
     chosen_k = _choose_k(scores, opts.bic_threshold)
     chosen = results[chosen_k]
@@ -153,21 +160,32 @@ def _restarts_for(n: int, opts: SimPointOptions) -> int:
     return 1 if n > 800 else max(1, opts.n_init)
 
 
-def _fit_k(task) -> KMeansResult:
-    """Best-of-restarts k-means fit for one k (module-level: picklable)."""
+def _fit_k(task, columns: Optional[DistanceColumns] = None) -> KMeansResult:
+    """Best-of-restarts k-means fit for one k (module-level: picklable).
+
+    Each restart is ``kmeans(points, k, seed=...)``, seeded through the
+    ``columns`` memo; a fan-out worker gets none and computes its own.
+    """
     points, weights, k, base_seed, n_init = task
+    if columns is None:
+        columns = DistanceColumns(points)
     best = None
     for restart in range(n_init):
+        rng = np.random.default_rng(base_seed + k + 1000 * restart)
         candidate = kmeans(
-            points, k, seed=base_seed + k + 1000 * restart, weights=weights
+            points, k, weights=weights,
+            init_centroids=kmeanspp_seed(points, k, rng, columns),
         )
         if best is None or candidate.inertia < best.inertia:
             best = candidate
     return best
 
 
-def _score(points: np.ndarray, fit: KMeansResult, n: int) -> float:
-    return bic_score(points, fit) if n > fit.k else float("-inf")
+def _scorer(points: np.ndarray) -> Callable[[KMeansResult], float]:
+    """BIC per fit; ``-inf`` once k leaves no residual degrees of freedom."""
+    n = points.shape[0]
+    bic = bic_scorer(points)
+    return lambda fit: bic(fit) if n > fit.k else float("-inf")
 
 
 def _full_sweep(
@@ -175,7 +193,6 @@ def _full_sweep(
     weights: Optional[np.ndarray],
     opts: SimPointOptions,
     max_k: int,
-    n: int,
     jobs: int,
 ):
     """Independent seeded fit per k — the reference sweep.
@@ -185,10 +202,11 @@ def _full_sweep(
     sequential) the k-fits fan out across a process pool and the results
     are bit-identical to the serial order.
     """
-    n_init = _restarts_for(n, opts)
+    n_init = _restarts_for(points.shape[0], opts)
     tasks = [
         (points, weights, k, opts.seed, n_init) for k in range(1, max_k + 1)
     ]
+    score = _scorer(points)
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
     if jobs > 1 and opts.patience == 0 and len(tasks) > 1:
@@ -196,14 +214,15 @@ def _full_sweep(
 
         for fit in fanout_map(_fit_k, tasks, jobs):
             results[fit.k] = fit
-            scores[fit.k] = _score(points, fit, n)
+            scores[fit.k] = score(fit)
         return results, scores
+    columns = DistanceColumns(points)
     best_score = float("-inf")
     stale = 0
     for task in tasks:
-        fit = _fit_k(task)
+        fit = _fit_k(task, columns)
         results[fit.k] = fit
-        s = scores[fit.k] = _score(points, fit, n)
+        s = scores[fit.k] = score(fit)
         if s > best_score:
             best_score, stale = s, 0
         else:
@@ -219,7 +238,6 @@ def _warm_sweep(
     weights: Optional[np.ndarray],
     opts: SimPointOptions,
     max_k: int,
-    n: int,
 ):
     """Incremental-k sweep: each k starts from the previous k's centroids.
 
@@ -231,8 +249,8 @@ def _warm_sweep(
     the full sweep's; the k=1 fit uses the full sweep's seed so the two
     strategies agree exactly there.
     """
-    from ..perf.kernels import assign_labels
-
+    n = points.shape[0]
+    score = _scorer(points)
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
     best_score = float("-inf")
@@ -250,15 +268,11 @@ def _warm_sweep(
                 # one owns an empty cluster wherever it lands.
                 extra = points[int(rng.integers(n))]
             else:
-                choice = int(rng.choice(n, p=min_d2 / total))
-                extra = points[choice]
+                extra = points[weighted_draw(rng, min_d2, total)]
             init = np.vstack([prev.centroids, extra[None, :]])
-            fit = kmeans(
-                points, k, seed=opts.seed + k, weights=weights,
-                init_centroids=init,
-            )
+            fit = kmeans(points, k, weights=weights, init_centroids=init)
         prev = results[k] = fit
-        s = scores[k] = _score(points, fit, n)
+        s = scores[k] = score(fit)
         if s > best_score:
             best_score, stale = s, 0
         else:

@@ -4,8 +4,9 @@ Stages, each cached on first use:
 
 1. **record** — one functional, flow-controlled execution captured as a
    whole-program pinball (reproducible analysis substrate).
-2. **profile** — constrained replays build the DCFG, find worker-loop
-   headers, slice at loop entries, and collect filtered per-thread BBVs.
+2. **profile** — find worker-loop headers in the DCFG (built while
+   recording), slice at loop entries in one constrained replay, and
+   collect filtered per-thread BBVs.
 3. **select** — SimPoint clustering picks looppoints and multipliers.
 4. **simulate** — binary-driven unconstrained detailed simulation of every
    looppoint in one warming sweep (perfect warmup), or checkpoint-driven
@@ -40,7 +41,6 @@ from ..config import (
 )
 from ..errors import (
     ClusteringError,
-    ProfilingError,
     ReproError,
     ResumeError,
     SimulationError,
@@ -70,14 +70,17 @@ from ..resilience import (
     renormalize_clusters,
 )
 from ..store import DEFAULT_LOCK_POLICY, SharedArtifactStore
-from ..dcfg.graph import DCFGBuilder, build_dcfg_from_pinball
-from ..dcfg.loops import loop_header_blocks
-from ..profiling.filters import FilterPolicy
+from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
+from ..isa.blocks import BasicBlock
 from ..pinplay.pinball import Pinball, RegionPinball
 from ..pinplay.recorder import record_execution
 from ..pinplay.region import extract_region_pinballs
 from ..policy import WaitPolicy
-from ..profiling.profile_result import ProfileData, profile_pinball
+from ..profiling.profile_result import (
+    ProfileData,
+    marker_blocks_from_dcfg,
+    profile_pinball,
+)
 from ..timing.mcsim import (
     MultiCoreSimulator,
     RegionOfInterest,
@@ -280,13 +283,12 @@ class LoopPointPipeline:
         self._marker_pcs: Optional[List[int]] = None
         self._live: Optional["LiveResult"] = None
         self._live_options: Optional["LiveOptions"] = None
-        #: When set, a record-stage cache miss attaches a DCFG builder
-        #: to the recording engine so live mode gets its control-flow
-        #: graph without a dedicated analysis replay (the builder's
-        #: per-thread edge chains are order-free across threads, so the
-        #: result is identical to a replay-built DCFG).
-        self._want_record_dcfg = False
-        self._record_dcfg = None
+        #: The recorded run's DCFG.  A record-stage cache miss builds it
+        #: during recording (the builder's per-thread edge chains are
+        #: order-free across threads, so it is identical to a
+        #: replay-built DCFG); after a record cache hit the first stage
+        #: that needs it replays the pinball once.
+        self._dcfg: Optional[DCFG] = None
         #: Persistent stage-artifact cache (None when no cache_dir is set).
         #: A SharedArtifactStore: safe to point many concurrent pipelines
         #: at one directory (single-flight per-key locks, crash-consistent
@@ -519,11 +521,7 @@ class LoopPointPipeline:
 
     def _compute_record(self) -> Pinball:
         w = self.workload
-        builder = None
-        extra = ()
-        if self._want_record_dcfg:
-            builder = DCFGBuilder(w.program, w.nthreads)
-            extra = (builder,)
+        builder = DCFGBuilder(w.program, w.nthreads)
         pinball, _ = record_execution(
             w.program,
             w.thread_program,
@@ -531,10 +529,9 @@ class LoopPointPipeline:
             w.nthreads,
             wait_policy=self.options.wait_policy,
             seed=self.options.record_seed,
-            extra_observers=extra,
+            extra_observers=(builder,),
         )
-        if builder is not None:
-            self._record_dcfg = builder.result()
+        self._dcfg = builder.result()
         return pinball
 
     def record(self) -> Pinball:
@@ -547,13 +544,29 @@ class LoopPointPipeline:
                 )
         return self._pinball
 
+    def _marker_blocks(self) -> List[BasicBlock]:
+        """Worker-loop marker blocks of the recorded run, sorted by PC."""
+        pinball = self.record()
+        if self._dcfg is None:
+            self._dcfg = build_dcfg_from_pinball(
+                self.workload.program, pinball
+            )
+        return marker_blocks_from_dcfg(self.workload.program, self._dcfg)
+
     def _compute_profile(self) -> ProfileData:
         return profile_pinball(
-            self.workload.program, self.record(), self.slice_size
+            self.workload.program, self.record(), self.slice_size,
+            marker_blocks=self._marker_blocks(),
         )
 
     def profile(self) -> ProfileData:
-        """Stage 2: DCFG + loop-aligned slicing + filtered BBVs."""
+        """Stage 2: loop-aligned slicing + filtered BBVs.
+
+        The marker blocks come from the DCFG the record stage built while
+        recording, so profiling costs one slicing replay.  Only when the
+        record artifact came from the cache (no DCFG in hand) does it
+        replay the pinball once more to build the DCFG.
+        """
         if self._profile is None:
             with fault_scope(self.options.fault_plan):
                 self._profile = self._stage_artifact(
@@ -599,23 +612,7 @@ class LoopPointPipeline:
         return self._selection
 
     def _compute_marker_pcs(self) -> List[int]:
-        pinball = self.record()
-        dcfg = self._record_dcfg
-        if dcfg is None:
-            dcfg = build_dcfg_from_pinball(self.workload.program, pinball)
-        policy = FilterPolicy()
-        blocks = [
-            b for b in loop_header_blocks(
-                dcfg, self.workload.program, main_only=True
-            )
-            if policy.marker_eligible(b)
-        ]
-        if not blocks:
-            raise ProfilingError(
-                f"no marker-eligible loop headers found in "
-                f"{self.workload.program.name!r}"
-            )
-        return sorted(b.pc for b in blocks)
+        return [b.pc for b in self._marker_blocks()]
 
     def marker_pcs(self) -> List[int]:
         """Live stage 2a: worker-loop marker PCs from the DCFG.
@@ -626,7 +623,6 @@ class LoopPointPipeline:
         to one analysis replay.  Cached under the ``dcfg`` stage key.
         """
         if self._marker_pcs is None:
-            self._want_record_dcfg = True
             with fault_scope(self.options.fault_plan):
                 self._marker_pcs = self._stage_artifact(
                     "dcfg", self._dcfg_material(), list,
@@ -674,9 +670,6 @@ class LoopPointPipeline:
             self._live = None
         self._live_options = options
         if self._live is None:
-            # Ask the record stage (if it has not run yet) to build the
-            # DCFG during recording — the single-pass fast path.
-            self._want_record_dcfg = True
             with fault_scope(self.options.fault_plan):
                 self._live = self._stage_artifact(
                     "live", self._live_material(options), LiveResult,

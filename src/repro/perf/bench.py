@@ -2,18 +2,18 @@
 
 Times the pipeline's hot paths in two honest ways:
 
-* **In-process ratios** — the ``select`` and ``pipeline_e2e`` scenarios
-  run a *legacy* path (broadcast k-means assignment; offline
-  record+profile+select) and a *fast* path (GEMM assignment; the live
+* **In-process ratio** — the ``pipeline_e2e`` scenario runs a *legacy*
+  path (offline record+profile+select) and a *fast* path (the live
   streaming pass) in the same interpreter, same machine, same moment.
-  Ratios are machine-portable, which is what CI gates on: a ratio
+  The ratio is machine-portable, which is what CI gates on: a ratio
   regressing past 25% of its recorded floor fails the build.
 * **Speedups vs the recorded seed baseline** — ``baseline.json`` holds
   median walls measured from the pre-optimization seed checkout (see
   ``benchmarks/perf/measure_baseline.py`` for the recipe).  The engine
-  scenarios time the engine alone and are judged this way.  Absolute
-  speedups are machine-specific, so they are reported, not gated —
-  except that they are the evidence ``BENCH_perf.json`` commits to.
+  and ``select`` scenarios time their fast path alone and are judged this
+  way.  Absolute speedups are machine-specific, so they are reported, not
+  gated — except that they are the evidence ``BENCH_perf.json`` commits
+  to.
 
 Scenario definitions live in ``benchmarks/perf/workloads.py`` (importable
 against any revision, which is how the seed baseline was recorded); this
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
 import platform
 import statistics
 import subprocess
@@ -143,35 +142,26 @@ def bench_engine(build, reps: int, nthreads: int, seed: int) -> Dict:
 
 
 def bench_select(matrix, weights, max_k: int, reps: int) -> Dict:
-    """Broadcast-assignment (legacy) vs GEMM select_simpoints wall."""
+    """``select_simpoints`` wall (no in-process ratio: the seed wall in
+    ``baseline.json`` is the reference)."""
     from ..clustering.simpoint import SimPointOptions, select_simpoints
 
     opts = SimPointOptions(max_k=max_k, seed=42)
 
-    def run(mode: str):
-        os.environ["REPRO_KMEANS_ASSIGN"] = mode
-        try:
-            select_simpoints(matrix, weights, opts)
-        finally:
-            os.environ.pop("REPRO_KMEANS_ASSIGN", None)
+    def run():
+        select_simpoints(matrix, weights, opts)
 
-    run("gemm")  # warm
-    fast_wall = _median_wall(lambda: run("gemm"), reps)
-    legacy_wall = _median_wall(lambda: run("broadcast"), reps)
-    return {
-        "legacy_wall_seconds": legacy_wall,
-        "fast_wall_seconds": fast_wall,
-        "ratio": legacy_wall / fast_wall,
-    }
+    run()  # warm
+    return {"fast_wall_seconds": _median_wall(run, reps)}
 
 
 def bench_pipeline(build, reps: int) -> Dict:
     """Offline record+profile+select (legacy) vs the live streaming pass.
 
-    Both sides start from nothing and end with a selection: the offline
-    path records, replays once for the DCFG, replays again for slicing,
-    then runs the k-means/BIC sweep; the live path records with the DCFG
-    builder attached and streams probe+classify+skip in a single replay.
+    Both sides start from nothing and end with a selection.  Both record
+    with the DCFG builder attached, as the pipeline does; the offline path
+    then replays once for slicing and runs the k-means/BIC sweep, the live
+    path streams probe+classify+skip in a single replay.
     Detailed simulation is *stubbed* on the live side because the offline
     stages being compared exclude simulation too — but the live side
     still pays for cutting each sampled region's pinball (work the
@@ -181,22 +171,32 @@ def bench_pipeline(build, reps: int) -> Dict:
     from ..analysis.online import LiveOptions, LiveSampler
     from ..clustering.simpoint import SimPointOptions, select_simpoints
     from ..dcfg.graph import DCFGBuilder
-    from ..dcfg.loops import loop_header_blocks
     from ..pinplay.recorder import record_execution
-    from ..profiling.filters import FilterPolicy
-    from ..profiling.profile_result import profile_pinball
+    from ..profiling.profile_result import (
+        marker_blocks_from_dcfg,
+        profile_pinball,
+    )
     from ..timing.mcsim import SimulationResult
     from ..timing.metrics import SimMetrics
 
     workload, scale = build()
     slice_size = scale.slice_size(workload.nthreads)
 
-    def offline():
+    def record():
+        builder = DCFGBuilder(workload.program, workload.nthreads)
         pinball, _ = record_execution(
             workload.program, workload.thread_program, workload.omp,
-            workload.nthreads, seed=0,
+            workload.nthreads, seed=0, extra_observers=(builder,),
         )
-        profile = profile_pinball(workload.program, pinball, slice_size)
+        return pinball, marker_blocks_from_dcfg(
+            workload.program, builder.result()
+        )
+
+    def offline():
+        pinball, markers = record()
+        profile = profile_pinball(
+            workload.program, pinball, slice_size, marker_blocks=markers
+        )
         select_simpoints(
             profile.bbv_matrix(), profile.slice_filtered_counts(),
             SimPointOptions(seed=42),
@@ -216,18 +216,7 @@ def bench_pipeline(build, reps: int) -> Dict:
         )
 
     def live():
-        builder = DCFGBuilder(workload.program, workload.nthreads)
-        pinball, _ = record_execution(
-            workload.program, workload.thread_program, workload.omp,
-            workload.nthreads, seed=0, extra_observers=(builder,),
-        )
-        policy = FilterPolicy()
-        markers = [
-            b for b in loop_header_blocks(
-                builder.result(), workload.program, main_only=True
-            )
-            if policy.marker_eligible(b)
-        ]
+        pinball, markers = record()
         LiveSampler(
             workload.program, pinball, markers, slice_size,
             scale.warmup_instructions, stub_simulate,
@@ -267,7 +256,7 @@ def run_bench(
 
     ``smoke`` shrinks the scenarios for CI (seconds, not minutes).  Smoke
     sizes differ from the baseline's, so speedup-vs-seed is only computed
-    for full-size runs; the in-process ratios are valid in both modes.
+    for full-size runs; the in-process ratio is valid in both modes.
     """
     wl = load_scenarios(scenarios_path)
     nthreads, seed = wl.NTHREADS, wl.ENGINE_SEED

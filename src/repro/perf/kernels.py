@@ -9,8 +9,9 @@ computes the same squared distances in the GEMM form
 ``|x|^2 + |c|^2 - 2 x . c^T`` with row chunking, so peak memory is bounded
 by ``chunk_rows * k`` at any population size and the inner product runs
 through BLAS.  :func:`weighted_means` replaces the per-cluster
-boolean-mask update loop with ``np.bincount`` accumulation — one pass over
-the points per dimension instead of ``k`` mask scans.
+boolean-mask update loop with a single ``np.bincount`` pass over flattened
+``(cluster, dimension)`` cells instead of ``k`` mask scans (or one
+``bincount`` per dimension).
 
 **Scheduler-kernel tiers.**  The tape-driven scheduler loop (see
 :mod:`repro.exec_engine.schedcore`) is the wall-clock core of every
@@ -95,7 +96,13 @@ def weighted_means(
     k: int,
     weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cluster weighted means via ``np.bincount`` accumulation.
+    """Per-cluster weighted means via one ``np.bincount`` accumulation.
+
+    Every ``(cluster, dimension)`` pair is one flattened cell
+    ``label * d + j``; a single ``bincount`` over all ``n * d`` cells sums
+    each cell's points in index order — the same additions, in the same
+    order, as a per-dimension ``bincount`` loop, so the result is
+    bit-identical to it.
 
     Returns ``(means, weight_sums)``; a cluster with zero total weight gets
     a zero row in ``means`` (callers re-seed empty clusters themselves).
@@ -104,11 +111,10 @@ def weighted_means(
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
     wsum = np.bincount(labels, weights=weights, minlength=k)
-    acc = np.empty((k, d), dtype=np.float64)
-    for j in range(d):
-        acc[:, j] = np.bincount(
-            labels, weights=weights * points[:, j], minlength=k
-        )
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    acc = np.bincount(
+        cells, weights=(weights[:, None] * points).ravel(), minlength=k * d
+    ).reshape(k, d)
     nonzero = wsum > 0
     means = np.zeros((k, d), dtype=np.float64)
     means[nonzero] = acc[nonzero] / wsum[nonzero, None]

@@ -1,9 +1,11 @@
 """The complete up-front analysis of one recorded execution.
 
-``profile_pinball`` is the paper's one-time analysis step (Sec. III): replay
-the whole-program pinball to build the DCFG and find worker-loop headers,
-then replay again slicing at those loop entries while collecting filtered,
-per-thread-concatenated BBVs.
+``profile_pinball`` is the paper's one-time analysis step (Sec. III): find
+worker-loop headers in the DCFG, then replay the whole-program pinball
+slicing at those loop entries while collecting filtered,
+per-thread-concatenated BBVs.  The pipeline builds the DCFG while
+recording and passes the headers in; without them, ``profile_pinball``
+first replays the pinball once to build the DCFG.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..dcfg.graph import build_dcfg_from_pinball
+from ..dcfg.graph import DCFG, build_dcfg_from_pinball
 from ..dcfg.loops import loop_header_blocks
 from ..errors import ProfilingError
 from ..isa.blocks import BasicBlock
@@ -55,6 +57,31 @@ class ProfileData:
         return len(self.slices)
 
 
+def marker_blocks_from_dcfg(
+    program: Program,
+    dcfg: DCFG,
+    policy: Optional[FilterPolicy] = None,
+) -> List[BasicBlock]:
+    """The slicing boundary set: marker-eligible worker-loop headers.
+
+    Main-image natural-loop headers of ``dcfg`` that ``policy`` lets
+    carry markers, sorted by PC.
+    """
+    policy = policy or FilterPolicy()
+    blocks = sorted(
+        (
+            b for b in loop_header_blocks(dcfg, program, main_only=True)
+            if policy.marker_eligible(b)
+        ),
+        key=lambda b: b.pc,
+    )
+    if not blocks:
+        raise ProfilingError(
+            f"no marker-eligible loop headers found in {program.name!r}"
+        )
+    return blocks
+
+
 def profile_pinball(
     program: Program,
     pinball: Pinball,
@@ -65,18 +92,17 @@ def profile_pinball(
 ) -> ProfileData:
     """Run the full up-front analysis on a recorded execution.
 
-    ``marker_blocks`` defaults to the worker-loop headers discovered by the
-    DCFG pass (main-image natural-loop headers) — pass them explicitly to
-    experiment with alternative boundary sets.
+    ``marker_blocks`` defaults to the worker-loop headers discovered by a
+    DCFG replay of ``pinball`` (:func:`marker_blocks_from_dcfg`).  Pass
+    them explicitly when the DCFG is already at hand — the pipeline builds
+    it while recording — or to experiment with alternative boundary sets.
     """
     maybe_inject(PROFILE_DIVERGENCE, f"profile:{program.name}")
     policy = filter_policy or FilterPolicy()
     if marker_blocks is None:
-        dcfg = build_dcfg_from_pinball(program, pinball)
-        marker_blocks = [
-            b for b in loop_header_blocks(dcfg, program, main_only=True)
-            if policy.marker_eligible(b)
-        ]
+        marker_blocks = marker_blocks_from_dcfg(
+            program, build_dcfg_from_pinball(program, pinball), policy
+        )
     if not marker_blocks:
         raise ProfilingError(
             f"no marker-eligible loop headers found in {program.name!r}"

@@ -1,5 +1,7 @@
 """Tests for extrapolation, speedups, warmup cuts, and the full pipeline."""
 
+import pickle
+
 import pytest
 
 from repro.clustering.simpoint import ClusterInfo
@@ -13,9 +15,12 @@ from repro.core import (
     prediction_error,
     region_cuts_for_selection,
 )
+from repro.core import looppoint
 from repro.core.report import format_result_table
 from repro.errors import ClusteringError, RegionError, SimulationError
 from repro.policy import WaitPolicy
+from repro.profiling import profile_result
+from repro.profiling.profile_result import profile_pinball
 from repro.timing.mcsim import SimulationResult
 from repro.timing.metrics import SimMetrics
 
@@ -207,3 +212,62 @@ class TestPipelineEndToEnd:
             LoopPointPipeline(
                 demo_workload, system=GAINESTOWN_8CORE.with_cores(2)
             )
+
+
+class TestRecordTimeDCFG:
+    """Offline profiling takes its markers from the record-time DCFG."""
+
+    @staticmethod
+    def _replay_profile(pipe):
+        """The profile a DCFG replay of the recorded pinball gives."""
+        return profile_pinball(
+            pipe.workload.program, pipe.record(), pipe.slice_size
+        )
+
+    def test_profile_matches_replay_built_dcfg(self, demo_workload):
+        pipe = LoopPointPipeline(
+            demo_workload, options=LoopPointOptions(scale=TEST_SCALE)
+        )
+        assert pickle.dumps(pipe.profile()) == pickle.dumps(
+            self._replay_profile(pipe)
+        )
+
+    def test_cache_miss_never_replays_for_the_dcfg(
+        self, demo_workload, monkeypatch
+    ):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("DCFG replay on a record cache miss")
+
+        monkeypatch.setattr(looppoint, "build_dcfg_from_pinball", no_replay)
+        monkeypatch.setattr(
+            profile_result, "build_dcfg_from_pinball", no_replay
+        )
+        pipe = LoopPointPipeline(
+            demo_workload, options=LoopPointOptions(scale=TEST_SCALE)
+        )
+        pipe.select()
+        assert pipe.marker_pcs() == pipe.profile().marker_pcs
+
+    def test_record_cache_hit_falls_back_to_replay(
+        self, demo_workload, tmp_path, monkeypatch
+    ):
+        options = LoopPointOptions(scale=TEST_SCALE, cache_dir=str(tmp_path))
+        LoopPointPipeline(demo_workload, options=options).record()
+        replays = []
+        build = looppoint.build_dcfg_from_pinball
+
+        def counting_build(*args, **kwargs):
+            replays.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(
+            looppoint, "build_dcfg_from_pinball", counting_build
+        )
+        pipe = LoopPointPipeline(demo_workload, options=options)
+        profile = pipe.profile()
+        pipe.marker_pcs()
+        assert pipe.artifacts.hits["record"] == 1
+        assert replays == [1]  # one replay serves profile and marker_pcs
+        assert pickle.dumps(profile) == pickle.dumps(
+            self._replay_profile(pipe)
+        )

@@ -12,7 +12,7 @@ modes, and the parallel k-fit fan-out.
 import numpy as np
 import pytest
 
-from repro.clustering.kmeans import kmeans
+from repro.clustering.kmeans import kmeans, kmeanspp_seed
 from repro.clustering.simpoint import SimPointOptions, select_simpoints
 from repro.exec_engine.engine import ExecutionEngine
 from repro.exec_engine.observers import (
@@ -234,13 +234,32 @@ class TestKernels:
         assert wsum[4] == 0.0 and np.all(means[4] == 0.0)
 
     def test_kmeans_gemm_and_broadcast_agree(self):
+        """GEMM-assignment Lloyd matches an inline broadcast-assignment
+        Lloyd started from the same k-means++ seeding."""
         rng = np.random.default_rng(7)
         points = np.abs(rng.normal(size=(250, 12)))
-        a = kmeans(points, 6, seed=11, assignment="gemm")
-        b = kmeans(points, 6, seed=11, assignment="broadcast")
-        assert np.array_equal(a.labels, b.labels)
-        assert np.allclose(a.centroids, b.centroids)
-        assert a.inertia == pytest.approx(b.inertia)
+        fit = kmeans(points, 6, seed=11)
+
+        def broadcast_d2(centroids):
+            return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(
+                axis=2
+            )
+
+        centroids = kmeanspp_seed(points, 6, np.random.default_rng(11))
+        for _ in range(100):
+            d2 = broadcast_d2(centroids)
+            new, wsum = weighted_means(points, d2.argmin(axis=1), 6)
+            empty = wsum == 0
+            if empty.any():
+                new[empty] = points[d2.min(axis=1).argmax()]
+            shift = ((new - centroids) ** 2).sum()
+            centroids = new
+            if shift <= 1e-8:
+                break
+        d2 = broadcast_d2(centroids)
+        assert np.array_equal(fit.labels, d2.argmin(axis=1))
+        assert np.allclose(fit.centroids, centroids)
+        assert fit.inertia == pytest.approx(d2.min(axis=1).sum())
 
     def test_kmeanspp_degenerate_is_deterministic(self):
         """All-identical points: the surplus centroids duplicate the first

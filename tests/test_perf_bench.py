@@ -41,13 +41,13 @@ class TestHarness:
         }
         for name, data in smoke_report["scenarios"].items():
             assert data["fast_wall_seconds"] > 0
-            # Engine scenarios have no in-process legacy side; the seed
-            # walls in baseline.json are their reference.
-            if name.startswith("engine_"):
-                assert "ratio" not in data
-            else:
+            # Only pipeline_e2e has an in-process legacy side; the seed
+            # walls in baseline.json are every other scenario's reference.
+            if name == "pipeline_e2e":
                 assert data["legacy_wall_seconds"] > 0
                 assert data["ratio"] > 0
+            else:
+                assert "ratio" not in data
         # Smoke sizes differ from the baseline's: no seed comparison.
         assert smoke_report["speedup_vs_baseline"] is None
 

@@ -1,0 +1,182 @@
+"""Golden digests of SimPoint selection, and its kernels' bit-identity.
+
+Speeding up the k-means/BIC sweep must not move a single bit of its
+output.  Each digest is a sha256 over the chosen ``k``, the labels, the
+chosen fit's centroid bytes, ``bic_by_k`` and every cluster tuple.  The
+profiled cases run the offline pipeline at tiny scale (record seed 0,
+serial) through its ``select`` stage; the synthetic case has n > 800
+slices, so every k is fitted from a single k-means++ restart.  The digests
+were recorded with the per-dimension ``bincount`` update, the
+``rng.choice`` k-means++ draw and no distance-column memo.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from repro import LoopPointOptions, LoopPointPipeline, WaitPolicy
+from repro.clustering import simpoint
+from repro.clustering.kmeans import kmeans, weighted_draw
+from repro.clustering.simpoint import SimPointOptions, select_simpoints
+from repro.config import get_scale
+from repro.errors import ClusteringError
+from repro.perf.kernels import weighted_means
+from repro.workloads.registry import get_workload
+
+#: (workload, input class, threads, wait policy, sweep) per profiled case.
+PROFILED = {
+    "619.lbm_s.1": ("619.lbm_s.1", "train", 8, "passive", "full"),
+    "npb-ep": ("npb-ep", "C", 8, "passive", "full"),
+    "657.xz_s.2-active": ("657.xz_s.2", "train", 4, "active", "full"),
+    "npb-is": ("npb-is", "C", 8, "passive", "full"),
+    "619.lbm_s.1-warm": ("619.lbm_s.1", "train", 8, "passive", "warm"),
+}
+
+GOLDEN = {
+    "619.lbm_s.1":
+        "238b6196f0de2805ca51744d792c2840ec25bb073c2b6d6e9487d54ed5f7062b",
+    "npb-ep":
+        "2b38696332d5031a6c85f98e3c8f806d8fcfc01a1398e6b575c35877b5091578",
+    "657.xz_s.2-active":
+        "f414d70cce6843bbd825487dc9d2bd399b7ceec7ee75e956ae48ed275f7e7b41",
+    "npb-is":
+        "fb6f43b89637cc84c117fe36b8e1ebe27517560e8abf33986e2c380fa8b0eb3e",
+    "619.lbm_s.1-warm":
+        "2f29997ed9d04b2306c8a3f73c5e7f89038749338fd6a60ad854acac32faa8cf",
+    "synthetic-n900":
+        "2dafd828f8f989f31588cacc1ab2a0759484d0c276946f807241b9d961bf23dd",
+}
+
+
+def _capture_chosen_fit(monkeypatch) -> list:
+    """Record the k-means fit ``select_simpoints`` builds clusters from."""
+    seen = []
+    build = simpoint._build_clusters
+
+    def spy(points, counts, result, *args, **kwargs):
+        seen.append(result)
+        return build(points, counts, result, *args, **kwargs)
+
+    monkeypatch.setattr(simpoint, "_build_clusters", spy)
+    return seen
+
+
+def selection_digest(selection, fit) -> str:
+    h = hashlib.sha256()
+    h.update(struct.pack("<q", selection.k))
+    h.update(np.ascontiguousarray(selection.labels, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(fit.centroids, dtype=np.float64).tobytes())
+    for k in sorted(selection.bic_by_k):
+        h.update(struct.pack("<qd", k, selection.bic_by_k[k]))
+    for c in selection.clusters:
+        h.update(repr((
+            c.cluster_id, c.representative, tuple(c.members),
+            struct.pack("<d", c.instruction_mass),
+            struct.pack("<d", c.multiplier),
+        )).encode())
+    return h.hexdigest()
+
+
+def profiled_digest(case: str, monkeypatch) -> str:
+    name, input_class, nthreads, wait, sweep = PROFILED[case]
+    scale = get_scale("tiny")
+    workload = get_workload(name, input_class, nthreads, scale=scale)
+    options = LoopPointOptions(
+        wait_policy=WaitPolicy(wait), scale=scale, record_seed=0, jobs=1,
+        simpoint=SimPointOptions(sweep=sweep),
+    )
+    seen = _capture_chosen_fit(monkeypatch)
+    selection = LoopPointPipeline(workload, options=options).select()
+    return selection_digest(selection, seen[-1])
+
+
+def synthetic_digest(monkeypatch) -> str:
+    rng = np.random.default_rng(2024)
+    phases = rng.random((6, 48))
+    bbvs = phases[rng.integers(0, 6, size=900)]
+    bbvs = bbvs + rng.normal(scale=0.05, size=bbvs.shape)
+    counts = rng.integers(500, 1500, size=900).astype(np.float64)
+    seen = _capture_chosen_fit(monkeypatch)
+    selection = select_simpoints(
+        np.abs(bbvs), counts, SimPointOptions(max_k=12),
+        ineligible=range(20),
+    )
+    return selection_digest(selection, seen[-1])
+
+
+@pytest.mark.parametrize("case", sorted(PROFILED))
+def test_profiled_selection_matches_golden(case, monkeypatch):
+    assert profiled_digest(case, monkeypatch) == GOLDEN[case]
+
+
+def test_synthetic_single_restart_selection_matches_golden(monkeypatch):
+    assert synthetic_digest(monkeypatch) == GOLDEN["synthetic-n900"]
+
+
+def _per_dimension_means(points, labels, k, weights):
+    """The update step as one ``bincount`` per dimension."""
+    n, d = points.shape
+    if weights is None:
+        weights = np.ones(n, dtype=np.float64)
+    wsum = np.bincount(labels, weights=weights, minlength=k)
+    acc = np.empty((k, d), dtype=np.float64)
+    for j in range(d):
+        acc[:, j] = np.bincount(
+            labels, weights=weights * points[:, j], minlength=k
+        )
+    nonzero = wsum > 0
+    means = np.zeros((k, d), dtype=np.float64)
+    means[nonzero] = acc[nonzero] / wsum[nonzero, None]
+    return means, wsum
+
+
+def test_weighted_means_bitwise_equals_per_dimension_loop():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+        k = int(rng.integers(1, 12))
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        labels = rng.integers(0, k, size=n)
+        weights = rng.uniform(0.0, 3.0, size=n)
+        weights[rng.random(n) < 0.3] = 0.0
+        for w in (weights, None):
+            # k + 2 clusters: at least two are empty.
+            got = weighted_means(points, labels, k + 2, w)
+            want = _per_dimension_means(points, labels, k + 2, w)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_weighted_draw_equals_rng_choice():
+    for seed in range(1500):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        dist2 = rng.random(n) ** 3
+        dist2[rng.random(n) < 0.2] = 0.0
+        dist2[int(rng.integers(n))] += 1e-3
+        total = dist2.sum()
+        ours = np.random.default_rng(seed + 10_000)
+        ref = np.random.default_rng(seed + 10_000)
+        assert weighted_draw(ours, dist2, total) == int(
+            ref.choice(n, p=dist2 / total)
+        )
+        # Same rng consumption: the streams stay in lockstep.
+        assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weighted_draw_rejects_non_finite_mass(bad):
+    dist2 = np.array([1.0, bad, 2.0])
+    with pytest.raises(ClusteringError):
+        weighted_draw(np.random.default_rng(0), dist2, dist2.sum())
+
+
+def test_kmeanspp_on_non_finite_points_raises_clustering_error():
+    points = np.arange(12.0).reshape(6, 2)
+    points[3, 1] = np.nan
+    with pytest.raises(ClusteringError):
+        kmeans(points, 3, seed=1)
