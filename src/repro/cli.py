@@ -64,13 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
              "printed per workload)",
     )
     parser.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="N",
-        help="size budget for the shared artifact store: exceeding it "
-             "evicts least-recently-used unpinned artifacts (default: "
-             "REPRO_CACHE_MAX_BYTES, which also takes a k/m/g suffix; "
-             "0 or unset = unbounded)",
-    )
-    parser.add_argument(
         "--manifest", default=None, metavar="FILE",
         help="append-only run journal enabling --resume; with multiple "
              "programs the program name is appended to the stem "
@@ -249,7 +242,6 @@ def run_one(
     simulate_full: bool,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    cache_max_bytes: Optional[int] = None,
     manifest_path: Optional[str] = None,
     resume: bool = False,
     job_timeout_s: Optional[float] = None,
@@ -277,7 +269,7 @@ def run_one(
         workload,
         options=LoopPointOptions(
             wait_policy=wait_policy, scale=scale, jobs=jobs,
-            cache_dir=cache_dir, cache_max_bytes=cache_max_bytes,
+            cache_dir=cache_dir,
             manifest_path=manifest_path,
             fault_plan=fault_plan, trace_path=trace_path, **overrides,
         ),
@@ -496,7 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 run_one(name, args.ncores, args.input_class, policy,
                         simulate_full=not args.no_fullsim,
                         jobs=args.jobs, cache_dir=args.cache_dir,
-                        cache_max_bytes=args.cache_max_bytes,
                         manifest_path=manifest_path, resume=args.resume,
                         job_timeout_s=args.job_timeout,
                         job_retries=args.job_retries,

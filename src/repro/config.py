@@ -254,36 +254,6 @@ def default_trace_value() -> Optional[str]:
     return raw
 
 
-def default_cache_max_bytes() -> Optional[int]:
-    """Artifact-store size budget in bytes from ``REPRO_CACHE_MAX_BYTES``.
-
-    Unset, empty, or ``0`` means unbounded (the historical behavior — no
-    eviction).  A plain integer is bytes; a ``k``/``m``/``g`` suffix
-    scales by binary multiples (``64m`` = 64 MiB).  Like ``REPRO_JOBS``
-    this is a default: ``LoopPointOptions.cache_max_bytes`` (the
-    ``--cache-max-bytes`` flag) overrides it.
-    """
-    raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip().lower()
-    if not raw:
-        return None
-    multiplier = 1
-    if raw[-1] in ("k", "m", "g"):
-        multiplier = {"k": 1024, "m": 1024**2, "g": 1024**3}[raw[-1]]
-        raw = raw[:-1].strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise WorkloadError(
-            "REPRO_CACHE_MAX_BYTES must be an integer with an optional "
-            f"k/m/g suffix, got {os.environ['REPRO_CACHE_MAX_BYTES']!r}"
-        ) from None
-    if value < 0:
-        raise WorkloadError(
-            f"REPRO_CACHE_MAX_BYTES must be >= 0, got {value}"
-        )
-    return (value * multiplier) or None
-
-
 def default_fault_plan_path() -> Optional[str]:
     """Path to a fault-plan JSON file from ``REPRO_FAULT_PLAN``, or None.
 

@@ -35,7 +35,6 @@ from ..config import (
     GAINESTOWN_8CORE,
     ReproScale,
     SystemConfig,
-    default_cache_max_bytes,
     default_jobs,
     get_scale,
 )
@@ -46,7 +45,6 @@ from ..errors import (
     SimulationError,
     WorkloadError,
 )
-from ..obs.heartbeat import Heartbeat, heartbeat_path_for, heartbeat_scope
 from ..obs.tracer import Tracer, active_metrics, active_tracer, obs_scope
 from ..parallel.artifacts import ArtifactCache, canonical_key
 from ..parallel.executor import (
@@ -58,7 +56,6 @@ from ..parallel.executor import (
 from ..parallel.jobs import RegionJob, WorkloadSpec
 from ..resilience import (
     PIPELINE_ABORT,
-    STORE_LOCK_DEATH,
     DegradePolicy,
     FailureRecord,
     FaultPlan,
@@ -69,7 +66,7 @@ from ..resilience import (
     maybe_inject,
     renormalize_clusters,
 )
-from ..store import DEFAULT_LOCK_POLICY, SharedArtifactStore
+from ..store import DEFAULT_LOCK_POLICY
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
 from ..isa.blocks import BasicBlock
 from ..pinplay.pinball import Pinball, RegionPinball
@@ -121,10 +118,6 @@ class LoopPointOptions:
     #: Persistent artifact cache directory for the record/profile/select
     #: stage outputs; ``None`` disables on-disk caching.
     cache_dir: Optional[str] = None
-    #: Size budget (bytes) for the shared artifact store; exceeding it
-    #: evicts least-recently-used unpinned artifacts after each store.
-    #: ``None`` honours ``REPRO_CACHE_MAX_BYTES`` (unset = unbounded).
-    cache_max_bytes: Optional[int] = None
     #: Per-region wall-clock budget in a worker before the job is retried
     #: and, past the retry budget, re-run serially in the parent.
     job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S
@@ -156,11 +149,6 @@ class LoopPointOptions:
 
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs is not None else default_jobs()
-
-    def resolved_cache_max_bytes(self) -> Optional[int]:
-        if self.cache_max_bytes is not None:
-            return self.cache_max_bytes or None  # explicit 0 = unbounded
-        return default_cache_max_bytes()
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
@@ -290,18 +278,15 @@ class LoopPointPipeline:
         #: that needs it replays the pinball once.
         self._dcfg: Optional[DCFG] = None
         #: Persistent stage-artifact cache (None when no cache_dir is set).
-        #: A SharedArtifactStore: safe to point many concurrent pipelines
-        #: at one directory (single-flight per-key locks, crash-consistent
-        #: publishes).  ``pin_touched`` pins every key this run touches so
-        #: a size budget can never evict an artifact out from under us.
+        #: Safe to point many concurrent pipelines at one directory
+        #: (single-flight per-key locks, crash-consistent publishes); the
+        #: lock waits are jittered per process.
         self.artifacts: Optional[ArtifactCache] = (
-            SharedArtifactStore(
+            ArtifactCache(
                 self.options.cache_dir,
-                max_bytes=self.options.resolved_cache_max_bytes(),
                 lock_policy=replace(
                     DEFAULT_LOCK_POLICY, seed=os.getpid()
                 ),
-                pin_touched=True,
             )
             if self.options.cache_dir
             else None
@@ -457,48 +442,22 @@ class LoopPointPipeline:
         journaling every transition in the run manifest."""
         key = canonical_key(material)
         with active_tracer().span(f"stage:{stage}", stage=stage) as span:
-            cached: Any = None
-            if self.artifacts is not None:
-                cached = self.artifacts.load(stage, material)
-                if not isinstance(cached, kind):
-                    cached = None
-            if cached is not None:
-                span.set("cache", "hit")
-                if stage in self._resume_stages:
-                    self.health.resumed_stages.append(stage)
-                if self._manifest is not None:
-                    self._manifest.done(stage, key, source="cache")
-                maybe_inject(PIPELINE_ABORT, f"after:{stage}")
-                return cached
-            span.set("cache", "miss")
-            if isinstance(self.artifacts, SharedArtifactStore):
-                # Single-flight: serialize concurrent pipelines missing on
-                # the same key.  Whoever wins the lock computes; everyone
-                # else finds the published artifact in the under-lock
-                # re-check and reads it (one computation store-wide).
-                with self.artifacts.key_lock(stage, key):
-                    maybe_inject(STORE_LOCK_DEATH, f"{stage}:{key}")
-                    cached = self.artifacts.load(
-                        stage, material, count_miss=False
-                    )
-                    if isinstance(cached, kind):
-                        span.set("cache", "flight")
-                        self.artifacts.single_flight_hits += 1
-                        reg = active_metrics()
-                        if reg is not None:
-                            reg.inc("store.single_flight")
-                        if self._manifest is not None:
-                            self._manifest.done(stage, key, source="cache")
-                        maybe_inject(PIPELINE_ABORT, f"after:{stage}")
-                        return cached
-                    artifact = self._compute_stage(stage, key, compute)
-                    self.artifacts.store(stage, material, artifact)
-            else:
+            if self.artifacts is None:
                 artifact = self._compute_stage(stage, key, compute)
-                if self.artifacts is not None:
-                    self.artifacts.store(stage, material, artifact)
+                source = "computed"
+            else:
+                artifact, source = self.artifacts.get_or_compute(
+                    stage, material,
+                    lambda: self._compute_stage(stage, key, compute), kind,
+                )
+            span.set("cache", "miss" if source == "computed" else source)
+            if source == "hit" and stage in self._resume_stages:
+                self.health.resumed_stages.append(stage)
             if self._manifest is not None:
-                self._manifest.done(stage, key, source="computed")
+                self._manifest.done(
+                    stage, key,
+                    source="computed" if source == "computed" else "cache",
+                )
             maybe_inject(PIPELINE_ABORT, f"after:{stage}")
             return artifact
 
@@ -935,8 +894,7 @@ class LoopPointPipeline:
     def stage_keys(self) -> Dict[str, str]:
         """The content-address each cacheable stage resolves to under the
         current options — what the manifest journals, what resume
-        cross-checks, and what lint's incremental engine and XAR004 audit
-        key on."""
+        cross-checks, and what lint's XAR004 audit keys on."""
         return self._stage_keys()
 
     def _live_stage_keys(
@@ -1068,7 +1026,6 @@ class LoopPointPipeline:
         """
         self.health = RunHealth()
         tracer = None
-        heartbeat = None
         if self.options.trace_path:
             tracer = Tracer(
                 self.options.trace_path,
@@ -1076,22 +1033,14 @@ class LoopPointPipeline:
                 mode="constrained" if constrained else "binary",
                 jobs=self.options.resolved_jobs(),
             )
-            heartbeat = Heartbeat(
-                heartbeat_path_for(self.options.trace_path)
-            )
-        completed = False
         try:
-            with obs_scope(tracer), heartbeat_scope(heartbeat), \
-                    fault_scope(self.options.fault_plan):
+            with obs_scope(tracer), fault_scope(self.options.fault_plan):
                 with active_tracer().span(
                     "run", workload=self.workload.full_name, resume=resume
                 ):
                     result = self._run(simulate_full, constrained, resume)
-            completed = True
             return result
         finally:
-            if heartbeat is not None:
-                heartbeat.finish("done" if completed else "failed")
             if tracer is not None:
                 self.last_trace = tracer.finish()
 
@@ -1117,7 +1066,6 @@ class LoopPointPipeline:
         options = live_options or self._live_options or LiveOptions()
         self.health = RunHealth()
         tracer = None
-        heartbeat = None
         if self.options.trace_path:
             tracer = Tracer(
                 self.options.trace_path,
@@ -1125,23 +1073,15 @@ class LoopPointPipeline:
                 mode="live",
                 jobs=self.options.resolved_jobs(),
             )
-            heartbeat = Heartbeat(
-                heartbeat_path_for(self.options.trace_path)
-            )
-        completed = False
         try:
-            with obs_scope(tracer), heartbeat_scope(heartbeat), \
-                    fault_scope(self.options.fault_plan):
+            with obs_scope(tracer), fault_scope(self.options.fault_plan):
                 with active_tracer().span(
                     "run", workload=self.workload.full_name,
                     resume=resume, mode="live",
                 ):
                     result = self._run_live(options, simulate_full, resume)
-            completed = True
             return result
         finally:
-            if heartbeat is not None:
-                heartbeat.finish("done" if completed else "failed")
             if tracer is not None:
                 self.last_trace = tracer.finish()
 
@@ -1219,8 +1159,6 @@ class LoopPointPipeline:
 
             with tracer.span("stage:lint", stage="lint"):
                 lint_report = lint_pipeline(self)
-        if isinstance(self.artifacts, SharedArtifactStore):
-            self.health.cache_evictions = self.artifacts.lru_evictions
         if self._manifest is not None:
             self._manifest.complete_run({
                 "predicted_cycles": live.predicted.cycles,
@@ -1318,8 +1256,6 @@ class LoopPointPipeline:
 
             with tracer.span("stage:lint", stage="lint"):
                 lint_report = lint_pipeline(self)
-        if isinstance(self.artifacts, SharedArtifactStore):
-            self.health.cache_evictions = self.artifacts.lru_evictions
         if self._manifest is not None:
             self._manifest.complete_run({
                 "predicted_cycles": predicted.cycles,

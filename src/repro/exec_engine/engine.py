@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from ..errors import DeadlockError, ExecutionError
-from ..obs.heartbeat import active_heartbeat
 from ..obs.tracer import active_metrics
 from ..isa.blocks import BasicBlock
 from ..isa.image import Program
@@ -387,9 +386,6 @@ class ExecutionEngine:
             self._flush_syncs()
         for ob in self.observers:
             ob.on_finish()
-        hb = active_heartbeat()
-        if hb is not None:  # rate-limited, so many short runs coalesce
-            hb.beat(events=num_events, phase="replay")
         reg = active_metrics()
         if reg is not None:  # once per run, never per event
             reg.inc("engine.runs")
@@ -433,12 +429,6 @@ class ExecutionEngine:
         runnable: List[int] = []
         num_events = 0
         self._sched_dirty = True
-        # Progress heartbeat, counter-gated: when installed, the hot loop
-        # pays one decrement per *scheduling round* (thousands of events),
-        # and the beat itself is wall-clock rate-limited; when not, a
-        # single is-None check hoisted here.
-        hb = active_heartbeat()
-        hb_countdown = 0
         ring_rows = ring.buffers()
         append_row = ring_rows.append
         ring_encode = ring.encode
@@ -446,11 +436,6 @@ class ExecutionEngine:
         ring_flush = ring.flush
 
         while True:
-            if hb is not None:
-                hb_countdown -= 1
-                if hb_countdown <= 0:
-                    hb.beat(events=num_events, phase="replay")
-                    hb_countdown = 256
             # Thread states change only at sync blocking/waking and thread
             # exit — the runnable list (and the completion/deadlock check)
             # is recomputed only on rounds after such a change.
@@ -572,12 +557,6 @@ class ExecutionEngine:
             bounded=self.max_events is not None,
             namespace=_KERNEL_NAMESPACE,
         )
-        # The kernel template stays heartbeat-free (it must remain
-        # bit-identical to the reference render); the compiled tier
-        # beats at run granularity — entry here, exit in _finish_run.
-        hb = active_heartbeat()
-        if hb is not None:
-            hb.beat(phase="replay")
         return kernel(self)
 
 #: Globals for the rendered scheduler kernels (see

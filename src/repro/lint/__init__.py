@@ -8,8 +8,7 @@ replay must reproduce the recorded shared-memory/sync order.  This package
 *checks* those invariants on demand, turning silent profile corruption into
 actionable diagnostics.
 
-Pass families (the scheduling and caching unit of the incremental engine,
-:mod:`~repro.lint.incremental`):
+Pass families (the scheduling unit of :func:`~repro.lint.runner.lint_pipeline`):
 
 * :mod:`~repro.lint.dcfg_passes` — DCFG structure (flow conservation,
   reachability, irreducibility, dominator self-check) plus the
@@ -26,7 +25,7 @@ Pass families (the scheduling and caching unit of the incremental engine,
   block universes, cluster-weight reconciliation, selection/slice
   boundary agreement, manifest vs cache keys, trace vs metrics counters.
 * :mod:`~repro.lint.obs_passes` — span-trace well-formedness.
-* :mod:`~repro.lint.store_passes` — shared-artifact-store hygiene
+* :mod:`~repro.lint.store_passes` — artifact-store hygiene
   (crash debris, stale locks, checksum-sidecar mismatches).
 
 Reporting: findings baselines (:mod:`~repro.lint.baseline`) let CI fail

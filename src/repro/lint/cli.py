@@ -5,7 +5,7 @@ Examples::
     repro-lint demo-matrix-1 -n 8
     repro-lint demo-matrix-2 --json
     repro-lint demo-matrix-1 --disable CONF001 --no-invariance
-    repro-lint demo-matrix-1 --cache-dir .lint-cache   # incremental rerun
+    repro-lint demo-matrix-1 --cache-dir .cache   # reuse pipeline stages
     repro-lint demo-matrix-1 --baseline ci/lint-baseline.json
     repro-lint demo-matrix-1 --sarif lint.sarif
     repro-lint --list-rules
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="lint a run's span-trace file (OBS001/OBS002/OBS004) instead "
+        help="lint a run's span-trace file (OBS001/OBS002) instead "
              "of a workload; the positional program argument is ignored",
     )
     parser.add_argument(
@@ -78,14 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="artifact-cache directory: pipeline stages AND per-family "
-             "lint findings persist there, so re-linting an unchanged "
-             "run replays nothing",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for independent expensive lint families "
-             "(default: 1 = serial)",
+        help="artifact-cache directory: record/profile/select outputs "
+             "are reused from and stored there, and its hygiene is "
+             "audited (CACHE001)",
     )
     parser.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -197,7 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         options = LintOptions(
             check_invariance=not args.no_invariance,
             disable=frozenset(args.disable),
-            jobs=args.jobs,
         )
     except ValueError as exc:
         parser.error(str(exc))

@@ -7,9 +7,8 @@ ASCII table (interactive use) or JSON (CI / tooling); SARIF export lives in
 :mod:`repro.lint.baseline`.
 
 Rules belong to **pass families** (``Rule.family``) — the unit of
-scheduling in the incremental engine (:mod:`repro.lint.incremental`): a
-family whose rules are all disabled never runs, and a family's findings
-are cached as one unit keyed on its input artifacts.
+scheduling in :func:`repro.lint.runner.lint_pipeline`: a family whose
+rules are all disabled never runs.
 """
 
 import hashlib
@@ -41,8 +40,8 @@ class Rule:
     summary: str
     #: Paper section (or design rationale) this rule enforces.
     paper_ref: str
-    #: Pass family that implements the rule — the scheduling and caching
-    #: unit of the incremental engine.
+    #: Pass family that implements the rule — the unit the runner skips
+    #: when every rule of it is disabled.
     family: str = ""
 
 
@@ -193,12 +192,6 @@ RULES: Dict[str, Rule] = _registry([
          "record missing required fields, carrying the wrong schema "
          "marker, or timestamped before its predecessor would silently "
          "poison the rolling baseline", family="obs"),
-    Rule("OBS004", Severity.WARNING,
-         "stale heartbeat beside a completed trace",
-         "obs design: the heartbeat must finish (state done/failed) when "
-         "its run does; a sidecar still claiming 'running' next to a "
-         "trace with an end record means the finalizer was skipped and "
-         "repro-obs tail would misreport a live run", family="obs"),
     # -- cross-artifact audit passes ---------------------------------------
     Rule("XAR001", Severity.ERROR,
          "BBV block universe is not a subset of the DCFG's executed "
@@ -311,25 +304,6 @@ def make_finding(rule_id: str, location: str, message: str,
     )
 
 
-def finding_from_dict(data: Dict[str, object]) -> Finding:
-    """Rebuild a finding from :meth:`Finding.as_dict` output.
-
-    The inverse the incremental engine uses to replay cached family
-    results; unknown severities or rule ids raise, so a stale cache entry
-    from an older rule registry surfaces instead of silently loading.
-    """
-    severity = Severity[str(data["severity"]).upper()]
-    witness = data.get("witness")
-    return Finding(
-        rule_id=str(data["rule_id"]),
-        severity=severity,
-        location=str(data["location"]),
-        message=str(data["message"]),
-        witness=tuple(str(w) for w in witness)  # type: ignore[union-attr]
-        if witness is not None else None,
-    )
-
-
 @dataclass
 class LintReport:
     """All findings of one lint run, plus render helpers."""
@@ -340,9 +314,9 @@ class LintReport:
     passes_run: List[str] = field(default_factory=list)
     #: Rule ids suppressed by configuration.
     disabled: List[str] = field(default_factory=list)
-    #: Where each pass family's result came from: ``computed``, ``cache``,
-    #: or ``skipped`` (all rules disabled).  Populated by the incremental
-    #: engine; legacy single-shot paths leave it empty.
+    #: Whether each pass family was ``computed`` or ``skipped`` (all
+    #: rules disabled, or nothing to check).  Populated by
+    #: :func:`repro.lint.runner.lint_pipeline`.
     family_sources: Dict[str, str] = field(default_factory=dict)
     #: Findings accepted by a baseline file — real, known, and excluded
     #: from :attr:`findings` and the exit code.
@@ -418,12 +392,6 @@ class LintReport:
         )
         if self.baselined:
             suppressed += f" (baselined: {len(self.baselined)})"
-        cached = sorted(
-            name for name, source in self.family_sources.items()
-            if source == "cache"
-        )
-        if cached:
-            suppressed += f" [cached: {', '.join(cached)}]"
         if not self.findings:
             passes = ", ".join(self.passes_run) or "none"
             return f"{title}\n  no findings (passes run: {passes}){suppressed}"

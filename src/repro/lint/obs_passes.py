@@ -127,33 +127,6 @@ def check_parse_health(data: TraceData) -> List[Finding]:
     return findings
 
 
-def check_heartbeat(data: TraceData) -> List[Finding]:
-    """OBS004: a completed trace whose sidecar heartbeat never finished.
-
-    The heartbeat finalizer runs in the pipeline's ``finally`` block, so a
-    trace-end record beside a heartbeat still claiming ``running`` means
-    the finalizer was skipped (or a stale sidecar from an older run was
-    left behind) and ``repro-obs tail`` would misreport a live run.
-    """
-    from ..obs.heartbeat import heartbeat_path_for, read_heartbeat
-
-    if data.end is None:
-        return []  # the run is (or died) in flight; tail handles staleness
-    doc = read_heartbeat(heartbeat_path_for(data.path))
-    if doc is None:
-        return []  # heartbeats are optional sidecars
-    state = str(doc.get("state", ""))
-    if state in ("done", "failed"):
-        return []
-    return [make_finding(
-        "OBS004", data.path,
-        f"trace has an end record but its heartbeat sidecar still "
-        f"reports state {state or 'unknown'!r} (beat "
-        f"#{doc.get('seq', '?')}) — the finalizer was skipped or the "
-        f"sidecar is stale",
-    )]
-
-
 #: Fields every history record must carry (audited by OBS003).
 _HISTORY_REQUIRED = (
     "ts", "run_id", "workload", "mode", "coverage_pct", "wall_s",
@@ -228,7 +201,6 @@ def lint_trace_file(
     for name, check in (
         ("obs.span_tree", check_span_tree),
         ("obs.parse_health", check_parse_health),
-        ("obs.heartbeat", check_heartbeat),
     ):
         report.extend(
             f for f in check(data) if f.rule_id not in disable

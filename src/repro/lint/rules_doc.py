@@ -21,9 +21,8 @@ HEADER = """\
 <!-- GENERATED FILE - do not edit.
      Regenerate: PYTHONPATH=src python -m repro.lint.rules_doc docs/LINT_RULES.md -->
 
-Every rule ``repro-lint`` can fire, grouped by pass family — the unit of
-scheduling and caching in the incremental engine.  Disable individual
-rules with ``--disable RULE``; disabling every rule of a family skips the
+Every rule ``repro-lint`` can fire, grouped by pass family — the unit
+the runner schedules and skips.  Disable individual rules with ``--disable RULE``; disabling every rule of a family skips the
 family's computation entirely (disabling ``MARK004`` alone skips the
 second profiling replay).  ``repro-lint --explain RULE`` prints one
 rule's full rationale at the terminal.

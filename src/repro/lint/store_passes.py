@@ -1,4 +1,4 @@
-"""CACHE001: shared-artifact-store hygiene.
+"""CACHE001: artifact-store hygiene.
 
 A scan of the pipeline's cache directory for crash debris and corruption,
 built on :func:`repro.store.scan_store`.  The store self-heals every
@@ -10,15 +10,12 @@ misbehavior* that a reproduction run should not silently absorb:
 * orphaned temp files → a writer died inside the publish window;
 * stale locks (owner record present, ``flock`` free) → a holder died
   without releasing;
-* dead pin files → a pinning process died (its pins no longer protect
-  anything);
 * checksum-sidecar mismatches → torn or rotted payload bytes.  These are
   reported at ERROR severity — unlike debris, a mismatch means artifact
   *content* was damaged and the next consumer will pay a recompute.
 
-The family is cheap (one directory walk) and, deliberately, never cached:
-it describes the directory's current state, which yesterday's verdict
-cannot attest to.
+The family is cheap (one directory walk) and describes the directory's
+current state.
 """
 
 from __future__ import annotations
@@ -55,12 +52,6 @@ def run_store_passes(cache_dir: Optional[str]) -> List[Finding]:
             "CACHE001", f"store:{rel(path)}",
             f"stale key lock ({detail}) — the flock was freed by the "
             "kernel, but the holder never ran its release",
-        ))
-    for path, detail in report.dead_pins:
-        findings.append(make_finding(
-            "CACHE001", f"store:{rel(path)}",
-            f"dead pin file ({detail}) — its keys are no longer "
-            "protected from eviction",
         ))
     for path, detail in report.checksum_mismatches:
         findings.append(make_finding(

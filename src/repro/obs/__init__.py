@@ -13,8 +13,6 @@ Public surface:
   decomposition of the extrapolation error.
 * :func:`prometheus_text` / :func:`otlp_json` — standard-format export
   (``repro-obs export`` wraps these).
-* :class:`Heartbeat` / :func:`active_heartbeat` — live-progress gauges
-  for long replays (``repro-obs tail`` reads them).
 * :class:`HistoryStore` / :func:`check_regression` — the run-history
   regression store (``repro-obs history`` wraps it).
 """
@@ -29,14 +27,6 @@ from .attribution import (
 )
 from .console import Console
 from .export import otlp_json, prometheus_text
-from .heartbeat import (
-    HEARTBEAT_SCHEMA,
-    Heartbeat,
-    active_heartbeat,
-    heartbeat_path_for,
-    heartbeat_scope,
-    read_heartbeat,
-)
 from .history import (
     HISTORY_SCHEMA,
     HistoryRecord,
@@ -74,9 +64,7 @@ __all__ = [
     "Console",
     "DEFAULT_LIMITS",
     "ErrorAttribution",
-    "HEARTBEAT_SCHEMA",
     "HISTORY_SCHEMA",
-    "Heartbeat",
     "Histogram",
     "HistoryRecord",
     "HistoryStore",
@@ -92,22 +80,18 @@ __all__ = [
     "TraceError",
     "TraceLimits",
     "Tracer",
-    "active_heartbeat",
     "active_metrics",
     "active_tracer",
     "attribute_error",
     "check_regression",
     "emit_attribution",
     "folded_stacks",
-    "heartbeat_path_for",
-    "heartbeat_scope",
     "history_path_for",
     "live_scores",
     "obs_scope",
     "offline_scores",
     "otlp_json",
     "prometheus_text",
-    "read_heartbeat",
     "read_trace",
     "render_diff",
     "render_report",

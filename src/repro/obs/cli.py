@@ -7,19 +7,16 @@ Examples::
     repro-obs diff before.trace.jsonl after.trace.jsonl
     repro-obs export trace.jsonl --format prometheus
     repro-obs export trace.jsonl --format otlp-json -o spans.json
-    repro-obs export trace.jsonl --serve 9464
     repro-obs history cache/history/demo-matrix-1.history.jsonl
     repro-obs history cache/history/demo-matrix-1.history.jsonl --check
-    repro-obs tail cache/demo-matrix-1.trace.jsonl
 
 ``report`` renders the per-stage/per-region breakdown, the parallel
 critical-path summary, the top error contributors, and exact histogram
 aggregates; ``folded`` exports flamegraph-style folded stacks; ``diff``
 compares two runs' stage walls, counters, and histogram aggregates for
 regression triage; ``export`` emits Prometheus text exposition or
-OTLP-style JSON (optionally serving a scrape endpoint); ``history``
-renders the run-history trend table and gates on regressions
-(``--check``); ``tail`` shows a running replay's heartbeat.
+OTLP-style JSON; ``history`` renders the run-history trend table and
+gates on regressions (``--check``).
 """
 
 from __future__ import annotations
@@ -79,16 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None, metavar="FILE",
         help="write the document here (default: stdout)",
     )
-    export.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="serve a Prometheus /metrics scrape endpoint on this port "
-             "instead of printing (re-reads the trace per scrape; "
-             "0 picks a free port)",
-    )
-    export.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
-        help="with --serve: stop after N requests (default: forever)",
-    )
 
     history = sub.add_parser(
         "history", help="run-history trends and regression gate",
@@ -110,38 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--last", type=int, default=20, metavar="N",
         help="trend rows to show (default: 20)",
     )
-
-    tail = sub.add_parser(
-        "tail", help="show a running replay's heartbeat",
-    )
-    tail.add_argument(
-        "path", help="heartbeat file, or the trace file it sits next to",
-    )
-    tail.add_argument(
-        "--stall-after", type=float, default=None, metavar="SEC",
-        help="age (seconds) past which a running heartbeat counts as "
-             "stalled (default: 30); stalls exit 3",
-    )
     return parser
 
 
 def _cmd_export(args: argparse.Namespace, limits: TraceLimits) -> int:
-    from .export import otlp_json, prometheus_text, serve
+    from .export import otlp_json, prometheus_text
 
-    if args.serve is not None:
-        if args.fmt != "prometheus":
-            print("repro-obs: --serve only serves prometheus format",
-                  file=sys.stderr)
-            return 2
-        # Validate the trace once up front so a typo'd path fails fast
-        # instead of 503ing every scrape.
-        read_trace(args.trace, limits)
-        try:
-            serve(args.trace, args.serve, limits,
-                  max_requests=args.max_requests)
-        except KeyboardInterrupt:
-            pass
-        return 0
     trace = read_trace(args.trace, limits)
     if args.fmt == "prometheus":
         text = prometheus_text(trace)
@@ -195,31 +156,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tail(args: argparse.Namespace) -> int:
-    from .heartbeat import (
-        DEFAULT_STALL_AFTER_S, heartbeat_path_for, read_heartbeat,
-        tail_lines,
-    )
-
-    path = args.path
-    doc = read_heartbeat(path)
-    if doc is None and not path.endswith(".heartbeat.json"):
-        path = heartbeat_path_for(args.path)
-        doc = read_heartbeat(path)
-    if doc is None:
-        print(f"repro-obs: no heartbeat at {args.path}", file=sys.stderr)
-        return 2
-    stall_after = (
-        args.stall_after if args.stall_after is not None
-        else DEFAULT_STALL_AFTER_S
-    )
-    lines = tail_lines(doc, stall_after_s=stall_after)
-    print(f"heartbeat {path}")
-    for line in lines:
-        print(f"  {line}")
-    return 3 if "STALLED" in lines[0] else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -244,8 +180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_export(args, limits)
         elif args.command == "history":
             return _cmd_history(args)
-        elif args.command == "tail":
-            return _cmd_tail(args)
     except TraceError as exc:
         print(f"repro-obs: {exc}", file=sys.stderr)
         return 2

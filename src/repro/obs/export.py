@@ -2,9 +2,9 @@
 
 The trace file is this repo's native format; real monitoring stacks
 speak Prometheus exposition (for metrics) and OTLP (for spans).  This
-module converts a parsed :class:`~repro.obs.trace.TraceData` into both,
-so ``repro-serve`` (ROADMAP item 2) and an off-the-shelf
-Prometheus/collector pairing can consume our telemetry unchanged:
+module converts a parsed :class:`~repro.obs.trace.TraceData` into both
+file documents, so an off-the-shelf Prometheus/collector pairing can
+consume our telemetry unchanged:
 
 * :func:`prometheus_text` — text exposition format 0.0.4.  Counters and
   gauges map directly; histograms map to classic Prometheus histograms
@@ -16,9 +16,6 @@ Prometheus/collector pairing can consume our telemetry unchanged:
 * :func:`otlp_json` — the OTLP/JSON resource->scope->spans shape with
   ids padded/derived to OTLP's 16-byte trace / 8-byte span hex fields
   and times on the unix-nano timeline via the per-process clock anchors.
-* :func:`serve` — a stdlib HTTP scrape endpoint (``/metrics``) that
-  re-reads the trace per request, so a long replay's metrics-so-far are
-  scrapeable mid-run.
 """
 
 from __future__ import annotations
@@ -26,11 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .metrics import BUCKET_BOUNDS
-from .trace import SpanRecord, TraceData, TraceLimits, read_trace
+from .trace import SpanRecord, TraceData
 
 #: Prometheus metric-name sanitizer: anything outside the legal alphabet
 #: collapses to ``_``.
@@ -168,74 +164,3 @@ def otlp_json(trace: TraceData) -> Dict[str, Any]:
             }],
         }],
     }
-
-
-# -- scrape endpoint --------------------------------------------------------
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Serves ``/metrics``; the trace is re-read per scrape so a live
-    run's metrics-so-far show up (the tracer flushes metrics records at
-    finish and per worker job, segments accumulate in between)."""
-
-    server_version = "repro-obs/1"
-    trace_path = ""
-    limits: Optional[TraceLimits] = None
-
-    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
-        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-            self.send_error(404, "only /metrics is served")
-            return
-        try:
-            body = prometheus_text(
-                read_trace(self.trace_path, self.limits)
-            ).encode("utf-8")
-        except Exception as exc:  # degraded trace: say so, stay up
-            self.send_error(503, f"trace unreadable: {exc}")
-            return
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        pass  # scrape logging is noise on stderr
-
-
-def make_server(
-    trace_path: str,
-    port: int,
-    limits: Optional[TraceLimits] = None,
-) -> ThreadingHTTPServer:
-    """A bound-but-not-serving scrape server (``port=0`` picks a free
-    one; read it back from ``server.server_address[1]``)."""
-    handler = type(
-        "_BoundMetricsHandler",
-        (_MetricsHandler,),
-        {"trace_path": str(trace_path), "limits": limits},
-    )
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
-
-
-def serve(
-    trace_path: str,
-    port: int,
-    limits: Optional[TraceLimits] = None,
-    max_requests: Optional[int] = None,
-) -> int:
-    """Serve Prometheus scrapes of ``trace_path`` on ``port``.
-
-    ``max_requests`` bounds the serving loop (one-shot CI probes);
-    ``None`` serves until interrupted.  Returns the bound port.
-    """
-    with make_server(trace_path, port, limits) as server:
-        bound = server.server_address[1]
-        if max_requests is None:
-            server.serve_forever()
-        else:
-            for _ in range(max_requests):
-                server.handle_request()
-        return bound

@@ -32,9 +32,9 @@ semantics change — old artifacts are simply never looked at again.
 :meth:`ArtifactCache.invalidate` wipes a stage (or everything) explicitly;
 wiping the directory by hand is always safe.
 
-Multi-process sharing (single-flight locking, bounded LRU eviction,
-pinning) lives in :class:`repro.store.SharedArtifactStore`, which builds
-on this class.
+Multi-process sharing: :meth:`ArtifactCache.get_or_compute` takes a
+per-key :class:`repro.store.KeyLock` around the miss path, so concurrent
+pipelines missing on one key cost one computation (single-flight).
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ import shutil
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..errors import CacheError
 from ..obs.tracer import active_metrics
@@ -61,6 +60,7 @@ from ..resilience import (
     maybe_inject,
     should_fire,
 )
+from ..resilience.retry import RetryPolicy
 
 #: Bump when any cached stage's semantics change.
 CACHE_VERSION = 1
@@ -73,8 +73,12 @@ STAGES = ("record", "profile", "select")
 #: Suffix of the per-artifact checksum sidecar.
 SIDECAR_SUFFIX = ".sha256"
 
-#: A temp file that cannot be attributed to a pid is only swept once it
-#: is at least this old — it might belong to a writer mid-write.
+#: Directory under the versioned root holding the per-key lock files.
+LOCKS_DIR = "locks"
+
+#: A temp file that cannot be attributed to a pid, or a sidecar whose
+#: payload is not there, is only swept once it is at least this old — it
+#: might belong to a writer mid-write.
 ORPHAN_AGE_S = 300.0
 
 
@@ -135,15 +139,13 @@ class _TeeHash:
         self._raw.flush()
 
 
-@dataclass(frozen=True)
-class ArtifactEntry:
-    """One on-disk artifact, as enumerated by :meth:`ArtifactCache.iter_artifacts`."""
-
-    stage: str
-    key: str
-    path: Path
-    size: int
-    mtime: float
+def _older_than(path: Path, age_s: float, now: float) -> bool:
+    """Whether ``path`` was last modified more than ``age_s`` before ``now``
+    (``False`` when it has vanished)."""
+    try:
+        return now - path.stat().st_mtime > age_s
+    except OSError:
+        return False
 
 
 def _fsync_dir(path: Path) -> None:
@@ -166,8 +168,15 @@ class ArtifactCache:
     ``stats_line()`` a CLI run prints.
     """
 
-    def __init__(self, cache_dir: Union[str, Path]) -> None:
+    def __init__(
+        self,
+        cache_dir: Union[str, Path],
+        lock_policy: Optional[RetryPolicy] = None,
+    ) -> None:
         self.root = Path(cache_dir) / f"v{CACHE_VERSION}"
+        #: Wait pacing for :meth:`get_or_compute`'s key locks (``None``
+        #: = :data:`repro.store.DEFAULT_LOCK_POLICY`).
+        self.lock_policy = lock_policy
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
         self.stores: Counter = Counter()
@@ -207,7 +216,7 @@ class ArtifactCache:
         Corrupt or checksum-mismatched files are treated as misses (and
         removed) — the pipeline then recomputes and overwrites them.
         ``count_miss=False`` keeps a miss out of the counters and the
-        stats line; the single-flight store uses it for its under-lock
+        stats line; :meth:`get_or_compute` uses it for its under-lock
         re-check so one logical miss is not accounted twice.
         """
         key = canonical_key(material)
@@ -219,8 +228,8 @@ class ArtifactCache:
                 self._miss(stage)
             return None
         except OSError:
-            # Vanished or unreadable mid-read (e.g. concurrently evicted):
-            # a miss, not corruption.
+            # Vanished or unreadable mid-read (e.g. concurrently evicted
+            # as corrupt): a miss, not corruption.
             if count_miss:
                 self._miss(stage)
             return None
@@ -253,7 +262,6 @@ class ArtifactCache:
             return None
         self.hits[stage] += 1
         self.last_outcome[stage] = "hit"
-        self._touch(stage, key)
         reg = active_metrics()
         if reg is not None:
             reg.inc("cache.hits")
@@ -309,14 +317,12 @@ class ArtifactCache:
                 pass
             raise
         self.stores[stage] += 1
-        self._touch(stage, key)
         reg = active_metrics()
         if reg is not None:
             reg.inc("cache.stores")
         spec = should_fire(CACHE_CORRUPT, f"{stage}:{key}")
         if spec is not None:
             self._damage(path, spec.mode)
-        self._after_store(stage, key)
 
     def _write_sidecar(self, path: Path, hexdigest: str) -> None:
         fd, tmp = tempfile.mkstemp(
@@ -336,14 +342,48 @@ class ArtifactCache:
                 pass
             raise
 
-    # Hooks for :class:`repro.store.SharedArtifactStore` (LRU accounting,
-    # eviction, pinning).  No-ops here.
+    # -- single-flight -------------------------------------------------------
 
-    def _touch(self, stage: str, key: str) -> None:
-        pass
+    def get_or_compute(
+        self,
+        stage: str,
+        material: Dict[str, Any],
+        compute: Callable[[], Any],
+        kind: type = object,
+    ) -> Tuple[Any, str]:
+        """Load the artifact, or compute-and-store it exactly once.
 
-    def _after_store(self, stage: str, key: str) -> None:
-        pass
+        Returns ``(artifact, source)``: ``source`` is ``"hit"`` for a
+        plain load, ``"flight"`` when another process published the
+        artifact while this one waited on the key lock, and
+        ``"computed"`` when this call ran ``compute``.  A loaded payload
+        that is not an instance of ``kind`` counts as a miss.
+
+        Concurrent callers with the same key serialize on the key lock;
+        whoever wins computes, the rest find the published artifact in
+        their under-lock re-check (not counted as a second miss).
+        """
+        # Imported here: repro.store's hygiene scanner imports this module.
+        from ..store.locks import KeyLock
+
+        artifact = self.load(stage, material)
+        if isinstance(artifact, kind) and artifact is not None:
+            return artifact, "hit"
+        key = canonical_key(material)
+        with KeyLock(
+            self.root / LOCKS_DIR / stage / f"{key}.lock",
+            policy=self.lock_policy,
+            name=f"{stage}:{key}",
+        ):
+            artifact = self.load(stage, material, count_miss=False)
+            if isinstance(artifact, kind) and artifact is not None:
+                reg = active_metrics()
+                if reg is not None:
+                    reg.inc("store.single_flight")
+                return artifact, "flight"
+            artifact = compute()
+            self.store(stage, material, artifact)
+        return artifact, "computed"
 
     @staticmethod
     def _damage(path: Path, mode: str) -> None:
@@ -377,52 +417,7 @@ class ArtifactCache:
             shutil.rmtree(target)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- enumeration / hygiene ----------------------------------------------
-
-    def iter_artifacts(self) -> Iterator[ArtifactEntry]:
-        """Every published artifact payload on disk, with size and mtime."""
-        try:
-            stages = sorted(
-                e.name for e in os.scandir(self.root) if e.is_dir()
-            )
-        except OSError:
-            return
-        for stage in stages:
-            stage_dir = self.root / stage
-            try:
-                fans = sorted(
-                    e.name for e in os.scandir(stage_dir) if e.is_dir()
-                )
-            except OSError:
-                continue
-            for fan in fans:
-                try:
-                    entries = sorted(
-                        os.scandir(stage_dir / fan), key=lambda e: e.name
-                    )
-                except OSError:
-                    continue
-                for entry in entries:
-                    name = entry.name
-                    if name.startswith(".") or name.endswith(SIDECAR_SUFFIX):
-                        continue
-                    if not name.endswith(".pkl.gz"):
-                        continue
-                    try:
-                        stat = entry.stat()
-                    except OSError:
-                        continue
-                    yield ArtifactEntry(
-                        stage=stage,
-                        key=name[: -len(".pkl.gz")],
-                        path=Path(entry.path),
-                        size=stat.st_size,
-                        mtime=stat.st_mtime,
-                    )
-
-    def total_bytes(self) -> int:
-        """Total payload bytes currently published in the store."""
-        return sum(entry.size for entry in self.iter_artifacts())
+    # -- hygiene --------------------------------------------------------------
 
     def sweep_orphans(self) -> int:
         """Remove debris left by crashed writers; returns files removed.
@@ -430,10 +425,13 @@ class ArtifactCache:
         * ``.tmp-<pid>-*`` files whose pid is dead (a writer that died in
           the crash window before ``os.replace``);
         * un-attributable temp files older than :data:`ORPHAN_AGE_S`;
-        * checksum sidecars whose payload never got published.
+        * checksum sidecars older than :data:`ORPHAN_AGE_S` whose payload
+          never got published.
 
-        Live writers' temp files (pid alive, or too recent to judge) are
-        left alone, so sweeping is always safe to run concurrently.
+        Live writers' debris (pid alive, or too recent to judge) is left
+        alone, so sweeping is always safe to run concurrently.  A fresh
+        dangling sidecar is exactly what :meth:`store` leaves between
+        publishing the sidecar and replacing the payload into place.
         """
         removed = 0
         now = time.time()
@@ -442,27 +440,23 @@ class ArtifactCache:
                 full = Path(dirpath) / name
                 if name.startswith(".tmp-"):
                     pid = tmp_file_pid(name)
-                    if pid is not None:
-                        stale = not pid_alive(pid)
-                    else:
-                        try:
-                            stale = now - full.stat().st_mtime > ORPHAN_AGE_S
-                        except OSError:
-                            continue
-                    if stale:
-                        try:
-                            full.unlink()
-                            removed += 1
-                        except OSError:
-                            pass
+                    stale = (
+                        not pid_alive(pid) if pid is not None
+                        else _older_than(full, ORPHAN_AGE_S, now)
+                    )
                 elif name.endswith(".pkl.gz" + SIDECAR_SUFFIX):
                     payload = Path(str(full)[: -len(SIDECAR_SUFFIX)])
-                    if not payload.exists():
-                        try:
-                            full.unlink()
-                            removed += 1
-                        except OSError:
-                            pass
+                    stale = not payload.exists() and _older_than(
+                        full, ORPHAN_AGE_S, now
+                    )
+                else:
+                    continue
+                if stale:
+                    try:
+                        full.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
         if removed:
             reg = active_metrics()
             if reg is not None:

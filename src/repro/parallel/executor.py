@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..obs.heartbeat import active_heartbeat
 from ..obs.tracer import (
     SpanContext,
     active_metrics,
@@ -169,7 +168,6 @@ def _run_serial(
     total_retries = 0
     backoff_seconds = 0.0
     tracer = active_tracer()
-    hb = active_heartbeat()
     for job in jobs:
         attempt = 0
         while True:
@@ -181,8 +179,6 @@ def _run_serial(
                     job_id, result, seconds = _timed_job(job)
                 done[job_id] = result
                 per_job[job_id] = seconds
-                if hb is not None:
-                    hb.set_regions(len(done), len(jobs))
                 break
             except Exception as exc:
                 attempt += 1
@@ -283,10 +279,6 @@ def run_region_jobs(
                 ),
             )
         serial = workers <= 1 or len(jobs) == 1
-        hb = active_heartbeat()
-        if hb is not None:
-            hb.set_regions(0, len(jobs))
-            hb.beat(phase="simulate", force=True)
         with active_tracer().span(
             "fanout", jobs=len(jobs), workers=max(1, workers),
             mode="serial" if serial else "pool",
@@ -331,7 +323,6 @@ def _run_pool(
 ) -> ExecutionOutcome:
     t0 = time.perf_counter()
     tracer = active_tracer()
-    hb = active_heartbeat()
     ctx = tracer.current_context()
     by_id = {job.job_id: job for job in jobs}
     if len(by_id) != len(jobs):
@@ -376,8 +367,6 @@ def _run_pool(
                         rid, result, seconds = future.result()
                         done[rid] = result
                         per_job[rid] = seconds
-                        if hb is not None:
-                            hb.set_regions(len(done), len(jobs))
                     except Exception:
                         # Includes BrokenProcessPool surfaced through a
                         # future (the worker crashed): the job re-runs
@@ -436,8 +425,6 @@ def _run_pool(
                 job_id, result, seconds = _timed_job(job)
             done[job_id] = result
             per_job[job_id] = seconds
-            if hb is not None:
-                hb.set_regions(len(done), len(jobs))
         except Exception as exc:
             if raise_on_failure:
                 raise

@@ -15,7 +15,6 @@ from .faults import (
     REGION_EXTRACT,
     SITES,
     STORE_CRASH_REPLACE,
-    STORE_LOCK_DEATH,
     STORE_TORN_WRITE,
     WORKER_CRASH,
     WORKER_ERROR,
@@ -48,7 +47,6 @@ __all__ = [
     "REGION_EXTRACT",
     "SITES",
     "STORE_CRASH_REPLACE",
-    "STORE_LOCK_DEATH",
     "STORE_TORN_WRITE",
     "WORKER_CRASH",
     "WORKER_ERROR",

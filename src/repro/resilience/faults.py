@@ -44,9 +44,6 @@ Site catalogue (the ``site`` strings a :class:`FaultSpec` can name):
                           fsyncing the temp file and the ``os.replace``
                           that publishes it — the classic crash window
                           that leaves a ``.tmp-*`` orphan behind
-``store.lock_death``      the process dies (``os._exit``) while holding a
-                          shared-store key lock — the kernel releases the
-                          ``flock`` and waiters must recover and compute
 ========================  ====================================================
 """
 
@@ -80,7 +77,6 @@ KMEANS_DIVERGE = "kmeans.diverge"
 PIPELINE_ABORT = "pipeline.abort"
 STORE_TORN_WRITE = "store.torn_write"
 STORE_CRASH_REPLACE = "store.crash_replace"
-STORE_LOCK_DEATH = "store.lock_death"
 
 #: Every site a spec may name, with the ``mode`` values it understands
 #: (the empty string is the site's default behavior).
@@ -96,7 +92,6 @@ SITES: Dict[str, Tuple[str, ...]] = {
     PIPELINE_ABORT: ("", "exit", "kill"),
     STORE_TORN_WRITE: ("", "truncate", "garbage"),
     STORE_CRASH_REPLACE: ("",),
-    STORE_LOCK_DEATH: ("",),
 }
 
 
@@ -330,8 +325,6 @@ def perform(spec: FaultSpec, site: str, key: str) -> None:
         raise FaultInjectionError(f"injected fault at {site} ({key})")
     if site == STORE_CRASH_REPLACE:
         os._exit(5)
-    if site == STORE_LOCK_DEATH:
-        os._exit(6)
     raise FaultInjectionError(f"injected fault at unknown site {site} ({key})")
 
 

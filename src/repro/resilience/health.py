@@ -82,11 +82,6 @@ class RunHealth:
     #: Fraction of instruction mass still represented after drops (1.0 when
     #: nothing was dropped).
     retained_coverage: float = 1.0
-    #: Artifacts the size-budgeted shared store LRU-evicted during this
-    #: run.  Evictions are capacity management, not failures — they never
-    #: mark a run degraded — but a run that evicted may recompute stages a
-    #: bigger budget would have reused, which is worth surfacing.
-    cache_evictions: int = 0
 
     @property
     def degraded(self) -> bool:
@@ -121,8 +116,6 @@ class RunHealth:
             parts.append(f"dropped_regions={sorted(self.dropped_regions)}")
         if self.resumed_stages:
             parts.append(f"resumed={','.join(self.resumed_stages)}")
-        if self.cache_evictions:
-            parts.append(f"cache_evictions={self.cache_evictions}")
         parts.append(f"coverage={self.retained_coverage * 100:.1f}%")
         parts.append("degraded" if self.degraded else "intact")
         return " ".join(parts)
@@ -136,7 +129,6 @@ class RunHealth:
             "dropped_regions": sorted(self.dropped_regions),
             "resumed_stages": list(self.resumed_stages),
             "retained_coverage": self.retained_coverage,
-            "cache_evictions": self.cache_evictions,
             "degraded": self.degraded,
         }
 

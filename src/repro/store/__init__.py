@@ -1,27 +1,18 @@
-"""Concurrency-safe shared artifact store.
+"""Multi-process safety for the artifact cache.
 
-Public surface of the store layer: the multi-process
-:class:`SharedArtifactStore` (single-flight key locks, bounded LRU
-eviction with pinning, crash-consistent publishes), the
-:class:`~repro.store.locks.KeyLock` primitive, the hygiene scanner behind
-the ``CACHE001`` lint rule, and the chaos soak harness
-(``python -m repro.store.soak``).
+The :class:`~repro.store.locks.KeyLock` primitive behind
+:meth:`repro.parallel.artifacts.ArtifactCache.get_or_compute`'s
+single-flight, and the hygiene scanner behind the ``CACHE001`` lint rule.
 """
 
 from .hygiene import StoreHygieneReport, scan_store
 from .locks import DEFAULT_LOCK_POLICY, KeyLock, flock_supported, probe_stale_lock
-from .shared import SharedArtifactStore
-from .soak import SoakConfig, SoakReport, run_soak
 
 __all__ = [
     "DEFAULT_LOCK_POLICY",
     "KeyLock",
-    "SharedArtifactStore",
-    "SoakConfig",
-    "SoakReport",
     "StoreHygieneReport",
     "flock_supported",
     "probe_stale_lock",
-    "run_soak",
     "scan_store",
 ]

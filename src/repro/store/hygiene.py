@@ -1,6 +1,6 @@
 """Store-directory hygiene scanning.
 
-A shared store accumulates debris exactly when things go wrong: temp
+An artifact cache accumulates debris exactly when things go wrong: temp
 files from writers that died in the crash window, lock files whose holder
 never ran the release truncate, payloads whose bytes no longer match
 their checksum sidecar.  None of these *break* the store (loads reject
@@ -24,13 +24,12 @@ from typing import List, Optional, Tuple, Union
 
 from ..parallel.artifacts import (
     CACHE_VERSION,
-    SIDECAR_SUFFIX,
+    LOCKS_DIR,
     ArtifactCache,
     pid_alive,
     tmp_file_pid,
 )
 from .locks import probe_stale_lock
-from .shared import RESERVED_DIRS
 
 
 @dataclass
@@ -48,8 +47,6 @@ class StoreHygieneReport:
     checksum_mismatches: List[Tuple[Path, str]] = field(default_factory=list)
     #: Payloads with no sidecar at all (legacy or torn publish).
     missing_sidecars: List[Tuple[Path, str]] = field(default_factory=list)
-    #: Pin files of processes that no longer exist.
-    dead_pins: List[Tuple[Path, str]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -59,7 +56,6 @@ class StoreHygieneReport:
             or self.stale_locks
             or self.checksum_mismatches
             or self.missing_sidecars
-            or self.dead_pins
         )
 
 
@@ -71,8 +67,7 @@ def scan_store(cache_dir: Union[str, Path]) -> StoreHygieneReport:
         return report
     report.root = root
     _scan_tmp_files(root, report)
-    _scan_locks(root / "locks", report)
-    _scan_pins(root / "pins", report)
+    _scan_locks(root / LOCKS_DIR, report)
     _scan_checksums(root, report)
     return report
 
@@ -104,22 +99,10 @@ def _scan_locks(locks_dir: Path, report: StoreHygieneReport) -> None:
             report.stale_locks.append((path, detail))
 
 
-def _scan_pins(pins_dir: Path, report: StoreHygieneReport) -> None:
-    if not pins_dir.is_dir():
-        return
-    for path in sorted(pins_dir.glob("*.json")):
-        try:
-            pid = int(path.stem)
-        except ValueError:
-            continue
-        if not pid_alive(pid):
-            report.dead_pins.append((path, f"pinning pid {pid} dead"))
-
-
 def _scan_checksums(root: Path, report: StoreHygieneReport) -> None:
     sidecar = ArtifactCache._sidecar
     for stage_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        if stage_dir.name in RESERVED_DIRS:
+        if stage_dir.name == LOCKS_DIR:
             continue
         for path in sorted(stage_dir.rglob("*.pkl.gz")):
             side = sidecar(path)
@@ -131,7 +114,7 @@ def _scan_checksums(root: Path, report: StoreHygieneReport) -> None:
             try:
                 actual = hashlib.sha256(path.read_bytes()).hexdigest()
             except OSError:
-                continue  # vanished mid-scan (concurrent eviction)
+                continue  # vanished mid-scan (concurrent corrupt-evict)
             if expected and actual != expected:
                 report.checksum_mismatches.append(
                     (path, f"sha256 {actual[:12]}… != sidecar {expected[:12]}…")

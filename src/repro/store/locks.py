@@ -1,12 +1,13 @@
 """Advisory per-key file locks for the shared artifact store.
 
-The single-flight guarantee rests on ``fcntl.flock``: the first process to
-take a key's exclusive lock computes the artifact, everyone else blocks in
-a seeded-backoff wait loop (paced by :class:`repro.resilience.RetryPolicy`)
-and then reads the published result.  ``flock`` is the right primitive
-here because the kernel releases it when the holder dies *for any reason*
-— a lock-holder crash (the ``store.lock_death`` fault seam) degrades to a
-short wait, never a wedged store.
+The single-flight guarantee of
+:meth:`repro.parallel.artifacts.ArtifactCache.get_or_compute` rests on
+``fcntl.flock``: the first process to take a key's exclusive lock
+computes the artifact, everyone else blocks in a seeded-backoff wait loop
+(paced by :class:`repro.resilience.RetryPolicy`) and then reads the
+published result.  ``flock`` is the right primitive here because the
+kernel releases it when the holder dies *for any reason* — a lock-holder
+crash degrades to a short wait, never a wedged store.
 
 Two deliberate choices:
 

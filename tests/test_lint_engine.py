@@ -1,8 +1,7 @@
-"""The incremental/parallel lint engine, baselines, SARIF, and the CLI
-surface that drives them."""
+"""Lint family scheduling, baselines, SARIF, and the CLI surface that
+drives them."""
 
 import json
-import time
 
 import pytest
 
@@ -15,105 +14,22 @@ from repro.lint.baseline import (
     write_baseline,
 )
 from repro.lint.findings import LintReport, make_finding, rule_families
-from repro.lint.incremental import CACHED_FAMILIES, LintEngine
-from repro.lint.runner import LintOptions, lint_pipeline
+from repro.lint.runner import LintOptions, family_enabled, lint_pipeline
 from repro.lint.sarif import report_to_sarif, validate_sarif
 from repro.workloads.registry import get_workload
 
 
-def _pipeline(cache_dir=None, manifest_path=None):
+def _pipeline():
     scale = get_scale("tiny")
     workload = get_workload("demo-matrix-1", None, 4, scale=scale)
-    return LoopPointPipeline(workload, options=LoopPointOptions(
-        scale=scale,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        manifest_path=str(manifest_path) if manifest_path else None,
-    ))
-
-
-def _count_replays(monkeypatch):
-    """Count ConstrainedReplayer.run calls process-wide."""
-    from repro.pinplay.replayer import ConstrainedReplayer
-
-    calls = {"n": 0}
-    original = ConstrainedReplayer.run
-
-    def counting(self, *args, **kwargs):
-        calls["n"] += 1
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(ConstrainedReplayer, "run", counting)
-    return calls
-
-
-class TestIncrementalEngine:
-    def test_warm_rerun_replays_nothing_and_is_5x_faster(
-        self, tmp_path, monkeypatch
-    ):
-        calls = _count_replays(monkeypatch)
-        t0 = time.perf_counter()
-        cold = lint_pipeline(_pipeline(tmp_path), LintOptions())
-        cold_s = time.perf_counter() - t0
-        assert calls["n"] > 0
-        cold_replays = calls["n"]
-
-        calls["n"] = 0
-        t0 = time.perf_counter()
-        warm = lint_pipeline(_pipeline(tmp_path), LintOptions())
-        warm_s = time.perf_counter() - t0
-        assert calls["n"] == 0, (
-            f"warm rerun executed {calls['n']} replays "
-            f"(cold run executed {cold_replays})"
-        )
-        assert warm_s * 5 <= cold_s, (
-            f"warm rerun {warm_s:.4f}s not 5x faster than cold {cold_s:.4f}s"
-        )
-        for family in CACHED_FAMILIES:
-            assert warm.family_sources[family] == "cache"
-        assert (
-            [f.as_dict() for f in warm.findings]
-            == [f.as_dict() for f in cold.findings]
-        )
-
-    def test_threshold_change_invalidates_only_the_perf_family(
-        self, tmp_path
-    ):
-        from repro.config import LintThresholds
-
-        lint_pipeline(_pipeline(tmp_path), LintOptions())
-        report = lint_pipeline(_pipeline(tmp_path), LintOptions(
-            thresholds=LintThresholds(trace_limit=123)
-        ))
-        assert report.family_sources["perf"] == "computed"
-        assert report.family_sources["dcfg"] == "cache"
-        assert report.family_sources["invariance"] == "cache"
-
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial = lint_pipeline(_pipeline(), LintOptions(jobs=1))
-        parallel = lint_pipeline(_pipeline(), LintOptions(jobs=2))
-        assert (
-            [f.as_dict() for f in serial.findings]
-            == [f.as_dict() for f in parallel.findings]
-        )
-        assert serial.passes_run == parallel.passes_run
-
-    def test_cached_findings_are_disable_independent(self, tmp_path):
-        # Populate the cache with no suppressions, then read it back with
-        # one: the cache stores unfiltered findings, filtering happens at
-        # assembly, so toggling disable must not recompute anything.
-        lint_pipeline(_pipeline(tmp_path), LintOptions())
-        report = lint_pipeline(_pipeline(tmp_path), LintOptions(
-            disable=frozenset({"DCFG003"})
-        ))
-        assert report.family_sources["dcfg"] == "cache"
-        assert all(f.rule_id != "DCFG003" for f in report.findings)
+    return LoopPointPipeline(workload, options=LoopPointOptions(scale=scale))
 
 
 class TestFamilyShortCircuit:
     def test_disabling_all_replay_families_constructs_no_replayer(
         self, monkeypatch
     ):
-        import repro.lint.incremental as incremental
+        import repro.lint.runner as runner
 
         class Exploding:
             def __init__(self, *a, **k):
@@ -122,7 +38,7 @@ class TestFamilyShortCircuit:
                     "being disabled"
                 )
 
-        monkeypatch.setattr(incremental, "ConstrainedReplayer", Exploding)
+        monkeypatch.setattr(runner, "ConstrainedReplayer", Exploding)
         disable = frozenset(
             rid for family in ("dcfg", "concurrency", "perf",
                                "dominance", "xar", "invariance")
@@ -139,37 +55,37 @@ class TestFamilyShortCircuit:
     def test_disabling_mark004_skips_the_invariance_replay(
         self, monkeypatch
     ):
-        import repro.lint.marker_passes as marker_passes
+        import repro.lint.runner as runner
 
         def exploding(*a, **k):
             raise AssertionError(
                 "invariance re-profile ran despite MARK004 being disabled"
             )
 
-        monkeypatch.setattr(
-            marker_passes, "check_replay_invariance", exploding
-        )
+        monkeypatch.setattr(runner, "check_replay_invariance", exploding)
         report = lint_pipeline(_pipeline(), LintOptions(
             disable=frozenset({"MARK004"})
         ))
         assert report.family_sources["invariance"] == "skipped"
 
-    def test_no_invariance_option_still_skips(self):
+    def test_no_invariance_option_still_skips(self, monkeypatch):
+        import repro.lint.runner as runner
+
+        def exploding(*a, **k):
+            raise AssertionError(
+                "invariance re-profile ran despite check_invariance=False"
+            )
+
+        monkeypatch.setattr(runner, "check_replay_invariance", exploding)
         report = lint_pipeline(
             _pipeline(), LintOptions(check_invariance=False)
         )
         assert report.family_sources["invariance"] == "skipped"
 
     def test_family_enabled_reflects_disable_set(self):
-        engine = LintEngine(_pipeline(), LintOptions(
-            disable=frozenset(rule_families()["dominance"])
-        ))
-        assert not engine.family_enabled("dominance")
-        assert engine.family_enabled("dcfg")
-
-    def test_options_validate_jobs(self):
-        with pytest.raises(ValueError):
-            LintOptions(jobs=0)
+        disable = frozenset(rule_families()["dominance"])
+        assert not family_enabled("dominance", disable)
+        assert family_enabled("dcfg", disable)
 
     def test_options_reject_unknown_disable(self):
         with pytest.raises(ValueError):
@@ -334,19 +250,3 @@ class TestDocsAndCli:
         ]) == 0
         doc = json.loads(sarif_path.read_text("utf-8"))
         assert validate_sarif(doc) == []
-
-    def test_cli_cache_dir_enables_incremental(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        from repro.lint.cli import main
-
-        cache = str(tmp_path / "cache")
-        assert main(["demo-matrix-1", "-n", "4", "--cache-dir", cache,
-                     "--json"]) == 0
-        capsys.readouterr()
-        assert main(["demo-matrix-1", "-n", "4", "--cache-dir", cache,
-                     "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["family_sources"]["dcfg"] == "cache"
-        assert data["family_sources"]["invariance"] == "cache"
