@@ -33,18 +33,14 @@ anchor the equivalence suite pins.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..clustering.online import (
-    DEFAULT_RESERVOIR,
-    OnlineCluster,
-    OnlineClusterer,
-    OnlineClusterOptions,
-)
+from ..clustering.online import OnlineCluster, OnlineClusterer
 from ..clustering.simpoint import ClusterInfo
 from ..core.extrapolation import extrapolate_metrics
 from ..errors import ProfilingError
@@ -80,11 +76,15 @@ class LiveOptions:
     probe_fraction: float = 0.3
     error_target: float = 0.02
     max_topups: int = 4
-    reservoir_size: int = DEFAULT_RESERVOIR
-    update_centroids: bool = True
     seed: int = 42
 
     def __post_init__(self) -> None:
+        # A NaN threshold would match every region to the first cluster
+        # (``distance > nan`` is always false).
+        if not math.isfinite(self.threshold):
+            raise ProfilingError(
+                f"threshold must be finite, got {self.threshold}"
+            )
         if not 0.0 < self.probe_fraction <= 1.0:
             raise ProfilingError(
                 f"probe_fraction must be in (0, 1], got {self.probe_fraction}"
@@ -97,15 +97,6 @@ class LiveOptions:
             raise ProfilingError(
                 f"max_topups must be >= 0, got {self.max_topups}"
             )
-
-    def clusterer_options(self, projection_dim: int) -> OnlineClusterOptions:
-        return OnlineClusterOptions(
-            threshold=self.threshold,
-            projection_dim=projection_dim,
-            seed=self.seed,
-            reservoir_size=self.reservoir_size,
-            update_centroids=self.update_centroids,
-        )
 
 
 @dataclass
@@ -291,9 +282,8 @@ class LiveSampler:
         )
         self.clusterer = OnlineClusterer(
             pinball.nthreads * program.num_blocks,
-            self.options.clusterer_options(
-                OnlineClusterOptions().projection_dim
-            ),
+            self.options.threshold,
+            self.options.seed,
         )
         self._states: List[_RegionState] = []
         self._probe_target = max(

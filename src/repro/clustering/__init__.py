@@ -10,7 +10,7 @@ from .projection import random_projection, project
 from .kmeans import KMeansResult, kmeans
 from .bic import bic_score
 from .simpoint import SimPointOptions, SimPointSelection, ClusterInfo, select_simpoints
-from .online import OnlineCluster, OnlineClusterer, OnlineClusterOptions
+from .online import OnlineCluster, OnlineClusterer
 
 __all__ = [
     "random_projection",
@@ -24,5 +24,4 @@ __all__ = [
     "select_simpoints",
     "OnlineCluster",
     "OnlineClusterer",
-    "OnlineClusterOptions",
 ]

@@ -35,37 +35,7 @@ from ..perf.kernels import assign_labels
 from .projection import DEFAULT_DIMENSIONS, random_projection
 
 #: Exemplars kept per cluster (reservoir sampling, seeded).
-DEFAULT_RESERVOIR = 8
-
-
-@dataclass(frozen=True)
-class OnlineClusterOptions:
-    """Knobs of the incremental clusterer.
-
-    ``threshold`` is the novelty distance in signature space: a closing
-    region whose signature lies farther than this from every centroid
-    is novel.  Any value <= 0 forces *every* region novel — the
-    forced-novel mode the equivalence suite pins against the offline
-    pipeline.
-    """
-
-    threshold: float = 0.1
-    projection_dim: int = DEFAULT_DIMENSIONS
-    seed: int = 42
-    reservoir_size: int = DEFAULT_RESERVOIR
-    #: Update centroids as running means of member signatures; off keeps
-    #: each centroid frozen at its representative's signature.
-    update_centroids: bool = True
-
-    def __post_init__(self) -> None:
-        if self.projection_dim < 1:
-            raise ClusteringError(
-                f"projection_dim must be >= 1, got {self.projection_dim}"
-            )
-        if self.reservoir_size < 1:
-            raise ClusteringError(
-                f"reservoir_size must be >= 1, got {self.reservoir_size}"
-            )
+RESERVOIR_SIZE = 8
 
 
 @dataclass
@@ -104,23 +74,27 @@ class OnlineCluster:
 
 
 class OnlineClusterer:
-    """Classify-then-maybe-admit clustering over streaming signatures."""
+    """Classify-then-maybe-admit clustering over streaming signatures.
 
-    def __init__(
-        self, input_dim: int, options: Optional[OnlineClusterOptions] = None
-    ) -> None:
+    ``threshold`` is the novelty distance in signature space: a closing
+    region whose signature lies farther than this from every centroid is
+    novel.  Any value <= 0 forces *every* region novel — the forced-novel
+    mode the equivalence suite pins against the offline pipeline.
+    ``seed`` drives the signature projection and the exemplar reservoirs.
+    """
+
+    def __init__(self, input_dim: int, threshold: float, seed: int) -> None:
         if input_dim < 1:
             raise ClusteringError(f"input_dim must be >= 1, got {input_dim}")
-        self.options = options or OnlineClusterOptions()
+        self.threshold = threshold
         self.input_dim = input_dim
-        dim = self.options.projection_dim
         self._projection: Optional[np.ndarray] = (
-            random_projection(input_dim, dim, self.options.seed)
-            if input_dim > dim else None
+            random_projection(input_dim, DEFAULT_DIMENSIONS, seed)
+            if input_dim > DEFAULT_DIMENSIONS else None
         )
         self.clusters: List[OnlineCluster] = []
         self._centroids: Optional[np.ndarray] = None
-        self._rng = np.random.default_rng(self.options.seed)
+        self._rng = np.random.default_rng(seed)
 
     # -- signatures -----------------------------------------------------------
 
@@ -151,13 +125,13 @@ class OnlineClusterer:
         A non-positive threshold (forced-novel mode) never matches, and
         an empty model is trivially novel.
         """
-        if not self.clusters or self.options.threshold <= 0.0:
+        if not self.clusters or self.threshold <= 0.0:
             return None, float("inf")
         labels, min_d2 = assign_labels(
             signature[None, :], self._centroid_matrix()
         )
         distance = float(np.sqrt(min_d2[0]))
-        if distance > self.options.threshold:
+        if distance > self.threshold:
             return None, distance
         return self.clusters[int(labels[0])], distance
 
@@ -203,17 +177,16 @@ class OnlineClusterer:
             cluster._signature_sum = signature.astype(np.float64).copy()
         else:
             cluster._signature_sum += signature
-        if self.options.update_centroids:
-            cluster.centroid = cluster._signature_sum / cluster._seen
-            self._centroids = None
+        cluster.centroid = cluster._signature_sum / cluster._seen
+        self._centroids = None
         # Reservoir sampling (algorithm R): every member has equal odds
         # of being an exemplar no matter how long the stream runs.
         reservoir = cluster.reservoir
-        if len(reservoir) < self.options.reservoir_size:
+        if len(reservoir) < RESERVOIR_SIZE:
             reservoir.append((region_index, signature.copy()))
         else:
             slot = int(self._rng.integers(0, cluster._seen))
-            if slot < self.options.reservoir_size:
+            if slot < RESERVOIR_SIZE:
                 reservoir[slot] = (region_index, signature.copy())
 
     def _centroid_matrix(self) -> np.ndarray:

@@ -16,15 +16,8 @@ import numpy as np
 
 from ..errors import ClusteringError
 from ..obs.tracer import active_metrics
-from ..perf.kernels import assign_labels
 from .bic import bic_scorer
-from .kmeans import (
-    DistanceColumns,
-    KMeansResult,
-    kmeans,
-    kmeanspp_seed,
-    weighted_draw,
-)
+from .kmeans import DistanceColumns, KMeansResult, kmeans, kmeanspp_seed
 from .projection import DEFAULT_DIMENSIONS, project
 
 
@@ -40,21 +33,6 @@ class SimPointOptions:
     #: K-means restarts per k (best inertia wins); reduces init noise in
     #: the BIC curve.
     n_init: int = 3
-    #: Representative near-tie margin, as a fraction of the cluster's mean
-    #: centroid distance (see _build_clusters).  Zero means only exact
-    #: distance ties are broken by median position; empirically the safest
-    #: default (wider margins drag representatives off-centroid).
-    tie_margin: float = 0.0
-    #: Sweep strategy.  ``full`` (default) fits every k independently from
-    #: k-means++ seeding — the reference procedure, unchanged selections.
-    #: ``warm`` starts each k's fit from the best k-1 centroids plus one
-    #: k-means++-style draw: far fewer Lloyd iterations per k, at the cost
-    #: of selections that can differ (slightly) from the full sweep's.
-    sweep: str = "full"
-    #: If > 0, stop sweeping k after this many consecutive k whose BIC
-    #: score failed to improve on the running best — the knee the SimPoint
-    #: rule looks for is behind us by then.  0 sweeps every k (default).
-    patience: int = 0
 
 
 @dataclass
@@ -101,18 +79,16 @@ def select_simpoints(
     cluster *representatives* — the standard SimPoint practice of steering
     clear of initialization.
 
-    ``jobs > 1`` fans the full sweep's independent seeded k-fits across a
+    ``jobs > 1`` fans the sweep's independent seeded k-fits across a
     process pool (each fit is deterministic given its seed, so the result
-    is bit-identical to the serial sweep); the warm sweep is inherently
-    sequential and ignores ``jobs``.  The serial full sweep shares one
+    is bit-identical to the serial sweep).  The serial sweep shares one
     :class:`~repro.clustering.kmeans.DistanceColumns` memo across every k
     and restart; each fan-out task computes its own.
     """
     opts = options or SimPointOptions()
-    if opts.sweep not in ("full", "warm"):
+    if opts.max_k < 1:
         raise ClusteringError(
-            f"SimPointOptions.sweep must be 'full' or 'warm', "
-            f"got {opts.sweep!r}"
+            f"SimPointOptions.max_k must be >= 1, got {opts.max_k}"
         )
     counts = np.asarray(instruction_counts, dtype=np.float64)
     if bbvs.ndim != 2 or bbvs.shape[0] != counts.shape[0]:
@@ -127,10 +103,7 @@ def select_simpoints(
     # stays well below n: with n - k residual degrees of freedom near zero
     # the variance estimate collapses and BIC diverges.
     max_k = min(opts.max_k, max(1, n // 2)) if n > 1 else 1
-    if opts.sweep == "warm":
-        results, scores = _warm_sweep(points, weights, opts, max_k)
-    else:
-        results, scores = _full_sweep(points, weights, opts, max_k, jobs)
+    results, scores = _sweep(points, weights, opts, max_k, jobs)
 
     chosen_k = _choose_k(scores, opts.bic_threshold)
     chosen = results[chosen_k]
@@ -140,18 +113,11 @@ def select_simpoints(
         reg.inc("select.ks_swept", len(scores))
         reg.gauge("select.chosen_k", chosen_k)
     clusters = _build_clusters(
-        points, counts, chosen, opts.tie_margin,
-        frozenset(ineligible or ()),
+        points, counts, chosen, frozenset(ineligible or ())
     )
     return SimPointSelection(
         k=chosen_k, clusters=clusters, labels=chosen.labels, bic_by_k=scores
     )
-
-
-def _note_early_stop() -> None:
-    reg = active_metrics()
-    if reg is not None:
-        reg.inc("select.sweep_early_stops")
 
 
 def _restarts_for(n: int, opts: SimPointOptions) -> int:
@@ -188,98 +154,36 @@ def _scorer(points: np.ndarray) -> Callable[[KMeansResult], float]:
     return lambda fit: bic(fit) if n > fit.k else float("-inf")
 
 
-def _full_sweep(
+def _sweep(
     points: np.ndarray,
     weights: Optional[np.ndarray],
     opts: SimPointOptions,
     max_k: int,
     jobs: int,
 ):
-    """Independent seeded fit per k — the reference sweep.
+    """Independent seeded fit per k.
 
     Each k's fit depends only on its seed, so the sweep is embarrassingly
-    parallel; with ``jobs > 1`` (and no early stop, which is inherently
-    sequential) the k-fits fan out across a process pool and the results
-    are bit-identical to the serial order.
+    parallel; with ``jobs > 1`` the k-fits fan out across a process pool
+    and the results are bit-identical to the serial order.
     """
     n_init = _restarts_for(points.shape[0], opts)
     tasks = [
         (points, weights, k, opts.seed, n_init) for k in range(1, max_k + 1)
     ]
     score = _scorer(points)
-    results: Dict[int, KMeansResult] = {}
-    scores: Dict[int, float] = {}
-    if jobs > 1 and opts.patience == 0 and len(tasks) > 1:
+    if jobs > 1 and len(tasks) > 1:
         from ..parallel.executor import fanout_map
 
-        for fit in fanout_map(_fit_k, tasks, jobs):
-            results[fit.k] = fit
-            scores[fit.k] = score(fit)
-        return results, scores
-    columns = DistanceColumns(points)
-    best_score = float("-inf")
-    stale = 0
-    for task in tasks:
-        fit = _fit_k(task, columns)
-        results[fit.k] = fit
-        s = scores[fit.k] = score(fit)
-        if s > best_score:
-            best_score, stale = s, 0
-        else:
-            stale += 1
-            if opts.patience and stale >= opts.patience:
-                _note_early_stop()
-                break
-    return results, scores
-
-
-def _warm_sweep(
-    points: np.ndarray,
-    weights: Optional[np.ndarray],
-    opts: SimPointOptions,
-    max_k: int,
-):
-    """Incremental-k sweep: each k starts from the previous k's centroids.
-
-    k's init is the converged k-1 centroids plus one extra centroid drawn
-    k-means++-style (proportional to squared distance from the nearest
-    existing centroid).  Lloyd then needs only a handful of iterations to
-    re-settle, instead of converging from scratch — the standard trick for
-    incremental model-order sweeps.  Selections can differ slightly from
-    the full sweep's; the k=1 fit uses the full sweep's seed so the two
-    strategies agree exactly there.
-    """
-    n = points.shape[0]
-    score = _scorer(points)
+        fits = fanout_map(_fit_k, tasks, jobs)
+    else:
+        columns = DistanceColumns(points)
+        fits = [_fit_k(task, columns) for task in tasks]
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
-    best_score = float("-inf")
-    stale = 0
-    prev: Optional[KMeansResult] = None
-    for k in range(1, max_k + 1):
-        if prev is None:
-            fit = kmeans(points, k, seed=opts.seed + k, weights=weights)
-        else:
-            _, min_d2 = assign_labels(points, prev.centroids)
-            total = float(min_d2.sum())
-            rng = np.random.default_rng(opts.seed + k)
-            if total <= 0.0:
-                # Every point already coincides with a centroid; the new
-                # one owns an empty cluster wherever it lands.
-                extra = points[int(rng.integers(n))]
-            else:
-                extra = points[weighted_draw(rng, min_d2, total)]
-            init = np.vstack([prev.centroids, extra[None, :]])
-            fit = kmeans(points, k, weights=weights, init_centroids=init)
-        prev = results[k] = fit
-        s = scores[k] = score(fit)
-        if s > best_score:
-            best_score, stale = s, 0
-        else:
-            stale += 1
-            if opts.patience and stale >= opts.patience:
-                _note_early_stop()
-                break
+    for fit in fits:
+        results[fit.k] = fit
+        scores[fit.k] = score(fit)
     return results, scores
 
 
@@ -318,7 +222,6 @@ def _build_clusters(
     points: np.ndarray,
     counts: np.ndarray,
     result: KMeansResult,
-    tie_margin: float = 0.0,
     ineligible: frozenset = frozenset(),
 ) -> List[ClusterInfo]:
     clusters: List[ClusterInfo] = []
@@ -336,9 +239,9 @@ def _build_clusters(
         # Near-duplicate BBVs (nearly) tie on distance; a plain argmin would
         # then systematically elect the earliest such slice, which sits at
         # the start of the run (cold caches) and is microarchitecturally
-        # atypical.  Among candidates within a small margin of the minimum,
-        # take the median-position member: an interior, typical occurrence.
-        cutoff = float(dists.min()) + tie_margin * float(dists.mean()) + 1e-12
+        # atypical.  Among candidates within 1e-12 of the minimum, take the
+        # median-position member: an interior, typical occurrence.
+        cutoff = float(dists.min()) + 1e-12
         tied = members[dists <= cutoff]
         representative = int(tied[len(tied) // 2])
         mass = float(counts[all_members].sum())

@@ -20,19 +20,20 @@ through ``Observer.on_sync_rows``.  A ring of capacity 1 delivers every
 event on its own, which is the per-event reference the equivalence tests
 compare against.
 
-Programs :func:`~.schedcore.compile_streams` can tape run on the scheduler
-kernel (:mod:`repro.perf.kernels`); the rest (dynamic schedules with
+Programs :func:`~.schedcore.compile_streams` can tape run on the tape loop,
+:meth:`ExecutionEngine._run_tape`; the rest (dynamic schedules with
 criticals, custom constructs) run the generator loop in
-:meth:`ExecutionEngine.run`.  Both produce bit-identical results.
+:meth:`ExecutionEngine.run`.  Both produce bit-identical results, and the
+generator loop is the reference the tape loop is tested against.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from ..errors import DeadlockError, ExecutionError
 from ..obs.tracer import active_metrics
 from ..isa.blocks import BasicBlock
 from ..isa.image import Program
-from ..perf.kernels import VALID_TIERS, get_kernel
 from ..perf.ring import DEFAULT_CAPACITY, EventRing
 from ..policy import WaitPolicy
 from .events import (
@@ -75,6 +75,11 @@ from .schedcore import (
 #: many (matches the block ring's default capacity; bounds buffer memory).
 SYNC_BUFFER_LIMIT = 8192
 
+#: Scheduling quantum in *instructions*: an engine round runs a jittered
+#: 1.0-1.5x of it, a replay round exactly it.  Batched block events make an
+#: event-count quantum far too coarse for balanced interleavings.
+QUANTUM_INSTRUCTIONS = 600
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runtime.omp import OmpRuntime
     from ..runtime.thread import ThreadProgram
@@ -93,7 +98,7 @@ class _Thread:
         self.tid = tid
         self.gen = gen
         self.state = ThreadState.RUNNABLE
-        self.response = None
+        self.response: Any = None
 
 
 class _Lock:
@@ -136,23 +141,11 @@ class ExecutionEngine:
         seed: int = 0,
         observers: Sequence[Observer] = (),
         flow_control: Optional[FlowControl] = None,
-        quantum_instructions: int = 600,
         max_events: Optional[int] = None,
         batch_capacity: int = DEFAULT_CAPACITY,
-        kernel_tier: str = "compiled",
     ) -> None:
         if nthreads < 1:
             raise ExecutionError(f"need at least one thread, got {nthreads}")
-        if kernel_tier not in VALID_TIERS:
-            raise ValueError(
-                f"kernel_tier must be one of {VALID_TIERS}, "
-                f"got {kernel_tier!r}"
-            )
-        #: Scheduler-kernel tier (see :mod:`repro.perf.kernels`):
-        #: ``reference`` keeps every configuration test as a runtime
-        #: branch; ``compiled`` folds this run's configuration out
-        #: of the hot loop's bytecode.  Bit-identical by construction.
-        self.kernel_tier = kernel_tier
         self.program = program
         self.thread_program = thread_program
         self.omp = omp
@@ -161,9 +154,6 @@ class ExecutionEngine:
         self.seed = seed
         self.observers = list(observers)
         self.flow_control = flow_control
-        #: Scheduling quantum in *instructions* — batched block events make an
-        #: event-count quantum far too coarse for balanced interleavings.
-        self.quantum_instructions = quantum_instructions
         self.max_events = max_events
 
         self._threads = [
@@ -192,7 +182,7 @@ class ExecutionEngine:
         #: off this flag.
         self._sched_dirty = True
         self._runnable: List[int] = []
-        self._runnable_arr = None
+        self._runnable_arr: Optional[np.ndarray] = None
         #: Observers that actually override ``on_sync``/``on_sync_rows``:
         #: sync delivery skips base-class no-ops.
         self._sync_obs = [
@@ -206,7 +196,9 @@ class ExecutionEngine:
         #: ``flush_on_sync`` is False): syncs then reach observers through
         #: ``on_sync_rows`` in gseq-ordered runs instead of one Python call
         #: per observer per sync.  ``None`` means per-event delivery.
-        self._sync_buf = None if self._ring.flush_on_sync else []
+        self._sync_buf: Optional[List[tuple]] = (
+            None if self._ring.flush_on_sync else []
+        )
         #: Per-thread scheduler tapes (see repro.exec_engine.schedcore);
         #: ``None`` when some construct cannot be taped, which selects the
         #: generator loop.
@@ -407,7 +399,7 @@ class ExecutionEngine:
     def run(self) -> EngineResult:
         """Execute the program to completion and return the summary."""
         if self._streams is not None:
-            return self._run_compiled()
+            return self._run_tape(self._streams)
         threads = self._threads
         spin_block = self.omp.spin_block
         spin_iters = self.omp.spin.iterations_per_visit
@@ -423,7 +415,7 @@ class ExecutionEngine:
         runnable_state = ThreadState.RUNNABLE
         getrandbits = rng.getrandbits
         rng_random = rng.random
-        quantum = self.quantum_instructions
+        quantum = QUANTUM_INSTRUCTIONS
         flow = self.flow_control
         max_events = self.max_events
         runnable: List[int] = []
@@ -529,7 +521,7 @@ class ExecutionEngine:
 
         return self._finish_run(num_events)
 
-    def _run_compiled(self) -> EngineResult:
+    def _run_tape(self, streams: List[List]) -> EngineResult:
         """The tape-driven hot loop (see :mod:`.schedcore`).
 
         Bit-identical to :meth:`run`'s generator loop: identical event
@@ -539,45 +531,508 @@ class ExecutionEngine:
         and C-speed slice ``extend``s into the ring buffers; barrier ops
         are handled inline (columnar sync buffering, direct ring appends)
         instead of through the per-event handler chain; and the run-queue
-        is maintained incrementally with sorted inserts/removes instead of
-        being rebuilt from thread states on every invalidation.
-
-        The loop itself lives in :mod:`repro.perf.kernels` as a source
-        template rendered per :attr:`kernel_tier`: the ``reference`` tier
-        keeps every configuration test as a runtime branch, the
-        ``compiled`` tier folds this run's configuration (wait policy,
-        flow control, event bounding) out of the bytecode.  Both renders
-        share one statement of the semantics, so they are bit-identical
-        by construction.
+        is maintained in place at each transition instead of being rebuilt
+        from thread states on every invalidation.
         """
-        kernel = get_kernel(
-            self.kernel_tier,
-            active=self.wait_policy is WaitPolicy.ACTIVE,
-            flow=self.flow_control is not None,
-            bounded=self.max_events is not None,
-            namespace=_KERNEL_NAMESPACE,
-        )
-        return kernel(self)
+        threads = self._threads
+        omp = self.omp
+        spin_block = omp.spin_block
+        spin_iters = omp.spin.iterations_per_visit
+        active = self.wait_policy is WaitPolicy.ACTIVE
+        passive = self.wait_policy is WaitPolicy.PASSIVE
+        rng = self._rng
+        ring = self._ring
+        nthreads = self.nthreads
 
-#: Globals for the rendered scheduler kernels (see
-#: :func:`repro.perf.kernels.get_kernel`): everything the template
-#: references that is not reachable from the engine instance.  Passed in
-#: by the engine so the kernels module never imports this one.
-_KERNEL_NAMESPACE = {
-    "np": np,
-    "bisect_left": bisect_left,
-    "ThreadState": ThreadState,
-    "WaitPolicy": WaitPolicy,
-    "DeadlockError": DeadlockError,
-    "ExecutionError": ExecutionError,
-    "SYNC_BARRIER": SYNC_BARRIER,
-    "SYNC_BARRIER_REL": SYNC_BARRIER_REL,
-    "SYNC_BUFFER_LIMIT": SYNC_BUFFER_LIMIT,
-    "OP_TILED": OP_TILED,
-    "OP_TABLE": OP_TABLE,
-    "OP_SYNC": OP_SYNC,
-    "OP_CHUNK": OP_CHUNK,
-    "OP_SINGLE": OP_SINGLE,
-    "OP_BARRIER": OP_BARRIER,
-    "OP_DONE": OP_DONE,
-}
+        per_thread_total = self.per_thread_total
+        per_thread_filtered = self.per_thread_filtered
+        runnable_state = ThreadState.RUNNABLE
+        blocked_state = ThreadState.BLOCKED
+        done_state = ThreadState.DONE
+        getrandbits = rng.getrandbits
+        rng_random = rng.random
+        quantum = QUANTUM_INSTRUCTIONS
+        flow = self.flow_control
+        max_events = self.max_events
+        dispatch = self._dispatch
+        bisect = bisect_left
+        num_events = 0
+
+        ring_rows = ring.buffers()
+        append_row = ring_rows.append
+        extend_rows = ring_rows.extend
+        ring_capacity = ring.capacity
+        ring_flush = ring.flush
+        encode = ring.encode
+
+        # Interned row-code lists, one cache per tid keyed by ``id()`` of an
+        # op's bid column (alive in the tapes for the whole run).
+        # Structurally identical constructs share pattern columns, so a
+        # workload's few distinct patterns encode once per tid; every
+        # consume window then costs a single slice + ``extend`` (or one
+        # ``append`` of a small int) and flush decodes through the ring's
+        # per-code tables.
+        row_caches: List[Dict[int, List[int]]] = [{} for _ in range(nthreads)]
+
+        # Inline barrier handling requires the sync buffer, which exists
+        # exactly when no attached observer demands per-sync flushes; with
+        # an order-strict observer, barrier ops dispatch through the
+        # shared handlers (identical per-event semantics).
+        sync_buf = self._sync_buf
+        inline_barriers = sync_buf is not None
+        if sync_buf is None:
+            sync_buf = []  # never appended to: barriers go out of line
+        sb_append = sync_buf.append
+        barriers = self._barriers
+
+        # (bid, total, filtered) columns of the synchronization-library
+        # blocks the inline barrier path executes on threads' behalf.
+        def _cols(block):
+            n = block.n_instr
+            return block.bid, n, 0 if block.image.is_library else n
+
+        be_bid, be_t, be_f = _cols(omp.barrier_enter)
+        bx_bid, bx_t, bx_f = _cols(omp.barrier_exit)
+        fw_bid, fw_t, fw_f = _cols(omp.futex_wait)
+        fk_bid, fk_t, fk_f = _cols(omp.futex_wake)
+
+        # Constant per-tid row codes for the synchronization-library blocks
+        # the inline barrier path emits — a full release is assembled from
+        # these pre-encoded ints, only their order follows the arrival
+        # order.  ``wake_t``/``wake_f`` is what each woken thread's
+        # counters advance by.
+        be_rows = [encode(t, be_bid, 1) for t in range(nthreads)]
+        bx_rows = [encode(t, bx_bid, 1) for t in range(nthreads)]
+        fw_rows = [encode(t, fw_bid, 1) for t in range(nthreads)]
+        fk_rows = [encode(t, fk_bid, 1) for t in range(nthreads)]
+        if passive:
+            wake_t = fk_t + bx_t
+            wake_f = fk_f + bx_f
+            rel_n = 2 * nthreads - 1
+        else:
+            wake_t = bx_t
+            wake_f = bx_f
+            rel_n = nthreads
+        # All threads are live at a full release (a finished thread could
+        # never have arrived), so the post-release run-queue is every tid.
+        all_tids = list(range(nthreads))
+
+        # The run-queue: ascending tids, maintained incrementally — the same
+        # order `_rebuild_runnable` produces.  Out-of-line handlers signal
+        # their state changes via ``_sched_dirty``; the queue is resynced
+        # right after dispatch.  The numpy mirror for columnar flow control
+        # rebuilds lazily.
+        runnable = [t.tid for t in threads if t.state is runnable_state]
+        self._runnable = runnable
+        self._sched_dirty = False
+        n_done = sum(1 for t in threads if t.state is done_state)
+        arr_stale = True
+        # ``nbuf`` mirrors ``len(ring_rows)``; it is maintained at every
+        # mutation site so the hot loop never calls ``len``, and resynced
+        # after any out-of-line call that may append to (or flush) the ring.
+        nbuf = len(ring_rows)
+
+        # ``i.bit_length()`` memoized for every eligible-set size the inlined
+        # ``randrange`` can see (identical values, one index instead of a
+        # method call per round).
+        bl = tuple(i.bit_length() for i in range(nthreads + 1))
+
+        # Per-thread tape cursors.  Layout (list, not attributes — indexed
+        # access is the fastest Python offers here):
+        #   [0] op index            [1] run kind (0 none, 1 tiled, 2 table)
+        #   [2] run row codes (interned via ring.encode)  [3] unused
+        #   [4] run pre_t  [5] run pre_f
+        #   [6] event index in run  [7] run end (table) / pattern len
+        #   [8] off_t  [9] off_f  (ptt/ptf = off + pre[idx])
+        #   [10] tiled iterations left  [11] iter total  [12] iter filtered
+        cursors: List[list] = [
+            [0, 0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0]
+            for _ in range(nthreads)
+        ]
+
+        # ``total_instructions == sum(per_thread_total)`` (likewise
+        # filtered) is an engine-wide invariant: every counter mutation —
+        # handlers, the inline barrier path, quantum consumption — advances
+        # a per-thread counter.  The globals are therefore recomputed as
+        # sums at every loop exit instead of being carried round by round.
+        maxev = max_events if max_events is not None else (1 << 62)
+
+        while True:
+            if not runnable:
+                self.total_instructions = sum(per_thread_total)
+                self.filtered_instructions = sum(per_thread_filtered)
+                if n_done == nthreads:
+                    break
+                blocked = [
+                    t.tid for t in threads if t.state is blocked_state
+                ]
+                raise DeadlockError(
+                    f"all live threads blocked: {blocked} "
+                    f"(barriers={dict(barriers)!r})"
+                )
+
+            if active:
+                for t in threads:
+                    if t.state is blocked_state:
+                        self._exec_block(t.tid, spin_block, spin_iters)
+                nbuf = len(ring_rows)
+
+            if flow is not None:
+                if arr_stale:
+                    self._runnable_arr = np.array(runnable, dtype=np.int64)
+                    arr_stale = False
+                eligible = flow.eligible(
+                    per_thread_filtered, runnable, self._runnable_arr
+                )
+            else:
+                eligible = runnable
+            n_el = len(eligible)
+            # Inlined ``rng.randrange(len(eligible))`` — the exact
+            # ``Random._randbelow_with_getrandbits`` algorithm, consuming
+            # the identical generator stream (interleavings depend on it).
+            k = bl[n_el]
+            r = getrandbits(k)
+            while r >= n_el:
+                r = getrandbits(k)
+            tid = eligible[r]
+
+            ptt = per_thread_total[tid]
+            ptf = per_thread_filtered[tid]
+            stop_at = ptt + int(quantum * (1.0 + rng_random() * 0.5))
+            cur = cursors[tid]
+            kind = cur[1]
+
+            while ptt < stop_at:
+                if kind == 1:
+                    # Tiled run: consume within the current iteration's
+                    # pattern, then roll the per-iteration offsets.
+                    pre_t = cur[4]
+                    e = cur[6]
+                    m = cur[7]
+                    off_t = cur[8]
+                    if e == 0:
+                        # At an iteration boundary: every iteration whose
+                        # last event still starts inside the quantum is
+                        # consumed whole — emit all of them as one
+                        # ``pattern * q`` extend instead of a bisect and
+                        # three extends per iteration.  Identical event
+                        # stream, counters and rng use; only the ring's
+                        # flush boundaries may shift (observer state is
+                        # boundary-independent by the batching contract).
+                        budget = stop_at - off_t - pre_t[m - 1]
+                        if budget > 0:
+                            iter_t = cur[11]
+                            q = (budget - 1) // iter_t + 1
+                            left = cur[10]
+                            if q > left:
+                                q = left
+                            n = m * q
+                            num_events += n
+                            if n == 1:
+                                append_row(cur[2][0])
+                            else:
+                                extend_rows(cur[2] * q)
+                            nbuf += n
+                            if nbuf >= ring_capacity:
+                                ring_flush()
+                                nbuf = 0
+                            off_t += iter_t * q
+                            cur[8] = off_t
+                            cur[9] += cur[12] * q
+                            ptt = off_t
+                            ptf = cur[9]
+                            left -= q
+                            if left:
+                                cur[10] = left
+                                continue
+                            kind = 0
+                            cur[1] = 0
+                            continue
+                    j = bisect(pre_t, stop_at - off_t, e, m)
+                    if j > e:
+                        n = j - e
+                        num_events += n
+                        if n == 1:
+                            append_row(cur[2][e])
+                        else:
+                            extend_rows(cur[2][e:j])
+                        nbuf += n
+                        if nbuf >= ring_capacity:
+                            ring_flush()
+                            nbuf = 0
+                        ptt = off_t + pre_t[j]
+                        ptf = cur[9] + cur[5][j]
+                    if j < m:
+                        cur[6] = j
+                        break
+                    left = cur[10] - 1
+                    if left:
+                        cur[10] = left
+                        cur[6] = 0
+                        cur[8] = off_t + cur[11]
+                        cur[9] += cur[12]
+                        continue
+                    kind = 0
+                    cur[1] = 0
+                    continue
+                if kind == 2:
+                    # Table run: one bisect over the explicit prefix sums.
+                    pre_t = cur[4]
+                    i = cur[6]
+                    end = cur[7]
+                    off_t = cur[8]
+                    j = bisect(pre_t, stop_at - off_t, i, end)
+                    if j > i:
+                        n = j - i
+                        num_events += n
+                        if n == 1:
+                            append_row(cur[2][i])
+                        else:
+                            extend_rows(cur[2][i:j])
+                        nbuf += n
+                        if nbuf >= ring_capacity:
+                            ring_flush()
+                            nbuf = 0
+                        ptt = off_t + pre_t[j]
+                        ptf = cur[9] + cur[5][j]
+                    if j < end:
+                        cur[6] = j
+                        break
+                    kind = 0
+                    cur[1] = 0
+                    continue
+
+                # No active run: start the next op.  The op index lives in
+                # the cursor and is loaded only here — most rounds extend an
+                # in-progress run and never touch it.  Every op consumption
+                # writes it back immediately, because any of these branches
+                # may leave the quantum loop.
+                op_idx = cur[0]
+                op = streams[tid][op_idx]
+                code = op[0]
+                if code == OP_TILED:
+                    bids = op[1]
+                    cache = row_caches[tid]
+                    rows_l = cache.get(id(bids))
+                    if rows_l is None:
+                        rows_l = cache[id(bids)] = [
+                            encode(tid, b, r) for b, r in zip(bids, op[2])
+                        ]
+                    cur[0] = op_idx + 1
+                    cur[2] = rows_l
+                    cur[4] = op[3]
+                    cur[5] = op[4]
+                    cur[6] = 0
+                    cur[7] = op[5]
+                    cur[8] = ptt
+                    cur[9] = ptf
+                    cur[10] = op[8]
+                    cur[11] = op[6]
+                    cur[12] = op[7]
+                    kind = 1
+                    cur[1] = 1
+                    continue
+                if code == OP_TABLE:
+                    bids = op[1]
+                    cache = row_caches[tid]
+                    rows_l = cache.get(id(bids))
+                    if rows_l is None:
+                        rows_l = cache[id(bids)] = [
+                            encode(tid, b, r) for b, r in zip(bids, op[2])
+                        ]
+                    i0 = op[5]
+                    cur[0] = op_idx + 1
+                    cur[2] = rows_l
+                    cur[4] = op[3]
+                    cur[5] = op[4]
+                    cur[6] = i0
+                    cur[7] = op[6]
+                    cur[8] = ptt - op[3][i0]
+                    cur[9] = ptf - op[4][i0]
+                    kind = 2
+                    cur[1] = 2
+                    continue
+
+                if code == OP_BARRIER and inline_barriers:
+                    # Barrier, fully inline — the exact event sequence of
+                    # `_handle_barrier`: enter block, arrival sync, and on
+                    # the last arrival a release sync + futex wake +
+                    # barrier exit per participant in arrival order.  No
+                    # out-of-line calls, so engine-state locals stay live.
+                    ev = op[1]
+                    cur[0] = op_idx + 1
+                    num_events += 1
+                    b_id = ev.barrier_id
+                    arrived = barriers.get(b_id)
+                    if arrived is None:
+                        arrived = barriers[b_id] = []
+                    append_row(be_rows[tid])
+                    nbuf += 1
+                    ptt += be_t
+                    ptf += be_f
+                    g = self._gseq
+                    sb_append((tid, SYNC_BARRIER, b_id, None, g))
+                    g += 1
+                    arrived.append(tid)
+                    if len(arrived) == nthreads:
+                        # Full release.  The last arrival is this thread
+                        # (appended just above), so the release rows are
+                        # the per-tid constants assembled in arrival
+                        # order, last arrival's exit row at the end.
+                        others = arrived[:-1]
+                        for tid2 in others:
+                            sb_append(
+                                (tid2, SYNC_BARRIER_REL, b_id, None, g)
+                            )
+                            g += 1
+                            threads[tid2].state = runnable_state
+                            per_thread_total[tid2] += wake_t
+                            per_thread_filtered[tid2] += wake_f
+                        sb_append((tid, SYNC_BARRIER_REL, b_id, None, g))
+                        g += 1
+                        if passive:
+                            rel_rows = [
+                                row for t2 in others
+                                for row in (fk_rows[t2], bx_rows[t2])
+                            ]
+                        else:
+                            rel_rows = [bx_rows[t2] for t2 in others]
+                        rel_rows.append(bx_rows[tid])
+                        extend_rows(rel_rows)
+                        ptt += bx_t
+                        ptf += bx_f
+                        del barriers[b_id]
+                        self._gseq = g
+                        runnable[:] = all_tids
+                        arr_stale = True
+                        nbuf += rel_n
+                        if nbuf >= ring_capacity:
+                            ring_flush()
+                            nbuf = 0
+                        if len(sync_buf) >= SYNC_BUFFER_LIMIT:
+                            self._flush_syncs()
+                        continue
+                    self._gseq = g
+                    threads[tid].state = blocked_state
+                    runnable.remove(tid)
+                    arr_stale = True
+                    if passive:
+                        append_row(fw_rows[tid])
+                        nbuf += 1
+                        ptt += fw_t
+                        ptf += fw_f
+                    if nbuf >= ring_capacity:
+                        ring_flush()
+                        nbuf = 0
+                    break
+
+                if code == OP_DONE:
+                    # End-of-tape sentinel: the cursor stays parked on it.
+                    threads[tid].state = done_state
+                    runnable.remove(tid)
+                    n_done += 1
+                    arr_stale = True
+                    break
+
+                # Other sync op: sync engine state, dispatch through the
+                # shared handlers (which may execute blocks for this and
+                # other threads, and block/wake threads), reload.
+                thread = threads[tid]
+                per_thread_total[tid] = ptt
+                per_thread_filtered[tid] = ptf
+                ev = op[1]
+                num_events += 1
+                if code == OP_SYNC or code == OP_BARRIER:
+                    dispatch(thread, ev)
+                    cur[0] = op_idx + 1
+                    nbuf = len(ring_rows)
+                    ptt = per_thread_total[tid]
+                    ptf = per_thread_filtered[tid]
+                    if self._sched_dirty:
+                        runnable[:] = [
+                            t.tid for t in threads
+                            if t.state is runnable_state
+                        ]
+                        self._sched_dirty = False
+                        arr_stale = True
+                    if thread.state is not runnable_state:
+                        break
+                elif code == OP_CHUNK:
+                    self._handle_chunk(thread, ev)
+                    nbuf = len(ring_rows)
+                    start = thread.response
+                    thread.response = None
+                    ptt = per_thread_total[tid]
+                    ptf = per_thread_filtered[tid]
+                    if start < 0:
+                        cur[0] = op_idx + 1
+                    else:
+                        # Grant: run the chunk's table slice, then come
+                        # back to this op for the next request — exactly
+                        # the generator's request/consume loop.
+                        iter_off = op[6]
+                        i0 = iter_off[start]
+                        stop_iter = start + ev.chunk_size
+                        total = ev.total_iters
+                        if stop_iter > total:
+                            stop_iter = total
+                        i1 = iter_off[stop_iter]
+                        if i1 > i0:
+                            bids = op[2]
+                            cache = row_caches[tid]
+                            rows_l = cache.get(id(bids))
+                            if rows_l is None:
+                                rows_l = cache[id(bids)] = [
+                                    encode(tid, b, r)
+                                    for b, r in zip(bids, op[3])
+                                ]
+                            cur[2] = rows_l
+                            cur[4] = op[4]
+                            cur[5] = op[5]
+                            cur[6] = i0
+                            cur[7] = i1
+                            cur[8] = ptt - op[4][i0]
+                            cur[9] = ptf - op[5][i0]
+                            kind = 2
+                            cur[1] = 2
+                else:  # OP_SINGLE
+                    self._handle_single(thread, ev)
+                    nbuf = len(ring_rows)
+                    granted = thread.response
+                    thread.response = None
+                    ptt = per_thread_total[tid]
+                    ptf = per_thread_filtered[tid]
+                    cur[0] = op_idx + 1
+                    run = op[2]
+                    if granted and run is not None:
+                        bids = run[0]
+                        cache = row_caches[tid]
+                        rows_l = cache.get(id(bids))
+                        if rows_l is None:
+                            rows_l = cache[id(bids)] = [
+                                encode(tid, b, r)
+                                for b, r in zip(bids, run[1])
+                            ]
+                        cur[2] = rows_l
+                        cur[4] = run[2]
+                        cur[5] = run[3]
+                        cur[6] = 0
+                        cur[7] = len(run[0])
+                        cur[8] = ptt
+                        cur[9] = ptf
+                        kind = 2
+                        cur[1] = 2
+
+            per_thread_total[tid] = ptt
+            per_thread_filtered[tid] = ptf
+
+            if num_events > maxev:
+                self.total_instructions = sum(per_thread_total)
+                self.filtered_instructions = sum(per_thread_filtered)
+                self.num_events = num_events
+                raise ExecutionError(
+                    f"exceeded max_events={max_events}; likely runaway "
+                    f"program"
+                )
+
+        return self._finish_run(num_events)

@@ -1,8 +1,8 @@
 """Compiled thread streams: columnar tapes for the scheduler hot loop.
 
-ROADMAP item 4: after the batched observer path landed, the wall clock of a
-functional execution is the *scheduler* — per-round Python work plus one
-generator ``send`` per event.  This module removes the per-event half.  A
+With observers fed in batches, the wall clock of a functional execution is
+the *scheduler*: per-round Python work plus one generator ``send`` per
+event.  This module removes the per-event half.  A
 :class:`~repro.runtime.thread.ThreadProgram` whose constructs are all
 built-ins compiles into per-thread **tapes**: flat op lists whose block
 runs are columnar (``bids``, ``repeats``, cumulative instruction prefix

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..dcfg.graph import ENTRY as DCFG_ENTRY
 from ..errors import ReplayError
-from ..exec_engine.engine import EngineResult
+from ..exec_engine.engine import QUANTUM_INSTRUCTIONS, EngineResult
 from ..obs.tracer import active_metrics
 from ..exec_engine.observers import Observer
 from ..isa.image import Program
@@ -193,7 +193,6 @@ class _SkipIndex:
 
 def _walk(
     logs,
-    quantum: int,
     index: _SkipIndex,
     state: _WalkState,
     *,
@@ -233,6 +232,7 @@ def _walk(
     ptf = state.ptf
     counts = state.counts
     next_gseq = state.next_gseq
+    quantum = QUANTUM_INSTRUCTIONS
     pc_of = index.pc_of
     targets = targets or {}
     ends = index.ends
@@ -373,7 +373,6 @@ class ConstrainedReplayer:
         pinball: Pinball,
         *,
         observers: Sequence[Observer] = (),
-        quantum_instructions: int = 600,
         initial_exec_counts: Optional[List[List[int]]] = None,
         batch_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
@@ -385,8 +384,6 @@ class ConstrainedReplayer:
         self.program = program
         self.pinball = pinball
         self.observers = list(observers)
-        #: Scheduling quantum in instructions (mirrors the engine's).
-        self.quantum_instructions = quantum_instructions
         self._batch_capacity = batch_capacity
         #: Per-thread index of the next unprocessed log entry.
         self.positions: List[int] = [0] * pinball.nthreads
@@ -536,7 +533,7 @@ class ConstrainedReplayer:
         )
         self._quantum_resume = None
         found, _, hit = _walk(
-            self.pinball.logs, self.quantum_instructions, index, state,
+            self.pinball.logs, index, state,
             targets={bid_of[pc]: n for pc, n in targets.items()},
             filtered_abs=filtered,
         )
@@ -632,7 +629,7 @@ class ConstrainedReplayer:
         gf0 = sum(state.ptf)
         gt0 = sum(state.ptt)
         found, probe, end = _walk(
-            self.pinball.logs, self.quantum_instructions, index, state,
+            self.pinball.logs, index, state,
             boundary_abs=gf0 + slice_target,
             probe_abs=gf0 + probe_target,
         )
@@ -671,7 +668,7 @@ class ConstrainedReplayer:
             quantum_resume=cursor.quantum_resume,
         )
         found, _, _ = _walk(
-            self.pinball.logs, self.quantum_instructions, index, state,
+            self.pinball.logs, index, state,
             filtered_abs=target_filtered,
         )
         if not found:
@@ -786,9 +783,7 @@ class ConstrainedReplayer:
                     stop_at = self.per_thread_total[tid] + resume[1]
                     resume = None
                 else:
-                    stop_at = (
-                        self.per_thread_total[tid] + self.quantum_instructions
-                    )
+                    stop_at = self.per_thread_total[tid] + QUANTUM_INSTRUCTIONS
                 ptt = self.per_thread_total[tid]
                 ptf = self.per_thread_filtered[tid]
                 while ptt < stop_at and pos[tid] < ends[tid]:

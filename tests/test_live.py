@@ -288,6 +288,12 @@ class TestLiveExtrapolation:
             )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_live_options_reject_non_finite_threshold(bad):
+    with pytest.raises(ProfilingError, match="finite"):
+        LiveOptions(threshold=bad)
+
+
 # LIVE001: the lint family over live results.
 # ---------------------------------------------------------------------------
 
@@ -451,6 +457,15 @@ class TestCliLive:
 
         with pytest.raises(SystemExit):
             main(["-p", "demo-matrix-1", "--live-threshold", "0.2"])
+
+    def test_cli_rejects_nan_threshold(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
+                   "--jobs", "1", "--live", "--live-threshold", "nan"])
+        assert rc == 1
+        assert "threshold must be finite" in capsys.readouterr().err
 
     def test_cli_live_prints_coverage_line(self, monkeypatch, capsys):
         from repro.cli import main

@@ -303,34 +303,13 @@ class TestSweepModes:
         assert np.array_equal(serial.labels, fanned.labels)
         assert serial.bic_by_k == fanned.bic_by_k
 
-    def test_warm_sweep_produces_valid_selection(self):
-        matrix, weights = _population()
-        sel = select_simpoints(
-            matrix, weights, SimPointOptions(max_k=12, seed=42, sweep="warm")
-        )
-        assert sel.k >= 1
-        assert len(sel.clusters) == len(set(sel.representative_indices))
-        assert all(c.multiplier >= 1.0 for c in sel.clusters)
-
-    def test_patience_stops_early_and_still_selects(self):
-        matrix, weights = _population()
-        full = select_simpoints(
-            matrix, weights, SimPointOptions(max_k=20, seed=42)
-        )
-        patient = select_simpoints(
-            matrix, weights, SimPointOptions(max_k=20, seed=42, patience=4)
-        )
-        assert len(patient.bic_by_k) < len(full.bic_by_k)
-        assert patient.k >= 1 and patient.clusters
-
-    def test_invalid_sweep_rejected(self):
+    @pytest.mark.parametrize("max_k", [0, -3])
+    def test_nonpositive_max_k_rejected(self, max_k):
         from repro.errors import ClusteringError
 
         matrix, weights = _population(n=40)
-        with pytest.raises(ClusteringError):
-            select_simpoints(
-                matrix, weights, SimPointOptions(sweep="lukewarm")
-            )
+        with pytest.raises(ClusteringError, match="max_k"):
+            select_simpoints(matrix, weights, SimPointOptions(max_k=max_k))
 
 
 class TestTraceTruncationLint:

@@ -1,20 +1,22 @@
 """Run-queue invalidation: every runnable/unrunnable transition is dirty.
 
 The scheduler caches its run-queue and only rebuilds it on rounds after
-``_sched_dirty`` is raised (the kernel tier additionally maintains the
+``_sched_dirty`` is raised (the tape loop additionally maintains the
 queue in-line at its own transition sites).  A transition that forgets to
 invalidate silently schedules from a stale queue — threads run after
 blocking, or stay invisible after waking — which corrupts the recorded
 interleaving without crashing.  These tests pin every transition:
 barrier arrival/release, lock contention handoff, and thread completion,
 both as direct flag assertions and as schedule bit-identity between the
-tape kernel and the generator loop.
+tape loop and the generator loop.
 """
 
 import pytest
 
+from repro.errors import ExecutionError
 from repro.exec_engine.engine import ExecutionEngine, ThreadState
 from repro.exec_engine.events import BarrierWait, LockAcquire, LockRelease
+from repro.exec_engine.flowcontrol import FlowControl
 from repro.exec_engine.observers import (
     InstructionCounter,
     SyncEventLog,
@@ -108,12 +110,13 @@ class TestDirtyFlagPerTransition:
 
 class TestScheduleIdentityAcrossPaths:
     """A missed invalidation shows up as schedule divergence between the
-    tape kernel (which maintains its run-queue in-line) and the generator
+    tape loop (which maintains its run-queue in-line) and the generator
     loop (which rebuilds it from thread states).  Lock-handoff traffic
-    (criticals) exercises the out-of-line dirty resync inside the
-    kernel."""
+    (criticals) exercises the out-of-line dirty resync inside the tape
+    loop.  The cube covers every per-round configuration test of the
+    tape loop: wait policy, flow control and the event bound."""
 
-    def _run(self, *, taped, tier="compiled", policy=WaitPolicy.PASSIVE):
+    def _run(self, *, taped, policy, flow, max_events):
         program, tp, omp = build_toy(with_critical=True)
         if not taped:
             tp = untaped(tp)
@@ -124,17 +127,32 @@ class TestScheduleIdentityAcrossPaths:
         )
         engine = ExecutionEngine(
             program, tp, omp, 4, wait_policy=policy, seed=11,
-            observers=obs, kernel_tier=tier,
+            observers=obs, flow_control=flow, max_events=max_events,
         )
         assert (engine._streams is not None) == taped
-        return engine.run(), obs
+        try:
+            return engine.run(), obs
+        except ExecutionError as exc:
+            # A bounded run stops mid-run: compare where it stopped.
+            return (str(exc), engine.num_events, engine.total_instructions,
+                    engine.filtered_instructions, engine.per_thread_total,
+                    engine.per_thread_filtered), None
 
+    @pytest.mark.parametrize("max_events", [None, 25, 500])
+    @pytest.mark.parametrize("flow", [False, True], ids=["noflow", "flow"])
     @pytest.mark.parametrize("policy", [WaitPolicy.PASSIVE, WaitPolicy.ACTIVE])
-    @pytest.mark.parametrize("tier", ["reference", "compiled"])
-    def test_lock_handoff_schedule_identical(self, policy, tier):
-        result_l, obs_l = self._run(taped=False, policy=policy)
-        result_b, obs_b = self._run(taped=True, tier=tier, policy=policy)
+    def test_lock_handoff_schedule_identical(self, policy, flow, max_events):
+        kwargs = dict(
+            policy=policy,
+            flow=FlowControl(window=100) if flow else None,
+            max_events=max_events,
+        )
+        result_l, obs_l = self._run(taped=False, **kwargs)
+        result_b, obs_b = self._run(taped=True, **kwargs)
         assert result_l == result_b
+        if max_events is not None:  # both bounds stop the run early
+            assert obs_l is None and obs_b is None
+            return
         assert obs_l[0].per_thread_total == obs_b[0].per_thread_total
         assert obs_l[1].per_thread == obs_b[1].per_thread
         assert obs_l[1].gseq_order == obs_b[1].gseq_order

@@ -27,13 +27,12 @@ from repro.errors import ClusteringError
 from repro.perf.kernels import weighted_means
 from repro.workloads.registry import get_workload
 
-#: (workload, input class, threads, wait policy, sweep) per profiled case.
+#: (workload, input class, threads, wait policy) per profiled case.
 PROFILED = {
-    "619.lbm_s.1": ("619.lbm_s.1", "train", 8, "passive", "full"),
-    "npb-ep": ("npb-ep", "C", 8, "passive", "full"),
-    "657.xz_s.2-active": ("657.xz_s.2", "train", 4, "active", "full"),
-    "npb-is": ("npb-is", "C", 8, "passive", "full"),
-    "619.lbm_s.1-warm": ("619.lbm_s.1", "train", 8, "passive", "warm"),
+    "619.lbm_s.1": ("619.lbm_s.1", "train", 8, "passive"),
+    "npb-ep": ("npb-ep", "C", 8, "passive"),
+    "657.xz_s.2-active": ("657.xz_s.2", "train", 4, "active"),
+    "npb-is": ("npb-is", "C", 8, "passive"),
 }
 
 GOLDEN = {
@@ -45,8 +44,6 @@ GOLDEN = {
         "f414d70cce6843bbd825487dc9d2bd399b7ceec7ee75e956ae48ed275f7e7b41",
     "npb-is":
         "fb6f43b89637cc84c117fe36b8e1ebe27517560e8abf33986e2c380fa8b0eb3e",
-    "619.lbm_s.1-warm":
-        "2f29997ed9d04b2306c8a3f73c5e7f89038749338fd6a60ad854acac32faa8cf",
     "synthetic-n900":
         "2dafd828f8f989f31588cacc1ab2a0759484d0c276946f807241b9d961bf23dd",
 }
@@ -82,12 +79,11 @@ def selection_digest(selection, fit) -> str:
 
 
 def profiled_digest(case: str, monkeypatch) -> str:
-    name, input_class, nthreads, wait, sweep = PROFILED[case]
+    name, input_class, nthreads, wait = PROFILED[case]
     scale = get_scale("tiny")
     workload = get_workload(name, input_class, nthreads, scale=scale)
     options = LoopPointOptions(
         wait_policy=WaitPolicy(wait), scale=scale, record_seed=0, jobs=1,
-        simpoint=SimPointOptions(sweep=sweep),
     )
     seen = _capture_chosen_fit(monkeypatch)
     selection = LoopPointPipeline(workload, options=options).select()
