@@ -17,6 +17,11 @@ from typing import Dict, Optional
 from .errors import WorkloadError
 
 
+#: log2 of the cache line size (64-byte lines at every level): a byte
+#: address's line number is ``address >> LINE_SHIFT``.
+LINE_SHIFT = 6
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and latency of one cache level."""
@@ -24,19 +29,18 @@ class CacheConfig:
     name: str
     size_bytes: int
     associativity: int
-    line_size: int = 64
     hit_latency: int = 1
 
     def __post_init__(self) -> None:
-        if self.size_bytes % (self.associativity * self.line_size) != 0:
+        if self.size_bytes % (self.associativity << LINE_SHIFT) != 0:
             raise WorkloadError(
                 f"cache {self.name}: size {self.size_bytes} not divisible by "
-                f"assoc*line ({self.associativity}*{self.line_size})"
+                f"assoc*line ({self.associativity}*{1 << LINE_SHIFT})"
             )
 
     @property
     def num_sets(self) -> int:
-        return self.size_bytes // (self.associativity * self.line_size)
+        return self.size_bytes // (self.associativity << LINE_SHIFT)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,20 @@
 
 Per-set LRU is implemented with insertion-ordered dicts: a hit reinserts the
 tag (moving it to the MRU end); on overflow the LRU tag is the first key.
+Line ``line`` maps to set ``line % num_sets``.  ``sets`` maps a set index
+to its dict and is built lazily (a ``defaultdict``): a set exists once a
+line has been installed in it, so a fresh cache costs nothing however
+large it is.
+
+:meth:`Cache.access` probes one line.  The hierarchy's hot path
+(:meth:`~repro.timing.hierarchy.MemoryHierarchy.access`) runs the same
+LRU step inline over whole line batches and updates the same counters.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from typing import DefaultDict, Dict
 
 from ..config import CacheConfig
 
@@ -14,56 +25,46 @@ class Cache:
 
     __slots__ = (
         "config", "num_sets", "assoc", "sets", "hits", "misses",
-        "evictions", "invalidations", "_set_mask",
+        "evictions", "invalidations",
     )
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.associativity
-        self.sets = [dict() for _ in range(self.num_sets)]
-        # num_sets is a power of two for all Table I geometries; fall back to
-        # modulo otherwise.
-        self._set_mask = (
-            self.num_sets - 1 if (self.num_sets & (self.num_sets - 1)) == 0
-            else None
-        )
+        #: set index -> {line: True} in LRU-to-MRU order; built lazily.
+        self.sets: DefaultDict[int, Dict[int, bool]] = defaultdict(dict)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def _set_index(self, line: int) -> int:
-        if self._set_mask is not None:
-            return line & self._set_mask
-        return line % self.num_sets
-
     def access(self, line: int) -> bool:
-        """Access ``line`` (line-number, i.e. address >> log2(line size)).
+        """Access ``line`` (line-number, i.e. address >> LINE_SHIFT).
 
         Returns True on hit.  On miss the line is installed, evicting LRU.
         """
-        s = self.sets[self._set_index(line)]
-        tag = line
-        if tag in s:
-            del s[tag]
-            s[tag] = True
+        s = self.sets[line % self.num_sets]
+        if line in s:
+            del s[line]
+            s[line] = True
             self.hits += 1
             return True
         self.misses += 1
-        s[tag] = True
+        s[line] = True
         if len(s) > self.assoc:
             del s[next(iter(s))]
             self.evictions += 1
         return False
 
     def contains(self, line: int) -> bool:
-        return line in self.sets[self._set_index(line)]
+        s = self.sets.get(line % self.num_sets)
+        return s is not None and line in s
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present (coherence invalidation)."""
-        s = self.sets[self._set_index(line)]
-        if line in s:
+        s = self.sets.get(line % self.num_sets)
+        if s is not None and line in s:
             del s[line]
             self.invalidations += 1
             return True

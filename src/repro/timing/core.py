@@ -10,17 +10,19 @@ exercises.
 
 Consecutive same-line accesses inside a batch are collapsed before probing
 the caches; this is exact under LRU (a line just touched is MRU) and keeps
-Python probe counts proportional to distinct lines, not accesses.
+Python probe counts proportional to distinct lines, not accesses.  Each
+memory op hands its whole line batch to the hierarchy in one call, and
+each block fetches its instruction lines in one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import CoreConfig
+from ..config import LINE_SHIFT, CoreConfig
 from ..isa.blocks import BasicBlock
 from .branch import BranchPredictor
-from .hierarchy import L1, MemoryHierarchy
+from .hierarchy import L3, MemoryHierarchy
 
 #: Issue-rate pressure per FP instruction (cycles), OoO vs in-order.
 _FP_PRESSURE_OOO = 0.25
@@ -76,13 +78,13 @@ class CoreModel:
         hierarchy = self.hierarchy
         core_id = self.core_id
 
-        # Instruction fetch: probe each line the block spans once per batch.
-        first_line = block.pc >> 6
-        last_line = (block.pc + 4 * block.n_instr - 1) >> 6
-        fetch_stall = 0
-        for line in range(first_line, last_line + 1):
-            if hierarchy.fetch(core_id, line) != L1:
-                fetch_stall += hierarchy.latency(3)
+        # Instruction fetch: probe each line the block spans once per batch;
+        # every L1-I miss is charged the L3 latency.
+        fetch_stall = hierarchy.fetch(
+            core_id,
+            block.pc >> LINE_SHIFT,
+            (block.pc + 4 * block.n_instr - 1) >> LINE_SHIFT,
+        ) * hierarchy.latency(L3)
 
         mispredicts = self.predictor.execute_block(block, repeat)
 
@@ -92,25 +94,24 @@ class CoreModel:
         for _slot, gen, is_write, dependent in block.mem_ops:
             self.l1d_accesses += repeat
             if repeat == 1:
-                probe_lines = (gen.address_at(self.core_id, start_index) >> 6,)
+                probe_lines = (
+                    gen.address_at(core_id, start_index) >> LINE_SHIFT,
+                )
             else:
                 lines = (
                     gen.addresses(core_id, start_index, repeat).astype(np.int64)
-                    >> 6
+                    >> LINE_SHIFT
                 )
                 keep = np.empty(repeat, dtype=bool)
                 keep[0] = True
                 np.not_equal(lines[1:], lines[:-1], out=keep[1:])
                 probe_lines = lines[keep].tolist()
-            for line in probe_lines:
-                level = hierarchy.access(core_id, int(line), is_write)
-                if level != L1:
-                    lat = hierarchy.latency(level)
-                    num_misses += 1
-                    if dependent:
-                        dependent_latency += lat
-                    else:
-                        mem_latency += lat
+            misses, stall = hierarchy.access(core_id, probe_lines, is_write)
+            num_misses += misses
+            if dependent:
+                dependent_latency += stall
+            else:
+                mem_latency += stall
 
         # Fast-forward ("warming") advances the clock with the same cost
         # model as detailed mode: the expensive state updates (cache probes,

@@ -3,16 +3,20 @@
 
 import pytest
 
-from repro.config import GAINESTOWN_8CORE
+from repro.config import GAINESTOWN_8CORE, LINE_SHIFT
 from repro.isa.instructions import RandomAccess, StridedAccess
 from repro.timing.hierarchy import L1, L2, L3, MEM, MemoryHierarchy
 
 
 def _walk(hierarchy, core, gen, count, start=0, write=False):
+    """Access ``count`` addresses one at a time; the level serving each."""
+    level_of = {0: L1}
+    level_of.update((hierarchy.latency(lv), lv) for lv in (L2, L3, MEM))
     levels = []
     for i in range(start, start + count):
-        line = gen.address_at(core, i) >> 6
-        levels.append(hierarchy.access(core, line, write))
+        line = gen.address_at(core, i) >> LINE_SHIFT
+        _misses, stall = hierarchy.access(core, [line], write)
+        levels.append(level_of[stall])
     return levels
 
 
@@ -53,9 +57,9 @@ class TestFalseSharingAndCoherence:
     def test_ping_pong_writes(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
         line = 123
-        h.access(0, line, True)
-        h.access(1, line, True)
-        h.access(0, line, True)
+        h.access(0, [line], True)
+        h.access(1, [line], True)
+        h.access(0, [line], True)
         # Each write invalidated the other core's copy.
         assert h.l1d[0].invalidations + h.l1d[1].invalidations >= 2
 
@@ -63,7 +67,7 @@ class TestFalseSharingAndCoherence:
         h = MemoryHierarchy(GAINESTOWN_8CORE)
         line = 55
         for core in range(4):
-            h.access(core, line, False)
+            h.access(core, [line], False)
         for core in range(4):
             assert h.l1d[core].contains(line)
 

@@ -9,6 +9,7 @@ from repro.config import (
     CoreConfig,
     GAINESTOWN_8CORE,
     GAINESTOWN_16CORE,
+    LINE_SHIFT,
     SystemConfig,
     get_scale,
 )
@@ -31,7 +32,7 @@ class TestCacheConfig:
     def test_num_sets_times_ways_times_line_is_size(self):
         for cfg in (GAINESTOWN_8CORE.l1i, GAINESTOWN_8CORE.l1d,
                     GAINESTOWN_8CORE.l2, GAINESTOWN_8CORE.l3):
-            assert cfg.num_sets * cfg.associativity * cfg.line_size == cfg.size_bytes
+            assert (cfg.num_sets * cfg.associativity) << LINE_SHIFT == cfg.size_bytes
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(WorkloadError):

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kmeans import kmeans
 from repro.clustering.simpoint import select_simpoints
-from repro.config import CacheConfig
+from repro.config import CacheConfig, MemoryConfig, SystemConfig
 from repro.isa.instructions import RandomAccess, StridedAccess, mix64
 from repro.runtime.constructs import static_chunk
 from repro.timing.branch import (
@@ -15,6 +17,7 @@ from repro.timing.branch import (
     stationary_mispredict_rate,
 )
 from repro.timing.cache import Cache
+from repro.timing.hierarchy import L1, L2, L3, MEM, MemoryHierarchy
 
 
 class TestAddressGenProperties:
@@ -109,8 +112,144 @@ class TestCacheProperties:
         cache = Cache(CacheConfig("t", 8 * 2 * 64, 2))
         for line in lines:
             cache.access(line)
-        assert sum(len(s) for s in cache.sets) <= 16
+        assert sum(len(s) for s in cache.sets.values()) <= 16
         assert cache.hits + cache.misses == len(lines)
+
+
+class _RefCache:
+    """Per-line LRU cache: one OrderedDict per set, built up front."""
+
+    def __init__(self, config):
+        self.num_sets = config.num_sets
+        self.assoc = config.associativity
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.hits = self.misses = self.evictions = self.invalidations = 0
+
+    def access(self, line):
+        s = self.sets[line % self.num_sets]
+        if line in s:
+            s.move_to_end(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        s[line] = True
+        if len(s) > self.assoc:
+            s.popitem(last=False)
+            self.evictions += 1
+        return False
+
+    def invalidate(self, line):
+        s = self.sets[line % self.num_sets]
+        if line in s:
+            del s[line]
+            self.invalidations += 1
+
+
+class _RefHierarchy:
+    """The per-line probe chain with a set-per-line presence directory."""
+
+    def __init__(self, config):
+        n = config.num_cores
+        self.l1i = [_RefCache(config.l1i) for _ in range(n)]
+        self.l1d = [_RefCache(config.l1d) for _ in range(n)]
+        self.l2 = [_RefCache(config.l2) for _ in range(n)]
+        self.l3 = _RefCache(config.l3)
+        self.directory = {}
+        mem = config.memory
+        self.latency = {
+            L2: mem.l2_latency, L3: mem.l3_latency, MEM: mem.dram_latency,
+        }
+
+    def access_line(self, core, line, is_write):
+        if is_write:
+            for other in self.directory.get(line, set()) - {core}:
+                self.l1d[other].invalidate(line)
+                self.l2[other].invalidate(line)
+            self.directory[line] = {core}
+        self.directory.setdefault(line, set()).add(core)
+        if self.l1d[core].access(line):
+            return L1
+        if self.l2[core].access(line):
+            return L2
+        return L3 if self.l3.access(line) else MEM
+
+    def access(self, core, lines, is_write):
+        levels = [self.access_line(core, line, is_write) for line in lines]
+        stalls = [self.latency[lv] for lv in levels if lv != L1]
+        return len(stalls), sum(stalls)
+
+    def fetch(self, core, first_line, last_line):
+        misses = 0
+        for line in range(first_line, last_line + 1):
+            if not self.l1i[core].access(line):
+                misses += 1
+                self.l3.access(line)
+        return misses
+
+
+def _cache_state(cache):
+    """Counters and per-set residency in LRU order (empty sets dropped)."""
+    sets = cache.sets
+    items = sets.items() if isinstance(sets, dict) else enumerate(sets)
+    return (
+        cache.hits, cache.misses, cache.evictions, cache.invalidations,
+        {idx: list(s) for idx, s in items if s},
+    )
+
+
+def _hierarchy_state(h):
+    caches = h.l1i + h.l1d + h.l2 + [h.l3]
+    return [_cache_state(c) for c in caches]
+
+
+_CACHE_SETS = st.sampled_from([1, 2, 3, 4, 5, 7])
+_CACHE_WAYS = st.sampled_from([1, 2, 4])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("data"), st.integers(0, 3),
+            st.lists(st.integers(0, 80), max_size=8), st.booleans(),
+        ),
+        st.tuples(
+            st.just("fetch"), st.integers(0, 3),
+            st.integers(0, 80), st.integers(0, 3),
+        ),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestBatchedHierarchyProperties:
+    @given(
+        geometry=st.lists(
+            st.tuples(_CACHE_SETS, _CACHE_WAYS), min_size=4, max_size=4
+        ),
+        ops=_OPS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_walk_matches_per_line_chain(self, geometry, ops):
+        """One pass per memory op == probing its lines one at a time."""
+        (l1i, l1d, l2, l3) = (
+            CacheConfig(name, sets * ways * 64, ways)
+            for name, (sets, ways) in zip(("I", "D", "L2", "L3"), geometry)
+        )
+        config = SystemConfig(
+            num_cores=4, l1i=l1i, l1d=l1d, l2=l2, l3=l3,
+            memory=MemoryConfig(l2_latency=7, l3_latency=29,
+                                dram_latency=113),
+        )
+        h = MemoryHierarchy(config)
+        ref = _RefHierarchy(config)
+        for kind, core, a, b in ops:
+            if kind == "data":
+                assert h.access(core, a, b) == ref.access(core, a, b)
+            else:
+                assert h.fetch(core, a, a + b) == ref.fetch(core, a, a + b)
+        assert _hierarchy_state(h) == _hierarchy_state(ref)
+        assert h._directory == {
+            line: sum(1 << c for c in cores)
+            for line, cores in ref.directory.items()
+        }
 
 
 class TestBranchProperties:

@@ -15,8 +15,8 @@ from repro.timing.cache import Cache
 from repro.timing.hierarchy import L1, L2, L3, MEM, MemoryHierarchy
 
 
-def _cache(size=1024, assoc=2, line=64):
-    return Cache(CacheConfig("t", size, assoc, line))
+def _cache(size=1024, assoc=2):
+    return Cache(CacheConfig("t", size, assoc))
 
 
 class TestCacheLRU:
@@ -64,7 +64,7 @@ class TestCacheLRU:
         c = _cache(size=1024, assoc=2)  # 8 sets x 2 ways = 16 lines
         for line in range(100):
             c.access(line)
-        resident = sum(len(s) for s in c.sets)
+        resident = sum(len(s) for s in c.sets.values())
         assert resident <= 16
 
 
@@ -154,38 +154,49 @@ class TestBranchPredictorBlocks:
 class TestMemoryHierarchy:
     def test_levels_in_order(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
-        assert h.access(0, 42, False) == MEM  # cold
-        assert h.access(0, 42, False) == L1   # now resident
+        assert h.access(0, [42], False) == (1, h.latency(MEM))  # cold
+        assert h.access(0, [42], False) == (0, 0)  # now resident in L1
 
     def test_l2_hit_after_l1_eviction(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
-        h.access(0, 0, False)
+        h.access(0, [0], False)
         # Evict line 0 from L1 (64 sets x 8 ways): touch 8 conflicting lines.
-        for i in range(1, 9):
-            h.access(0, i * 64, False)
-        level = h.access(0, 0, False)
-        assert level == L2
+        h.access(0, [i * 64 for i in range(1, 9)], False)
+        assert h.access(0, [0], False) == (1, h.latency(L2))
 
     def test_write_invalidates_remote_copies(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
-        h.access(0, 5, False)
-        h.access(1, 5, False)
+        h.access(0, [5], False)
+        h.access(1, [5], False)
         assert h.l1d[0].contains(5) and h.l1d[1].contains(5)
-        h.access(1, 5, True)
+        h.access(1, [5], True)
         assert not h.l1d[0].contains(5)
         assert h.l1d[1].contains(5)
 
     def test_read_after_remote_write_misses_privately(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
-        h.access(0, 9, False)
-        h.access(1, 9, True)
-        level = h.access(0, 9, False)
-        assert level in (L3, MEM)  # invalidated out of core 0's private caches
+        h.access(0, [9], False)
+        h.access(1, [9], True)
+        misses, stall = h.access(0, [9], False)
+        # Invalidated out of core 0's private caches.
+        assert misses == 1
+        assert stall in (h.latency(L3), h.latency(MEM))
+
+    def test_batch_sums_per_line_latencies(self):
+        h = MemoryHierarchy(GAINESTOWN_8CORE)
+        h.access(0, [1, 2], False)
+        h.access(1, [2], False)
+        # Core 0 holds lines 1 and 2 and misses only the cold line 3.
+        assert h.access(0, [1, 2, 3], False) == (1, h.latency(MEM))
+        # Core 1 holds line 2; line 1 comes from the shared L3.
+        assert h.access(1, [1, 2], False) == (1, h.latency(L3))
 
     def test_fetch_path(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
-        assert h.fetch(0, 1000) == MEM
-        assert h.fetch(0, 1000) == L1
+        assert h.fetch(0, 1000, 1000) == 1  # cold: L1-I and L3 miss
+        assert h.l3.misses == 1
+        assert h.fetch(0, 1000, 1001) == 1  # 1000 hits L1-I, 1001 is cold
+        assert h.fetch(0, 1000, 1001) == 0
 
     def test_latencies_increase(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
@@ -193,6 +204,6 @@ class TestMemoryHierarchy:
 
     def test_core_stats_isolated(self):
         h = MemoryHierarchy(GAINESTOWN_8CORE)
-        h.access(3, 77, False)
+        h.access(3, [77], False)
         assert h.core_stats(3)["l1d_misses"] == 1
         assert h.core_stats(0)["l1d_misses"] == 0
