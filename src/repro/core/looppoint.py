@@ -9,8 +9,9 @@ Stages, each cached on first use:
    collect filtered per-thread BBVs.
 3. **select** — SimPoint clustering picks looppoints and multipliers.
 4. **simulate** — binary-driven unconstrained detailed simulation of every
-   looppoint in one warming sweep (perfect warmup), or checkpoint-driven
-   constrained simulation of extracted region pinballs.
+   looppoint in one sweep that fast-forwards functionally and warms a
+   bounded window before each region, or checkpoint-driven constrained
+   simulation of extracted region pinballs.
 5. **extrapolate** — Eq. (1)/(2) weighting reconstructs whole-program
    metrics, compared against a full detailed run.
 """
@@ -91,7 +92,11 @@ from .extrapolation import (
     prediction_error,
 )
 from .speedup import SpeedupReport, compute_speedups
-from .warmup import WarmupStrategy, region_cuts_for_selection
+from .warmup import (
+    WarmupStrategy,
+    binary_warm_starts,
+    region_cuts_for_selection,
+)
 
 
 @dataclass(frozen=True)
@@ -637,19 +642,21 @@ class LoopPointPipeline:
         return self._live
 
     def regions(self) -> List[RegionOfInterest]:
-        """The looppoints as (PC, count)-delimited regions, in run order."""
+        """The looppoints as (PC, count)-delimited regions, in run order,
+        each with its bounded warm start (:func:`binary_warm_starts`)."""
         profile = self.profile()
-        selection = self.select()
-        rois = []
-        for cluster in selection.clusters:
-            s = profile.slices[cluster.representative]
-            rois.append(
-                RegionOfInterest(
-                    region_id=cluster.representative, start=s.start, end=s.end
-                )
+        reps = sorted(c.representative for c in self.select().clusters)
+        return [
+            RegionOfInterest(
+                region_id=rep,
+                start=profile.slices[rep].start,
+                end=profile.slices[rep].end,
+                warm_start=warm_start,
             )
-        rois.sort(key=lambda r: r.region_id)
-        return rois
+            for rep, warm_start in zip(
+                reps, binary_warm_starts(profile, reps)
+            )
+        ]
 
     # -- simulations ----------------------------------------------------------
 
@@ -782,12 +789,13 @@ class LoopPointPipeline:
     def simulate_regions(self) -> List[SimulationResult]:
         """Stage 4 (binary-driven): detailed simulation of all looppoints.
 
-        Serial (``jobs=1``): one sweep with functional warming between
-        regions.  Parallel (``jobs>1``): each looppoint is dispatched to a
-        worker that sweeps from program start to just its region — warming
-        every region from program start is equivalent to the shared sweep
-        (see :meth:`MultiCoreSimulator.run_binary`), so the per-region
-        metrics, and therefore the extrapolation, are bit-identical.
+        Serial (``jobs=1``): one sweep over :meth:`regions`, fast-forwarding
+        functionally up to each region's warm start and warming with the
+        full cost model from there.  Parallel (``jobs>1``): the job for a
+        looppoint carries every earlier looppoint too and its worker runs
+        that same sweep up to its own region, so each result is
+        bit-identical to the serial one by construction — whether or not a
+        bounded warm window has converged to perfect warmup.
         """
         rois = self.regions()
         workers = self.options.resolved_jobs()
@@ -811,8 +819,9 @@ class LoopPointPipeline:
                 system=self.system,
                 wait_policy=self.options.wait_policy.value,
                 roi=roi,
+                earlier_rois=tuple(rois[:i]),
             )
-            for roi in rois
+            for i, roi in enumerate(rois)
         ]
         return self._run_jobs(jobs, workers, mode="binary")
 
@@ -1240,11 +1249,15 @@ class LoopPointPipeline:
                         else None
                     ),
                 )
+        # Binary-driven results carry the warm window each region ran;
+        # region pinballs are charged their checkpointed warmup prefix.
         scale = self.options.resolved_scale()
         speedup = compute_speedups(
             profile,
             clusters,
-            warmup_instructions=scale.warmup_instructions,
+            warmup_instructions=(
+                scale.warmup_instructions if constrained else 0
+            ),
             region_results=region_results,
             execution=self.last_execution,
         )

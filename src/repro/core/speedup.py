@@ -4,7 +4,9 @@
 simulated in detail (spin instructions excluded): the whole application's
 filtered instruction count over the representatives'.  *Actual* speedup
 charges what a simulator really pays per region — all instructions including
-synchronization, plus the warmup prefix.  *Serial* sums the representatives;
+synchronization, plus its warmup: the warm window a binary-driven sweep ran
+(``SimulationResult.warm_instructions``) and any checkpointed warmup
+prefix.  *Serial* sums the representatives;
 *parallel* assumes enough machines to simulate them concurrently, so the
 largest region bounds time-to-results.
 
@@ -64,7 +66,9 @@ def compute_speedups(
     """Speedups of a selection over full-application simulation.
 
     ``region_results`` (from the detailed sweep) enable the *actual*
-    speedups; without them only the theoretical ones are computed.
+    speedups; without them only the theoretical ones are computed.  Each
+    region is charged its instructions, its ``warm_instructions`` and
+    ``warmup_instructions`` (a region pinball's warmup prefix).
     ``execution`` (a parallel fan-out's wall-clock stats) additionally
     fills the *measured* serial-vs-parallel numbers.
     """
@@ -84,7 +88,10 @@ def compute_speedups(
     if region_results is not None:
         total_all = float(profile.total_instructions)
         costs = [
-            float(r.metrics.instructions) + warmup_instructions
+            float(
+                r.metrics.instructions + r.warm_instructions
+                + warmup_instructions
+            )
             for r in region_results
         ]
         if min(costs) <= 0:

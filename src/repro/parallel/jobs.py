@@ -116,10 +116,12 @@ class WorkloadSpec:
 class RegionJob:
     """One region simulation, self-contained and picklable.
 
-    Exactly one of ``roi`` (binary-driven: sweep from program start with
-    functional warming, measure inside the region) or ``pinball``
-    (checkpoint-driven: constrained replay of an extracted region pinball)
-    must be set.
+    Exactly one of ``roi`` (binary-driven: sweep from program start over
+    ``earlier_rois`` and then ``roi``, returning ``roi``'s result) or
+    ``pinball`` (checkpoint-driven: constrained replay of an extracted
+    region pinball) must be set.  Carrying every earlier region makes the
+    worker's sweep the serial sweep's prefix, so its result is the serial
+    one even where bounded warmup leaves earlier regions' timing visible.
     """
 
     job_id: int
@@ -128,6 +130,7 @@ class RegionJob:
     wait_policy: str
     roi: Optional[RegionOfInterest] = None
     pinball: Optional[RegionPinball] = None
+    earlier_rois: Tuple[RegionOfInterest, ...] = ()
 
     def __post_init__(self) -> None:
         if (self.roi is None) == (self.pinball is None):
@@ -168,6 +171,6 @@ def execute_region_job(job: RegionJob) -> SimulationResult:
         workload.thread_program,
         workload.nthreads,
         WaitPolicy(job.wait_policy),
-        regions=[job.roi],
+        regions=[*job.earlier_rois, job.roi],
     )
-    return results[0]
+    return results[-1]

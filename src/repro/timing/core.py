@@ -59,16 +59,14 @@ class CoreModel:
         block: BasicBlock,
         start_index: int,
         repeat: int,
-        warming: bool = False,
     ) -> int:
         """Execute ``repeat`` back-to-back instances of ``block``.
 
         Updates all microarchitectural state (caches, predictor) and the
         core's counters, advances the local clock, and returns the cycles
-        consumed.  ``warming`` marks functional warming during
-        fast-forward; it is costed exactly like detailed mode (see the
-        note above the stall computation), so the flag does not change
-        the result.
+        consumed.  Warming before a region and detailed simulation inside
+        it both run this one cost model; region metrics are
+        snapshot-differenced, so attribution is unaffected.
         """
         n = block.n_instr * repeat
         self.instructions += n
@@ -113,29 +111,47 @@ class CoreModel:
             else:
                 mem_latency += stall
 
-        # Fast-forward ("warming") advances the clock with the same cost
-        # model as detailed mode: the expensive state updates (cache probes,
-        # predictor) must happen anyway for perfect warmup, and identical
-        # timing keeps core clocks realistically aligned when a region
-        # begins.  Region metrics are snapshot-differenced, so attribution
-        # is unaffected.
         if self.config.out_of_order:
             mlp = min(self.config.max_outstanding_misses, max(1, num_misses))
             mem_stall = mem_latency / mlp + dependent_latency
         else:
             mem_stall = mem_latency + dependent_latency
 
-        issue = n / self.config.dispatch_width
-        issue += block.n_fp * repeat * self._fp_pressure
-        issue += block.n_atomics * repeat * _ATOMIC_OVERHEAD
         cycles = int(
-            issue
+            self._issue_cycles(block, n, repeat)
             + mispredicts * self.config.branch_mispredict_penalty
             + mem_stall
             + fetch_stall
         ) + 1
         self.cycle += cycles
         return cycles
+
+    def fast_forward_block(self, block: BasicBlock, repeat: int) -> int:
+        """Functionally fast-forward ``repeat`` instances of ``block``.
+
+        Keeps the instruction and L1-D access counters and the branch
+        predictor exact (all O(1) per batch), generates no addresses and
+        probes no cache.  The clock advances by the cost model's
+        non-memory terms: issue, FP and atomic pressure, mispredicts.
+        """
+        n = block.n_instr * repeat
+        self.instructions += n
+        if not block.image.is_library:
+            self.filtered_instructions += n
+        self.l1d_accesses += len(block.mem_ops) * repeat
+        mispredicts = self.predictor.execute_block(block, repeat)
+        cycles = int(
+            self._issue_cycles(block, n, repeat)
+            + mispredicts * self.config.branch_mispredict_penalty
+        ) + 1
+        self.cycle += cycles
+        return cycles
+
+    def _issue_cycles(self, block: BasicBlock, n: int, repeat: int) -> float:
+        issue = n / self.config.dispatch_width
+        issue += block.n_fp * repeat * self._fp_pressure
+        issue += block.n_atomics * repeat * _ATOMIC_OVERHEAD
+        return issue
 
     # -- address-stream note -----------------------------------------------------
     # Address streams are keyed by *core id* (== thread id in our pinned-

@@ -7,11 +7,13 @@ time, so spin-loop instruction counts and chunk assignments follow the
 *target* microarchitecture — the paper's preferred mode (Sec. II "How to
 simulate").  Regions of interest are delimited by ``(PC, count)`` markers
 (LoopPoint), global instruction counts (the naive SimPoint baseline), or
-barrier ordinals (BarrierPoint).  The simulator fast-forwards with
-functional warming (caches and predictor stay warm — the paper's "perfect
-warmup") and measures detailed metrics inside each region; passing several
-disjoint regions measures all of them in one sweep, which is equivalent to
-warming each region from program start.
+barrier ordinals (BarrierPoint).  Disjoint regions are measured in one
+sweep.  Before a region the simulator warms caches and predictor with the
+full cost model, by default all the way from the previous region's end or
+program start: the paper's "perfect warmup".  A region may instead name a
+``warm_start`` marker.  The sweep then fast-forwards functionally up to it
+(exact execution and marker counts and predictor state, clocks advanced by
+the non-memory cost terms, no cache probes) and warms only from there.
 
 **Checkpoint-driven constrained** (:meth:`MultiCoreSimulator.run_pinball`):
 replays a (region) pinball's logs while *enforcing the recorded sync order*.
@@ -66,6 +68,11 @@ class RegionOfInterest:
 
     A missing start means "program start"; a missing end means "program
     end".
+
+    ``warm_start`` (marker-started regions only) bounds the warmup: a sweep
+    fast-forwards functionally up to that marker, then warms with the full
+    cost model until ``start``.  ``None`` warms from the previous region's
+    end, or from program start — perfect warmup.
     """
 
     region_id: int
@@ -75,6 +82,7 @@ class RegionOfInterest:
     end_instr: Optional[int] = None
     start_barrier: Optional[int] = None
     end_barrier: Optional[int] = None
+    warm_start: Optional[Marker] = None
 
     @property
     def starts_at_origin(self) -> bool:
@@ -101,6 +109,9 @@ class SimulationResult:
     metrics: SimMetrics
     start_cycle: int
     end_cycle: int
+    #: Instructions a binary-driven sweep ran with the full cost model
+    #: just before this region, outside any region: its warm window.
+    warm_instructions: int = 0
 
     @property
     def runtime_cycles(self) -> int:
@@ -129,8 +140,6 @@ class _SimLock:
 class _NullController:
     """A no-op stand-in for the region controller (ELFie execution)."""
 
-    detailed = True
-
     def post_barrier_release(self) -> None:
         pass
 
@@ -139,8 +148,10 @@ class _RegionController:
     """Tracks region transitions during a binary-driven sweep.
 
     The simulator reports marker executions, instruction progress, and
-    barrier releases; the controller flips between fast-forward and detailed
-    mode and snapshots metrics at each boundary.
+    barrier releases; the controller snapshots metrics at each region
+    boundary and owns the simulator's ``fast_forward`` switch: on while a
+    pending region's ``warm_start`` marker has not been reached, off
+    everywhere else.
     """
 
     def __init__(
@@ -160,7 +171,12 @@ class _RegionController:
                 )
         marker_blocks = []
         for roi in self.rois:
-            for marker in (roi.start, roi.end):
+            if roi.warm_start is not None and roi.start is None:
+                raise RegionError(
+                    f"region {roi.region_id}: a warm_start needs a start "
+                    f"marker"
+                )
+            for marker in (roi.warm_start, roi.start, roi.end):
                 if marker is not None:
                     marker_blocks.append(sim.program.block_at(marker.pc))
         self.tracker = MarkerTracker(marker_blocks) if marker_blocks else None
@@ -171,6 +187,10 @@ class _RegionController:
         self.detailed = self.rois[0].starts_at_origin
         self._start_snapshot = sim._snapshot() if self.detailed else None
         self._start_cycle = 0
+        self._warm_from = 0
+        self._warm_instructions = 0
+        if not self.detailed:
+            self._arm()
 
     @property
     def finished(self) -> bool:
@@ -189,8 +209,31 @@ class _RegionController:
             core.cycle for core in self._sim.cores[: self._nthreads]
         )
 
+    def _instructions(self) -> int:
+        return sum(core.instructions for core in self._sim.cores)
+
+    def _arm(self) -> None:
+        """Between regions: fast-forward until the next region's warm
+        start, unless it is ``None`` or already passed."""
+        warm = self.rois[self._idx].warm_start
+        self._sim.fast_forward = (
+            warm is not None
+            and self.tracker is not None
+            and self.tracker.count(warm.pc) <= warm.count
+        )
+        self._warm_from = self._instructions()
+
+    def _warm(self) -> None:
+        self._sim.fast_forward = False
+        self._warm_from = self._instructions()
+
     def _begin(self) -> None:
+        # Racing threads can reach a start before its warm start; the
+        # region is then simulated in detail with an empty warm window.
+        if self._sim.fast_forward:
+            self._warm()
         self.detailed = True
+        self._warm_instructions = self._instructions() - self._warm_from
         self._start_snapshot = self._sim._snapshot()
         self._start_cycle = self._global_cycle()
 
@@ -205,10 +248,13 @@ class _RegionController:
                 metrics=metrics,
                 start_cycle=self._start_cycle,
                 end_cycle=end_cycle,
+                warm_instructions=self._warm_instructions,
             )
         )
         self.detailed = False
         self._idx += 1
+        if not self.finished:
+            self._arm()
 
     def pre_block(self, block: BasicBlock, repeat: int) -> None:
         """Called before every block execution."""
@@ -221,6 +267,16 @@ class _RegionController:
                 if roi.start is not None:
                     if before is None:
                         return
+                    # The warm start ends fast-forward; the same block may
+                    # also start the region.
+                    w = roi.warm_start
+                    if (
+                        self._sim.fast_forward
+                        and w is not None
+                        and w.pc == block.pc
+                        and before + repeat > w.count
+                    ):
+                        self._warm()
                     m = roi.start
                     # Trigger when the marker count is reached *or passed*:
                     # under racing threads the global counts of different
@@ -313,6 +369,9 @@ class MultiCoreSimulator:
         self.system = system
         self.omp = omp
         self.spin = spin or SpinParams()
+        #: Functional fast-forward: blocks skip the memory model.  Only the
+        #: binary-driven region controller turns it on.
+        self.fast_forward = False
         self.hierarchy = MemoryHierarchy(system)
         self.cores = [
             CoreModel(i, system.core, self.hierarchy)
@@ -355,15 +414,17 @@ class MultiCoreSimulator:
             "l2_misses": stats["l2_misses"],
         }
 
-    def _exec(self, tid: int, block: BasicBlock, repeat: int, warming: bool) -> int:
+    def _exec(self, tid: int, block: BasicBlock, repeat: int) -> int:
         start = self.exec_counts[tid][block.bid]
         self.exec_counts[tid][block.bid] = start + repeat
-        return self.cores[tid].execute_block(block, start, repeat, warming)
+        if self.fast_forward:
+            return self.cores[tid].fast_forward_block(block, repeat)
+        return self.cores[tid].execute_block(block, start, repeat)
 
-    def _spin_fill(self, tid: int, duration: int, warming: bool) -> None:
+    def _spin_fill(self, tid: int, duration: int) -> None:
         """Fill a wait of ``duration`` cycles with spin-loop iterations."""
         iters = max(1, duration // self.spin.cycles_per_iteration)
-        self._exec(tid, self.omp.spin_block, iters, warming)
+        self._exec(tid, self.omp.spin_block, iters)
 
     # ======================================================================
     # Binary-driven unconstrained simulation
@@ -381,7 +442,10 @@ class MultiCoreSimulator:
         """Simulate the program, measuring each region (whole run if None).
 
         Regions must be disjoint and given in execution order; the simulator
-        performs one sweep, warming functionally between regions.
+        performs one sweep.  Before each region it warms with the full cost
+        model, from the region's ``warm_start`` marker if it has one (after
+        a functional fast-forward to it), else from the previous region's
+        end or program start.
 
         ``clip_at_end`` tolerates region boundaries the execution never
         reaches (regions past program end are dropped; an open detailed
@@ -398,7 +462,24 @@ class MultiCoreSimulator:
         if whole_run:
             regions = [RegionOfInterest(region_id=-1)]
         ctl = _RegionController(self, regions, nthreads)
+        try:
+            return self._sweep(
+                ctl, thread_program, nthreads, wait_policy, whole_run,
+                max_events, clip_at_end,
+            )
+        finally:
+            self.fast_forward = False
 
+    def _sweep(
+        self,
+        ctl: _RegionController,
+        thread_program: ThreadProgram,
+        nthreads: int,
+        wait_policy: WaitPolicy,
+        whole_run: bool,
+        max_events: Optional[int],
+        clip_at_end: bool,
+    ) -> List[SimulationResult]:
         threads = [
             _SimThread(tid, thread_program.thread_main(tid, nthreads))
             for tid in range(nthreads)
@@ -444,7 +525,7 @@ class MultiCoreSimulator:
                 ctl.pre_block(event.block, event.repeat)
                 if ctl.finished:
                     continue
-                self._exec(tid, event.block, event.repeat, not ctl.detailed)
+                self._exec(tid, event.block, event.repeat)
                 ctl.post_block(event.block.n_instr * event.repeat)
             elif etype is BarrierWait:
                 self._handle_barrier_timed(
@@ -452,16 +533,15 @@ class MultiCoreSimulator:
                 )
             elif etype is LockAcquire:
                 self._handle_lock_acquire_timed(
-                    thread, event.lock_id, locks, active, ctl.detailed
+                    thread, event.lock_id, locks, active
                 )
             elif etype is LockRelease:
                 self._handle_lock_release_timed(
-                    thread, event.lock_id, locks, threads, active,
-                    ctl.detailed,
+                    thread, event.lock_id, locks, threads, active
                 )
             elif etype is ChunkRequest:
                 cursor = chunks.get(event.loop_id, 0)
-                self._exec(tid, self.omp.chunk_fetch, 1, not ctl.detailed)
+                self._exec(tid, self.omp.chunk_fetch, 1)
                 if cursor >= event.total_iters:
                     thread.response = -1
                 else:
@@ -473,7 +553,7 @@ class MultiCoreSimulator:
                     singles.add(event.single_id)
                 thread.response = granted
             elif etype is Reduce:
-                self._exec(tid, self.omp.reduce_combine, 1, not ctl.detailed)
+                self._exec(tid, self.omp.reduce_combine, 1)
             else:
                 raise SimulationError(f"unknown event {event!r}")
             if max_events is not None and num_events > max_events:
@@ -499,15 +579,14 @@ class MultiCoreSimulator:
     ) -> None:
         tid = thread.tid
         cores = self.cores
-        warming = not ctl.detailed
-        self._exec(tid, self.omp.barrier_enter, 1, warming)
+        self._exec(tid, self.omp.barrier_enter, 1)
         arrivals = barriers.setdefault(barrier_id, [])
         arrivals.append((cores[tid].cycle, tid))
         if len(arrivals) < len(threads):
             thread.state = _BLOCKED
             thread.park_cycle = cores[tid].cycle
             if not active:
-                self._exec(tid, self.omp.futex_wait, 1, warming)
+                self._exec(tid, self.omp.futex_wait, 1)
             return
         # Last arrival releases everyone.
         release = max(cycle for cycle, _t in arrivals)
@@ -517,13 +596,13 @@ class MultiCoreSimulator:
                 wait = release - arrive_cycle
                 if active:
                     if wait > 0:
-                        self._spin_fill(other_tid, wait, warming)
+                        self._spin_fill(other_tid, wait)
                     cores[other_tid].cycle = release + self.spin.spin_resume_cycles
                 else:
-                    self._exec(other_tid, self.omp.futex_wake, 1, warming)
+                    self._exec(other_tid, self.omp.futex_wake, 1)
                     cores[other_tid].cycle = release + self.spin.futex_wake_cycles
                 other.state = _RUNNABLE
-            self._exec(other_tid, self.omp.barrier_exit, 1, warming)
+            self._exec(other_tid, self.omp.barrier_exit, 1)
         del barriers[barrier_id]
         ctl.post_barrier_release()
 
@@ -533,20 +612,18 @@ class MultiCoreSimulator:
         lock_id: int,
         locks: Dict[int, _SimLock],
         active: bool,
-        detailed: bool,
     ) -> None:
         tid = thread.tid
-        warming = not detailed
         lock = locks.setdefault(lock_id, _SimLock())
         if lock.owner is None:
             lock.owner = tid
-            self._exec(tid, self.omp.lock_acquire, 1, warming)
+            self._exec(tid, self.omp.lock_acquire, 1)
             return
         lock.waiters.append((self.cores[tid].cycle, tid))
         thread.state = _BLOCKED
         thread.park_cycle = self.cores[tid].cycle
         if not active:
-            self._exec(tid, self.omp.futex_wait, 1, warming)
+            self._exec(tid, self.omp.futex_wait, 1)
 
     def _handle_lock_release_timed(
         self,
@@ -555,16 +632,14 @@ class MultiCoreSimulator:
         locks: Dict[int, _SimLock],
         threads: List[_SimThread],
         active: bool,
-        detailed: bool,
     ) -> None:
         tid = thread.tid
-        warming = not detailed
         lock = locks.get(lock_id)
         if lock is None or lock.owner != tid:
             raise SimulationError(
                 f"thread {tid} released lock {lock_id} it does not own"
             )
-        self._exec(tid, self.omp.lock_release, 1, warming)
+        self._exec(tid, self.omp.lock_release, 1)
         release = self.cores[tid].cycle
         if not lock.waiters:
             lock.owner = None
@@ -576,14 +651,14 @@ class MultiCoreSimulator:
         wait = max(0, release - request_cycle)
         if active:
             if wait > 0:
-                self._spin_fill(next_tid, wait, warming)
+                self._spin_fill(next_tid, wait)
             self.cores[next_tid].cycle = (
                 max(release, request_cycle) + self.spin.spin_resume_cycles
             )
         else:
-            self._exec(next_tid, self.omp.futex_wake, 1, warming)
+            self._exec(next_tid, self.omp.futex_wake, 1)
             self.cores[next_tid].cycle = release + self.spin.futex_wake_cycles
-        self._exec(next_tid, self.omp.lock_acquire, 1, warming)
+        self._exec(next_tid, self.omp.lock_acquire, 1)
         waiter.state = _RUNNABLE
 
     # ======================================================================
@@ -656,10 +731,9 @@ class MultiCoreSimulator:
                 thread.state = _DONE
                 continue
             thread.response = None
-            warming = not in_detail[tid]
             etype = type(event)
             if etype is BlockExec:
-                self._exec(tid, event.block, event.repeat, warming)
+                self._exec(tid, event.block, event.repeat)
             elif etype is BarrierWait:
                 self._handle_barrier_timed(
                     thread, event.barrier_id, barriers, threads,
@@ -667,11 +741,11 @@ class MultiCoreSimulator:
                 )
             elif etype is LockAcquire:
                 self._handle_lock_acquire_timed(
-                    thread, event.lock_id, locks, False, not warming
+                    thread, event.lock_id, locks, False
                 )
             elif etype is LockRelease:
                 self._handle_lock_release_timed(
-                    thread, event.lock_id, locks, threads, False, not warming
+                    thread, event.lock_id, locks, threads, False
                 )
             elif etype is SingleRequest:
                 granted = event.single_id not in singles
@@ -779,7 +853,7 @@ class MultiCoreSimulator:
             entry = logs[t][pos[t]]
             if entry[0] == "b":
                 block = program.blocks[entry[1]]
-                self._exec(t, block, entry[2], not in_detail[t])
+                self._exec(t, block, entry[2])
             else:
                 # The artificial stall: this thread may have been ready long
                 # before its turn at this object in the recorded order.

@@ -50,7 +50,7 @@ class TestCoreModel:
         cold_cycles = cold.execute_block(blk, 0, 64)
 
         _h2, warm = _env()
-        warm.execute_block(blk, 0, 64, warming=True)
+        warm.execute_block(blk, 0, 64)
         warm_cycles = warm.execute_block(blk, 0, 64)  # same indices re-hit? no
         # Not same indices, but an L1-resident strided stream is cheaper:
         _h3, hit = _env()
@@ -93,7 +93,7 @@ class TestCoreModel:
         blk = _block(loads=[gen], name="w")
         _h, core = _env()
         before = core.cycle
-        core.execute_block(blk, 0, 32, warming=True)
+        core.execute_block(blk, 0, 32)
         assert core.cycle > before
         assert core.instructions == blk.n_instr * 32
         # State warmed: a detailed re-walk of the same lines hits.
