@@ -15,11 +15,20 @@ program start: the paper's "perfect warmup".  A region may instead name a
 (exact execution and marker counts and predictor state, clocks advanced by
 the non-memory cost terms, no cache probes) and warms only from there.
 
+**ELFies** (:meth:`MultiCoreSimulator.run_elfie`), the other unconstrained
+route of Sec. II, run on the same thread loop (:meth:`_run_threads`) with
+passive waits: an ELFie's threads are ordinary event generators.
+
 **Checkpoint-driven constrained** (:meth:`MultiCoreSimulator.run_pinball`):
 replays a (region) pinball's logs while *enforcing the recorded sync order*.
 Recorded spin iterations are re-executed verbatim and threads are stalled
 artificially to honour ``gseq`` order — reproducing the distortions the
-paper measures in Sec. V-A.1.
+paper measures in Sec. V-A.1.  The recorded order gates which thread may
+go next, so this walk has its own loop.
+
+ELFie and pinball runs measure their detail portion with one
+:class:`_DetailWindow`: per-thread warmup/detail crossings, each core
+snapshotted when its own thread crosses.
 """
 
 from __future__ import annotations
@@ -119,14 +128,13 @@ class SimulationResult:
 
 
 class _SimThread:
-    __slots__ = ("tid", "gen", "state", "response", "park_cycle")
+    __slots__ = ("tid", "gen", "state", "response")
 
     def __init__(self, tid: int, gen) -> None:
         self.tid = tid
         self.gen = gen
         self.state = _RUNNABLE
         self.response = None
-        self.park_cycle = 0
 
 
 class _SimLock:
@@ -137,13 +145,6 @@ class _SimLock:
         self.waiters: List[Tuple[int, int]] = []  # (request_cycle, tid)
 
 
-class _NullController:
-    """A no-op stand-in for the region controller (ELFie execution)."""
-
-    def post_barrier_release(self) -> None:
-        pass
-
-
 class _RegionController:
     """Tracks region transitions during a binary-driven sweep.
 
@@ -151,8 +152,11 @@ class _RegionController:
     barrier releases; the controller snapshots metrics at each region
     boundary and owns the simulator's ``fast_forward`` switch: on while a
     pending region's ``warm_start`` marker has not been reached, off
-    everywhere else.
+    everywhere else.  A sweep in which every live thread blocks is a
+    deadlock.
     """
+
+    stop_when_blocked = False
 
     def __init__(
         self,
@@ -316,6 +320,9 @@ class _RegionController:
     def post_block(self, n_instructions: int) -> None:
         self.global_instructions += n_instructions
 
+    def post_event(self, tid: int) -> None:
+        pass
+
     def post_barrier_release(self) -> None:
         """Called after every barrier release (all threads through)."""
         self.barrier_releases += 1
@@ -355,6 +362,85 @@ class _RegionController:
             raise RegionError("whole-run simulation never started detail")
 
 
+class _DetailWindow:
+    """The detail portion of a checkpoint (region pinball or ELFie) run.
+
+    ``detail_at[t]`` is the number of thread ``t``'s log or code entries
+    that run as warmup.  Threads drift apart during a checkpoint run, so a
+    single global snapshot would misattribute work near the boundary:
+    instead each core's counters are snapshotted when *its* thread crosses
+    into the detail portion, and the shared L3 at the first crossing.  The
+    region's clock starts once every thread has crossed.
+
+    The window also serves as the ELFie's thread-loop controller.  A
+    barrier clipped at the region edge leaves threads waiting that no
+    arrival will release, so a run whose live threads all block just ends.
+    """
+
+    stop_when_blocked = True
+    finished = False
+
+    def __init__(self, sim: "MultiCoreSimulator", detail_at: List[int]):
+        self._sim = sim
+        self._detail_at = detail_at
+        self._progress = [0] * len(detail_at)
+        self._snaps: List[Optional[Dict[str, int]]] = [
+            sim._core_snapshot(t) if at <= 0 else None
+            for t, at in enumerate(detail_at)
+        ]
+        self._pending = self._snaps.count(None)
+        self._l3 = (
+            sim.hierarchy.l3_misses if self._pending < len(detail_at)
+            else None
+        )
+        self.start_cycle = 0
+
+    def _global_cycle(self) -> int:
+        return max(
+            core.cycle for core in self._sim.cores[: len(self._detail_at)]
+        )
+
+    def pre_block(self, block: BasicBlock, repeat: int) -> None:
+        pass
+
+    def post_block(self, n_instructions: int) -> None:
+        pass
+
+    def post_barrier_release(self) -> None:
+        pass
+
+    def post_event(self, tid: int) -> None:
+        """Called after each of thread ``tid``'s log or code entries."""
+        self._progress[tid] += 1
+        if (
+            self._snaps[tid] is None
+            and self._progress[tid] >= self._detail_at[tid]
+        ):
+            self._snaps[tid] = self._sim._core_snapshot(tid)
+            if self._l3 is None:
+                self._l3 = self._sim.hierarchy.l3_misses
+            self._pending -= 1
+            if not self._pending:
+                self.start_cycle = self._global_cycle()
+
+    def result(self, region_id: int, what: str) -> SimulationResult:
+        if self._pending:
+            raise RegionError(f"{what} never reached its detail portion")
+        end_cycle = self._global_cycle()
+        metrics = SimMetrics()
+        for t, snap in enumerate(self._snaps):
+            for key, value in self._sim._core_snapshot(t).items():
+                setattr(metrics, key, getattr(metrics, key) + value - snap[key])
+        metrics.l3_misses = self._sim.hierarchy.l3_misses - (self._l3 or 0)
+        metrics.cycles = max(1, end_cycle - self.start_cycle)
+        return SimulationResult(
+            region_id=region_id,
+            metrics=metrics,
+            start_cycle=self.start_cycle,
+            end_cycle=end_cycle,
+        )
+
+
 class MultiCoreSimulator:
     """A Sniper-like multicore simulator over the repro program model."""
 
@@ -385,17 +471,9 @@ class MultiCoreSimulator:
 
     def _snapshot(self) -> SimMetrics:
         m = SimMetrics()
-        for core in self.cores:
-            m.instructions += core.instructions
-            m.filtered_instructions += core.filtered_instructions
-            m.branches += core.predictor.branches
-            m.branch_mispredicts += core.predictor.mispredicts
-            m.l1d_accesses += core.l1d_accesses
-        for i in range(self.system.num_cores):
-            stats = self.hierarchy.core_stats(i)
-            m.l1i_misses += stats["l1i_misses"]
-            m.l1d_misses += stats["l1d_misses"]
-            m.l2_misses += stats["l2_misses"]
+        for tid in range(len(self.cores)):
+            for key, value in self._core_snapshot(tid).items():
+                setattr(m, key, getattr(m, key) + value)
         m.l3_misses = self.hierarchy.l3_misses
         return m
 
@@ -462,30 +540,42 @@ class MultiCoreSimulator:
         if whole_run:
             regions = [RegionOfInterest(region_id=-1)]
         ctl = _RegionController(self, regions, nthreads)
-        try:
-            return self._sweep(
-                ctl, thread_program, nthreads, wait_policy, whole_run,
-                max_events, clip_at_end,
-            )
-        finally:
-            self.fast_forward = False
-
-    def _sweep(
-        self,
-        ctl: _RegionController,
-        thread_program: ThreadProgram,
-        nthreads: int,
-        wait_policy: WaitPolicy,
-        whole_run: bool,
-        max_events: Optional[int],
-        clip_at_end: bool,
-    ) -> List[SimulationResult]:
-        threads = [
-            _SimThread(tid, thread_program.thread_main(tid, nthreads))
+        gens = [
+            thread_program.thread_main(tid, nthreads)
             for tid in range(nthreads)
         ]
+        try:
+            self._run_threads(
+                ctl, gens, wait_policy is WaitPolicy.ACTIVE, max_events
+            )
+            ctl.finalize(whole_run, clip_at_end)
+        finally:
+            self.fast_forward = False
+        if len(ctl.results) != len(ctl.rois) and not clip_at_end:
+            raise RegionError(
+                f"{len(ctl.rois) - len(ctl.results)} region(s) never reached"
+            )
+        return ctl.results
+
+    def _run_threads(
+        self,
+        ctl,
+        gens: Sequence,
+        active: bool,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """Run one generator per thread in simulated-time order.
+
+        The runnable thread with the lowest core clock takes the next
+        event; sync events are resolved at simulated cycles.  ``ctl`` is a
+        :class:`_RegionController` or a :class:`_DetailWindow`: the loop
+        reports blocks, events and barrier releases to it, stops once it
+        is ``finished``, and, when every live thread is blocked, ends the
+        run if its ``stop_when_blocked`` is set and raises
+        :class:`DeadlockError` otherwise.
+        """
+        threads = [_SimThread(tid, gen) for tid, gen in enumerate(gens)]
         cores = self.cores
-        active = wait_policy is WaitPolicy.ACTIVE
 
         barriers: Dict[int, List[Tuple[int, int]]] = {}
         locks: Dict[int, _SimLock] = {}
@@ -502,12 +592,12 @@ class MultiCoreSimulator:
                     if best_cycle is None or c < best_cycle:
                         best, best_cycle = t, c
             if best is None:
-                if all(t.state == _DONE for t in threads):
-                    break
                 blocked = [t.tid for t in threads if t.state == _BLOCKED]
-                raise DeadlockError(
-                    f"timing sim: all live threads blocked {blocked}"
-                )
+                if blocked and not ctl.stop_when_blocked:
+                    raise DeadlockError(
+                        f"timing sim: all live threads blocked {blocked}"
+                    )
+                return
 
             thread = best
             tid = thread.tid
@@ -528,9 +618,10 @@ class MultiCoreSimulator:
                 self._exec(tid, event.block, event.repeat)
                 ctl.post_block(event.block.n_instr * event.repeat)
             elif etype is BarrierWait:
-                self._handle_barrier_timed(
-                    thread, event.barrier_id, barriers, threads, active, ctl
-                )
+                if self._handle_barrier_timed(
+                    thread, event.barrier_id, barriers, threads, active
+                ):
+                    ctl.post_barrier_release()
             elif etype is LockAcquire:
                 self._handle_lock_acquire_timed(
                     thread, event.lock_id, locks, active
@@ -556,15 +647,9 @@ class MultiCoreSimulator:
                 self._exec(tid, self.omp.reduce_combine, 1)
             else:
                 raise SimulationError(f"unknown event {event!r}")
+            ctl.post_event(tid)
             if max_events is not None and num_events > max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
-
-        ctl.finalize(whole_run, clip_at_end)
-        if len(ctl.results) != len(ctl.rois) and not clip_at_end:
-            raise RegionError(
-                f"{len(ctl.rois) - len(ctl.results)} region(s) never reached"
-            )
-        return ctl.results
 
     # -- timed synchronization (binary-driven) ------------------------------
 
@@ -575,8 +660,8 @@ class MultiCoreSimulator:
         barriers: Dict[int, List[Tuple[int, int]]],
         threads: List[_SimThread],
         active: bool,
-        ctl: _RegionController,
-    ) -> None:
+    ) -> bool:
+        """Arrive at a barrier; True when this arrival released it."""
         tid = thread.tid
         cores = self.cores
         self._exec(tid, self.omp.barrier_enter, 1)
@@ -584,10 +669,9 @@ class MultiCoreSimulator:
         arrivals.append((cores[tid].cycle, tid))
         if len(arrivals) < len(threads):
             thread.state = _BLOCKED
-            thread.park_cycle = cores[tid].cycle
             if not active:
                 self._exec(tid, self.omp.futex_wait, 1)
-            return
+            return False
         # Last arrival releases everyone.
         release = max(cycle for cycle, _t in arrivals)
         for arrive_cycle, other_tid in arrivals:
@@ -604,7 +688,7 @@ class MultiCoreSimulator:
                 other.state = _RUNNABLE
             self._exec(other_tid, self.omp.barrier_exit, 1)
         del barriers[barrier_id]
-        ctl.post_barrier_release()
+        return True
 
     def _handle_lock_acquire_timed(
         self,
@@ -621,7 +705,6 @@ class MultiCoreSimulator:
             return
         lock.waiters.append((self.cores[tid].cycle, tid))
         thread.state = _BLOCKED
-        thread.park_cycle = self.cores[tid].cycle
         if not active:
             self._exec(tid, self.omp.futex_wait, 1)
 
@@ -668,11 +751,13 @@ class MultiCoreSimulator:
     def run_elfie(self, elfie) -> SimulationResult:
         """Execute an :class:`~repro.pinplay.elfie.ELFie` unconstrained.
 
-        The ELFie's reconstructed thread code runs under the live
-        synchronization semantics (barriers, locks re-resolved by the
-        timing model), starting from the checkpointed execution counters.
-        Warmup entries run with functional warming; metrics cover the
-        detail portion, per-core-snapshotted at each thread's crossing.
+        The ELFie's reconstructed thread code runs on the binary-driven
+        thread loop with passive waits (barriers and locks re-resolved by
+        the timing model), starting from the checkpointed execution
+        counters.  Warmup entries run with the full cost model; a
+        :class:`_DetailWindow` measures the detail portion.  A barrier
+        clipped at the region edge may leave threads waiting at the end;
+        the run then simply stops.
         """
         nthreads = elfie.nthreads
         if nthreads > self.system.num_cores:
@@ -683,106 +768,15 @@ class MultiCoreSimulator:
         if elfie.start_exec_counts:
             for tid in range(nthreads):
                 self.exec_counts[tid] = list(elfie.start_exec_counts[tid])
-
-        threads = [
-            _SimThread(tid, elfie.thread_main(self.program, tid))
-            for tid in range(nthreads)
-        ]
-        cores = self.cores
-        progress = [0] * nthreads
-        detail_at = list(elfie.detail_positions) if elfie.detail_positions \
-            else [0] * nthreads
-        in_detail = [progress[t] >= detail_at[t] for t in range(nthreads)]
-        core_snaps = [
-            self._core_snapshot(t) if in_detail[t] else None
-            for t in range(nthreads)
-        ]
-        l3_snap = self.hierarchy.l3_misses if any(in_detail) else None
-        detail_started = all(in_detail)
-        start_cycle = 0
-
-        barriers: Dict[int, List[Tuple[int, int]]] = {}
-        locks: Dict[int, _SimLock] = {}
-        singles: set = set()
-        # ELFie barriers involve only this region's threads; use a dummy
-        # controller-free barrier handler via a local class:
-        ctl_stub = _NullController()
-
-        while True:
-            best = None
-            best_cycle = None
-            for t in threads:
-                if t.state == _RUNNABLE:
-                    c = cores[t.tid].cycle
-                    if best_cycle is None or c < best_cycle:
-                        best, best_cycle = t, c
-            if best is None:
-                if all(t.state == _DONE for t in threads):
-                    break
-                # Clipped region edges can leave some threads waiting at a
-                # final barrier that others never reach; end gracefully.
-                break
-
-            thread = best
-            tid = thread.tid
-            try:
-                event = thread.gen.send(thread.response)
-            except StopIteration:
-                thread.state = _DONE
-                continue
-            thread.response = None
-            etype = type(event)
-            if etype is BlockExec:
-                self._exec(tid, event.block, event.repeat)
-            elif etype is BarrierWait:
-                self._handle_barrier_timed(
-                    thread, event.barrier_id, barriers, threads,
-                    active=False, ctl=ctl_stub,
-                )
-            elif etype is LockAcquire:
-                self._handle_lock_acquire_timed(
-                    thread, event.lock_id, locks, False
-                )
-            elif etype is LockRelease:
-                self._handle_lock_release_timed(
-                    thread, event.lock_id, locks, threads, False
-                )
-            elif etype is SingleRequest:
-                granted = event.single_id not in singles
-                if granted:
-                    singles.add(event.single_id)
-                thread.response = granted
-            else:
-                raise SimulationError(f"unexpected ELFie event {event!r}")
-            progress[tid] += 1
-            if not in_detail[tid] and progress[tid] >= detail_at[tid]:
-                in_detail[tid] = True
-                core_snaps[tid] = self._core_snapshot(tid)
-                if l3_snap is None:
-                    l3_snap = self.hierarchy.l3_misses
-                if not detail_started and all(in_detail):
-                    detail_started = True
-                    start_cycle = max(
-                        cores[i].cycle for i in range(nthreads)
-                    )
-
-        if not detail_started:
-            raise RegionError("ELFie never reached its detail portion")
-        end_cycle = max(cores[i].cycle for i in range(nthreads))
-        metrics = SimMetrics()
-        for t in range(nthreads):
-            now = self._core_snapshot(t)
-            snap = core_snaps[t]
-            for key, value in now.items():
-                setattr(metrics, key, getattr(metrics, key) + value - snap[key])
-        metrics.l3_misses = self.hierarchy.l3_misses - (l3_snap or 0)
-        metrics.cycles = max(1, end_cycle - start_cycle)
-        return SimulationResult(
-            region_id=elfie.region_id,
-            metrics=metrics,
-            start_cycle=start_cycle,
-            end_cycle=end_cycle,
+        window = _DetailWindow(
+            self, list(elfie.detail_positions) or [0] * nthreads
         )
+        self._run_threads(
+            window,
+            [elfie.thread_main(self.program, tid) for tid in range(nthreads)],
+            active=False,
+        )
+        return window.result(elfie.region_id, "ELFie")
 
     # ======================================================================
     # Checkpoint-driven constrained simulation
@@ -794,8 +788,9 @@ class MultiCoreSimulator:
         The recorded sync order is enforced exactly: a thread whose next
         sync action is not yet due stalls (its recorded spin iterations, if
         any, were already captured in the logs).  For a
-        :class:`RegionPinball`, warmup entries run with functional warming
-        and metrics cover only the detail portion.
+        :class:`RegionPinball`, warmup entries run with the full cost model
+        and a :class:`_DetailWindow`, shared with :meth:`run_elfie`,
+        measures only the detail portion.
         """
         nthreads = pinball.nthreads
         if nthreads > self.system.num_cores:
@@ -808,9 +803,10 @@ class MultiCoreSimulator:
         if is_region and pinball.start_exec_counts:
             for tid in range(nthreads):
                 self.exec_counts[tid] = list(pinball.start_exec_counts[tid])
-        detail_at = (
+        window = _DetailWindow(
+            self,
             list(pinball.detail_positions) if is_region and
-            pinball.detail_positions else [0] * nthreads
+            pinball.detail_positions else [0] * nthreads,
         )
 
         pos = [0] * nthreads
@@ -823,18 +819,6 @@ class MultiCoreSimulator:
         last_sync_cycle: Dict[tuple, int] = {}
         cores = self.cores
         program = self.program
-        in_detail = [pos[t] >= detail_at[t] for t in range(nthreads)]
-        # Each core's counters are snapshotted when *its* thread crosses
-        # into the detail portion — threads drift during constrained replay,
-        # so a single global snapshot would misattribute work near the
-        # boundary.  The shared L3 is snapshotted at the first crossing.
-        core_snaps: List[Optional[Dict[str, int]]] = [
-            self._core_snapshot(t) if in_detail[t] else None
-            for t in range(nthreads)
-        ]
-        l3_snap = self.hierarchy.l3_misses if any(in_detail) else None
-        detail_started = all(in_detail)
-        start_cycle = 0
 
         live = set(t for t in range(nthreads) if pos[t] < ends[t])
         while live:
@@ -864,31 +848,8 @@ class MultiCoreSimulator:
                 next_gseq += 1
                 last_sync_cycle[key] = cores[t].cycle
             pos[t] += 1
-            if not in_detail[t] and pos[t] >= detail_at[t]:
-                in_detail[t] = True
-                core_snaps[t] = self._core_snapshot(t)
-                if l3_snap is None:
-                    l3_snap = self.hierarchy.l3_misses
-                if not detail_started and all(in_detail):
-                    detail_started = True
-                    start_cycle = max(cores[i].cycle for i in range(nthreads))
+            window.post_event(t)
             if pos[t] >= ends[t]:
                 live.discard(t)
 
-        if not detail_started:
-            raise RegionError("pinball never reached its detail portion")
-        end_cycle = max(cores[i].cycle for i in range(nthreads))
-        metrics = SimMetrics()
-        for t in range(nthreads):
-            now = self._core_snapshot(t)
-            snap = core_snaps[t]
-            for key, value in now.items():
-                setattr(metrics, key, getattr(metrics, key) + value - snap[key])
-        metrics.l3_misses = self.hierarchy.l3_misses - (l3_snap or 0)
-        metrics.cycles = max(1, end_cycle - start_cycle)
-        return SimulationResult(
-            region_id=getattr(pinball, "region_id", -1),
-            metrics=metrics,
-            start_cycle=start_cycle,
-            end_cycle=end_cycle,
-        )
+        return window.result(getattr(pinball, "region_id", -1), "pinball")
