@@ -21,7 +21,7 @@ constrained-replay distortions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import ReplayError
 from ..exec_engine.events import (
@@ -114,14 +114,25 @@ def pinball_to_elfie(
         block.bid for block in program.blocks if block.image.is_library
     }
     thread_codes: List[List[tuple]] = []
+    detail_positions: List[int] = []
     for tid in range(pinball.nthreads):
         code: List[tuple] = []
         held_locks: Dict[int, bool] = {}
-        for entry in pinball.logs[tid]:
+        # The pinball's detail position (a log index) maps onto the
+        # stripped code as the code length when the walk reaches it; no
+        # block run merges across that point.
+        cut = pinball.detail_positions[tid] if pinball.detail_positions else 0
+        detail: Optional[int] = None
+        for i, entry in enumerate(pinball.logs[tid]):
+            if i == cut:
+                detail = len(code)
             if entry[0] == "b":
                 if entry[1] in lib_bids:
                     continue
-                if code and code[-1][0] == "b" and code[-1][1] == entry[1]:
+                if (
+                    code and len(code) != detail
+                    and code[-1][0] == "b" and code[-1][1] == entry[1]
+                ):
                     code[-1] = ("b", entry[1], code[-1][2] + entry[2])
                 else:
                     code.append(("b", entry[1], entry[2]))
@@ -142,34 +153,23 @@ def pinball_to_elfie(
                         continue
                 # barrier releases, chunk grants, single grants are
                 # record-time artifacts; they are re-resolved live.
+        if detail is None:
+            detail = len(code)
         # A lock still held at the region edge must be released or the
         # ELFie deadlocks on itself at the next acquire.
         for obj_id, held in held_locks.items():
             if held:
                 code.append(("sync", SYNC_LOCK_REL, obj_id))
         thread_codes.append(code)
+        detail_positions.append(detail)
 
     # Re-key barrier ordinals per thread so every thread agrees on barrier
-    # instance identity even when the cut clipped some arrivals.
+    # instance identity even when the cut clipped some arrivals.  The
+    # truncation may cut a thread's code before its detail position.
     _rekey_barriers(thread_codes)
-
-    detail_positions = []
-    for tid in range(pinball.nthreads):
-        # Map the pinball's detail position (log index) onto the stripped
-        # code: count surviving entries before it.
-        cut = pinball.detail_positions[tid] if pinball.detail_positions else 0
-        survived = 0
-        seen = 0
-        for entry in pinball.logs[tid]:
-            if seen >= cut:
-                break
-            seen += 1
-            if entry[0] == "b":
-                if entry[1] not in lib_bids:
-                    survived += 1
-            elif entry[1] in (SYNC_BARRIER, SYNC_LOCK_ACQ, SYNC_LOCK_REL):
-                survived += 1
-        detail_positions.append(min(survived, len(thread_codes[tid])))
+    detail_positions = [
+        min(at, len(code)) for at, code in zip(detail_positions, thread_codes)
+    ]
 
     return ELFie(
         program_name=pinball.program_name,
