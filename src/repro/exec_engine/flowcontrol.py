@@ -27,11 +27,14 @@ import numpy as np
 #: setup) needs this many lanes to amortize.
 COLUMNAR_MIN_THREADS = 32
 
+#: The flow-control window recording uses unless a caller overrides it.
+DEFAULT_FLOW_WINDOW = 1_500
+
 
 class FlowControl:
     """Window-based equal-progress policy over filtered instruction counts."""
 
-    def __init__(self, window: int = 1_500) -> None:
+    def __init__(self, window: int = DEFAULT_FLOW_WINDOW) -> None:
         if window <= 0:
             raise ValueError("flow-control window must be positive")
         self.window = window

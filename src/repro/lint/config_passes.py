@@ -12,13 +12,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..config import DEFAULT_LINT_THRESHOLDS, LintThresholds, ReproScale
+from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from ..profiling.profile_result import ProfileData
 from ..resilience import WORKER_HANG, FaultPlan
 from .findings import Finding, make_finding
-
-#: The window :class:`~repro.exec_engine.flowcontrol.FlowControl` defaults
-#: to, mirrored here because recording uses the default unless overridden.
-DEFAULT_FLOW_WINDOW = 1_500
 
 
 def check_flow_window(

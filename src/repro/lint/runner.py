@@ -25,6 +25,7 @@ from typing import (
 
 from ..config import DEFAULT_LINT_THRESHOLDS, LintThresholds
 from ..dcfg.graph import DCFGBuilder
+from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from ..exec_engine.observers import SyncEventLog, TraceCollector
 from ..pinplay.replayer import ConstrainedReplayer
 from .concurrency_passes import (
@@ -34,11 +35,7 @@ from .concurrency_passes import (
     check_lock_order,
     check_races,
 )
-from .config_passes import (
-    DEFAULT_FLOW_WINDOW,
-    check_fault_plan,
-    run_config_passes,
-)
+from .config_passes import check_fault_plan, run_config_passes
 from .dcfg_passes import check_marker_dominance, run_dcfg_passes
 from .findings import Finding, LintReport, RULES, rule_families
 from .marker_passes import (

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..errors import ProfilingError
-from ..exec_engine.flowcontrol import FlowControl
+from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW, FlowControl
 from ..isa.image import Program
 from ..pinplay.recorder import record_execution
 from ..policy import WaitPolicy
@@ -82,7 +82,7 @@ def analyze_stability(
     *,
     seeds: Sequence[int] = (0, 101, 202),
     wait_policies: Sequence[WaitPolicy] = (WaitPolicy.ACTIVE,),
-    flow_window: int = 1500,
+    flow_window: int = DEFAULT_FLOW_WINDOW,
 ) -> StabilityReport:
     """Profile several independent recordings and cross-check boundaries."""
     if not seeds:
