@@ -367,13 +367,15 @@ def _record_history(
     """Append this run's headline numbers to the workload's history file.
 
     Best-effort: the evaluation's results must never be lost to a full
-    disk under ``<cache-dir>/history/``, so failures only print a status
-    line.  ``repro-obs history`` renders the trend; ``--check`` gates on
-    it in CI.
+    disk or a damaged history file under ``<cache-dir>/history/``, so
+    failures only print a status line.  ``repro-obs history`` renders the
+    trend; ``--check`` gates on it in CI.
     """
     import hashlib
 
-    from .obs.history import HistoryRecord, HistoryStore, history_path_for
+    from .obs.history import (
+        HistoryError, HistoryRecord, HistoryStore, history_path_for,
+    )
 
     ts = time.time()
     if pipeline.last_trace is not None:
@@ -408,7 +410,7 @@ def _record_history(
     path = history_path_for(cache_dir, name)
     try:
         total = HistoryStore(path).append(record)
-    except OSError as exc:
+    except (OSError, HistoryError) as exc:
         console.status("history", f"append failed ({exc}); run unaffected")
         return
     console.status("history", f"{path} ({total} record(s))")
@@ -451,7 +453,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             FaultPlan.from_json_file(plan_path) if plan_path else None
         )
         if fault_plan is not None:
-            fault_plan.validate()
             console.status(
                 "run-looppoint",
                 f"fault plan {plan_path} (seed={fault_plan.seed}, "

@@ -145,39 +145,22 @@ class ReproScale:
     warmup_instructions: int
     # Multiplier applied to workload phase iteration counts per input class.
     input_scale: Dict[str, float]
-    # Max regions we allow a profile to produce (sanity guard).
-    max_slices: int = 4000
+
+    def __post_init__(self) -> None:
+        # Sec. III-F: checkpoint warmup must cover at least one per-thread
+        # slice of history, or a region starts from unrepresentative
+        # microarchitectural state.
+        if self.warmup_instructions < self.slice_size_per_thread:
+            raise WorkloadError(
+                f"scale {self.name!r}: warmup_instructions "
+                f"{self.warmup_instructions} < slice_size_per_thread "
+                f"{self.slice_size_per_thread}; warmup must cover at least "
+                f"one per-thread slice"
+            )
 
     def slice_size(self, nthreads: int) -> int:
         """Global slice-size target for an ``nthreads`` application."""
         return self.slice_size_per_thread * nthreads
-
-
-@dataclass(frozen=True)
-class LintThresholds:
-    """Thresholds for :mod:`repro.lint`'s pipeline-config passes.
-
-    Kept here, next to :class:`ReproScale`, because they express the same
-    scaling contract: flow-control must be much finer than a slice
-    (Sec. III-B) and warmup must cover at least one per-thread slice of
-    history (Sec. III-F).
-    """
-
-    #: CONF001 fires when the flow-control window exceeds this fraction of
-    #: the global slice size.
-    max_flow_window_fraction: float = 0.5
-    #: CONF002 fires when warmup covers less than this many per-thread
-    #: slices.
-    min_warmup_slices: float = 1.0
-    #: CONF005 fires when a profile yields fewer slices than this.
-    min_slices: int = 2
-    #: Block-event cap of the trace collector lint attaches to its analysis
-    #: replay; PERF001 fires if the replay overflows it (``None`` = no cap,
-    #: never truncate, unbounded memory on huge runs).
-    trace_limit: Optional[int] = 5_000_000
-
-
-DEFAULT_LINT_THRESHOLDS = LintThresholds()
 
 
 _SCALES = {

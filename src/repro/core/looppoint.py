@@ -69,6 +69,7 @@ from ..resilience import (
 )
 from ..store import DEFAULT_LOCK_POLICY
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
+from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from ..isa.blocks import BasicBlock
 from ..pinplay.pinball import Pinball, RegionPinball
 from ..pinplay.recorder import record_execution
@@ -148,6 +149,13 @@ class LoopPointOptions:
     retry_backoff_s: float = 0.05
     retry_backoff_max_s: float = 2.0
     retry_jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        # 1.0 is in range but bars every slice; select() names that case.
+        if not 0.0 <= self.startup_fraction <= 1.0:
+            raise WorkloadError(
+                f"startup_fraction {self.startup_fraction} outside [0, 1]"
+            )
 
     def resolved_scale(self) -> ReproScale:
         return self.scale if self.scale is not None else get_scale()
@@ -303,9 +311,14 @@ class LoopPointPipeline:
             False,
             None,
         )
-        # The fault plan is validated when installed (fault_scope), not
-        # here: lint must be able to construct a pipeline around a
-        # malformed plan to report its problems as findings.
+        # Sec. III-B: equal progress must be enforced at a much finer
+        # grain than a slice, or per-slice thread shares become
+        # schedule-dependent.
+        if self.slice_size < 2 * DEFAULT_FLOW_WINDOW:
+            raise WorkloadError(
+                f"slice_size {self.slice_size} is below twice the "
+                f"flow-control window ({DEFAULT_FLOW_WINDOW})"
+            )
         #: Failure/retry/degradation accounting; reset by every :meth:`run`.
         self.health = RunHealth()
         self._manifest: Optional[RunManifest] = (
@@ -339,7 +352,6 @@ class LoopPointPipeline:
                 "slice_size_per_thread": scale.slice_size_per_thread,
                 "warmup_instructions": scale.warmup_instructions,
                 "input_scale": scale.input_scale,
-                "max_slices": scale.max_slices,
             },
         }
 

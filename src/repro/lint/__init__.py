@@ -15,18 +15,25 @@ Pass families (the scheduling unit of :func:`~repro.lint.runner.lint_pipeline`):
   marker-dominance certification (MARK006), built on the generic worklist
   dataflow solver in :mod:`~repro.lint.dataflow`.
 * :mod:`~repro.lint.marker_passes` — marker validity (main-image loop
-  headers only, monotone counts, two-replay invariance).
+  headers only, monotone counts, two-replay invariance) and the slice
+  population clustering needs.
 * :mod:`~repro.lint.concurrency_passes` — the sync event stream (lock-order
   cycles, barrier divergence, vector-clock happens-before races, gseq
   integrity).
-* :mod:`~repro.lint.config_passes` — pipeline-configuration sanity versus
-  the :mod:`repro.config` defaults.
 * :mod:`~repro.lint.xar_passes` — cross-artifact audits: BBV vs DCFG
   block universes, cluster-weight reconciliation, selection/slice
   boundary agreement, manifest vs cache keys, trace vs metrics counters.
 * :mod:`~repro.lint.obs_passes` — span-trace well-formedness.
 * :mod:`~repro.lint.store_passes` — artifact-store hygiene
   (crash debris, stale locks, checksum-sidecar mismatches).
+
+Configuration, fault plans and run-history records are not linted: their
+loaders (:class:`~repro.config.ReproScale`,
+:class:`~repro.core.looppoint.LoopPointOptions` and
+:class:`~repro.core.looppoint.LoopPointPipeline`,
+:class:`~repro.resilience.FaultSpec`,
+:class:`~repro.obs.history.HistoryStore`) reject bad input where it is
+parsed, so a run that never calls lint is still checked.
 
 Reporting: findings baselines (:mod:`~repro.lint.baseline`) let CI fail
 only on *new* findings; :mod:`~repro.lint.sarif` exports SARIF 2.1.0 for

@@ -4,7 +4,7 @@ Examples::
 
     repro-lint demo-matrix-1 -n 8
     repro-lint demo-matrix-2 --json
-    repro-lint demo-matrix-1 --disable CONF001 --no-invariance
+    repro-lint demo-matrix-1 --disable CONF005 --no-invariance
     repro-lint demo-matrix-1 --cache-dir .cache   # reuse pipeline stages
     repro-lint demo-matrix-1 --baseline ci/lint-baseline.json
     repro-lint demo-matrix-1 --sarif lint.sarif
@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="FILE",
         help="lint a run's span-trace file (OBS001/OBS002) instead "
              "of a workload; the positional program argument is ignored",
-    )
-    parser.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="audit a run-history file (OBS003: schema and timestamp "
-             "order) instead of a workload; the positional program "
-             "argument is ignored",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -166,21 +160,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.close()
         return 0
 
-    if args.trace or args.history:
-        from .obs_passes import lint_history_file, lint_trace_file
+    if args.trace:
+        from .obs_passes import lint_trace_file
 
         try:
-            if args.trace:
-                report = lint_trace_file(
-                    args.trace, disable=frozenset(args.disable)
-                )
-            else:
-                report = lint_history_file(
-                    args.history, disable=frozenset(args.disable)
-                )
+            report = lint_trace_file(
+                args.trace, disable=frozenset(args.disable)
+            )
         except ReproError as exc:
-            print(f"[repro-lint] {args.trace or args.history} "
-                  f"FAILED: {exc}", file=sys.stderr)
+            print(f"[repro-lint] {args.trace} FAILED: {exc}",
+                  file=sys.stderr)
             return 2
         try:
             return _finish(report, args)

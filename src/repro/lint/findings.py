@@ -96,6 +96,10 @@ RULES: Dict[str, Rule] = _registry([
          "marker PC resolves to no block in the program",
          "Sec. III-C: a marker names an instruction of the application",
          family="markers"),
+    Rule("CONF005", Severity.WARNING,
+         "profile produced too few slices for clustering to matter",
+         "Sec. III-E: SimPoint needs a population of slices to pick "
+         "representatives from", family="markers"),
     Rule("MARK006", Severity.ERROR,
          "a selected region's start marker does not dominate its end "
          "marker",
@@ -125,48 +129,6 @@ RULES: Dict[str, Rule] = _registry([
          "global sync sequence (gseq) is not dense and strictly ordered",
          "Sec. III-H: the recorded total order over sync actions is what "
          "constrained replay enforces", family="concurrency"),
-    # -- pipeline-config passes ------------------------------------------
-    Rule("CONF001", Severity.WARNING,
-         "flow-control window is large relative to the slice size",
-         "Sec. III-B: equal forward progress must hold at a granularity "
-         "much finer than a slice", family="config"),
-    Rule("CONF002", Severity.WARNING,
-         "warmup budget is shorter than one per-thread slice",
-         "Sec. III-F: checkpoint warmup must cover the region's "
-         "microarchitectural state", family="config"),
-    Rule("CONF003", Severity.ERROR,
-         "expected slice count exceeds the scale's max_slices guard",
-         "DESIGN.md 6: runaway slicing indicates a mis-sized slice_size",
-         family="config"),
-    Rule("CONF004", Severity.ERROR,
-         "startup_fraction outside [0, 1)",
-         "Sec. III-E: startup exclusion is a fraction of the run",
-         family="config"),
-    Rule("CONF005", Severity.WARNING,
-         "profile produced too few slices for clustering to matter",
-         "Sec. III-E: SimPoint needs a population of slices to pick "
-         "representatives from", family="config"),
-    # -- fault-plan passes ------------------------------------------------
-    Rule("FLT001", Severity.ERROR,
-         "fault plan names an unknown injection site",
-         "resilience design: a typo'd site silently injects nothing, so a "
-         "resilience test would pass without testing anything",
-         family="faultplan"),
-    Rule("FLT002", Severity.ERROR,
-         "fault-spec numeric field out of range",
-         "resilience design: probability must lie in [0, 1] and hang "
-         "durations must be non-negative for decisions to be "
-         "well-defined", family="faultplan"),
-    Rule("FLT003", Severity.ERROR,
-         "fault-spec mode invalid for its site",
-         "resilience design: each site understands a fixed set of modes "
-         "(e.g. cache.corrupt: truncate/garbage); others are dead config",
-         family="faultplan"),
-    Rule("FLT004", Severity.WARNING,
-         "worker.hang sleep does not exceed the job timeout",
-         "resilience design: a hang shorter than job_timeout_s just slows "
-         "the job down instead of exercising the timeout/terminate path",
-         family="faultplan"),
     # -- performance / evidence-completeness passes -----------------------
     Rule("PERF001", Severity.WARNING,
          "analysis trace truncated at the collector's event limit",
@@ -186,12 +148,6 @@ RULES: Dict[str, Rule] = _registry([
          "obs design: the bounded reader keeps damaged or huge traces "
          "from exhausting memory; findings on the parsed prefix remain "
          "valid, absences do not", family="obs"),
-    Rule("OBS003", Severity.ERROR,
-         "run-history record violates the schema or timestamp order",
-         "obs design: the regression gate trusts the history store — a "
-         "record missing required fields, carrying the wrong schema "
-         "marker, or timestamped before its predecessor would silently "
-         "poison the rolling baseline", family="obs"),
     # -- cross-artifact audit passes ---------------------------------------
     Rule("XAR001", Severity.ERROR,
          "BBV block universe is not a subset of the DCFG's executed "

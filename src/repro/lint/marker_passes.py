@@ -7,7 +7,8 @@ unmodified program on a fixed input.  Section III-D excludes spin loops
 (library images) because their counts are host-schedule-dependent.  These
 passes verify both properties on a concrete profile, plus the determinism
 that makes the whole analysis reproducible: profiling the same pinball
-twice must yield identical boundaries.
+twice must yield identical boundaries.  CONF005 rides along: a profile
+with too few slices leaves SimPoint nothing to choose between.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .findings import Finding, make_finding
 
 #: A slice-boundary signature: ``(pc, count)`` per internal boundary.
 BoundarySignature = List[Tuple[int, int]]
+
+#: CONF005 fires when a profile yields fewer slices than this.
+MIN_SLICES = 2
 
 
 def check_marker_blocks(
@@ -86,6 +90,17 @@ def check_monotone_counts(slices: Sequence[Slice]) -> List[Finding]:
                 ))
         prev_end = s.end
     return findings
+
+
+def check_slice_population(profile: ProfileData) -> List[Finding]:
+    """Rule CONF005: clustering needs a population of slices."""
+    if profile.num_slices < MIN_SLICES:
+        return [make_finding(
+            "CONF005", f"{profile.num_slices} slice(s)",
+            f"fewer than {MIN_SLICES} slices; SimPoint "
+            f"selection degenerates to whole-run simulation",
+        )]
+    return []
 
 
 def boundary_signature(slices: Sequence[Slice]) -> BoundarySignature:

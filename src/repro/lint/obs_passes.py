@@ -127,65 +127,6 @@ def check_parse_health(data: TraceData) -> List[Finding]:
     return findings
 
 
-#: Fields every history record must carry (audited by OBS003).
-_HISTORY_REQUIRED = (
-    "ts", "run_id", "workload", "mode", "coverage_pct", "wall_s",
-    "predicted_cycles",
-)
-
-
-def check_history_file(path: str) -> List[Finding]:
-    """OBS003: schema and timestamp-order audit of a run-history file.
-
-    Torn/unparseable lines are *not* findings — the store's append
-    protocol tolerates them by design and the loader counts them — but a
-    record that parses and then violates the schema, or runs time
-    backwards, would silently poison the regression gate's baseline.
-    """
-    from ..obs.history import HISTORY_SCHEMA, HistoryStore
-
-    findings: List[Finding] = []
-    records, _ = HistoryStore(path).load()
-    prev_ts: Optional[float] = None
-    for idx, record in enumerate(records):
-        where = f"{path}:record {idx}"
-        if record.schema != HISTORY_SCHEMA:
-            findings.append(make_finding(
-                "OBS003", where,
-                f"schema marker {record.schema!r} is not "
-                f"{HISTORY_SCHEMA!r} — written by an incompatible "
-                f"version, or hand-edited",
-            ))
-        data = record.as_dict()
-        missing = [
-            f for f in _HISTORY_REQUIRED
-            if data.get(f) in (None, "") and f != "ts"
-        ]
-        if not record.ts:
-            missing.insert(0, "ts")
-        if missing:
-            findings.append(make_finding(
-                "OBS003", where,
-                f"required field(s) missing or empty: "
-                f"{', '.join(missing)}",
-            ))
-        if record.mode not in ("offline", "live"):
-            findings.append(make_finding(
-                "OBS003", where,
-                f"mode {record.mode!r} is neither 'offline' nor 'live'",
-            ))
-        if prev_ts is not None and record.ts < prev_ts:
-            findings.append(make_finding(
-                "OBS003", where,
-                f"timestamp {record.ts:.6f} precedes its predecessor "
-                f"{prev_ts:.6f} — append order must be time order "
-                f"(records merged from another machine, or a clock "
-                f"stepped backwards)",
-            ))
-        prev_ts = record.ts
-    return findings
-
-
 def lint_trace_file(
     path: str,
     limits: Optional[TraceLimits] = None,
@@ -206,17 +147,4 @@ def lint_trace_file(
             f for f in check(data) if f.rule_id not in disable
         )
         report.mark_pass(name)
-    return report
-
-
-def lint_history_file(
-    path: str,
-    disable: FrozenSet[str] = frozenset(),
-) -> LintReport:
-    """Run the OBS003 history audit over one history file."""
-    report = LintReport(subject=path, disabled=sorted(disable))
-    report.extend(
-        f for f in check_history_file(path) if f.rule_id not in disable
-    )
-    report.mark_pass("obs.history")
     return report

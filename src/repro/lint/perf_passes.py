@@ -1,8 +1,8 @@
 """Performance / evidence-completeness passes.
 
-The lint replay attaches a bounded :class:`~repro.exec_engine.observers.
-TraceCollector` (cap from :class:`~repro.config.LintThresholds.trace_limit`)
-so block-level evidence is available to future passes without risking
+The lint replay attaches a :class:`~repro.exec_engine.observers.
+TraceCollector` bounded at :data:`TRACE_LIMIT` block events so
+block-level evidence is available to future passes without risking
 unbounded memory on huge runs.  Truncation no longer raises (the collector
 drops the tail and sets ``truncated``); PERF001 surfaces that drop, because
 every conclusion of the form "no finding" is only as good as the evidence
@@ -15,6 +15,10 @@ from typing import List
 
 from ..exec_engine.observers import TraceCollector
 from .findings import Finding, make_finding
+
+#: Block-event cap of the trace collector lint attaches to its analysis
+#: replay; PERF001 fires if the replay overflows it.
+TRACE_LIMIT = 5_000_000
 
 
 def check_trace_truncation(trace: TraceCollector) -> List[Finding]:
@@ -38,7 +42,6 @@ def check_trace_truncation(trace: TraceCollector) -> List[Finding]:
             f"stream), dropped {trace.dropped_blocks} block / "
             f"{trace.dropped_syncs} sync events past the cap; block-level "
             f"evidence covers only a prefix of the run — raise "
-            f"LintThresholds.trace_limit (or set it to None) for full "
-            f"coverage",
+            f"repro.lint.perf_passes.TRACE_LIMIT for full coverage",
         ))
     return findings

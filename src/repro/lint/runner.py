@@ -4,9 +4,10 @@ The expensive families share their inputs: one constrained analysis
 replay feeds ``dcfg`` / ``concurrency`` / ``perf`` / ``dominance`` /
 ``xar`` (a DCFG builder, a concurrency analyzer, a sync log and a trace
 collector all observe it), and ``MARK004`` costs one more profiling
-replay.  The cheap families (fault-plan structure, static marker checks,
-config arithmetic, the live audit, store hygiene) need no replay.
-Everything runs serially in the calling process.
+replay.  The cheap families (static marker checks, the live audit, store
+hygiene) need no replay.  Everything runs serially in the calling
+process.  Configuration, fault plans and history records are checked
+where they are parsed, not here.
 
 Rule suppression is resolved *before* passes run: a family whose rules
 are all disabled is never executed (disabling ``MARK004`` alone drops the
@@ -23,9 +24,7 @@ from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Tuple, TYPE_CHECKING,
 )
 
-from ..config import DEFAULT_LINT_THRESHOLDS, LintThresholds
 from ..dcfg.graph import DCFGBuilder
-from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from ..exec_engine.observers import SyncEventLog, TraceCollector
 from ..pinplay.replayer import ConstrainedReplayer
 from .concurrency_passes import (
@@ -35,15 +34,15 @@ from .concurrency_passes import (
     check_lock_order,
     check_races,
 )
-from .config_passes import check_fault_plan, run_config_passes
 from .dcfg_passes import check_marker_dominance, run_dcfg_passes
 from .findings import Finding, LintReport, RULES, rule_families
 from .marker_passes import (
     check_marker_blocks,
     check_monotone_counts,
     check_replay_invariance,
+    check_slice_population,
 )
-from .perf_passes import check_trace_truncation
+from .perf_passes import TRACE_LIMIT, check_trace_truncation
 from .store_passes import run_store_passes
 from .xar_passes import read_trace_for_audit, run_xar_passes
 
@@ -61,8 +60,8 @@ REPLAY_FAMILIES: FrozenSet[str] = frozenset(
 #: Report-assembly order; also the order families are marked in
 #: ``passes_run``.
 FAMILY_ORDER: Tuple[str, ...] = (
-    "faultplan", "dcfg", "concurrency", "perf", "markers",
-    "invariance", "dominance", "config", "xar", "live", "store",
+    "dcfg", "concurrency", "perf", "markers", "invariance", "dominance",
+    "xar", "live", "store",
 )
 
 
@@ -75,11 +74,6 @@ class LintOptions:
     check_invariance: bool = True
     #: Rule ids to suppress (see docs/METHODOLOGY.md, "Validating a run").
     disable: FrozenSet[str] = field(default_factory=frozenset)
-    thresholds: LintThresholds = field(
-        default_factory=lambda: DEFAULT_LINT_THRESHOLDS
-    )
-    #: Flow-control window the recording used.
-    flow_window: int = DEFAULT_FLOW_WINDOW
 
     def __post_init__(self) -> None:
         unknown = set(self.disable) - set(RULES)
@@ -104,7 +98,6 @@ def _replay_findings(
     profile: "ProfileData",
     selection: Optional["SimPointSelection"],
     want: FrozenSet[str],
-    trace_limit: Optional[int],
 ) -> Dict[str, List[Finding]]:
     """One constrained analysis replay feeding every wanted replay family."""
     program = pipeline.workload.program
@@ -114,7 +107,7 @@ def _replay_findings(
     )
     analyzer = ConcurrencyAnalyzer(pinball.nthreads)
     sync_log = SyncEventLog(pinball.nthreads)
-    trace = TraceCollector(limit=trace_limit)
+    trace = TraceCollector(limit=TRACE_LIMIT)
     ConstrainedReplayer(
         program, pinball, observers=(builder, analyzer, sync_log, trace),
     ).run()
@@ -164,22 +157,6 @@ def lint_pipeline(
 
     workload = pipeline.workload
     report = LintReport(subject=workload.full_name, disabled=sorted(disable))
-    if pipeline.options.fault_plan is not None:
-        if enabled("faultplan"):
-            # Checked first, and without installing the plan: a
-            # structurally invalid plan would make every later stage raise
-            # at install time, so lint reports it as findings and stops
-            # instead of crashing.
-            report.extend(_keep(check_fault_plan(
-                pipeline.options.fault_plan,
-                job_timeout_s=pipeline.options.job_timeout_s,
-            ), disable))
-            report.mark_pass("faultplan")
-            if report.has_errors:
-                return report
-        else:
-            report.mark_pass("faultplan", source="skipped")
-
     # A live pipeline is linted against its streamed profile — forcing
     # pipeline.profile() here would run the offline replay live mode
     # exists to skip.  Its boundaries equal the offline profile's by
@@ -194,9 +171,7 @@ def lint_pipeline(
         want_replay -= {"dominance", "xar"}
     want_invariance = options.check_invariance and enabled("invariance")
     profile: Optional["ProfileData"] = None
-    if want_replay or want_invariance or enabled("markers") or enabled(
-        "config"
-    ):
+    if want_replay or want_invariance or enabled("markers"):
         profile = live.profile if live is not None else pipeline.profile()
 
     program = workload.program
@@ -208,7 +183,6 @@ def lint_pipeline(
         )
         computed.update(_replay_findings(
             pipeline, profile, selection, want_replay,
-            options.thresholds.trace_limit,
         ))
     if want_invariance and profile is not None:
         computed["invariance"] = check_replay_invariance(
@@ -216,29 +190,15 @@ def lint_pipeline(
         )
 
     for family in FAMILY_ORDER:
-        if family == "faultplan":
-            continue  # handled above, and only when a plan exists
         if family == "markers":
             if profile is None or not enabled("markers"):
                 report.mark_pass("markers", source="skipped")
                 continue
             findings = check_marker_blocks(program, profile.marker_pcs)
             findings.extend(check_monotone_counts(profile.slices))
+            findings.extend(check_slice_population(profile))
             report.extend(_keep(findings, disable))
             report.mark_pass("markers")
-        elif family == "config":
-            if profile is None or not enabled("config"):
-                report.mark_pass("config", source="skipped")
-                continue
-            report.extend(_keep(run_config_passes(
-                pipeline.options.resolved_scale(),
-                pipeline.slice_size,
-                pipeline.options.startup_fraction,
-                profile=profile,
-                flow_window=options.flow_window,
-                thresholds=options.thresholds,
-            ), disable))
-            report.mark_pass("config")
         elif family == "live":
             # Runs only when this pipeline actually executed a live
             # pass: the checks are arithmetic over the in-memory

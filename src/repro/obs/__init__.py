@@ -29,6 +29,7 @@ from .console import Console
 from .export import otlp_json, prometheus_text
 from .history import (
     HISTORY_SCHEMA,
+    HistoryError,
     HistoryRecord,
     HistoryStore,
     Regression,
@@ -66,6 +67,7 @@ __all__ = [
     "ErrorAttribution",
     "HISTORY_SCHEMA",
     "Histogram",
+    "HistoryError",
     "HistoryRecord",
     "HistoryStore",
     "MetricsRegistry",

@@ -26,6 +26,7 @@ import json
 import sys
 from typing import List, Optional
 
+from .history import HistoryError
 from .report import folded_stacks, render_diff, render_report
 from .trace import DEFAULT_LIMITS, TraceError, TraceLimits, read_trace
 
@@ -81,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         "history", help="run-history trends and regression gate",
     )
     history.add_argument(
-        "history_file", help="history file (JSON lines, see repro-lint "
-                             "--history for its audit)",
+        "history_file", help="history file (JSON lines; a record that "
+                             "violates the schema or time order exits 2)",
     )
     history.add_argument(
         "--check", action="store_true",
@@ -180,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_export(args, limits)
         elif args.command == "history":
             return _cmd_history(args)
-    except TraceError as exc:
+    except (TraceError, HistoryError) as exc:
         print(f"repro-obs: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # e.g. `repro-obs report ... | head`

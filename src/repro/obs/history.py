@@ -32,8 +32,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: History record schema marker (field audited by lint rule OBS003).
+from ..errors import ReproError
+
+#: History record schema marker; a record carrying any other is rejected.
 HISTORY_SCHEMA = "repro-history/1"
+
+#: Fields every history record line must carry.
+REQUIRED_FIELDS = (
+    "schema", "ts", "run_id", "workload", "mode", "coverage_pct", "wall_s",
+    "predicted_cycles",
+)
+
+#: The pipeline modes a record may come from.
+MODES = ("offline", "live")
 
 #: Keep at most this many records per history file before compaction.
 DEFAULT_MAX_RECORDS = 512
@@ -50,6 +61,10 @@ DEFAULT_ERROR_ABS_PP = 0.5
 
 #: Coverage may drop at most this many percentage points vs baseline.
 DEFAULT_COVERAGE_DROP_PP = 5.0
+
+
+class HistoryError(ReproError):
+    """A history record violates the schema, or time runs backwards."""
 
 
 @dataclass
@@ -95,26 +110,52 @@ class HistoryRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "HistoryRecord":
-        return cls(
-            workload=str(data.get("workload", "")),
-            mode=str(data.get("mode", "offline")),
-            ts=float(data.get("ts", 0.0)),
-            run_id=str(data.get("run_id", "")),
-            runtime_error_pct=(
-                float(data["runtime_error_pct"])
-                if data.get("runtime_error_pct") is not None else None
-            ),
-            coverage_pct=float(data.get("coverage_pct", 0.0)),
-            wall_s=float(data.get("wall_s", 0.0)),
-            predicted_cycles=int(data.get("predicted_cycles", 0)),
-            actual_cycles=(
-                int(data["actual_cycles"])
-                if data.get("actual_cycles") is not None else None
-            ),
-            num_looppoints=int(data.get("num_looppoints", 0)),
-            counters=dict(data.get("counters", {})),
-            schema=str(data.get("schema", "")),
-        )
+        """Parse one record, rejecting anything the regression gate could
+        misread: a missing or empty required field (no defaults are
+        filled in), a foreign schema marker, or an unknown mode."""
+        if not isinstance(data, dict):
+            raise HistoryError(f"history record is not an object: {data!r}")
+        missing = [f for f in REQUIRED_FIELDS if data.get(f) in (None, "")]
+        if missing:
+            raise HistoryError(
+                f"history record lacks required field(s): "
+                f"{', '.join(missing)}"
+            )
+        if data["schema"] != HISTORY_SCHEMA:
+            raise HistoryError(
+                f"history schema marker {data['schema']!r} is not "
+                f"{HISTORY_SCHEMA!r}"
+            )
+        if data["mode"] not in MODES:
+            raise HistoryError(
+                f"history mode {data['mode']!r} is neither 'offline' nor "
+                f"'live'"
+            )
+        try:
+            return cls(
+                workload=str(data["workload"]),
+                mode=data["mode"],
+                ts=float(data["ts"]),
+                run_id=str(data["run_id"]),
+                runtime_error_pct=(
+                    float(data["runtime_error_pct"])
+                    if data.get("runtime_error_pct") is not None else None
+                ),
+                coverage_pct=float(data["coverage_pct"]),
+                wall_s=float(data["wall_s"]),
+                predicted_cycles=int(data["predicted_cycles"]),
+                actual_cycles=(
+                    int(data["actual_cycles"])
+                    if data.get("actual_cycles") is not None else None
+                ),
+                num_looppoints=int(data.get("num_looppoints", 0)),
+                counters=dict(data.get("counters", {})),
+                schema=data["schema"],
+            )
+        except (TypeError, ValueError) as exc:
+            raise HistoryError(
+                f"history record has a malformed field: {exc}"
+            ) from None
 
 
 def history_path_for(cache_dir: str, workload: str) -> str:
@@ -138,7 +179,16 @@ class HistoryStore:
         """Append one record (manifest protocol), then enforce retention.
 
         Returns the record count after retention, for status lines.
+        Raises :class:`HistoryError`, and writes nothing, when the file
+        already fails to load or ``record`` predates its newest record.
         """
+        records, _ = self.load()
+        if records and record.ts < records[-1].ts:
+            raise HistoryError(
+                f"record timestamp {record.ts:.6f} precedes the newest "
+                f"record's {records[-1].ts:.6f}; the clock stepped "
+                f"backwards"
+            )
         line = json.dumps(
             record.as_dict(), sort_keys=True, separators=(",", ":")
         )
@@ -180,7 +230,13 @@ class HistoryStore:
     # -- reading ------------------------------------------------------------
 
     def load(self) -> Tuple[List[HistoryRecord], int]:
-        """All records in file order, plus the torn/corrupt line count."""
+        """All records in file order, plus the torn line count.
+
+        A line that is not JSON is a torn write: it is skipped and
+        counted.  A line that parses but is not a valid record, or whose
+        timestamp precedes its predecessor's, raises :class:`HistoryError`
+        naming the line.
+        """
         records: List[HistoryRecord] = []
         corrupt = 0
         try:
@@ -188,7 +244,7 @@ class HistoryStore:
                 raw = fh.read()
         except OSError:
             return [], 0
-        for line in raw.splitlines():
+        for lineno, line in enumerate(raw.splitlines(), 1):
             if not line.strip():
                 continue
             try:
@@ -196,10 +252,18 @@ class HistoryStore:
             except ValueError:
                 corrupt += 1
                 continue
-            if not isinstance(data, dict) or "workload" not in data:
-                corrupt += 1
-                continue
-            records.append(HistoryRecord.from_dict(data))
+            where = f"{self.path}:{lineno}"
+            try:
+                record = HistoryRecord.from_dict(data)
+            except HistoryError as exc:
+                raise HistoryError(f"{where}: {exc}") from None
+            if records and record.ts < records[-1].ts:
+                raise HistoryError(
+                    f"{where}: timestamp {record.ts:.6f} precedes its "
+                    f"predecessor's {records[-1].ts:.6f}; append order "
+                    f"must be time order"
+                )
+            records.append(record)
         return records, corrupt
 
 

@@ -57,7 +57,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
     ClusteringError,
@@ -114,6 +114,32 @@ class FaultSpec:
     #: Sleep length of a ``worker.hang`` fire.
     hang_s: float = 30.0
 
+    def __post_init__(self) -> None:
+        """Reject a spec that could never fire as written.
+
+        A typo'd site or mode would silently inject nothing, so a
+        resilience test would pass without testing anything; an
+        out-of-range probability or negative sleep has no defined meaning.
+        """
+        if self.site not in SITES:
+            raise FaultInjectionError(
+                f"unknown injection site {self.site!r}; known sites: "
+                f"{', '.join(sorted(SITES))}"
+            )
+        if not 0.0 <= self.probability <= 1.0:
+            raise FaultInjectionError(
+                f"{self.site}: probability {self.probability} outside [0, 1]"
+            )
+        if self.hang_s < 0:
+            raise FaultInjectionError(
+                f"{self.site}: hang_s {self.hang_s} is negative"
+            )
+        if self.mode not in SITES[self.site]:
+            raise FaultInjectionError(
+                f"{self.site}: mode {self.mode!r} invalid; allowed: "
+                f"{SITES[self.site]}"
+            )
+
 
 @dataclass
 class FaultPlan:
@@ -150,36 +176,6 @@ class FaultPlan:
                 self._fires[index] += 1
                 return spec
         return None
-
-    # -- validation ----------------------------------------------------------
-
-    def iter_problems(self) -> Iterator[Tuple[str, str, str]]:
-        """Yield ``(code, location, message)`` for every malformed spec.
-
-        Codes: ``unknown-site``, ``bad-probability``, ``bad-hang``,
-        ``bad-mode``.  An empty iteration means the plan is runnable.
-        """
-        for index, spec in enumerate(self.faults):
-            where = f"faults[{index}] ({spec.site})"
-            if spec.site not in SITES:
-                yield ("unknown-site", where,
-                       f"unknown injection site {spec.site!r}; known sites: "
-                       f"{', '.join(sorted(SITES))}")
-                continue
-            if not 0.0 <= spec.probability <= 1.0:
-                yield ("bad-probability", where,
-                       f"probability {spec.probability} outside [0, 1]")
-            if spec.hang_s < 0:
-                yield ("bad-hang", where, f"hang_s {spec.hang_s} is negative")
-            if spec.mode not in SITES[spec.site]:
-                yield ("bad-mode", where,
-                       f"mode {spec.mode!r} invalid for site {spec.site!r}; "
-                       f"allowed: {SITES[spec.site]}")
-
-    def validate(self) -> None:
-        """Raise :class:`FaultInjectionError` on the first malformed spec."""
-        for _code, where, message in self.iter_problems():
-            raise FaultInjectionError(f"invalid fault plan: {where}: {message}")
 
     # -- serialization -------------------------------------------------------
 
@@ -250,8 +246,6 @@ _ACTIVE: Optional[FaultPlan] = None
 def install_fault_plan(plan: Optional[FaultPlan]) -> None:
     """Make ``plan`` the process's active plan (``None`` disables)."""
     global _ACTIVE
-    if plan is not None:
-        plan.validate()
     _ACTIVE = plan
 
 

@@ -1,5 +1,6 @@
 """Tests for repro.config: cache geometry, system variants, scales."""
 
+import dataclasses
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from repro.config import (
     GAINESTOWN_8CORE,
     GAINESTOWN_16CORE,
     LINE_SHIFT,
+    ReproScale,
     SystemConfig,
     get_scale,
 )
@@ -71,6 +73,21 @@ class TestScales:
             scale = get_scale(name)
             assert scale.name == name
             assert scale.slice_size_per_thread > 0
+
+    def test_warmup_must_cover_one_slice(self):
+        # Sec. III-F; every shipped scale already satisfies it.
+        for name in ("tiny", "small", "full"):
+            scale = get_scale(name)
+            assert scale.warmup_instructions >= scale.slice_size_per_thread
+            edge = dataclasses.replace(
+                scale, warmup_instructions=scale.slice_size_per_thread
+            )
+            assert edge.warmup_instructions == scale.slice_size_per_thread
+        with pytest.raises(WorkloadError, match="warmup_instructions 999"):
+            ReproScale(
+                name="short", slice_size_per_thread=1000,
+                warmup_instructions=999, input_scale={"test": 1.0},
+            )
 
     def test_slice_size_scales_with_threads(self):
         scale = get_scale("small")

@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import LintThresholds, get_scale
+from repro.config import get_scale
+from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.dcfg import DCFG
 from repro.dcfg.graph import ENTRY
 from repro.exec_engine.events import (
@@ -19,6 +20,8 @@ from repro.exec_engine.events import (
     SYNC_LOCK_ACQ,
     SYNC_LOCK_REL,
 )
+from repro.errors import WorkloadError
+from repro.exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from repro.exec_engine.observers import SyncEventLog
 from repro.isa import ProgramBuilder
 from repro.lint import Finding, LintOptions, LintReport, RULES, Severity
@@ -29,10 +32,6 @@ from repro.lint.concurrency_passes import (
     check_lock_order,
     check_races,
 )
-from repro.lint.config_passes import (
-    check_flow_window,
-    check_startup_fraction,
-)
 from repro.lint.dcfg_passes import (
     check_dominators,
     check_flow_conservation,
@@ -40,11 +39,15 @@ from repro.lint.dcfg_passes import (
     check_reachability,
 )
 from repro.lint.findings import make_finding
+from repro.lint.runner import lint_pipeline
 from repro.lint.marker_passes import check_marker_blocks, check_monotone_counts
 from repro.profiling import Marker
 from repro.profiling.slicer import Slice
+from repro.workloads.registry import get_workload
 
 from conftest import build_toy
+
+TINY = get_scale("tiny")
 
 
 def _graph(edges):
@@ -81,7 +84,7 @@ class TestFindings:
     def test_exit_code_and_counts(self):
         report = LintReport(subject="t")
         assert report.exit_code == 0
-        report.add(make_finding("CONF001", "w", "m"))  # warning
+        report.add(make_finding("CONF005", "w", "m"))  # warning
         assert report.exit_code == 0
         report.add(make_finding("MARK001", "p", "m"))  # error
         assert report.exit_code == 1
@@ -228,6 +231,21 @@ class TestMarkerPasses:
         findings = check_monotone_counts(slices)
         assert _rules(findings) == {"MARK003"}
 
+    def test_single_slice_profile_warns(self):
+        # One slice spanning the whole run: the markers family reports
+        # CONF005, and lint computes nothing that needs a replay.
+        workload = get_workload("demo-matrix-1", None, 4, scale=TINY)
+        pipeline = LoopPointPipeline(workload, options=LoopPointOptions(
+            scale=TINY, slice_size=10**9,
+        ))
+        disable = frozenset(
+            rid for rid, rule in RULES.items() if rule.family != "markers"
+        )
+        report = lint_pipeline(pipeline, LintOptions(disable=disable))
+        assert [f.rule_id for f in report.findings] == ["CONF005"]
+        assert report.findings[0].severity == Severity.WARNING
+        assert report.family_sources["markers"] == "computed"
+
 
 # ---------------------------------------------------------------------------
 # concurrency passes
@@ -336,28 +354,35 @@ class TestConcurrencyPasses:
 
 
 # ---------------------------------------------------------------------------
-# pipeline-config passes
+# pipeline-config checks: the former CONF001/CONF004 rules now raise where
+# the options are parsed (ReproScale's CONF002 check is in test_config).
 
 
 class TestConfigPasses:
     def test_oversized_flow_window(self):
-        findings = check_flow_window(slice_size=1000, flow_window=900)
-        assert _rules(findings) == {"CONF001"}
+        workload = get_workload("demo-matrix-1", None, 4, scale=TINY)
+        with pytest.raises(WorkloadError, match="flow-control window"):
+            LoopPointPipeline(workload, options=LoopPointOptions(
+                scale=TINY, slice_size=2 * DEFAULT_FLOW_WINDOW - 1,
+            ))
 
     def test_default_window_ok_for_roomy_slices(self):
-        assert check_flow_window(slice_size=30_000) == []
-
-    def test_threshold_override(self):
-        strict = LintThresholds(max_flow_window_fraction=0.01)
-        findings = check_flow_window(
-            slice_size=10_000, flow_window=500, thresholds=strict
-        )
-        assert _rules(findings) == {"CONF001"}
+        workload = get_workload("demo-matrix-1", None, 4, scale=TINY)
+        for slice_size in (2 * DEFAULT_FLOW_WINDOW, 30_000):
+            pipeline = LoopPointPipeline(workload, options=LoopPointOptions(
+                scale=TINY, slice_size=slice_size,
+            ))
+            assert pipeline.slice_size == slice_size
 
     def test_bad_startup_fraction(self):
-        assert _rules(check_startup_fraction(1.0)) == {"CONF004"}
-        assert _rules(check_startup_fraction(-0.1)) == {"CONF004"}
-        assert check_startup_fraction(0.0) == []
+        for bad in (-0.1, 1.5):
+            with pytest.raises(WorkloadError, match="startup_fraction"):
+                LoopPointOptions(startup_fraction=bad)
+        # 1.0 parses; select() rejects it by name once the profile shows
+        # every slice is barred.
+        for ok in (0.0, 1.0):
+            options = LoopPointOptions(startup_fraction=ok)
+            assert options.startup_fraction == ok
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +410,7 @@ class TestEndToEnd:
         assert "demo-matrix-1" in data["subject"]
         assert set(data["passes_run"]) == {
             "dcfg", "concurrency", "perf", "markers", "invariance",
-            "dominance", "config", "xar", "live", "store",
+            "dominance", "xar", "live", "store",
         }
         # --no-invariance skips the family instead of silently running it.
         assert data["family_sources"]["invariance"] == "skipped"
@@ -417,9 +442,6 @@ class TestEndToEnd:
 
     def test_pipeline_lint_option(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
-        from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-        from repro.workloads.registry import get_workload
-
         scale = get_scale()
         workload = get_workload("demo-matrix-1", None, 4, scale=scale)
         pipeline = LoopPointPipeline(

@@ -50,7 +50,6 @@ class TestFamilyShortCircuit:
             assert report.family_sources[family] == "skipped"
         # The cheap families still ran.
         assert report.family_sources["markers"] == "computed"
-        assert report.family_sources["config"] == "computed"
 
     def test_disabling_mark004_skips_the_invariance_replay(
         self, monkeypatch
@@ -96,7 +95,7 @@ class TestBaseline:
     def _report(self):
         report = LintReport(subject="t")
         report.add(make_finding("DCFG001", "node 3", "broken flow"))
-        report.add(make_finding("CONF001", "window", "too wide"))
+        report.add(make_finding("CONF005", "1 slice(s)", "too few"))
         return report
 
     def test_round_trip(self, tmp_path):
@@ -150,7 +149,7 @@ class TestSarif:
             witness=("ENTRY", "init.hdr", "work.hdr"),
         ))
         report.baselined.append(
-            make_finding("CONF001", "window", "known debt")
+            make_finding("CONF005", "1 slice(s)", "known debt")
         )
         return report
 
@@ -176,7 +175,7 @@ class TestSarif:
         states = {
             r["ruleId"]: r.get("baselineState") for r in results
         }
-        assert states["CONF001"] == "unchanged"
+        assert states["CONF005"] == "unchanged"
         assert states["DCFG001"] is None
 
     def test_validator_catches_seeded_damage(self):

@@ -9,7 +9,8 @@ Covers the second-generation obs contracts:
   buckets, exact ``_sum``/``_count``, 16/8-byte ids);
 * the run-history store appends crash-safely, enforces retention, and
   its regression gate passes identical reruns while failing a seeded
-  accuracy regression (OBS003 audits the file);
+  accuracy regression, and its loader rejects records that would poison
+  the gate's baseline;
 * the bounded trace reader keeps truncation/corruption accounting
   correct across multi-segment traces.
 """
@@ -18,17 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
 from conftest import TEST_SCALE
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-from repro.lint.obs_passes import (
-    check_history_file,
-    lint_history_file,
-    lint_trace_file,
-)
+from repro.lint.obs_passes import lint_trace_file
 from repro.obs import (
+    HistoryError,
     HistoryRecord,
     HistoryStore,
     TraceLimits,
@@ -461,16 +460,47 @@ class TestHistoryCli:
         assert obs_main(["history", str(tmp_path / "none.jsonl")]) == 2
         assert "no history records" in capsys.readouterr().err
 
+    def test_invalid_record_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "h.jsonl")
+        HistoryStore(path).append(_record(1.0))
+        bad = _record(2.0).as_dict()
+        bad["schema"] = "repro-history/0"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        assert obs_main(["history", path, "--check"]) == 2
+        assert "schema marker" in capsys.readouterr().err
+
+    def test_run_survives_a_damaged_history_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        cache = str(tmp_path / "cache")
+        path = history_path_for(cache, "demo-matrix-1")
+        os.makedirs(os.path.dirname(path))
+        bad = _record(1.0).as_dict()
+        del bad["mode"]
+        _write_lines(path, [bad])
+        assert main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
+                     "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "append failed" in out and "run unaffected" in out
+        # Nothing was written behind the bad line.
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 1
+
 
 class TestHistoryLint:
+    """The loader rejects what the retired lint audit used to report."""
+
     def test_clean_file_passes(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
         store = HistoryStore(path)
         store.append(_record(1.0))
         store.append(_record(2.0))
-        report = lint_history_file(path)
-        assert report.exit_code == 0
-        assert "obs.history" in report.passes_run
+        records, corrupt = store.load()
+        assert [r.ts for r in records] == [1.0, 2.0] and corrupt == 0
 
     def test_wrong_schema_and_backwards_time_flagged(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
@@ -478,32 +508,47 @@ class TestHistoryLint:
         stale = _record(1.0).as_dict()
         bad_schema = _record(6.0).as_dict()
         bad_schema["schema"] = "repro-history/0"
-        _write_lines(path, [good, stale, bad_schema])
-        findings = check_history_file(path)
-        assert any("precedes" in f.message for f in findings)
-        assert any("schema marker" in f.message for f in findings)
-        assert all(f.rule_id == "OBS003" for f in findings)
+        _write_lines(path, [good, stale])
+        with pytest.raises(HistoryError, match=r"h\.jsonl:2: .*precedes"):
+            HistoryStore(path).load()
+        _write_lines(path, [good, bad_schema])
+        with pytest.raises(HistoryError, match="schema marker"):
+            HistoryStore(path).load()
 
     def test_missing_fields_flagged(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
         doc = _record(1.0).as_dict()
         del doc["run_id"]
+        _write_lines(path, [doc])
+        with pytest.raises(HistoryError, match="run_id"):
+            HistoryStore(path).load()
+        doc = _record(1.0).as_dict()
         doc["mode"] = "speculative"
         _write_lines(path, [doc])
-        findings = check_history_file(path)
-        assert any("run_id" in f.message for f in findings)
-        assert any("neither" in f.message for f in findings)
+        with pytest.raises(HistoryError, match="neither"):
+            HistoryStore(path).load()
 
-    def test_lint_cli_history_mode(self, tmp_path, capsys):
-        from repro.lint.cli import main as lint_main
-
+    @pytest.mark.parametrize("field", ["coverage_pct", "mode", "schema"])
+    def test_missing_field_is_not_defaulted(self, tmp_path, field):
+        # A default would enter the gate's baseline as coverage 0.0 or
+        # mode "offline"; the loader must refuse the line instead.
         path = str(tmp_path / "h.jsonl")
-        HistoryStore(path).append(_record(1.0))
-        assert lint_main(["--history", path]) == 0
-        assert "no findings" in capsys.readouterr().out
-        bad = str(tmp_path / "bad.jsonl")
-        _write_lines(bad, [_record(2.0).as_dict(), _record(1.0).as_dict()])
-        assert lint_main(["--history", bad]) == 1
+        doc = _record(1.0).as_dict()
+        del doc[field]
+        _write_lines(path, [_record(0.5).as_dict(), doc])
+        with pytest.raises(HistoryError, match=field):
+            HistoryStore(path).load()
+
+    def test_append_refuses_a_backwards_clock(self, tmp_path):
+        path = str(tmp_path / "h.jsonl")
+        store = HistoryStore(path)
+        store.append(_record(5.0))
+        with pytest.raises(HistoryError, match="precedes"):
+            store.append(_record(4.0))
+        # The refused record was never written: the file still loads.
+        records, corrupt = store.load()
+        assert [r.ts for r in records] == [5.0] and corrupt == 0
+        assert store.append(_record(5.0)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Resilience: fault injection, resumable runs, and graceful degradation.
 
 Covers the PR's tentpole (the ``repro.resilience`` subsystem wired through
-the executor, the pipeline, the CLI, and lint) and its satellites: the
+the executor, the pipeline and the CLI) and its satellites: the
 per-round executor timeout accounting, cache-corruption recovery, resume
 semantics of the run manifest, degrade policies with cluster-weight
-renormalization, and the FLT lint rules.
+renormalization, and fault-plan validation at parse time.
 
 The two ISSUE acceptance scenarios are here verbatim:
 
@@ -42,7 +42,6 @@ from repro.errors import (
     ResumeError,
     SimulationError,
 )
-from repro.lint.config_passes import check_fault_plan
 from repro.lint.runner import lint_pipeline
 from repro.parallel import (
     ArtifactCache,
@@ -185,31 +184,46 @@ class TestFaultPlanDecisions:
 
 
 class TestFaultPlanValidation:
+    """A malformed spec raises where it is built or parsed (the former
+    lint rules FLT001-FLT003), so no plan ever holds one."""
+
     def test_valid_plan_has_no_problems(self):
         plan = _plan(
             FaultSpec(WORKER_CRASH, match=":attempt:0"),
             FaultSpec(CACHE_CORRUPT, mode="garbage"),
         )
-        assert list(plan.iter_problems()) == []
-        plan.validate()
+        install_fault_plan(plan)
+        assert active_plan() is plan
 
     @pytest.mark.parametrize("spec,code", [
-        (FaultSpec("worker.explode"), "unknown-site"),
-        (FaultSpec(JOB_ERROR, probability=1.5), "bad-probability"),
-        (FaultSpec(JOB_ERROR, probability=-0.1), "bad-probability"),
-        (FaultSpec(WORKER_HANG, hang_s=-1.0), "bad-hang"),
-        (FaultSpec(JOB_ERROR, mode="garbage"), "bad-mode"),
-        (FaultSpec(CACHE_CORRUPT, mode="shred"), "bad-mode"),
+        (dict(site="worker.explode"), "unknown-site"),
+        (dict(site=JOB_ERROR, probability=1.5), "bad-probability"),
+        (dict(site=JOB_ERROR, probability=-0.1), "bad-probability"),
+        (dict(site=WORKER_HANG, hang_s=-1.0), "bad-hang"),
+        (dict(site=JOB_ERROR, mode="garbage"), "bad-mode"),
+        (dict(site=CACHE_CORRUPT, mode="shred"), "bad-mode"),
     ])
-    def test_problem_codes(self, spec, code):
-        codes = [c for c, _, _ in _plan(spec).iter_problems()]
-        assert code in codes
-        with pytest.raises(FaultInjectionError):
-            _plan(spec).validate()
+    def test_problem_codes(self, spec, code, tmp_path):
+        match = {
+            "unknown-site": "unknown injection site",
+            "bad-probability": "outside \\[0, 1\\]",
+            "bad-hang": "hang_s .* is negative",
+            "bad-mode": "mode .* invalid",
+        }[code]
+        with pytest.raises(FaultInjectionError, match=match):
+            FaultSpec(**spec)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"faults": [spec]}))
+        with pytest.raises(FaultInjectionError, match=match):
+            FaultPlan.from_json_file(str(path))
 
     def test_every_catalogued_site_round_trips(self):
-        plan = _plan(*(FaultSpec(site) for site in sorted(SITES)))
-        assert list(plan.iter_problems()) == []
+        plan = _plan(*(
+            FaultSpec(site, mode=mode)
+            for site in sorted(SITES) for mode in SITES[site]
+        ))
+        loaded = FaultPlan.from_dict(json.loads(plan.to_json()))
+        assert loaded.faults == plan.faults
 
 
 class TestFaultPlanSerialization:
@@ -245,7 +259,7 @@ class TestFaultPlanSerialization:
 
     def test_shipped_ci_plans_are_valid(self):
         for path in sorted((ROOT / "ci" / "fault-plans").glob("*.json")):
-            FaultPlan.from_json_file(str(path)).validate()
+            assert FaultPlan.from_json_file(str(path)).faults
 
 
 class TestInstallAndScope:
@@ -257,6 +271,7 @@ class TestInstallAndScope:
         assert active_plan() is None
 
     def test_install_validates(self):
+        # The malformed spec raises before a plan exists to install.
         with pytest.raises(FaultInjectionError):
             install_fault_plan(_plan(FaultSpec("nope")))
         assert active_plan() is None
@@ -966,46 +981,19 @@ class TestHealthReporting:
 
 
 # ---------------------------------------------------------------------------
-# Lint: FLT rules and the early bail-out for malformed plans.
+# Lint: a fault plan is checked when parsed, so lint has nothing to add.
 # ---------------------------------------------------------------------------
 
 
 class TestLintFaultPlan:
-    def test_rule_codes_map_plan_problems(self):
-        plan = _plan(
-            FaultSpec("worker.explode"),
-            FaultSpec(JOB_ERROR, probability=2.0),
-            FaultSpec(CACHE_CORRUPT, mode="shred"),
-        )
-        codes = sorted(f.rule_id for f in check_fault_plan(plan))
-        assert codes == ["FLT001", "FLT002", "FLT003"]
-
-    def test_hang_undershooting_timeout_warns(self):
-        plan = _plan(FaultSpec(WORKER_HANG, hang_s=5.0))
-        findings = check_fault_plan(plan, job_timeout_s=10.0)
-        assert [f.rule_id for f in findings] == ["FLT004"]
-        assert not check_fault_plan(plan, job_timeout_s=1.0)
-
-    def test_lint_bails_early_on_malformed_plan(self, reference):
-        workload, _, _ = reference
-        pipeline = LoopPointPipeline(workload, options=_options(
-            fault_plan=_plan(FaultSpec("worker.explode")),
-        ))
-        report = lint_pipeline(pipeline)
-        assert report.has_errors
-        assert {f.rule_id for f in report.findings} == {"FLT001"}
-        # Only the fault-plan pass ran: the pipeline never recorded.
-        assert report.passes_run == ["faultplan"]
-        assert pipeline._pinball is None
-
     def test_lint_accepts_a_valid_plan(self, reference):
         workload, _, _ = reference
         pipeline = LoopPointPipeline(workload, options=_options(
             fault_plan=_plan(FaultSpec(JOB_ERROR, probability=0.0)),
         ))
         report = lint_pipeline(pipeline)
-        assert "faultplan" in report.passes_run
-        assert not any(f.rule_id.startswith("FLT") for f in report.findings)
+        assert "faultplan" not in report.passes_run
+        assert not report.has_errors
 
 
 # ---------------------------------------------------------------------------
@@ -1047,9 +1035,14 @@ class TestCli:
             "w", None, None, multi=False, resume=False
         ) is None
 
-    def test_bad_fault_plan_exits_2(self, tmp_path, capsys):
+    def test_bad_fault_plan_exits_2(self, tmp_path, capsys, monkeypatch):
+        import repro.core.looppoint as looppoint
         from repro.cli import main
 
+        def no_recording(*a, **k):
+            raise AssertionError("recorded despite a malformed fault plan")
+
+        monkeypatch.setattr(looppoint, "record_execution", no_recording)
         bad = tmp_path / "bad.json"
         bad.write_text('{"faults": [{"site": "worker.explode"}]}')
         rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
