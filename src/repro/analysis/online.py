@@ -252,8 +252,8 @@ class LiveSampler:
             raise ProfilingError("live sampling needs at least one marker")
         policy = filter_policy or FilterPolicy()
         if policy.exclude_routines:
-            # The scout's boundary rule reuses the replayer's per-thread
-            # filtered prefix sums, which know only the image-based
+            # The scout's boundary rule reuses the replayer's filtered
+            # instruction counts, which know only the image-based
             # filter; a routine-excluding policy would place boundaries
             # differently than the slicer and silently break the
             # offline-equivalence guarantee.
@@ -378,14 +378,13 @@ class LiveSampler:
         slicer = self.slicer
         clusterer = self.clusterer
         marker_pcs = self.marker_pcs
-        #: Canonical global marker counts at the current cut.  The
-        #: slicer's tracker counts executions during observed segments;
-        #: the replayer's walk counts them during skips; whichever side
-        #: went dark resyncs from here before the next segment.
-        canonical: Dict[int, int] = {pc: 0 for pc in marker_pcs}
+        # The replayer counts marker executions in every segment, observed
+        # or skipped, once the PCs are tracked from program start.  The
+        # slicer's tracker goes dark across a skip and resyncs from the
+        # scout's counts when the skipped slice closes.
+        replayer.sync_marker_counts({pc: 0 for pc in marker_pcs})
         engine: Optional[EngineResult] = None
         while True:
-            replayer.sync_marker_counts(canonical)
             state = _RegionState(
                 index=len(self._states),
                 start=slicer.slices[-1].end if self._states else None,
@@ -396,7 +395,6 @@ class LiveSampler:
                 marker_pcs,
                 slice_target=self.slice_size,
                 probe_target=self._probe_target,
-                counts=canonical,
             )
             if scout.end is None:
                 # Tail region: no closing marker before the logs run
@@ -407,7 +405,6 @@ class LiveSampler:
                 engine = replayer.run()
                 if len(slicer.slices) == before:
                     break  # nothing left after the last boundary
-                canonical = slicer.tracker.snapshot()
                 tail = slicer.slices[-1]
                 self._finish_region(
                     state, end=None,
@@ -419,8 +416,6 @@ class LiveSampler:
                 break
             probe = scout.probe if scout.probe is not None else scout.end
             replayer.run(until=probe, finish=False)
-            canonical = slicer.tracker.snapshot()
-            replayer.sync_marker_counts(canonical)
             signature = clusterer.signature(slicer.live_peek_bbv())
             cluster, distance = clusterer.classify(signature)
             at_end = probe == scout.end
@@ -428,7 +423,6 @@ class LiveSampler:
                 # Matched: fast-forward over the tail, close the slice
                 # from the scout's exact counters, extrapolate later.
                 replayer.fast_forward_to(scout.end, track_pcs=marker_pcs)
-                canonical = dict(scout.counts_at_end)
                 start_ptf = state.cursor.per_thread_filtered
                 slicer.live_close_skipped(
                     scout.end,
@@ -438,14 +432,12 @@ class LiveSampler:
                         scout.per_thread_filtered[t] - start_ptf[t]
                         for t in range(self.pinball.nthreads)
                     ],
-                    marker_counts=canonical,
+                    marker_counts=scout.counts_at_end,
                 )
                 state.skipped = True
             else:
                 if not at_end:
                     replayer.run(until=scout.end, finish=False)
-                    canonical = slicer.tracker.snapshot()
-                    replayer.sync_marker_counts(canonical)
                 slicer.live_close_at(scout.end)
             self._finish_region(
                 state, end=scout.end,
@@ -527,15 +519,10 @@ class LiveSampler:
         starts = [s.start_filtered for s in self._states]
         snap = self._states[max(0, bisect_left(starts, warm_target) - 1)]
         warm = replayer.scout_filtered_cut(
-            self.marker_pcs,
-            cursor=snap.cursor,
-            target_filtered=warm_target,
+            cursor=snap.cursor, target_filtered=warm_target
         )
         warm_counts = replayer.advance_exec_counts(
-            snap.start_exec,
-            snap.cursor.positions,
-            warm.positions,
-            self.marker_pcs,
+            snap.start_exec, snap.cursor.positions, warm.positions
         )
         return build_region_pinball(
             self.pinball, state.index, state.start, state.end,

@@ -7,9 +7,10 @@ execution of a marker PC without delivering events.  The contract is
 full replay reaches at the same cut, and a subsequent ``run(until=end)``
 must hand observers exactly the region's events.  These tests enforce the
 contract on every demo and NPB workload, on a wrap-around marker pair
-(certified by MARK006's dynamic rung — the oracle for legitimacy), and
-pin the error surface: unreachable markers, batched-entry interior cuts,
-and untracked ``until`` PCs.
+(certified by MARK006's dynamic rung — the oracle for legitimacy), check
+that the replayer's stop modes agree with each other along a chain of
+cuts, and pin the error surface: unreachable markers, batched-entry
+interior cuts, untracked PCs and already-passed markers.
 """
 
 import numpy as np
@@ -276,6 +277,50 @@ class TestFastForwardErrors:
         with pytest.raises(ReplayError, match="already passed"):
             replayer.run(until=Marker(hdr.pc, passed - 1))
 
+    def test_fast_forward_to_untracked_pc_rejected(self, toy_pinball):
+        program, pinball = toy_pinball
+        hdr, body = program.blocks[0], program.blocks[1]
+        replayer = ConstrainedReplayer(program, pinball)
+        replayer.fast_forward_to(Marker(body.pc, 200))  # no track_pcs
+        with pytest.raises(ReplayError, match="not tracked"):
+            replayer.fast_forward_to(Marker(hdr.pc, 12))
+
+    def test_until_pc_untracked_across_run_rejected(self, toy_pinball):
+        program, pinball = toy_pinball
+        hdr, body = program.blocks[0], program.blocks[1]
+        replayer = ConstrainedReplayer(program, pinball)
+        replayer.run(until=Marker(body.pc, 200), finish=False)
+        with pytest.raises(ReplayError, match="not tracked"):
+            replayer.run(until=Marker(hdr.pc, 12))
+
+    def test_tracked_count_survives_run_segment(self, toy_pinball):
+        """A ``run(until=)`` segment counts every tracked PC, not only
+        its own ``until`` PC, so a later stop on another tracked PC
+        lands where a direct run does."""
+        program, pinball = toy_pinball
+        hdr, body = program.blocks[0], program.blocks[1]
+        replayer = ConstrainedReplayer(program, pinball)
+        replayer.fast_forward_to(Marker(body.pc, 200), track_pcs=[hdr.pc])
+        replayer.run(until=Marker(body.pc, 400), finish=False)
+        chained = replayer.run(until=Marker(hdr.pc, 14))
+        direct = ConstrainedReplayer(program, pinball).run(
+            until=Marker(hdr.pc, 14)
+        )
+        assert chained == direct
+
+    def test_fast_forward_to_passed_marker_rejected_in_place(
+        self, toy_pinball
+    ):
+        program, pinball = toy_pinball
+        hdr, body = program.blocks[0], program.blocks[1]
+        replayer = ConstrainedReplayer(program, pinball)
+        replayer.fast_forward_to(Marker(body.pc, 200), track_pcs=[hdr.pc])
+        passed = replayer._marker_counts[hdr.pc]
+        positions = list(replayer.positions)
+        with pytest.raises(ReplayError, match="already passed"):
+            replayer.fast_forward_to(Marker(hdr.pc, passed - 1))
+        assert replayer.positions == positions
+
     def test_until_never_reached_completes_fully(self, toy_pinball):
         """An ``until`` marker the replay never hits is not an error: the
         replay simply runs to the end of the logs, identically to a plain
@@ -287,3 +332,86 @@ class TestFastForwardErrors:
         )
         plain = ConstrainedReplayer(program, pinball).run()
         assert bounded == plain
+
+
+#: The benchmark's four replay settings: (app, input class, threads, wait).
+STOP_MODE_SETTINGS = {
+    "lbm-train": ("619.lbm_s.1", "train", 8, WaitPolicy.PASSIVE),
+    "ep-train": ("npb-ep", "C", 8, WaitPolicy.PASSIVE),
+    "xz-active": ("657.xz_s.2", "train", 4, WaitPolicy.ACTIVE),
+    "is-live": ("npb-is", "C", 8, WaitPolicy.PASSIVE),
+}
+
+
+def _replay_state(replayer):
+    return (
+        replayer.positions, replayer.per_thread_total,
+        replayer.per_thread_filtered, replayer.total_instructions,
+        replayer.filtered_instructions, replayer.num_events,
+        replayer.exec_counts, replayer._next_gseq,
+        replayer._quantum_resume, replayer._marker_counts,
+    )
+
+
+class TestStopModesAgree:
+    """Every stop mode of the replay walk lands on the same cuts.
+
+    Three replayers advance region by region along the same chain of
+    boundary cuts, each by a different mode: ``fast_forward_to``,
+    ``run(until=)`` with ring delivery, and a filtered ``skip`` to the
+    middle of the region followed by ``fast_forward_to``.  At every cut
+    the scouts' lookahead must match what the moving replays reach.
+    """
+
+    @pytest.mark.parametrize("setting", sorted(STOP_MODE_SETTINGS))
+    def test_chain_of_cuts(self, setting):
+        app, input_class, nthreads, wait = STOP_MODE_SETTINGS[setting]
+        wl = get_workload(app, input_class, nthreads, scale=TEST_SCALE)
+        program = wl.program
+        pinball, _ = record_execution(
+            program, wl.thread_program, wl.omp, wl.nthreads,
+            wait_policy=wait, seed=0,
+        )
+        slice_size = TEST_SCALE.slice_size(wl.nthreads)
+        marker_pcs = profile_pinball(program, pinball, slice_size).marker_pcs
+        ff, ran, mixed = (
+            ConstrainedReplayer(program, pinball) for _ in range(3)
+        )
+        for replayer in (ff, ran, mixed):
+            replayer.sync_marker_counts({pc: 0 for pc in marker_pcs})
+
+        cuts = 0
+        while True:
+            cursor = ff.cursor()
+            scout = ff.scout_region(
+                marker_pcs,
+                slice_target=slice_size,
+                probe_target=slice_size // 4,
+            )
+            if scout.end is None:
+                break
+            target = sum(cursor.per_thread_filtered) + scout.filtered // 2
+            warm = ff.scout_filtered_cut(
+                cursor=cursor, target_filtered=target
+            )
+            assert mixed.skip({}, filtered=target) == (True, None)
+            assert mixed.cut_point() == warm
+
+            ff.fast_forward_to(scout.end, track_pcs=marker_pcs)
+            assert ff.positions == scout.end_positions
+            assert ff.per_thread_total == scout.per_thread_total
+            assert ff.per_thread_filtered == scout.per_thread_filtered
+            assert ff._marker_counts == scout.counts_at_end
+            assert ff.filtered_instructions == (
+                sum(cursor.per_thread_filtered) + scout.filtered
+            )
+            assert ff.total_instructions == (
+                sum(cursor.per_thread_total) + scout.total
+            )
+
+            ran.run(until=scout.end, finish=False)
+            mixed.fast_forward_to(scout.end)
+            assert _replay_state(ran) == _replay_state(ff)
+            assert _replay_state(mixed) == _replay_state(ff)
+            cuts += 1
+        assert cuts >= 3
