@@ -189,3 +189,15 @@ class TestRegionExtraction:
         cuts = [RegionCut(0, Marker(marker_pc, 10**9), None, 0)]
         with pytest.raises(RegionError):
             extract_region_pinballs(program, pinball, cuts)
+
+    def test_end_before_start_rejected(self, recorded):
+        program, _tp, _omp, pinball, _result = recorded
+        marker_pc = program.routine("compute").entry.pc
+        cuts = [RegionCut(
+            7, Marker(marker_pc, 10), Marker(marker_pc, 5), 0
+        )]
+        with pytest.raises(
+            RegionError,
+            match=r"region 7: marker .* passed before it became pending",
+        ):
+            extract_region_pinballs(program, pinball, cuts)
