@@ -461,6 +461,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         console.error("run-looppoint", f"bad fault plan: {exc}")
         return 2
+    if args.jobs is not None and args.jobs < 0:
+        parser.error(f"--jobs must be >= 0, got {args.jobs}")
     if args.resume and not args.cache_dir:
         parser.error("--resume requires --cache-dir (resume restores "
                      "completed stages from the artifact cache)")

@@ -188,11 +188,22 @@ _SCALES = {
 }
 
 
+def resolve_jobs(jobs: int, name: str = "jobs") -> int:
+    """Worker processes for ``jobs``: ``0`` means "one worker per CPU".
+
+    Raises :class:`WorkloadError` for a negative count; ``name`` is the
+    setting the count came from, for the message.
+    """
+    if jobs < 0:
+        raise WorkloadError(f"{name} must be >= 0, got {jobs}")
+    return jobs or os.cpu_count() or 1
+
+
 def default_jobs() -> int:
     """Default simulation parallelism.
 
     Honours the ``REPRO_JOBS`` environment variable (like ``REPRO_SCALE``
-    for sizing): ``0`` means "one worker per CPU".  Falls back to ``1``
+    for sizing), resolved by :func:`resolve_jobs`.  Falls back to ``1``
     (serial) — parallel dispatch is strictly opt-in.
     """
     raw = os.environ.get("REPRO_JOBS", "1")
@@ -202,11 +213,7 @@ def default_jobs() -> int:
         raise WorkloadError(
             f"REPRO_JOBS must be an integer, got {raw!r}"
         ) from None
-    if jobs < 0:
-        raise WorkloadError(f"REPRO_JOBS must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
+    return resolve_jobs(jobs, "REPRO_JOBS")
 
 
 def get_scale(name: str = "") -> ReproScale:

@@ -38,6 +38,7 @@ from ..config import (
     SystemConfig,
     default_jobs,
     get_scale,
+    resolve_jobs,
 )
 from ..errors import (
     ClusteringError,
@@ -116,10 +117,11 @@ class LoopPointOptions:
     #: Run the :mod:`repro.lint` invariant checks after :meth:`run` and
     #: attach the report to the result.
     lint: bool = False
-    #: Worker processes for region simulation; ``None`` honours the
-    #: ``REPRO_JOBS`` environment variable (default 1 = serial).  Parallel
-    #: dispatch requires a registry-buildable workload and falls back to
-    #: serial otherwise — results are bit-identical either way.
+    #: Worker processes for region simulation (0 = one per CPU); ``None``
+    #: honours the ``REPRO_JOBS`` environment variable (default 1 =
+    #: serial).  Parallel dispatch requires a registry-buildable workload
+    #: and falls back to serial otherwise — results are bit-identical
+    #: either way.
     jobs: Optional[int] = None
     #: Persistent artifact cache directory for the record/profile/select
     #: stage outputs; ``None`` disables on-disk caching.
@@ -156,12 +158,16 @@ class LoopPointOptions:
             raise WorkloadError(
                 f"startup_fraction {self.startup_fraction} outside [0, 1]"
             )
+        if self.jobs is not None:
+            resolve_jobs(self.jobs)  # rejects a negative count
 
     def resolved_scale(self) -> ReproScale:
         return self.scale if self.scale is not None else get_scale()
 
     def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs is not None else default_jobs()
+        if self.jobs is None:
+            return default_jobs()
+        return resolve_jobs(self.jobs)
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(

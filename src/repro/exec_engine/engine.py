@@ -12,13 +12,14 @@ is executed here on behalf of threads: barrier entry/exit, spin iterations
 while blocked (ACTIVE), futex paths (PASSIVE), lock handoffs, chunk fetches.
 
 Block events reach observers through an
-:class:`~repro.perf.ring.EventRing` as numpy column batches.  The ring is
+:class:`~repro.perf.ring.EventRing` as numpy column batches; sync events
+go to ``Observer.on_sync`` one at a time, in gseq order.  The ring is
 flushed before every sync event, so block/sync ordering is exact, unless
 every attached observer declares its state independent of that
-interleaving; then sync events are buffered too and delivered as row runs
-through ``Observer.on_sync_rows``.  A ring of capacity 1 delivers every
-event on its own, which is the per-event reference the equivalence tests
-compare against.
+interleaving (then batches run across syncs).  The constrained replayer
+delivers syncs under the same rule.  A ring of capacity 1 delivers every
+block event on its own, which is the per-event reference the equivalence
+tests compare against.
 
 Programs :func:`~.schedcore.compile_streams` can tape run on the tape loop,
 :meth:`ExecutionEngine._run_tape`; the rest (dynamic schedules with
@@ -34,8 +35,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
-
-import numpy as np
 
 from ..errors import DeadlockError, ExecutionError
 from ..obs.tracer import active_metrics
@@ -61,7 +60,6 @@ from .events import (
 from .flowcontrol import FlowControl
 from .observers import Observer
 from .schedcore import (
-    OP_BARRIER,
     OP_CHUNK,
     OP_DONE,
     OP_SINGLE,
@@ -70,10 +68,6 @@ from .schedcore import (
     OP_TILED,
     compile_streams,
 )
-
-#: Buffered sync events are flushed to observers in runs of at most this
-#: many (matches the block ring's default capacity; bounds buffer memory).
-SYNC_BUFFER_LIMIT = 8192
 
 #: Scheduling quantum in *instructions*: an engine round runs a jittered
 #: 1.0-1.5x of it, a replay round exactly it.  Batched block events make an
@@ -177,28 +171,15 @@ class ExecutionEngine:
         self._rng = random.Random(seed)
         #: Set whenever any thread's state changes; the scheduler only
         #: rebuilds its runnable list (and re-checks completion/deadlock)
-        #: on dirty rounds.  The cached run-queue (and its numpy mirror for
-        #: columnar flow control, see :meth:`_rebuild_runnable`) is keyed
-        #: off this flag.
+        #: on dirty rounds.  The cached run-queue is keyed off this flag.
         self._sched_dirty = True
         self._runnable: List[int] = []
-        self._runnable_arr: Optional[np.ndarray] = None
-        #: Observers that actually override ``on_sync``/``on_sync_rows``:
-        #: sync delivery skips base-class no-ops.
+        #: Observers that actually override ``on_sync``: sync delivery
+        #: skips base-class no-ops.
         self._sync_obs = [
             ob for ob in self.observers
             if type(ob).on_sync is not Observer.on_sync
-            or type(ob).on_sync_rows is not Observer.on_sync_rows
         ]
-        #: Sync-event buffer of ``(tid, kind, obj_id, response, gseq)``
-        #: rows.  Active only when every observer declared its final state
-        #: independent of block/sync interleaving (the ring's
-        #: ``flush_on_sync`` is False): syncs then reach observers through
-        #: ``on_sync_rows`` in gseq-ordered runs instead of one Python call
-        #: per observer per sync.  ``None`` means per-event delivery.
-        self._sync_buf: Optional[List[tuple]] = (
-            None if self._ring.flush_on_sync else []
-        )
         #: Per-thread scheduler tapes (see repro.exec_engine.schedcore);
         #: ``None`` when some construct cannot be taped, which selects the
         #: generator loop.
@@ -218,30 +199,13 @@ class ExecutionEngine:
     def _sync(self, tid: int, kind: str, obj_id: int, response) -> None:
         g = self._gseq
         self._gseq = g + 1
-        buf = self._sync_buf
-        if buf is not None:
-            buf.append((tid, kind, obj_id, response, g))
-            if len(buf) >= SYNC_BUFFER_LIMIT:
-                self._flush_syncs()
-            return
-        # Some attached observer correlates the block and sync streams
-        # (lint concurrency passes, DCFG building): every buffered block
+        # When some attached observer correlates the block and sync streams
+        # (lint concurrency passes, DCFG building), every buffered block
         # event must precede this sync action.
-        self._ring.flush()
+        if self._ring.flush_on_sync:
+            self._ring.flush()
         for ob in self._sync_obs:
             ob.on_sync(tid, kind, obj_id, response, g)
-
-    def _flush_syncs(self) -> None:
-        """Deliver the buffered sync rows in one call per observer.
-
-        Observers copy the rows; the list is cleared and reused here.
-        """
-        buf = self._sync_buf
-        if not buf:
-            return
-        for ob in self._sync_obs:
-            ob.on_sync_rows(buf)
-        buf.clear()
 
     # -- synchronization handling --------------------------------------------
 
@@ -345,9 +309,7 @@ class ExecutionEngine:
 
         Returns the runnable tid list, or ``None`` when every thread is
         done.  Raises :class:`DeadlockError` when live threads are all
-        blocked.  With flow control attached, the queue's numpy mirror is
-        rebuilt too — the columnar eligible-selection path reuses it every
-        round until the next invalidation.
+        blocked.
         """
         threads = self._threads
         runnable = [
@@ -365,8 +327,6 @@ class ExecutionEngine:
                 f"all live threads blocked: {blocked} "
                 f"(barriers={dict(self._barriers)!r})"
             )
-        if self.flow_control is not None:
-            self._runnable_arr = np.array(runnable, dtype=np.int64)
         return runnable
 
     def _finish_run(self, num_events: int) -> EngineResult:
@@ -374,8 +334,6 @@ class ExecutionEngine:
         self.num_events = num_events
         ring = self._ring
         exec_counts = ring.exec_counts()  # flushes the ring
-        if self._sync_buf is not None:
-            self._flush_syncs()
         for ob in self.observers:
             ob.on_finish()
         reg = active_metrics()
@@ -445,9 +403,7 @@ class ExecutionEngine:
                         self._exec_block(t.tid, spin_block, spin_iters)
 
             if flow is not None:
-                eligible = flow.eligible(
-                    per_thread_filtered, runnable, self._runnable_arr
-                )
+                eligible = flow.eligible(per_thread_filtered, runnable)
             else:
                 eligible = runnable
             # Inlined ``rng.randrange(len(eligible))``: the exact
@@ -528,18 +484,17 @@ class ExecutionEngine:
         order, rng-stream consumption, observer state and result.  The
         differences are purely mechanical — block runs are consumed with
         one ``bisect_left`` over a cumulative-instruction list per quantum
-        and C-speed slice ``extend``s into the ring buffers; barrier ops
-        are handled inline (columnar sync buffering, direct ring appends)
-        instead of through the per-event handler chain; and the run-queue
-        is maintained in place at each transition instead of being rebuilt
-        from thread states on every invalidation.
+        and C-speed slice ``extend``s into the ring buffers, and the
+        run-queue is maintained in place at each transition instead of
+        being rebuilt from thread states on every invalidation.  Sync ops
+        (barriers included) go through the same handlers as the generator
+        loop's events.
         """
         threads = self._threads
         omp = self.omp
         spin_block = omp.spin_block
         spin_iters = omp.spin.iterations_per_visit
         active = self.wait_policy is WaitPolicy.ACTIVE
-        passive = self.wait_policy is WaitPolicy.PASSIVE
         rng = self._rng
         ring = self._ring
         nthreads = self.nthreads
@@ -574,59 +529,14 @@ class ExecutionEngine:
         # per-code tables.
         row_caches: List[Dict[int, List[int]]] = [{} for _ in range(nthreads)]
 
-        # Inline barrier handling requires the sync buffer, which exists
-        # exactly when no attached observer demands per-sync flushes; with
-        # an order-strict observer, barrier ops dispatch through the
-        # shared handlers (identical per-event semantics).
-        sync_buf = self._sync_buf
-        inline_barriers = sync_buf is not None
-        if sync_buf is None:
-            sync_buf = []  # never appended to: barriers go out of line
-        sb_append = sync_buf.append
-        barriers = self._barriers
-
-        # (bid, total, filtered) columns of the synchronization-library
-        # blocks the inline barrier path executes on threads' behalf.
-        def _cols(block):
-            n = block.n_instr
-            return block.bid, n, 0 if block.image.is_library else n
-
-        be_bid, be_t, be_f = _cols(omp.barrier_enter)
-        bx_bid, bx_t, bx_f = _cols(omp.barrier_exit)
-        fw_bid, fw_t, fw_f = _cols(omp.futex_wait)
-        fk_bid, fk_t, fk_f = _cols(omp.futex_wake)
-
-        # Constant per-tid row codes for the synchronization-library blocks
-        # the inline barrier path emits — a full release is assembled from
-        # these pre-encoded ints, only their order follows the arrival
-        # order.  ``wake_t``/``wake_f`` is what each woken thread's
-        # counters advance by.
-        be_rows = [encode(t, be_bid, 1) for t in range(nthreads)]
-        bx_rows = [encode(t, bx_bid, 1) for t in range(nthreads)]
-        fw_rows = [encode(t, fw_bid, 1) for t in range(nthreads)]
-        fk_rows = [encode(t, fk_bid, 1) for t in range(nthreads)]
-        if passive:
-            wake_t = fk_t + bx_t
-            wake_f = fk_f + bx_f
-            rel_n = 2 * nthreads - 1
-        else:
-            wake_t = bx_t
-            wake_f = bx_f
-            rel_n = nthreads
-        # All threads are live at a full release (a finished thread could
-        # never have arrived), so the post-release run-queue is every tid.
-        all_tids = list(range(nthreads))
-
         # The run-queue: ascending tids, maintained incrementally — the same
         # order `_rebuild_runnable` produces.  Out-of-line handlers signal
         # their state changes via ``_sched_dirty``; the queue is resynced
-        # right after dispatch.  The numpy mirror for columnar flow control
-        # rebuilds lazily.
+        # right after dispatch.
         runnable = [t.tid for t in threads if t.state is runnable_state]
         self._runnable = runnable
         self._sched_dirty = False
         n_done = sum(1 for t in threads if t.state is done_state)
-        arr_stale = True
         # ``nbuf`` mirrors ``len(ring_rows)``; it is maintained at every
         # mutation site so the hot loop never calls ``len``, and resynced
         # after any out-of-line call that may append to (or flush) the ring.
@@ -652,9 +562,9 @@ class ExecutionEngine:
 
         # ``total_instructions == sum(per_thread_total)`` (likewise
         # filtered) is an engine-wide invariant: every counter mutation —
-        # handlers, the inline barrier path, quantum consumption — advances
-        # a per-thread counter.  The globals are therefore recomputed as
-        # sums at every loop exit instead of being carried round by round.
+        # handlers and quantum consumption — advances a per-thread counter.
+        # The globals are therefore recomputed as sums at every loop exit
+        # instead of being carried round by round.
         maxev = max_events if max_events is not None else (1 << 62)
 
         while True:
@@ -668,7 +578,7 @@ class ExecutionEngine:
                 ]
                 raise DeadlockError(
                     f"all live threads blocked: {blocked} "
-                    f"(barriers={dict(barriers)!r})"
+                    f"(barriers={dict(self._barriers)!r})"
                 )
 
             if active:
@@ -678,12 +588,7 @@ class ExecutionEngine:
                 nbuf = len(ring_rows)
 
             if flow is not None:
-                if arr_stale:
-                    self._runnable_arr = np.array(runnable, dtype=np.int64)
-                    arr_stale = False
-                eligible = flow.eligible(
-                    per_thread_filtered, runnable, self._runnable_arr
-                )
+                eligible = flow.eligible(per_thread_filtered, runnable)
             else:
                 eligible = runnable
             n_el = len(eligible)
@@ -853,88 +758,14 @@ class ExecutionEngine:
                     cur[1] = 2
                     continue
 
-                if code == OP_BARRIER and inline_barriers:
-                    # Barrier, fully inline — the exact event sequence of
-                    # `_handle_barrier`: enter block, arrival sync, and on
-                    # the last arrival a release sync + futex wake +
-                    # barrier exit per participant in arrival order.  No
-                    # out-of-line calls, so engine-state locals stay live.
-                    ev = op[1]
-                    cur[0] = op_idx + 1
-                    num_events += 1
-                    b_id = ev.barrier_id
-                    arrived = barriers.get(b_id)
-                    if arrived is None:
-                        arrived = barriers[b_id] = []
-                    append_row(be_rows[tid])
-                    nbuf += 1
-                    ptt += be_t
-                    ptf += be_f
-                    g = self._gseq
-                    sb_append((tid, SYNC_BARRIER, b_id, None, g))
-                    g += 1
-                    arrived.append(tid)
-                    if len(arrived) == nthreads:
-                        # Full release.  The last arrival is this thread
-                        # (appended just above), so the release rows are
-                        # the per-tid constants assembled in arrival
-                        # order, last arrival's exit row at the end.
-                        others = arrived[:-1]
-                        for tid2 in others:
-                            sb_append(
-                                (tid2, SYNC_BARRIER_REL, b_id, None, g)
-                            )
-                            g += 1
-                            threads[tid2].state = runnable_state
-                            per_thread_total[tid2] += wake_t
-                            per_thread_filtered[tid2] += wake_f
-                        sb_append((tid, SYNC_BARRIER_REL, b_id, None, g))
-                        g += 1
-                        if passive:
-                            rel_rows = [
-                                row for t2 in others
-                                for row in (fk_rows[t2], bx_rows[t2])
-                            ]
-                        else:
-                            rel_rows = [bx_rows[t2] for t2 in others]
-                        rel_rows.append(bx_rows[tid])
-                        extend_rows(rel_rows)
-                        ptt += bx_t
-                        ptf += bx_f
-                        del barriers[b_id]
-                        self._gseq = g
-                        runnable[:] = all_tids
-                        arr_stale = True
-                        nbuf += rel_n
-                        if nbuf >= ring_capacity:
-                            ring_flush()
-                            nbuf = 0
-                        if len(sync_buf) >= SYNC_BUFFER_LIMIT:
-                            self._flush_syncs()
-                        continue
-                    self._gseq = g
-                    threads[tid].state = blocked_state
-                    runnable.remove(tid)
-                    arr_stale = True
-                    if passive:
-                        append_row(fw_rows[tid])
-                        nbuf += 1
-                        ptt += fw_t
-                        ptf += fw_f
-                    if nbuf >= ring_capacity:
-                        ring_flush()
-                        nbuf = 0
-                    break
-
                 if code == OP_DONE:
                     # End-of-tape sentinel: the cursor stays parked on it.
                     threads[tid].state = done_state
                     runnable.remove(tid)
                     n_done += 1
-                    arr_stale = True
                     break
 
-                # Other sync op: sync engine state, dispatch through the
+                # Sync op: sync engine state, dispatch through the
                 # shared handlers (which may execute blocks for this and
                 # other threads, and block/wake threads), reload.
                 thread = threads[tid]
@@ -942,7 +773,7 @@ class ExecutionEngine:
                 per_thread_filtered[tid] = ptf
                 ev = op[1]
                 num_events += 1
-                if code == OP_SYNC or code == OP_BARRIER:
+                if code == OP_SYNC:
                     dispatch(thread, ev)
                     cur[0] = op_idx + 1
                     nbuf = len(ring_rows)
@@ -954,7 +785,6 @@ class ExecutionEngine:
                             if t.state is runnable_state
                         ]
                         self._sched_dirty = False
-                        arr_stale = True
                     if thread.state is not runnable_state:
                         break
                 elif code == OP_CHUNK:

@@ -1,18 +1,19 @@
 """Observer interface for execution drivers.
 
-The functional engine, the constrained replayer and the timing simulator
-publish the same callbacks, so profiling tools (BBV collection, marker
-counting, recording) are driver-agnostic — like pintools that work under
-both Pin and PinPlay.
+The functional engine and the constrained replayer publish the same
+callbacks, so profiling tools (BBV collection, marker counting, recording)
+are driver-agnostic — like pintools that work under both Pin and PinPlay.
 
-Events arrive through four delivery methods.  Block events come one at a
+Events arrive through three delivery methods.  Block events come one at a
 time through :meth:`Observer.on_block` or as parallel numpy columns through
 :meth:`Observer.on_block_batch` (see :class:`repro.perf.ring.EventBatch`);
-sync events come one at a time through :meth:`Observer.on_sync` or as
-buffered row runs through :meth:`Observer.on_sync_rows`.  The base class
-replays each batch method through its per-event twin, so an observer that
-only defines the per-event methods sees identical calls under any driver;
-observers on hot paths override the batch methods with vectorized
+sync events come one at a time, in gseq order, through
+:meth:`Observer.on_sync`.  Both drivers deliver syncs under one rule: the
+block ring is flushed before each sync unless every attached observer
+cleared :attr:`Observer.needs_flush_before_sync`.  The base class replays
+each batch through :meth:`Observer.on_block`, so an observer that only
+defines the per-event methods sees identical calls under either driver;
+observers on hot paths override ``on_block_batch`` with vectorized
 reductions.
 """
 
@@ -33,13 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Observer:
     """Base observer; subclasses override what they need."""
 
-    #: Whether a batching driver must flush buffered block events before
-    #: delivering ``on_sync``.  True (the safe default) preserves the exact
-    #: per-event block/sync interleaving for observers that correlate the
-    #: two streams (vector clocks, DCFG edges).  Observers whose final
-    #: state does not depend on that interleaving — pure counters, pure
-    #: logs — set this False so sync-dense programs can amortize batches
-    #: across syncs.
+    #: Whether a driver must flush buffered block events before delivering
+    #: ``on_sync``.  True (the safe default) preserves the exact per-event
+    #: block/sync interleaving for observers that correlate the two streams
+    #: (vector clocks, DCFG edges).  Observers whose final state does not
+    #: depend on that interleaving — pure counters, pure logs — set this
+    #: False; when every attached observer does, the ring keeps its batches
+    #: across syncs, so sync-dense programs still flush full batches.
     needs_flush_before_sync = True
 
     #: Whether this observer reads ``EventBatch.start_index``.  True (the
@@ -77,22 +78,6 @@ class Observer:
         self, tid: int, kind: str, obj_id: int, response, gseq: int
     ) -> None:
         """A synchronization action with global sequence number ``gseq``."""
-
-    def on_sync_rows(self, rows) -> None:
-        """A run of buffered sync actions as ``(tid, kind, obj_id,
-        response, gseq)`` row tuples, in gseq order.
-
-        Drivers buffer sync events only when every attached observer
-        cleared ``needs_flush_before_sync``, i.e. declared its final state
-        independent of the block/sync interleaving.  The default replays
-        the rows through :meth:`on_sync`, so per-event observers see
-        identical calls.  The ``rows`` list is owned by the driver and
-        reused after the call — copy the rows (they are immutable tuples),
-        never keep the list itself.
-        """
-        on_sync = self.on_sync
-        for tid, kind, obj_id, response, gseq in rows:
-            on_sync(tid, kind, obj_id, response, gseq)
 
     def on_finish(self) -> None:
         """Execution completed."""
@@ -198,7 +183,7 @@ class SyncEventLog(Observer):
     The lint concurrency passes consume this: per-thread barrier sequences
     (divergence detection) and the global ``gseq`` order (integrity check).
     Works under both the functional engine and constrained replay, since
-    both publish :meth:`Observer.on_sync`.
+    both deliver every sync through :meth:`Observer.on_sync` in gseq order.
     """
 
     # Records only the sync stream (gseq values come from the driver), so
@@ -215,48 +200,18 @@ class SyncEventLog(Observer):
 
     def __init__(self, nthreads: int) -> None:
         self.nthreads = nthreads
-        self._per_thread: List[List[Tuple[str, int, int]]] = [
+        #: Per-thread ``(kind, obj_id, gseq)`` sequences, in observed order.
+        self.per_thread: List[List[Tuple[str, int, int]]] = [
             [] for _ in range(nthreads)
         ]
-        self._gseq_order: List[int] = []
-        # Row batches accepted but not yet split per thread.  Splitting is
-        # deferred to the first read: a run that never inspects the log
-        # (perf harness, replay-only paths) pays one tuple copy per flush.
-        self._pending: List[tuple] = []
+        #: Every gseq value in observation order.
+        self.gseq_order: List[int] = []
 
     def on_sync(
         self, tid: int, kind: str, obj_id: int, response, gseq: int
     ) -> None:
-        if self._pending:
-            self._drain()
-        self._per_thread[tid].append((kind, obj_id, gseq))
-        self._gseq_order.append(gseq)
-
-    def on_sync_rows(self, rows) -> None:
-        self._pending.append(tuple(rows))
-
-    def _drain(self) -> None:
-        per_thread = self._per_thread
-        order = self._gseq_order
-        for rows in self._pending:
-            for tid, kind, obj_id, _response, gseq in rows:
-                per_thread[tid].append((kind, obj_id, gseq))
-                order.append(gseq)
-        self._pending.clear()
-
-    @property
-    def per_thread(self) -> List[List[Tuple[str, int, int]]]:
-        """Per-thread ``(kind, obj_id, gseq)`` sequences, in observed order."""
-        if self._pending:
-            self._drain()
-        return self._per_thread
-
-    @property
-    def gseq_order(self) -> List[int]:
-        """Every gseq value in observation order."""
-        if self._pending:
-            self._drain()
-        return self._gseq_order
+        self.per_thread[tid].append((kind, obj_id, gseq))
+        self.gseq_order.append(gseq)
 
     def barrier_sequence(self, tid: int, kind: str = "barrier") -> List[int]:
         """Barrier object ids thread ``tid`` arrived at, in order."""
@@ -295,15 +250,8 @@ class TraceCollector(Observer):
         self._n_blocks = 0
         self._blocks_cache: Optional[List[Tuple[int, int, int]]] = None
         self._blocks_cache_n = -1
-        # The sync trace mirrors the block trace's parts/tail layout:
-        # per-event appends land in the tail, batched row deliveries are
-        # kept as whole tuples and only concatenated when :attr:`syncs`
-        # is read.
-        self._sync_parts: List[tuple] = []
-        self._sync_tail: List[Tuple[int, str, int, object, int]] = []
-        self._n_syncs = 0
-        self._syncs_cache: Optional[List] = None
-        self._syncs_cache_n = -1
+        #: The recorded sync stream, in observed order.
+        self.syncs: List[Tuple[int, str, int, object, int]] = []
         self.limit = limit
         #: True once any event was dropped because the cap was reached.
         self.truncated = False
@@ -355,18 +303,6 @@ class TraceCollector(Observer):
             )
             self._n_blocks += take
 
-    @property
-    def syncs(self) -> List[Tuple[int, str, int, object, int]]:
-        """The recorded sync stream, in observed order."""
-        if self._syncs_cache_n != self._n_syncs:
-            out: List[Tuple[int, str, int, object, int]] = []
-            for part in self._sync_parts:
-                out.extend(part)
-            out.extend(self._sync_tail)
-            self._syncs_cache = out
-            self._syncs_cache_n = self._n_syncs
-        return self._syncs_cache
-
     def on_sync(
         self, tid: int, kind: str, obj_id: int, response, gseq: int
     ) -> None:
@@ -375,18 +311,4 @@ class TraceCollector(Observer):
             # meaningless for replay alignment; stop recording both.
             self.dropped_syncs += 1
             return
-        self._sync_tail.append((tid, kind, obj_id, response, gseq))
-        self._n_syncs += 1
-
-    def on_sync_rows(self, rows) -> None:
-        # Batched sync delivery only happens when this collector is
-        # unbounded (a finite limit sets needs_flush_before_sync, which
-        # disables sync buffering), so the truncation guard is for safety.
-        if self.truncated:
-            self.dropped_syncs += len(rows)
-            return
-        if self._sync_tail:
-            self._sync_parts.append(tuple(self._sync_tail))
-            self._sync_tail = []
-        self._sync_parts.append(tuple(rows))
-        self._n_syncs += len(rows)
+        self.syncs.append((tid, kind, obj_id, response, gseq))

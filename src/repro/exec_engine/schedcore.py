@@ -48,9 +48,7 @@ OP_TABLE = 1   # (1, bids, reps, pre_t, pre_f, i0, i1)
 OP_SYNC = 2    # (2, event)
 OP_CHUNK = 3   # (3, event, bids, reps, pre_t, pre_f, iter_off)
 OP_SINGLE = 4  # (4, event, run_or_None)  run = (bids, reps, pre_t, pre_f)
-OP_BARRIER = 5  # (5, event)  a BarrierWait, inlined by the engine when the
-#                ring does not demand per-sync flushes
-OP_DONE = 6    # (6,)  end-of-tape sentinel appended to every stream, so the
+OP_DONE = 5    # (5,)  end-of-tape sentinel appended to every stream, so the
 #                hot loop never compares the op index against a length
 
 #: The shared end-of-tape sentinel instance (``streams[tid][-1]`` always).
@@ -228,7 +226,7 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
     if pf.reduction:
         tail.append((OP_SYNC, pf._reduce_event()))
     if not pf.nowait:
-        tail.append((OP_BARRIER, pf._barrier_event()))
+        tail.append((OP_SYNC, pf._barrier_event()))
 
     if pf.schedule == _SCHEDULE_STATIC:
         # Constant-pattern chunks with no lock traffic compile to the same
@@ -326,14 +324,14 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
 
 
 def _compile_serial(c, nthreads: int, batch_limit: int, memo=None):
-    barrier = (OP_BARRIER, c._barrier_event())
+    barrier = (OP_SYNC, c._barrier_event())
     master_ops = _work_ops(c.work, 0, c.iters, batch_limit, memo) + [barrier]
     waiter_ops = [barrier]
     return [master_ops] + [waiter_ops] * (nthreads - 1)
 
 
 def _compile_barrier(c, nthreads: int):
-    ops = [(OP_BARRIER, c._barrier_event())]
+    ops = [(OP_SYNC, c._barrier_event())]
     return [ops] * nthreads
 
 
@@ -343,7 +341,7 @@ def _compile_single(c, nthreads: int, batch_limit: int, memo=None):
         _emit_iteration(rows, c.work, i, batch_limit)
     run = (rows.bids, rows.reps, rows.pre_t, rows.pre_f) if rows.bids else None
     ops = [(OP_SINGLE, c._single_event(), run),
-           (OP_BARRIER, c._barrier_event())]
+           (OP_SYNC, c._barrier_event())]
     return [ops] * nthreads
 
 

@@ -10,20 +10,22 @@ numpy columns ``(tid, bid, repeat, n_instr, flags, start_index)`` — so
 observers can reduce whole batches with ``np.add.at``/``np.bincount``
 instead of doing per-event Python work.
 
-Ordering contract: when any attached observer sets
+Ordering contract: the ring holds block events only; sync events go to
+``on_sync`` one at a time.  When any attached observer sets
 ``needs_flush_before_sync`` (the :class:`~repro.exec_engine.observers.
 Observer` base default — correct for third-party observers of unknown
-ordering sensitivity), the driver must call :meth:`EventRing.flush` before
-delivering any ``on_sync`` event, so observers that correlate block and
-synchronization streams (the lint concurrency passes, DCFG building) see
-the exact per-event execution order.  Drivers check
-:attr:`EventRing.flush_on_sync` for this.  Observers whose final state is
-independent of block/sync interleaving (the built-in counters, logs and
-unbounded trace collectors) clear the flag, which lets sync-dense programs
-amortize batches across syncs — otherwise a program with a sync every few
-blocks would flush near-empty batches and numpy fixed costs would swamp
-the win.  ``on_finish`` always requires a final flush.  Within a batch,
-events appear in execution order.
+ordering sensitivity), the driver calls :meth:`EventRing.flush` before
+delivering each ``on_sync`` event, so observers that correlate block and
+synchronization streams (recorders, the lint concurrency passes, DCFG
+building) see the exact per-event execution order.  The engine and the
+replayer both check :attr:`EventRing.flush_on_sync` for this.  Observers
+whose final state is independent of block/sync interleaving (the built-in
+counters, logs and unbounded trace collectors) clear the flag; when every
+attached observer does, the ring keeps its batches across syncs —
+otherwise a program with a sync every few blocks would flush near-empty
+batches and numpy fixed costs would swamp the win.  ``on_finish`` always
+requires a final flush.  Within a batch, events appear in execution
+order.
 
 Observers that only implement the per-event :meth:`Observer.on_block`
 callback keep working unchanged: the base class's ``on_block_batch``

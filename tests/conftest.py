@@ -77,11 +77,10 @@ def build_toy(nthreads_hint: int = 4, steps: int = 12, with_critical: bool = Fal
 class PerEvent(Observer):
     """Forwards events one at a time to ``inner`` observers.
 
-    With the default strict flags the driver flushes its ring before
-    every sync and never buffers syncs; with ``batch_capacity=1`` as
-    well, every block and sync reaches ``inner`` through ``on_block`` /
-    ``on_sync`` in execution order — the per-event reference the batched
-    paths must match.
+    With the default strict flag the driver flushes its ring before
+    every sync; with ``batch_capacity=1`` as well, every block and sync
+    reaches ``inner`` through ``on_block`` / ``on_sync`` in execution
+    order — the per-event reference the batched paths must match.
     """
 
     def __init__(self, *inner):

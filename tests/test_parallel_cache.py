@@ -9,6 +9,7 @@ separation, the all-slices-ineligible guard, and the EvaluationCache
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
 
@@ -416,3 +417,26 @@ class TestDefaultJobs:
         monkeypatch.setenv("REPRO_JOBS", "-2")
         with pytest.raises(WorkloadError):
             default_jobs()
+
+    def test_options_zero_means_cpu_count(self):
+        assert LoopPointOptions(jobs=0).resolved_jobs() == (
+            os.cpu_count() or 1
+        )
+
+    def test_options_negative_rejected(self):
+        with pytest.raises(WorkloadError, match="jobs must be >= 0"):
+            LoopPointOptions(jobs=-1)
+
+    def test_cli_negative_jobs_exits_before_recording(
+        self, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_one reached with --jobs -1")
+
+        monkeypatch.setattr(cli, "run_one", no_run)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-p", "demo-matrix-1", "-n", "4", "--jobs", "-1"])
+        assert exc.value.code == 2
+        assert "--jobs must be >= 0" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from repro.exec_engine.observers import (
     SyncEventLog,
     TraceCollector,
 )
+from repro.pinplay.recorder import Recorder
 from repro.policy import WaitPolicy
 
 from conftest import build_toy, untaped
@@ -108,44 +109,70 @@ class TestDirtyFlagPerTransition:
         assert eng._rebuild_runnable() is None  # all done: clean finish
 
 
+#: Observer sets the two loops are compared under.  Order-independent
+#: observers let the ring keep its batches across syncs; a Recorder, which
+#: every recording attaches, makes the ring flush before each sync.
+OBSERVER_SETS = {
+    "order_independent": lambda n: (
+        InstructionCounter(n), SyncEventLog(n), TraceCollector(limit=None),
+    ),
+    "order_strict": lambda n: (Recorder(n), SyncEventLog(n)),
+}
+
+
+def _observed(ob):
+    """What one observer recorded, comparable across runs."""
+    if isinstance(ob, InstructionCounter):
+        return ob.per_thread_total
+    if isinstance(ob, SyncEventLog):
+        return ob.per_thread, ob.gseq_order
+    if isinstance(ob, TraceCollector):
+        return ob.blocks, ob.syncs
+    return ob.logs
+
+
 class TestScheduleIdentityAcrossPaths:
     """A missed invalidation shows up as schedule divergence between the
     tape loop (which maintains its run-queue in-line) and the generator
     loop (which rebuilds it from thread states).  Lock-handoff traffic
     (criticals) exercises the out-of-line dirty resync inside the tape
     loop.  The cube covers every per-round configuration test of the
-    tape loop: wait policy, flow control and the event bound."""
+    tape loop: wait policy, flow control and the event bound, under both
+    ring flush modes."""
 
-    def _run(self, *, taped, policy, flow, max_events):
-        program, tp, omp = build_toy(with_critical=True)
+    def _run(self, *, taped, policy, flow, max_events, observers,
+             nthreads=4):
+        program, tp, omp = build_toy(
+            nthreads_hint=nthreads, with_critical=True
+        )
         if not taped:
             tp = untaped(tp)
-        obs = (
-            InstructionCounter(4),
-            SyncEventLog(4),
-            TraceCollector(limit=None),
-        )
+        obs = OBSERVER_SETS[observers](nthreads)
         engine = ExecutionEngine(
-            program, tp, omp, 4, wait_policy=policy, seed=11,
+            program, tp, omp, nthreads, wait_policy=policy, seed=11,
             observers=obs, flow_control=flow, max_events=max_events,
         )
         assert (engine._streams is not None) == taped
         try:
-            return engine.run(), obs
+            return engine.run(), [_observed(ob) for ob in obs]
         except ExecutionError as exc:
             # A bounded run stops mid-run: compare where it stopped.
             return (str(exc), engine.num_events, engine.total_instructions,
                     engine.filtered_instructions, engine.per_thread_total,
                     engine.per_thread_filtered), None
 
+    @pytest.mark.parametrize("observers", sorted(OBSERVER_SETS))
     @pytest.mark.parametrize("max_events", [None, 25, 500])
     @pytest.mark.parametrize("flow", [False, True], ids=["noflow", "flow"])
     @pytest.mark.parametrize("policy", [WaitPolicy.PASSIVE, WaitPolicy.ACTIVE])
-    def test_lock_handoff_schedule_identical(self, policy, flow, max_events):
+    def test_lock_handoff_schedule_identical(
+        self, policy, flow, max_events, observers
+    ):
         kwargs = dict(
             policy=policy,
             flow=FlowControl(window=100) if flow else None,
             max_events=max_events,
+            observers=observers,
         )
         result_l, obs_l = self._run(taped=False, **kwargs)
         result_b, obs_b = self._run(taped=True, **kwargs)
@@ -153,8 +180,17 @@ class TestScheduleIdentityAcrossPaths:
         if max_events is not None:  # both bounds stop the run early
             assert obs_l is None and obs_b is None
             return
-        assert obs_l[0].per_thread_total == obs_b[0].per_thread_total
-        assert obs_l[1].per_thread == obs_b[1].per_thread
-        assert obs_l[1].gseq_order == obs_b[1].gseq_order
-        assert obs_l[2].blocks == obs_b[2].blocks
-        assert obs_l[2].syncs == obs_b[2].syncs
+        assert obs_l == obs_b
+
+    @pytest.mark.parametrize("policy", [WaitPolicy.PASSIVE, WaitPolicy.ACTIVE])
+    def test_wide_run_queue_schedule_identical(self, policy):
+        """32 threads under flow control: all 32 are runnable on about
+        half the rounds, and the window narrows the run-queue on most."""
+        kwargs = dict(
+            policy=policy, flow=FlowControl(window=100), max_events=None,
+            observers="order_strict", nthreads=32,
+        )
+        result_l, obs_l = self._run(taped=False, **kwargs)
+        result_b, obs_b = self._run(taped=True, **kwargs)
+        assert result_l == result_b
+        assert obs_l == obs_b
