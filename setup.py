@@ -2,7 +2,7 @@
 
 ``pip install -e .`` uses pyproject.toml; this file lets
 ``python setup.py develop`` work offline (no wheel package) with identical
-metadata, including the ``run-looppoint`` console script.
+metadata, including every console script.
 """
 
 from setuptools import setup
@@ -12,7 +12,7 @@ setup(
         "console_scripts": [
             "run-looppoint = repro.cli:main",
             "repro-lint = repro.lint.cli:main",
-            "repro-bench = repro.perf.cli:main",
+            "repro-obs = repro.obs.cli:main",
         ],
     }
 )

@@ -14,6 +14,7 @@ output, exactly the artifact's workflow (Appendix E).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -463,6 +464,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.jobs is not None and args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
+    if args.job_timeout is not None and not (
+        math.isfinite(args.job_timeout) and args.job_timeout > 0
+    ):
+        parser.error(
+            f"--job-timeout must be finite and > 0, got {args.job_timeout}"
+        )
+    if args.job_retries is not None and args.job_retries < 0:
+        parser.error(f"--job-retries must be >= 0, got {args.job_retries}")
     if args.resume and not args.cache_dir:
         parser.error("--resume requires --cache-dir (resume restores "
                      "completed stages from the artifact cache)")

@@ -34,6 +34,20 @@ class SimPointOptions:
     #: the BIC curve.
     n_init: int = 3
 
+    def __post_init__(self) -> None:
+        for name in ("max_k", "n_init", "projection_dim"):
+            if getattr(self, name) < 1:
+                raise ClusteringError(
+                    f"SimPointOptions.{name} must be >= 1, got "
+                    f"{getattr(self, name)}"
+                )
+        # NaN fails the comparison too.
+        if not 0.0 <= self.bic_threshold <= 1.0:
+            raise ClusteringError(
+                f"SimPointOptions.bic_threshold must be in [0, 1], got "
+                f"{self.bic_threshold}"
+            )
+
 
 @dataclass
 class ClusterInfo:
@@ -86,10 +100,6 @@ def select_simpoints(
     and restart; each fan-out task computes its own.
     """
     opts = options or SimPointOptions()
-    if opts.max_k < 1:
-        raise ClusteringError(
-            f"SimPointOptions.max_k must be >= 1, got {opts.max_k}"
-        )
     counts = np.asarray(instruction_counts, dtype=np.float64)
     if bbvs.ndim != 2 or bbvs.shape[0] != counts.shape[0]:
         raise ClusteringError(
@@ -123,7 +133,7 @@ def select_simpoints(
 def _restarts_for(n: int, opts: SimPointOptions) -> int:
     # Restarts fight k-means init noise; with many points the landscape is
     # well determined and a single init keeps ref-scale sweeps affordable.
-    return 1 if n > 800 else max(1, opts.n_init)
+    return 1 if n > 800 else opts.n_init
 
 
 def _fit_k(task, columns: Optional[DistanceColumns] = None) -> KMeansResult:

@@ -18,6 +18,7 @@ Stages, each cached on first use:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -160,6 +161,16 @@ class LoopPointOptions:
             )
         if self.jobs is not None:
             resolve_jobs(self.jobs)  # rejects a negative count
+        if not (math.isfinite(self.job_timeout_s) and self.job_timeout_s > 0):
+            raise WorkloadError(
+                f"job_timeout_s must be finite and > 0, got "
+                f"{self.job_timeout_s}"
+            )
+        if self.job_retries < 0 or self.stage_retries < 0:
+            raise WorkloadError(
+                f"job_retries ({self.job_retries}) and stage_retries "
+                f"({self.stage_retries}) must be >= 0"
+            )
 
     def resolved_scale(self) -> ReproScale:
         return self.scale if self.scale is not None else get_scale()

@@ -1,8 +1,9 @@
 """The run-history regression store: accuracy gets the gate speed has.
 
-``BENCH_perf.json`` pins wall-clock floors; nothing pinned *accuracy*
-across PRs — the paper's headline 2.3% error could drift and no gate
-would notice.  This module is the fix: every pipeline run appends one
+Speed is gated elsewhere: ``benchmarks/e2e`` compares wall clocks run
+against run, and ``ci/live_pass_ratio.py`` times two routes in one
+process.  Without this store nothing would pin *accuracy* — the paper's
+headline 2.3% error could drift and no gate would notice.  This module is the fix: every pipeline run appends one
 JSON line (accuracy, coverage, wall-clock, key counters) to a per-
 workload history file under the shared artifact store's directory, and
 ``repro-obs history --check`` fails when the newest run regresses
@@ -20,8 +21,8 @@ Write discipline follows the repo's two crash-safety protocols:
 
 The regression check is deliberately asymmetric: *accuracy* and
 *coverage* gate (both are deterministic for a seeded configuration, so
-identical reruns always pass), *wall-clock* only reports trend (it is
-machine-noise; BENCH_perf.json owns that gate with calibrated floors).
+identical reruns always pass), *wall-clock* only reports trend (records
+from different runs and machines are too noisy to gate on).
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Design constraints, in order:
 1. **Zero cost when off.**  Instrumented code calls
    :func:`active_tracer` / :func:`active_metrics`; with no tracer
    installed those return :data:`NULL_TRACER` / ``None`` and every span
-   is a reused no-op object — the hot loops stay within the perf-smoke
-   floors.  Installation follows the :func:`repro.resilience.fault_scope`
+   is a reused no-op object, so untraced hot loops pay one call per
+   seam.  Installation follows the :func:`repro.resilience.fault_scope`
    pattern: a module-level slot plus a nestable context manager.
 2. **Crash-honest.**  A span line is written when the span *ends*, to an
    append-only JSON-lines file (one ``write`` per line, flushed), so a

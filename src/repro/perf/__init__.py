@@ -1,16 +1,13 @@
 """repro.perf: the batched event hot path and vectorized analysis kernels.
 
-This package holds the performance layer added by the perf-opt PR:
-
 * :mod:`repro.perf.ring` — the fixed-capacity block-event ring that the
   functional engine and the constrained replayer flush to observers in
   batches (parallel numpy columns) instead of per-event Python dispatch;
 * :mod:`repro.perf.kernels` — GEMM-form K-means assignment with row
-  chunking and ``np.bincount`` centroid updates;
-* :mod:`repro.perf.bench` / :mod:`repro.perf.cli` — the ``repro-bench``
-  microbenchmark harness that times the engine, profile, and select hot
-  paths and records ``BENCH_perf.json`` (imported lazily; not re-exported
-  here to keep the engine -> ring import edge cycle-free).
+  chunking and ``np.bincount`` centroid updates.
+
+Timing lives outside the package: ``benchmarks/e2e`` measures every
+layer and end to end.
 """
 
 from .kernels import assign_labels, squared_distances, weighted_means

@@ -220,7 +220,7 @@ class EventRing:
         self._tab_tid = self._tab_bid = self._tab_rep = None
         self._tab_key = self._tab_ninstr = self._tab_flags = None
         # Flush accounting (plain ints: incremented once per *flush*, never
-        # per event, so the hot path stays inside the perf-smoke floors).
+        # per event, so the per-event path pays nothing for them).
         # Drivers report these to repro.obs's active registry at end of run.
         self.flushes = 0
         self.small_flushes = 0

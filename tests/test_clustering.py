@@ -177,6 +177,23 @@ class TestSimPointSelection:
         )
         assert sel.k <= 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_k", 0),
+        ("n_init", 0),
+        ("n_init", -2),
+        ("projection_dim", 0),
+        ("bic_threshold", -1.0),
+        ("bic_threshold", 1.5),
+        ("bic_threshold", float("nan")),
+    ])
+    def test_out_of_range_options_rejected(self, field, value):
+        with pytest.raises(ClusteringError, match=field):
+            SimPointOptions(**{field: value})
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_bic_threshold_bounds_accepted(self, threshold):
+        assert SimPointOptions(bic_threshold=threshold).bic_threshold == threshold
+
     def test_single_point(self):
         sel = select_simpoints(np.ones((1, 4)), np.array([5.0]))
         assert sel.k == 1

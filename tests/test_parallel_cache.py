@@ -440,3 +440,33 @@ class TestDefaultJobs:
             cli.main(["-p", "demo-matrix-1", "-n", "4", "--jobs", "-1"])
         assert exc.value.code == 2
         assert "--jobs must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("inf"), float("nan")])
+    def test_options_reject_bad_job_timeout(self, timeout):
+        with pytest.raises(WorkloadError, match="job_timeout_s"):
+            LoopPointOptions(job_timeout_s=timeout)
+
+    @pytest.mark.parametrize("field", ["job_retries", "stage_retries"])
+    def test_options_reject_negative_retries(self, field):
+        with pytest.raises(WorkloadError, match=field):
+            LoopPointOptions(**{field: -1})
+        assert getattr(LoopPointOptions(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--job-timeout", "0"], "--job-timeout must be finite and > 0"),
+        (["--job-timeout", "inf"], "--job-timeout must be finite and > 0"),
+        (["--job-retries", "-1"], "--job-retries must be >= 0"),
+    ])
+    def test_cli_bad_job_budget_exits_before_recording(
+        self, monkeypatch, capsys, flags, message
+    ):
+        import repro.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"run_one reached with {flags}")
+
+        monkeypatch.setattr(cli, "run_one", no_run)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-p", "demo-matrix-1", "-n", "4", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
