@@ -19,9 +19,8 @@ Stages, each cached on first use:
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,7 +68,6 @@ from ..resilience import (
     maybe_inject,
     renormalize_clusters,
 )
-from ..store import DEFAULT_LOCK_POLICY
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
 from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from ..isa.blocks import BasicBlock
@@ -308,16 +306,11 @@ class LoopPointPipeline:
         #: that needs it replays the pinball once.
         self._dcfg: Optional[DCFG] = None
         #: Persistent stage-artifact cache (None when no cache_dir is set).
-        #: Safe to point many concurrent pipelines at one directory
-        #: (single-flight per-key locks, crash-consistent publishes); the
-        #: lock waits are jittered per process.
+        #: Safe to point many concurrent pipelines at one directory:
+        #: publishes are atomic and checksummed, and one key's artifact
+        #: is the same bytes whoever writes it.
         self.artifacts: Optional[ArtifactCache] = (
-            ArtifactCache(
-                self.options.cache_dir,
-                lock_policy=replace(
-                    DEFAULT_LOCK_POLICY, seed=os.getpid()
-                ),
-            )
+            ArtifactCache(self.options.cache_dir)
             if self.options.cache_dir
             else None
         )

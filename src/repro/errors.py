@@ -58,15 +58,6 @@ class CacheError(ReproError):
     """
 
 
-class StoreLockTimeout(CacheError):
-    """A shared-store key lock could not be acquired within the deadline.
-
-    Carries the lock-file diagnostics (recorded holder pid, whether that
-    pid was alive at the last probe) so a wait that timed out on a dead or
-    wedged holder is distinguishable from plain contention.
-    """
-
-
 class FaultInjectionError(ReproError):
     """A deterministic fault-injection plan fired at this site.
 

@@ -24,8 +24,6 @@ Pass families (the scheduling unit of :func:`~repro.lint.runner.lint_pipeline`):
   block universes, cluster-weight reconciliation, selection/slice
   boundary agreement, manifest vs cache keys, trace vs metrics counters.
 * :mod:`~repro.lint.obs_passes` — span-trace well-formedness.
-* :mod:`~repro.lint.store_passes` — artifact-store hygiene
-  (crash debris, stale locks, checksum-sidecar mismatches).
 
 Configuration, fault plans and run-history records are not linted: their
 loaders (:class:`~repro.config.ReproScale`,
@@ -35,10 +33,9 @@ loaders (:class:`~repro.config.ReproScale`,
 :class:`~repro.obs.history.HistoryStore`) reject bad input where it is
 parsed, so a run that never calls lint is still checked.
 
-Reporting: findings baselines (:mod:`~repro.lint.baseline`) let CI fail
-only on *new* findings; :mod:`~repro.lint.sarif` exports SARIF 2.1.0 for
-code-scanning upload; ``docs/LINT_RULES.md`` is generated from the rule
-registry by :mod:`~repro.lint.rules_doc`.
+Reporting: a report renders as a table or as JSON, and every finding
+carries a stable ``fingerprint``; ``docs/LINT_RULES.md`` is generated
+from the rule registry by :mod:`~repro.lint.rules_doc`.
 
 Entry points: the ``repro-lint`` console script, ``run-looppoint --lint``,
 and :func:`~repro.lint.runner.lint_pipeline` /

@@ -6,13 +6,12 @@ Examples::
     repro-lint demo-matrix-2 --json
     repro-lint demo-matrix-1 --disable CONF005 --no-invariance
     repro-lint demo-matrix-1 --cache-dir .cache   # reuse pipeline stages
-    repro-lint demo-matrix-1 --baseline ci/lint-baseline.json
-    repro-lint demo-matrix-1 --sarif lint.sarif
+    repro-lint --trace run.trace.jsonl
     repro-lint --list-rules
     repro-lint --explain MARK006
 
-Exit status is non-zero when any error-severity finding survives
-suppression and the baseline, so CI can gate on "no new findings".
+Exit status is 1 when any error-severity finding survives suppression
+and 2 on bad arguments or a run that cannot be linted.
 """
 
 from __future__ import annotations
@@ -73,22 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="artifact-cache directory: record/profile/select outputs "
-             "are reused from and stored there, and its hygiene is "
-             "audited (CACHE001)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="accept findings recorded in this baseline file: matched "
-             "findings are reported but excluded from the exit code",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write a baseline accepting every finding of this run, "
-             "then exit 0",
-    )
-    parser.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="additionally write the report as SARIF 2.1.0",
+             "are reused from and stored there",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -121,22 +105,7 @@ def explain_rule(rule_id: str) -> str:
 
 
 def _finish(report: LintReport, args: argparse.Namespace) -> int:
-    """Baseline handling, SARIF export, rendering, and the exit code."""
-    if args.baseline:
-        from .baseline import apply_baseline, load_baseline
-
-        apply_baseline(report, load_baseline(args.baseline))
-    if args.write_baseline:
-        from .baseline import write_baseline
-
-        count = write_baseline(report, args.write_baseline)
-        print(f"[repro-lint] baseline written: {args.write_baseline} "
-              f"({count} finding(s) accepted)", file=sys.stderr)
-        return 0
-    if args.sarif:
-        from .sarif import write_sarif
-
-        write_sarif(report, args.sarif)
+    """Render the report and return the exit code."""
     try:
         print(report.to_json() if args.json else report.render_table())
     except BrokenPipeError:  # e.g. `repro-lint --json | head`
@@ -160,23 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.close()
         return 0
 
-    if args.trace:
-        from .obs_passes import lint_trace_file
-
-        try:
-            report = lint_trace_file(
-                args.trace, disable=frozenset(args.disable)
-            )
-        except ReproError as exc:
-            print(f"[repro-lint] {args.trace} FAILED: {exc}",
-                  file=sys.stderr)
-            return 2
-        try:
-            return _finish(report, args)
-        except ReproError as exc:
-            print(f"[repro-lint] {exc}", file=sys.stderr)
-            return 2
-
     try:
         options = LintOptions(
             check_invariance=not args.no_invariance,
@@ -184,6 +136,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+
+    if args.trace:
+        from .obs_passes import lint_trace_file
+
+        try:
+            report = lint_trace_file(args.trace, disable=options.disable)
+        except ReproError as exc:
+            print(f"[repro-lint] {args.trace} FAILED: {exc}",
+                  file=sys.stderr)
+            return 2
+        return _finish(report, args)
 
     from ..core.looppoint import LoopPointOptions
 

@@ -2,9 +2,7 @@
 
 Every lint pass emits :class:`Finding` objects tagged with a rule id from
 :data:`RULES`.  A :class:`LintReport` aggregates them and renders either an
-ASCII table (interactive use) or JSON (CI / tooling); SARIF export lives in
-:mod:`repro.lint.sarif` and baseline bookkeeping in
-:mod:`repro.lint.baseline`.
+ASCII table (interactive use) or JSON (CI / tooling).
 
 Rules belong to **pass families** (``Rule.family``) — the unit of
 scheduling in :func:`repro.lint.runner.lint_pipeline`: a family whose
@@ -190,14 +188,6 @@ RULES: Dict[str, Rule] = _registry([
          "filtered instructions under one shared multiplier, and the "
          "running error estimate must be monotone non-increasing across "
          "top-up samples", family="live"),
-    # -- shared-store hygiene passes ----------------------------------------
-    Rule("CACHE001", Severity.WARNING,
-         "artifact store carries crash debris or corruption",
-         "store design: orphaned temp files and never-released locks are "
-         "breadcrumbs of crashed writers (self-healing, but a crash worth "
-         "knowing about); a payload whose bytes mismatch its checksum "
-         "sidecar is corruption the next load will evict and recompute",
-         family="store"),
 ])
 
 
@@ -219,7 +209,7 @@ class Finding:
     location: str
     message: str
     #: Optional concrete counterexample: e.g. the block-name path that
-    #: refutes a dominance claim.  Rendered in JSON/SARIF, elided from the
+    #: refutes a dominance claim.  Rendered in JSON, elided from the
     #: ASCII table.
     witness: Optional[Tuple[str, ...]] = None
 
@@ -229,7 +219,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (rule + location + text)."""
+        """Stable identity of a finding (rule + location + text)."""
         blob = "\x1f".join((self.rule_id, self.location, self.message))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
@@ -274,9 +264,6 @@ class LintReport:
     #: rules disabled, or nothing to check).  Populated by
     #: :func:`repro.lint.runner.lint_pipeline`.
     family_sources: Dict[str, str] = field(default_factory=dict)
-    #: Findings accepted by a baseline file — real, known, and excluded
-    #: from :attr:`findings` and the exit code.
-    baselined: List[Finding] = field(default_factory=list)
 
     def add(self, finding: Finding) -> None:
         self.findings.append(finding)
@@ -307,11 +294,7 @@ class LintReport:
 
     @property
     def exit_code(self) -> int:
-        """Process exit code: non-zero iff error-severity findings exist.
-
-        Baselined findings do not count — with a baseline in force, only
-        *new* errors fail the run.
-        """
+        """Process exit code: non-zero iff error-severity findings exist."""
         return 1 if self.has_errors else 0
 
     def counts(self) -> Dict[str, int]:
@@ -332,8 +315,6 @@ class LintReport:
         }
         if self.family_sources:
             out["family_sources"] = dict(self.family_sources)
-        if self.baselined:
-            out["baselined"] = [f.as_dict() for f in self.baselined]
         return out
 
     def to_json(self, indent: int = 2) -> str:
@@ -346,8 +327,6 @@ class LintReport:
             f" (suppressed: {', '.join(self.disabled)})" if self.disabled
             else ""
         )
-        if self.baselined:
-            suppressed += f" (baselined: {len(self.baselined)})"
         if not self.findings:
             passes = ", ".join(self.passes_run) or "none"
             return f"{title}\n  no findings (passes run: {passes}){suppressed}"

@@ -4,10 +4,10 @@ The expensive families share their inputs: one constrained analysis
 replay feeds ``dcfg`` / ``concurrency`` / ``perf`` / ``dominance`` /
 ``xar`` (a DCFG builder, a concurrency analyzer, a sync log and a trace
 collector all observe it), and ``MARK004`` costs one more profiling
-replay.  The cheap families (static marker checks, the live audit, store
-hygiene) need no replay.  Everything runs serially in the calling
-process.  Configuration, fault plans and history records are checked
-where they are parsed, not here.
+replay.  The cheap families (static marker checks, the live audit) need
+no replay.  Everything runs serially in the calling process.
+Configuration, fault plans and history records are checked where they
+are parsed, not here.
 
 Rule suppression is resolved *before* passes run: a family whose rules
 are all disabled is never executed (disabling ``MARK004`` alone drops the
@@ -43,7 +43,6 @@ from .marker_passes import (
     check_slice_population,
 )
 from .perf_passes import TRACE_LIMIT, check_trace_truncation
-from .store_passes import run_store_passes
 from .xar_passes import read_trace_for_audit, run_xar_passes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +60,7 @@ REPLAY_FAMILIES: FrozenSet[str] = frozenset(
 #: ``passes_run``.
 FAMILY_ORDER: Tuple[str, ...] = (
     "dcfg", "concurrency", "perf", "markers", "invariance", "dominance",
-    "xar", "live", "store",
+    "xar", "live",
 )
 
 
@@ -210,15 +209,6 @@ def lint_pipeline(
 
             report.extend(_keep(run_live_passes(live), disable))
             report.mark_pass("live")
-        elif family == "store":
-            # A directory walk over the cache dir's *current* state.
-            if not pipeline.options.cache_dir or not enabled("store"):
-                report.mark_pass("store", source="skipped")
-                continue
-            report.extend(_keep(
-                run_store_passes(pipeline.options.cache_dir), disable,
-            ))
-            report.mark_pass("store")
         elif family in computed:
             report.extend(_keep(computed[family], disable))
             report.mark_pass(family)

@@ -11,8 +11,6 @@ Public surface:
   (the ``repro-obs`` CLI wraps these).
 * :func:`attribute_error` / :class:`ErrorAttribution` — per-cluster
   decomposition of the extrapolation error.
-* :func:`prometheus_text` / :func:`otlp_json` — standard-format export
-  (``repro-obs export`` wraps these).
 * :class:`HistoryStore` / :func:`check_regression` — the run-history
   regression store (``repro-obs history`` wraps it).
 """
@@ -26,7 +24,6 @@ from .attribution import (
     offline_scores,
 )
 from .console import Console
-from .export import otlp_json, prometheus_text
 from .history import (
     HISTORY_SCHEMA,
     HistoryError,
@@ -92,8 +89,6 @@ __all__ = [
     "live_scores",
     "obs_scope",
     "offline_scores",
-    "otlp_json",
-    "prometheus_text",
     "read_trace",
     "render_diff",
     "render_report",

@@ -216,8 +216,8 @@ def emit_attribution(
     Zero-cost when tracing is off (the usual ``is None`` fast path).
     Gauges carry the machine-readable decomposition —
     ``attribution.cluster.<id>.share`` (always) and ``.error_cycles``
-    (when a reference exists) — which is what ``repro-obs report`` and
-    the Prometheus export read back.
+    (when a reference exists) — which is what ``repro-obs report``
+    reads back.
     """
     from .tracer import active_metrics, active_tracer
 

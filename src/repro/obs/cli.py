@@ -5,8 +5,6 @@ Examples::
     repro-obs report /tmp/cache/demo-matrix-1.trace.jsonl
     repro-obs folded trace.jsonl -o stacks.folded
     repro-obs diff before.trace.jsonl after.trace.jsonl
-    repro-obs export trace.jsonl --format prometheus
-    repro-obs export trace.jsonl --format otlp-json -o spans.json
     repro-obs history cache/history/demo-matrix-1.history.jsonl
     repro-obs history cache/history/demo-matrix-1.history.jsonl --check
 
@@ -14,21 +12,28 @@ Examples::
 critical-path summary, the top error contributors, and exact histogram
 aggregates; ``folded`` exports flamegraph-style folded stacks; ``diff``
 compares two runs' stage walls, counters, and histogram aggregates for
-regression triage; ``export`` emits Prometheus text exposition or
-OTLP-style JSON; ``history`` renders the run-history trend table and
-gates on regressions (``--check``).
+regression triage; ``history`` renders the run-history trend table and
+gates on regressions (``--check``).  Every count option must be at
+least 1; a smaller value exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from .history import HistoryError
+from .history import DEFAULT_WINDOW, HistoryError
 from .report import folded_stacks, render_diff, render_report
 from .trace import DEFAULT_LIMITS, TraceError, TraceLimits, read_trace
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for count options: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,11 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "--max-bytes", type=int, default=DEFAULT_LIMITS.max_bytes,
+        "--max-bytes", type=_positive_int, default=DEFAULT_LIMITS.max_bytes,
         help="parser byte budget per trace (bounded reads; default 64MiB)",
     )
     parser.add_argument(
-        "--max-spans", type=int, default=DEFAULT_LIMITS.max_spans,
+        "--max-spans", type=_positive_int, default=DEFAULT_LIMITS.max_spans,
         help="parser span budget per trace (default 500000)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,21 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("trace_a", help="baseline trace file")
     diff.add_argument("trace_b", help="comparison trace file")
 
-    export = sub.add_parser(
-        "export", help="standard-format telemetry export",
-    )
-    export.add_argument("trace", help="trace file (JSON lines)")
-    export.add_argument(
-        "--format", choices=["prometheus", "otlp-json"],
-        default="prometheus", dest="fmt",
-        help="prometheus text exposition (metrics) or OTLP-style JSON "
-             "(spans); default: prometheus",
-    )
-    export.add_argument(
-        "-o", "--output", default=None, metavar="FILE",
-        help="write the document here (default: stdout)",
-    )
-
     history = sub.add_parser(
         "history", help="run-history trends and regression gate",
     )
@@ -91,38 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
              "against the rolling baseline",
     )
     history.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="rolling-baseline size for --check (default: 5)",
+        "--window", type=_positive_int, default=DEFAULT_WINDOW, metavar="N",
+        help=f"rolling-baseline size for --check (default: {DEFAULT_WINDOW})",
     )
     history.add_argument(
-        "--last", type=int, default=20, metavar="N",
+        "--last", type=_positive_int, default=20, metavar="N",
         help="trend rows to show (default: 20)",
     )
     return parser
 
 
-def _cmd_export(args: argparse.Namespace, limits: TraceLimits) -> int:
-    from .export import otlp_json, prometheus_text
-
-    trace = read_trace(args.trace, limits)
-    if args.fmt == "prometheus":
-        text = prometheus_text(trace)
-    else:
-        text = json.dumps(otlp_json(trace), indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _cmd_history(args: argparse.Namespace) -> int:
     from ..analysis.tables import ascii_table
-    from .history import (
-        DEFAULT_WINDOW, HistoryStore, check_regression, trend_rows,
-    )
+    from .history import HistoryStore, check_regression, trend_rows
 
     store = HistoryStore(args.history_file)
     records, corrupt = store.load()
@@ -130,7 +101,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print(f"repro-obs: no history records in {args.history_file}",
               file=sys.stderr)
         return 2
-    rows = trend_rows(records[-max(1, args.last):])
+    rows = trend_rows(records[-args.last:])
     print(ascii_table(
         ["when", "mode", "runtime err", "coverage", "wall",
          "looppoints", "run"],
@@ -142,16 +113,14 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print(f"  {corrupt} torn/corrupt line(s) skipped")
     if not args.check:
         return 0
-    regressions = check_regression(
-        records, window=args.window or DEFAULT_WINDOW
-    )
+    regressions = check_regression(records, window=args.window)
     if regressions:
         for regression in regressions:
             print(f"REGRESSION: {regression.detail}")
         return 1
     print(
         f"history check OK: newest run holds the rolling baseline "
-        f"({min(len(records) - 1, args.window or DEFAULT_WINDOW)} "
+        f"({min(len(records) - 1, args.window)} "
         f"prior run(s))"
     )
     return 0
@@ -177,8 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 read_trace(args.trace_a, limits),
                 read_trace(args.trace_b, limits),
             ))
-        elif args.command == "export":
-            return _cmd_export(args, limits)
         elif args.command == "history":
             return _cmd_history(args)
     except (TraceError, HistoryError) as exc:

@@ -289,7 +289,13 @@ def check_regression(
     coverage_drop_pp: float = DEFAULT_COVERAGE_DROP_PP,
 ) -> List[Regression]:
     """Judge the newest record against the mean of up to ``window``
-    preceding records.  Fewer than two records means nothing to judge."""
+    preceding records.  Fewer than two records means nothing to judge.
+
+    Raises :class:`ValueError` when ``window`` is below 1: an empty
+    baseline would pass any regression.
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if len(records) < 2:
         return []
     latest = records[-1]

@@ -31,6 +31,12 @@ class TraceLimits:
     #: hundred bytes; anything near this is damage, not data).
     max_line_bytes: int = 1 * 1024 * 1024
 
+    def __post_init__(self) -> None:
+        for name in ("max_bytes", "max_spans", "max_line_bytes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise TraceError(f"TraceLimits.{name} must be >= 1, got {value}")
+
 
 DEFAULT_LIMITS = TraceLimits()
 

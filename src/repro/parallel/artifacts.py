@@ -32,9 +32,14 @@ semantics change — old artifacts are simply never looked at again.
 :meth:`ArtifactCache.invalidate` wipes a stage (or everything) explicitly;
 wiping the directory by hand is always safe.
 
-Multi-process sharing: :meth:`ArtifactCache.get_or_compute` takes a
-per-key :class:`repro.store.KeyLock` around the miss path, so concurrent
-pipelines missing on one key cost one computation (single-flight).
+Multi-process sharing needs no lock.  Each stage is deterministic and
+the gzip header carries no timestamp (``mtime=0``), so two writers of one
+key publish the same payload and sidecar bytes, each through an atomic
+``os.replace``; whichever sidecar ends up beside whichever payload, they
+match.  Concurrent pipelines that miss on one key each compute it: the
+race costs duplicate work.  Were two pickles of one artifact ever to
+differ, a mismatched pair would read back as corruption — evicted and
+recomputed, never a wrong artifact.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from ..resilience import (
     maybe_inject,
     should_fire,
 )
-from ..resilience.retry import RetryPolicy
 
 #: Bump when any cached stage's semantics change.
 CACHE_VERSION = 1
@@ -72,9 +76,6 @@ STAGES = ("record", "profile", "select")
 
 #: Suffix of the per-artifact checksum sidecar.
 SIDECAR_SUFFIX = ".sha256"
-
-#: Directory under the versioned root holding the per-key lock files.
-LOCKS_DIR = "locks"
 
 #: A temp file that cannot be attributed to a pid, or a sidecar whose
 #: payload is not there, is only swept once it is at least this old — it
@@ -168,15 +169,8 @@ class ArtifactCache:
     ``stats_line()`` a CLI run prints.
     """
 
-    def __init__(
-        self,
-        cache_dir: Union[str, Path],
-        lock_policy: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, cache_dir: Union[str, Path]) -> None:
         self.root = Path(cache_dir) / f"v{CACHE_VERSION}"
-        #: Wait pacing for :meth:`get_or_compute`'s key locks (``None``
-        #: = :data:`repro.store.DEFAULT_LOCK_POLICY`).
-        self.lock_policy = lock_policy
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
         self.stores: Counter = Counter()
@@ -205,33 +199,23 @@ class ArtifactCache:
 
     # -- load/store ----------------------------------------------------------
 
-    def load(
-        self,
-        stage: str,
-        material: Dict[str, Any],
-        count_miss: bool = True,
-    ) -> Optional[Any]:
+    def load(self, stage: str, material: Dict[str, Any]) -> Optional[Any]:
         """Return the cached artifact, or ``None`` on a miss.
 
         Corrupt or checksum-mismatched files are treated as misses (and
         removed) — the pipeline then recomputes and overwrites them.
-        ``count_miss=False`` keeps a miss out of the counters and the
-        stats line; :meth:`get_or_compute` uses it for its under-lock
-        re-check so one logical miss is not accounted twice.
         """
         key = canonical_key(material)
         path = self._path(stage, key)
         try:
             data = path.read_bytes()
         except FileNotFoundError:
-            if count_miss:
-                self._miss(stage)
+            self._miss(stage)
             return None
         except OSError:
             # Vanished or unreadable mid-read (e.g. concurrently evicted
             # as corrupt): a miss, not corruption.
-            if count_miss:
-                self._miss(stage)
+            self._miss(stage)
             return None
         sidecar = self._read_sidecar(path)
         if sidecar is not None and hashlib.sha256(data).hexdigest() != sidecar:
@@ -239,15 +223,13 @@ class ArtifactCache:
             if reg is not None:
                 reg.inc("cache.sidecar_mismatches")
             self._evict_corrupt(stage, path)
-            if count_miss:
-                self._miss(stage)
+            self._miss(stage)
             return None
         try:
             payload = pickle.loads(gzip.decompress(data))
         except Exception:
             self._evict_corrupt(stage, path)
-            if count_miss:
-                self._miss(stage)
+            self._miss(stage)
             return None
         if (
             not isinstance(payload, tuple)
@@ -257,8 +239,7 @@ class ArtifactCache:
             or payload[2] != material
         ):
             self._evict_corrupt(stage, path)
-            if count_miss:
-                self._miss(stage)
+            self._miss(stage)
             return None
         self.hits[stage] += 1
         self.last_outcome[stage] = "hit"
@@ -281,7 +262,9 @@ class ArtifactCache:
         sidecar, ``os.replace`` into place, then **fsync the parent
         directory**.  A crash at any instant leaves either the old
         artifact, no artifact, or a torn file that the sidecar check
-        rejects on load — never a silently wrong artifact.
+        rejects on load — never a silently wrong artifact.  The gzip
+        header's mtime is zeroed, so storing one artifact twice writes
+        identical bytes.
         """
         key = canonical_key(material)
         path = self._path(stage, key)
@@ -294,7 +277,9 @@ class ArtifactCache:
         digest = hashlib.sha256()
         try:
             with os.fdopen(fd, "wb") as raw:
-                with gzip.open(_TeeHash(raw, digest), "wb") as fh:
+                with gzip.GzipFile(
+                    fileobj=_TeeHash(raw, digest), mode="wb", mtime=0
+                ) as fh:
                     pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 raw.flush()
                 os.fsync(raw.fileno())
@@ -342,8 +327,6 @@ class ArtifactCache:
                 pass
             raise
 
-    # -- single-flight -------------------------------------------------------
-
     def get_or_compute(
         self,
         stage: str,
@@ -351,38 +334,17 @@ class ArtifactCache:
         compute: Callable[[], Any],
         kind: type = object,
     ) -> Tuple[Any, str]:
-        """Load the artifact, or compute-and-store it exactly once.
+        """Load the artifact, or compute and store it.
 
         Returns ``(artifact, source)``: ``source`` is ``"hit"`` for a
-        plain load, ``"flight"`` when another process published the
-        artifact while this one waited on the key lock, and
-        ``"computed"`` when this call ran ``compute``.  A loaded payload
-        that is not an instance of ``kind`` counts as a miss.
-
-        Concurrent callers with the same key serialize on the key lock;
-        whoever wins computes, the rest find the published artifact in
-        their under-lock re-check (not counted as a second miss).
+        load and ``"computed"`` when this call ran ``compute``.  A loaded
+        payload that is not an instance of ``kind`` counts as a miss.
         """
-        # Imported here: repro.store's hygiene scanner imports this module.
-        from ..store.locks import KeyLock
-
         artifact = self.load(stage, material)
         if isinstance(artifact, kind) and artifact is not None:
             return artifact, "hit"
-        key = canonical_key(material)
-        with KeyLock(
-            self.root / LOCKS_DIR / stage / f"{key}.lock",
-            policy=self.lock_policy,
-            name=f"{stage}:{key}",
-        ):
-            artifact = self.load(stage, material, count_miss=False)
-            if isinstance(artifact, kind) and artifact is not None:
-                reg = active_metrics()
-                if reg is not None:
-                    reg.inc("store.single_flight")
-                return artifact, "flight"
-            artifact = compute()
-            self.store(stage, material, artifact)
+        artifact = compute()
+        self.store(stage, material, artifact)
         return artifact, "computed"
 
     @staticmethod

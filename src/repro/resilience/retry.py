@@ -5,22 +5,15 @@ transiently sick pool (an OOM-killed worker, a loaded host) into a tight
 crash loop.  :class:`RetryPolicy` spaces attempts exponentially and jitters
 each delay by a hash of ``(seed, key, attempt)`` — the same run always waits
 the same amounts, so wall-clock-sensitive tests and CI stay reproducible
-while concurrent retries still decorrelate.
-
-A policy may also carry a **wall-clock deadline** (``deadline_s``).
-Attempt counting alone bounds how many times a loop retries, but not how
-long it spends doing so — a wait loop polling a lock whose holder is dead
-would otherwise spin forever at ``max_delay_s`` pacing.  The deadline is
-measured by the *caller* (who knows when the whole operation started) via
-:meth:`expired` / :meth:`clamped_delay`; the policy itself stays a frozen
-pure-data schedule.
+while concurrent retries still decorrelate.  The policy is a frozen
+pure-data schedule; callers bound the number of attempts (and, like the
+executor, any wall-clock deadline) themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -34,11 +27,6 @@ class RetryPolicy:
     #: ``raw * (1 + jitter * u)`` with ``u`` uniform in [-1, 1).
     jitter: float = 0.25
     seed: int = 0
-    #: Total wall-clock budget in seconds for the retried operation as a
-    #: whole (``None`` = unbounded, the historical behavior).  Enforced by
-    #: the caller through :meth:`expired`/:meth:`clamped_delay` — attempt
-    #: bounds cap *how many* retries, the deadline caps *how long*.
-    deadline_s: Optional[float] = None
 
     def delay(self, attempt: int, key: object = "") -> float:
         """Seconds to wait before attempt ``attempt`` (first retry = 1)."""
@@ -52,29 +40,3 @@ class RetryPolicy:
         digest = hashlib.sha256(blob).digest()
         u = int.from_bytes(digest[:8], "big") / 2**63 - 1.0  # [-1, 1)
         return max(0.0, raw * (1.0 + self.jitter * u))
-
-    # -- wall-clock budget ---------------------------------------------------
-
-    def remaining(self, elapsed_s: float) -> Optional[float]:
-        """Wall-clock budget left after ``elapsed_s``; ``None`` = unbounded."""
-        if self.deadline_s is None:
-            return None
-        return max(0.0, self.deadline_s - elapsed_s)
-
-    def expired(self, elapsed_s: float) -> bool:
-        """Whether the operation's total wall-clock budget is spent."""
-        return self.deadline_s is not None and elapsed_s >= self.deadline_s
-
-    def clamped_delay(
-        self, attempt: int, key: object = "", elapsed_s: float = 0.0
-    ) -> float:
-        """:meth:`delay`, clipped so the sleep never overshoots the deadline.
-
-        Returns ``0.0`` once the deadline is spent — the caller should then
-        check :meth:`expired` and give up rather than keep polling.
-        """
-        raw = self.delay(attempt, key)
-        left = self.remaining(elapsed_s)
-        if left is None:
-            return raw
-        return min(raw, left)

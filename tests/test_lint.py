@@ -410,14 +410,12 @@ class TestEndToEnd:
         assert "demo-matrix-1" in data["subject"]
         assert set(data["passes_run"]) == {
             "dcfg", "concurrency", "perf", "markers", "invariance",
-            "dominance", "xar", "live", "store",
+            "dominance", "xar", "live",
         }
         # --no-invariance skips the family instead of silently running it.
         assert data["family_sources"]["invariance"] == "skipped"
         # Offline run: the live audit has nothing to check.
         assert data["family_sources"]["live"] == "skipped"
-        # No cache dir on this run: store hygiene has nothing to scan.
-        assert data["family_sources"]["store"] == "skipped"
 
     def test_cli_list_rules(self, capsys):
         from repro.lint.cli import main

@@ -496,6 +496,19 @@ class TestObsLint:
         notrace.write_text("hello\n")
         assert lint_main(["--trace", str(notrace)]) == 2
 
+    def test_lint_cli_trace_mode_rejects_unknown_disable(
+        self, tmp_path, capsys
+    ):
+        """A --disable typo exits 2 in trace mode, as in workload mode."""
+        from repro.lint.cli import main as lint_main
+
+        path = str(tmp_path / "clean.jsonl")
+        _write_lines(path, [_start(), _span("64.1", "run"), _end(spans=1)])
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--trace", path, "--disable", "BOGUS"])
+        assert exc.value.code == 2
+        assert "BOGUS" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # The repro-obs CLI.

@@ -1,18 +1,16 @@
-"""Observability v2: attribution, export, history, reader.
+"""Observability v2: attribution, history, reader.
 
 Covers the second-generation obs contracts:
 
 * per-cluster error attributions **reconcile** — they sum to the total
   extrapolation error by construction (XAR002-style, on the demo and an
   NPB workload, offline and live);
-* Prometheus/OTLP exports are valid, deterministic documents (cumulative
-  buckets, exact ``_sum``/``_count``, 16/8-byte ids);
 * the run-history store appends crash-safely, enforces retention, and
   its regression gate passes identical reruns while failing a seeded
   accuracy regression, and its loader rejects records that would poison
-  the gate's baseline;
+  the gate's baseline; a window or row count below 1 is refused;
 * the bounded trace reader keeps truncation/corruption accounting
-  correct across multi-segment traces.
+  correct across multi-segment traces, and refuses budgets below 1.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ from repro.obs import (
     HistoryError,
     HistoryRecord,
     HistoryStore,
+    TraceError,
     TraceLimits,
     Tracer,
     attribute_error,
     check_regression,
-    otlp_json,
-    prometheus_text,
     read_trace,
     render_diff,
     render_report,
@@ -81,6 +78,15 @@ def _metrics(counters=None, gauges=None, histograms=None, pid=100):
     return {"type": "metrics", "trace_id": "t0", "pid": pid, "scope": "run",
             "metrics": {"counters": counters or {}, "gauges": gauges or {},
                         "histograms": histograms or {}}}
+
+
+def _hist_dict():
+    from repro.obs.metrics import Histogram
+
+    h = Histogram()
+    for v in (0.001, 0.002, 0.5, 2.0):
+        h.observe(v)
+    return h.as_dict()
 
 
 def _record(ts, err=1.0, coverage=100.0, **kw):
@@ -234,129 +240,6 @@ class TestAttributionReconciliation:
 
 
 # ---------------------------------------------------------------------------
-# Export: Prometheus exposition and OTLP-style JSON.
-# ---------------------------------------------------------------------------
-
-
-def _hist_dict():
-    from repro.obs.metrics import Histogram
-
-    h = Histogram()
-    for v in (0.001, 0.002, 0.5, 2.0):
-        h.observe(v)
-    return h.as_dict()
-
-
-class TestPrometheusExport:
-    def test_counters_gauges_and_histogram_series(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        _write_lines(path, [
-            _start(),
-            _span("64.1", "run"),
-            _metrics(counters={"engine.events": 42},
-                     gauges={"live.final_error_estimate": 0.25},
-                     histograms={"job.seconds": _hist_dict()}),
-            _end(spans=1),
-        ])
-        text = prometheus_text(read_trace(path))
-        lines = text.splitlines()
-        assert "# TYPE repro_engine_events_total counter" in lines
-        assert "repro_engine_events_total 42" in lines
-        assert "# TYPE repro_live_final_error_estimate gauge" in lines
-        assert "repro_live_final_error_estimate 0.25" in lines
-        assert "# TYPE repro_job_seconds histogram" in lines
-        assert "repro_job_seconds_sum 2.503" in lines
-        assert "repro_job_seconds_count 4" in lines
-        # Bucket series are cumulative and end at +Inf == _count.
-        buckets = [l for l in lines if l.startswith("repro_job_seconds_bucket")]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in buckets]
-        assert counts == sorted(counts)
-        assert buckets[-1] == 'repro_job_seconds_bucket{le="+Inf"} 4'
-
-    def test_export_is_deterministic(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        _write_lines(path, [
-            _start(), _span("64.1", "run"),
-            _metrics(counters={"b": 2, "a": 1}), _end(spans=1),
-        ])
-        assert prometheus_text(read_trace(path)) == prometheus_text(
-            read_trace(path)
-        )
-        # Sorted by name, so insertion order cannot leak.
-        text = prometheus_text(read_trace(path))
-        assert text.index("repro_a_total") < text.index("repro_b_total")
-
-    def test_name_sanitization(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        _write_lines(path, [
-            _start(), _span("64.1", "run"),
-            _metrics(gauges={"attribution.cluster.0.share": 1.0}),
-            _end(spans=1),
-        ])
-        assert "repro_attribution_cluster_0_share 1" in prometheus_text(
-            read_trace(path)
-        )
-
-
-class TestOtlpExport:
-    def test_structure_ids_and_parenting(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        _write_lines(path, [
-            _start(),
-            _span("64.1", "run", t0=50.0, dur=2.0),
-            _span("64.2", "stage:profile", t0=50.1, dur=0.5, parent="64.1",
-                  stage="profile", workers=4, frac=0.5, flag=True),
-            _end(spans=2),
-        ])
-        doc = otlp_json(read_trace(path))
-        scope = doc["resourceSpans"][0]["scopeSpans"][0]
-        spans = {s["name"]: s for s in scope["spans"]}
-        assert set(spans) == {"run", "stage:profile"}
-        run, child = spans["run"], spans["stage:profile"]
-        assert len(run["traceId"]) == 32 and len(run["spanId"]) == 16
-        assert child["traceId"] == run["traceId"]
-        assert child["parentSpanId"] == run["spanId"]
-        assert "parentSpanId" not in run
-        # Times are unix-nano via the trace-start clock anchor
-        # (epoch 1000, mono 50 -> t0 50.0 lands at 1000s).
-        assert run["startTimeUnixNano"] == str(int(1000.0 * 1e9))
-        attrs = {a["key"]: a["value"] for a in child["attributes"]}
-        assert attrs["workers"] == {"intValue": "4"}
-        assert attrs["frac"] == {"doubleValue": 0.5}
-        assert attrs["flag"] == {"boolValue": True}
-        assert attrs["stage"] == {"stringValue": "profile"}
-        resource = {
-            a["key"]: a["value"]
-            for a in doc["resourceSpans"][0]["resource"]["attributes"]
-        }
-        assert resource["service.name"] == {"stringValue": "repro-looppoint"}
-        assert resource["repro.trace_id"] == {"stringValue": "t0"}
-
-
-class TestExportCli:
-    def _trace(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        _write_lines(path, [
-            _start(), _span("64.1", "run"),
-            _metrics(counters={"engine.events": 7}), _end(spans=1),
-        ])
-        return path
-
-    def test_prometheus_to_stdout(self, tmp_path, capsys):
-        assert obs_main(["export", self._trace(tmp_path)]) == 0
-        assert "repro_engine_events_total 7" in capsys.readouterr().out
-
-    def test_otlp_to_file(self, tmp_path, capsys):
-        out = tmp_path / "spans.json"
-        assert obs_main([
-            "export", self._trace(tmp_path),
-            "--format", "otlp-json", "-o", str(out),
-        ]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
-
-
-# ---------------------------------------------------------------------------
 # Run-history store + regression gate.
 # ---------------------------------------------------------------------------
 
@@ -434,6 +317,14 @@ class TestRegressionGate:
         assert check_regression(records, window=5)
         assert check_regression(records, window=50) == []
 
+    @pytest.mark.parametrize("window", [0, -10])
+    def test_window_below_one_rejected(self, window):
+        # An empty baseline would pass any regression.
+        records = [_record(float(ts), coverage=100.0) for ts in range(1, 4)]
+        records.append(_record(4.0, coverage=10.0))
+        with pytest.raises(ValueError, match="window"):
+            check_regression(records, window=window)
+
 
 class TestHistoryCli:
     def test_trend_and_check_pass(self, tmp_path, capsys):
@@ -455,6 +346,21 @@ class TestHistoryCli:
         store.append(_record(4.0, err=4.0))
         assert obs_main(["history", path, "--check"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--window", "0"), ("--window", "-10"),
+        ("--last", "0"), ("--last", "-2"),
+    ])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, flag, value):
+        path = str(tmp_path / "h.jsonl")
+        store = HistoryStore(path)
+        for ts in (1.0, 2.0, 3.0):
+            store.append(_record(ts, coverage=100.0))
+        store.append(_record(4.0, coverage=10.0))
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["history", path, "--check", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert obs_main(["history", str(tmp_path / "none.jsonl")]) == 2
@@ -554,6 +460,28 @@ class TestHistoryLint:
 # ---------------------------------------------------------------------------
 # Bounded reader across multi-segment traces (appended runs).
 # ---------------------------------------------------------------------------
+
+
+class TestTraceLimits:
+    @pytest.mark.parametrize(
+        "field", ["max_bytes", "max_spans", "max_line_bytes"]
+    )
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_budget_below_one_rejected(self, field, value):
+        with pytest.raises(TraceError, match=field):
+            TraceLimits(**{field: value})
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-bytes", "0"), ("--max-bytes", "-5"),
+        ("--max-spans", "0"), ("--max-spans", "-1"),
+    ])
+    def test_cli_budget_below_one_exits_2(self, tmp_path, capsys, flag, value):
+        path = str(tmp_path / "t.jsonl")
+        _write_lines(path, [_start(), _span("64.1", "run"), _end(spans=1)])
+        with pytest.raises(SystemExit) as exc:
+            obs_main([flag, value, "report", path])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestMultiSegmentReader:

@@ -1,31 +1,22 @@
 """The concurrency-safe artifact store.
 
-Covers crash-consistent checksummed writes, orphan sweeping, the per-key
-locks behind ``ArtifactCache.get_or_compute``'s single-flight (including
-an 8-process same-key hammer), the ``RetryPolicy`` wall-clock deadline,
-and the ``CACHE001`` hygiene lint rule.
+Covers crash-consistent checksummed writes, orphan sweeping, byte-identical
+publishes of one artifact, and ``ArtifactCache.get_or_compute`` (including
+an 8-process race on one key).
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import json
 import multiprocessing
 import os
 import pickle
-import random
 import time
-
-import pytest
 
 from conftest import TEST_SCALE
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-from repro.errors import StoreLockTimeout
-from repro.lint.findings import Severity
-from repro.lint.store_passes import run_store_passes
 from repro.parallel.artifacts import (
-    LOCKS_DIR,
     ORPHAN_AGE_S,
     ArtifactCache,
     canonical_key,
@@ -40,14 +31,7 @@ from repro.resilience import (
     fault_scope,
     install_fault_plan,
 )
-from repro.resilience.retry import RetryPolicy
-from repro.store import KeyLock, probe_stale_lock, scan_store
 from repro.workloads.demo import build_demo_matrix
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None
 
 #: A pid that cannot exist (kernel pid_max caps at 2^22 ≈ 4.2M).
 DEAD_PID = 2**22 + 7
@@ -56,42 +40,6 @@ DEAD_PID = 2**22 + 7
 def _options(**kw):
     kw.setdefault("scale", TEST_SCALE)
     return LoopPointOptions(**kw)
-
-
-# ---------------------------------------------------------------------------
-# Satellite: RetryPolicy wall-clock deadline.
-# ---------------------------------------------------------------------------
-
-
-class TestRetryDeadline:
-    def test_unbounded_by_default(self):
-        policy = RetryPolicy()
-        assert policy.deadline_s is None
-        assert policy.remaining(1e9) is None
-        assert not policy.expired(1e9)
-        assert policy.clamped_delay(3, "k", elapsed_s=1e9) == policy.delay(3, "k")
-
-    def test_remaining_and_expired(self):
-        policy = RetryPolicy(deadline_s=2.0)
-        assert policy.remaining(0.5) == pytest.approx(1.5)
-        assert policy.remaining(3.0) == 0.0
-        assert not policy.expired(1.9)
-        assert policy.expired(2.0)
-        assert policy.expired(5.0)
-
-    def test_clamped_delay_never_overshoots(self):
-        policy = RetryPolicy(
-            base_delay_s=1.0, max_delay_s=10.0, jitter=0.0, deadline_s=1.0
-        )
-        # Raw delay for attempt 3 is 4s; only 0.25s of budget remains.
-        assert policy.clamped_delay(3, "k", elapsed_s=0.75) == pytest.approx(0.25)
-        assert policy.clamped_delay(3, "k", elapsed_s=1.5) == 0.0
-
-    def test_delay_schedule_unchanged_by_deadline(self):
-        base = RetryPolicy(seed=7)
-        bounded = RetryPolicy(seed=7, deadline_s=30.0)
-        for attempt in range(1, 6):
-            assert base.delay(attempt, "x") == bounded.delay(attempt, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -251,89 +199,35 @@ class TestOrphanSweep:
 
 
 # ---------------------------------------------------------------------------
-# Tentpole: per-key locks.
+# One artifact, one set of bytes.
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(fcntl is None, reason="no fcntl on this platform")
-class TestKeyLock:
-    def test_acquire_writes_owner_release_truncates(self, tmp_path):
-        lock = KeyLock(tmp_path / "a.lock", name="record:a")
-        with lock:
-            assert lock.held
-            owner = json.loads((tmp_path / "a.lock").read_text())
-            assert owner["pid"] == os.getpid()
-        assert not lock.held
-        # Released: truncated to empty, never unlinked.
-        assert (tmp_path / "a.lock").exists()
-        assert (tmp_path / "a.lock").read_text() == ""
-
-    def test_timeout_on_wedged_holder(self, tmp_path):
-        path = tmp_path / "b.lock"
-        fd = os.open(str(path), os.O_RDWR | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        os.write(fd, json.dumps({"pid": os.getpid()}).encode())
-        try:
-            waiter = KeyLock(
-                path,
-                policy=RetryPolicy(
-                    base_delay_s=0.01, max_delay_s=0.02, deadline_s=0.15
-                ),
-                name="record:b",
+class TestDeterministicBytes:
+    def test_same_artifact_same_bytes_at_different_times(
+        self, tmp_path, monkeypatch
+    ):
+        """The gzip header carries no timestamp, so two writers of one key
+        publish identical payload and sidecar files."""
+        material = {"k": "same"}
+        published = []
+        for when, root in ((1_000_000_000.0, "a"), (1_000_000_100.0, "b")):
+            monkeypatch.setattr(time, "time", lambda when=when: when)
+            cache = ArtifactCache(tmp_path / root)
+            cache.store("record", material, list(range(500)))
+            path = cache._path("record", canonical_key(material))
+            published.append(
+                (path.read_bytes(), cache._sidecar(path).read_bytes())
             )
-            with pytest.raises(StoreLockTimeout) as err:
-                waiter.acquire()
-            # Diagnostics name the live holder (wedged, not dead).
-            assert "alive" in str(err.value)
-            assert str(os.getpid()) in str(err.value)
-        finally:
-            os.close(fd)
-
-    def test_timeout_diagnoses_dead_holder(self, tmp_path):
-        path = tmp_path / "c.lock"
-        fd = os.open(str(path), os.O_RDWR | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        os.write(fd, json.dumps({"pid": DEAD_PID}).encode())
-        try:
-            waiter = KeyLock(
-                path,
-                policy=RetryPolicy(
-                    base_delay_s=0.01, max_delay_s=0.02, deadline_s=0.15
-                ),
-            )
-            with pytest.raises(StoreLockTimeout) as err:
-                waiter.acquire()
-            assert "dead" in str(err.value)
-            assert waiter.stale_holder_probes > 0
-        finally:
-            os.close(fd)
-
-    def test_stale_lock_probe(self, tmp_path):
-        # A crashed holder: owner record present, flock free.
-        stale = tmp_path / "stale.lock"
-        stale.write_text(json.dumps({"pid": DEAD_PID}))
-        assert probe_stale_lock(stale) == DEAD_PID
-        # A cleanly released lock: empty file.
-        clean = tmp_path / "clean.lock"
-        clean.write_text("")
-        assert probe_stale_lock(clean) is None
-        # A held lock is never reported stale.
-        held = tmp_path / "held.lock"
-        fd = os.open(str(held), os.O_RDWR | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        os.write(fd, json.dumps({"pid": os.getpid()}).encode())
-        try:
-            assert probe_stale_lock(held) is None
-        finally:
-            os.close(fd)
+        assert published[0] == published[1]
 
 
 # ---------------------------------------------------------------------------
-# Single-flight get_or_compute.
+# get_or_compute.
 # ---------------------------------------------------------------------------
 
 
-class TestSingleFlight:
+class TestGetOrCompute:
     def test_compute_once_then_hit(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         calls = []
@@ -352,32 +246,6 @@ class TestSingleFlight:
         assert sum(cache.hits.values()) == 1
         assert sum(cache.stores.values()) == 1
 
-    def test_under_lock_recheck_not_double_counted(self, tmp_path):
-        """A waiter that finds the artifact under the lock logs one miss."""
-        cache = ArtifactCache(tmp_path)
-        material = {"k": 2}
-        other = ArtifactCache(tmp_path)
-        real_load = cache.load
-
-        def load_racing_publish(stage, material, count_miss=True):
-            # Simulate the race: between this caller's first load and its
-            # under-lock re-check, another process publishes the artifact.
-            found = real_load(stage, material, count_miss=count_miss)
-            if found is None and count_miss:
-                other.store(stage, material, b"published by the winner")
-            return found
-
-        cache.load = load_racing_publish
-
-        def compute():
-            raise AssertionError("the winner already published")
-
-        found, source = cache.get_or_compute("record", material, compute)
-        assert found == b"published by the winner"
-        assert source == "flight"
-        assert sum(cache.misses.values()) == 1  # the first load only
-        assert sum(cache.hits.values()) == 1  # hits always count
-
     def test_wrong_kind_is_recomputed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.store("record", {"k": 3}, b"not a list")
@@ -388,72 +256,55 @@ class TestSingleFlight:
         assert cache.load("record", {"k": 3}) == [1, 2]
 
 
-def _hammer_worker(root, keys, seed, start_at, log_path, results):
-    """Open the cache, wait for the shared start time, and get_or_compute
-    every key in a seeded order; each computation appends one line to
-    ``log_path`` (O_APPEND lines are atomic across processes)."""
+def _artifact():
+    return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(200)]
+
+
+def _slow_artifact():
+    time.sleep(0.02)  # keep every racer inside compute at once
+    return _artifact()
+
+
+def _race_worker(root, start, results):
+    """Open the cache, wait for every racer, then get_or_compute one key."""
     cache = ArtifactCache(root)
-    order = list(keys)
-    random.Random(seed).shuffle(order)
-    time.sleep(max(0.0, start_at - time.time()))
-    out = []
-    for key in order:
-        def compute(key=key):
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"{key}\n")
-            time.sleep(0.05)  # widen the race window
-            return hashlib.sha256(key.encode()).digest() * 64
-
-        value, source = cache.get_or_compute("record", {"k": key}, compute)
-        out.append((key, source, hashlib.sha256(value).hexdigest()))
-    results.put(out)
-
-
-def _hammer(tmp_path, processes, keys, rounds=1):
-    ctx = multiprocessing.get_context("spawn")
-    results = ctx.Queue()
-    log_path = str(tmp_path / "computations.log")
-    start_at = time.time() + 3.0  # past every child's interpreter start-up
-    procs = [
-        ctx.Process(
-            target=_hammer_worker,
-            args=(str(tmp_path / "store"), list(keys) * rounds, seed,
-                  start_at, log_path, results),
+    start.wait(timeout=30)
+    try:
+        value, source = cache.get_or_compute(
+            "record", {"k": "only"}, _slow_artifact
         )
-        for seed in range(processes)
-    ]
-    for proc in procs:
-        proc.start()
-    outcomes = [results.get(timeout=120) for _ in procs]
-    for proc in procs:
-        proc.join(60)
-    assert [proc.exitcode for proc in procs] == [0] * processes
-    with open(log_path, encoding="utf-8") as fh:
-        computed = fh.read().split()
-    return [row for rows in outcomes for row in rows], computed
+        results.put((source, value == _artifact(), sum(cache.evictions.values())))
+    except Exception as exc:
+        results.put(("raised", repr(exc), -1))
 
 
 class TestConcurrentWriters:
-    def test_eight_processes_one_key_one_computation(self, tmp_path):
-        rows, computed = _hammer(tmp_path, processes=8, keys=["only"])
-        # Exactly one computation store-wide; every worker read
-        # byte-identical content.
-        assert computed == ["only"]
-        assert sorted(source for _key, source, _digest in rows).count(
-            "computed"
-        ) == 1
-        assert len({digest for _key, _source, digest in rows}) == 1
+    def test_eight_processes_race_one_key(self, tmp_path):
+        # fork, not spawn: eight spawned interpreters re-importing the
+        # package take seconds; the children only touch the cache, the
+        # barrier and the queue, all created here.
+        ctx = multiprocessing.get_context("fork")
+        start = ctx.Barrier(8)
+        results = ctx.Queue()
+        root = str(tmp_path / "store")
+        procs = [
+            ctx.Process(target=_race_worker, args=(root, start, results))
+            for _ in range(8)
+        ]
+        for proc in procs:
+            proc.start()
+        outcomes = [results.get(timeout=60) for _ in procs]
+        for proc in procs:
+            proc.join(60)
+        assert [proc.exitcode for proc in procs] == [0] * 8
+        assert all(source in ("hit", "computed") for source, _, _ in outcomes)
+        assert all(ok is True for _, ok, _ in outcomes), outcomes
+        assert all(evicted == 0 for _, _, evicted in outcomes)
+        cache = ArtifactCache(root)
+        assert cache.load("record", {"k": "only"}) == _artifact()
+        assert cache.last_outcome["record"] == "hit"
+        assert sum(cache.evictions.values()) == 0
         assert not list((tmp_path / "store").rglob(".tmp-*"))
-        assert scan_store(str(tmp_path / "store")).clean
-
-    def test_many_keys_many_processes_clean(self, tmp_path):
-        keys = [f"key{i}" for i in range(6)]
-        rows, computed = _hammer(tmp_path, processes=4, keys=keys, rounds=2)
-        assert sorted(computed) == keys  # one computation per key
-        digests = {}
-        for key, _source, digest in rows:
-            assert digests.setdefault(key, digest) == digest
-        assert scan_store(str(tmp_path / "store")).clean
 
 
 # ---------------------------------------------------------------------------
@@ -478,60 +329,3 @@ class TestPipelineIntegration:
         assert sum(warm.artifacts.stores.values()) == 0
         assert warm.artifacts.last_outcome["select"] == "hit"
         assert result.health.ok
-
-
-# ---------------------------------------------------------------------------
-# Satellite: the CACHE001 hygiene lint rule.
-# ---------------------------------------------------------------------------
-
-
-class TestStoreLint:
-    def test_clean_store_no_findings(self, tmp_path):
-        store = ArtifactCache(tmp_path)
-        store.store("record", {"k": 1}, b"healthy")
-        assert run_store_passes(str(tmp_path)) == []
-        assert scan_store(str(tmp_path)).clean
-
-    def test_absent_or_unset_dir_no_findings(self, tmp_path):
-        assert run_store_passes(None) == []
-        assert run_store_passes(str(tmp_path / "never-created")) == []
-
-    def test_dirty_store_findings(self, tmp_path):
-        store = ArtifactCache(tmp_path)
-        material = {"k": 1}
-        store.store("record", material, b"artifact one")
-        path = store._path("record", canonical_key(material))
-        # Corruption: flip the payload bytes under the sidecar.
-        path.write_bytes(b"rotted bytes")
-        # Crash debris: a dead writer's temp file...
-        (path.parent / f".tmp-{DEAD_PID}-x.pkl.gz").write_bytes(b"junk")
-        # ...and a lock whose holder died before releasing.
-        lock_dir = store.root / LOCKS_DIR / "record"
-        lock_dir.mkdir(parents=True, exist_ok=True)
-        (lock_dir / "feed.lock").write_text(json.dumps({"pid": DEAD_PID}))
-
-        findings = run_store_passes(str(tmp_path))
-        assert {f.rule_id for f in findings} == {"CACHE001"}
-        by_message = {f.message.split(" ")[0]: f for f in findings}
-        assert len(findings) == 3
-        mismatch = [f for f in findings if "mismatch" in f.message]
-        assert len(mismatch) == 1
-        # Corruption is an error; debris is a warning.
-        assert mismatch[0].severity is Severity.ERROR
-        assert all(
-            f.severity is Severity.WARNING
-            for f in findings
-            if f is not mismatch[0]
-        ), by_message
-
-    def test_lint_family_runs_with_cache_dir(self, tmp_path):
-        from repro.lint import lint_workload
-
-        workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
-        report = lint_workload(
-            workload,
-            pipeline_options=_options(cache_dir=str(tmp_path)),
-        )
-        assert "store" in report.passes_run
-        assert report.family_sources["store"] == "computed"
-        assert not [f for f in report.findings if f.rule_id == "CACHE001"]
