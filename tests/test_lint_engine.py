@@ -1,10 +1,12 @@
 """Lint family scheduling and the CLI surface that drives it."""
 
+import json
+
 import pytest
 
 from repro.config import get_scale
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-from repro.lint.findings import rule_families
+from repro.lint.findings import make_finding, rule_families
 from repro.lint.runner import LintOptions, family_enabled, lint_pipeline
 from repro.workloads.registry import get_workload
 
@@ -112,3 +114,51 @@ class TestDocsAndCli:
         out = capsys.readouterr().out
         for family in ("dcfg", "xar", "dominance", "invariance"):
             assert family in out
+
+    def test_cli_reports_the_known_finding(self, monkeypatch, capsys):
+        """657.xz_s.2 carries one known CONC003 true positive; the JSON
+        row names it by rule, location and fingerprint."""
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        from repro.lint.cli import main
+
+        assert main(["657.xz_s.2", "-n", "4", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        found = [
+            (f["rule_id"], f["location"], f["fingerprint"])
+            for f in report["findings"]
+        ]
+        assert found == [(
+            "CONC003", "stream_merge_crit_3.crit (pc 0x4000ac)",
+            "f5a45826153245e90ad2",
+        )]
+
+    def test_cli_disable_suppresses_the_known_finding(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        from repro.lint.cli import main
+
+        assert main([
+            "657.xz_s.2", "-n", "4", "--no-invariance",
+            "--disable", "CONC003",
+        ]) == 0
+        assert "(suppressed: CONC003)" in capsys.readouterr().out
+
+
+class TestFingerprint:
+    def test_identity_is_rule_location_and_message(self):
+        base = make_finding("DCFG001", "node 3", "broken flow")
+        assert len(base.fingerprint) == 20
+        assert base.as_dict()["fingerprint"] == base.fingerprint
+        # Severity and witness are presentation, not identity.
+        same = make_finding(
+            "DCFG001", "node 3", "broken flow",
+            witness=("ENTRY", "node 3"),
+        )
+        assert same.fingerprint == base.fingerprint
+        for other in (
+            make_finding("CONC001", "node 3", "broken flow"),
+            make_finding("DCFG001", "node 4", "broken flow"),
+            make_finding("DCFG001", "node 3", "broken flows"),
+        ):
+            assert other.fingerprint != base.fingerprint

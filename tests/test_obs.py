@@ -509,6 +509,14 @@ class TestObsLint:
         assert exc.value.code == 2
         assert "BOGUS" in capsys.readouterr().err
 
+    def test_lint_cli_trace_mode_disable_suppresses(self, tmp_path, capsys):
+        from repro.lint.cli import main as lint_main
+
+        bad = str(tmp_path / "bad.jsonl")
+        _write_lines(bad, [_start(), _span("64.1", "run")])
+        assert lint_main(["--trace", bad, "--disable", "OBS001"]) == 0
+        assert "(suppressed: OBS001)" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # The repro-obs CLI.
@@ -565,6 +573,14 @@ class TestObsCli:
     def test_unreadable_trace_exits_2(self, tmp_path, capsys):
         assert obs_main(["report", str(tmp_path / "missing.jsonl")]) == 2
         assert "repro-obs" in capsys.readouterr().err
+
+    def test_export_subcommand_is_gone(self, tmp_path, capsys):
+        path = str(tmp_path / "a.jsonl")
+        _synthetic_run(path, 0.5, 100)
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["export", path])
+        assert exc.value.code == 2
+        assert "invalid choice: 'export'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,15 @@ class TestRegressionGate:
         with pytest.raises(ValueError, match="window"):
             check_regression(records, window=window)
 
+    def test_window_of_one_is_the_previous_run(self):
+        # The smallest legal window judges the newest run against the one
+        # run before it, not a wider baseline.
+        records = [_record(float(ts), coverage=100.0) for ts in range(1, 4)]
+        records += [_record(4.0, coverage=10.0), _record(5.0, coverage=10.0)]
+        assert check_regression(records, window=1) == []
+        (regression,) = check_regression(records, window=4)
+        assert regression.metric == "coverage_pct"
+
 
 class TestHistoryCli:
     def test_trend_and_check_pass(self, tmp_path, capsys):
@@ -361,6 +370,18 @@ class TestHistoryCli:
             obs_main(["history", path, "--check", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_window_of_one_accepted(self, tmp_path, capsys):
+        path = str(tmp_path / "h.jsonl")
+        store = HistoryStore(path)
+        for ts in (1.0, 2.0, 3.0):
+            store.append(_record(ts, coverage=100.0))
+        for ts in (4.0, 5.0):
+            store.append(_record(ts, coverage=10.0))
+        assert obs_main(["history", path, "--check", "--window", "1"]) == 0
+        assert "(1 prior run(s))" in capsys.readouterr().out
+        assert obs_main(["history", path, "--check", "--window", "4"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert obs_main(["history", str(tmp_path / "none.jsonl")]) == 2
@@ -482,6 +503,21 @@ class TestTraceLimits:
             obs_main([flag, value, "report", path])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_budget_of_one_accepted(self):
+        limits = TraceLimits(max_bytes=1, max_spans=1, max_line_bytes=1)
+        assert (limits.max_bytes, limits.max_spans, limits.max_line_bytes) == (
+            1, 1, 1,
+        )
+
+    def test_cli_span_budget_of_one_truncates(self, tmp_path, capsys):
+        path = str(tmp_path / "t.jsonl")
+        _write_lines(path, [
+            _start(), _span("64.1", "run"),
+            _span("64.2", "stage:profile", parent="64.1"), _end(spans=2),
+        ])
+        assert obs_main(["--max-spans", "1", "report", path]) == 0
+        assert "TRUNCATED" in capsys.readouterr().out
 
 
 class TestMultiSegmentReader:

@@ -2,7 +2,7 @@
 
 Covers crash-consistent checksummed writes, orphan sweeping, byte-identical
 publishes of one artifact, and ``ArtifactCache.get_or_compute`` (including
-an 8-process race on one key).
+an 8-process race on one key and a 4-process race over six keys).
 """
 
 from __future__ import annotations
@@ -12,7 +12,10 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import random
 import time
+
+import pytest
 
 from conftest import TEST_SCALE
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
@@ -221,6 +224,42 @@ class TestDeterministicBytes:
             )
         assert published[0] == published[1]
 
+    def test_cross_paired_payload_and_sidecar_load_clean(
+        self, tmp_path, monkeypatch
+    ):
+        """Racing writers can leave one writer's sidecar next to the
+        other's payload; with identical bytes that pair still loads."""
+        material = {"k": "paired"}
+        paths = []
+        for when, root in ((1_000_000_000.0, "a"), (1_000_000_100.0, "b")):
+            monkeypatch.setattr(time, "time", lambda when=when: when)
+            cache = ArtifactCache(tmp_path / root)
+            cache.store("record", material, list(range(500)))
+            paths.append(cache._path("record", canonical_key(material)))
+        monkeypatch.undo()
+        first, second = paths
+        ArtifactCache._sidecar(second).write_bytes(
+            ArtifactCache._sidecar(first).read_bytes()
+        )
+        cache = ArtifactCache(tmp_path / "b")
+        assert cache.load("record", material) == list(range(500))
+        assert cache.last_outcome["record"] == "hit"
+        assert sum(cache.evictions.values()) == 0
+
+    def test_different_artifacts_publish_different_bytes(self, tmp_path):
+        """Determinism is per artifact: a new artifact under one key
+        replaces both files, and the newest one loads."""
+        cache = ArtifactCache(tmp_path)
+        material = {"k": "changes"}
+        path = cache._path("record", canonical_key(material))
+        cache.store("record", material, [1, 2, 3])
+        before = (path.read_bytes(), cache._sidecar(path).read_bytes())
+        cache.store("record", material, [4, 5, 6])
+        after = (path.read_bytes(), cache._sidecar(path).read_bytes())
+        assert before[0] != after[0] and before[1] != after[1]
+        assert cache.load("record", material) == [4, 5, 6]
+        assert sum(cache.evictions.values()) == 0
+
 
 # ---------------------------------------------------------------------------
 # get_or_compute.
@@ -255,6 +294,44 @@ class TestGetOrCompute:
         assert (found, source) == ([1, 2], "computed")
         assert cache.load("record", {"k": 3}) == [1, 2]
 
+    def test_publish_between_load_and_store(self, tmp_path):
+        """Another writer publishes while this caller computes: the
+        caller's store replaces it with the same bytes and nothing is
+        evicted -- a race costs only the duplicate computation."""
+        cache = ArtifactCache(tmp_path)
+        other = ArtifactCache(tmp_path)
+        material = {"k": 4}
+        path = cache._path("record", canonical_key(material))
+
+        def compute():
+            other.store("record", material, _artifact())
+            compute.published = path.read_bytes()
+            return _artifact()
+
+        found, source = cache.get_or_compute("record", material, compute)
+        assert (found, source) == (_artifact(), "computed")
+        assert path.read_bytes() == compute.published
+        fresh = ArtifactCache(tmp_path)
+        assert fresh.load("record", material) == _artifact()
+        assert fresh.last_outcome["record"] == "hit"
+        assert sum(fresh.evictions.values()) == 0
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_compute_error_publishes_nothing(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+
+        def compute():
+            raise RuntimeError("stage failed")
+
+        with pytest.raises(RuntimeError, match="stage failed"):
+            cache.get_or_compute("record", {"k": 5}, compute)
+        assert sum(cache.stores.values()) == 0
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+        found, source = cache.get_or_compute(
+            "record", {"k": 5}, lambda: [5]
+        )
+        assert (found, source) == ([5], "computed")
+
 
 def _artifact():
     return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(200)]
@@ -276,6 +353,27 @@ def _race_worker(root, start, results):
         results.put((source, value == _artifact(), sum(cache.evictions.values())))
     except Exception as exc:
         results.put(("raised", repr(exc), -1))
+
+
+def _keyed_artifact(key):
+    return [hashlib.sha256(f"{key}:{i}".encode()).hexdigest() for i in range(50)]
+
+
+def _many_keys_worker(root, keys, seed, start, results):
+    """get_or_compute every key twice, in a seeded order."""
+    cache = ArtifactCache(root)
+    order = list(keys) * 2
+    random.Random(seed).shuffle(order)
+    start.wait(timeout=30)
+    rows = []
+    for key in order:
+        def compute(key=key):
+            time.sleep(0.005)
+            return _keyed_artifact(key)
+
+        value, source = cache.get_or_compute("record", {"k": key}, compute)
+        rows.append((key, source, value, sum(cache.evictions.values())))
+    results.put(rows)
 
 
 class TestConcurrentWriters:
@@ -303,6 +401,38 @@ class TestConcurrentWriters:
         cache = ArtifactCache(root)
         assert cache.load("record", {"k": "only"}) == _artifact()
         assert cache.last_outcome["record"] == "hit"
+        assert sum(cache.evictions.values()) == 0
+        assert not list((tmp_path / "store").rglob(".tmp-*"))
+
+    def test_many_keys_many_processes_clean(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        start = ctx.Barrier(4)
+        results = ctx.Queue()
+        root = str(tmp_path / "store")
+        keys = [f"key{i}" for i in range(6)]
+        procs = [
+            ctx.Process(
+                target=_many_keys_worker,
+                args=(root, keys, seed, start, results),
+            )
+            for seed in range(4)
+        ]
+        for proc in procs:
+            proc.start()
+        outcomes = [results.get(timeout=60) for _ in procs]
+        for proc in procs:
+            proc.join(60)
+        assert [proc.exitcode for proc in procs] == [0] * 4
+        rows = [row for rows in outcomes for row in rows]
+        assert len(rows) == 4 * 2 * len(keys)
+        for key, source, value, evicted in rows:
+            assert source in ("hit", "computed"), (key, source)
+            assert value == _keyed_artifact(key)
+            assert evicted == 0
+        cache = ArtifactCache(root)
+        for key in keys:
+            assert cache.load("record", {"k": key}) == _keyed_artifact(key)
+        assert cache.hits["record"] == len(keys)
         assert sum(cache.evictions.values()) == 0
         assert not list((tmp_path / "store").rglob(".tmp-*"))
 
