@@ -6,11 +6,13 @@ without an ``O(n * k * d)`` temporary, and the inner product goes through
 BLAS.  The update step accumulates weighted sums per cluster with a single
 ``np.bincount`` over flattened ``(cluster, dimension)`` cells.
 
-k-means++ centroids are always data points, so the distance column a draw
-adds, ``|points - points[j]|^2``, depends only on ``j``.
-:class:`DistanceColumns` memoizes those columns; a caller fitting the same
-points many times (the SimPoint k sweep) shares one memo across fits via
-:func:`kmeanspp_seed` and ``kmeans(init_centroids=...)``.  Each draw is the
+k-means++ seeding runs many fits in lockstep: :func:`kmeanspp_indices`
+advances every fit of a batch by one draw per step, each fit drawing from
+its own rng, so a step's numpy calls serve all of them.
+:func:`kmeanspp_seed` is its one-fit case.  Seeded centroids are always
+data points, so the distance column a draw adds,
+``|points - points[j]|^2``, depends only on ``j``; :class:`DistanceColumns`
+memoizes those columns across the fits of one batch.  Each draw is the
 explicit inverse-CDF form of ``rng.choice(n, p=...)``: the same
 arithmetic and the same rng consumption, without ``choice``'s argument
 validation on every draw.
@@ -19,7 +21,7 @@ validation on every draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -55,55 +57,88 @@ class DistanceColumns:
         column = self._columns.get(j)
         if column is None:
             points = self.points
-            column = self._columns[j] = ((points - points[j]) ** 2).sum(axis=1)
+            diff = points - points[j]
+            np.square(diff, out=diff)
+            column = self._columns[j] = diff.sum(axis=1)
         return column
 
 
-def weighted_draw(
-    rng: np.random.Generator, dist2: np.ndarray, total: float
-) -> int:
-    """Index drawn with probability ``dist2 / total``.
-
-    The inverse-CDF computation ``rng.choice(n, p=dist2 / total)``
-    performs, consuming one ``rng.random()`` exactly like it.
-    """
-    if not np.isfinite(total):
-        raise ClusteringError(
-            f"k-means++ draw over non-finite distance mass {total!r}"
-        )
-    cdf = np.cumsum(dist2 / total)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), "right"))
-
-
-def kmeanspp_seed(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    columns: Optional[DistanceColumns] = None,
+def weighted_draws(
+    rngs: Sequence[np.random.Generator],
+    dist2: np.ndarray,
+    totals: np.ndarray,
 ) -> np.ndarray:
-    """k-means++ initial centroids (``columns`` memoizes distance columns)."""
-    if columns is None:
-        columns = DistanceColumns(points)
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    dist2 = columns[first].copy()
-    for i in range(1, k):
-        total = dist2.sum()
-        if total <= 0.0:
-            # All remaining points coincide with a chosen centroid: any
+    """Per row ``r``, an index drawn with probability ``dist2[r] / totals[r]``.
+
+    Row ``r`` gets the inverse-CDF computation
+    ``rngs[r].choice(n, p=dist2[r] / totals[r])`` performs, consuming one
+    ``rngs[r].random()`` exactly like it: a row-wise ``cumsum`` over the
+    C-contiguous ``dist2`` adds in the same order as the 1-D call, and on a
+    non-decreasing cdf ``count(cdf <= u)`` is ``searchsorted(u, "right")``.
+    """
+    if not np.isfinite(totals).all():
+        raise ClusteringError(
+            "k-means++ draw over non-finite distance mass "
+            f"{totals[~np.isfinite(totals)][0]!r}"
+        )
+    cdf = dist2 / totals[:, None]
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
+def kmeanspp_indices(
+    points: np.ndarray,
+    ks: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """k-means++ seeding of many fits in lockstep, as point indices.
+
+    Fit ``f`` seeds ``ks[f]`` centroids from its own ``rngs[f]``.  Row ``f``
+    of the ``(fits, max(ks))`` result holds its centroids' point indices in
+    draw order; entries past ``ks[f]`` are unspecified.  Each step draws
+    once for every fit still seeding, so every fit gets the indices, and
+    leaves its rng in the state, that seeding it alone would.  Only index
+    arrays and one distance row per seeding fit are held: a caller
+    materializes a fit's centroids, ``points[row[:k]]``, when it runs it.
+    """
+    columns = DistanceColumns(points)
+    sizes = np.asarray(ks, dtype=np.int64)
+    chosen = np.empty((sizes.size, int(sizes.max())), dtype=np.int64)
+    chosen[:, 0] = [rng.integers(points.shape[0]) for rng in rngs]
+    # ``live`` lists the fits still seeding; row ``r`` of ``dist2`` holds
+    # each point's squared distance to fit ``live[r]``'s nearest centroid.
+    live = np.flatnonzero(sizes > 1)
+    dist2 = np.array([columns[j] for j in chosen[live, 0].tolist()])
+    for i in range(1, chosen.shape[1]):
+        totals = dist2.sum(axis=1)
+        flat = totals <= 0.0
+        if flat.any():
+            # All of a fit's points coincide with its chosen centroids: any
             # fill is equivalent (the extra centroids own empty clusters),
             # so use the deterministic one — duplicating the first
             # centroid — rather than consuming an rng draw for a choice
             # that cannot matter.
-            centroids[i:] = centroids[0]
+            chosen[live[flat], i:] = chosen[live[flat], :1]
+            keep = ~flat
+            live, dist2, totals = live[keep], dist2[keep], totals[keep]
+        picks = weighted_draws([rngs[f] for f in live], dist2, totals)
+        chosen[live, i] = picks
+        more = sizes[live] > i + 1
+        if not more.any():
             break
-        choice = weighted_draw(rng, dist2, total)
-        centroids[i] = points[choice]
-        np.minimum(dist2, columns[choice], out=dist2)
-    return centroids
+        live, dist2 = live[more], dist2[more]
+        added = np.array([columns[j] for j in picks[more].tolist()])
+        np.minimum(dist2, added, out=dist2)
+    return chosen
+
+
+def kmeanspp_seed(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ initial centroids: the one-fit case of the lockstep seeder."""
+    return points[kmeanspp_indices(points, [k], [rng])[0, :k]]
 
 
 def kmeans(
@@ -121,11 +156,16 @@ def kmeans(
     centroids harder, matching how extrapolation later weights clusters.
 
     ``init_centroids`` skips k-means++ seeding and starts Lloyd iteration
-    from the given ``(k, d)`` array — the hook the SimPoint sweep uses both
-    to warm-start k from k-1 and to seed with a shared
-    :class:`DistanceColumns` memo (``kmeanspp_seed(points, k,
-    default_rng(seed), columns)`` gives exactly the centroids ``seed``
-    would).
+    from the given ``(k, d)`` array — the hook the SimPoint sweep uses to
+    run the fits it seeded in lockstep (``kmeanspp_seed(points, k,
+    default_rng(seed))`` gives exactly the centroids ``seed`` would).
+
+    The loop stops as soon as an assignment repeats the labels of an
+    update that reseeded no empty cluster.  From there the update would
+    reproduce the current centroids bit for bit, so the shift would be 0
+    and the loop would stop at this iteration anyway, and the final
+    assignment would repeat this one; taking this one in its place leaves
+    labels, centroids, inertia and ``iterations`` unchanged.
     """
     if points.ndim != 2:
         raise ClusteringError(f"expected 2-D points, got shape {points.shape}")
@@ -148,22 +188,37 @@ def kmeans(
         centroids = centroids.copy()
     else:
         centroids = kmeanspp_seed(points, k, np.random.default_rng(seed))
-    labels = np.zeros(n, dtype=np.int64)
+    x2 = np.einsum("ij,ij->i", points, points)
+    if weights is None:
+        weights = np.ones(n, dtype=np.float64)
+    weighted = (weights[:, None] * points).ravel()
+    # The last update's labels, kept only if it reseeded no cluster and a
+    # zero shift ends the loop (tol >= 0): an assignment that repeats them
+    # has converged (see the docstring).
+    settled = None
+    final = None
     iterations = 0
     # The counter is read after the loop for the iteration report.
     for iterations in range(1, max_iter + 1):  # noqa: B007
-        labels, min_d2 = assign_labels(points, centroids)
-        new_centroids, wsum = weighted_means(points, labels, k, weights)
+        labels, min_d2 = assign_labels(points, centroids, x2=x2)
+        if settled is not None and np.array_equal(labels, settled):
+            final = labels, min_d2
+            break
+        new_centroids, wsum = weighted_means(
+            points, labels, k, weights, weighted
+        )
         empty = wsum == 0
-        if empty.any():
+        reseeded = bool(empty.any())
+        if reseeded:
             # Re-seed empty (or zero-weight) clusters at the farthest point.
             far = int(min_d2.argmax())
             new_centroids[empty] = points[far]
         shift = float(((new_centroids - centroids) ** 2).sum())
         centroids = new_centroids
+        settled = None if reseeded or not tol >= 0.0 else labels
         if shift <= tol:
             break
-    labels, min_d2 = assign_labels(points, centroids)
+    labels, min_d2 = final or assign_labels(points, centroids, x2=x2)
     inertia = float(min_d2.sum())
     reg = active_metrics()
     if reg is not None:  # once per fit, never per iteration

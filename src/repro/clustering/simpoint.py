@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ClusteringError
 from ..obs.tracer import active_metrics
 from .bic import bic_scorer
-from .kmeans import DistanceColumns, KMeansResult, kmeans, kmeanspp_seed
+from .kmeans import KMeansResult, kmeans, kmeanspp_indices
 from .projection import DEFAULT_DIMENSIONS, project
 
 
@@ -95,9 +95,9 @@ def select_simpoints(
 
     ``jobs > 1`` fans the sweep's independent seeded k-fits across a
     process pool (each fit is deterministic given its seed, so the result
-    is bit-identical to the serial sweep).  The serial sweep shares one
-    :class:`~repro.clustering.kmeans.DistanceColumns` memo across every k
-    and restart; each fan-out task computes its own.
+    is bit-identical to the serial sweep).  The serial sweep seeds every k
+    and restart in one lockstep batch; each fan-out task seeds its own
+    restarts.
     """
     opts = options or SimPointOptions()
     counts = np.asarray(instruction_counts, dtype=np.float64)
@@ -136,25 +136,42 @@ def _restarts_for(n: int, opts: SimPointOptions) -> int:
     return 1 if n > 800 else opts.n_init
 
 
-def _fit_k(task, columns: Optional[DistanceColumns] = None) -> KMeansResult:
-    """Best-of-restarts k-means fit for one k (module-level: picklable).
+def _seeds(
+    points: np.ndarray, ks: Sequence[int], base_seed: int, n_init: int
+) -> np.ndarray:
+    """Lockstep k-means++ seeds; row ``i * n_init + r`` is restart ``r``
+    of ``ks[i]``, drawn from its own seed ``base_seed + k + 1000 * r``."""
+    fits = [(k, r) for k in ks for r in range(n_init)]
+    return kmeanspp_indices(
+        points,
+        [k for k, _ in fits],
+        [np.random.default_rng(base_seed + k + 1000 * r) for k, r in fits],
+    )
 
-    Each restart is ``kmeans(points, k, seed=...)``, seeded through the
-    ``columns`` memo; a fan-out worker gets none and computes its own.
-    """
-    points, weights, k, base_seed, n_init = task
-    if columns is None:
-        columns = DistanceColumns(points)
+
+def _best_fit(
+    points: np.ndarray,
+    weights: Optional[np.ndarray],
+    k: int,
+    seeds: np.ndarray,
+) -> KMeansResult:
+    """Best-inertia k-means fit over the restarts seeded by ``seeds`` rows."""
     best = None
-    for restart in range(n_init):
-        rng = np.random.default_rng(base_seed + k + 1000 * restart)
+    for row in seeds:
         candidate = kmeans(
-            points, k, weights=weights,
-            init_centroids=kmeanspp_seed(points, k, rng, columns),
+            points, k, weights=weights, init_centroids=points[row[:k]]
         )
         if best is None or candidate.inertia < best.inertia:
             best = candidate
     return best
+
+
+def _fit_k(task) -> KMeansResult:
+    """One k's fit, seeded on its own (module-level: picklable)."""
+    points, weights, k, base_seed, n_init = task
+    return _best_fit(
+        points, weights, k, _seeds(points, [k], base_seed, n_init)
+    )
 
 
 def _scorer(points: np.ndarray) -> Callable[[KMeansResult], float]:
@@ -173,22 +190,26 @@ def _sweep(
 ):
     """Independent seeded fit per k.
 
-    Each k's fit depends only on its seed, so the sweep is embarrassingly
+    Each k's fit depends only on its seeds, so the sweep is embarrassingly
     parallel; with ``jobs > 1`` the k-fits fan out across a process pool
-    and the results are bit-identical to the serial order.
+    and the results are bit-identical to the serial order.  The serial
+    sweep seeds every (k, restart) fit in one lockstep batch, then runs
+    them one at a time, keeping only each k's best restart.
     """
     n_init = _restarts_for(points.shape[0], opts)
-    tasks = [
-        (points, weights, k, opts.seed, n_init) for k in range(1, max_k + 1)
-    ]
+    ks = range(1, max_k + 1)
     score = _scorer(points)
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and max_k > 1:
         from ..parallel.executor import fanout_map
 
+        tasks = [(points, weights, k, opts.seed, n_init) for k in ks]
         fits = fanout_map(_fit_k, tasks, jobs)
     else:
-        columns = DistanceColumns(points)
-        fits = [_fit_k(task, columns) for task in tasks]
+        seeds = _seeds(points, ks, opts.seed, n_init)
+        fits = (
+            _best_fit(points, weights, k, seeds[i * n_init:(i + 1) * n_init])
+            for i, k in enumerate(ks)
+        )
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
     for fit in fits:

@@ -42,21 +42,25 @@ def assign_labels(
     points: np.ndarray,
     centroids: np.ndarray,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    x2: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid assignment; returns ``(labels, min_sq_dist)``.
 
     Processes ``chunk_rows`` points at a time so the ``chunk x k`` distance
-    temporary stays bounded at any ``n * k``.
+    temporary stays bounded at any ``n * k``.  ``x2`` is the points'
+    squared norms, ``einsum("ij,ij->i", points, points)``: a caller that
+    assigns the same points many times computes them once.
     """
     n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n, dtype=np.float64)
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", points, points)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
         chunk = points[lo:hi]
-        x2 = np.einsum("ij,ij->i", chunk, chunk)
-        d2 = x2[:, None] + c2[None, :] - 2.0 * (chunk @ centroids.T)
+        d2 = x2[lo:hi, None] + c2[None, :] - 2.0 * (chunk @ centroids.T)
         np.maximum(d2, 0.0, out=d2)
         labels[lo:hi] = d2.argmin(axis=1)
         min_d2[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
@@ -68,6 +72,7 @@ def weighted_means(
     labels: np.ndarray,
     k: int,
     weights: Optional[np.ndarray] = None,
+    weighted: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-cluster weighted means via one ``np.bincount`` accumulation.
 
@@ -77,18 +82,23 @@ def weighted_means(
     order, as a per-dimension ``bincount`` loop, so the result is
     bit-identical to it.
 
+    ``weighted`` is ``(weights[:, None] * points).ravel()``: a caller that
+    updates the same points many times computes it once.
+
     Returns ``(means, weight_sums)``; a cluster with zero total weight gets
     a zero row in ``means`` (callers re-seed empty clusters themselves).
     """
     n, d = points.shape
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
+    if weighted is None:
+        weighted = (weights[:, None] * points).ravel()
     wsum = np.bincount(labels, weights=weights, minlength=k)
     cells = (labels[:, None] * d + np.arange(d)).ravel()
-    acc = np.bincount(
-        cells, weights=(weights[:, None] * points).ravel(), minlength=k * d
-    ).reshape(k, d)
+    acc = np.bincount(cells, weights=weighted, minlength=k * d).reshape(k, d)
     nonzero = wsum > 0
+    if nonzero.all():
+        return acc / wsum[:, None], wsum
     means = np.zeros((k, d), dtype=np.float64)
     means[nonzero] = acc[nonzero] / wsum[nonzero, None]
     return means, wsum

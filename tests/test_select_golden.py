@@ -20,7 +20,7 @@ import pytest
 
 from repro import LoopPointOptions, LoopPointPipeline, WaitPolicy
 from repro.clustering import simpoint
-from repro.clustering.kmeans import kmeans, weighted_draw
+from repro.clustering.kmeans import kmeans, weighted_draws
 from repro.clustering.simpoint import SimPointOptions, select_simpoints
 from repro.config import get_scale
 from repro.errors import ClusteringError
@@ -157,9 +157,8 @@ def test_weighted_draw_equals_rng_choice():
         total = dist2.sum()
         ours = np.random.default_rng(seed + 10_000)
         ref = np.random.default_rng(seed + 10_000)
-        assert weighted_draw(ours, dist2, total) == int(
-            ref.choice(n, p=dist2 / total)
-        )
+        drawn = weighted_draws([ours], dist2[None], np.array([total]))
+        assert drawn[0] == int(ref.choice(n, p=dist2 / total))
         # Same rng consumption: the streams stay in lockstep.
         assert ours.random() == ref.random()
 
@@ -168,7 +167,9 @@ def test_weighted_draw_equals_rng_choice():
 def test_weighted_draw_rejects_non_finite_mass(bad):
     dist2 = np.array([1.0, bad, 2.0])
     with pytest.raises(ClusteringError):
-        weighted_draw(np.random.default_rng(0), dist2, dist2.sum())
+        weighted_draws(
+            [np.random.default_rng(0)], dist2[None], np.array([dist2.sum()])
+        )
 
 
 def test_kmeanspp_on_non_finite_points_raises_clustering_error():
