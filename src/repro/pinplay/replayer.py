@@ -514,11 +514,13 @@ class ConstrainedReplayer:
     ) -> Tuple[bool, Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
         """Advance ``state`` along the deterministic schedule to a stop.
 
-        The one scheduling loop: least filtered progress first, a
-        :data:`QUANTUM_INSTRUCTIONS` quantum that admits every entry whose
-        pre-entry thread total is below its end, the ``gseq`` gate on
-        sync entries, and the in-flight quantum finished first after a
-        cut.  It walks one log entry at a time, counts every PC in
+        The one scheduling loop: least filtered progress first, ties to
+        the lower tid (the live threads stay in ascending tid order, so
+        a stable sort keyed on progress alone yields ``(ptf, tid)``
+        order), a :data:`QUANTUM_INSTRUCTIONS` quantum that admits every
+        entry whose pre-entry thread total is below its end, the
+        ``gseq`` gate on sync entries, and the in-flight quantum
+        finished first after a cut.  It walks one log entry at a time, counts every PC in
         ``state.marker_counts`` and stops at whichever comes first:
 
         - *marker targets* (``targets``, block id -> pending global
@@ -571,7 +573,10 @@ class ConstrainedReplayer:
         ends = [len(log) for log in logs]
         next_gseq = state.next_gseq
         gf = sum(ptf)
-        live = set(t for t in range(len(logs)) if pos[t] < ends[t])
+        # Ascending tids: a stable sort on filtered progress alone then
+        # breaks ties by tid, the (ptf, tid) order, with a C-level key.
+        live = [t for t in range(len(logs)) if pos[t] < ends[t]]
+        by_progress = ptf.__getitem__
         found = False
         probe_hit: Optional[Tuple[int, int]] = None
         hit: Optional[Tuple[int, int]] = None
@@ -588,7 +593,7 @@ class ConstrainedReplayer:
                 resume_round = True
             else:
                 resume = None
-                candidates = sorted(live, key=lambda t: (ptf[t], t))
+                candidates = sorted(live, key=by_progress)
                 resume_round = False
             progressed = False
             for tid in candidates:
@@ -653,7 +658,7 @@ class ConstrainedReplayer:
                 ptt[tid] = tt
                 ptf[tid] = tf
                 if p >= end:
-                    live.discard(tid)
+                    live.remove(tid)
                 if found or progressed:
                     break
             if not progressed and not found and live:

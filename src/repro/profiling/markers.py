@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from ..errors import RegionError
 from ..isa.blocks import BasicBlock
 
@@ -80,6 +82,23 @@ class MarkerTracker:
         before = self._counts[pc]
         self._counts[pc] = before + repeat
         return before
+
+    def record_batch(self, bids: np.ndarray, repeats: np.ndarray) -> None:
+        """Record a run of executions at once.
+
+        The counts afterwards equal those of one :meth:`record` per
+        event; non-marker bids are ignored.  The per-bid repeat sums are
+        integers, exact in the ``bincount`` float64 below 2**53.
+        """
+        if bids.size == 0:
+            return
+        per_bid = np.bincount(bids, weights=repeats)
+        by_bid = self._by_bid
+        counts = self._counts
+        for bid in np.flatnonzero(per_bid).tolist():
+            pc = by_bid.get(bid)
+            if pc is not None:
+                counts[pc] += int(per_bid[bid])
 
     def snapshot(self) -> Dict[int, int]:
         """Current counts, keyed by PC."""

@@ -106,7 +106,9 @@ class LoopAlignedSlicer(Observer):
         # at sync boundaries (see EventRing's ordering contract); marker
         # ordering within the block stream is preserved by segmentation.
         self.needs_flush_before_sync = False
-        self._marker_bids: Optional[np.ndarray] = None
+        # Only the phase-aligned per-event shim reads start indices.
+        self.needs_start_index = phase_aligned
+        self._marker_by_bid: Optional[np.ndarray] = None
 
     # -- observer interface ---------------------------------------------------
 
@@ -134,61 +136,85 @@ class LoopAlignedSlicer(Observer):
         self.bbv.add(tid, block, repeat)
 
     def on_block_batch(self, batch) -> None:
-        """Batched :meth:`on_block`: vectorize the runs between markers.
+        """Batched :meth:`on_block`: one vectorised pass per slice closed.
 
-        Slice boundaries can only occur at marker executions, so everything
-        between two markers is order-free accumulation — those runs reduce
-        vectorially through :meth:`BBVCollector.add_batch`, while each
-        marker event replays through the scalar path to keep the exact
-        close-slice semantics.  Phase-aligned mode tracks per-routine mass
-        on every countable event, so it keeps the per-event shim.
+        Only a marker execution can close a slice, and it closes one
+        when the open slice's filtered count *before* the event has
+        reached ``slice_size``.  So the batch's per-event filtered
+        instructions and their exclusive cumulative sum locate every
+        close up front: the first close is the first marker event whose
+        pre-event count reaches ``slice_size - open``, each later one
+        the first marker event at least ``slice_size`` past the previous
+        close — a ``searchsorted`` over the marker events' pre-event
+        sums, which never decrease.  The integer sums are exact, so the
+        closes are exactly those :meth:`on_block` finds.  Each run
+        between closes (the closing marker event opens the next run)
+        then reduces in one pass: BBV scatter-add, totals, and the
+        tracker's marker counts, which after the run are the closing
+        marker's pre-event count.  Phase-aligned mode tracks
+        per-routine mass on every countable event, so it keeps the
+        per-event shim.
         """
         if self.phase_aligned:
             super().on_block_batch(batch)
             return
-        if self._marker_bids is None:
-            self._marker_bids = np.array(
-                sorted(
-                    bid for bid in range(len(batch.blocks))
-                    if self.tracker.is_marker_bid(bid)
-                ),
-                dtype=np.int64,
+        blocks = batch.blocks
+        n_instr, countable = self.bbv.work_tables(blocks)
+        if self._marker_by_bid is None:
+            self._marker_by_bid = np.array(
+                [self.tracker.is_marker_bid(b.bid) for b in blocks],
+                dtype=bool,
             )
         bids = batch.bid
-        is_marker = np.isin(bids, self._marker_bids)
-        if not is_marker.any():
-            self._consume_plain(batch.tid, bids, batch.repeat, batch.blocks)
-            return
-        tids = batch.tid
-        repeats = batch.repeat
-        starts = batch.start_index
-        blocks = batch.blocks
-        prev = 0
-        for p in np.flatnonzero(is_marker):
-            if p > prev:
-                run = slice(prev, p)
-                self._consume_plain(
-                    tids[run], bids[run], repeats[run], blocks
-                )
-            i = int(p)
-            self.on_block(
-                int(tids[i]), blocks[int(bids[i])], int(repeats[i]),
-                int(starts[i]),
+        work = n_instr[bids] * batch.repeat
+        filtered = np.where(countable[bids], work, 0)
+        # Inclusive sums with a leading 0: entry i is the sum before event i.
+        work_sums = np.concatenate(([0], np.cumsum(work)))
+        filtered_sums = np.concatenate(([0], np.cumsum(filtered)))
+        marks = np.flatnonzero(self._marker_by_bid[bids])
+        marks_before = filtered_sums[marks]
+        prev = first = 0
+        target = self.slice_size - self._slice_filtered
+        while True:
+            j = int(np.searchsorted(marks_before, target))
+            if j == marks.size:
+                break
+            at = int(marks[j])
+            self._consume_run(
+                batch, work_sums, filtered_sums, prev, at, marks[first:j]
             )
-            prev = i + 1
-        if prev < batch.size:
-            run = slice(prev, batch.size)
-            self._consume_plain(tids[run], bids[run], repeats[run], blocks)
+            pc = blocks[int(bids[at])].pc
+            self._close_slice(Marker(pc, self.tracker.count(pc)))
+            prev, first = at, j
+            target = int(marks_before[j]) + self.slice_size
+        self._consume_run(
+            batch, work_sums, filtered_sums, prev, batch.size, marks[first:]
+        )
 
-    def _consume_plain(self, tids, bids, repeats, blocks) -> None:
-        """Accumulate a marker-free run of events into the open slice."""
-        n_instr, countable = self.bbv.work_tables(blocks)
-        per_event = n_instr[bids] * repeats
-        self._slice_total += int(per_event.sum())
-        filtered = int(per_event[countable[bids]].sum())
-        self._slice_filtered += filtered
-        self._global_filtered += filtered
-        self.bbv.add_batch(tids, bids, repeats, blocks)
+    def _consume_run(
+        self, batch, work_sums, filtered_sums, lo, hi, run_marks
+    ) -> None:
+        """Accumulate events ``[lo, hi)`` of a batch into the open slice.
+
+        No slice closes inside the run, so its events reduce in any
+        order: totals come from the batch's running sums, the BBV
+        scatter-adds, and the marker events ``run_marks`` advance the
+        tracker.
+        """
+        if hi <= lo:
+            return
+        self._slice_total += int(work_sums[hi] - work_sums[lo])
+        n = int(filtered_sums[hi] - filtered_sums[lo])
+        self._slice_filtered += n
+        self._global_filtered += n
+        run = slice(lo, hi)
+        self.bbv.add_batch(
+            batch.tid[run], batch.bid[run], batch.repeat[run], batch.blocks
+        )
+        if run_marks.size:
+            self.tracker.record_batch(
+                batch.bid[run_marks], batch.repeat[run_marks]
+            )
 
     def _is_phase_change(self, block) -> bool:
         """True when this loop entry belongs to a routine other than the

@@ -153,16 +153,19 @@ class TestReplayerBatchEquivalence:
                     program, pinball, observers=(slicer,)
                 )
             replayer.run()
-            return slicer.slices
+            return slicer
 
         reference, batched = run(True), run(False)
-        assert len(reference) == len(batched)
-        for a, b in zip(reference, batched):
+        assert len(reference.slices) == len(batched.slices)
+        for a, b in zip(reference.slices, batched.slices):
             assert (a.start, a.end) == (b.start, b.end)
             assert np.array_equal(a.bbv, b.bbv)
             assert a.filtered_instructions == b.filtered_instructions
+            assert a.total_instructions == b.total_instructions
             assert a.per_thread_filtered == b.per_thread_filtered
             assert a.start_filtered == b.start_filtered
+            assert a.extrapolated == b.extrapolated
+        assert reference.tracker.snapshot() == batched.tracker.snapshot()
 
 
 class TestRingInternals:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import RegionError, ReplayError
 from repro.exec_engine import TraceCollector
+from repro.exec_engine.engine import QUANTUM_INSTRUCTIONS
+from repro.exec_engine.observers import Observer
 from repro.pinplay import (
     ConstrainedReplayer,
     Pinball,
@@ -131,6 +133,107 @@ class TestConstrainedReplay:
         gseqs = [g for *_r, g in trace.syncs]
         assert gseqs == sorted(gseqs)
         assert gseqs == list(range(len(gseqs)))
+
+
+def _lambda_key_schedule(program, pinball):
+    """The walk's schedule as it was with ``live`` a set and the sort
+    keyed by ``lambda t: (ptf[t], t)``: each consumed log entry's
+    ``(tid, entry)`` in order (no stops, no marker counting)."""
+    logs = pinball.logs
+    n_instr = [b.n_instr for b in program.blocks]
+    n_filtered = [
+        0 if b.image.is_library else b.n_instr for b in program.blocks
+    ]
+    pos = [0] * len(logs)
+    ptt = [0] * len(logs)
+    ptf = [0] * len(logs)
+    ends = [len(log) for log in logs]
+    next_gseq = 0
+    live = set(t for t in range(len(logs)) if pos[t] < ends[t])
+    order = []
+    while live:
+        progressed = False
+        for tid in sorted(live, key=lambda t: (ptf[t], t)):
+            log = logs[tid]
+            p, tt, tf = pos[tid], ptt[tid], ptf[tid]
+            stop_at = tt + QUANTUM_INSTRUCTIONS
+            while tt < stop_at and p < ends[tid]:
+                entry = log[p]
+                if entry[0] == "b":
+                    tt += n_instr[entry[1]] * entry[2]
+                    tf += n_filtered[entry[1]] * entry[2]
+                else:
+                    if entry[4] != next_gseq:
+                        break
+                    next_gseq += 1
+                order.append((tid, entry))
+                p += 1
+                progressed = True
+            pos[tid], ptt[tid], ptf[tid] = p, tt, tf
+            if p >= ends[tid]:
+                live.discard(tid)
+            if progressed:
+                break
+        assert progressed, "reference schedule stuck"
+    return order
+
+
+class TestWalkPickOrder:
+    """Least filtered progress first, ties to the lower tid."""
+
+    def _pinball(self):
+        program, _tp, _omp = build_toy()
+        body = next(b for b in program.blocks if b.name == "compute.body")
+        spin = next(
+            b for b in program.blocks
+            if b.image.is_library and b.is_loop_header
+        )
+        # One entry of each kind overruns the 600-instruction quantum.
+        work = ("b", body.bid, 700 // body.n_instr)
+        idle = ("b", spin.bid, 700 // spin.n_instr)  # no filtered work
+        logs = [
+            # Thread 0 ties with everyone at 0 but waits for gseq 2.
+            [("s", "lock", 0, None, 2), work, idle, work],
+            [idle, idle, ("s", "lock", 0, None, 0), work, idle, work],
+            [idle, work, ("s", "lock", 0, None, 1), work, work],
+            [work, idle, ("s", "lock", 0, None, 3), idle, work],
+        ]
+        weight = {b.bid: b.n_instr for b in program.blocks}
+        total = sum(weight[e[1]] * e[2] for log in logs for e in log
+                    if e[0] == "b")
+        filtered = sum(weight[e[1]] * e[2] for log in logs for e in log
+                       if e[0] == "b" and e[1] == body.bid)
+        pinball = Pinball(
+            program_name=program.name, nthreads=4, wait_policy="passive",
+            seed=0, logs=logs, total_instructions=total,
+            filtered_instructions=filtered,
+        )
+        return program, pinball
+
+    def test_visits_threads_in_progress_then_tid_order(self):
+        class Order(Observer):
+            def __init__(self):
+                self.seen = []
+
+            def on_block(self, tid, block, repeat, start_index):
+                self.seen.append((tid, ("b", block.bid, repeat)))
+
+            def on_sync(self, tid, kind, obj_id, response, gseq):
+                self.seen.append((tid, ("s", kind, obj_id, response, gseq)))
+
+        program, pinball = self._pinball()
+        order = Order()
+        ConstrainedReplayer(
+            program, pinball, observers=(order,), batch_capacity=1
+        ).run()
+        expected = _lambda_key_schedule(program, pinball)
+        assert order.seen == expected
+        # The fixture exercises the rule: thread 0 is least-progress and
+        # lowest tid but held at the gate, so thread 1 (next in the tie)
+        # moves first, and thread 0's sync comes only after gseq 0 and 1.
+        assert expected[0][0] == 1
+        syncs = [(tid, e[4]) for tid, e in expected if e[0] == "s"]
+        assert syncs == [(1, 0), (2, 1), (0, 2), (3, 3)]
 
 
 class TestRegionExtraction:
