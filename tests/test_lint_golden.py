@@ -9,7 +9,10 @@ with the incremental lint engine, before it was replaced by the serial
 runner, and re-recorded from the same reports with only the ``config``
 family's entry dropped when that family's checks moved into the config
 loaders, and again with only the ``store`` family's entry dropped when
-store hygiene left lint.
+store hygiene left lint, and again when lint was cut down to the rules
+that can fire on a correct pipeline: ``report_digest`` drops the
+retired families' ``family_sources`` entries and the retired rules'
+rows, so the digests read the same before and after the retirement.
 """
 
 from __future__ import annotations
@@ -28,20 +31,40 @@ from repro.workloads.registry import get_workload
 GOLDEN = {
     ("demo-matrix-1", 8): (
         [],
-        "89f2b7de59ea09435b286fb8f689fbf6a6a1abd4a68bdfdd88736f15ed63efd0",
+        "f9f6a8cb7dc209a896a85b726ee59684a14d570fed00c28e24c999b7d0ee0a7b",
     ),
     ("657.xz_s.2", 4): (
         ["CONC003"],
-        "7bf576b23ce9138195bab119b968a362990e4bd8edd65b6ac2a7c8683cf4a962",
+        "6f4fa3979bb73517153a8da14bc345eacf2fd66f629d6e7c30428eca4b85e3a4",
     ),
 }
+
+
+#: Families whose checks moved into tests or into raises where their
+#: artifact is built; their scheduling entries are not part of a digest.
+RETIRED_FAMILIES = frozenset({"dcfg", "perf", "invariance", "xar", "live"})
+
+#: Rules retired with those families (plus CONC004 and MARK003/MARK005
+#: from families that stay).
+RETIRED_RULES = frozenset({
+    "DCFG001", "DCFG002", "DCFG003", "DCFG004",
+    "MARK003", "MARK004", "MARK005", "CONC004", "PERF001",
+    "OBS001", "OBS002",
+    "XAR001", "XAR002", "XAR003", "XAR004", "XAR005", "LIVE001",
+})
 
 
 def report_digest(report) -> str:
     rows = sorted(
         json.dumps(f.as_dict(), sort_keys=True) for f in report.findings
+        if f.rule_id not in RETIRED_RULES
     )
-    doc = {"findings": rows, "family_sources": report.family_sources}
+    sources = {
+        family: source
+        for family, source in report.family_sources.items()
+        if family not in RETIRED_FAMILIES
+    }
+    doc = {"findings": rows, "family_sources": sources}
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()
     ).hexdigest()
