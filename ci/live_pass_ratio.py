@@ -12,8 +12,10 @@ Times two routes to a selection on demo-matrix-1 train, tiny scale,
   offline route defers to simulation, so the ratio is biased against
   live mode.
 
-One live warm-up, then the median of 3 reps per side. Exits 1 when
-offline/live falls below 1.125 (a floor of 1.5 less a 25% margin).
+One live warm-up, then 9 reps per side, alternating live and offline
+rep by rep so that a slow spell on a shared host lands on both sides
+alike; the ratio is of the two medians. Exits 1 when offline/live
+falls below 1.125 (a floor of 1.5 less a 25% margin).
 Run from the repository root:
 
     PYTHONPATH=src python ci/live_pass_ratio.py
@@ -36,7 +38,7 @@ from repro.timing.metrics import SimMetrics
 from repro.workloads.registry import get_workload
 
 THRESHOLD = 1.125
-REPS = 3
+REPS = 9
 
 SCALE = get_scale("tiny")
 WORKLOAD = get_workload("demo-matrix-1", "train", 4, scale=SCALE)
@@ -85,19 +87,20 @@ def live():
     ).run()
 
 
-def median_wall(fn) -> float:
-    walls = []
-    for _ in range(REPS):
-        t0 = time.perf_counter()
-        fn()
-        walls.append(time.perf_counter() - t0)
-    return statistics.median(walls)
+def wall(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def main() -> int:
     live()  # warm imports and caches
-    live_wall = median_wall(live)
-    offline_wall = median_wall(offline)
+    live_walls, offline_walls = [], []
+    for _ in range(REPS):
+        live_walls.append(wall(live))
+        offline_walls.append(wall(offline))
+    live_wall = statistics.median(live_walls)
+    offline_wall = statistics.median(offline_walls)
     ratio = offline_wall / live_wall
     ok = ratio >= THRESHOLD
     print(

@@ -671,7 +671,8 @@ class LiveSampler:
         filtered-weighted mean of its samples' metrics.  With one
         sample per cluster this reduces to the offline Eq. (2) exactly,
         and the masses reconcile to the whole run's filtered count
-        either way (the LIVE001 lint invariant).
+        either way (a property ``tests/test_pipeline_invariants.py``
+        checks).
         """
         samples: Dict[int, List[int]] = getattr(
             self, "_samples", None

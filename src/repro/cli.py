@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, TYPE_CHECKING
 
 from .analysis.tables import ascii_table
 from .config import default_fault_plan_path, default_trace_value, get_scale
@@ -28,6 +28,9 @@ from .obs.console import Console
 from .policy import WaitPolicy
 from .resilience import DegradePolicy, FaultPlan
 from .workloads.registry import get_workload, list_workloads
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .lint.runner import LintOptions
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,16 +172,16 @@ def lint_one(
     input_class: Optional[str],
     wait_policy: WaitPolicy,
     as_json: bool,
-    disable: List[str],
+    options: "LintOptions",
 ) -> int:
     """Run the lint mode on one program; returns the exit code."""
-    from .lint.runner import LintOptions, lint_workload
+    from .lint.runner import lint_workload
 
     scale = get_scale()
     workload = get_workload(name, input_class, ncores, scale=scale)
     report = lint_workload(
         workload,
-        options=LintOptions(disable=frozenset(disable)),
+        options=options,
         pipeline_options=LoopPointOptions(
             wait_policy=wait_policy, scale=scale
         ),
@@ -431,6 +434,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     console = Console(quiet=args.quiet)
 
     if args.lint:
+        from .lint.runner import LintOptions
+
+        try:
+            lint_options = LintOptions(disable=frozenset(args.disable))
+        except ValueError as exc:
+            parser.error(f"--disable: {exc}")
         worst = 0
         for name in programs:
             console.status(
@@ -441,7 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             try:
                 worst = max(worst, lint_one(
                     name, args.ncores, args.input_class, policy,
-                    args.json, args.disable,
+                    args.json, lint_options,
                 ))
             except ReproError as exc:
                 console.error("run-looppoint", f"{name} FAILED: {exc}")

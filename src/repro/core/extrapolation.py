@@ -82,7 +82,7 @@ def attribute_extrapolation_error(
     cluster mean into cycles via the representative's CPI; the signed
     total error (predicted − actual) is then allocated proportionally,
     so the per-cluster attributions sum back to the total — the
-    reconciliation the XAR002-style test pins.  With ``emit`` the
+    reconciliation ``tests/test_obs_v2.py`` pins.  With ``emit`` the
     decomposition lands as ``attribution.*`` gauges and attributes on
     the current span (free when tracing is off).
     """

@@ -922,12 +922,6 @@ class LoopPointPipeline:
             "select": canonical_key(self._select_material()),
         }
 
-    def stage_keys(self) -> Dict[str, str]:
-        """The content-address each cacheable stage resolves to under the
-        current options — what the manifest journals, what resume
-        cross-checks, and what lint's XAR004 audit keys on."""
-        return self._stage_keys()
-
     def _live_stage_keys(
         self, live_options: "LiveOptions"
     ) -> Dict[str, str]:

@@ -180,8 +180,9 @@ class InstructionCounter(Observer):
 class SyncEventLog(Observer):
     """Records the synchronization event stream, split per thread.
 
-    The lint concurrency passes consume this: per-thread barrier sequences
-    (divergence detection) and the global ``gseq`` order (integrity check).
+    The lint concurrency passes read its per-thread barrier sequences
+    (divergence detection); the global ``gseq`` order lets tests compare
+    what two drivers delivered.
     Works under both the functional engine and constrained replay, since
     both deliver every sync through :meth:`Observer.on_sync` in gseq order.
     """
@@ -227,7 +228,7 @@ class TraceCollector(Observer):
     take.  Past the cap the collector stops recording and *flags* the
     truncation instead of raising: :attr:`truncated` flips to True and
     :attr:`dropped_blocks` / :attr:`dropped_syncs` count what was lost, so
-    downstream consumers (and lint rule PERF001) can tell a complete trace
+    downstream consumers can tell a complete trace
     from a clipped one — a fingerprint built from a silently clipped trace
     would misrepresent the run.
     """

@@ -1,37 +1,37 @@
-"""``repro.lint``: static analysis & invariant verification for LoopPoint runs.
+"""``repro.lint``: workload checks for LoopPoint runs.
 
-LoopPoint's correctness rests on structural invariants the rest of the code
-assumes: region markers must be main-image natural-loop headers with
-execution-count-invariant global counts (paper Sec. III-C), spin/sync loops
-from library images must never bound a region (Sec. III-D), and constrained
-replay must reproduce the recorded shared-memory/sync order.  This package
-*checks* those invariants on demand, turning silent profile corruption into
-actionable diagnostics.
+LoopPoint's method rests on properties of the *workload*: region
+markers must be main-image natural-loop headers (paper Sec. III-C),
+spin/sync loops from library images must never bound a region
+(Sec. III-D), a selected region's start marker must dominate its end
+marker, and the recorded synchronization must be one constrained
+replay can reproduce (Sec. III-H).  This package checks exactly those
+properties on demand — each of its rules can fire on a correct
+pipeline.
 
 Pass families (the scheduling unit of :func:`~repro.lint.runner.lint_pipeline`):
 
-* :mod:`~repro.lint.dcfg_passes` — DCFG structure (flow conservation,
-  reachability, irreducibility, dominator self-check) plus the
-  marker-dominance certification (MARK006), built on the generic worklist
-  dataflow solver in :mod:`~repro.lint.dataflow`.
 * :mod:`~repro.lint.marker_passes` — marker validity (main-image loop
-  headers only, monotone counts, two-replay invariance) and the slice
-  population clustering needs.
-* :mod:`~repro.lint.concurrency_passes` — the sync event stream (lock-order
-  cycles, barrier divergence, vector-clock happens-before races, gseq
-  integrity).
-* :mod:`~repro.lint.xar_passes` — cross-artifact audits: BBV vs DCFG
-  block universes, cluster-weight reconciliation, selection/slice
-  boundary agreement, manifest vs cache keys, trace vs metrics counters.
-* :mod:`~repro.lint.obs_passes` — span-trace well-formedness.
+  headers only) and the slice population clustering needs.
+* :mod:`~repro.lint.dcfg_passes` — the marker-dominance certification
+  (MARK006), built on the worklist dataflow solver in
+  :mod:`~repro.lint.dataflow`.
+* :mod:`~repro.lint.concurrency_passes` — the sync event stream
+  (lock-order cycles, barrier divergence, vector-clock happens-before
+  races).
 
-Configuration, fault plans and run-history records are not linted: their
-loaders (:class:`~repro.config.ReproScale`,
-:class:`~repro.core.looppoint.LoopPointOptions` and
-:class:`~repro.core.looppoint.LoopPointPipeline`,
+The pipeline's own bookkeeping is not linted.  What the code that builds
+an artifact can check, it checks and raises on: configuration, fault
+plans and run-history records are rejected where they are parsed
+(:class:`~repro.config.ReproScale`,
+:class:`~repro.core.looppoint.LoopPointOptions`,
 :class:`~repro.resilience.FaultSpec`,
-:class:`~repro.obs.history.HistoryStore`) reject bad input where it is
-parsed, so a run that never calls lint is still checked.
+:class:`~repro.obs.history.HistoryStore`); constrained replay raises on
+a gseq order with a hole or a duplicate; resume raises on a manifest
+whose keys differ from the current options'; ``repro-obs report`` exits
+1 on a malformed span tree.  The rest (DCFG flow and dominators,
+profile boundaries, Eq. (2) weights, live accounting) are property tests
+over genuine pipeline artifacts in ``tests/test_pipeline_invariants.py``.
 
 Reporting: a report renders as a table or as JSON, and every finding
 carries a stable ``fingerprint``; ``docs/LINT_RULES.md`` is generated

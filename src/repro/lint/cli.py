@@ -4,9 +4,8 @@ Examples::
 
     repro-lint demo-matrix-1 -n 8
     repro-lint demo-matrix-2 --json
-    repro-lint demo-matrix-1 --disable CONF005 --no-invariance
+    repro-lint demo-matrix-1 --disable CONF005
     repro-lint demo-matrix-1 --cache-dir .cache   # reuse pipeline stages
-    repro-lint --trace run.trace.jsonl
     repro-lint --list-rules
     repro-lint --explain MARK006
 
@@ -59,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--disable", action="append", default=[], metavar="RULE",
         help="suppress a rule id (repeatable); disabling every rule of a "
              "pass family skips the family's computation entirely",
-    )
-    parser.add_argument(
-        "--no-invariance", action="store_true",
-        help="skip the two-replay boundary-invariance check (MARK004)",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="lint a run's span-trace file (OBS001/OBS002) instead "
-             "of a workload; the positional program argument is ignored",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -130,23 +120,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        options = LintOptions(
-            check_invariance=not args.no_invariance,
-            disable=frozenset(args.disable),
-        )
+        options = LintOptions(disable=frozenset(args.disable))
     except ValueError as exc:
         parser.error(str(exc))
-
-    if args.trace:
-        from .obs_passes import lint_trace_file
-
-        try:
-            report = lint_trace_file(args.trace, disable=options.disable)
-        except ReproError as exc:
-            print(f"[repro-lint] {args.trace} FAILED: {exc}",
-                  file=sys.stderr)
-            return 2
-        return _finish(report, args)
 
     from ..core.looppoint import LoopPointOptions
 

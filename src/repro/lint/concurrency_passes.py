@@ -12,9 +12,12 @@ stream itself:
   same barrier sequence (CONC002);
 * **vector-clock happens-before** — a block that is lock-guarded somewhere
   but reached elsewhere without ordering is a data race the replay cannot
-  promise to reproduce (CONC003);
-* **gseq integrity** — the recorded total order must be dense and strictly
-  increasing, or replay enforcement is meaningless (CONC004).
+  promise to reproduce (CONC003).
+
+The density of the recorded order itself needs no pass: the replayer
+admits a sync entry only when its ``gseq`` is the next one in the order
+and raises ``replay stuck`` otherwise, so a pinball with a missing or
+duplicated ``gseq`` never reaches these checks.
 
 The analyzer is an :class:`~repro.exec_engine.observers.Observer`, so it
 runs under the functional engine and the constrained replayer alike.
@@ -217,44 +220,4 @@ def check_barrier_divergence(
             f"barrier sequence diverges from thread 0 at position {at}: "
             f"expected barrier {ref_at}, observed {got_at}",
         ))
-    return findings
-
-
-def check_gseq_integrity(log: SyncEventLog) -> List[Finding]:
-    """Rule CONC004: gseq values form the dense range 0..n-1, each once."""
-    order = log.gseq_order
-    findings = []
-    seen: set = set()
-    dup_set: set = set()
-    for g in order:
-        if g in seen:
-            dup_set.add(g)
-        seen.add(g)
-    duplicates = sorted(dup_set)
-    if duplicates:
-        findings.append(make_finding(
-            "CONC004", f"gseq {duplicates[:5]}",
-            f"{len(duplicates)} duplicated gseq value(s) in the sync stream",
-        ))
-    if seen:
-        expected = set(range(len(seen)))
-        missing = sorted(expected - seen)
-        if missing:
-            findings.append(make_finding(
-                "CONC004", f"gseq {missing[:5]}",
-                f"{len(missing)} gseq value(s) missing from the dense range "
-                f"0..{len(seen) - 1}",
-            ))
-    return findings
-
-
-def run_concurrency_passes(
-    analyzer: ConcurrencyAnalyzer, log: SyncEventLog
-) -> List[Finding]:
-    """All concurrency passes over one analyzed execution."""
-    findings = []
-    findings.extend(check_lock_order(analyzer))
-    findings.extend(check_barrier_divergence(log))
-    findings.extend(check_races(analyzer))
-    findings.extend(check_gseq_integrity(log))
     return findings

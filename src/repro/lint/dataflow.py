@@ -1,12 +1,8 @@
-"""A generic dataflow framework over the DCFG.
+"""A generic dataflow framework over the DCFG, for MARK006.
 
-The lint passes of PR 1 each hand-rolled their own graph traversal: a DFS
-for reachability, a naive iterative set intersection for the dominator
-oracle, Tarjan's SCC walk for irreducibility.  This module factors the
-shared machinery into one **worklist solver** over pluggable lattices, so
-an analysis is three declarative pieces — a lattice, a transfer function,
-and an entry value — and every analysis gets convergence accounting and
-witness generation for free.
+One **worklist solver** over pluggable lattices: an analysis is three
+declarative pieces — a lattice, a transfer function, and an entry value —
+and every analysis gets convergence accounting for free.
 
 The solver computes, for every node reachable from the entry, the fixpoint
 of::
@@ -19,18 +15,17 @@ contract is the textbook one: ``bottom()`` must be the identity of
 for meet-flavoured lattices like dominance, descending) iteration reach a
 unique fixpoint.
 
-Shipped analyses:
+What the marker-dominance certification (:mod:`repro.lint.dcfg_passes`)
+uses:
 
-* :func:`reachable_nodes` / :func:`witness_paths` — reachability with a
-  concrete shortest witness path per node (so "X is reachable" findings
-  can print *how*);
-* :func:`dominance_sets` / :func:`immediate_dominators_from_sets` — full
-  dominance as a meet-over-paths dataflow, the independent oracle the
-  DCFG004 self-check compares against;
+* :func:`reachable_nodes` — reachability from the entry;
+* :func:`dominance_sets` / :func:`dominates` — full dominance as a
+  meet-over-paths dataflow;
 * :func:`path_avoiding` — a counterexample path that avoids a pinned node
   set, used to *refute* dominance claims (MARK006 witnesses);
-* :func:`loop_nesting_forest` — the loop-nesting tree over the natural
-  loops, giving every header a parent header and a nesting depth.
+* :func:`loop_nesting_forest` / :func:`nesting_depth` — the loop-nesting
+  tree over the natural loops, giving every header a parent header and a
+  nesting depth.
 """
 
 from __future__ import annotations
@@ -188,7 +183,7 @@ def solve(
     return DataflowSolution(values=values, visits=visits)
 
 
-# -- reachability with witnesses ------------------------------------------
+# -- reachability and counterexample paths --------------------------------
 
 
 def reachable_nodes(dcfg: DCFG, entry: int = ENTRY) -> FrozenSet[int]:
@@ -199,37 +194,6 @@ def reachable_nodes(dcfg: DCFG, entry: int = ENTRY) -> FrozenSet[int]:
         entry_value=frozenset({entry}),
     )
     return frozenset(solve(dcfg, problem, entry).values)
-
-
-def witness_paths(
-    dcfg: DCFG, entry: int = ENTRY
-) -> Dict[int, Tuple[int, ...]]:
-    """A shortest concrete path from ``entry`` to every reachable node.
-
-    The returned path includes both endpoints; ``paths[entry] == (entry,)``.
-    These are the *positive* witnesses: a reachability claim in a finding
-    can print the exact block sequence that proves it.
-    """
-    succ = dcfg.successors()
-    parent: Dict[int, int] = {}
-    seen = {entry}
-    queue = deque([entry])
-    while queue:
-        node = queue.popleft()
-        for child in succ.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                parent[child] = node
-                queue.append(child)
-    paths: Dict[int, Tuple[int, ...]] = {entry: (entry,)}
-    for node in seen:
-        if node == entry:
-            continue
-        chain = [node]
-        while chain[-1] != entry:
-            chain.append(parent[chain[-1]])
-        paths[node] = tuple(reversed(chain))
-    return paths
 
 
 def path_avoiding(
@@ -289,28 +253,6 @@ def dominance_sets(
     return solve(dcfg, problem, entry).values
 
 
-def immediate_dominators_from_sets(
-    dom: Dict[int, FrozenSet[int]], entry: int = ENTRY
-) -> Dict[int, Optional[int]]:
-    """Reduce full dominance sets to immediate dominators.
-
-    A node's idom is its unique closest strict dominator: the strict
-    dominator that every other strict dominator dominates.
-    """
-    idom: Dict[int, Optional[int]] = {}
-    for node, dominators in dom.items():
-        if node == entry:
-            continue
-        strict = dominators - {node}
-        found = None
-        for cand in strict:
-            if all(other in dom[cand] for other in strict):
-                found = cand
-                break
-        idom[node] = found
-    return idom
-
-
 def dominates(
     dom: Dict[int, FrozenSet[int]], a: int, b: int
 ) -> bool:
@@ -342,8 +284,9 @@ def loop_nesting_forest(dcfg: DCFG) -> Dict[int, LoopNest]:
     body (and they differ); the parent is the *smallest* such enclosing
     loop.  Dynamic merged graphs can in principle produce partially
     overlapping bodies — the innermost-by-size rule still yields a
-    deterministic forest there, and DCFG003 separately flags the
-    irreducibility that causes it.
+    deterministic forest there.  (Genuine pipeline graphs have
+    single-entry cycles; ``tests/test_pipeline_invariants.py`` checks
+    that.)
     """
     loops = {loop.header: loop for loop in find_natural_loops(dcfg)}
     # Total order by (body size, header): a parent must come strictly

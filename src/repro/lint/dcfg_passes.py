@@ -1,39 +1,30 @@
-"""DCFG structural passes.
+"""Marker-dominance certification over the DCFG (rule MARK006).
 
-The dynamic graph built by :class:`~repro.dcfg.graph.DCFGBuilder` obeys
-exact conservation laws (Sec. IV-D's per-thread edge recording):
+A selected region is delimited by its start and end ``(PC, count)``
+markers.  The pass certifies, on the dynamic graph of the analysis
+replay (merged and per thread), that the start marker's block dominates
+the end marker's block, or that the two share an enclosing cycle.  The
+graph analyses run on the dataflow framework in
+:mod:`repro.lint.dataflow`, and a refuted claim carries its witness: the
+concrete counterexample path.
 
-* in-flow of a node — the summed trip counts of its incoming edges,
-  including the virtual ENTRY edge and batched self-edges — equals the
-  node's recorded execution count exactly;
-* out-flow equals in-flow minus the number of threads whose *final* block
-  execution run ended at that node, so ``out <= in`` always and the total
-  deficit over all nodes equals the thread count.
-
-Violations mean the graph (and everything derived from it: dominators,
-loops, markers) is corrupt.
-
-The graph analyses here run on the shared dataflow framework
-(:mod:`repro.lint.dataflow`): reachability and the dominance oracle are
-worklist solves, and negative findings carry concrete witnesses — a
-counterexample path for a refuted dominance claim, the orphaned
-predecessor evidence for an unreachable node.
+The graph's own bookkeeping (flow conservation, reachability from the
+virtual entry, single-entry cycles, the dominator tree) is not linted
+here: ``tests/test_pipeline_invariants.py`` checks it on genuine
+pipeline graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from ..dcfg.dominators import immediate_dominators
 from ..dcfg.graph import DCFG, ENTRY
 from .dataflow import (
     dominance_sets,
     dominates,
-    immediate_dominators_from_sets,
     loop_nesting_forest,
     nesting_depth,
     path_avoiding,
-    reachable_nodes,
 )
 from .findings import Finding, make_finding
 
@@ -50,194 +41,6 @@ def _node_name(dcfg: DCFG, node: int) -> str:
         return dcfg.block(node).name
     except (IndexError, AttributeError):
         return f"node {node}"
-
-
-def check_flow_conservation(
-    dcfg: DCFG, nthreads: Optional[int] = None
-) -> List[Finding]:
-    """Rule DCFG001: per-node edge-flow conservation.
-
-    ``nthreads``, when known, bounds the aggregate in/out deficit (each
-    thread terminates exactly once).
-    """
-    findings: List[Finding] = []
-    inflow: Dict[int, int] = {}
-    outflow: Dict[int, int] = {}
-    for (src, dst), count in dcfg.edge_counts.items():
-        outflow[src] = outflow.get(src, 0) + count
-        inflow[dst] = inflow.get(dst, 0) + count
-
-    total_deficit = 0
-    for node in sorted(dcfg.nodes):
-        n_in = inflow.get(node, 0)
-        n_out = outflow.get(node, 0)
-        execs = dcfg.node_counts.get(node)
-        if execs is not None and n_in != execs:
-            findings.append(make_finding(
-                "DCFG001", _node_name(dcfg, node),
-                f"in-flow {n_in} != recorded executions {execs}",
-            ))
-        if n_out > n_in:
-            findings.append(make_finding(
-                "DCFG001", _node_name(dcfg, node),
-                f"out-flow {n_out} exceeds in-flow {n_in}",
-            ))
-        else:
-            total_deficit += n_in - n_out
-    if nthreads is not None and total_deficit != nthreads:
-        findings.append(make_finding(
-            "DCFG001", "<graph>",
-            f"aggregate in/out deficit {total_deficit} != thread count "
-            f"{nthreads} (each thread must terminate exactly once)",
-        ))
-    return findings
-
-
-def check_reachability(dcfg: DCFG) -> List[Finding]:
-    """Rule DCFG002: every node must be reachable from the virtual entry.
-
-    Unreachable nodes come with their predecessor evidence: either the
-    node has no incoming edges at all, or every predecessor is itself
-    unreachable (an orphaned island).
-    """
-    reachable = reachable_nodes(dcfg, ENTRY)
-    preds = dcfg.predecessors()
-    findings = []
-    for node in sorted(dcfg.nodes - reachable):
-        incoming = sorted(preds.get(node, ()))
-        if not incoming:
-            evidence = "no incoming edges at all"
-        else:
-            names = ", ".join(_node_name(dcfg, p) for p in incoming)
-            evidence = (
-                f"every predecessor ({names}) is itself unreachable — an "
-                f"orphaned island"
-            )
-        findings.append(make_finding(
-            "DCFG002", _node_name(dcfg, node),
-            f"node has recorded executions or edges but no path from "
-            f"ENTRY; {evidence}",
-            witness=tuple(_node_name(dcfg, p) for p in incoming),
-        ))
-    return findings
-
-
-def _strongly_connected_components(dcfg: DCFG) -> List[Set[int]]:
-    """Tarjan's SCC algorithm, iterative (graphs can chain deep)."""
-    succ = dcfg.successors()
-    nodes = set(dcfg.nodes)
-    nodes.add(ENTRY)
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[Set[int]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = lowlink[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ.get(child, ()))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc: Set[int] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.add(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
-    return sccs
-
-
-def check_irreducibility(dcfg: DCFG) -> List[Finding]:
-    """Rule DCFG003: cycles must have a single entry node.
-
-    A strongly connected component entered from outside at more than one
-    node is an irreducible region — natural-loop detection (back edges to
-    a dominating header) cannot name a header for it, so marker candidates
-    may silently go missing there.
-    """
-    preds = dcfg.predecessors()
-    findings = []
-    for scc in _strongly_connected_components(dcfg):
-        if len(scc) == 1:
-            node = next(iter(scc))
-            if dcfg.edge_trip_count(node, node) == 0:
-                continue  # trivial SCC, no cycle
-        entries = sorted(
-            node for node in scc
-            if any(p not in scc for p in preds.get(node, ()))
-        )
-        if len(entries) > 1:
-            names = ", ".join(_node_name(dcfg, n) for n in entries)
-            findings.append(make_finding(
-                "DCFG003", names,
-                f"cycle of {len(scc)} node(s) entered at {len(entries)} "
-                f"distinct nodes; natural-loop headers may be missed here",
-            ))
-    return findings
-
-
-def check_dominators(dcfg: DCFG) -> List[Finding]:
-    """Rule DCFG004: CHK immediate dominators vs. the dataflow oracle.
-
-    ``dcfg/dominators.py`` implements Cooper-Harvey-Kennedy; this pass
-    recomputes full dominance through the generic worklist solver
-    (:func:`repro.lint.dataflow.dominance_sets`) and checks that each
-    node's idom is its unique closest strict dominator.
-    """
-    idom = immediate_dominators(dcfg)
-    oracle = dominance_sets(dcfg, ENTRY)
-    expected_idom = immediate_dominators_from_sets(oracle, ENTRY)
-    findings = []
-    for node in sorted(expected_idom):
-        expected = expected_idom[node]
-        got = idom.get(node)
-        if got != expected:
-            findings.append(make_finding(
-                "DCFG004", _node_name(dcfg, node),
-                f"immediate dominator mismatch: CHK={_node_name(dcfg, got)!s} "
-                f"oracle={_node_name(dcfg, expected)!s}"
-                if got is not None else
-                f"node missing from CHK result (oracle idom "
-                f"{_node_name(dcfg, expected)!s})",
-            ))
-    # Nodes the CHK pass found that the oracle says are unreachable.
-    for node in sorted(set(idom) - set(oracle)):
-        findings.append(make_finding(
-            "DCFG004", _node_name(dcfg, node),
-            "CHK computed a dominator for a node the oracle finds "
-            "unreachable",
-        ))
-    return findings
-
-
-# -- marker-dominance certification (rule MARK006) -------------------------
 
 
 def _certify_region_on_graph(
@@ -259,7 +62,8 @@ def _certify_region_on_graph(
        spans an outer-iteration boundary, e.g. starts in one phase of a
        repeating outer loop and ends in the next sweep).  Here the
        ``(PC, count)`` pair ordering is what delimits the region, and
-       MARK003's monotone-count rule certifies exactly that — no finding.
+       marker counts strictly increase along the run (a property
+       ``tests/test_pipeline_invariants.py`` checks) — no finding.
     3. **Refuted** — the end marker is unreachable from the start marker
        (the region cannot be traversed at all; a backwards path, when one
        exists, is the witness), or a bypass path reaches the end around a
@@ -300,8 +104,8 @@ def _certify_region_on_graph(
         return None  # statically certified
     if backward is not None:
         # Start and end share a cycle: the region legitimately wraps an
-        # enclosing iteration, and the (PC, count) ordering (MARK003)
-        # certifies it dynamically.
+        # enclosing iteration, and the (PC, count) ordering certifies it
+        # dynamically.
         return None
     counterexample = path_avoiding(graph, ENTRY, end_bid, {start_bid})
     witness = tuple(
@@ -350,20 +154,13 @@ def check_marker_dominance(
     the bypass.
     """
     findings: List[Finding] = []
-    from ..errors import ProgramStructureError
-
     for cluster in selection.clusters:
         rep = cluster.representative
-        if rep < 0 or rep >= len(profile.slices):
-            continue  # XAR003's finding, not ours
         s = profile.slices[rep]
         if s.start is None or s.end is None:
             continue
-        try:
-            start_bid = program.block_at(s.start.pc).bid
-            end_bid = program.block_at(s.end.pc).bid
-        except ProgramStructureError:
-            continue  # MARK005's finding, not ours
+        start_bid = program.block_at(s.start.pc).bid
+        end_bid = program.block_at(s.end.pc).bid
         finding = _certify_region_on_graph(
             dcfg, start_bid, end_bid, rep, "merged graph"
         )
@@ -376,16 +173,4 @@ def check_marker_dominance(
             )
             if finding is not None:
                 findings.append(finding)
-    return findings
-
-
-def run_dcfg_passes(
-    dcfg: DCFG, nthreads: Optional[int] = None
-) -> List[Finding]:
-    """All DCFG structural passes, in order."""
-    findings = []
-    findings.extend(check_flow_conservation(dcfg, nthreads))
-    findings.extend(check_reachability(dcfg))
-    findings.extend(check_irreducibility(dcfg))
-    findings.extend(check_dominators(dcfg))
     return findings

@@ -52,26 +52,10 @@ def _registry(rules: Iterable[Rule]) -> Dict[str, Rule]:
     return out
 
 
-#: Every rule the lint subsystem can fire, keyed by rule id.
+#: Every rule the lint subsystem can fire, keyed by rule id.  Each one
+#: checks a property of the *workload* — its marker candidates or its
+#: recorded synchronization — so each can fire on a correct pipeline.
 RULES: Dict[str, Rule] = _registry([
-    # -- DCFG structural passes ------------------------------------------
-    Rule("DCFG001", Severity.ERROR,
-         "edge-flow conservation violated at a DCFG node",
-         "Sec. III-D/IV-D: per-thread edge recording must account for "
-         "every node execution", family="dcfg"),
-    Rule("DCFG002", Severity.ERROR,
-         "DCFG node unreachable from the virtual entry",
-         "Sec. IV-D: every executed block hangs off a thread's first "
-         "block, which hangs off ENTRY", family="dcfg"),
-    Rule("DCFG003", Severity.WARNING,
-         "irreducible loop (multi-entry cycle) in the dynamic graph",
-         "Sec. III-D: natural-loop detection can miss headers of "
-         "irreducible regions, losing marker candidates", family="dcfg"),
-    Rule("DCFG004", Severity.ERROR,
-         "dominator-tree self-check mismatch",
-         "Sec. III-D: loop headers derive from dominance; a wrong "
-         "dominator tree silently corrupts marker selection",
-         family="dcfg"),
     # -- marker validity passes ------------------------------------------
     Rule("MARK001", Severity.ERROR,
          "marker PC is not a loop-header block",
@@ -81,19 +65,6 @@ RULES: Dict[str, Rule] = _registry([
          "marker PC lies in a library image (spin/sync loop)",
          "Sec. III-D: spin loops have schedule-dependent counts and must "
          "never bound a region", family="markers"),
-    Rule("MARK003", Severity.ERROR,
-         "marker counts not monotone across slice boundaries",
-         "Sec. III-C: (PC, count) markers are global execution counts, "
-         "strictly increasing along the run", family="markers"),
-    Rule("MARK004", Severity.ERROR,
-         "slice boundaries differ between two profiling replays",
-         "Sec. III-C / requirement (1a): markers must be "
-         "execution-count-invariant so analysis is reproducible",
-         family="invariance"),
-    Rule("MARK005", Severity.ERROR,
-         "marker PC resolves to no block in the program",
-         "Sec. III-C: a marker names an instruction of the application",
-         family="markers"),
     Rule("CONF005", Severity.WARNING,
          "profile produced too few slices for clustering to matter",
          "Sec. III-E: SimPoint needs a population of slices to pick "
@@ -123,71 +94,6 @@ RULES: Dict[str, Rule] = _registry([
          "Sec. III-H: replay preserves shared-memory order only for "
          "accesses ordered by the recorded synchronization",
          family="concurrency"),
-    Rule("CONC004", Severity.ERROR,
-         "global sync sequence (gseq) is not dense and strictly ordered",
-         "Sec. III-H: the recorded total order over sync actions is what "
-         "constrained replay enforces", family="concurrency"),
-    # -- performance / evidence-completeness passes -----------------------
-    Rule("PERF001", Severity.WARNING,
-         "analysis trace truncated at the collector's event limit",
-         "perf design: a bounded trace keeps lint replays from exhausting "
-         "memory, but dropped events mean block-level evidence is "
-         "incomplete — findings remain valid, absences do not",
-         family="perf"),
-    # -- observability passes ---------------------------------------------
-    Rule("OBS001", Severity.ERROR,
-         "malformed span tree in a run trace",
-         "obs design: spans are written on close, so an unclosed span, a "
-         "worker span with no parent, or a child outside its parent's "
-         "interval is evidence of a crashed/hung stage or broken "
-         "cross-process stitching", family="obs"),
-    Rule("OBS002", Severity.WARNING,
-         "trace parse was bounded: truncated or corrupt lines skipped",
-         "obs design: the bounded reader keeps damaged or huge traces "
-         "from exhausting memory; findings on the parsed prefix remain "
-         "valid, absences do not", family="obs"),
-    # -- cross-artifact audit passes ---------------------------------------
-    Rule("XAR001", Severity.ERROR,
-         "BBV block universe is not a subset of the DCFG's executed "
-         "blocks",
-         "cross-artifact audit: the BBV matrix and the DCFG are two "
-         "views of the same replay — instruction mass attributed to a "
-         "block the graph never executed means one of them is corrupt or "
-         "stale", family="xar"),
-    Rule("XAR002", Severity.ERROR,
-         "cluster instruction mass does not reconcile with the profile",
-         "cross-artifact audit / Eq. (2): cluster masses must sum to the "
-         "profile's filtered instructions and each multiplier must equal "
-         "mass over its representative's own count — after degradation "
-         "renormalization the retained weights must sum to 1",
-         family="xar"),
-    Rule("XAR003", Severity.ERROR,
-         "selected simpoint does not land on recorded slice boundaries",
-         "cross-artifact audit: a representative must name an existing "
-         "slice and every slice must belong to exactly one cluster — a "
-         "stale selection against a regenerated profile breaks both",
-         family="xar"),
-    Rule("XAR004", Severity.ERROR,
-         "run-manifest stage keys diverge from the artifact-cache keys",
-         "cross-artifact audit: resume trusts the journal's keys to match "
-         "what current options produce; a mismatch (or a journaled "
-         "artifact missing from the cache) silently mixes configurations",
-         family="xar"),
-    Rule("XAR005", Severity.ERROR,
-         "obs metrics counters do not reconcile with trace span counts",
-         "cross-artifact audit: the tracer's trace-end span count and the "
-         "metrics registry's cache counters are independent observers of "
-         "one run — disagreement means a torn trace or lost metrics",
-         family="xar"),
-    # -- live-sampling audit passes -----------------------------------------
-    Rule("LIVE001", Severity.ERROR,
-         "live extrapolation accounting broken",
-         "live design / Eq. (2): every fast-forwarded region must belong "
-         "to a cluster whose representative was simulated in detail, "
-         "per-sample cluster masses must reconcile with the profile's "
-         "filtered instructions under one shared multiplier, and the "
-         "running error estimate must be monotone non-increasing across "
-         "top-up samples", family="live"),
 ])
 
 

@@ -22,10 +22,15 @@ HEADER = """\
      Regenerate: PYTHONPATH=src python -m repro.lint.rules_doc docs/LINT_RULES.md -->
 
 Every rule ``repro-lint`` can fire, grouped by pass family — the unit
-the runner schedules and skips.  Disable individual rules with ``--disable RULE``; disabling every rule of a family skips the
-family's computation entirely (disabling ``MARK004`` alone skips the
-second profiling replay).  ``repro-lint --explain RULE`` prints one
-rule's full rationale at the terminal.
+the runner schedules and skips.  Disable individual rules with
+``--disable RULE``; disabling every rule of a family skips the family's
+computation entirely (disabling ``MARK006`` and every ``CONC`` rule
+skips the analysis replay).  ``repro-lint --explain RULE`` prints one
+rule's full rationale at the terminal.  Every rule checks a property of
+the workload; the pipeline's own bookkeeping is checked by
+``tests/test_pipeline_invariants.py`` and by the code that builds each
+artifact (see docs/METHODOLOGY.md, "Interpreting and suppressing
+findings").
 """
 
 

@@ -8,7 +8,8 @@ Public surface:
 * :class:`MetricsRegistry` — deterministic counters/gauges/histograms.
 * :class:`Console` — the CLI's single status-line code path.
 * :func:`read_trace` / :func:`render_report` — trace files back to humans
-  (the ``repro-obs`` CLI wraps these).
+  (the ``repro-obs`` CLI wraps these); :func:`check_span_tree` names a
+  trace's span-tree defects.
 * :func:`attribute_error` / :class:`ErrorAttribution` — per-cluster
   decomposition of the extrapolation error.
 * :class:`HistoryStore` / :func:`check_regression` — the run-history
@@ -41,6 +42,7 @@ from .trace import (
     TraceData,
     TraceError,
     TraceLimits,
+    check_span_tree,
     read_trace,
 )
 from .tracer import (
@@ -83,6 +85,7 @@ __all__ = [
     "active_tracer",
     "attribute_error",
     "check_regression",
+    "check_span_tree",
     "emit_attribution",
     "folded_stacks",
     "history_path_for",

@@ -23,7 +23,8 @@ len(members)``; live runs reuse the estimator's frozen priors
 
 (falling back to mass-proportional shares when every score is zero, e.g.
 singleton clusters), so the attributions **reconcile**: they sum to the
-total error by construction, which the XAR002-style test pins down.
+total error by construction, which ``tests/test_obs_v2.py`` pins
+down.
 
 Pure math on duck-typed inputs — no imports from clustering or timing,
 so ``repro.obs`` stays leaf-like.

@@ -10,9 +10,11 @@ Examples::
 
 ``report`` renders the per-stage/per-region breakdown, the parallel
 critical-path summary, the top error contributors, and exact histogram
-aggregates; ``folded`` exports flamegraph-style folded stacks; ``diff``
-compares two runs' stage walls, counters, and histogram aggregates for
-regression triage; ``history`` renders the run-history trend table and
+aggregates; its header names every span-tree defect (unclosed spans, a
+missing trace-end, orphaned or non-nested spans), and it exits 1 when an
+untruncated trace has one.  ``folded`` exports flamegraph-style folded
+stacks; ``diff`` compares two runs' stage walls, counters, and histogram
+aggregates for regression triage; ``history`` renders the run-history trend table and
 gates on regressions (``--check``).  Every count option must be at
 least 1; a smaller value exits 2.
 """
@@ -25,7 +27,9 @@ from typing import List, Optional
 
 from .history import DEFAULT_WINDOW, HistoryError
 from .report import folded_stacks, render_diff, render_report
-from .trace import DEFAULT_LIMITS, TraceError, TraceLimits, read_trace
+from .trace import (
+    DEFAULT_LIMITS, TraceError, TraceLimits, check_span_tree, read_trace,
+)
 
 
 def _positive_int(text: str) -> int:
@@ -52,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report = sub.add_parser("report", help="stage/region time breakdown")
+    report = sub.add_parser(
+        "report", help="stage/region time breakdown; exits 1 on a "
+                       "span-tree defect in an untruncated trace",
+    )
     report.add_argument("trace", help="trace file (JSON lines)")
 
     folded = sub.add_parser(
@@ -132,7 +139,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     limits = TraceLimits(max_bytes=args.max_bytes, max_spans=args.max_spans)
     try:
         if args.command == "report":
-            print(render_report(read_trace(args.trace, limits)))
+            trace = read_trace(args.trace, limits)
+            print(render_report(trace))
+            if not trace.truncated and check_span_tree(trace):
+                return 1
         elif args.command == "folded":
             text = folded_stacks(read_trace(args.trace, limits))
             if args.output:

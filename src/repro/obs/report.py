@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .trace import SpanRecord, TraceData
+from .trace import SpanRecord, TraceData, check_span_tree
 
 
 def _ascii_table(headers, rows, title=""):
@@ -294,6 +294,9 @@ def render_report(trace: TraceData) -> str:
     if trace.meta:
         meta = " ".join(f"{k}={v}" for k, v in sorted(trace.meta.items()))
         header.append(f"  {meta}")
+    header.extend(
+        f"  span-tree defect: {d}" for d in check_span_tree(trace)
+    )
     parts = ["\n".join(header)]
     rows, total, run_dur = stage_breakdown(trace)
     if rows:

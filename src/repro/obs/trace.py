@@ -3,8 +3,10 @@
 A trace file accumulates *segments* (one ``trace-start`` per run, like the
 resilience manifest accumulates runs); readers work on the last segment.
 Parsing is bounded — byte and span limits with explicit truncation
-flagging — so ``repro-lint --trace`` and ``repro-obs`` stay O(limits) on a
-pathological multi-gigabyte trace instead of OOMing.
+flagging — so ``repro-obs`` stays O(limits) on a pathological
+multi-gigabyte trace instead of OOMing.  A damaged trace still reads:
+:func:`check_span_tree` names what is wrong with its span tree, and
+``repro-obs report`` prints those defects and exits 1 on them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+
+#: Same-process interval slack for :func:`check_span_tree`: parent and
+#: child timestamps come from one monotonic clock; only the 1 ns record
+#: rounding applies.
+SAME_PID_EPS = 1e-6
+
+#: Cross-process interval slack: spans are aligned through per-process
+#: epoch/monotonic clock anchors sampled at different instants.
+CROSS_PID_EPS = 0.25
 
 
 class TraceError(ReproError):
@@ -240,3 +251,88 @@ def read_trace(
             f"(not a repro trace, or fully corrupt)"
         )
     return data
+
+
+def check_span_tree(data: TraceData) -> List[str]:
+    """What is wrong with a parsed trace's span tree, one line per defect.
+
+    Spans are written when they *close* (see :mod:`repro.obs.tracer`), so
+    the trace of a healthy run is a complete tree: every span's parent
+    record exists, every child's interval nests inside its parent's, and
+    the ``trace-end`` marker reports zero open spans.  Each defect is
+    evidence of a real failure mode:
+
+    * an **unclosed span** (or a missing ``trace-end``) is work that never
+      finished — a crashed stage, a hung worker, a killed run;
+    * a **worker span with no parent** means cross-process stitching
+      broke — the dispatching span's context did not survive into the
+      pool worker;
+    * a **child outside its parent's interval** means the tree lies about
+      causality (clock misuse or a span closed out of scope).
+
+    Under truncation the missing-``trace-end`` and missing-parent checks
+    are skipped: the record may simply lie beyond the parse bounds.
+    """
+    defects: List[str] = []
+    if data.end is None:
+        if not data.truncated:
+            defects.append(
+                "no trace-end record: the traced run was killed (or the "
+                "tracer never finished); spans in flight at that point "
+                "are lost"
+            )
+    else:
+        open_spans = int(data.end.get("open_spans", 0) or 0)
+        if open_spans:
+            defects.append(
+                f"{open_spans} span(s) still open at trace-end — traced "
+                f"work that never finished"
+            )
+    by_id = data.by_id()
+    for span in data.spans:
+        if span.parent is None:
+            continue
+        parent = by_id.get(span.parent)
+        if parent is None:
+            if data.truncated:
+                continue  # the parent may lie beyond the parse bounds
+            if span.pid != data.root_pid:
+                defects.append(
+                    f"{span.span_id}: worker span {span.name!r} (pid "
+                    f"{span.pid}) has no parent record {span.parent!r} — "
+                    f"the dispatching span never closed or stitching broke"
+                )
+            else:
+                defects.append(
+                    f"{span.span_id}: span {span.name!r} references parent "
+                    f"{span.parent!r} which has no record — an unclosed "
+                    f"(crashed) enclosing span"
+                )
+            continue
+        if span.pid == parent.pid:
+            outside = (
+                span.t0 < parent.t0 - SAME_PID_EPS
+                or span.end > parent.end + SAME_PID_EPS
+            )
+        else:
+            child_abs = data.abs_time(span)
+            parent_abs = data.abs_time(parent)
+            if child_abs is None or parent_abs is None:
+                defects.append(
+                    f"{span.span_id}: span {span.name!r} (pid {span.pid}) "
+                    f"crosses processes but a clock-anchor 'process' "
+                    f"record is missing — intervals cannot be aligned"
+                )
+                continue
+            outside = (
+                child_abs < parent_abs - CROSS_PID_EPS
+                or child_abs + span.dur
+                > parent_abs + parent.dur + CROSS_PID_EPS
+            )
+        if outside:
+            defects.append(
+                f"{span.span_id}: span {span.name!r} "
+                f"[{span.t0:.6f}, {span.end:.6f}] lies outside its parent "
+                f"{parent.name!r} [{parent.t0:.6f}, {parent.end:.6f}]"
+            )
+    return defects

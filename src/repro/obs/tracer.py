@@ -12,8 +12,8 @@ Design constraints, in order:
 2. **Crash-honest.**  A span line is written when the span *ends*, to an
    append-only JSON-lines file (one ``write`` per line, flushed), so a
    killed run leaves a readable trace whose missing spans are exactly the
-   work that never finished — ``repro-lint --trace`` turns that into
-   OBS001 findings.
+   work that never finished — ``repro-obs report`` names them as
+   span-tree defects and exits 1.
 3. **Cross-process stitching.**  A :class:`SpanContext` (trace id, parent
    span id, trace path) is picklable; a pool worker resolves it with
    :func:`worker_tracer` and appends its spans to the same file under the
@@ -278,7 +278,8 @@ class Tracer:
         Returns a summary (path, trace id, span count) for a CLI ``[obs]``
         line.  Spans still open are deliberately *not* force-closed: an
         unclosed span means the traced work did not finish, and the trace
-        should say so (OBS001) rather than fake an end time.
+        should say so (a span-tree defect in ``repro-obs report``)
+        rather than fake an end time.
         """
         self.emit_metrics(scope="run")
         self._emit({

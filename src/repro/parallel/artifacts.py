@@ -362,16 +362,6 @@ class ArtifactCache:
         with open(path, "r+b") as fh:
             fh.truncate(max(1, size // 2))
 
-    def has_key(self, stage: str, key: str) -> bool:
-        """Whether an artifact file exists under an already-computed key.
-
-        Existence only — no payload verification, no counter movement.
-        This serves *audits* (does the artifact the manifest journaled
-        actually exist?), not loads; a corrupt file still reads back as a
-        miss through :meth:`load`.
-        """
-        return self._path(stage, key).exists()
-
     def invalidate(self, stage: Optional[str] = None) -> None:
         """Drop one stage's artifacts, or the whole versioned cache."""
         target = self.root / stage if stage else self.root

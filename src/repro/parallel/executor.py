@@ -135,7 +135,8 @@ def _pool_timed_job(
     ``ctx`` stitches the worker's region span into the parent trace: the
     span parents into the dispatching ``fanout`` span and is written to the
     shared trace file when (and only when) the job finishes — a crashed or
-    hung worker leaves no span, which is exactly what OBS001 looks for.
+    hung worker leaves no span, which ``repro-obs report`` then reports
+    as a span-tree defect.
     """
     tracer = worker_tracer(ctx)
     with obs_scope(tracer):

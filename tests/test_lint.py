@@ -1,65 +1,40 @@
-"""Tests for the repro.lint static-analysis subsystem.
+"""Tests for the repro.lint workload checks.
 
-Each pass family gets a planted violation: a spin-loop marker, a broken
-flow-conservation graph, a lock-order cycle, a divergent barrier sequence —
-and the test asserts the expected rule id fires (and nothing unrelated
-does on clean inputs).
+Each pass family gets a planted violation: a spin-loop marker, a
+non-header marker, a lock-order cycle, a divergent barrier sequence, a
+happens-before race — and the test asserts the expected rule id fires
+(and nothing unrelated does on clean inputs).
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.config import get_scale
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-from repro.dcfg import DCFG
-from repro.dcfg.graph import ENTRY
 from repro.exec_engine.events import (
     SYNC_BARRIER,
     SYNC_LOCK_ACQ,
     SYNC_LOCK_REL,
 )
-from repro.errors import WorkloadError
+from repro.errors import ProgramStructureError, WorkloadError
 from repro.exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from repro.exec_engine.observers import SyncEventLog
-from repro.isa import ProgramBuilder
 from repro.lint import Finding, LintOptions, LintReport, RULES, Severity
 from repro.lint.concurrency_passes import (
     ConcurrencyAnalyzer,
     check_barrier_divergence,
-    check_gseq_integrity,
     check_lock_order,
     check_races,
 )
-from repro.lint.dcfg_passes import (
-    check_dominators,
-    check_flow_conservation,
-    check_irreducibility,
-    check_reachability,
-)
 from repro.lint.findings import make_finding
 from repro.lint.runner import lint_pipeline
-from repro.lint.marker_passes import check_marker_blocks, check_monotone_counts
-from repro.profiling import Marker
-from repro.profiling.slicer import Slice
+from repro.lint.marker_passes import check_marker_blocks
 from repro.workloads.registry import get_workload
 
 from conftest import build_toy
 
 TINY = get_scale("tiny")
-
-
-def _graph(edges):
-    pb = ProgramBuilder("g")
-    rt = pb.routine("r")
-    for i in range(10):
-        rt.block(f"b{i}", ialu=1)
-    program = pb.finalize()
-    g = DCFG(program)
-    for src, dst, count in edges:
-        g.add_edge(src, dst, count)
-    return g
 
 
 def _rules(findings):
@@ -76,9 +51,9 @@ class TestFindings:
             Finding("NOPE999", Severity.ERROR, "here", "boom")
 
     def test_default_severity_from_registry(self):
-        f = make_finding("DCFG003", "x", "y")
+        f = make_finding("CONF005", "x", "y")
         assert f.severity is Severity.WARNING
-        f = make_finding("DCFG001", "x", "y")
+        f = make_finding("MARK001", "x", "y")
         assert f.severity is Severity.ERROR
 
     def test_exit_code_and_counts(self):
@@ -112,62 +87,6 @@ class TestFindings:
 
 
 # ---------------------------------------------------------------------------
-# DCFG structural passes
-
-
-class TestDCFGPasses:
-    def test_clean_diamond(self):
-        g = _graph([(ENTRY, 0, 2), (0, 1, 1), (0, 2, 1), (1, 3, 1),
-                    (2, 3, 1)])
-        g.node_counts.update({0: 2, 1: 1, 2: 1, 3: 2})
-        assert check_flow_conservation(g, nthreads=2) == []
-        assert check_reachability(g) == []
-        assert check_dominators(g) == []
-
-    def test_broken_flow_conservation(self):
-        # Node 0 emits more flow than it receives: impossible execution.
-        g = _graph([(ENTRY, 0, 1), (0, 1, 5)])
-        findings = check_flow_conservation(g, nthreads=1)
-        assert "DCFG001" in _rules(findings)
-        assert any("out-flow" in f.message for f in findings)
-
-    def test_execution_count_mismatch(self):
-        g = _graph([(ENTRY, 0, 1), (0, 1, 1)])
-        g.node_counts.update({0: 7, 1: 1})  # in-flow of 0 is 1, not 7
-        findings = check_flow_conservation(g)
-        assert any("recorded executions" in f.message for f in findings)
-
-    def test_thread_deficit_checked(self):
-        # Exactly one thread terminates (deficit 1), but the pinball claims
-        # two threads ran: one thread's trace vanished without a trace.
-        g = _graph([(ENTRY, 0, 1), (0, 1, 1), (1, 0, 1)])
-        findings = check_flow_conservation(g, nthreads=2)
-        assert any("deficit" in f.message for f in findings)
-
-    def test_unreachable_node(self):
-        g = _graph([(ENTRY, 0, 1), (5, 6, 1)])
-        findings = check_reachability(g)
-        assert _rules(findings) == {"DCFG002"}
-
-    def test_irreducible_cycle_flagged_as_warning(self):
-        g = _graph([(ENTRY, 0, 1), (0, 1, 1), (0, 2, 1),
-                    (1, 2, 3), (2, 1, 3)])
-        findings = check_irreducibility(g)
-        assert _rules(findings) == {"DCFG003"}
-        assert all(f.severity is Severity.WARNING for f in findings)
-
-    def test_reducible_loop_not_flagged(self):
-        g = _graph([(ENTRY, 0, 1), (0, 1, 5), (1, 0, 4), (0, 2, 1)])
-        assert check_irreducibility(g) == []
-
-    def test_dominator_cross_check_clean_on_irreducible(self):
-        # CHK and the oracle must agree even where no natural loops exist.
-        g = _graph([(ENTRY, 0, 1), (0, 1, 1), (0, 2, 1),
-                    (1, 2, 3), (2, 1, 3), (1, 1, 8)])
-        assert check_dominators(g) == []
-
-
-# ---------------------------------------------------------------------------
 # marker validity passes
 
 
@@ -194,42 +113,14 @@ class TestMarkerPasses:
         findings = check_marker_blocks(toy_program, [plain.pc])
         assert _rules(findings) == {"MARK001"}
 
-    def test_unknown_pc_rejected(self, toy_program):
-        findings = check_marker_blocks(toy_program, [0xDEAD0000])
-        assert _rules(findings) == {"MARK005"}
+    def test_unknown_pc_raises(self, toy_program):
+        with pytest.raises(ProgramStructureError):
+            check_marker_blocks(toy_program, [0xDEAD0000])
 
     def test_valid_marker_clean(self, toy_program):
         hdr = toy_program.routine("compute").entry
         assert hdr.is_loop_header
         assert check_marker_blocks(toy_program, [hdr.pc]) == []
-
-    def _slice(self, index, start, end):
-        return Slice(
-            index=index, start=start, end=end, bbv=np.zeros(4),
-            filtered_instructions=100, total_instructions=120,
-            per_thread_filtered=[25, 25, 25, 25],
-            start_filtered=index * 100,
-        )
-
-    def test_monotone_counts_clean(self):
-        a, b = Marker(0x400, 10), Marker(0x400, 20)
-        slices = [self._slice(0, None, a), self._slice(1, a, b),
-                  self._slice(2, b, None)]
-        assert check_monotone_counts(slices) == []
-
-    def test_non_increasing_count_flagged(self):
-        a, b = Marker(0x400, 10), Marker(0x400, 10)  # count did not advance
-        slices = [self._slice(0, None, a), self._slice(1, a, b),
-                  self._slice(2, b, None)]
-        findings = check_monotone_counts(slices)
-        assert _rules(findings) == {"MARK003"}
-
-    def test_disjoint_boundaries_flagged(self):
-        a, b = Marker(0x400, 10), Marker(0x400, 20)
-        slices = [self._slice(0, None, a),
-                  self._slice(1, Marker(0x400, 11), b)]  # start != prev end
-        findings = check_monotone_counts(slices)
-        assert _rules(findings) == {"MARK003"}
 
     def test_single_slice_profile_warns(self):
         # One slice spanning the whole run: the markers family reports
@@ -342,15 +233,6 @@ class TestConcurrencyPasses:
                 log.on_sync(tid, SYNC_BARRIER, bid, None, gseq)
                 gseq += 1
         assert check_barrier_divergence(log) == []
-        assert check_gseq_integrity(log) == []
-
-    def test_gseq_duplicate_and_gap(self):
-        log = SyncEventLog(1)
-        for g in (0, 1, 1, 3):  # 1 duplicated, 2 missing
-            log.on_sync(0, SYNC_BARRIER, 0, None, g)
-        findings = check_gseq_integrity(log)
-        assert _rules(findings) == {"CONC004"}
-        assert len(findings) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +286,19 @@ class TestEndToEnd:
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         from repro.lint.cli import main
 
-        code = main(["demo-matrix-1", "-n", "4", "--json", "--no-invariance"])
+        code = main(["demo-matrix-1", "-n", "4", "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert "demo-matrix-1" in data["subject"]
-        assert set(data["passes_run"]) == {
-            "dcfg", "concurrency", "perf", "markers", "invariance",
-            "dominance", "xar", "live",
-        }
-        # --no-invariance skips the family instead of silently running it.
-        assert data["family_sources"]["invariance"] == "skipped"
-        # Offline run: the live audit has nothing to check.
-        assert data["family_sources"]["live"] == "skipped"
+        assert data["passes_run"] == ["concurrency", "markers", "dominance"]
+        assert set(data["family_sources"].values()) == {"computed"}
 
     def test_cli_list_rules(self, capsys):
         from repro.lint.cli import main
 
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DCFG001", "MARK004", "CONC003", "CONF005"):
+        for rule_id in ("MARK001", "MARK006", "CONC003", "CONF005"):
             assert rule_id in out
 
     def test_run_looppoint_lint_flag(self, monkeypatch):
@@ -432,10 +308,23 @@ class TestEndToEnd:
         assert main(["-p", "demo-matrix-1", "-n", "4", "--lint",
                      "--no-fullsim"]) == 0
 
+    @pytest.mark.parametrize("rule_id", ["BOGUS", "MARK004"])
+    def test_run_looppoint_rejects_unknown_disable(self, capsys, rule_id):
+        """An unknown id — a typo, or a rule lint no longer has — exits 2
+        naming the flag and the id, before any workload is built."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["-p", "demo-matrix-1", "-n", "4", "--lint",
+                  "--disable", rule_id])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--disable" in err and rule_id in err
+
     def test_error_finding_forces_nonzero_exit(self):
         # The CLIs return report.exit_code; one error must flip it to 1.
         report = LintReport(subject="t")
-        report.add(make_finding("DCFG001", "n", "broken"))
+        report.add(make_finding("MARK001", "n", "broken"))
         assert report.exit_code == 1
 
     def test_pipeline_lint_option(self, monkeypatch):

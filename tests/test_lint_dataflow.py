@@ -9,13 +9,11 @@ from repro.lint.dataflow import (
     UnionLattice,
     dominance_sets,
     dominates,
-    immediate_dominators_from_sets,
     loop_nesting_forest,
     nesting_depth,
     path_avoiding,
     reachable_nodes,
     solve,
-    witness_paths,
 )
 from repro.lint.dcfg_passes import _certify_region_on_graph
 
@@ -67,12 +65,6 @@ class TestSolver:
 
 
 class TestWitnesses:
-    def test_witness_path_endpoints(self):
-        paths = witness_paths(_graph(DIAMOND))
-        assert paths[ENTRY] == (ENTRY,)
-        assert paths[3][0] == ENTRY and paths[3][-1] == 3
-        assert len(paths[3]) == 4  # ENTRY -> 0 -> {1|2} -> 3
-
     def test_path_avoiding_dominator_is_impossible(self):
         g = _graph(DIAMOND)
         # 0 dominates 3, so no ENTRY->3 path avoids it.
@@ -95,13 +87,6 @@ class TestDominance:
         assert dom[3] == frozenset({ENTRY, 0, 3})
         assert dominates(dom, 0, 3)
         assert not dominates(dom, 1, 3)
-
-    def test_immediate_dominators(self):
-        dom = dominance_sets(_graph(DIAMOND))
-        idom = immediate_dominators_from_sets(dom)
-        assert idom[3] == 0
-        assert idom[1] == 0 and idom[2] == 0
-        assert idom[0] == ENTRY
 
 
 class TestLoopNestingForest:

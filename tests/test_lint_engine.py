@@ -32,51 +32,44 @@ class TestFamilyShortCircuit:
 
         monkeypatch.setattr(runner, "ConstrainedReplayer", Exploding)
         disable = frozenset(
-            rid for family in ("dcfg", "concurrency", "perf",
-                               "dominance", "xar", "invariance")
+            rid for family in ("concurrency", "dominance")
             for rid in rule_families()[family]
         )
         report = lint_pipeline(_pipeline(), LintOptions(disable=disable))
-        for family in ("dcfg", "concurrency", "perf", "dominance", "xar",
-                       "invariance"):
+        for family in ("concurrency", "dominance"):
             assert report.family_sources[family] == "skipped"
-        # The cheap families still ran.
+        # The static family still ran.
         assert report.family_sources["markers"] == "computed"
 
-    def test_disabling_mark004_skips_the_invariance_replay(
+    def test_replay_attaches_only_what_the_families_read(
         self, monkeypatch
     ):
+        """One analysis replay: a DCFG builder for MARK006, a concurrency
+        analyzer and a sync log for the CONC rules — and nothing else."""
         import repro.lint.runner as runner
 
-        def exploding(*a, **k):
-            raise AssertionError(
-                "invariance re-profile ran despite MARK004 being disabled"
-            )
+        attached = []
+        real = runner.ConstrainedReplayer
 
-        monkeypatch.setattr(runner, "check_replay_invariance", exploding)
-        report = lint_pipeline(_pipeline(), LintOptions(
-            disable=frozenset({"MARK004"})
+        def spy(program, pinball, observers=()):
+            attached.append([type(ob).__name__ for ob in observers])
+            return real(program, pinball, observers=observers)
+
+        monkeypatch.setattr(runner, "ConstrainedReplayer", spy)
+        lint_pipeline(_pipeline())
+        assert attached == [
+            ["DCFGBuilder", "ConcurrencyAnalyzer", "SyncEventLog"]
+        ]
+        attached.clear()
+        lint_pipeline(_pipeline(), LintOptions(
+            disable=frozenset(rule_families()["dominance"])
         ))
-        assert report.family_sources["invariance"] == "skipped"
-
-    def test_no_invariance_option_still_skips(self, monkeypatch):
-        import repro.lint.runner as runner
-
-        def exploding(*a, **k):
-            raise AssertionError(
-                "invariance re-profile ran despite check_invariance=False"
-            )
-
-        monkeypatch.setattr(runner, "check_replay_invariance", exploding)
-        report = lint_pipeline(
-            _pipeline(), LintOptions(check_invariance=False)
-        )
-        assert report.family_sources["invariance"] == "skipped"
+        assert attached == [["ConcurrencyAnalyzer", "SyncEventLog"]]
 
     def test_family_enabled_reflects_disable_set(self):
         disable = frozenset(rule_families()["dominance"])
         assert not family_enabled("dominance", disable)
-        assert family_enabled("dcfg", disable)
+        assert family_enabled("concurrency", disable)
 
     def test_options_reject_unknown_disable(self):
         with pytest.raises(ValueError):
@@ -97,9 +90,9 @@ class TestDocsAndCli:
     def test_cli_explain(self, capsys):
         from repro.lint.cli import main
 
-        assert main(["--explain", "XAR004"]) == 0
+        assert main(["--explain", "MARK006"]) == 0
         out = capsys.readouterr().out
-        assert "XAR004" in out and "family xar" in out
+        assert "MARK006" in out and "family dominance" in out
 
     def test_cli_explain_unknown_rule(self):
         from repro.lint.cli import main
@@ -112,7 +105,7 @@ class TestDocsAndCli:
 
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for family in ("dcfg", "xar", "dominance", "invariance"):
+        for family in ("markers", "dominance", "concurrency"):
             assert family in out
 
     def test_cli_reports_the_known_finding(self, monkeypatch, capsys):
@@ -139,26 +132,44 @@ class TestDocsAndCli:
         from repro.lint.cli import main
 
         assert main([
-            "657.xz_s.2", "-n", "4", "--no-invariance",
-            "--disable", "CONC003",
+            "657.xz_s.2", "-n", "4", "--disable", "CONC003",
         ]) == 0
         assert "(suppressed: CONC003)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        ["--no-invariance"], ["--trace", "run.trace.jsonl"],
+    ])
+    def test_retired_flags_are_gone(self, flag, capsys):
+        from repro.lint.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-matrix-1", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_retired_rule_id_is_unknown(self, capsys):
+        from repro.lint.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-matrix-1", "--disable", "MARK004"])
+        assert exc.value.code == 2
+        assert "MARK004" in capsys.readouterr().err
 
 
 class TestFingerprint:
     def test_identity_is_rule_location_and_message(self):
-        base = make_finding("DCFG001", "node 3", "broken flow")
+        base = make_finding("MARK001", "node 3", "broken flow")
         assert len(base.fingerprint) == 20
         assert base.as_dict()["fingerprint"] == base.fingerprint
         # Severity and witness are presentation, not identity.
         same = make_finding(
-            "DCFG001", "node 3", "broken flow",
+            "MARK001", "node 3", "broken flow",
             witness=("ENTRY", "node 3"),
         )
         assert same.fingerprint == base.fingerprint
         for other in (
             make_finding("CONC001", "node 3", "broken flow"),
-            make_finding("DCFG001", "node 4", "broken flow"),
-            make_finding("DCFG001", "node 3", "broken flows"),
+            make_finding("MARK001", "node 4", "broken flow"),
+            make_finding("MARK001", "node 3", "broken flows"),
         ):
             assert other.fingerprint != base.fingerprint

@@ -12,7 +12,6 @@ run.
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.dcfg.graph import build_dcfg_from_pinball
 from repro.dcfg.loops import loop_header_blocks
 from repro.errors import ProfilingError
-from repro.lint.live_passes import run_live_passes
 from repro.obs import read_trace, render_diff, render_report
 from repro.pinplay.recorder import record_execution
 from repro.pinplay.region import RegionCut, extract_region_pinballs
@@ -294,59 +292,6 @@ def test_live_options_reject_non_finite_threshold(bad):
         LiveOptions(threshold=bad)
 
 
-# LIVE001: the lint family over live results.
-# ---------------------------------------------------------------------------
-
-
-class TestLive001:
-    def test_clean_results_have_no_findings(self, forced_novel, live_extrap):
-        for _, live in (forced_novel, live_extrap):
-            assert run_live_passes(live) == []
-
-    def test_dangling_representative_fires(self, live_extrap):
-        _, live = live_extrap
-        tampered = copy.deepcopy(live)
-        # Un-simulate the representative of a cluster that covers at
-        # least one extrapolated region: its members now extrapolate
-        # from nothing, and its sample list dangles.
-        cluster = next(
-            c for c in tampered.report.clusters
-            if any(
-                not tampered.report.records[m].simulated
-                for m in c.members
-            )
-        )
-        tampered.report.records[cluster.representative].simulated = False
-        findings = run_live_passes(tampered)
-        assert any("never simulated" in f.message for f in findings)
-        assert any("no simulation result" in f.message for f in findings)
-        assert all(f.rule_id == "LIVE001" for f in findings)
-
-    def test_mass_mismatch_fires(self, live_extrap):
-        _, live = live_extrap
-        tampered = copy.deepcopy(live)
-        victim = max(
-            range(len(tampered.clusters)),
-            key=lambda i: tampered.clusters[i].instruction_mass,
-        )
-        info = tampered.clusters[victim]
-        tampered.clusters[victim] = replace(
-            info, instruction_mass=info.instruction_mass * 2.0
-        )
-        findings = run_live_passes(tampered)
-        assert any("Eq. 2" in f.message for f in findings)
-        assert any("filtered instructions" in f.message for f in findings)
-
-    def test_rising_estimate_fires(self, live_extrap):
-        _, live = live_extrap
-        tampered = copy.deepcopy(live)
-        est = tampered.report.error_estimates
-        est.append((est[-1] if est else 0.1) * 2.0 + 1.0)
-        findings = run_live_passes(tampered)
-        assert any("rose" in f.message for f in findings)
-        assert any("top-up" in f.location for f in findings)
-
-
 # Pipeline integration: run_live, lint wiring, resume, observability.
 # ---------------------------------------------------------------------------
 
@@ -380,22 +325,21 @@ class TestPipelineLive:
         assert result.predicted.cycles > 0
         assert len(result.region_results) == result.live_report.num_simulated
 
-    def test_lint_runs_live_family_and_skips_offline_audits(
+    def test_lint_checks_the_streamed_profile_and_skips_dominance(
         self, pipeline_run
     ):
-        _, result, _ = pipeline_run
+        pipeline, result, _ = pipeline_run
         report = result.lint_report
         assert report is not None
-        assert "live" in report.passes_run
-        assert report.family_sources["live"] == "computed"
-        # The offline select never ran, so its audits must be skipped,
-        # not silently recomputed from a forced offline selection.
+        # Markers and concurrency are checked against the live pass's
+        # own profile and recording.
+        assert report.family_sources["markers"] == "computed"
+        assert report.family_sources["concurrency"] == "computed"
+        # The offline select never ran, so MARK006 must be skipped, not
+        # silently recomputed from a forced offline selection.
         assert report.family_sources["dominance"] == "skipped"
-        assert report.family_sources["xar"] == "skipped"
-        # The invariance re-profile *did* run — against the streamed
-        # profile, which is the stronger live-vs-offline claim.
-        assert "invariance" in report.passes_run
-        assert not [f for f in report.findings if f.rule_id == "LIVE001"]
+        assert pipeline._selection is None
+        assert report.exit_code == 0
 
     def test_live_resume_restores_from_store(self, tmp_path):
         workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)

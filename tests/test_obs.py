@@ -1,4 +1,4 @@
-"""Observability: span tracing, metrics, trace lint, and the repro-obs CLI.
+"""Observability: span tracing, metrics, span-tree checks, the repro-obs CLI.
 
 Covers the contracts the obs subsystem promises:
 
@@ -7,8 +7,9 @@ Covers the contracts the obs subsystem promises:
 * telemetry is deterministic modulo timestamps — two seeded runs produce
   identical counters;
 * the NullTracer fast path is bit-identical to an untraced run;
-* malformed span trees fail ``repro-lint --trace`` (OBS001) and the
-  bounded parser degrades to OBS002 instead of OOMing;
+* malformed span trees are named in ``repro-obs report``'s header and
+  make it exit 1, and the bounded parser flags truncation and corrupt
+  lines instead of OOMing;
 * ``repro-obs`` renders report/folded/diff output from trace files.
 """
 
@@ -20,7 +21,6 @@ import pytest
 
 from conftest import TEST_SCALE
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-from repro.lint.obs_passes import check_span_tree, lint_trace_file
 from repro.obs import (
     BUCKET_BOUNDS,
     Console,
@@ -32,6 +32,7 @@ from repro.obs import (
     Tracer,
     active_metrics,
     active_tracer,
+    check_span_tree,
     folded_stacks,
     obs_scope,
     read_trace,
@@ -290,7 +291,7 @@ class TestPipelineTracing:
         assert stage_spans
         assert all(s.attrs.get("cache") == "miss" for s in stage_spans)
 
-    def test_trace_passes_obs_lint(self, traced_parallel):
+    def test_trace_has_a_well_formed_span_tree(self, traced_parallel):
         _, _, data = traced_parallel
         assert check_span_tree(data) == []
 
@@ -374,7 +375,7 @@ class TestResumeRestoreCounts:
 
 
 # ---------------------------------------------------------------------------
-# Bounded trace reading + OBS lint rules.
+# Bounded trace reading + span-tree checks.
 # ---------------------------------------------------------------------------
 
 
@@ -398,11 +399,10 @@ class TestTraceReader:
         data = read_trace(path, TraceLimits(max_spans=5))
         assert data.truncated
         assert len(data.spans) == 5
-        report = lint_trace_file(path, TraceLimits(max_spans=5))
-        assert any(f.rule_id == "OBS002" for f in report.findings)
-        # Missing-parent errors are suppressed under truncation.
-        assert not any(f.rule_id == "OBS001" and "parent" in f.message
-                       for f in report.findings)
+        header = render_report(data).splitlines()[1]
+        assert header.endswith(" TRUNCATED")
+        # Missing-parent defects are suppressed under truncation.
+        assert not [d for d in check_span_tree(data) if "parent" in d]
 
     def test_corrupt_lines_counted(self, tmp_path):
         path = tmp_path / "torn.jsonl"
@@ -411,12 +411,14 @@ class TestTraceReader:
             fh.write('{"type": "span", "id"\n')
         data = read_trace(str(path))
         assert data.corrupt_lines == 1
-        report = lint_trace_file(str(path))
-        assert any(f.rule_id == "OBS002" and "unparseable" in f.message
-                   for f in report.findings)
+        assert "corrupt_lines=1" in render_report(data).splitlines()[1]
 
 
-class TestObsLint:
+def _defects(path):
+    return check_span_tree(read_trace(path))
+
+
+class TestSpanTree:
     def test_clean_synthetic_trace(self, tmp_path):
         path = str(tmp_path / "ok.jsonl")
         _write_lines(path, [
@@ -425,7 +427,7 @@ class TestObsLint:
             _span("64.1", "run", t0=50.0, dur=1.0),
             _end(spans=2),
         ])
-        assert lint_trace_file(path).exit_code == 0
+        assert _defects(path) == []
 
     def test_unclosed_spans_at_trace_end(self, tmp_path):
         path = str(tmp_path / "open.jsonl")
@@ -433,17 +435,16 @@ class TestObsLint:
         tracer.span("run")
         tracer.span("stage:profile")
         tracer.finish()  # two spans still open
-        report = lint_trace_file(path)
-        assert report.exit_code == 1
-        assert any(f.rule_id == "OBS001" and "still open" in f.message
-                   for f in report.findings)
+        assert _defects(path) == [
+            "2 span(s) still open at trace-end — traced work that never "
+            "finished"
+        ]
 
     def test_missing_trace_end(self, tmp_path):
         path = str(tmp_path / "killed.jsonl")
         _write_lines(path, [_start(), _span("64.1", "run")])
-        report = lint_trace_file(path)
-        assert any(f.rule_id == "OBS001" and "no trace-end" in f.message
-                   for f in report.findings)
+        (defect,) = _defects(path)
+        assert defect.startswith("no trace-end record")
 
     def test_child_outside_parent_interval(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
@@ -453,9 +454,8 @@ class TestObsLint:
             _span("64.2", "stage:x", t0=52.0, dur=1.0, parent="64.1"),
             _end(spans=2),
         ])
-        report = lint_trace_file(path)
-        assert any(f.rule_id == "OBS001" and "outside" in f.message
-                   for f in report.findings)
+        (defect,) = _defects(path)
+        assert defect.startswith("64.2: ") and "outside" in defect
 
     def test_worker_span_with_no_parent(self, tmp_path):
         path = str(tmp_path / "orphan.jsonl")
@@ -467,55 +467,52 @@ class TestObsLint:
                   parent="64.99"),
             _end(pid=100, spans=2),
         ])
-        report = lint_trace_file(path)
-        assert any(
-            f.rule_id == "OBS001" and "worker span" in f.message
-            for f in report.findings
-        )
+        (defect,) = _defects(path)
+        assert defect.startswith("c8.1: worker span")
 
-    def test_disable_suppresses_rule(self, tmp_path):
-        path = str(tmp_path / "open2.jsonl")
-        tracer = Tracer(path)
-        tracer.span("run")
-        tracer.finish()
-        report = lint_trace_file(path, disable=frozenset({"OBS001"}))
-        assert report.exit_code == 0
-        assert report.disabled == ["OBS001"]
+    def test_cross_process_span_without_clock_anchor(self, tmp_path):
+        path = str(tmp_path / "unanchored.jsonl")
+        _write_lines(path, [
+            _start(pid=100),
+            _span("64.1", "run", pid=100),
+            _span("c8.1", "region:0", pid=200, t0=10.1, dur=0.2,
+                  parent="64.1"),
+            _end(pid=100, spans=2),
+        ])
+        (defect,) = _defects(path)
+        assert "clock-anchor" in defect
 
-    def test_lint_cli_trace_mode(self, tmp_path, capsys):
-        from repro.lint.cli import main as lint_main
-
+    def test_report_names_defects_and_exits_1(self, tmp_path, capsys):
+        """A killed run's trace still reads and renders; the header names
+        the defect and the exit status reports it."""
         path = str(tmp_path / "clean.jsonl")
         _write_lines(path, [_start(), _span("64.1", "run"), _end(spans=1)])
-        assert lint_main(["--trace", path]) == 0
-        assert "no findings" in capsys.readouterr().out
-        bad = str(tmp_path / "bad.jsonl")
-        _write_lines(bad, [_start(), _span("64.1", "run")])
-        assert lint_main(["--trace", bad]) == 1
+        assert obs_main(["report", path]) == 0
+        assert "span-tree defect" not in capsys.readouterr().out
+        killed = str(tmp_path / "killed.jsonl")
+        _write_lines(killed, [_start(), _span("64.1", "run")])
+        assert obs_main(["report", killed]) == 1
+        out = capsys.readouterr().out
+        assert "  span-tree defect: no trace-end record" in out
+        assert "critical path" in out
         notrace = tmp_path / "not-a-trace.jsonl"
         notrace.write_text("hello\n")
-        assert lint_main(["--trace", str(notrace)]) == 2
+        assert obs_main(["report", str(notrace)]) == 2
 
-    def test_lint_cli_trace_mode_rejects_unknown_disable(
-        self, tmp_path, capsys
-    ):
-        """A --disable typo exits 2 in trace mode, as in workload mode."""
-        from repro.lint.cli import main as lint_main
-
-        path = str(tmp_path / "clean.jsonl")
-        _write_lines(path, [_start(), _span("64.1", "run"), _end(spans=1)])
-        with pytest.raises(SystemExit) as exc:
-            lint_main(["--trace", path, "--disable", "BOGUS"])
-        assert exc.value.code == 2
-        assert "BOGUS" in capsys.readouterr().err
-
-    def test_lint_cli_trace_mode_disable_suppresses(self, tmp_path, capsys):
-        from repro.lint.cli import main as lint_main
-
-        bad = str(tmp_path / "bad.jsonl")
-        _write_lines(bad, [_start(), _span("64.1", "run")])
-        assert lint_main(["--trace", bad, "--disable", "OBS001"]) == 0
-        assert "(suppressed: OBS001)" in capsys.readouterr().out
+    def test_truncated_trace_reports_exit_0(self, tmp_path, capsys):
+        """A trace cut at the parser's bounds is a prefix of the run: its
+        defects are printed, but they do not fail the report."""
+        path = str(tmp_path / "big.jsonl")
+        spans = [_span(f"64.{i}", f"s{i}", parent="64.0", t0=60.0)
+                 for i in range(2, 21)]
+        _write_lines(path, [
+            _start(), _span("64.0", "run", dur=100.0),
+            _span("64.1", "late", parent="64.0", t0=500.0), *spans, _end(),
+        ])
+        assert obs_main(["--max-spans", "5", "report", path]) == 0
+        out = capsys.readouterr().out
+        assert "TRUNCATED" in out
+        assert "span-tree defect: 64.1: span 'late'" in out
 
 
 # ---------------------------------------------------------------------------

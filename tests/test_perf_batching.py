@@ -313,25 +313,3 @@ class TestSweepModes:
         matrix, weights = _population(n=40)
         with pytest.raises(ClusteringError, match="max_k"):
             select_simpoints(matrix, weights, SimPointOptions(max_k=max_k))
-
-
-class TestTraceTruncationLint:
-    def test_perf001_fires_on_truncated_trace(self):
-        from repro.lint.perf_passes import check_trace_truncation
-
-        program, tp, omp = build_toy()
-        trace = TraceCollector(limit=20)
-        ExecutionEngine(program, tp, omp, 4, observers=(trace,)).run()
-        assert trace.truncated
-        findings = check_trace_truncation(trace)
-        assert len(findings) == 1
-        assert findings[0].rule_id == "PERF001"
-
-    def test_perf001_silent_on_complete_trace(self):
-        from repro.lint.perf_passes import check_trace_truncation
-
-        program, tp, omp = build_toy()
-        trace = TraceCollector(limit=None)
-        ExecutionEngine(program, tp, omp, 4, observers=(trace,)).run()
-        assert not trace.truncated
-        assert check_trace_truncation(trace) == []

@@ -126,6 +126,45 @@ class TestConstrainedReplay:
         with pytest.raises(ReplayError):
             ConstrainedReplayer(program, broken).run()
 
+    @staticmethod
+    def _shift_gseq(pinball, first, delta):
+        """A copy of ``pinball`` with ``delta`` added to every sync
+        entry's gseq from ``first`` up."""
+        import copy
+
+        broken = copy.deepcopy(pinball)
+        broken.logs = [
+            [
+                entry[:4] + (entry[4] + delta,)
+                if entry[0] == "s" and entry[4] >= first else entry
+                for entry in log
+            ]
+            for log in broken.logs
+        ]
+        return broken
+
+    @staticmethod
+    def _gseqs(pinball):
+        return sorted(e[4] for log in pinball.logs for e in log if e[0] == "s")
+
+    def test_duplicated_gseq_gets_stuck(self, recorded):
+        """The order gate admits a sync only at ``gseq == next_gseq``, so a
+        value recorded twice leaves its second holder waiting forever."""
+        program, _tp, _omp, pinball, _result = recorded
+        broken = self._shift_gseq(pinball, 6, -1)
+        gseqs = self._gseqs(broken)
+        assert gseqs.count(5) == 2 and set(gseqs) == set(range(gseqs[-1] + 1))
+        with pytest.raises(ReplayError, match="replay stuck"):
+            ConstrainedReplayer(program, broken).run()
+
+    def test_missing_gseq_gets_stuck(self, recorded):
+        program, _tp, _omp, pinball, _result = recorded
+        broken = self._shift_gseq(pinball, 5, 1)
+        gseqs = self._gseqs(broken)
+        assert 5 not in gseqs and len(set(gseqs)) == len(gseqs)
+        with pytest.raises(ReplayError, match="replay stuck: next_gseq=5"):
+            ConstrainedReplayer(program, broken).run()
+
     def test_sync_order_enforced(self, recorded):
         program, _tp, _omp, pinball, _result = recorded
         trace = TraceCollector()
