@@ -433,13 +433,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     policy = WaitPolicy(args.wait_policy)
     console = Console(quiet=args.quiet)
 
-    if args.lint:
+    if args.lint or args.disable:
+        # Checked without --lint too: an unknown id is a typo either way.
         from .lint.runner import LintOptions
 
         try:
             lint_options = LintOptions(disable=frozenset(args.disable))
         except ValueError as exc:
             parser.error(f"--disable: {exc}")
+
+    if args.lint:
         worst = 0
         for name in programs:
             console.status(

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import ProgramStructureError
 from ..exec_engine.observers import Observer
 from ..isa.blocks import BasicBlock
@@ -88,13 +90,24 @@ class DCFGBuilder(Observer):
     just the merged graph).  The default stays off: the merged graph is
     all the profiling pipeline needs, and the per-thread dicts would
     roughly double the builder's memory.
+
+    Edges depend only on each thread's own block order, so the builder
+    needs no flush before a sync.  A batch is reduced with one stable
+    sort per key space; the dicts receive each distinct key's batch sum
+    in first-occurrence order, so their key order is the one per-event
+    delivery produces.
     """
+
+    needs_flush_before_sync = False
+    needs_start_index = False
 
     def __init__(
         self, program: Program, nthreads: int, track_threads: bool = False
     ) -> None:
         self.dcfg = DCFG(program)
-        self._last: List[Optional[int]] = [None] * nthreads
+        self._nblocks = len(program.blocks)
+        #: Each thread's last block, ENTRY before its first.
+        self._last: List[int] = [ENTRY] * nthreads
         self._thread_edges: Optional[List[Dict[Tuple[int, int], int]]] = (
             [defaultdict(int) for _ in range(nthreads)]
             if track_threads else None
@@ -103,8 +116,7 @@ class DCFGBuilder(Observer):
     def on_block(self, tid: int, block, repeat: int, start_index: int) -> None:
         bid = block.bid
         dcfg = self.dcfg
-        last = self._last[tid]
-        src = ENTRY if last is None else last
+        src = self._last[tid]
         dcfg.add_edge(src, bid)
         if repeat > 1:
             dcfg.add_edge(bid, bid, repeat - 1)
@@ -115,6 +127,58 @@ class DCFGBuilder(Observer):
             if repeat > 1:
                 edges[(bid, bid)] += repeat - 1
         self._last[tid] = bid
+
+    def on_block_batch(self, batch) -> None:
+        n = batch.size
+        nb = self._nblocks
+        tid = batch.tid
+        bid = batch.bid
+        rep = batch.repeat
+        # Each event's source: the previous event of its thread, or the
+        # thread's last block from earlier batches.
+        order = np.argsort(tid, kind="stable")
+        s_tid = tid[order]
+        s_bid = bid[order]
+        first = np.ones(n, dtype=bool)
+        np.not_equal(s_tid[1:], s_tid[:-1], out=first[1:])
+        s_src = np.empty(n, dtype=np.int64)
+        s_src[1:] = s_bid[:-1]
+        last = np.array(self._last, dtype=np.int64)
+        s_src[first] = last[s_tid[first]]
+        src = np.empty(n, dtype=np.int64)
+        src[order] = s_src
+        ends = np.append(np.flatnonzero(first)[1:], n) - 1
+        last[s_tid[ends]] = s_bid[ends]
+        self._last = last.tolist()
+
+        # Per event, its entry edge then (repeat > 1) its self-edge:
+        # key (src + 1) * nb + dst, in per-event insertion order.
+        keys = np.empty((n, 2), dtype=np.int64)
+        keys[:, 0] = (src + 1) * nb + bid
+        keys[:, 1] = (bid + 1) * nb + bid
+        counts = np.empty((n, 2), dtype=np.int64)
+        counts[:, 0] = 1
+        counts[:, 1] = rep - 1
+        keep = counts.reshape(-1) > 0
+        keys = keys.reshape(-1)[keep]
+        counts = counts.reshape(-1)[keep]
+        dcfg = self.dcfg
+        edge_counts = dcfg.edge_counts
+        ukeys, sums = _first_order_sums(keys, counts)
+        for k, c in zip(ukeys.tolist(), sums.tolist()):
+            edge_counts[(k // nb - 1, k % nb)] += c
+        node_counts = dcfg.node_counts
+        ubids, sums = _first_order_sums(bid, rep)
+        for b, c in zip(ubids.tolist(), sums.tolist()):
+            node_counts[b] += c
+        if self._thread_edges is not None:
+            span = (nb + 1) * nb
+            tids = np.repeat(tid, 2)[keep]
+            ukeys, sums = _first_order_sums(tids * span + keys, counts)
+            thread_edges = self._thread_edges
+            for k, c in zip(ukeys.tolist(), sums.tolist()):
+                t, e = divmod(k, span)
+                thread_edges[t][(e // nb - 1, e % nb)] += c
 
     def result(self) -> DCFG:
         return self.dcfg
@@ -147,6 +211,21 @@ class DCFGBuilder(Observer):
                 "DCFGBuilder was constructed without track_threads=True"
             )
         return [self.thread_graph(t) for t in range(len(self._thread_edges))]
+
+
+def _first_order_sums(
+    keys: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys`` in first-occurrence order, with their summed
+    ``counts``."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
+    sums = np.add.reduceat(counts[order], starts)
+    by_first = np.argsort(order[starts])
+    return sorted_keys[starts][by_first], sums[by_first]
 
 
 def build_dcfg_from_pinball(program: Program, pinball) -> DCFG:

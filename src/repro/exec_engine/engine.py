@@ -15,11 +15,11 @@ Block events reach observers through an
 :class:`~repro.perf.ring.EventRing` as numpy column batches; sync events
 go to ``Observer.on_sync`` one at a time, in gseq order.  The ring is
 flushed before every sync event, so block/sync ordering is exact, unless
-every attached observer declares its state independent of that
-interleaving (then batches run across syncs).  The constrained replayer
-delivers syncs under the same rule.  A ring of capacity 1 delivers every
-block event on its own, which is the per-event reference the equivalence
-tests compare against.
+every attached observer clears ``needs_flush_before_sync`` (then batches
+run across syncs; a recording's recorder and DCFG builder both do).  The
+constrained replayer delivers syncs under the same rule.  A ring of
+capacity 1 delivers every block event on its own, which is the per-event
+reference the equivalence tests compare against.
 
 Programs :func:`~.schedcore.compile_streams` can tape run on the tape loop,
 :meth:`ExecutionEngine._run_tape`; the rest (dynamic schedules with
@@ -199,9 +199,9 @@ class ExecutionEngine:
     def _sync(self, tid: int, kind: str, obj_id: int, response) -> None:
         g = self._gseq
         self._gseq = g + 1
-        # When some attached observer correlates the block and sync streams
-        # (lint concurrency passes, DCFG building), every buffered block
-        # event must precede this sync action.
+        # When some attached observer needs every earlier block event in
+        # hand at a sync (the lint concurrency analyzer, for one), every
+        # buffered block event must be delivered before this sync action.
         if self._ring.flush_on_sync:
             self._ring.flush()
         for ob in self._sync_obs:

@@ -10,7 +10,11 @@ time through :meth:`Observer.on_block` or as parallel numpy columns through
 sync events come one at a time, in gseq order, through
 :meth:`Observer.on_sync`.  Both drivers deliver syncs under one rule: the
 block ring is flushed before each sync unless every attached observer
-cleared :attr:`Observer.needs_flush_before_sync`.  The base class replays
+cleared :attr:`Observer.needs_flush_before_sync`.  Observers that read
+their block state inside ``on_sync`` keep it (the lint concurrency
+analyzer, the baseline slicers, a capped trace collector); the pinball
+recorder instead places each sync by ring index (see
+:class:`~repro.perf.ring.EventRing`).  The base class replays
 each batch through :meth:`Observer.on_block`, so an observer that only
 defines the per-event methods sees identical calls under either driver;
 observers on hot paths override ``on_block_batch`` with vectorized
@@ -37,8 +41,8 @@ class Observer:
     #: Whether a driver must flush buffered block events before delivering
     #: ``on_sync``.  True (the safe default) preserves the exact per-event
     #: block/sync interleaving for observers that correlate the two streams
-    #: (vector clocks, DCFG edges).  Observers whose final state does not
-    #: depend on that interleaving — pure counters, pure logs — set this
+    #: (vector clocks).  Observers whose final state does not depend on
+    #: that interleaving — pure counters, pure logs, DCFG edges — set this
     #: False; when every attached observer does, the ring keeps its batches
     #: across syncs, so sync-dense programs still flush full batches.
     needs_flush_before_sync = True

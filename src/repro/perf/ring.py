@@ -16,16 +16,20 @@ Ordering contract: the ring holds block events only; sync events go to
 Observer` base default — correct for third-party observers of unknown
 ordering sensitivity), the driver calls :meth:`EventRing.flush` before
 delivering each ``on_sync`` event, so observers that correlate block and
-synchronization streams (recorders, the lint concurrency passes, DCFG
-building) see the exact per-event execution order.  The engine and the
-replayer both check :attr:`EventRing.flush_on_sync` for this.  Observers
-whose final state is independent of block/sync interleaving (the built-in
-counters, logs and unbounded trace collectors) clear the flag; when every
+synchronization streams (the lint concurrency passes) see the exact
+per-event execution order.  The engine and the replayer both check
+:attr:`EventRing.flush_on_sync` for this.  Observers whose final state is
+independent of block/sync interleaving (the built-in counters, logs,
+unbounded trace collectors and DCFG building) clear the flag; when every
 attached observer does, the ring keeps its batches across syncs —
 otherwise a program with a sync every few blocks would flush near-empty
-batches and numpy fixed costs would swamp the win.  ``on_finish`` always
-requires a final flush.  Within a batch, events appear in execution
-order.
+batches and numpy fixed costs would swamp the win.  An observer that
+needs to place a sync among the block events without a flush (the pinball
+recorder) reads :attr:`EventRing.events_appended` in ``on_sync``: the
+sync follows exactly the events with a lower ring index.  Such an
+observer defines ``bind_ring(ring)``, which the ring calls once at
+construction.  ``on_finish`` always requires a final flush.  Within a
+batch, events appear in execution order.
 
 Observers that only implement the per-event :meth:`Observer.on_block`
 callback keep working unchanged: the base class's ``on_block_batch``
@@ -225,6 +229,28 @@ class EventRing:
         self.flushes = 0
         self.small_flushes = 0
         self.events_flushed = 0
+        for ob in self.observers:
+            bind = getattr(ob, "bind_ring", None)
+            if bind is not None:
+                bind(self)
+
+    @property
+    def events_appended(self) -> int:
+        """Block events appended so far, flushed or still buffered.
+
+        Read at a sync, it is the ring index of the first block event
+        after that sync: the sync follows exactly the events with a
+        lower index.
+        """
+        return self.events_flushed + len(self._codes)
+
+    def row_codes(self) -> dict:
+        """The interning table, ``(tid, bid, repeat) -> code``.
+
+        Hot loops probe it inline and call :meth:`encode` only on a
+        miss; the dict is the ring's own and grows in place.
+        """
+        return self._code_of
 
     def encode(self, tid: int, bid: int, repeat: int) -> int:
         """The interning code for one ``(tid, bid, repeat)`` row.

@@ -565,6 +565,7 @@ class ConstrainedReplayer:
             rows = ring.buffers()
             append_row = rows.append
             encode = ring.encode
+            code_of = ring.row_codes()
             capacity = ring.capacity
             flush = ring.flush
             flush_on_sync = ring.flush_on_sync
@@ -639,7 +640,10 @@ class ConstrainedReplayer:
                         tf += df
                         gf += df
                         if deliver:
-                            append_row(encode(tid, bid, rep))
+                            code = code_of.get((tid, bid, rep))
+                            if code is None:
+                                code = encode(tid, bid, rep)
+                            append_row(code)
                             if len(rows) >= capacity:
                                 flush()
                     else:

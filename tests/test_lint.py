@@ -321,6 +321,21 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert "--disable" in err and rule_id in err
 
+    def test_run_looppoint_rejects_unknown_disable_without_lint(
+        self, capsys
+    ):
+        """Without --lint the flag does nothing, but an unknown id is
+        still a typo: same exit 2 and message, before any workload is
+        built."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
+                  "--disable", "BOGUS"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--disable: unknown rule id(s)" in err and "BOGUS" in err
+
     def test_error_finding_forces_nonzero_exit(self):
         # The CLIs return report.exit_code; one error must flip it to 1.
         report = LintReport(subject="t")

@@ -19,6 +19,7 @@ from repro.exec_engine.events import BarrierWait, LockAcquire, LockRelease
 from repro.exec_engine.flowcontrol import FlowControl
 from repro.exec_engine.observers import (
     InstructionCounter,
+    Observer,
     SyncEventLog,
     TraceCollector,
 )
@@ -109,14 +110,32 @@ class TestDirtyFlagPerTransition:
         assert eng._rebuild_runnable() is None  # all done: clean finish
 
 
+class _StrictOrderLog(Observer):
+    """Keeps the default ``needs_flush_before_sync``, so the ring flushes
+    before each sync; logs blocks and syncs as one interleaved stream."""
+
+    def __init__(self, nthreads):
+        self.events = []
+
+    def on_block(self, tid, block, repeat, start_index):
+        self.events.append((tid, block.bid, repeat, start_index))
+
+    def on_sync(self, tid, kind, obj_id, response, gseq):
+        self.events.append((tid, kind, obj_id, gseq))
+
+
 #: Observer sets the two loops are compared under.  Order-independent
-#: observers let the ring keep its batches across syncs; a Recorder, which
-#: every recording attaches, makes the ring flush before each sync.
+#: observers let the ring keep its batches across syncs.  A strict
+#: observer makes the ring flush before each sync; the Recorder, which
+#: every recording attaches, needs no such flush and runs under both.
 OBSERVER_SETS = {
     "order_independent": lambda n: (
         InstructionCounter(n), SyncEventLog(n), TraceCollector(limit=None),
+        Recorder(n),
     ),
-    "order_strict": lambda n: (Recorder(n), SyncEventLog(n)),
+    "order_strict": lambda n: (
+        Recorder(n), SyncEventLog(n), _StrictOrderLog(n),
+    ),
 }
 
 
@@ -128,6 +147,8 @@ def _observed(ob):
         return ob.per_thread, ob.gseq_order
     if isinstance(ob, TraceCollector):
         return ob.blocks, ob.syncs
+    if isinstance(ob, _StrictOrderLog):
+        return ob.events
     return ob.logs
 
 
@@ -153,6 +174,7 @@ class TestScheduleIdentityAcrossPaths:
             observers=obs, flow_control=flow, max_events=max_events,
         )
         assert (engine._streams is not None) == taped
+        assert engine._ring.flush_on_sync == (observers == "order_strict")
         try:
             return engine.run(), [_observed(ob) for ob in obs]
         except ExecutionError as exc:
