@@ -21,12 +21,12 @@ import time
 from typing import List, Optional, TYPE_CHECKING
 
 from .analysis.tables import ascii_table
-from .config import default_fault_plan_path, default_trace_value, get_scale
+from .config import default_trace_value, get_scale
 from .core.looppoint import LoopPointOptions, LoopPointPipeline
 from .errors import ReproError
 from .obs.console import Console
 from .policy import WaitPolicy
-from .resilience import DegradePolicy, FaultPlan
+from .resilience import DegradePolicy
 from .workloads.registry import get_workload, list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy for a region that fails retries AND serial fallback: "
              "fail (default), fallback (re-simulate binary-driven; "
              "constrained mode), or drop (renormalize cluster weights)",
-    )
-    parser.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="JSON fault-injection plan for resilience testing (default: "
-             "the REPRO_FAULT_PLAN environment variable); see "
-             "repro.resilience.faults for the site catalogue",
     )
     parser.add_argument(
         "--trace", nargs="?", const="1", default=None, metavar="FILE",
@@ -251,7 +245,6 @@ def run_one(
     job_timeout_s: Optional[float] = None,
     job_retries: Optional[int] = None,
     degrade: Optional[str] = None,
-    fault_plan: Optional[FaultPlan] = None,
     trace_path: Optional[str] = None,
     live: bool = False,
     live_threshold: Optional[float] = None,
@@ -275,7 +268,7 @@ def run_one(
             wait_policy=wait_policy, scale=scale, jobs=jobs,
             cache_dir=cache_dir,
             manifest_path=manifest_path,
-            fault_plan=fault_plan, trace_path=trace_path, **overrides,
+            trace_path=trace_path, **overrides,
         ),
     )
     if live:
@@ -299,8 +292,8 @@ def run_one(
             "obs",
             f"trace={t['path']} spans={t['spans']} trace_id={t['trace_id']}",
         )
-    # Grep-able metric line: the CI fault-injection matrix diffs these
-    # between clean, faulted, and resumed runs to assert bit-identity.
+    # Grep-able metric line: CI diffs these between clean, faulted and
+    # resumed runs to assert bit-identity.
     p = result.predicted
     console.status(
         "predicted",
@@ -460,20 +453,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         return worst
 
-    plan_path = args.fault_plan or default_fault_plan_path()
-    try:
-        fault_plan = (
-            FaultPlan.from_json_file(plan_path) if plan_path else None
-        )
-        if fault_plan is not None:
-            console.status(
-                "run-looppoint",
-                f"fault plan {plan_path} (seed={fault_plan.seed}, "
-                f"{len(fault_plan.faults)} spec(s))",
-            )
-    except ReproError as exc:
-        console.error("run-looppoint", f"bad fault plan: {exc}")
-        return 2
     if args.jobs is not None and args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     if args.job_timeout is not None and not (
@@ -515,7 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         manifest_path=manifest_path, resume=args.resume,
                         job_timeout_s=args.job_timeout,
                         job_retries=args.job_retries,
-                        degrade=args.degrade, fault_plan=fault_plan,
+                        degrade=args.degrade,
                         trace_path=trace_path, live=args.live,
                         live_threshold=args.live_threshold,
                         console=console)

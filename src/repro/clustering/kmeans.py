@@ -28,7 +28,6 @@ import numpy as np
 from ..errors import ClusteringError
 from ..obs.tracer import active_metrics
 from ..perf.kernels import assign_labels, weighted_means
-from ..resilience import KMEANS_DIVERGE, maybe_inject
 
 
 @dataclass
@@ -177,7 +176,6 @@ def kmeans(
         if weights.shape != (n,) or np.any(weights < 0):
             raise ClusteringError("weights must be non-negative, one per point")
 
-    maybe_inject(KMEANS_DIVERGE, f"kmeans:k={k}")
     if init_centroids is not None:
         centroids = np.asarray(init_centroids, dtype=np.float64)
         if centroids.shape != (k, points.shape[1]):

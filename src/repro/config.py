@@ -237,25 +237,11 @@ def default_trace_value() -> Optional[str]:
 
     ``0``/``false``/``off``/``no`` (and unset/empty) disable tracing;
     ``1``/``true``/``on``/``yes`` enable it at the CLI's default trace
-    path; anything else is taken as an explicit trace-file path.  Like
-    ``REPRO_FAULT_PLAN`` this is a CLI-level default (``--trace``
-    overrides it) — the library only traces when its options carry a path
-    explicitly.
+    path; anything else is taken as an explicit trace-file path.  This
+    is a CLI-level default (``--trace`` overrides it) — the library only
+    traces when its options carry a path explicitly.
     """
     raw = os.environ.get("REPRO_TRACE", "").strip()
     if raw.lower() in ("", "0", "false", "off", "no"):
         return None
     return raw
-
-
-def default_fault_plan_path() -> Optional[str]:
-    """Path to a fault-plan JSON file from ``REPRO_FAULT_PLAN``, or None.
-
-    Like ``REPRO_SCALE``/``REPRO_JOBS``, this is an environment-level
-    default the CLI picks up (``--fault-plan`` overrides it); the library
-    itself never reads it — a pipeline only injects faults when its options
-    carry a plan explicitly, so programmatic runs can never be surprised by
-    a stray environment variable.
-    """
-    raw = os.environ.get("REPRO_FAULT_PLAN", "").strip()
-    return raw or None

@@ -57,15 +57,11 @@ from ..parallel.executor import (
 )
 from ..parallel.jobs import RegionJob, WorkloadSpec
 from ..resilience import (
-    PIPELINE_ABORT,
     DegradePolicy,
     FailureRecord,
-    FaultPlan,
     RetryPolicy,
     RunHealth,
     RunManifest,
-    fault_scope,
-    maybe_inject,
     renormalize_clusters,
 )
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
@@ -129,9 +125,6 @@ class LoopPointOptions:
     #: and, past the retry budget, re-run serially in the parent.
     job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S
     job_retries: int = 1
-    #: Deterministic fault-injection plan (CI/testing); installed for the
-    #: duration of every pipeline entry point.  ``None`` in production.
-    fault_plan: Optional[FaultPlan] = None
     #: Append-only run-journal path enabling ``run(resume=True)``; ``None``
     #: disables journaling.
     manifest_path: Optional[str] = None
@@ -422,9 +415,8 @@ class LoopPointPipeline:
         """Run ``compute`` with the stage retry budget and backoff pacing.
 
         Every failed attempt is journaled (``fail`` event) and recorded in
-        :attr:`health`; a transient :class:`~repro.errors.ReproError` —
-        which is exactly what the fault seams raise — costs a retry, a
-        persistent one exhausts the budget and re-raises.
+        :attr:`health`; a transient :class:`~repro.errors.ReproError`
+        costs a retry, a persistent one exhausts the budget and re-raises.
         """
         policy = self.options.retry_policy()
         attempt = 0
@@ -485,7 +477,6 @@ class LoopPointPipeline:
                     stage, key,
                     source="computed" if source == "computed" else "cache",
                 )
-            maybe_inject(PIPELINE_ABORT, f"after:{stage}")
             return artifact
 
     def _compute_stage(
@@ -523,11 +514,10 @@ class LoopPointPipeline:
     def record(self) -> Pinball:
         """Stage 1: record the reproducible whole-program pinball."""
         if self._pinball is None:
-            with fault_scope(self.options.fault_plan):
-                self._pinball = self._stage_artifact(
-                    "record", self._record_material(), Pinball,
-                    self._compute_record,
-                )
+            self._pinball = self._stage_artifact(
+                "record", self._record_material(), Pinball,
+                self._compute_record,
+            )
         return self._pinball
 
     def _marker_blocks(self) -> List[BasicBlock]:
@@ -554,11 +544,10 @@ class LoopPointPipeline:
         replay the pinball once more to build the DCFG.
         """
         if self._profile is None:
-            with fault_scope(self.options.fault_plan):
-                self._profile = self._stage_artifact(
-                    "profile", self._profile_material(), ProfileData,
-                    self._compute_profile,
-                )
+            self._profile = self._stage_artifact(
+                "profile", self._profile_material(), ProfileData,
+                self._compute_profile,
+            )
         return self._profile
 
     def _compute_select(self) -> SimPointSelection:
@@ -590,11 +579,10 @@ class LoopPointPipeline:
     def select(self) -> SimPointSelection:
         """Stage 3: SimPoint clustering of slice BBVs."""
         if self._selection is None:
-            with fault_scope(self.options.fault_plan):
-                self._selection = self._stage_artifact(
-                    "select", self._select_material(), SimPointSelection,
-                    self._compute_select,
-                )
+            self._selection = self._stage_artifact(
+                "select", self._select_material(), SimPointSelection,
+                self._compute_select,
+            )
         return self._selection
 
     def _compute_marker_pcs(self) -> List[int]:
@@ -609,11 +597,10 @@ class LoopPointPipeline:
         to one analysis replay.  Cached under the ``dcfg`` stage key.
         """
         if self._marker_pcs is None:
-            with fault_scope(self.options.fault_plan):
-                self._marker_pcs = self._stage_artifact(
-                    "dcfg", self._dcfg_material(), list,
-                    self._compute_marker_pcs,
-                )
+            self._marker_pcs = self._stage_artifact(
+                "dcfg", self._dcfg_material(), list,
+                self._compute_marker_pcs,
+            )
         return self._marker_pcs
 
     def _compute_live(self, live_options: "LiveOptions") -> "LiveResult":
@@ -656,11 +643,10 @@ class LoopPointPipeline:
             self._live = None
         self._live_options = options
         if self._live is None:
-            with fault_scope(self.options.fault_plan):
-                self._live = self._stage_artifact(
-                    "live", self._live_material(options), LiveResult,
-                    lambda: self._compute_live(options),
-                )
+            self._live = self._stage_artifact(
+                "live", self._live_material(options), LiveResult,
+                lambda: self._compute_live(options),
+            )
         return self._live
 
     def regions(self) -> List[RegionOfInterest]:
@@ -719,7 +705,6 @@ class LoopPointPipeline:
             timeout_s=opts.job_timeout_s,
             retries=opts.job_retries,
             backoff=opts.retry_policy(),
-            fault_plan=opts.fault_plan,
             raise_on_failure=False,
         )
         self.last_execution = outcome.stats
@@ -868,14 +853,13 @@ class LoopPointPipeline:
             scale.warmup_instructions,
             strategy,
         )
-        with fault_scope(self.options.fault_plan):
-            return self._with_stage_retry(
-                "extract",
-                canonical_key(self._select_material()),
-                lambda: extract_region_pinballs(
-                    self.workload.program, self.record(), cuts
-                ),
-            )
+        return self._with_stage_retry(
+            "extract",
+            canonical_key(self._select_material()),
+            lambda: extract_region_pinballs(
+                self.workload.program, self.record(), cuts
+            ),
+        )
 
     def simulate_regions_constrained(
         self, strategy: WarmupStrategy = WarmupStrategy.CHECKPOINT_PREFIX
@@ -1029,7 +1013,6 @@ class LoopPointPipeline:
                     self._manifest.done(
                         stage, canonical_key(material), source="cache"
                     )
-                maybe_inject(PIPELINE_ABORT, f"after:{stage}")
 
     # -- the headline entry point -------------------------------------------
 
@@ -1059,7 +1042,7 @@ class LoopPointPipeline:
                 jobs=self.options.resolved_jobs(),
             )
         try:
-            with obs_scope(tracer), fault_scope(self.options.fault_plan):
+            with obs_scope(tracer):
                 with active_tracer().span(
                     "run", workload=self.workload.full_name, resume=resume
                 ):
@@ -1099,7 +1082,7 @@ class LoopPointPipeline:
                 jobs=self.options.resolved_jobs(),
             )
         try:
-            with obs_scope(tracer), fault_scope(self.options.fault_plan):
+            with obs_scope(tracer):
                 with active_tracer().span(
                     "run", workload=self.workload.full_name,
                     resume=resume, mode="live",
@@ -1234,7 +1217,6 @@ class LoopPointPipeline:
                 region_results = self.simulate_regions()
         if self._manifest is not None:
             self._manifest.done("simulate", sim_key)
-        maybe_inject(PIPELINE_ABORT, "after:simulate")
         with tracer.span("stage:extrapolate", stage="extrapolate"):
             clusters = list(selection.clusters)
             if self.health.dropped_regions:

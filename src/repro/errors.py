@@ -58,13 +58,5 @@ class CacheError(ReproError):
     """
 
 
-class FaultInjectionError(ReproError):
-    """A deterministic fault-injection plan fired at this site.
-
-    Raised only when a :class:`repro.resilience.FaultPlan` is installed;
-    production runs without a plan can never see this error.
-    """
-
-
 class ResumeError(ReproError):
     """A run manifest cannot be resumed against the current options."""

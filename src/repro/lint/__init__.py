@@ -21,11 +21,10 @@ Pass families (the scheduling unit of :func:`~repro.lint.runner.lint_pipeline`):
   races).
 
 The pipeline's own bookkeeping is not linted.  What the code that builds
-an artifact can check, it checks and raises on: configuration, fault
-plans and run-history records are rejected where they are parsed
+an artifact can check, it checks and raises on: configuration and
+run-history records are rejected where they are parsed
 (:class:`~repro.config.ReproScale`,
 :class:`~repro.core.looppoint.LoopPointOptions`,
-:class:`~repro.resilience.FaultSpec`,
 :class:`~repro.obs.history.HistoryStore`); constrained replay raises on
 a gseq order with a hole or a duplicate; resume raises on a manifest
 whose keys differ from the current options'; ``repro-obs report`` exits

@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`Tracer` / :class:`NullTracer` / :func:`obs_scope` — span tracing
-  with the fault-scope installation pattern; :func:`active_tracer` and
-  :func:`active_metrics` are the instrumentation seams.
+  installed in a module-level slot by a nestable context manager;
+  :func:`active_tracer` and :func:`active_metrics` are the
+  instrumentation seams.
 * :class:`MetricsRegistry` — deterministic counters/gauges/histograms.
 * :class:`Console` — the CLI's single status-line code path.
 * :func:`read_trace` / :func:`render_report` — trace files back to humans

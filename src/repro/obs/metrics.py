@@ -15,8 +15,7 @@ adaptive buckets would make two traces incomparable and ``repro-obs
 
 Instrumented code never talks to a registry directly; it asks
 :func:`repro.obs.tracer.active_metrics` for the installed one and skips
-all work when tracing is off — a single ``is None`` check per seam, the
-same discipline :mod:`repro.resilience.faults` uses for injection sites.
+all work when tracing is off — a single ``is None`` check per seam.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ Design constraints, in order:
    :func:`active_tracer` / :func:`active_metrics`; with no tracer
    installed those return :data:`NULL_TRACER` / ``None`` and every span
    is a reused no-op object, so untraced hot loops pay one call per
-   seam.  Installation follows the :func:`repro.resilience.fault_scope`
-   pattern: a module-level slot plus a nestable context manager.
+   seam.  Installation is a module-level slot plus a nestable context
+   manager (:func:`obs_scope`).
 2. **Crash-honest.**  A span line is written when the span *ends*, to an
    append-only JSON-lines file (one ``write`` per line, flushed), so a
    killed run leaves a readable trace whose missing spans are exactly the
@@ -317,8 +317,7 @@ def obs_scope(tracer):
     """Install ``tracer`` for the duration of the block (nestable).
 
     A ``None`` or disabled tracer installs nothing — the seams keep
-    hitting the ``is None`` fast path — mirroring
-    :func:`repro.resilience.fault_scope`.
+    hitting the ``is None`` fast path.
     """
     if tracer is None or not tracer.enabled:
         yield

@@ -58,13 +58,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..errors import CacheError
 from ..obs.tracer import active_metrics
-from ..resilience import (
-    CACHE_CORRUPT,
-    STORE_CRASH_REPLACE,
-    STORE_TORN_WRITE,
-    maybe_inject,
-    should_fire,
-)
 
 #: Bump when any cached stage's semantics change.
 CACHE_VERSION = 1
@@ -283,16 +276,11 @@ class ArtifactCache:
                     pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 raw.flush()
                 os.fsync(raw.fileno())
-            site_key = f"{stage}:{key}"
-            torn = should_fire(STORE_TORN_WRITE, site_key)
-            if torn is not None:
-                self._damage(Path(tmp), torn.mode)
             # The sidecar carries the digest of the *intended* bytes and is
-            # published first: a crash (or injected torn write) between here
-            # and the payload replace leaves a mismatch, which load() treats
+            # published first: a crash (or a torn write) between here and
+            # the payload replace leaves a mismatch, which load() treats
             # as corruption — degrade to recompute, never a wrong artifact.
             self._write_sidecar(path, digest.hexdigest())
-            maybe_inject(STORE_CRASH_REPLACE, site_key)
             os.replace(tmp, path)
             _fsync_dir(path.parent)
         except BaseException:
@@ -305,9 +293,6 @@ class ArtifactCache:
         reg = active_metrics()
         if reg is not None:
             reg.inc("cache.stores")
-        spec = should_fire(CACHE_CORRUPT, f"{stage}:{key}")
-        if spec is not None:
-            self._damage(path, spec.mode)
 
     def _write_sidecar(self, path: Path, hexdigest: str) -> None:
         fd, tmp = tempfile.mkstemp(
@@ -346,21 +331,6 @@ class ArtifactCache:
         artifact = compute()
         self.store(stage, material, artifact)
         return artifact, "computed"
-
-    @staticmethod
-    def _damage(path: Path, mode: str) -> None:
-        """Fault-injection hook: wreck a just-stored artifact on disk.
-
-        ``truncate`` (the default) cuts the file in half — a store
-        interrupted mid-write; ``garbage`` overwrites it with bytes that
-        are not even gzip.  Both must read back as a cache *miss*.
-        """
-        if mode == "garbage":
-            path.write_bytes(b"not a gzip pickle, injected garbage\x00\xff")
-            return
-        size = path.stat().st_size
-        with open(path, "r+b") as fh:
-            fh.truncate(max(1, size // 2))
 
     def invalidate(self, stage: Optional[str] = None) -> None:
         """Drop one stage's artifacts, or the whole versioned cache."""

@@ -24,12 +24,9 @@ Robustness contract (ISSUE 2, extended by ISSUE 3):
   ``ExecutionOutcome.failures`` under ``raise_on_failure=False`` so the
   pipeline's degradation policy can decide.
 
-Fault injection: a :class:`~repro.resilience.FaultPlan` handed to
-:func:`run_region_jobs` rides into each worker (the plan is plain picklable
-data) where :func:`~repro.resilience.perform_worker_faults` can crash, hang,
-or fail that attempt deterministically.  The parent's serial fallback never
-runs worker-site faults, so an injected crash can kill a worker process but
-never the run.
+Workers enter through :func:`_pool_timed_job`; the parent's serial paths
+call :func:`_timed_job` directly, so a crash confined to the worker entry
+point can kill a worker process but never the run.
 
 The executor also measures what the paper can only estimate: per-job wall
 times (their sum is the measured *serial* cost) against the fan-out's
@@ -56,7 +53,7 @@ from ..obs.tracer import (
     obs_scope,
     worker_tracer,
 )
-from ..resilience import FaultPlan, RetryPolicy, fault_scope, perform_worker_faults
+from ..resilience import RetryPolicy
 from ..timing.mcsim import SimulationResult
 from .jobs import RegionJob, execute_region_job
 
@@ -123,14 +120,9 @@ def _timed_job(job: RegionJob) -> Tuple[int, SimulationResult, float]:
 def _pool_timed_job(
     job: RegionJob,
     attempt: int,
-    plan: Optional[FaultPlan],
     ctx: Optional[SpanContext] = None,
 ) -> Tuple[int, SimulationResult, float]:
-    """Worker-process entry point: fire worker-site faults, then run.
-
-    Worker-site faults (crash/hang/error) fire *only* here — never in the
-    parent's serial paths — so an injected crash takes out a disposable
-    worker process, not the run.
+    """Worker-process entry point: run one job attempt under a span.
 
     ``ctx`` stitches the worker's region span into the parent trace: the
     span parents into the dispatching ``fanout`` span and is written to the
@@ -146,12 +138,7 @@ def _pool_timed_job(
             region=job.job_id,
             attempt=attempt,
         ):
-            if plan is None:
-                out = _timed_job(job)
-            else:
-                perform_worker_faults(plan, job.job_id, attempt)
-                with fault_scope(plan):
-                    out = _timed_job(job)
+            out = _timed_job(job)
         tracer.emit_metrics(scope=f"job:{job.job_id}", reset=True)
     return out
 
@@ -259,7 +246,6 @@ def run_region_jobs(
     timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
     retries: int = 1,
     backoff: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
     raise_on_failure: bool = True,
 ) -> ExecutionOutcome:
     """Execute ``jobs`` across ``workers`` processes.
@@ -270,34 +256,33 @@ def run_region_jobs(
     ``ExecutionOutcome.failures`` and the remaining jobs' results are still
     returned — the caller chooses what a lost region means.
     """
-    with fault_scope(fault_plan):
-        if not jobs:
-            return ExecutionOutcome(
-                results=[],
-                stats=ExecutionStats(
-                    num_jobs=0, workers=max(1, workers),
-                    serial_seconds=0.0, elapsed_seconds=0.0,
-                ),
+    if not jobs:
+        return ExecutionOutcome(
+            results=[],
+            stats=ExecutionStats(
+                num_jobs=0, workers=max(1, workers),
+                serial_seconds=0.0, elapsed_seconds=0.0,
+            ),
+        )
+    serial = workers <= 1 or len(jobs) == 1
+    with active_tracer().span(
+        "fanout", jobs=len(jobs), workers=max(1, workers),
+        mode="serial" if serial else "pool",
+    ) as span:
+        if serial:
+            outcome = _run_serial(
+                jobs, retries=retries, backoff=backoff,
+                raise_on_failure=raise_on_failure,
             )
-        serial = workers <= 1 or len(jobs) == 1
-        with active_tracer().span(
-            "fanout", jobs=len(jobs), workers=max(1, workers),
-            mode="serial" if serial else "pool",
-        ) as span:
-            if serial:
-                outcome = _run_serial(
-                    jobs, retries=retries, backoff=backoff,
-                    raise_on_failure=raise_on_failure,
-                )
-            else:
-                outcome = _run_pool(
-                    jobs, workers, timeout_s, retries, backoff,
-                    fault_plan, raise_on_failure,
-                )
-            span.set("retries", outcome.stats.retries)
-            span.set("serial_fallbacks", outcome.stats.serial_fallbacks)
-        _report_fanout(outcome.stats)
-        return outcome
+        else:
+            outcome = _run_pool(
+                jobs, workers, timeout_s, retries, backoff,
+                raise_on_failure,
+            )
+        span.set("retries", outcome.stats.retries)
+        span.set("serial_fallbacks", outcome.stats.serial_fallbacks)
+    _report_fanout(outcome.stats)
+    return outcome
 
 
 def _report_fanout(stats: ExecutionStats) -> None:
@@ -319,7 +304,6 @@ def _run_pool(
     timeout_s: float,
     retries: int,
     backoff: Optional[RetryPolicy],
-    fault_plan: Optional[FaultPlan],
     raise_on_failure: bool,
 ) -> ExecutionOutcome:
     t0 = time.perf_counter()
@@ -346,8 +330,7 @@ def _run_pool(
         try:
             for job in pending:
                 future = pool.submit(
-                    _pool_timed_job, job, attempts[job.job_id], fault_plan,
-                    ctx,
+                    _pool_timed_job, job, attempts[job.job_id], ctx,
                 )
                 fut_to_id[future] = job.job_id
             # One shared deadline per round: the slowest schedule is

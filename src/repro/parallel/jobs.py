@@ -30,7 +30,6 @@ from ..config import ReproScale, SystemConfig
 from ..errors import SimulationError, WorkloadError
 from ..pinplay.pinball import RegionPinball
 from ..policy import WaitPolicy
-from ..resilience import JOB_ERROR, maybe_inject
 from ..timing.mcsim import (
     MultiCoreSimulator,
     RegionOfInterest,
@@ -162,7 +161,6 @@ def execute_region_job(job: RegionJob) -> SimulationResult:
     same function, which is what makes ``jobs=1`` vs ``jobs=N`` equivalence
     testable.
     """
-    maybe_inject(JOB_ERROR, f"job:{job.job_id}")
     workload = _workload_for(job.workload)
     sim = MultiCoreSimulator(workload.program, job.system, workload.omp)
     if job.pinball is not None:

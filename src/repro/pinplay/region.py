@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import RegionError, ReplayError
 from ..isa.image import Program
 from ..profiling.markers import Marker
-from ..resilience import REGION_EXTRACT, maybe_inject
 from .pinball import Pinball, RegionPinball
 from .replayer import ConstrainedReplayer, CutPoint
 
@@ -55,7 +54,6 @@ def extract_region_pinballs(
     found, and its end marker once its detail cut is found, which is the
     order the cuts occur in.
     """
-    maybe_inject(REGION_EXTRACT, f"extract:{program.name}:{len(cuts)}")
     marker_pcs = sorted({
         m.pc for cut in cuts for m in (cut.start, cut.end) if m is not None
     })

@@ -22,7 +22,6 @@ from ..isa.blocks import BasicBlock
 from ..isa.image import Program
 from ..pinplay.pinball import Pinball
 from ..pinplay.replayer import ConstrainedReplayer
-from ..resilience import PROFILE_DIVERGENCE, maybe_inject
 from .filters import FilterPolicy
 from .slicer import LoopAlignedSlicer, Slice
 
@@ -97,7 +96,6 @@ def profile_pinball(
     them explicitly when the DCFG is already at hand — the pipeline builds
     it while recording — or to experiment with alternative boundary sets.
     """
-    maybe_inject(PROFILE_DIVERGENCE, f"profile:{program.name}")
     policy = filter_policy or FilterPolicy()
     if marker_blocks is None:
         marker_blocks = marker_blocks_from_dcfg(

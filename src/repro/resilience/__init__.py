@@ -1,34 +1,11 @@
-"""Resilience layer: fault injection, retry pacing, run manifests, health.
+"""Resilience layer: retry pacing, run manifests, health.
 
-See :mod:`repro.resilience.faults` for the injection-site catalogue,
-:mod:`repro.resilience.manifest` for the resumable run journal, and
-:mod:`repro.resilience.health` for degradation policies and the
+:mod:`repro.resilience.retry` paces retries of failed stages and region
+jobs, :mod:`repro.resilience.manifest` is the resumable run journal, and
+:mod:`repro.resilience.health` holds the degradation policies and the
 ``result.health`` block.
 """
 
-from .faults import (
-    CACHE_CORRUPT,
-    JOB_ERROR,
-    KMEANS_DIVERGE,
-    PIPELINE_ABORT,
-    PROFILE_DIVERGENCE,
-    REGION_EXTRACT,
-    SITES,
-    STORE_CRASH_REPLACE,
-    STORE_TORN_WRITE,
-    WORKER_CRASH,
-    WORKER_ERROR,
-    WORKER_HANG,
-    FaultPlan,
-    FaultSpec,
-    active_plan,
-    clear_fault_plan,
-    fault_scope,
-    install_fault_plan,
-    maybe_inject,
-    perform_worker_faults,
-    should_fire,
-)
 from .health import (
     DegradePolicy,
     FailureRecord,
@@ -39,31 +16,10 @@ from .manifest import RunManifest
 from .retry import RetryPolicy
 
 __all__ = [
-    "CACHE_CORRUPT",
-    "JOB_ERROR",
-    "KMEANS_DIVERGE",
-    "PIPELINE_ABORT",
-    "PROFILE_DIVERGENCE",
-    "REGION_EXTRACT",
-    "SITES",
-    "STORE_CRASH_REPLACE",
-    "STORE_TORN_WRITE",
-    "WORKER_CRASH",
-    "WORKER_ERROR",
-    "WORKER_HANG",
     "DegradePolicy",
     "FailureRecord",
-    "FaultPlan",
-    "FaultSpec",
     "RetryPolicy",
     "RunHealth",
     "RunManifest",
-    "active_plan",
-    "clear_fault_plan",
-    "fault_scope",
-    "install_fault_plan",
-    "maybe_inject",
-    "perform_worker_faults",
     "renormalize_clusters",
-    "should_fire",
 ]

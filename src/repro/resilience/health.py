@@ -44,7 +44,7 @@ class FailureRecord:
     #: Pipeline stage ("record", "profile", "select", "extract",
     #: "simulate", "manifest").
     stage: str
-    #: What went wrong, e.g. "ReplayDivergenceError: ..." or a fault site.
+    #: What went wrong, e.g. "ReplayDivergenceError: ...".
     error: str
     #: The action taken: "retried", "fallback", "dropped", "recomputed",
     #: or "raised".

@@ -1,48 +1,54 @@
-"""Resilience: fault injection, resumable runs, and graceful degradation.
+"""Resilience: retries, resumable runs, and graceful degradation.
 
-Covers the PR's tentpole (the ``repro.resilience`` subsystem wired through
-the executor, the pipeline and the CLI) and its satellites: the
-per-round executor timeout accounting, cache-corruption recovery, resume
-semantics of the run manifest, degrade policies with cluster-weight
-renormalization, and fault-plan validation at parse time.
+Every recovery path of the pipeline is reached from here, with the fault
+caused by the test itself: a patched pool-worker entry point crashes,
+hangs or raises in a forked worker; a patched job or stage function
+raises; a cached file is damaged on disk; ``ci/run_faulted.py`` SIGKILLs
+a CLI run once the manifest journals a stage.  Each test also asserts the
+retry, fallback or eviction count its fault causes, so a patch that
+stopped reaching its target would fail the test rather than pass it
+vacuously.
 
-The two ISSUE acceptance scenarios are here verbatim:
+The two acceptance scenarios:
 
 * a run SIGKILLed right after profiling, restarted with ``--resume``,
   reproduces the extrapolated metrics bit-identically without re-running
-  record or profile (exercised through the CLI in a subprocess — the
-  injected SIGKILL must not take out pytest);
-* a seeded worker-crash-per-round plan at ``jobs=4`` produces results
-  bit-identical to the serial run, with the retries in ``result.health``.
+  record or profile (through the CLI in a subprocess, so the SIGKILL
+  takes out that process and not pytest);
+* crashing every pool worker's first attempt at ``jobs=4`` produces
+  results bit-identical to the serial run, with the retries in
+  ``result.health``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gzip
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import TEST_SCALE
+from repro.core import looppoint
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.core.report import format_health_table, format_result_table
 from repro.errors import (
     ClusteringError,
-    FaultInjectionError,
     RegionError,
     ReplayDivergenceError,
     ReproError,
     ResumeError,
     SimulationError,
 )
-from repro.lint.runner import lint_pipeline
 from repro.parallel import (
     ArtifactCache,
     RegionJob,
@@ -51,32 +57,15 @@ from repro.parallel import (
     run_region_jobs,
 )
 from repro.parallel import artifacts as artifacts_module
+from repro.parallel import executor
 from repro.resilience import (
-    CACHE_CORRUPT,
-    JOB_ERROR,
-    KMEANS_DIVERGE,
-    PROFILE_DIVERGENCE,
-    REGION_EXTRACT,
-    SITES,
-    WORKER_CRASH,
-    WORKER_ERROR,
-    WORKER_HANG,
     DegradePolicy,
     FailureRecord,
-    FaultPlan,
-    FaultSpec,
     RetryPolicy,
     RunHealth,
     RunManifest,
-    active_plan,
-    clear_fault_plan,
-    fault_scope,
-    install_fault_plan,
-    maybe_inject,
     renormalize_clusters,
-    should_fire,
 )
-from repro.resilience.faults import _fraction
 from repro.workloads.demo import build_demo_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,17 +79,6 @@ def _options(**kw):
     for key, value in FAST_BACKOFF.items():
         kw.setdefault(key, value)
     return LoopPointOptions(**kw)
-
-
-def _plan(*specs, seed=0):
-    return FaultPlan(seed=seed, faults=tuple(specs))
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """A test that dies mid-``fault_scope`` must not poison its neighbors."""
-    yield
-    clear_fault_plan()
 
 
 @pytest.fixture(scope="module")
@@ -132,177 +110,73 @@ def _metrics_by_id(result):
 
 
 # ---------------------------------------------------------------------------
-# FaultPlan: decisions, validation, serialization.
+# Causing faults: patched worker entry points, jobs and stages.
 # ---------------------------------------------------------------------------
 
 
-class TestFaultPlanDecisions:
-    def test_fire_decisions_are_deterministic(self):
-        keys = [f"job:{i}" for i in range(64)]
-        first = [
-            _plan(FaultSpec(WORKER_ERROR, probability=0.5), seed=3)
-            .should_fire(WORKER_ERROR, k) is not None
-            for k in keys
-        ]
-        second = [
-            _plan(FaultSpec(WORKER_ERROR, probability=0.5), seed=3)
-            .should_fire(WORKER_ERROR, k) is not None
-            for k in keys
-        ]
-        assert first == second
-        assert any(first) and not all(first)  # 0.5 really is partial
+def _patch_worker_entry(monkeypatch, fault):
+    """Run ``fault(job, attempt)`` in every pool worker before its job.
 
-    def test_probability_extremes(self):
-        always = _plan(FaultSpec(JOB_ERROR, probability=1.0))
-        never = _plan(FaultSpec(JOB_ERROR, probability=0.0))
-        for i in range(16):
-            assert always.should_fire(JOB_ERROR, f"k{i}") is not None
-            assert never.should_fire(JOB_ERROR, f"k{i}") is None
+    ``functools.wraps`` keeps the entry point's name and module, so the
+    pool still pickles it by reference and the forked workers resolve it
+    to this wrapper.  The parent's serial fallback calls ``_timed_job``
+    directly and never sees the fault.
+    """
+    real_entry = executor._pool_timed_job
 
-    def test_match_restricts_keys(self):
-        plan = _plan(FaultSpec(JOB_ERROR, match=":attempt:0"))
-        assert plan.should_fire(JOB_ERROR, "job:3:attempt:0") is not None
-        assert plan.should_fire(JOB_ERROR, "job:3:attempt:1") is None
-        assert plan.should_fire(JOB_ERROR, "unrelated") is None
+    @functools.wraps(real_entry)
+    def entry(job, attempt, *args, **kwargs):
+        fault(job, attempt)
+        return real_entry(job, attempt, *args, **kwargs)
 
-    def test_site_mismatch_never_fires(self):
-        plan = _plan(FaultSpec(WORKER_CRASH))
-        assert plan.should_fire(JOB_ERROR, "job:0") is None
-
-    def test_max_fires_lets_the_retry_through(self):
-        plan = _plan(FaultSpec(PROFILE_DIVERGENCE, max_fires=1))
-        assert plan.should_fire(PROFILE_DIVERGENCE, "profile:x") is not None
-        # Same seam, second occurrence: the budget is spent.
-        assert plan.should_fire(PROFILE_DIVERGENCE, "profile:x") is None
-        assert plan.should_fire(PROFILE_DIVERGENCE, "profile:y") is None
-
-    def test_fraction_is_pure_and_bounded(self):
-        a = _fraction(1, 0, JOB_ERROR, "k", 0)
-        b = _fraction(1, 0, JOB_ERROR, "k", 0)
-        assert a == b and 0.0 <= a < 1.0
-        assert _fraction(2, 0, JOB_ERROR, "k", 0) != a
+    monkeypatch.setattr(executor, "_pool_timed_job", entry)
 
 
-class TestFaultPlanValidation:
-    """A malformed spec raises where it is built or parsed (the former
-    lint rules FLT001-FLT003), so no plan ever holds one."""
-
-    def test_valid_plan_has_no_problems(self):
-        plan = _plan(
-            FaultSpec(WORKER_CRASH, match=":attempt:0"),
-            FaultSpec(CACHE_CORRUPT, mode="garbage"),
-        )
-        install_fault_plan(plan)
-        assert active_plan() is plan
-
-    @pytest.mark.parametrize("spec,code", [
-        (dict(site="worker.explode"), "unknown-site"),
-        (dict(site=JOB_ERROR, probability=1.5), "bad-probability"),
-        (dict(site=JOB_ERROR, probability=-0.1), "bad-probability"),
-        (dict(site=WORKER_HANG, hang_s=-1.0), "bad-hang"),
-        (dict(site=JOB_ERROR, mode="garbage"), "bad-mode"),
-        (dict(site=CACHE_CORRUPT, mode="shred"), "bad-mode"),
-    ])
-    def test_problem_codes(self, spec, code, tmp_path):
-        match = {
-            "unknown-site": "unknown injection site",
-            "bad-probability": "outside \\[0, 1\\]",
-            "bad-hang": "hang_s .* is negative",
-            "bad-mode": "mode .* invalid",
-        }[code]
-        with pytest.raises(FaultInjectionError, match=match):
-            FaultSpec(**spec)
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"faults": [spec]}))
-        with pytest.raises(FaultInjectionError, match=match):
-            FaultPlan.from_json_file(str(path))
-
-    def test_every_catalogued_site_round_trips(self):
-        plan = _plan(*(
-            FaultSpec(site, mode=mode)
-            for site in sorted(SITES) for mode in SITES[site]
-        ))
-        loaded = FaultPlan.from_dict(json.loads(plan.to_json()))
-        assert loaded.faults == plan.faults
+def _crash_first_attempt(job, attempt):
+    if attempt == 0:
+        os._exit(3)
 
 
-class TestFaultPlanSerialization:
-    def test_json_round_trip(self, tmp_path):
-        plan = _plan(
-            FaultSpec(WORKER_HANG, probability=0.25, match="job:",
-                      hang_s=3.0),
-            FaultSpec(CACHE_CORRUPT, mode="truncate", max_fires=2),
-            seed=42,
-        )
-        path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
-        loaded = FaultPlan.from_json_file(str(path))
-        assert loaded.seed == plan.seed
-        assert loaded.faults == plan.faults
-
-    def test_from_dict_rejects_malformed_input(self):
-        with pytest.raises(FaultInjectionError):
-            FaultPlan.from_dict({"faults": "not-a-list"})
-        with pytest.raises(FaultInjectionError):
-            FaultPlan.from_dict({"faults": [{"probability": 1.0}]})
-        with pytest.raises(FaultInjectionError):
-            FaultPlan.from_dict({"faults": [{"site": JOB_ERROR,
-                                             "sitee": "typo"}]})
-
-    def test_from_json_file_missing_or_invalid(self, tmp_path):
-        with pytest.raises(FaultInjectionError):
-            FaultPlan.from_json_file(str(tmp_path / "absent.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(FaultInjectionError):
-            FaultPlan.from_json_file(str(bad))
-
-    def test_shipped_ci_plans_are_valid(self):
-        for path in sorted((ROOT / "ci" / "fault-plans").glob("*.json")):
-            assert FaultPlan.from_json_file(str(path)).faults
+def _hang_first_attempt(job, attempt):
+    if attempt == 0:
+        time.sleep(30.0)
 
 
-class TestInstallAndScope:
-    def test_install_clear_active(self):
-        plan = _plan(FaultSpec(JOB_ERROR))
-        install_fault_plan(plan)
-        assert active_plan() is plan
-        clear_fault_plan()
-        assert active_plan() is None
+def _raise_first_attempt(job, attempt):
+    if attempt == 0:
+        raise SimulationError(f"worker error, job {job.job_id}")
 
-    def test_install_validates(self):
-        # The malformed spec raises before a plan exists to install.
-        with pytest.raises(FaultInjectionError):
-            install_fault_plan(_plan(FaultSpec("nope")))
-        assert active_plan() is None
 
-    def test_scope_restores_previous_plan(self):
-        outer = _plan(FaultSpec(JOB_ERROR, probability=0.0))
-        inner = _plan(FaultSpec(JOB_ERROR))
-        install_fault_plan(outer)
-        with fault_scope(inner):
-            assert active_plan() is inner
-        assert active_plan() is outer
-        # None is a passthrough, not an uninstall.
-        with fault_scope(None):
-            assert active_plan() is outer
-        clear_fault_plan()
+def _raise_every_attempt(job, attempt):
+    raise SimulationError(f"worker error, job {job.job_id}")
 
-    def test_no_plan_means_no_ops(self):
-        assert should_fire(JOB_ERROR, "k") is None
-        maybe_inject(JOB_ERROR, "k")  # must not raise
 
-    @pytest.mark.parametrize("site,exc", [
-        (WORKER_ERROR, FaultInjectionError),
-        (JOB_ERROR, FaultInjectionError),
-        (PROFILE_DIVERGENCE, ReplayDivergenceError),
-        (REGION_EXTRACT, RegionError),
-        (KMEANS_DIVERGE, ClusteringError),
-    ])
-    def test_raise_sites_raise_their_domain_error(self, site, exc):
-        with fault_scope(_plan(FaultSpec(site))):
-            with pytest.raises(exc):
-                maybe_inject(site, "key")
+def _fail_everywhere(monkeypatch, region_ids):
+    """Make these regions' jobs raise in workers and in the parent."""
+    real_timed = executor._timed_job
+
+    def timed(job):
+        if job.job_id in region_ids:
+            raise SimulationError(f"region {job.job_id} lost")
+        return real_timed(job)
+
+    monkeypatch.setattr(executor, "_timed_job", timed)
+
+
+def _raise_first_calls(monkeypatch, target, name, exc, times=1):
+    """Make ``target.name`` raise ``exc`` on its first ``times`` calls;
+    returns the list of calls made, one entry per call."""
+    real = getattr(target, name)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(name)
+        if len(calls) <= times:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, flaky)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +215,13 @@ class TestRetryPolicy:
 
 class TestExecutorRecovery:
     def test_worker_error_first_attempt_retries_clean(
-        self, reference, region_jobs
+        self, reference, region_jobs, monkeypatch
     ):
         _, _, serial = reference
-        plan = _plan(FaultSpec(WORKER_ERROR, match=":attempt:0"), seed=7)
+        _patch_worker_entry(monkeypatch, _raise_first_attempt)
         outcome = run_region_jobs(
             region_jobs, workers=4, retries=1,
             backoff=RetryPolicy(base_delay_s=0.001, seed=7),
-            fault_plan=plan,
         )
         assert outcome.stats.retries == len(region_jobs)
         assert outcome.stats.serial_fallbacks == 0
@@ -358,31 +231,28 @@ class TestExecutorRecovery:
         assert {r.region_id: r.metrics for r in outcome.results} == ref
 
     def test_worker_crash_breaks_pool_but_not_run(
-        self, reference, region_jobs
+        self, reference, region_jobs, monkeypatch
     ):
         _, _, serial = reference
         jobs = region_jobs[:4]
-        plan = _plan(FaultSpec(WORKER_CRASH, match=":attempt:0"), seed=7)
-        outcome = run_region_jobs(
-            jobs, workers=2, retries=1, fault_plan=plan,
-        )
+        _patch_worker_entry(monkeypatch, _crash_first_attempt)
+        outcome = run_region_jobs(jobs, workers=2, retries=1)
         assert outcome.stats.retries == len(jobs)
+        assert outcome.stats.serial_fallbacks == 0
         assert not outcome.failures
         ref = _metrics_by_id(serial)
         for res in outcome.results:
             assert res.metrics == ref[res.region_id]
 
     def test_exhausted_retries_fall_back_serially(
-        self, reference, region_jobs
+        self, reference, region_jobs, monkeypatch
     ):
         _, _, serial = reference
         jobs = region_jobs[:3]
-        # Unconditional: every pool attempt fails, but the parent's serial
-        # fallback never runs worker-site faults, so every job completes.
-        plan = _plan(FaultSpec(WORKER_ERROR))
-        outcome = run_region_jobs(
-            jobs, workers=2, retries=1, fault_plan=plan,
-        )
+        # Every pool attempt fails, but the parent's serial fallback does
+        # not enter through the worker entry point, so every job completes.
+        _patch_worker_entry(monkeypatch, _raise_every_attempt)
+        outcome = run_region_jobs(jobs, workers=2, retries=1)
         assert outcome.stats.serial_fallbacks == len(jobs)
         assert outcome.stats.retries == len(jobs)
         assert not outcome.failures
@@ -391,46 +261,47 @@ class TestExecutorRecovery:
             assert res.metrics == ref[res.region_id]
 
     def test_hung_worker_costs_one_round_budget(
-        self, reference, region_jobs
+        self, reference, region_jobs, monkeypatch
     ):
         _, _, serial = reference
         jobs = region_jobs[:2]
-        plan = _plan(
-            FaultSpec(WORKER_HANG, match=":attempt:0", hang_s=30.0),
-        )
+        _patch_worker_entry(monkeypatch, _hang_first_attempt)
+        timeout_s = 1.0
         outcome = run_region_jobs(
-            jobs, workers=2, timeout_s=0.75, retries=1, fault_plan=plan,
+            jobs, workers=2, timeout_s=timeout_s, retries=1,
         )
         # Both jobs hang in round one, share its single deadline
-        # (ceil(2/2) = 1 budget), get terminated, and retry clean.
+        # (ceil(2/2) = 1 budget), get terminated, and retry clean in a few
+        # hundredths of a second.  A budget per job would cost two.
         assert outcome.stats.retries == len(jobs)
+        assert outcome.stats.serial_fallbacks == 0
         assert not outcome.failures
-        assert outcome.stats.elapsed_seconds < 30.0
+        assert outcome.stats.elapsed_seconds < 2 * timeout_s
         ref = _metrics_by_id(serial)
         for res in outcome.results:
             assert res.metrics == ref[res.region_id]
 
-    def test_job_error_everywhere_is_terminal(self, region_jobs):
+    def test_job_error_everywhere_is_terminal(self, region_jobs, monkeypatch):
         jobs = region_jobs[:2]
-        # job.error fires wherever the job runs — including the parent's
+        # The job itself raises wherever it runs — including the parent's
         # serial fallback — which is what makes a failure terminal.
-        plan = _plan(FaultSpec(JOB_ERROR))
+        _fail_everywhere(monkeypatch, {j.job_id for j in jobs})
         outcome = run_region_jobs(
-            jobs, workers=1, retries=1, fault_plan=plan,
-            raise_on_failure=False,
+            jobs, workers=1, retries=1, raise_on_failure=False,
         )
+        assert outcome.stats.retries == len(jobs)
         assert sorted(outcome.failures) == [j.job_id for j in jobs]
         assert outcome.results == []
         assert outcome.stats.failed_jobs == sorted(outcome.failures)
         for desc in outcome.failures.values():
-            assert "FaultInjectionError" in desc
+            assert desc.startswith("SimulationError: region")
 
-    def test_terminal_failure_raises_by_default(self, region_jobs):
-        plan = _plan(FaultSpec(JOB_ERROR))
-        with pytest.raises(FaultInjectionError):
-            run_region_jobs(
-                region_jobs[:1], workers=1, retries=0, fault_plan=plan,
-            )
+    def test_terminal_failure_raises_by_default(
+        self, region_jobs, monkeypatch
+    ):
+        _fail_everywhere(monkeypatch, {region_jobs[0].job_id})
+        with pytest.raises(SimulationError, match="lost"):
+            run_region_jobs(region_jobs[:1], workers=1, retries=0)
 
     def test_no_jobs_is_a_clean_no_op(self):
         outcome = run_region_jobs([], workers=4)
@@ -443,17 +314,18 @@ class TestExecutorRecovery:
 
 
 class TestWorkerCrashAcceptance:
-    def test_pipeline_survives_crashing_every_first_attempt(self, reference):
+    def test_pipeline_survives_crashing_every_first_attempt(
+        self, reference, monkeypatch
+    ):
         workload, _, serial = reference
-        plan = _plan(FaultSpec(WORKER_CRASH, match=":attempt:0"), seed=7)
-        pipeline = LoopPointPipeline(
-            workload, options=_options(jobs=4, fault_plan=plan)
-        )
+        _patch_worker_entry(monkeypatch, _crash_first_attempt)
+        pipeline = LoopPointPipeline(workload, options=_options(jobs=4))
         result = pipeline.run(simulate_full=False)
         assert result.predicted == serial.predicted
         assert _metrics_by_id(result) == _metrics_by_id(serial)
         health = result.health
         assert health.retries == len(serial.region_results)
+        assert health.serial_fallbacks == 0
         assert not health.ok and not health.degraded
         assert f"retries={health.retries}" in health.summary()
         assert health.summary().endswith("intact")
@@ -468,22 +340,30 @@ class TestCacheCorruptionRecovery:
     def _artifact_path(self, pipeline, stage, material):
         return pipeline.artifacts._path(stage, canonical_key(material))
 
-    def test_damaged_artifacts_recompute_cleanly(self, tmp_path, reference):
+    @pytest.mark.parametrize("damage", [
+        # Every stage artifact damaged, each a different way.
+        {"record": "truncate", "profile": "garbage", "select": "truncate"},
+        # Select left intact: it still hits, and the damaged upstream
+        # artifacts degrade to misses, not errors.
+        {"record": "truncate", "profile": "garbage"},
+    ], ids=["all-stages", "select-intact"])
+    def test_damaged_artifacts_recompute_cleanly(
+        self, tmp_path, reference, damage
+    ):
         workload, _, serial = reference
         first = LoopPointPipeline(
             workload, options=_options(cache_dir=str(tmp_path))
         )
         first.run(simulate_full=False)
-        # Truncate record, garbage profile, truncate select: every stage
-        # artifact is damaged a different way.
-        for stage, material, damage in [
-            ("record", first._record_material(), "truncate"),
-            ("profile", first._profile_material(), "garbage"),
-            ("select", first._select_material(), "truncate"),
-        ]:
-            path = self._artifact_path(first, stage, material)
+        materials = {
+            "record": first._record_material(),
+            "profile": first._profile_material(),
+            "select": first._select_material(),
+        }
+        for stage, how in damage.items():
+            path = self._artifact_path(first, stage, materials[stage])
             assert path.exists()
-            if damage == "truncate":
+            if how == "truncate":
                 path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
             else:
                 path.write_bytes(b"garbage, not a gzip pickle\x00\xff")
@@ -492,8 +372,12 @@ class TestCacheCorruptionRecovery:
         )
         result = second.run(simulate_full=False)
         assert result.predicted == serial.predicted
-        assert second.artifacts.last_outcome["select"] == "miss"
-        assert sum(second.artifacts.stores.values()) == 3
+        assert result.health.ok
+        assert sum(second.artifacts.evictions.values()) == len(damage)
+        assert sum(second.artifacts.stores.values()) == len(damage)
+        assert second.artifacts.last_outcome["select"] == (
+            "miss" if "select" in damage else "hit"
+        )
 
     def test_version_bump_orphans_old_artifacts(
         self, tmp_path, reference, monkeypatch
@@ -526,32 +410,6 @@ class TestCacheCorruptionRecovery:
         path.write_bytes(gzip.compress(pickle.dumps(stale)))
         assert cache.load("record", material) is None
         assert not path.exists()
-
-    def test_injected_corruption_end_to_end(self, tmp_path, reference):
-        workload, _, serial = reference
-        plan = _plan(
-            FaultSpec(CACHE_CORRUPT, mode="truncate", match="record:",
-                      max_fires=1),
-            FaultSpec(CACHE_CORRUPT, mode="garbage", match="profile:",
-                      max_fires=1),
-            seed=11,
-        )
-        faulted = LoopPointPipeline(
-            workload,
-            options=_options(cache_dir=str(tmp_path), fault_plan=plan),
-        )
-        result = faulted.run(simulate_full=False)
-        # Corruption happens *after* the store: the run itself is clean.
-        assert result.predicted == serial.predicted
-        assert result.health.ok
-        # The select artifact survived, so a later run still short-circuits;
-        # the damaged record/profile entries degrade to misses, not errors.
-        after = LoopPointPipeline(
-            workload, options=_options(cache_dir=str(tmp_path))
-        )
-        assert after.run(simulate_full=False).predicted == serial.predicted
-        assert after.artifacts.last_outcome["select"] == "hit"
-
 
 # ---------------------------------------------------------------------------
 # The run manifest: journaling and mid-write truncation tolerance.
@@ -712,7 +570,7 @@ class TestResume:
 
 # ---------------------------------------------------------------------------
 # Acceptance: SIGKILL after profile, then --resume, bit-identical metrics.
-# Runs through the CLI in subprocesses — the injected SIGKILL is real.
+# Runs through the CLI in subprocesses — the SIGKILL is real.
 # ---------------------------------------------------------------------------
 
 
@@ -722,14 +580,19 @@ def _cli_env():
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     env["REPRO_SCALE"] = "tiny"
-    env.pop("REPRO_FAULT_PLAN", None)
     env.pop("REPRO_JOBS", None)
     return env
 
 
-def _run_cli(args, env):
+def _run_cli(args, env, fault=None):
+    """Run ``run-looppoint`` in a subprocess; ``fault`` lists the
+    ``ci/run_faulted.py`` options that cause a fault in that run."""
+    if fault is None:
+        command = ["-m", "repro.cli", *args]
+    else:
+        command = [str(ROOT / "ci" / "run_faulted.py"), *fault, "--", *args]
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
+        [sys.executable, *command],
         env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -751,9 +614,9 @@ class TestSigkillResumeAcceptance:
         assert len(reference) == 1
 
         cache = ["--cache-dir", str(tmp_path / "cache")]
-        kill_plan = str(ROOT / "ci" / "fault-plans" /
-                        "kill-after-profile.json")
-        killed = _run_cli(base + cache + ["--fault-plan", kill_plan], env)
+        killed = _run_cli(
+            base + cache, env, fault=["--kill-after", "profile"]
+        )
         assert killed.returncode == -9, (killed.returncode, killed.stderr)
         assert _predicted_lines(killed.stdout) == []
 
@@ -767,32 +630,65 @@ class TestSigkillResumeAcceptance:
         )
         assert _predicted_lines(resumed.stdout) == reference
 
+    def test_live_kill_after_dcfg_then_resume(self, tmp_path):
+        env = _cli_env()
+        base = ["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
+                "--jobs", "1", "--live"]
+
+        def metric_lines(output):
+            return [
+                line for line in output.splitlines()
+                if line.startswith(("[predicted]", "[live]"))
+            ]
+
+        clean = _run_cli(base, env)
+        assert clean.returncode == 0, clean.stderr
+        reference = metric_lines(clean.stdout)
+        assert len(reference) == 2
+
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        killed = _run_cli(base + cache, env, fault=["--kill-after", "dcfg"])
+        assert killed.returncode == -9, (killed.returncode, killed.stderr)
+        assert metric_lines(killed.stdout) == []
+
+        resumed = _run_cli(base + cache + ["--resume"], env)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "record=hit" in resumed.stdout
+        assert any(
+            line.startswith("[health]") and "resumed=record,dcfg" in line
+            for line in resumed.stdout.splitlines()
+        )
+        assert metric_lines(resumed.stdout) == reference
+
 
 # ---------------------------------------------------------------------------
 # Graceful degradation and cluster renormalization.
 # ---------------------------------------------------------------------------
 
 
-def _poison_plan(region_id):
-    """job.error for exactly one region, everywhere it runs (terminal)."""
-    return _plan(FaultSpec(JOB_ERROR, match=f"job:{region_id}"))
-
-
 class TestDegradation:
     @pytest.fixture()
-    def doomed_region(self, reference):
+    def doomed_region(self, reference, monkeypatch):
+        """One region whose job fails everywhere it runs (terminal)."""
         _, pipeline, _ = reference
-        # The max id cannot be a prefix of another id, so the substring
-        # match hits exactly one job key.
-        return max(r.region_id for r in pipeline.regions())
+        region_id = max(r.region_id for r in pipeline.regions())
+        _fail_everywhere(monkeypatch, {region_id})
+        return region_id
+
+    @staticmethod
+    def _assert_ladder_spent(health):
+        # One pool retry, then the in-parent serial fallback, both failed.
+        assert health.retries == 1
+        assert health.serial_fallbacks == 1
 
     def test_fail_policy_raises_with_guidance(self, reference, doomed_region):
         workload, _, _ = reference
         pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, fault_plan=_poison_plan(doomed_region),
+            jobs=2,
         ))
         with pytest.raises(SimulationError, match="degrade"):
             pipeline.run(simulate_full=False)
+        self._assert_ladder_spent(pipeline.health)
         assert any(
             f.action == "raised" and f.region_id == doomed_region
             for f in pipeline.health.failures
@@ -801,11 +697,11 @@ class TestDegradation:
     def test_drop_renormalizes_and_reports(self, reference, doomed_region):
         workload, _, serial = reference
         pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, fault_plan=_poison_plan(doomed_region),
-            degrade=DegradePolicy.DROP,
+            jobs=2, degrade=DegradePolicy.DROP,
         ))
         result = pipeline.run(simulate_full=False)
         health = result.health
+        self._assert_ladder_spent(health)
         assert health.dropped_regions == [doomed_region]
         assert 0.0 < health.retained_coverage < 1.0
         assert health.degraded and not health.ok
@@ -820,11 +716,11 @@ class TestDegradation:
     ):
         workload, _, _ = reference
         pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, fault_plan=_poison_plan(doomed_region),
-            degrade=DegradePolicy.FALLBACK,
+            jobs=2, degrade=DegradePolicy.FALLBACK,
         ))
         result = pipeline.run(simulate_full=False, constrained=True)
         health = result.health
+        self._assert_ladder_spent(health)
         assert health.fallback_regions == [doomed_region]
         assert health.dropped_regions == []
         assert health.retained_coverage == 1.0
@@ -839,11 +735,11 @@ class TestDegradation:
     ):
         workload, _, _ = reference
         pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, fault_plan=_poison_plan(doomed_region),
-            degrade=DegradePolicy.FALLBACK,
+            jobs=2, degrade=DegradePolicy.FALLBACK,
         ))
         # Binary-driven mode has no other simulation mode to fall back to.
         result = pipeline.run(simulate_full=False)
+        self._assert_ladder_spent(result.health)
         assert result.health.dropped_regions == [doomed_region]
 
 
@@ -878,55 +774,75 @@ class TestRenormalizeClusters:
 
 
 class TestStageFaultRetries:
-    def _pipeline(self, reference, plan, **kw):
+    def _pipeline(self, reference, **kw):
         workload, _, _ = reference
-        return LoopPointPipeline(
-            workload, options=_options(jobs=1, fault_plan=plan, **kw)
-        )
+        return LoopPointPipeline(workload, options=_options(jobs=1, **kw))
 
-    def test_profile_divergence_is_retried(self, reference):
-        plan = _plan(FaultSpec(PROFILE_DIVERGENCE, max_fires=1))
-        pipeline = self._pipeline(reference, plan)
+    def test_profile_divergence_is_retried(self, reference, monkeypatch):
+        calls = _raise_first_calls(
+            monkeypatch, LoopPointPipeline, "_compute_profile",
+            ReplayDivergenceError("profiling replay diverged"),
+        )
+        pipeline = self._pipeline(reference)
         profile = pipeline.profile()
         assert profile.num_slices > 0
+        assert len(calls) == 2
         assert pipeline.health.retries == 1
         assert any(
             f.stage == "profile" and f.action == "retried"
             for f in pipeline.health.failures
         )
 
-    def test_kmeans_divergence_is_retried(self, reference):
-        plan = _plan(FaultSpec(KMEANS_DIVERGE, max_fires=1))
-        pipeline = self._pipeline(reference, plan)
+    def test_kmeans_divergence_is_retried(self, reference, monkeypatch):
+        calls = _raise_first_calls(
+            monkeypatch, looppoint, "select_simpoints",
+            ClusteringError("k-means did not converge"),
+        )
+        pipeline = self._pipeline(reference)
         selection = pipeline.select()
         assert selection.clusters
-        assert pipeline.health.retries >= 1
+        assert len(calls) == 2
+        assert pipeline.health.retries == 1
 
-    def test_extraction_failure_is_retried(self, reference):
-        plan = _plan(FaultSpec(REGION_EXTRACT, max_fires=1))
-        pipeline = self._pipeline(reference, plan)
+    def test_extraction_failure_is_retried(self, reference, monkeypatch):
+        calls = _raise_first_calls(
+            monkeypatch, looppoint, "extract_region_pinballs",
+            RegionError("region-pinball extraction failed"),
+        )
+        pipeline = self._pipeline(reference)
         pinballs = pipeline.region_pinballs()
         assert pinballs
+        assert len(calls) == 2
         assert any(
             f.stage == "extract" and f.action == "retried"
             for f in pipeline.health.failures
         )
 
-    def test_persistent_stage_fault_exhausts_and_raises(self, reference):
-        plan = _plan(FaultSpec(PROFILE_DIVERGENCE))  # unbounded
-        pipeline = self._pipeline(reference, plan, stage_retries=1)
+    def test_persistent_stage_fault_exhausts_and_raises(
+        self, reference, monkeypatch
+    ):
+        calls = _raise_first_calls(
+            monkeypatch, LoopPointPipeline, "_compute_profile",
+            ReplayDivergenceError("profiling replay diverged"), times=99,
+        )
+        pipeline = self._pipeline(reference, stage_retries=1)
         with pytest.raises(ReplayDivergenceError):
             pipeline.profile()
+        assert len(calls) == 2
         actions = [f.action for f in pipeline.health.failures]
         assert actions == ["retried", "raised"]
 
-    def test_retried_run_matches_reference(self, reference):
+    def test_retried_run_matches_reference(self, reference, monkeypatch):
         _, _, serial = reference
-        plan = _plan(
-            FaultSpec(PROFILE_DIVERGENCE, max_fires=1),
-            FaultSpec(KMEANS_DIVERGE, max_fires=1),
+        _raise_first_calls(
+            monkeypatch, LoopPointPipeline, "_compute_profile",
+            ReplayDivergenceError("profiling replay diverged"),
         )
-        pipeline = self._pipeline(reference, plan)
+        _raise_first_calls(
+            monkeypatch, looppoint, "select_simpoints",
+            ClusteringError("k-means did not converge"),
+        )
+        pipeline = self._pipeline(reference)
         result = pipeline.run(simulate_full=False)
         assert result.predicted == serial.predicted
         assert result.health.retries == 2
@@ -981,29 +897,12 @@ class TestHealthReporting:
 
 
 # ---------------------------------------------------------------------------
-# Lint: a fault plan is checked when parsed, so lint has nothing to add.
-# ---------------------------------------------------------------------------
-
-
-class TestLintFaultPlan:
-    def test_lint_accepts_a_valid_plan(self, reference):
-        workload, _, _ = reference
-        pipeline = LoopPointPipeline(workload, options=_options(
-            fault_plan=_plan(FaultSpec(JOB_ERROR, probability=0.0)),
-        ))
-        report = lint_pipeline(pipeline)
-        assert "faultplan" not in report.passes_run
-        assert not report.has_errors
-
-
-# ---------------------------------------------------------------------------
 # Error taxonomy.
 # ---------------------------------------------------------------------------
 
 
 class TestErrors:
     def test_new_errors_are_repro_errors(self):
-        assert issubclass(FaultInjectionError, ReproError)
         assert issubclass(ResumeError, ReproError)
 
 
@@ -1016,7 +915,6 @@ class TestCli:
     @pytest.fixture(autouse=True)
     def _cli_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
         monkeypatch.delenv("REPRO_JOBS", raising=False)
 
     def test_manifest_path_derivation(self):
@@ -1035,20 +933,15 @@ class TestCli:
             "w", None, None, multi=False, resume=False
         ) is None
 
-    def test_bad_fault_plan_exits_2(self, tmp_path, capsys, monkeypatch):
-        import repro.core.looppoint as looppoint
+    def test_retired_fault_plan_surface_is_gone(self, capsys):
         from repro.cli import main
 
-        def no_recording(*a, **k):
-            raise AssertionError("recorded despite a malformed fault plan")
-
-        monkeypatch.setattr(looppoint, "record_execution", no_recording)
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"faults": [{"site": "worker.explode"}]}')
-        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--fault-plan", str(bad)])
-        assert rc == 2
-        assert "bad fault plan" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["-p", "demo-matrix-1", "--fault-plan", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fault-plan" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            LoopPointOptions(fault_plan=None)
 
     def test_resume_requires_cache_dir_flag(self):
         from repro.cli import main
@@ -1077,36 +970,17 @@ class TestCli:
             for line in second.splitlines()
         )
 
-    def test_env_fault_plan_is_picked_up(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_faulted_cli_run_reports_health(self, capsys, monkeypatch):
         from repro.cli import main
 
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({
-            "seed": 1,
-            "faults": [{"site": JOB_ERROR, "probability": 0.0}],
-        }))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan))
+        _patch_worker_entry(monkeypatch, _crash_first_attempt)
         rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert f"fault plan {plan}" in out
-
-    def test_faulted_cli_run_reports_health(self, tmp_path, capsys):
-        from repro.cli import main
-
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({
-            "seed": 7,
-            "faults": [{"site": "worker.crash", "match": ":attempt:0"}],
-        }))
-        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "4", "--fault-plan", str(plan)])
+                   "--jobs", "4"])
         assert rc == 0
         out = capsys.readouterr().out
         health = [ln for ln in out.splitlines()
                   if ln.startswith("[health]")]
-        assert health and "retries=" in health[0]
+        assert health and "serial_fallbacks=0" in health[0]
+        retries = int(re.search(r"retries=(\d+)", health[0]).group(1))
+        assert retries > 0
         assert "intact" in health[0]

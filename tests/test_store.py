@@ -26,14 +26,6 @@ from repro.parallel.artifacts import (
     pid_alive,
     tmp_file_pid,
 )
-from repro.resilience import (
-    STORE_CRASH_REPLACE,
-    STORE_TORN_WRITE,
-    FaultPlan,
-    FaultSpec,
-    fault_scope,
-    install_fault_plan,
-)
 from repro.workloads.demo import build_demo_matrix
 
 #: A pid that cannot exist (kernel pid_max caps at 2^22 ≈ 4.2M).
@@ -43,6 +35,27 @@ DEAD_PID = 2**22 + 7
 def _options(**kw):
     kw.setdefault("scale", TEST_SCALE)
     return LoopPointOptions(**kw)
+
+
+def _tear_payload_before_publish(monkeypatch, mode):
+    """Damage the payload temp file after its fsync, just before the
+    ``os.replace`` that publishes it: ``truncate`` halves it, ``garbage``
+    overwrites it.  Returns the list of payloads torn."""
+    real_replace = os.replace
+    torn = []
+
+    def replace(src, dst):
+        if str(src).endswith(".pkl.gz"):
+            with open(src, "r+b") as fh:
+                if mode == "garbage":
+                    fh.write(b"not a gzip pickle\x00\xff")
+                else:
+                    fh.truncate(max(1, os.path.getsize(src) // 2))
+            torn.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return torn
 
 
 # ---------------------------------------------------------------------------
@@ -75,28 +88,31 @@ class TestCrashConsistentStore:
             == hashlib.sha256(path.read_bytes()).hexdigest()
         )
 
-    def test_torn_write_detected_on_load(self, tmp_path):
-        """Injected damage between fsync and publish reads back as a miss."""
-        plan = FaultPlan(faults=(
-            FaultSpec(site=STORE_TORN_WRITE, mode="truncate", max_fires=1),
-        ))
+    def test_torn_write_detected_on_load(self, tmp_path, monkeypatch):
+        """Damage between fsync and publish reads back as a miss."""
         cache = ArtifactCache(tmp_path)
-        with fault_scope(plan):
-            cache.store("record", {"k": 1}, list(range(2000)))
+        torn = _tear_payload_before_publish(monkeypatch, "truncate")
+        cache.store("record", {"k": 1}, list(range(2000)))
+        monkeypatch.undo()
+        assert len(torn) == 1
         # The published payload is torn; its sidecar carries the intended
         # digest, so the next load evicts it instead of trusting it.
+        path = cache._path("record", canonical_key({"k": 1}))
+        assert cache._sidecar(path).read_text().strip() != (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        )
         assert cache.load("record", {"k": 1}) is None
         assert cache.evictions["record"] == 1
         assert not cache._path("record", canonical_key({"k": 1})).exists()
 
-    def test_torn_write_garbage_mode(self, tmp_path):
-        plan = FaultPlan(faults=(
-            FaultSpec(site=STORE_TORN_WRITE, mode="garbage", max_fires=1),
-        ))
+    def test_torn_write_garbage_mode(self, tmp_path, monkeypatch):
         cache = ArtifactCache(tmp_path)
-        with fault_scope(plan):
-            cache.store("record", {"k": 2}, b"x" * 500)
+        torn = _tear_payload_before_publish(monkeypatch, "garbage")
+        cache.store("record", {"k": 2}, b"x" * 500)
+        monkeypatch.undo()
+        assert len(torn) == 1
         assert cache.load("record", {"k": 2}) is None
+        assert cache.evictions["record"] == 1
 
     def test_bitrot_detected_by_sidecar(self, tmp_path):
         """Damage that still decompresses is caught by the checksum."""
@@ -129,7 +145,7 @@ class TestCrashConsistentStore:
         )
         proc.start()
         proc.join(60)
-        assert proc.exitcode == 5  # the injected os._exit
+        assert proc.exitcode == 5  # the child's os._exit before publishing
         # The crash window left debris but no published payload...
         tmps = list(tmp_path.rglob(".tmp-*"))
         (sidecar,) = tmp_path.rglob("*.sha256")
@@ -150,9 +166,16 @@ class TestCrashConsistentStore:
 
 
 def _crash_replace_child(cache_dir: str) -> None:
-    install_fault_plan(FaultPlan(faults=(
-        FaultSpec(site=STORE_CRASH_REPLACE, max_fires=1),
-    )))
+    """Store one artifact, dying between the sidecar's publish and the
+    payload's ``os.replace``."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(src).endswith(".pkl.gz"):
+            os._exit(5)
+        real_replace(src, dst)
+
+    os.replace = replace
     cache = ArtifactCache(cache_dir)
     cache.store("record", {"k": "crash"}, b"never published")
 
