@@ -43,8 +43,10 @@ from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.core.report import format_health_table, format_result_table
 from repro.errors import (
     ClusteringError,
+    ProfilingError,
     RegionError,
     ReplayDivergenceError,
+    ReplayError,
     ReproError,
     ResumeError,
     SimulationError,
@@ -135,6 +137,10 @@ def _patch_worker_entry(monkeypatch, fault):
 def _crash_first_attempt(job, attempt):
     if attempt == 0:
         os._exit(3)
+
+
+def _crash_every_attempt(job, attempt):
+    os._exit(3)
 
 
 def _hang_first_attempt(job, attempt):
@@ -307,6 +313,93 @@ class TestExecutorRecovery:
         outcome = run_region_jobs([], workers=4)
         assert outcome.results == [] and outcome.stats.num_jobs == 0
 
+    def test_crash_every_attempt_falls_back_serially(
+        self, reference, region_jobs, monkeypatch
+    ):
+        _, _, serial = reference
+        jobs = region_jobs[:3]
+        # Each round's pool breaks; the retry round breaks too, and the
+        # in-parent fallback finishes every job.
+        _patch_worker_entry(monkeypatch, _crash_every_attempt)
+        outcome = run_region_jobs(jobs, workers=2, retries=1)
+        assert outcome.stats.retries == len(jobs)
+        assert outcome.stats.serial_fallbacks == len(jobs)
+        assert not outcome.failures
+        ref = _metrics_by_id(serial)
+        assert [r.region_id for r in outcome.results] == [
+            j.job_id for j in jobs
+        ]
+        for res in outcome.results:
+            assert res.metrics == ref[res.region_id]
+
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_retry_budget_bounds_pool_rounds(
+        self, region_jobs, monkeypatch, retries
+    ):
+        jobs = region_jobs[:2]
+        _patch_worker_entry(monkeypatch, _raise_every_attempt)
+        outcome = run_region_jobs(jobs, workers=2, retries=retries)
+        # Every job is re-submitted ``retries`` times, then falls back.
+        assert outcome.stats.retries == retries * len(jobs)
+        assert outcome.stats.serial_fallbacks == len(jobs)
+        assert not outcome.failures
+        assert len(outcome.results) == len(jobs)
+
+    def test_serial_mode_retries_in_process(
+        self, reference, region_jobs, monkeypatch
+    ):
+        _, _, serial = reference
+        jobs = region_jobs[:3]
+        real_timed = executor._timed_job
+        calls = []
+
+        def timed(job):
+            calls.append(job.job_id)
+            if calls.count(job.job_id) == 1:
+                raise SimulationError(f"first attempt of {job.job_id}")
+            return real_timed(job)
+
+        monkeypatch.setattr(executor, "_timed_job", timed)
+        outcome = run_region_jobs(
+            jobs, workers=1, retries=1,
+            backoff=RetryPolicy(base_delay_s=0.001, seed=7),
+        )
+        assert len(calls) == 2 * len(jobs)
+        assert outcome.stats.retries == len(jobs)
+        assert outcome.stats.serial_fallbacks == 0
+        assert outcome.stats.backoff_seconds > 0
+        assert not outcome.failures
+        ref = _metrics_by_id(serial)
+        assert {r.region_id: r.metrics for r in outcome.results} == {
+            j.job_id: ref[j.job_id] for j in jobs
+        }
+
+    def test_one_lost_job_keeps_the_others(
+        self, reference, region_jobs, monkeypatch
+    ):
+        _, _, serial = reference
+        jobs = region_jobs[:3]
+        doomed = jobs[1].job_id
+        _fail_everywhere(monkeypatch, {doomed})
+        outcome = run_region_jobs(
+            jobs, workers=2, retries=1, raise_on_failure=False,
+        )
+        assert list(outcome.failures) == [doomed]
+        assert outcome.stats.failed_jobs == [doomed]
+        assert outcome.stats.retries == 1
+        assert outcome.stats.serial_fallbacks == 1
+        ref = _metrics_by_id(serial)
+        assert [r.region_id for r in outcome.results] == [
+            j.job_id for j in jobs if j.job_id != doomed
+        ]
+        for res in outcome.results:
+            assert res.metrics == ref[res.region_id]
+
+    def test_duplicate_job_ids_are_rejected(self, region_jobs):
+        jobs = [region_jobs[0], region_jobs[0]]
+        with pytest.raises(SimulationError, match="duplicate job ids"):
+            run_region_jobs(jobs, workers=2)
+
 
 # ---------------------------------------------------------------------------
 # Acceptance: worker-crash-per-round at jobs=4 is bit-identical to serial.
@@ -477,6 +570,60 @@ class TestRunManifest:
     def test_read_completed_requires_the_file(self, tmp_path):
         with pytest.raises(ResumeError, match="no manifest"):
             RunManifest(tmp_path / "never-written.jsonl").read_completed()
+
+    @pytest.mark.parametrize("line", [
+        '{"event": "done", "st',
+        '{"event": "done", "stage": "record", "key": "k',
+        "not json at all",
+        '["event", "done"]',
+        '"event"',
+        "null",
+        '{"stage": "record", "key": "k"}',
+    ], ids=[
+        "cut-mid-key", "cut-mid-value", "plain-text", "json-array",
+        "json-string", "json-null", "stage-without-event",
+    ])
+    def test_undecodable_line_is_skipped(self, tmp_path, line):
+        m = RunManifest(tmp_path / "m.jsonl")
+        m.start_run({"record": "k"})
+        with open(m.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        m.done("record", "k")
+        events, corrupt = RunManifest.load(m.path)
+        assert corrupt == 1
+        assert [e["event"] for e in events] == ["run-start", "done"]
+        assert m.read_completed() == ({"record": "k"}, 1)
+
+    def test_blank_lines_are_not_corrupt(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('\n{"event": "run-start", "keys": {}}\n  \n\n')
+        events, corrupt = RunManifest.load(path)
+        assert corrupt == 0 and len(events) == 1
+
+    def test_failed_stage_is_not_completed(self, tmp_path):
+        m = RunManifest(tmp_path / "m.jsonl")
+        m.start_run({"record": "a", "profile": "b"})
+        m.begin("record", "a")
+        m.done("record", "a")
+        m.begin("profile", "b")
+        m.fail("profile", "b", "ProfilingError: slicing failed")
+        completed, corrupt = m.read_completed()
+        assert completed == {"record": "a"} and corrupt == 0
+
+    def test_done_without_stage_is_ignored(self):
+        events = [{"event": "done", "key": "k"},
+                  {"event": "done", "stage": "select", "key": "s"}]
+        assert RunManifest.completed_stages(events) == {"select": "s"}
+
+    def test_journal_without_run_start_is_one_run(self, tmp_path):
+        m = RunManifest(tmp_path / "m.jsonl")
+        m.done("record", "a")
+        m.done("profile", "b")
+        events, _ = RunManifest.load(m.path)
+        assert RunManifest.last_run(events) == events
+        assert RunManifest.completed_stages(events) == {
+            "record": "a", "profile": "b",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +806,75 @@ class TestSigkillResumeAcceptance:
             for line in resumed.stdout.splitlines()
         )
         assert metric_lines(resumed.stdout) == reference
+
+
+# ---------------------------------------------------------------------------
+# ci/run_faulted.py: the helper CI uses to fault whole CLI runs.
+# ---------------------------------------------------------------------------
+
+
+def _health_line(output):
+    lines = [ln for ln in output.splitlines() if ln.startswith("[health]")]
+    assert len(lines) == 1, output
+    return lines[0]
+
+
+class TestFaultHelper:
+    BASE = ["-p", "demo-matrix-1", "-n", "4", "--no-fullsim"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--kill-after", "profile", "-p", "demo-matrix-1"],
+        ["--", "-p", "demo-matrix-1"],
+        ["--crash-workers", "--fail-last-region", "--", "-p",
+         "demo-matrix-1"],
+    ], ids=["no-separator", "no-fault", "two-faults"])
+    def test_bad_usage_exits_2(self, argv, capsys):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "run_faulted", ROOT / "ci" / "run_faulted.py"
+        )
+        helper = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(helper)
+        # Usage errors stop before anything is patched.
+        real_done = RunManifest.done
+        with pytest.raises(SystemExit) as exc:
+            helper.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert RunManifest.done is real_done
+
+    def test_crash_workers_reproduces_clean_metrics(self):
+        env = _cli_env()
+        args = self.BASE + ["--jobs", "4"]
+        clean = _run_cli(args, env)
+        assert clean.returncode == 0, clean.stderr
+        faulted = _run_cli(args, env, fault=["--crash-workers"])
+        assert faulted.returncode == 0, faulted.stderr
+        assert _predicted_lines(faulted.stdout) == _predicted_lines(
+            clean.stdout
+        )
+        health = _health_line(faulted.stdout)
+        assert int(re.search(r"retries=(\d+)", health).group(1)) > 0
+        assert "serial_fallbacks=0" in health
+        assert health.endswith("intact")
+
+    def test_fail_last_region_degrades_or_fails(self):
+        env = _cli_env()
+        args = self.BASE + ["--jobs", "2"]
+        dropped = _run_cli(
+            args + ["--degrade", "drop"], env, fault=["--fail-last-region"]
+        )
+        assert dropped.returncode == 0, dropped.stderr
+        health = _health_line(dropped.stdout)
+        assert re.search(r"dropped_regions=\[\d+\]", health)
+        assert "retries=1 serial_fallbacks=1" in health
+        assert health.endswith("degraded")
+        # Under the default 'fail' policy the lost region fails the run.
+        failed = _run_cli(args, env, fault=["--fail-last-region"])
+        assert failed.returncode == 1
+        assert _predicted_lines(failed.stdout) == []
+        assert "degrade policy is 'fail'" in failed.stdout + failed.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +1063,111 @@ class TestStageFaultRetries:
         assert result.predicted == serial.predicted
         assert result.health.retries == 2
         assert not result.health.degraded
+
+
+#: stage -> (patch target, attribute, the domain error it raises, how a
+#: pipeline runs the stage).  Every stage that runs under the retry budget.
+STAGE_FAULTS = {
+    "record": (LoopPointPipeline, "_compute_record",
+               ReplayError("recording replay failed"),
+               lambda p: p.record()),
+    "profile": (LoopPointPipeline, "_compute_profile",
+                ProfilingError("slicing failed"),
+                lambda p: p.profile()),
+    "select": (looppoint, "select_simpoints",
+               ClusteringError("k-means did not converge"),
+               lambda p: p.select()),
+    "dcfg": (LoopPointPipeline, "_compute_marker_pcs",
+             ReplayError("DCFG replay failed"),
+             lambda p: p.marker_pcs()),
+    "live": (LoopPointPipeline, "_compute_live",
+             SimulationError("live pass failed"),
+             lambda p: p.live()),
+    "extract": (looppoint, "extract_region_pinballs",
+                RegionError("region-pinball extraction failed"),
+                lambda p: p.region_pinballs()),
+}
+CACHED_STAGES = ["record", "profile", "select", "dcfg", "live"]
+
+
+class TestStageRetryBudget:
+    def _pipeline(self, reference, **kw):
+        workload, _, _ = reference
+        return LoopPointPipeline(workload, options=_options(jobs=1, **kw))
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_FAULTS))
+    def test_budget_bounds_attempts(
+        self, reference, tmp_path, monkeypatch, stage
+    ):
+        target, name, exc, run_stage = STAGE_FAULTS[stage]
+        calls = _raise_first_calls(monkeypatch, target, name, exc, times=99)
+        manifest = tmp_path / "run.manifest.jsonl"
+        pipeline = self._pipeline(
+            reference, stage_retries=2, manifest_path=str(manifest),
+        )
+        with pytest.raises(type(exc)):
+            run_stage(pipeline)
+        assert len(calls) == 3
+        assert pipeline.health.retries == 2
+        assert [
+            f.action for f in pipeline.health.failures if f.stage == stage
+        ] == ["retried", "retried", "raised"]
+        events, corrupt = RunManifest.load(manifest)
+        assert corrupt == 0
+        fails = [
+            e for e in events
+            if e["event"] == "fail" and e["stage"] == stage
+        ]
+        assert len(fails) == 3
+        assert all(type(exc).__name__ in e["error"] for e in fails)
+        assert stage not in RunManifest.completed_stages(events)
+
+    @pytest.mark.parametrize("stage", CACHED_STAGES)
+    def test_retried_artifact_is_stored_once(
+        self, reference, tmp_path, monkeypatch, stage
+    ):
+        target, name, exc, run_stage = STAGE_FAULTS[stage]
+        calls = _raise_first_calls(monkeypatch, target, name, exc)
+        first = self._pipeline(reference, cache_dir=str(tmp_path))
+        artifact = run_stage(first)
+        assert len(calls) == 2
+        assert first.health.retries == 1
+        assert first.artifacts.stores[stage] == 1
+        # A fresh pipeline finds the retried artifact and never computes.
+        second = self._pipeline(reference, cache_dir=str(tmp_path))
+        again = run_stage(second)
+        assert len(calls) == 2
+        assert second.artifacts.hits[stage] == 1
+        assert second.health.ok
+        assert pickle.dumps(again) == pickle.dumps(artifact)
+
+    def test_zero_budget_raises_on_first_failure(
+        self, reference, monkeypatch
+    ):
+        calls = _raise_first_calls(
+            monkeypatch, LoopPointPipeline, "_compute_profile",
+            ProfilingError("slicing failed"),
+        )
+        pipeline = self._pipeline(reference, stage_retries=0)
+        with pytest.raises(ProfilingError):
+            pipeline.profile()
+        assert len(calls) == 1
+        assert pipeline.health.retries == 0
+        assert [f.action for f in pipeline.health.failures] == ["raised"]
+
+    def test_non_domain_errors_are_not_retried(self, reference, monkeypatch):
+        # A bug is not a transient fault: it escapes on the first attempt
+        # and leaves no failure record behind.
+        calls = _raise_first_calls(
+            monkeypatch, LoopPointPipeline, "_compute_profile",
+            KeyError("bug"),
+        )
+        pipeline = self._pipeline(reference, stage_retries=3)
+        with pytest.raises(KeyError):
+            pipeline.profile()
+        assert len(calls) == 1
+        assert pipeline.health.retries == 0
+        assert pipeline.health.failures == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The concurrency-safe artifact store.
 
-Covers crash-consistent checksummed writes, orphan sweeping, byte-identical
-publishes of one artifact, and ``ArtifactCache.get_or_compute`` (including
-an 8-process race on one key and a 4-process race over six keys).
+Covers crash-consistent checksummed writes, eviction of damaged payloads,
+orphan sweeping, byte-identical publishes of one artifact, and
+``ArtifactCache.get_or_compute`` (including an 8-process race on one key
+and a 4-process race over six keys).
 """
 
 from __future__ import annotations
@@ -130,6 +131,50 @@ class TestCrashConsistentStore:
         )
         path.write_bytes(rotten)
         assert cache.load("record", material) is None
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "garbage", "empty", "gzip-not-pickle", "not-a-tuple",
+        "short-tuple", "wrong-magic", "other-material",
+    ])
+    def test_damaged_payload_without_sidecar_is_evicted(
+        self, tmp_path, damage
+    ):
+        """Without a sidecar the checksum cannot help: decoding and the
+        payload's header checks must catch each kind of damage."""
+        from repro.parallel.artifacts import _MAGIC, CACHE_VERSION
+
+        cache = ArtifactCache(tmp_path)
+        material = {"k": 5}
+        cache.store("profile", material, list(range(500)))
+        path = cache._path("profile", canonical_key(material))
+        cache._sidecar(path).unlink()
+
+        def gz(obj):
+            return gzip.compress(pickle.dumps(obj))
+
+        damaged = {
+            "truncated": lambda: path.read_bytes()[: path.stat().st_size // 2],
+            "garbage": lambda: b"garbage, not a gzip pickle\x00\xff",
+            "empty": lambda: b"",
+            "gzip-not-pickle": lambda: gzip.compress(b"plain text"),
+            "not-a-tuple": lambda: gz({"payload": [1, 2, 3]}),
+            "short-tuple": lambda: gz((_MAGIC, CACHE_VERSION, material)),
+            "wrong-magic": lambda: gz(
+                (b"other-tool", CACHE_VERSION, material, [1])
+            ),
+            "other-material": lambda: gz(
+                (_MAGIC, CACHE_VERSION, {"k": 6}, [1])
+            ),
+        }[damage]()
+        path.write_bytes(damaged)
+
+        assert cache.load("profile", material) is None
+        assert cache.evictions["profile"] == 1
+        assert cache.misses["profile"] == 1
+        assert not path.exists()
+        # The eviction leaves room for the recompute's store.
+        cache.store("profile", material, list(range(500)))
+        assert cache.load("profile", material) == list(range(500))
 
     def test_legacy_artifact_without_sidecar_still_loads(self, tmp_path):
         cache = ArtifactCache(tmp_path)
