@@ -53,7 +53,7 @@ def bic_scorer(
     clustering; every score is bit-identical to :func:`bic_score`'s.
     """
     n, d = points.shape
-    noise_variance = noise_floor ** 2 * float(points.var(axis=0).mean())
+    noise_variance = _noise_variance(points, noise_floor)
 
     def score(result: KMeansResult) -> float:
         k = result.k
@@ -76,3 +76,26 @@ def bic_scorer(
         return log_likelihood - 0.5 * num_params * math.log(n)
 
     return score
+
+
+def bic_upper_bound(
+    points: np.ndarray, noise_floor: float = DEFAULT_NOISE_FLOOR
+) -> Callable[[int], float]:
+    """``UB(k)``: no clustering of ``points`` into ``k`` clusters scores
+    higher under :func:`bic_scorer` (exact arithmetic).
+
+    ``UB(k) = -n*d/2*log(2*pi*v) - d*(n-k)/2 - k*(d+1)/2*log(n)``, with
+    ``v`` the score's variance floor.  It holds because the pooled
+    variance never drops below ``v`` and ``sum_j nj*log(nj) <= n*log(n)``.
+    ``UB`` falls by ``(d+1)/2*log(n) - d/2`` per k, which is positive for
+    ``n >= 3``.
+    """
+    n, d = points.shape
+    variance = max(_noise_variance(points, noise_floor), _VARIANCE_FLOOR)
+    base = -0.5 * n * d * math.log(2.0 * math.pi * variance)
+    log_n = math.log(n)
+    return lambda k: base - 0.5 * d * (n - k) - 0.5 * k * (d + 1) * log_n
+
+
+def _noise_variance(points: np.ndarray, noise_floor: float) -> float:
+    return noise_floor ** 2 * float(points.var(axis=0).mean())

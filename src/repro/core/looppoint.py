@@ -573,7 +573,6 @@ class LoopPointPipeline:
             profile.slice_filtered_counts(),
             self.options.simpoint,
             ineligible=ineligible,
-            jobs=self.options.resolved_jobs(),
         )
 
     def select(self) -> SimPointSelection:
@@ -1102,6 +1101,10 @@ class LoopPointPipeline:
             self._prepare_resume(
                 stage_keys, loaders=self._live_loaders(live_options)
             )
+            if "live" in self.health.resumed_stages:
+                # The restored pass was keyed by these options; without
+                # this, ``live()`` would drop it and load it again.
+                self._live_options = live_options
         elif self._manifest is not None:
             self._manifest.start_run(stage_keys)
         tracer = active_tracer()

@@ -31,10 +31,20 @@ class FlowControl:
         ``runnable`` order.
 
         The slowest runnable thread is always eligible, so this never
-        introduces a livelock on its own.
+        introduces a livelock on its own.  When every runnable thread is
+        inside the window, ``runnable`` itself is returned; callers only
+        read it.
         """
         if not runnable:
             return []
-        floor = min(filtered_per_thread[tid] for tid in runnable)
+        floor = ceiling = filtered_per_thread[runnable[0]]
+        for tid in runnable:
+            count = filtered_per_thread[tid]
+            if count < floor:
+                floor = count
+            elif count > ceiling:
+                ceiling = count
         limit = floor + self.window
+        if ceiling <= limit:
+            return runnable
         return [tid for tid in runnable if filtered_per_thread[tid] <= limit]

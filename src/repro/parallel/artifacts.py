@@ -64,8 +64,9 @@ CACHE_VERSION = 1
 
 _MAGIC = "repro-artifact-v1"
 
-#: The cacheable pipeline stages, in pipeline order.
-STAGES = ("record", "profile", "select")
+#: The cacheable pipeline stages, in pipeline order: an offline run caches
+#: record, profile and select, a live run record, dcfg and live.
+STAGES = ("record", "dcfg", "profile", "select", "live")
 
 #: Suffix of the per-artifact checksum sidecar.
 SIDECAR_SUFFIX = ".sha256"
@@ -406,7 +407,8 @@ class ArtifactCache:
                 pass
 
     def stats_line(self) -> str:
-        """One grep-able line: per-stage outcome plus aggregate counters."""
+        """One grep-able line: the outcome of every stage this cache saw,
+        in pipeline order, plus aggregate counters."""
         outcomes = " ".join(
             f"{stage}={self.last_outcome[stage]}"
             for stage in STAGES

@@ -200,46 +200,6 @@ def _run_serial(
     )
 
 
-def fanout_map(fn, tasks, workers: int, timeout_s: float = DEFAULT_JOB_TIMEOUT_S):
-    """Order-preserving process-pool map over picklable ``tasks``.
-
-    The lightweight sibling of :func:`run_region_jobs` for fanning out
-    *deterministic, independent* computations (the clustering sweep's
-    per-k fits): results are returned in task order, so the output is
-    bit-identical to the serial ``[fn(t) for t in tasks]`` by construction.
-    Any pool-level failure — a crashed worker, a hung future past the
-    shared deadline, an unpicklable task — degrades to exactly that serial
-    evaluation; ``fn``'s own exceptions therefore surface either way.
-    """
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    workers_now = min(workers, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers_now)
-    futures: List[Future] = []
-    try:
-        futures = [pool.submit(fn, task) for task in tasks]
-        deadline = time.monotonic() + timeout_s * math.ceil(
-            len(tasks) / workers_now
-        )
-        results = []
-        for future in futures:
-            remaining = max(0.0, deadline - time.monotonic())
-            results.append(future.result(timeout=remaining))
-        pool.shutdown(wait=True)
-        return results
-    except Exception:
-        # Cut loose any hung workers before falling back (a plain shutdown
-        # would wait on them forever).
-        processes = dict(getattr(pool, "_processes", None) or {})
-        for future in futures:
-            future.cancel()
-        pool.shutdown(wait=False)
-        for proc in processes.values():
-            proc.terminate()
-        return [fn(t) for t in tasks]
-
-
 def run_region_jobs(
     jobs: List[RegionJob],
     workers: int,

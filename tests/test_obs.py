@@ -361,6 +361,32 @@ class TestResumeRestoreCounts:
         assert "record=hit profile=hit select=hit" in line
         assert sum(resumed.artifacts.hits.values()) == 3
 
+    def test_resumed_live_run_line_names_every_stage(self, tmp_path):
+        workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
+        opts = dict(
+            cache_dir=str(tmp_path / "cache"),
+            manifest_path=str(tmp_path / "run.manifest.jsonl"),
+        )
+        LoopPointPipeline(workload, options=_options(**opts)).run_live(
+            simulate_full=False
+        )
+        resumed = LoopPointPipeline(workload, options=_options(**opts))
+        result = resumed.run_live(simulate_full=False, resume=True)
+        assert set(result.health.resumed_stages) == {"record", "dcfg", "live"}
+        assert resumed.artifacts.stats_line().startswith(
+            "record=hit dcfg=hit live=hit | hits=3 misses=0"
+        )
+
+    def test_stats_line_orders_stages_as_the_pipeline_runs(self, tmp_path):
+        from repro.parallel.artifacts import ArtifactCache
+
+        cache = ArtifactCache(tmp_path / "cache")
+        for stage in ("live", "select", "dcfg", "profile", "record"):
+            assert cache.load(stage, {"k": 1}) is None
+        assert cache.stats_line().startswith(
+            "record=miss dcfg=miss profile=miss select=miss live=miss | "
+        )
+
     def test_stats_line_reports_evictions(self, tmp_path):
         from repro.parallel.artifacts import ArtifactCache
 

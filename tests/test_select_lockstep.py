@@ -257,7 +257,9 @@ def test_lbm_tiny_select_counters_unchanged(tmp_path):
             "select.runs",
         )
     } == {
-        "kmeans.fits": 150, "kmeans.iterations": 432,
-        "select.ks_swept": 50, "select.runs": 1,
+        # The bounded sweep fits 19 of 50 k (k = 1..16 and 48..50), three
+        # restarts each.
+        "kmeans.fits": 57, "kmeans.iterations": 189,
+        "select.ks_swept": 19, "select.runs": 1,
     }
     assert chosen_k == 8
