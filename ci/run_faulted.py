@@ -14,9 +14,12 @@ repository root:
         -p demo-matrix-1 -n 4 --no-fullsim --jobs 4 --degrade drop
 
 ``--kill-after STAGE``
-    SIGKILL this process right after the run manifest journals STAGE as
-    done (a shell sees exit status 137).  ``--resume`` then picks the
-    run up from the manifest.
+    SIGKILL this process right after STAGE's artifact is durably
+    published in the ``--cache-dir`` artifact cache (a shell sees exit
+    status 137).  STAGE is one of the cached stages (record, dcfg,
+    profile, select, live).  Rerunning the same command with the same
+    ``--cache-dir`` then loads the published stages and recomputes the
+    rest.
 ``--crash-workers``
     Every pool worker dies (``os._exit``) on its first attempt at a
     region job, which breaks the pool; the retry round runs clean.
@@ -42,18 +45,18 @@ from repro import cli
 from repro.core import looppoint
 from repro.errors import SimulationError
 from repro.parallel import executor
-from repro.resilience import RunManifest
+from repro.parallel.artifacts import STAGES, ArtifactCache
 
 
 def kill_after(stage: str) -> None:
-    real_done = RunManifest.done
+    real_store = ArtifactCache.store
 
-    def done_then_die(self, done_stage, key, source="computed"):
-        real_done(self, done_stage, key, source=source)
-        if done_stage == stage:
+    def store_then_die(self, stored_stage, material, artifact):
+        real_store(self, stored_stage, material, artifact)
+        if stored_stage == stage:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    RunManifest.done = done_then_die
+    ArtifactCache.store = store_then_die
 
 
 def crash_workers() -> None:
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
         usage="%(prog)s FAULT -- RUN-LOOPPOINT-ARGS...",
     )
     fault = parser.add_mutually_exclusive_group(required=True)
-    fault.add_argument("--kill-after", metavar="STAGE")
+    fault.add_argument("--kill-after", metavar="STAGE", choices=STAGES)
     fault.add_argument("--crash-workers", action="store_true")
     fault.add_argument("--fail-last-region", action="store_true")
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -63,22 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persistent artifact cache: record/profile/select outputs are "
-             "stored here and reused by later runs (stage counters are "
-             "printed per workload)",
-    )
-    parser.add_argument(
-        "--manifest", default=None, metavar="FILE",
-        help="append-only run journal enabling --resume; with multiple "
-             "programs the program name is appended to the stem "
-             "(default with --cache-dir: <cache-dir>/<program>.manifest"
-             ".jsonl)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume a killed run from its manifest: stages recorded as "
-             "done are restored from the artifact cache, the rest "
-             "recompute (requires --cache-dir)",
+        help="persistent artifact cache: the record, dcfg, profile, "
+             "select and live stage outputs are stored here and reused by "
+             "later runs (stage outcomes are printed per workload); "
+             "rerunning the same command with the same directory restarts "
+             "a killed run from its last finished stage",
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SEC",
@@ -100,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", nargs="?", const="1", default=None, metavar="FILE",
         help="write a span trace of the run (JSON lines; inspect with "
              "repro-obs).  With no value, or REPRO_TRACE=1, the trace "
-             "lands next to the manifest: <cache-dir or .>/<program>"
-             ".trace.jsonl",
+             "is written to <cache-dir or .>/<program>.trace.jsonl",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true",
@@ -132,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-pass live sampling: profile, select, and simulate in "
              "one streaming replay — matched regions are fast-forwarded "
              "over and extrapolated, novel ones simulated in detail "
-             "(Pac-Sim-style; composes with --cache-dir/--resume/--trace)",
+             "(Pac-Sim-style; composes with --cache-dir/--trace)",
     )
     parser.add_argument(
         "--live-threshold", type=float, default=None, metavar="D",
@@ -184,38 +172,13 @@ def lint_one(
     return report.exit_code
 
 
-def _manifest_path_for(
-    name: str,
-    manifest: Optional[str],
-    cache_dir: Optional[str],
-    multi: bool,
-    resume: bool,
-) -> Optional[str]:
-    """Per-program manifest path derivation.
-
-    An explicit ``--manifest`` is used as-is for a single program and gets
-    ``.<program>`` appended to its stem for multiple programs (each
-    program's run journals independently).  Without ``--manifest``,
-    journaling switches on alongside ``--cache-dir`` (resume needs both
-    anyway) under ``<cache-dir>/<program>.manifest.jsonl``.
-    """
-    if manifest:
-        if not multi:
-            return manifest
-        root, ext = os.path.splitext(manifest)
-        return f"{root}.{name}{ext or '.jsonl'}"
-    if cache_dir:
-        return os.path.join(cache_dir, f"{name}.manifest.jsonl")
-    return None
-
-
 def _trace_path_for(
     name: str,
     trace: Optional[str],
     cache_dir: Optional[str],
     multi: bool,
 ) -> Optional[str]:
-    """Per-program trace path derivation (mirrors the manifest's).
+    """Per-program trace path derivation.
 
     A bare ``--trace`` (or ``REPRO_TRACE=1``) defaults to
     ``<cache-dir or .>/<program>.trace.jsonl``; an explicit path is used
@@ -240,8 +203,6 @@ def run_one(
     simulate_full: bool,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    manifest_path: Optional[str] = None,
-    resume: bool = False,
     job_timeout_s: Optional[float] = None,
     job_retries: Optional[int] = None,
     degrade: Optional[str] = None,
@@ -266,9 +227,7 @@ def run_one(
         workload,
         options=LoopPointOptions(
             wait_policy=wait_policy, scale=scale, jobs=jobs,
-            cache_dir=cache_dir,
-            manifest_path=manifest_path,
-            trace_path=trace_path, **overrides,
+            cache_dir=cache_dir, trace_path=trace_path, **overrides,
         ),
     )
     if live:
@@ -279,11 +238,10 @@ def run_one(
             if live_threshold is not None else LiveOptions()
         )
         result = pipeline.run_live(
-            simulate_full=simulate_full, resume=resume,
-            live_options=live_opts,
+            simulate_full=simulate_full, live_options=live_opts,
         )
     else:
-        result = pipeline.run(simulate_full=simulate_full, resume=resume)
+        result = pipeline.run(simulate_full=simulate_full)
     if pipeline.artifacts is not None:
         console.status("cache", pipeline.artifacts.stats_line())
     if pipeline.last_trace is not None:
@@ -293,7 +251,7 @@ def run_one(
             f"trace={t['path']} spans={t['spans']} trace_id={t['trace_id']}",
         )
     # Grep-able metric line: CI diffs these between clean, faulted and
-    # resumed runs to assert bit-identity.
+    # killed-then-rerun runs to assert bit-identity.
     p = result.predicted
     console.status(
         "predicted",
@@ -306,7 +264,7 @@ def run_one(
             if lr.final_error_estimate is not None else "--"
         )
         # Same deal as "predicted": the live-smoke CI job diffs this line
-        # between live, forced-novel, and resumed runs.
+        # between live, forced-novel, and killed-then-rerun runs.
         console.status(
             "live",
             f"regions={lr.num_regions} simulated={lr.num_simulated} "
@@ -463,9 +421,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.job_retries is not None and args.job_retries < 0:
         parser.error(f"--job-retries must be >= 0, got {args.job_retries}")
-    if args.resume and not args.cache_dir:
-        parser.error("--resume requires --cache-dir (resume restores "
-                     "completed stages from the artifact cache)")
     if args.live_threshold is not None and not args.live:
         parser.error("--live-threshold only makes sense with --live")
 
@@ -479,10 +434,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{name} (n={args.ncores}, policy={policy.value}, "
             f"input={args.input_class or 'default'}) ...",
         )
-        manifest_path = _manifest_path_for(
-            name, args.manifest, args.cache_dir,
-            multi=len(programs) > 1, resume=args.resume,
-        )
         trace_path = _trace_path_for(
             name, trace_value, args.cache_dir, multi=len(programs) > 1,
         )
@@ -491,7 +442,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 run_one(name, args.ncores, args.input_class, policy,
                         simulate_full=not args.no_fullsim,
                         jobs=args.jobs, cache_dir=args.cache_dir,
-                        manifest_path=manifest_path, resume=args.resume,
                         job_timeout_s=args.job_timeout,
                         job_retries=args.job_retries,
                         degrade=args.degrade,

@@ -19,9 +19,8 @@ Stages, each cached on first use:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.online import LiveOptions, LiveReport, LiveResult
@@ -43,12 +42,11 @@ from ..config import (
 from ..errors import (
     ClusteringError,
     ReproError,
-    ResumeError,
     SimulationError,
     WorkloadError,
 )
 from ..obs.tracer import Tracer, active_metrics, active_tracer, obs_scope
-from ..parallel.artifacts import ArtifactCache, canonical_key
+from ..parallel.artifacts import ArtifactCache
 from ..parallel.executor import (
     DEFAULT_JOB_TIMEOUT_S,
     ExecutionOutcome,
@@ -61,7 +59,6 @@ from ..resilience import (
     FailureRecord,
     RetryPolicy,
     RunHealth,
-    RunManifest,
     renormalize_clusters,
 )
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
@@ -118,28 +115,25 @@ class LoopPointOptions:
     #: and falls back to serial otherwise — results are bit-identical
     #: either way.
     jobs: Optional[int] = None
-    #: Persistent artifact cache directory for the record/profile/select
-    #: stage outputs; ``None`` disables on-disk caching.
+    #: Persistent artifact cache directory for every cached stage output
+    #: (record, dcfg, profile, select, live); ``None`` disables on-disk
+    #: caching.  Rerunning the same command against the same directory
+    #: restarts a killed run from its last published stage.
     cache_dir: Optional[str] = None
     #: Per-region wall-clock budget in a worker before the job is retried
     #: and, past the retry budget, re-run serially in the parent.
     job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S
     job_retries: int = 1
-    #: Append-only run-journal path enabling ``run(resume=True)``; ``None``
-    #: disables journaling.
-    manifest_path: Optional[str] = None
-    #: Span-trace output path (JSON lines, appended next to the manifest by
-    #: the CLI); ``None`` disables tracing — the instrumented seams then hit
-    #: the :data:`repro.obs.tracer.NULL_TRACER` fast path.
+    #: Span-trace output path (JSON lines; the CLI defaults it into the
+    #: cache directory); ``None`` disables tracing — the instrumented
+    #: seams then hit the :data:`repro.obs.tracer.NULL_TRACER` fast path.
     trace_path: Optional[str] = None
     #: What to do with a region that fails its retries *and* the in-parent
     #: serial fallback: raise (``FAIL``, the default), re-simulate it
     #: binary-driven (``FALLBACK``, constrained mode only), or drop it and
     #: renormalize the remaining cluster weights (``DROP``).
     degrade: DegradePolicy = DegradePolicy.FAIL
-    #: Retry budget for the analysis stages (record/profile/select/extract).
-    stage_retries: int = 1
-    #: Exponential-backoff pacing between retries (stages and region jobs).
+    #: Exponential-backoff pacing between region-job retries.
     retry_backoff_s: float = 0.05
     retry_backoff_max_s: float = 2.0
     retry_jitter: float = 0.25
@@ -157,10 +151,9 @@ class LoopPointOptions:
                 f"job_timeout_s must be finite and > 0, got "
                 f"{self.job_timeout_s}"
             )
-        if self.job_retries < 0 or self.stage_retries < 0:
+        if self.job_retries < 0:
             raise WorkloadError(
-                f"job_retries ({self.job_retries}) and stage_retries "
-                f"({self.stage_retries}) must be >= 0"
+                f"job_retries ({self.job_retries}) must be >= 0"
             )
 
     def resolved_scale(self) -> ReproScale:
@@ -324,13 +317,6 @@ class LoopPointPipeline:
             )
         #: Failure/retry/degradation accounting; reset by every :meth:`run`.
         self.health = RunHealth()
-        self._manifest: Optional[RunManifest] = (
-            RunManifest(self.options.manifest_path)
-            if self.options.manifest_path
-            else None
-        )
-        #: Stages the manifest says completed in the run being resumed.
-        self._resume_stages: Set[str] = set()
         #: Summary of the last run's trace (path, trace id, span count);
         #: ``None`` when tracing is off.
         self.last_trace: Optional[Dict[str, Any]] = None
@@ -409,47 +395,6 @@ class LoopPointPipeline:
             scale.slice_size(self.workload.nthreads), scale.slice_size(4)
         )
 
-    def _with_stage_retry(
-        self, stage: str, key: str, compute: Callable[[], Any]
-    ) -> Any:
-        """Run ``compute`` with the stage retry budget and backoff pacing.
-
-        Every failed attempt is journaled (``fail`` event) and recorded in
-        :attr:`health`; a transient :class:`~repro.errors.ReproError`
-        costs a retry, a persistent one exhausts the budget and re-raises.
-        """
-        policy = self.options.retry_policy()
-        attempt = 0
-        while True:
-            try:
-                return compute()
-            except ReproError as exc:
-                attempt += 1
-                error = f"{type(exc).__name__}: {exc}"
-                if self._manifest is not None:
-                    self._manifest.fail(stage, key, error)
-                if attempt <= self.options.stage_retries:
-                    self.health.retries += 1
-                    self.health.record(FailureRecord(
-                        stage=stage, error=error, action="retried",
-                        attempts=attempt,
-                    ))
-                    active_tracer().set_current("retry_round", attempt)
-                    reg = active_metrics()
-                    if reg is not None:
-                        reg.inc("stage.retries")
-                    delay = policy.delay(attempt, key=stage)
-                    if delay > 0:
-                        time.sleep(delay)
-                        if reg is not None:
-                            reg.observe("retry.backoff_seconds", delay)
-                    continue
-                self.health.record(FailureRecord(
-                    stage=stage, error=error, action="raised",
-                    attempts=attempt,
-                ))
-                raise
-
     def _stage_artifact(
         self,
         stage: str,
@@ -457,44 +402,17 @@ class LoopPointPipeline:
         kind: type,
         compute: Callable[[], Any],
     ) -> Any:
-        """Cache-load → (retrying) compute → cache-store one stage artifact,
-        journaling every transition in the run manifest."""
-        key = canonical_key(material)
+        """Load one stage artifact from the cache, or compute (and store)
+        it; a missing or corrupt artifact is an ordinary miss."""
         with active_tracer().span(f"stage:{stage}", stage=stage) as span:
             if self.artifacts is None:
-                artifact = self._compute_stage(stage, key, compute)
-                source = "computed"
+                artifact, source = compute(), "computed"
             else:
                 artifact, source = self.artifacts.get_or_compute(
-                    stage, material,
-                    lambda: self._compute_stage(stage, key, compute), kind,
+                    stage, material, compute, kind,
                 )
-            span.set("cache", "miss" if source == "computed" else source)
-            if source == "hit" and stage in self._resume_stages:
-                self.health.resumed_stages.append(stage)
-            if self._manifest is not None:
-                self._manifest.done(
-                    stage, key,
-                    source="computed" if source == "computed" else "cache",
-                )
+            span.set("cache", "hit" if source == "hit" else "miss")
             return artifact
-
-    def _compute_stage(
-        self, stage: str, key: str, compute: Callable[[], Any]
-    ) -> Any:
-        """Journal-begin and (retrying) compute one stage artifact."""
-        if stage in self._resume_stages:
-            # The journal says this stage completed, but its artifact is
-            # gone (wiped cache, corrupt file evicted on load).  Recompute
-            # loudly rather than fail the resume.
-            self.health.record(FailureRecord(
-                stage=stage,
-                error="resume: cached artifact missing or corrupt",
-                action="recomputed",
-            ))
-        if self._manifest is not None:
-            self._manifest.begin(stage, key)
-        return self._with_stage_retry(stage, key, compute)
 
     def _compute_record(self) -> Pinball:
         w = self.workload
@@ -852,12 +770,8 @@ class LoopPointPipeline:
             scale.warmup_instructions,
             strategy,
         )
-        return self._with_stage_retry(
-            "extract",
-            canonical_key(self._select_material()),
-            lambda: extract_region_pinballs(
-                self.workload.program, self.record(), cuts
-            ),
+        return extract_region_pinballs(
+            self.workload.program, self.record(), cuts
         )
 
     def simulate_regions_constrained(
@@ -896,140 +810,21 @@ class LoopPointPipeline:
         ]
         return self._run_jobs(jobs, workers, mode="constrained")
 
-    # -- resume ---------------------------------------------------------------
-
-    def _stage_keys(self) -> Dict[str, str]:
-        return {
-            "record": canonical_key(self._record_material()),
-            "profile": canonical_key(self._profile_material()),
-            "select": canonical_key(self._select_material()),
-        }
-
-    def _live_stage_keys(
-        self, live_options: "LiveOptions"
-    ) -> Dict[str, str]:
-        """Stage keys of a live-mode run: record -> dcfg -> live."""
-        return {
-            "record": canonical_key(self._record_material()),
-            "dcfg": canonical_key(self._dcfg_material()),
-            "live": canonical_key(self._live_material(live_options)),
-        }
-
-    def _prepare_resume(
-        self, stage_keys: Dict[str, str], loaders=None
-    ) -> None:
-        """Validate the manifest against current options and mark stages.
-
-        Resume does not *trust* the journal for artifacts — completed
-        stages still load through the content-addressed cache, so a wiped
-        or corrupt cache degrades to recomputation, never to a wrong
-        artifact.  What the journal adds is the cross-check that the keys
-        it recorded are the keys the *current* options produce; a mismatch
-        means the caller changed configuration between runs, and silently
-        mixing artifacts would be worse than refusing.
-        """
-        if self._manifest is None:
-            raise ResumeError(
-                "cannot resume: options.manifest_path is not set"
-            )
-        if self.artifacts is None:
-            raise ResumeError(
-                "cannot resume: options.cache_dir is not set — resume "
-                "replays completed stages from the artifact cache"
-            )
-        completed, corrupt = self._manifest.read_completed()
-        if corrupt:
-            self.health.record(FailureRecord(
-                stage="manifest",
-                error=f"{corrupt} corrupt journal line(s) skipped "
-                      f"(write cut mid-line)",
-                action="recomputed",
-            ))
-        resumable: List[str] = []
-        for stage, key in completed.items():
-            expected = stage_keys.get(stage)
-            if expected is None:
-                continue  # e.g. "simulate" — not a cache-backed stage
-            if key != expected:
-                raise ResumeError(
-                    f"manifest records stage {stage!r} under key "
-                    f"{key[:12]}..., but the current options produce "
-                    f"{expected[:12]}...; resuming would mix artifacts "
-                    f"from different configurations"
-                )
-            resumable.append(stage)
-        self._resume_stages = set(resumable)
-        self._manifest.mark_resume(resumable)
-        self._restore_resumed_stages(loaders)
-
-    def _offline_loaders(self):
-        return (
-            ("record", self._record_material, Pinball, "_pinball"),
-            ("profile", self._profile_material, ProfileData, "_profile"),
-            ("select", self._select_material, SimPointSelection,
-             "_selection"),
-        )
-
-    def _live_loaders(self, live_options: "LiveOptions"):
-        from ..analysis.online import LiveResult
-
-        return (
-            ("record", self._record_material, Pinball, "_pinball"),
-            ("dcfg", self._dcfg_material, list, "_marker_pcs"),
-            ("live", lambda: self._live_material(live_options),
-             LiveResult, "_live"),
-        )
-
-    def _restore_resumed_stages(self, loaders=None) -> None:
-        """Prime the stage memos from the cache, in pipeline order.
-
-        Without this, a resumed run whose *last* completed stage hits the
-        cache never consults the upstream artifacts at all (``select``'s
-        memo short-circuits the lazy ``record``/``profile`` loads), so the
-        cache counters — and the ``[cache]`` stats line the CLI prints —
-        claim resume reused nothing.  Restoring proactively counts every
-        restore-time read as the cache hit it is.
-
-        A restore miss (wiped cache, corrupt artifact) leaves the memo
-        unset: the stage then recomputes through :meth:`_stage_artifact`,
-        which records the loud "cached artifact missing or corrupt"
-        failure.
-        """
-        assert self.artifacts is not None
-        if loaders is None:
-            loaders = self._offline_loaders()
-        with active_tracer().span("stage:restore", stage="restore"):
-            for stage, material_fn, kind, attr in loaders:
-                if stage not in self._resume_stages:
-                    continue
-                material = material_fn()
-                cached = self.artifacts.load(stage, material)
-                if not isinstance(cached, kind):
-                    continue
-                setattr(self, attr, cached)
-                self.health.resumed_stages.append(stage)
-                if self._manifest is not None:
-                    self._manifest.done(
-                        stage, canonical_key(material), source="cache"
-                    )
-
     # -- the headline entry point -------------------------------------------
 
     def run(
         self,
         simulate_full: bool = True,
         constrained: bool = False,
-        resume: bool = False,
     ) -> LoopPointResult:
         """Execute the whole methodology and evaluate it.
 
         ``simulate_full=False`` skips the reference run (ref-input scale,
         where the paper also only reports speedups).  ``constrained=True``
-        simulates checkpoint-driven instead of binary-driven.
-        ``resume=True`` restarts a killed run: stages the manifest records
-        as done come back from the artifact cache, everything after the
-        kill point recomputes — requires ``manifest_path`` and
-        ``cache_dir``.
+        simulates checkpoint-driven instead of binary-driven.  With a
+        ``cache_dir``, a killed run restarts by running again: stages
+        whose artifacts were published load from the cache, everything
+        after the kill point recomputes.
         """
         self.health = RunHealth()
         tracer = None
@@ -1043,9 +838,9 @@ class LoopPointPipeline:
         try:
             with obs_scope(tracer):
                 with active_tracer().span(
-                    "run", workload=self.workload.full_name, resume=resume
+                    "run", workload=self.workload.full_name
                 ):
-                    result = self._run(simulate_full, constrained, resume)
+                    result = self._run(simulate_full, constrained)
             return result
         finally:
             if tracer is not None:
@@ -1054,7 +849,6 @@ class LoopPointPipeline:
     def run_live(
         self,
         simulate_full: bool = False,
-        resume: bool = False,
         live_options: Optional["LiveOptions"] = None,
     ) -> LoopPointResult:
         """Execute the live (single-pass streaming) methodology.
@@ -1064,9 +858,9 @@ class LoopPointPipeline:
         fast-forwarded over and extrapolated from their cluster's
         representative, novel regions are simulated in detail as they
         close, and high-variance clusters get top-up samples before the
-        final extrapolation.  ``resume=True`` restarts a killed run
-        from the shared artifact store exactly like :meth:`run` —
-        stages journal under ``record``/``dcfg``/``live``.
+        final extrapolation.  A killed run restarts from the artifact
+        cache exactly like :meth:`run`; its stages are cached under
+        ``record``/``dcfg``/``live``.
         """
         from ..analysis.online import LiveOptions
 
@@ -1083,30 +877,17 @@ class LoopPointPipeline:
         try:
             with obs_scope(tracer):
                 with active_tracer().span(
-                    "run", workload=self.workload.full_name,
-                    resume=resume, mode="live",
+                    "run", workload=self.workload.full_name, mode="live",
                 ):
-                    result = self._run_live(options, simulate_full, resume)
+                    result = self._run_live(options, simulate_full)
             return result
         finally:
             if tracer is not None:
                 self.last_trace = tracer.finish()
 
     def _run_live(
-        self, live_options: "LiveOptions", simulate_full: bool,
-        resume: bool,
+        self, live_options: "LiveOptions", simulate_full: bool
     ) -> LoopPointResult:
-        stage_keys = self._live_stage_keys(live_options)
-        if resume:
-            self._prepare_resume(
-                stage_keys, loaders=self._live_loaders(live_options)
-            )
-            if "live" in self.health.resumed_stages:
-                # The restored pass was keyed by these options; without
-                # this, ``live()`` would drop it and load it again.
-                self._live_options = live_options
-        elif self._manifest is not None:
-            self._manifest.start_run(stage_keys)
         tracer = active_tracer()
         with tracer.span("stage:live", stage="live"):
             live = self.live(live_options)
@@ -1170,13 +951,6 @@ class LoopPointPipeline:
 
             with tracer.span("stage:lint", stage="lint"):
                 lint_report = lint_pipeline(self)
-        if self._manifest is not None:
-            self._manifest.complete_run({
-                "predicted_cycles": live.predicted.cycles,
-                "predicted_instructions": live.predicted.instructions,
-                "live_error_estimate": live.report.final_error_estimate,
-                "health": self.health.as_dict(),
-            })
         return LoopPointResult(
             workload=self.workload.full_name,
             wait_policy=self.options.wait_policy.value,
@@ -1194,21 +968,11 @@ class LoopPointPipeline:
         )
 
     def _run(
-        self, simulate_full: bool, constrained: bool, resume: bool
+        self, simulate_full: bool, constrained: bool
     ) -> LoopPointResult:
-        stage_keys = self._stage_keys()
-        if resume:
-            self._prepare_resume(stage_keys)
-        elif self._manifest is not None:
-            self._manifest.start_run(stage_keys)
         profile = self.profile()
         selection = self.select()
-        sim_key = f"{stage_keys['select']}:" + (
-            "constrained" if constrained else "binary"
-        )
         tracer = active_tracer()
-        if self._manifest is not None:
-            self._manifest.begin("simulate", sim_key)
         with tracer.span(
             "stage:simulate", stage="simulate",
             mode="constrained" if constrained else "binary",
@@ -1218,8 +982,6 @@ class LoopPointPipeline:
                 region_results = self.simulate_regions_constrained()
             else:
                 region_results = self.simulate_regions()
-        if self._manifest is not None:
-            self._manifest.done("simulate", sim_key)
         with tracer.span("stage:extrapolate", stage="extrapolate"):
             clusters = list(selection.clusters)
             if self.health.dropped_regions:
@@ -1270,12 +1032,6 @@ class LoopPointPipeline:
 
             with tracer.span("stage:lint", stage="lint"):
                 lint_report = lint_pipeline(self)
-        if self._manifest is not None:
-            self._manifest.complete_run({
-                "predicted_cycles": predicted.cycles,
-                "predicted_instructions": predicted.instructions,
-                "health": self.health.as_dict(),
-            })
         return LoopPointResult(
             workload=self.workload.full_name,
             wait_policy=self.options.wait_policy.value,

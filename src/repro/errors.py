@@ -56,7 +56,3 @@ class CacheError(ReproError):
 
     Cache *misses* are never errors — a miss just recomputes the stage.
     """
-
-
-class ResumeError(ReproError):
-    """A run manifest cannot be resumed against the current options."""

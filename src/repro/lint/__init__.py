@@ -26,8 +26,9 @@ run-history records are rejected where they are parsed
 (:class:`~repro.config.ReproScale`,
 :class:`~repro.core.looppoint.LoopPointOptions`,
 :class:`~repro.obs.history.HistoryStore`); constrained replay raises on
-a gseq order with a hole or a duplicate; resume raises on a manifest
-whose keys differ from the current options'; ``repro-obs report`` exits
+a gseq order with a hole or a duplicate; the artifact cache re-verifies
+each artifact's key material and checksum on load (a mismatch is a
+miss, never a wrong artifact); ``repro-obs report`` exits
 1 on a malformed span tree.  The rest (DCFG flow and dominators,
 profile boundaries, Eq. (2) weights, live accounting) are property tests
 over genuine pipeline artifacts in ``tests/test_pipeline_invariants.py``.

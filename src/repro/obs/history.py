@@ -9,11 +9,11 @@ workload history file under the shared artifact store's directory, and
 ``repro-obs history --check`` fails when the newest run regresses
 against a rolling baseline of the preceding runs.
 
-Write discipline follows the repo's two crash-safety protocols:
+Write discipline has two crash-safety protocols:
 
-* **appends** are the run-manifest protocol — one ``O_APPEND`` ``write``
-  of a whole ``\\n``-terminated line, flushed and fsynced, so a kill
-  leaves at worst one torn trailing line the loader skips and counts;
+* **appends** write one whole ``\\n``-terminated line through an
+  ``O_APPEND`` file, flushed and fsynced, so a kill leaves at worst one
+  torn trailing line the loader skips and counts;
 * **retention compaction** (trimming to the newest ``max_records``) is
   the store's publish protocol — rewrite into a same-directory temp
   file, fsync, ``os.replace`` — so a crash mid-compaction leaves either
@@ -177,7 +177,7 @@ class HistoryStore:
     # -- writing ------------------------------------------------------------
 
     def append(self, record: HistoryRecord) -> int:
-        """Append one record (manifest protocol), then enforce retention.
+        """Append one record (one fsynced line), then enforce retention.
 
         Returns the record count after retention, for status lines.
         Raises :class:`HistoryError`, and writes nothing, when the file

@@ -1,7 +1,7 @@
 """Bounded reading of trace files written by :mod:`repro.obs.tracer`.
 
-A trace file accumulates *segments* (one ``trace-start`` per run, like the
-resilience manifest accumulates runs); readers work on the last segment.
+A trace file accumulates *segments* (one ``trace-start`` per run, so
+reruns against one path append); readers work on the last segment.
 Parsing is bounded — byte and span limits with explicit truncation
 flagging — so ``repro-obs`` stays O(limits) on a pathological
 multi-gigabyte trace instead of OOMing.  A damaged trace still reads:

@@ -157,8 +157,8 @@ class Tracer:
     """Writes one run's spans and metrics to an append-only trace file.
 
     A fresh :class:`Tracer` appends a ``trace-start`` record (a new trace
-    *segment* — re-runs against the same path accumulate like the
-    resilience manifest does, and readers use the last segment).  Worker
+    *segment* — re-runs against the same path accumulate segments, and
+    readers use the last one).  Worker
     processes construct continuation tracers via :func:`worker_tracer`,
     which append a ``process`` record instead.
     """

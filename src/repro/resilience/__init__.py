@@ -1,9 +1,10 @@
-"""Resilience layer: retry pacing, run manifests, health.
+"""Resilience layer: retry pacing and health.
 
-:mod:`repro.resilience.retry` paces retries of failed stages and region
-jobs, :mod:`repro.resilience.manifest` is the resumable run journal, and
+:mod:`repro.resilience.retry` paces retries of failed region jobs, and
 :mod:`repro.resilience.health` holds the degradation policies and the
-``result.health`` block.
+``result.health`` block.  A killed run restarts from the artifact cache
+(:mod:`repro.parallel.artifacts`): rerun the same command against the
+same cache directory.
 """
 
 from .health import (
@@ -12,7 +13,6 @@ from .health import (
     RunHealth,
     renormalize_clusters,
 )
-from .manifest import RunManifest
 from .retry import RetryPolicy
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "FailureRecord",
     "RetryPolicy",
     "RunHealth",
-    "RunManifest",
     "renormalize_clusters",
 ]

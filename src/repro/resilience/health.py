@@ -41,13 +41,11 @@ class DegradePolicy(str, Enum):
 class FailureRecord:
     """One failure the pipeline observed and what it did about it."""
 
-    #: Pipeline stage ("record", "profile", "select", "extract",
-    #: "simulate", "manifest").
+    #: Pipeline stage the failure belongs to ("simulate" for region jobs).
     stage: str
     #: What went wrong, e.g. "ReplayDivergenceError: ...".
     error: str
-    #: The action taken: "retried", "fallback", "dropped", "recomputed",
-    #: or "raised".
+    #: The action taken: "fallback", "dropped", or "raised".
     action: str
     #: Region the failure belongs to, when stage == "simulate".
     region_id: Optional[int] = None
@@ -69,7 +67,7 @@ class RunHealth:
     """The ``result.health`` block: what failed, what it cost, what remains."""
 
     failures: List[FailureRecord] = field(default_factory=list)
-    #: Retries taken — pool re-submissions plus stage-level retries.
+    #: Region-job retries taken (pool re-submissions).
     retries: int = 0
     #: Jobs that exhausted the pool retry budget and re-ran in the parent.
     serial_fallbacks: int = 0
@@ -77,8 +75,6 @@ class RunHealth:
     fallback_regions: List[int] = field(default_factory=list)
     #: Regions dropped outright; their mass was redistributed.
     dropped_regions: List[int] = field(default_factory=list)
-    #: Stages restored from the manifest + artifact cache by ``--resume``.
-    resumed_stages: List[str] = field(default_factory=list)
     #: Fraction of instruction mass still represented after drops (1.0 when
     #: nothing was dropped).
     retained_coverage: float = 1.0
@@ -90,13 +86,11 @@ class RunHealth:
 
     @property
     def ok(self) -> bool:
-        """True for a clean, uneventful run: no retries, no failures, and
-        nothing restored by resume (resume is worth surfacing, not wrong)."""
+        """True for a clean, uneventful run: no retries, no failures."""
         return (
             not self.failures
             and self.retries == 0
             and self.serial_fallbacks == 0
-            and not self.resumed_stages
             and not self.degraded
         )
 
@@ -114,8 +108,6 @@ class RunHealth:
             parts.append(f"fallback_regions={sorted(self.fallback_regions)}")
         if self.dropped_regions:
             parts.append(f"dropped_regions={sorted(self.dropped_regions)}")
-        if self.resumed_stages:
-            parts.append(f"resumed={','.join(self.resumed_stages)}")
         parts.append(f"coverage={self.retained_coverage * 100:.1f}%")
         parts.append("degraded" if self.degraded else "intact")
         return " ".join(parts)
@@ -127,7 +119,6 @@ class RunHealth:
             "serial_fallbacks": self.serial_fallbacks,
             "fallback_regions": sorted(self.fallback_regions),
             "dropped_regions": sorted(self.dropped_regions),
-            "resumed_stages": list(self.resumed_stages),
             "retained_coverage": self.retained_coverage,
             "degraded": self.degraded,
         }

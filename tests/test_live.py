@@ -1,4 +1,4 @@
-"""Live sampling pipeline: offline equivalence, accounting, lint, resume.
+"""Live sampling pipeline: offline equivalence, accounting, lint, rerun.
 
 The anchor claim (see ``repro.analysis.online``): with a non-positive
 novelty threshold the streaming pass is *bit-identical* to the offline
@@ -292,7 +292,7 @@ def test_live_options_reject_non_finite_threshold(bad):
         LiveOptions(threshold=bad)
 
 
-# Pipeline integration: run_live, lint wiring, resume, observability.
+# Pipeline integration: run_live, lint wiring, rerun, observability.
 # ---------------------------------------------------------------------------
 
 
@@ -341,21 +341,22 @@ class TestPipelineLive:
         assert pipeline._selection is None
         assert report.exit_code == 0
 
-    def test_live_resume_restores_from_store(self, tmp_path):
+    def test_live_rerun_loads_from_store(self, tmp_path):
         workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
-        options = dict(
-            cache_dir=str(tmp_path / "cache"),
-            manifest_path=str(tmp_path / "run.manifest.jsonl"),
-        )
+        options = dict(cache_dir=str(tmp_path / "cache"))
         first = LoopPointPipeline(
             workload, options=_pipeline_options(**options)
         ).run_live(simulate_full=False)
-        resumed = LoopPointPipeline(
+        pipeline = LoopPointPipeline(
             workload, options=_pipeline_options(**options)
-        ).run_live(simulate_full=False, resume=True)
-        assert "live" in resumed.health.resumed_stages
-        assert resumed.predicted == first.predicted
-        a, b = first.live_report, resumed.live_report
+        )
+        rerun = pipeline.run_live(simulate_full=False)
+        # The live pass loads whole; record and dcfg are never needed.
+        assert pipeline.artifacts.stats_line().startswith(
+            "live=hit | hits=1 misses=0 stores=0"
+        )
+        assert rerun.predicted == first.predicted
+        a, b = first.live_report, rerun.live_report
         assert (a.num_regions, a.num_simulated, a.num_skipped) == (
             b.num_regions, b.num_simulated, b.num_skipped
         )

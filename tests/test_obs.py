@@ -266,7 +266,7 @@ class TestPipelineTracing:
                 "stage:extrapolate"} <= names
         total = sum(s.dur for s in top)
         # Sequential stages partition the run; the residue is glue
-        # (speedup accounting, manifest writes).
+        # (speedup accounting).
         assert total <= root.dur * 1.01
         assert total >= root.dur * 0.5
 
@@ -338,43 +338,50 @@ class TestPipelineTracing:
 
 
 # ---------------------------------------------------------------------------
-# Resume restore hits (the stats-line fix).
+# Rerun cache counts (the stats line of a restarted run).
 # ---------------------------------------------------------------------------
 
 
-class TestResumeRestoreCounts:
-    def test_resume_counts_restored_stages_as_hits(self, tmp_path):
+class TestRerunCacheCounts:
+    def test_rerun_counts_loaded_stages_as_hits(self, tmp_path):
         workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
-        opts = dict(
-            cache_dir=str(tmp_path / "cache"),
-            manifest_path=str(tmp_path / "run.manifest.jsonl"),
+        opts = dict(cache_dir=str(tmp_path / "cache"))
+        first = LoopPointPipeline(workload, options=_options(**opts))
+        result = first.run(simulate_full=False)
+        rerun = LoopPointPipeline(workload, options=_options(**opts))
+        again = rerun.run(simulate_full=False)
+        assert again.predicted == result.predicted
+        # The profile and select hits never need the record artifact.
+        assert rerun.artifacts.stats_line().startswith(
+            "profile=hit select=hit | hits=2 misses=0 stores=0"
         )
-        LoopPointPipeline(workload, options=_options(**opts)).run(
-            simulate_full=False
-        )
-        resumed = LoopPointPipeline(workload, options=_options(**opts))
-        result = resumed.run(simulate_full=False, resume=True)
-        assert set(result.health.resumed_stages) == {
-            "record", "profile", "select"
-        }
-        line = resumed.artifacts.stats_line()
-        assert "record=hit profile=hit select=hit" in line
-        assert sum(resumed.artifacts.hits.values()) == 3
 
-    def test_resumed_live_run_line_names_every_stage(self, tmp_path):
+    def test_live_rerun_line_names_every_stage(self, tmp_path, monkeypatch):
+        from repro.errors import SimulationError
+
         workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
-        opts = dict(
-            cache_dir=str(tmp_path / "cache"),
-            manifest_path=str(tmp_path / "run.manifest.jsonl"),
-        )
-        LoopPointPipeline(workload, options=_options(**opts)).run_live(
-            simulate_full=False
-        )
-        resumed = LoopPointPipeline(workload, options=_options(**opts))
-        result = resumed.run_live(simulate_full=False, resume=True)
-        assert set(result.health.resumed_stages) == {"record", "dcfg", "live"}
-        assert resumed.artifacts.stats_line().startswith(
-            "record=hit dcfg=hit live=hit | hits=3 misses=0"
+        opts = dict(cache_dir=str(tmp_path / "cache"))
+        reference = LoopPointPipeline(
+            workload, options=_options()
+        ).run_live(simulate_full=False)
+
+        def record_dcfg_then_fail(self, live_options):
+            self.marker_pcs()
+            raise SimulationError("live pass cut off")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                LoopPointPipeline, "_compute_live", record_dcfg_then_fail
+            )
+            with pytest.raises(SimulationError):
+                LoopPointPipeline(
+                    workload, options=_options(**opts)
+                ).run_live(simulate_full=False)
+        rerun = LoopPointPipeline(workload, options=_options(**opts))
+        result = rerun.run_live(simulate_full=False)
+        assert result.predicted == reference.predicted
+        assert rerun.artifacts.stats_line().startswith(
+            "record=hit dcfg=hit live=miss | hits=2 misses=1 stores=1"
         )
 
     def test_stats_line_orders_stages_as_the_pipeline_runs(self, tmp_path):

@@ -446,7 +446,7 @@ class TestDefaultJobs:
         with pytest.raises(WorkloadError, match="job_timeout_s"):
             LoopPointOptions(job_timeout_s=timeout)
 
-    @pytest.mark.parametrize("field", ["job_retries", "stage_retries"])
+    @pytest.mark.parametrize("field", ["job_retries"])
     def test_options_reject_negative_retries(self, field):
         with pytest.raises(WorkloadError, match=field):
             LoopPointOptions(**{field: -1})
