@@ -269,6 +269,44 @@ class TestHistoryStore:
         records, corrupt = HistoryStore(path).load()
         assert [r.ts for r in records] == [1.0] and corrupt == 1
 
+    @pytest.mark.parametrize("fragment", [
+        '{"schema": "repro-his',
+        '{"schema": "repro-history/1", "ts": 1.5',
+        '{"schema": "repro-history/1", "ts": ',
+        "not json at all",
+        "}",
+    ], ids=[
+        "cut-mid-value", "cut-mid-number", "cut-after-colon", "plain-text",
+        "stray-brace",
+    ])
+    def test_torn_line_between_records_is_skipped(self, tmp_path, fragment):
+        path = str(tmp_path / "h.jsonl")
+        _write_lines(path, [_record(1.0).as_dict()])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(fragment + "\n")
+            fh.write(json.dumps(_record(2.0).as_dict()) + "\n")
+        records, corrupt = HistoryStore(path).load()
+        assert [r.ts for r in records] == [1.0, 2.0] and corrupt == 1
+
+    @pytest.mark.parametrize("line", ["null", "[1, 2]", '"run"', "3"],
+                             ids=["null", "array", "string", "number"])
+    def test_parsed_non_object_line_is_refused(self, tmp_path, line):
+        # Valid JSON is not a torn write: the loader names the line
+        # instead of silently counting it as corrupt.
+        path = str(tmp_path / "h.jsonl")
+        _write_lines(path, [_record(1.0).as_dict()])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(HistoryError, match=r"h\.jsonl:2: .*not an object"):
+            HistoryStore(path).load()
+
+    def test_blank_lines_are_not_torn(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        line = json.dumps(_record(1.0).as_dict())
+        path.write_text(f"\n{line}\n  \n\n")
+        records, corrupt = HistoryStore(str(path)).load()
+        assert [r.ts for r in records] == [1.0] and corrupt == 0
+
     def test_retention_compacts_to_newest(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
         store = HistoryStore(path, max_records=3)
