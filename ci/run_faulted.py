@@ -11,7 +11,7 @@ repository root:
     PYTHONPATH=src python ci/run_faulted.py --crash-workers -- \\
         -p demo-matrix-1 -n 4 --no-fullsim --jobs 4
     PYTHONPATH=src python ci/run_faulted.py --fail-last-region -- \\
-        -p demo-matrix-1 -n 4 --no-fullsim --jobs 4 --degrade drop
+        -p demo-matrix-1 -n 4 --no-fullsim --jobs 4
 
 ``--kill-after STAGE``
     SIGKILL this process right after STAGE's artifact is durably
@@ -21,12 +21,14 @@ repository root:
     ``--cache-dir`` then loads the published stages and recomputes the
     rest.
 ``--crash-workers``
-    Every pool worker dies (``os._exit``) on its first attempt at a
-    region job, which breaks the pool; the retry round runs clean.
+    Every pool worker dies (``os._exit``) as soon as it starts a region
+    job, which breaks the pool; every job then re-runs in the parent,
+    which does not enter through the worker entry point, so the run
+    finishes with the clean run's metrics.
 ``--fail-last-region``
     The highest-numbered region job raises wherever it runs, including
-    the parent's serial fallback, so ``--degrade`` decides what the lost
-    region means.
+    the parent's re-run, so the run fails (exit status 1) with an error
+    naming that region.
 
 The two worker faults need ``--jobs`` > 1 and rely on the pool forking
 its workers (the default on Linux up to Python 3.13), so the workers
@@ -66,12 +68,10 @@ def crash_workers() -> None:
     # pickles the entry point by reference and the workers resolve it to
     # this wrapper.
     @functools.wraps(real_entry)
-    def crash_first_attempt(job, attempt, *args, **kwargs):
-        if attempt == 0:
-            os._exit(3)
-        return real_entry(job, attempt, *args, **kwargs)
+    def crash(*args, **kwargs):
+        os._exit(3)
 
-    executor._pool_timed_job = crash_first_attempt
+    executor._pool_timed_job = crash
 
 
 def fail_last_region() -> None:

@@ -26,7 +26,6 @@ from .core.looppoint import LoopPointOptions, LoopPointPipeline
 from .errors import ReproError
 from .obs.console import Console
 from .policy import WaitPolicy
-from .resilience import DegradePolicy
 from .workloads.registry import get_workload, list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,18 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SEC",
         help="per-region wall-clock budget in a worker before the job is "
-             "retried and, past the retry budget, re-run in the parent",
-    )
-    parser.add_argument(
-        "--job-retries", type=int, default=None, metavar="N",
-        help="pool re-submissions per failed region job (default: 1), "
-             "paced by exponential backoff with seeded jitter",
-    )
-    parser.add_argument(
-        "--degrade", choices=[p.value for p in DegradePolicy], default=None,
-        help="policy for a region that fails retries AND serial fallback: "
-             "fail (default), fallback (re-simulate binary-driven; "
-             "constrained mode), or drop (renormalize cluster weights)",
+             "abandoned and re-run once in the parent; a region that also "
+             "fails there fails the run",
     )
     parser.add_argument(
         "--trace", nargs="?", const="1", default=None, metavar="FILE",
@@ -204,8 +193,6 @@ def run_one(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     job_timeout_s: Optional[float] = None,
-    job_retries: Optional[int] = None,
-    degrade: Optional[str] = None,
     trace_path: Optional[str] = None,
     live: bool = False,
     live_threshold: Optional[float] = None,
@@ -219,10 +206,6 @@ def run_one(
     overrides = {}
     if job_timeout_s is not None:
         overrides["job_timeout_s"] = job_timeout_s
-    if job_retries is not None:
-        overrides["job_retries"] = job_retries
-    if degrade is not None:
-        overrides["degrade"] = DegradePolicy(degrade)
     pipeline = LoopPointPipeline(
         workload,
         options=LoopPointOptions(
@@ -273,9 +256,10 @@ def run_one(
             f"coverage={lr.extrapolated_fraction * 100:.0f}% "
             f"error_estimate={err}",
         )
-    health = result.health
-    if not health.ok:
-        console.status("health", health.summary())
+    if result.serial_fallbacks:
+        console.status(
+            "health", f"serial_fallbacks={result.serial_fallbacks}"
+        )
     err = (
         f"{result.runtime_error_pct:.2f}%"
         if result.runtime_error_pct is not None else "--"
@@ -284,13 +268,11 @@ def run_one(
         f"{result.speedup.measured_speedup:.1f}x"
         if result.speedup.measured_speedup is not None else "--"
     )
-    fallbacks = health.serial_fallbacks + len(health.fallback_regions)
     wall_s = time.time() - t0
     if cache_dir:
         _record_history(
             name, workload.full_name, result, pipeline, live,
             wall_s=wall_s, cache_dir=cache_dir, console=console,
-            retries=health.retries, fallbacks=fallbacks,
         )
     return [
         workload.full_name,
@@ -300,9 +282,7 @@ def run_one(
         f"{result.speedup.theoretical_serial:.1f}x",
         f"{result.speedup.theoretical_parallel:.1f}x",
         measured,
-        health.retries,
-        fallbacks,
-        f"{health.retained_coverage * 100:.0f}%",
+        result.serial_fallbacks,
         f"{wall_s:.1f}s",
     ]
 
@@ -316,8 +296,6 @@ def _record_history(
     wall_s: float,
     cache_dir: str,
     console: Console,
-    retries: int,
-    fallbacks: int,
 ) -> None:
     """Append this run's headline numbers to the workload's history file.
 
@@ -339,7 +317,7 @@ def _record_history(
         run_id = hashlib.sha256(
             f"{full_name}:{ts:.6f}:{os.getpid()}".encode()
         ).hexdigest()[:16]
-    counters = {"retries": retries, "fallbacks": fallbacks,
+    counters = {"fallbacks": result.serial_fallbacks,
                 "slices": result.num_slices}
     if result.live_report is not None:
         lr = result.live_report
@@ -352,7 +330,6 @@ def _record_history(
         ts=ts,
         run_id=run_id,
         runtime_error_pct=result.runtime_error_pct,
-        coverage_pct=result.health.retained_coverage * 100.0,
         wall_s=wall_s,
         predicted_cycles=float(result.predicted.cycles),
         actual_cycles=(
@@ -419,8 +396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"--job-timeout must be finite and > 0, got {args.job_timeout}"
         )
-    if args.job_retries is not None and args.job_retries < 0:
-        parser.error(f"--job-retries must be >= 0, got {args.job_retries}")
     if args.live_threshold is not None and not args.live:
         parser.error("--live-threshold only makes sense with --live")
 
@@ -443,8 +418,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         simulate_full=not args.no_fullsim,
                         jobs=args.jobs, cache_dir=args.cache_dir,
                         job_timeout_s=args.job_timeout,
-                        job_retries=args.job_retries,
-                        degrade=args.degrade,
                         trace_path=trace_path, live=args.live,
                         live_threshold=args.live_threshold,
                         console=console)
@@ -457,7 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     console.result(ascii_table(
         ["workload", "slices", "looppoints", "runtime err",
          "serial speedup", "parallel speedup", "measured speedup",
-         "retries", "fallbacks", "coverage", "wall"],
+         "fallbacks", "wall"],
         rows,
         title="LoopPoint end-to-end results",
     ))

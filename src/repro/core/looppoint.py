@@ -41,7 +41,6 @@ from ..config import (
 )
 from ..errors import (
     ClusteringError,
-    ReproError,
     SimulationError,
     WorkloadError,
 )
@@ -49,18 +48,10 @@ from ..obs.tracer import Tracer, active_metrics, active_tracer, obs_scope
 from ..parallel.artifacts import ArtifactCache
 from ..parallel.executor import (
     DEFAULT_JOB_TIMEOUT_S,
-    ExecutionOutcome,
     ExecutionStats,
     run_region_jobs,
 )
 from ..parallel.jobs import RegionJob, WorkloadSpec
-from ..resilience import (
-    DegradePolicy,
-    FailureRecord,
-    RetryPolicy,
-    RunHealth,
-    renormalize_clusters,
-)
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
 from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
 from ..isa.blocks import BasicBlock
@@ -120,23 +111,13 @@ class LoopPointOptions:
     #: caching.  Rerunning the same command against the same directory
     #: restarts a killed run from its last published stage.
     cache_dir: Optional[str] = None
-    #: Per-region wall-clock budget in a worker before the job is retried
-    #: and, past the retry budget, re-run serially in the parent.
+    #: Per-region wall-clock budget in a worker before the job is
+    #: abandoned and re-run in the parent.
     job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S
-    job_retries: int = 1
     #: Span-trace output path (JSON lines; the CLI defaults it into the
     #: cache directory); ``None`` disables tracing — the instrumented
     #: seams then hit the :data:`repro.obs.tracer.NULL_TRACER` fast path.
     trace_path: Optional[str] = None
-    #: What to do with a region that fails its retries *and* the in-parent
-    #: serial fallback: raise (``FAIL``, the default), re-simulate it
-    #: binary-driven (``FALLBACK``, constrained mode only), or drop it and
-    #: renormalize the remaining cluster weights (``DROP``).
-    degrade: DegradePolicy = DegradePolicy.FAIL
-    #: Exponential-backoff pacing between region-job retries.
-    retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 2.0
-    retry_jitter: float = 0.25
 
     def __post_init__(self) -> None:
         # 1.0 is in range but bars every slice; select() names that case.
@@ -151,10 +132,6 @@ class LoopPointOptions:
                 f"job_timeout_s must be finite and > 0, got "
                 f"{self.job_timeout_s}"
             )
-        if self.job_retries < 0:
-            raise WorkloadError(
-                f"job_retries ({self.job_retries}) must be >= 0"
-            )
 
     def resolved_scale(self) -> ReproScale:
         return self.scale if self.scale is not None else get_scale()
@@ -163,14 +140,6 @@ class LoopPointOptions:
         if self.jobs is None:
             return default_jobs()
         return resolve_jobs(self.jobs)
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            base_delay_s=self.retry_backoff_s,
-            max_delay_s=self.retry_backoff_max_s,
-            jitter=self.retry_jitter,
-            seed=self.record_seed,
-        )
 
 
 @dataclass
@@ -190,10 +159,9 @@ class LoopPointResult:
     #: Live-sampling coverage/error accounting, present for
     #: :meth:`LoopPointPipeline.run_live` results only.
     live_report: Optional["LiveReport"] = None
-    #: Failure/retry/degradation accounting for this run; ``health.ok`` is
-    #: True for a clean run, ``health.degraded`` flags results that a clean
-    #: run would not have produced (fallback or dropped regions).
-    health: RunHealth = field(default_factory=RunHealth)
+    #: Region jobs that did not finish in the worker pool and re-ran in
+    #: the parent (0 for a clean or serial run).
+    serial_fallbacks: int = 0
     #: Core frequency (GHz) of the system the looppoints ran on, and of the
     #: system the reference run came from.  When both are known, runtime is
     #: compared in *seconds* (cycles / frequency), so predictions against a
@@ -315,8 +283,6 @@ class LoopPointPipeline:
                 f"slice_size {self.slice_size} is below twice the "
                 f"flow-control window ({DEFAULT_FLOW_WINDOW})"
             )
-        #: Failure/retry/degradation accounting; reset by every :meth:`run`.
-        self.health = RunHealth()
         #: Summary of the last run's trace (path, trace id, span count);
         #: ``None`` when tracing is off.
         self.last_trace: Optional[Dict[str, Any]] = None
@@ -613,102 +579,13 @@ class LoopPointPipeline:
         return spec
 
     def _run_jobs(
-        self, jobs: List[RegionJob], workers: int, mode: str
+        self, jobs: List[RegionJob], workers: int
     ) -> List[SimulationResult]:
-        opts = self.options
         outcome = run_region_jobs(
-            jobs,
-            workers=min(workers, len(jobs)),
-            timeout_s=opts.job_timeout_s,
-            retries=opts.job_retries,
-            backoff=opts.retry_policy(),
-            raise_on_failure=False,
+            jobs, workers, timeout_s=self.options.job_timeout_s,
         )
         self.last_execution = outcome.stats
-        self.health.retries += outcome.stats.retries
-        self.health.serial_fallbacks += outcome.stats.serial_fallbacks
-        if outcome.failures:
-            return self._handle_failed_regions(jobs, outcome, mode)
         return outcome.results
-
-    def _handle_failed_regions(
-        self, jobs: List[RegionJob], outcome: ExecutionOutcome, mode: str
-    ) -> List[SimulationResult]:
-        """Apply the degrade policy to regions that failed terminally.
-
-        The executor has already spent the retry budget and the in-parent
-        serial fallback on each of these, so whatever is wrong with them is
-        persistent; what remains is deciding what a lost region means for
-        the run.
-        """
-        opts = self.options
-        attempts = opts.job_retries + 2  # pool tries + serial fallback
-        results_by_id: Dict[int, SimulationResult] = {}
-        ok_ids = [j.job_id for j in jobs if j.job_id not in outcome.failures]
-        for job_id, result in zip(ok_ids, outcome.results):
-            results_by_id[job_id] = result
-        if opts.degrade is DegradePolicy.FAIL:
-            for job_id, error in sorted(outcome.failures.items()):
-                self.health.record(FailureRecord(
-                    stage="simulate", error=error, action="raised",
-                    region_id=job_id, attempts=attempts,
-                ))
-            raise SimulationError(
-                f"{len(outcome.failures)} region job(s) failed after "
-                f"retries and serial fallback "
-                f"(regions {sorted(outcome.failures)}); degrade policy is "
-                f"'fail' — pass degrade='fallback' or 'drop' to finish "
-                f"a run despite lost regions"
-            )
-        if opts.degrade is DegradePolicy.FALLBACK and mode == "constrained":
-            rois = {r.region_id: r for r in self.regions()}
-            for job_id, error in sorted(outcome.failures.items()):
-                try:
-                    roi = rois[job_id]
-                    result = self._fresh_simulator().run_binary(
-                        self.workload.thread_program,
-                        self.workload.nthreads,
-                        opts.wait_policy,
-                        regions=[roi],
-                    )[0]
-                except (KeyError, ReproError) as exc:
-                    self.health.dropped_regions.append(job_id)
-                    self._note_degrade("degrade.dropped")
-                    self.health.record(FailureRecord(
-                        stage="simulate",
-                        error=f"{error}; binary-driven fallback also "
-                              f"failed: {type(exc).__name__}: {exc}",
-                        action="dropped", region_id=job_id,
-                        attempts=attempts + 1,
-                    ))
-                    continue
-                results_by_id[job_id] = result
-                self.health.fallback_regions.append(job_id)
-                self._note_degrade("degrade.fallback")
-                self.health.record(FailureRecord(
-                    stage="simulate", error=error, action="fallback",
-                    region_id=job_id, attempts=attempts,
-                ))
-        else:
-            # DROP — or FALLBACK in binary-driven mode, where there is no
-            # other simulation mode left to fall back to.
-            for job_id, error in sorted(outcome.failures.items()):
-                self.health.dropped_regions.append(job_id)
-                self._note_degrade("degrade.dropped")
-                self.health.record(FailureRecord(
-                    stage="simulate", error=error, action="dropped",
-                    region_id=job_id, attempts=attempts,
-                ))
-        return [
-            results_by_id[j.job_id] for j in jobs
-            if j.job_id in results_by_id
-        ]
-
-    @staticmethod
-    def _note_degrade(counter: str) -> None:
-        reg = active_metrics()
-        if reg is not None:
-            reg.inc(counter)
 
     def simulate_regions(self) -> List[SimulationResult]:
         """Stage 4 (binary-driven): detailed simulation of all looppoints.
@@ -747,7 +624,7 @@ class LoopPointPipeline:
             )
             for i, roi in enumerate(rois)
         ]
-        return self._run_jobs(jobs, workers, mode="binary")
+        return self._run_jobs(jobs, workers)
 
     def simulate_full(self) -> SimulationResult:
         """Reference: the whole application in detail (the paper's
@@ -808,7 +685,7 @@ class LoopPointPipeline:
             )
             for pinball in pinballs
         ]
-        return self._run_jobs(jobs, workers, mode="constrained")
+        return self._run_jobs(jobs, workers)
 
     # -- the headline entry point -------------------------------------------
 
@@ -826,7 +703,6 @@ class LoopPointPipeline:
         whose artifacts were published load from the cache, everything
         after the kill point recomputes.
         """
-        self.health = RunHealth()
         tracer = None
         if self.options.trace_path:
             tracer = Tracer(
@@ -865,7 +741,6 @@ class LoopPointPipeline:
         from ..analysis.online import LiveOptions
 
         options = live_options or self._live_options or LiveOptions()
-        self.health = RunHealth()
         tracer = None
         if self.options.trace_path:
             tracer = Tracer(
@@ -962,7 +837,6 @@ class LoopPointPipeline:
             speedup=speedup,
             lint_report=lint_report,
             live_report=live.report,
-            health=self.health,
             frequency_ghz=self.system.core.frequency_ghz,
             reference_frequency_ghz=self.system.core.frequency_ghz,
         )
@@ -984,11 +858,6 @@ class LoopPointPipeline:
                 region_results = self.simulate_regions()
         with tracer.span("stage:extrapolate", stage="extrapolate"):
             clusters = list(selection.clusters)
-            if self.health.dropped_regions:
-                clusters, coverage = renormalize_clusters(
-                    clusters, set(self.health.dropped_regions)
-                )
-                self.health.retained_coverage = coverage
             predicted = extrapolate_metrics(region_results, clusters)
         actual = None
         if simulate_full:
@@ -1042,7 +911,10 @@ class LoopPointPipeline:
             region_results=region_results,
             speedup=speedup,
             lint_report=lint_report,
-            health=self.health,
+            serial_fallbacks=(
+                self.last_execution.serial_fallbacks
+                if self.last_execution is not None else 0
+            ),
             frequency_ghz=self.system.core.frequency_ghz,
             reference_frequency_ghz=self.system.core.frequency_ghz,
         )

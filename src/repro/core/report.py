@@ -8,11 +8,12 @@ from .looppoint import LoopPointResult
 
 
 def format_result_table(results: Sequence[LoopPointResult]) -> str:
-    """One row per workload: slices, looppoints, error, speedups, health."""
+    """One row per workload: slices, looppoints, error, speedups, and the
+    region jobs that fell back from the worker pool to the parent."""
     header = (
         f"{'workload':<38} {'slices':>6} {'lpts':>5} {'err%':>7} "
         f"{'ser(th)':>9} {'par(th)':>9} {'ser(act)':>9} {'par(act)':>9} "
-        f"{'measured':>9} {'retry':>5} {'fb':>4} {'cov%':>6}"
+        f"{'measured':>9} {'fb':>4}"
     )
     lines = [header, "-" * len(header)]
     for r in results:
@@ -22,36 +23,11 @@ def format_result_table(results: Sequence[LoopPointResult]) -> str:
         def fmt(x: Optional[float]) -> str:
             return f"{x:8.1f}x" if x is not None else "      --x"
 
-        h = r.health
-        fallbacks = h.serial_fallbacks + len(h.fallback_regions)
         lines.append(
             f"{r.workload:<38} {r.num_slices:>6} {r.num_looppoints:>5} {err} "
             f"{fmt(sp.theoretical_serial)} {fmt(sp.theoretical_parallel)} "
             f"{fmt(sp.actual_serial)} {fmt(sp.actual_parallel)} "
-            f"{fmt(sp.measured_speedup)} "
-            f"{h.retries:>5} {fallbacks:>4} {h.retained_coverage * 100:>5.1f}%"
-        )
-    return "\n".join(lines)
-
-
-def format_health_table(results: Sequence[LoopPointResult]) -> str:
-    """One row per failure record across the given runs (empty string when
-    every run was clean) — the detail behind the summary columns above."""
-    records = [
-        (r.workload, f) for r in results for f in r.health.failures
-    ]
-    if not records:
-        return ""
-    header = (
-        f"{'workload':<38} {'stage':<10} {'region':>6} {'attempts':>8} "
-        f"{'action':<10} error"
-    )
-    lines = [header, "-" * len(header)]
-    for workload, f in records:
-        region = f.region_id if f.region_id is not None else "--"
-        lines.append(
-            f"{workload:<38} {f.stage:<10} {region:>6} {f.attempts:>8} "
-            f"{f.action:<10} {f.error}"
+            f"{fmt(sp.measured_speedup)} {r.serial_fallbacks:>4}"
         )
     return "\n".join(lines)
 

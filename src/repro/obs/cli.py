@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     history.add_argument(
         "--check", action="store_true",
-        help="exit 1 when the newest run regresses (accuracy/coverage) "
+        help="exit 1 when the newest run's accuracy regresses "
              "against the rolling baseline",
     )
     history.add_argument(
@@ -110,7 +110,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         return 2
     rows = trend_rows(records[-args.last:])
     print(ascii_table(
-        ["when", "mode", "runtime err", "coverage", "wall",
+        ["when", "mode", "runtime err", "wall",
          "looppoints", "run"],
         rows,
         title=f"run history: {records[-1].workload} "

@@ -4,7 +4,7 @@ Speed is gated elsewhere: ``benchmarks/e2e`` compares wall clocks run
 against run, and ``ci/live_pass_ratio.py`` times two routes in one
 process.  Without this store nothing would pin *accuracy* — the paper's
 headline 2.3% error could drift and no gate would notice.  This module is the fix: every pipeline run appends one
-JSON line (accuracy, coverage, wall-clock, key counters) to a per-
+JSON line (accuracy, wall-clock, key counters) to a per-
 workload history file under the shared artifact store's directory, and
 ``repro-obs history --check`` fails when the newest run regresses
 against a rolling baseline of the preceding runs.
@@ -19,10 +19,11 @@ Write discipline has two crash-safety protocols:
   file, fsync, ``os.replace`` — so a crash mid-compaction leaves either
   the old file or the new one, never a hybrid.
 
-The regression check is deliberately asymmetric: *accuracy* and
-*coverage* gate (both are deterministic for a seeded configuration, so
-identical reruns always pass), *wall-clock* only reports trend (records
-from different runs and machines are too noisy to gate on).
+The regression check is deliberately asymmetric: *accuracy* gates (it
+is deterministic for a seeded configuration, so identical reruns always
+pass), *wall-clock* only reports trend (records from different runs and
+machines are too noisy to gate on).  Lines written before the
+``coverage_pct`` field was retired still load; the field is ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ HISTORY_SCHEMA = "repro-history/1"
 
 #: Fields every history record line must carry.
 REQUIRED_FIELDS = (
-    "schema", "ts", "run_id", "workload", "mode", "coverage_pct", "wall_s",
+    "schema", "ts", "run_id", "workload", "mode", "wall_s",
     "predicted_cycles",
 )
 
@@ -60,9 +61,6 @@ DEFAULT_WINDOW = 5
 DEFAULT_ERROR_REL = 1.25
 DEFAULT_ERROR_ABS_PP = 0.5
 
-#: Coverage may drop at most this many percentage points vs baseline.
-DEFAULT_COVERAGE_DROP_PP = 5.0
-
 
 class HistoryError(ReproError):
     """A history record violates the schema, or time runs backwards."""
@@ -77,7 +75,6 @@ class HistoryRecord:
     ts: float                     # epoch seconds at append time
     run_id: str
     runtime_error_pct: Optional[float]
-    coverage_pct: float
     wall_s: float
     predicted_cycles: int
     actual_cycles: Optional[int] = None
@@ -96,7 +93,6 @@ class HistoryRecord:
                 round(self.runtime_error_pct, 6)
                 if self.runtime_error_pct is not None else None
             ),
-            "coverage_pct": round(self.coverage_pct, 6),
             "wall_s": round(self.wall_s, 6),
             "predicted_cycles": int(self.predicted_cycles),
             "num_looppoints": int(self.num_looppoints),
@@ -142,7 +138,6 @@ class HistoryRecord:
                     float(data["runtime_error_pct"])
                     if data.get("runtime_error_pct") is not None else None
                 ),
-                coverage_pct=float(data["coverage_pct"]),
                 wall_s=float(data["wall_s"]),
                 predicted_cycles=int(data["predicted_cycles"]),
                 actual_cycles=(
@@ -286,7 +281,6 @@ def check_regression(
     window: int = DEFAULT_WINDOW,
     error_rel: float = DEFAULT_ERROR_REL,
     error_abs_pp: float = DEFAULT_ERROR_ABS_PP,
-    coverage_drop_pp: float = DEFAULT_COVERAGE_DROP_PP,
 ) -> List[Regression]:
     """Judge the newest record against the mean of up to ``window``
     preceding records.  Fewer than two records means nothing to judge.
@@ -319,20 +313,6 @@ def check_regression(
                     f"(bound {bound:.3f}%, window {len(errors)})"
                 ),
             ))
-    coverages = [r.coverage_pct for r in baseline]
-    if coverages:
-        base_cov = sum(coverages) / len(coverages)
-        if latest.coverage_pct < base_cov - coverage_drop_pp:
-            out.append(Regression(
-                metric="coverage_pct",
-                latest=latest.coverage_pct,
-                baseline=base_cov,
-                detail=(
-                    f"coverage {latest.coverage_pct:.1f}% fell more than "
-                    f"{coverage_drop_pp:.1f}pp below the rolling baseline "
-                    f"{base_cov:.1f}%"
-                ),
-            ))
     return out
 
 
@@ -350,7 +330,6 @@ def trend_rows(records: Sequence[HistoryRecord]) -> List[List[object]]:
             ),
             record.mode,
             err,
-            f"{record.coverage_pct:.1f}%",
             f"{record.wall_s:.2f}s",
             record.num_looppoints,
             record.run_id[:12],

@@ -2,11 +2,11 @@
 
 The registry instruments the pipeline's hot seams — events flushed per
 :class:`~repro.perf.ring.EventRing` batch, k-means iterations, cache
-hits/misses/evictions, retry and backoff accounting — with the contract
-that everything except wall-clock *values* is deterministic: two runs with
-the same seed produce identical counter values and identical histogram
-*bucket boundaries* (observation counts of timing histograms naturally
-coincide too; only the summed seconds differ).
+hits/misses/evictions, fan-out jobs and serial fallbacks — with the
+contract that everything except wall-clock *values* is deterministic: two
+runs with the same seed produce identical counter values and identical
+histogram *bucket boundaries* (observation counts of timing histograms
+naturally coincide too; only the summed seconds differ).
 
 Histogram buckets are therefore fixed at import time as log-spaced bounds
 (half-decade steps from 1µs to ~3162s) rather than adapting to the data:

@@ -88,10 +88,10 @@ def _hist_dict():
     return h.as_dict()
 
 
-def _record(ts, err=1.0, coverage=100.0, **kw):
+def _record(ts, err=1.0, **kw):
     defaults = dict(
         workload="demo/demo-matrix-1.test.4t", mode="offline", ts=ts,
-        run_id=f"run{ts:.0f}", runtime_error_pct=err, coverage_pct=coverage,
+        run_id=f"run{ts:.0f}", runtime_error_pct=err,
         wall_s=0.5, predicted_cycles=1000,
     )
     defaults.update(kw)
@@ -247,14 +247,30 @@ class TestHistoryStore:
     def test_append_load_round_trip(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
         store = HistoryStore(path)
-        store.append(_record(1.0, counters={"retries": 0, "slices": 6}))
+        store.append(_record(1.0, counters={"fallbacks": 0, "slices": 6}))
         store.append(_record(2.0, mode="live", err=None))
         records, corrupt = store.load()
         assert corrupt == 0
         assert [r.ts for r in records] == [1.0, 2.0]
-        assert records[0].counters == {"retries": 0, "slices": 6}
+        assert records[0].counters == {"fallbacks": 0, "slices": 6}
         assert records[1].runtime_error_pct is None
         assert records[1].mode == "live"
+
+    def test_line_with_retired_coverage_field_loads(self, tmp_path, capsys):
+        # Records used to carry coverage_pct (and a retries counter);
+        # such lines load as they were, with the retired field ignored.
+        path = str(tmp_path / "h.jsonl")
+        old = _record(1.0, counters={"retries": 0, "fallbacks": 0}).as_dict()
+        old["coverage_pct"] = 100.0
+        _write_lines(path, [old])
+        store = HistoryStore(path)
+        assert store.append(_record(2.0)) == 2
+        records, corrupt = store.load()
+        assert corrupt == 0
+        del old["coverage_pct"]
+        assert records[0].as_dict() == old
+        assert obs_main(["history", path, "--check"]) == 0
+        assert "history check OK" in capsys.readouterr().out
 
     def test_torn_line_skipped_and_counted(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
@@ -340,12 +356,6 @@ class TestRegressionGate:
         records.append(_record(5.0, err=2.3))  # < base+0.5pp and < base*1.25
         assert check_regression(records) == []
 
-    def test_coverage_drop_fails(self):
-        records = [_record(float(ts), coverage=100.0) for ts in range(1, 5)]
-        records.append(_record(5.0, coverage=80.0))
-        (regression,) = check_regression(records)
-        assert regression.metric == "coverage_pct"
-
     def test_window_bounds_the_baseline(self):
         # Ancient bad runs outside the window must not mask a regression.
         records = [_record(float(ts), err=9.0) for ts in range(1, 4)]
@@ -357,19 +367,19 @@ class TestRegressionGate:
     @pytest.mark.parametrize("window", [0, -10])
     def test_window_below_one_rejected(self, window):
         # An empty baseline would pass any regression.
-        records = [_record(float(ts), coverage=100.0) for ts in range(1, 4)]
-        records.append(_record(4.0, coverage=10.0))
+        records = [_record(float(ts), err=1.0) for ts in range(1, 4)]
+        records.append(_record(4.0, err=10.0))
         with pytest.raises(ValueError, match="window"):
             check_regression(records, window=window)
 
     def test_window_of_one_is_the_previous_run(self):
         # The smallest legal window judges the newest run against the one
         # run before it, not a wider baseline.
-        records = [_record(float(ts), coverage=100.0) for ts in range(1, 4)]
-        records += [_record(4.0, coverage=10.0), _record(5.0, coverage=10.0)]
+        records = [_record(float(ts), err=1.0) for ts in range(1, 4)]
+        records += [_record(4.0, err=10.0), _record(5.0, err=10.0)]
         assert check_regression(records, window=1) == []
         (regression,) = check_regression(records, window=4)
-        assert regression.metric == "coverage_pct"
+        assert regression.metric == "runtime_error_pct"
 
 
 class TestHistoryCli:
@@ -401,8 +411,8 @@ class TestHistoryCli:
         path = str(tmp_path / "h.jsonl")
         store = HistoryStore(path)
         for ts in (1.0, 2.0, 3.0):
-            store.append(_record(ts, coverage=100.0))
-        store.append(_record(4.0, coverage=10.0))
+            store.append(_record(ts, err=1.0))
+        store.append(_record(4.0, err=10.0))
         with pytest.raises(SystemExit) as exc:
             obs_main(["history", path, "--check", flag, value])
         assert exc.value.code == 2
@@ -412,9 +422,9 @@ class TestHistoryCli:
         path = str(tmp_path / "h.jsonl")
         store = HistoryStore(path)
         for ts in (1.0, 2.0, 3.0):
-            store.append(_record(ts, coverage=100.0))
+            store.append(_record(ts, err=1.0))
         for ts in (4.0, 5.0):
-            store.append(_record(ts, coverage=10.0))
+            store.append(_record(ts, err=10.0))
         assert obs_main(["history", path, "--check", "--window", "1"]) == 0
         assert "(1 prior run(s))" in capsys.readouterr().out
         assert obs_main(["history", path, "--check", "--window", "4"]) == 1
@@ -492,10 +502,10 @@ class TestHistoryLint:
         with pytest.raises(HistoryError, match="neither"):
             HistoryStore(path).load()
 
-    @pytest.mark.parametrize("field", ["coverage_pct", "mode", "schema"])
+    @pytest.mark.parametrize("field", ["wall_s", "mode", "schema"])
     def test_missing_field_is_not_defaulted(self, tmp_path, field):
-        # A default would enter the gate's baseline as coverage 0.0 or
-        # mode "offline"; the loader must refuse the line instead.
+        # A default would enter the trend as wall 0.0 or mode "offline";
+        # the loader must refuse the line instead.
         path = str(tmp_path / "h.jsonl")
         doc = _record(1.0).as_dict()
         del doc[field]

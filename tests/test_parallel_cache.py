@@ -446,16 +446,9 @@ class TestDefaultJobs:
         with pytest.raises(WorkloadError, match="job_timeout_s"):
             LoopPointOptions(job_timeout_s=timeout)
 
-    @pytest.mark.parametrize("field", ["job_retries"])
-    def test_options_reject_negative_retries(self, field):
-        with pytest.raises(WorkloadError, match=field):
-            LoopPointOptions(**{field: -1})
-        assert getattr(LoopPointOptions(**{field: 0}), field) == 0
-
     @pytest.mark.parametrize("flags, message", [
         (["--job-timeout", "0"], "--job-timeout must be finite and > 0"),
         (["--job-timeout", "inf"], "--job-timeout must be finite and > 0"),
-        (["--job-retries", "-1"], "--job-retries must be >= 0"),
     ])
     def test_cli_bad_job_budget_exits_before_recording(
         self, monkeypatch, capsys, flags, message

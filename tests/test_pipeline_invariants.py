@@ -40,7 +40,6 @@ from repro.dcfg.dominators import immediate_dominators
 from repro.dcfg.graph import DCFG, ENTRY, build_dcfg_from_pinball
 from repro.pinplay.pinball import Pinball
 from repro.profiling.profile_result import ProfileData, profile_pinball
-from repro.resilience.health import renormalize_clusters
 from repro.workloads.registry import get_workload
 
 #: (workload, input class, threads, wait policy) per benchmark setting.
@@ -280,16 +279,15 @@ def test_clusters_partition_the_slices(run_of, case):
             assert marker is None or marker.pc in run.profile.marker_pcs
 
 
-def _assert_eq2(profile: ProfileData, clusters: List[ClusterInfo],
-                rescale: float = 1.0) -> None:
-    """Eq. (2): multiplier = mass / rep count (times a uniform rescale
-    after a drop), and the weights cover the profile exactly."""
+def _assert_eq2(profile: ProfileData, clusters: List[ClusterInfo]) -> None:
+    """Eq. (2): multiplier = mass / rep count, and the weights cover the
+    profile exactly."""
     total = float(profile.filtered_instructions)
     weight = 0.0
     for c in clusters:
         own = float(profile.slices[c.representative].filtered_instructions)
         assert own > 0 and c.instruction_mass > 0
-        assert _close(c.multiplier, rescale * c.instruction_mass / own)
+        assert _close(c.multiplier, c.instruction_mass / own)
         weight += c.multiplier * own / total
     assert _close(weight, 1.0, rtol=1e-6)
 
@@ -301,24 +299,6 @@ def test_eq2_weights_reconcile(run_of, case):
     assert _close(sum(c.instruction_mass for c in clusters),
                   float(run.profile.filtered_instructions))
     _assert_eq2(run.profile, clusters)
-
-
-@pytest.mark.parametrize("case", OFFLINE_CASES)
-def test_eq2_weights_reconcile_after_a_drop(run_of, case):
-    run = run_of(case)
-    clusters = run.selection.clusters
-    assert len(clusters) >= 2
-    dropped = max(clusters, key=lambda c: c.instruction_mass)
-    kept, coverage = renormalize_clusters(
-        clusters, {dropped.representative}
-    )
-    assert [c.cluster_id for c in kept] == [
-        c.cluster_id for c in clusters if c is not dropped
-    ]
-    assert _close(coverage, 1.0 - dropped.instruction_mass / sum(
-        c.instruction_mass for c in clusters
-    ))
-    _assert_eq2(run.profile, kept, rescale=1.0 / coverage)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Resilience: retries, restarts from the artifact cache, and graceful
-degradation.
+"""Resilience: the parent's re-run of failed region jobs, and restarts
+from the artifact cache.
 
 Every recovery path of the pipeline is reached from here, with the fault
 caused by the test itself: a patched pool-worker entry point crashes,
 hangs or raises in a forked worker; a patched job or stage function
 raises; a cached file is damaged on disk; ``ci/run_faulted.py`` SIGKILLs
 a CLI run once the artifact cache publishes a stage.  Each test also
-asserts the retry, fallback, eviction or cache count its fault causes,
+asserts the call, fallback, eviction or cache count its fault causes,
 so a patch that stopped reaching its target would fail the test rather
 than pass it vacuously.
+
+The region fan-out is one pool round, then the parent, then raise: a job
+that does not finish in the pool re-runs once in the parent, and a job
+that fails there too fails the run with an error naming its region.
 
 The two acceptance scenarios:
 
@@ -17,17 +21,15 @@ The two acceptance scenarios:
   bit-identically without re-running record or profile (through the CLI
   in a subprocess, so the SIGKILL takes out that process and not
   pytest);
-* crashing every pool worker's first attempt at ``jobs=4`` produces
-  results bit-identical to the serial run, with the retries in
-  ``result.health``.
+* crashing every pool worker at ``jobs=4`` produces results
+  bit-identical to the serial run, with the parent's re-runs counted in
+  ``result.serial_fallbacks``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gzip
-import json
 import os
 import pickle
 import re
@@ -41,7 +43,7 @@ import pytest
 from conftest import TEST_SCALE
 from repro.core import looppoint
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
-from repro.core.report import format_health_table, format_result_table
+from repro.core.report import format_result_table
 from repro.errors import (
     ClusteringError,
     ProfilingError,
@@ -58,25 +60,13 @@ from repro.parallel import (
 )
 from repro.parallel import artifacts as artifacts_module
 from repro.parallel import executor
-from repro.resilience import (
-    DegradePolicy,
-    FailureRecord,
-    RetryPolicy,
-    RunHealth,
-    renormalize_clusters,
-)
 from repro.workloads.demo import build_demo_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Fast backoff so retry-heavy tests don't sleep their way through CI.
-FAST_BACKOFF = dict(retry_backoff_s=0.001, retry_backoff_max_s=0.002)
-
 
 def _options(**kw):
     kw.setdefault("scale", TEST_SCALE)
-    for key, value in FAST_BACKOFF.items():
-        kw.setdefault(key, value)
     return LoopPointOptions(**kw)
 
 
@@ -114,44 +104,43 @@ def _metrics_by_id(result):
 
 
 def _patch_worker_entry(monkeypatch, fault):
-    """Run ``fault(job, attempt)`` in every pool worker before its job.
+    """Run ``fault(job)`` in every pool worker before its job.
 
     ``functools.wraps`` keeps the entry point's name and module, so the
     pool still pickles it by reference and the forked workers resolve it
-    to this wrapper.  The parent's serial fallback calls ``_timed_job``
-    directly and never sees the fault.
+    to this wrapper.  The parent's re-run calls ``_timed_job`` directly
+    and never sees the fault.
     """
     real_entry = executor._pool_timed_job
 
     @functools.wraps(real_entry)
-    def entry(job, attempt, *args, **kwargs):
-        fault(job, attempt)
-        return real_entry(job, attempt, *args, **kwargs)
+    def entry(job, *args, **kwargs):
+        fault(job)
+        return real_entry(job, *args, **kwargs)
 
     monkeypatch.setattr(executor, "_pool_timed_job", entry)
 
 
-def _crash_first_attempt(job, attempt):
-    if attempt == 0:
-        os._exit(3)
-
-
-def _crash_every_attempt(job, attempt):
+def _crash(job):
     os._exit(3)
 
 
-def _hang_first_attempt(job, attempt):
-    if attempt == 0:
-        time.sleep(30.0)
+def _hang(job):
+    time.sleep(30.0)
 
 
-def _raise_first_attempt(job, attempt):
-    if attempt == 0:
-        raise SimulationError(f"worker error, job {job.job_id}")
+def _count_parent_runs(monkeypatch):
+    """Count the parent's ``_timed_job`` calls per job id (pool workers
+    run in forked processes, so their calls never reach this list)."""
+    real_timed = executor._timed_job
+    calls = []
 
+    def timed(job):
+        calls.append(job.job_id)
+        return real_timed(job)
 
-def _raise_every_attempt(job, attempt):
-    raise SimulationError(f"worker error, job {job.job_id}")
+    monkeypatch.setattr(executor, "_timed_job", timed)
+    return calls
 
 
 def _fail_everywhere(monkeypatch, region_ids):
@@ -183,83 +172,56 @@ def _raise_first_calls(monkeypatch, target, name, exc, times=1):
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy: deterministic jittered exponential backoff.
-# ---------------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_deterministic_per_key_and_attempt(self):
-        policy = RetryPolicy(seed=5)
-        assert policy.delay(1, key="a") == policy.delay(1, key="a")
-        assert policy.delay(1, key="a") != policy.delay(1, key="b")
-        assert policy.delay(1, key="a") != policy.delay(2, key="a")
-
-    def test_exponential_growth_is_capped(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0, jitter=0.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(10) == pytest.approx(1.0)
-
-    def test_jitter_stays_inside_amplitude(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.1, jitter=0.25)
-        for attempt in range(1, 20):
-            d = policy.delay(attempt, key="job")
-            assert 0.075 <= d <= 0.125
-
-    def test_degenerate_inputs_yield_zero(self):
-        assert RetryPolicy().delay(0) == 0.0
-        assert RetryPolicy(base_delay_s=0.0).delay(3) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Executor: recovery ladder and per-round timeout accounting.
+# Executor: one pool round, then the parent, then raise.
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorRecovery:
-    def test_worker_error_first_attempt_retries_clean(
-        self, reference, region_jobs, monkeypatch
+    def test_worker_error_runs_once_in_pool_then_in_parent(
+        self, reference, region_jobs, monkeypatch, tmp_path
     ):
         _, _, serial = reference
-        _patch_worker_entry(monkeypatch, _raise_first_attempt)
-        outcome = run_region_jobs(
-            region_jobs, workers=4, retries=1,
-            backoff=RetryPolicy(base_delay_s=0.001, seed=7),
-        )
-        assert outcome.stats.retries == len(region_jobs)
-        assert outcome.stats.serial_fallbacks == 0
-        assert outcome.stats.backoff_seconds > 0
-        assert not outcome.failures
-        ref = _metrics_by_id(serial)
-        assert {r.region_id: r.metrics for r in outcome.results} == ref
+        jobs = region_jobs[:3]
+        pool_log = tmp_path / "pool-calls"
 
-    def test_worker_crash_breaks_pool_but_not_run(
-        self, reference, region_jobs, monkeypatch
-    ):
-        _, _, serial = reference
-        jobs = region_jobs[:4]
-        _patch_worker_entry(monkeypatch, _crash_first_attempt)
-        outcome = run_region_jobs(jobs, workers=2, retries=1)
-        assert outcome.stats.retries == len(jobs)
-        assert outcome.stats.serial_fallbacks == 0
-        assert not outcome.failures
-        ref = _metrics_by_id(serial)
-        for res in outcome.results:
-            assert res.metrics == ref[res.region_id]
+        def raise_in_worker(job):
+            # Workers are separate processes: count their calls in a file
+            # (one short O_APPEND write per call is atomic).
+            fd = os.open(pool_log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{job.job_id}\n".encode())
+            finally:
+                os.close(fd)
+            raise SimulationError(f"worker error, job {job.job_id}")
 
-    def test_exhausted_retries_fall_back_serially(
+        _patch_worker_entry(monkeypatch, raise_in_worker)
+        parent_calls = _count_parent_runs(monkeypatch)
+        outcome = run_region_jobs(jobs, workers=2)
+        ids = sorted(j.job_id for j in jobs)
+        assert sorted(map(int, pool_log.read_text().split())) == ids
+        assert parent_calls == [j.job_id for j in jobs]
+        assert outcome.stats.serial_fallbacks == len(jobs)
+        ref = _metrics_by_id(serial)
+        assert {r.region_id: r.metrics for r in outcome.results} == {
+            job_id: ref[job_id] for job_id in ids
+        }
+
+    def test_worker_crash_falls_back_to_the_parent(
         self, reference, region_jobs, monkeypatch
     ):
         _, _, serial = reference
         jobs = region_jobs[:3]
-        # Every pool attempt fails, but the parent's serial fallback does
-        # not enter through the worker entry point, so every job completes.
-        _patch_worker_entry(monkeypatch, _raise_every_attempt)
-        outcome = run_region_jobs(jobs, workers=2, retries=1)
+        # Every worker dies, which breaks the pool; the parent's re-run
+        # does not enter through the worker entry point and finishes all.
+        _patch_worker_entry(monkeypatch, _crash)
+        parent_calls = _count_parent_runs(monkeypatch)
+        outcome = run_region_jobs(jobs, workers=2)
         assert outcome.stats.serial_fallbacks == len(jobs)
-        assert outcome.stats.retries == len(jobs)
-        assert not outcome.failures
+        assert parent_calls == [j.job_id for j in jobs]
         ref = _metrics_by_id(serial)
+        assert [r.region_id for r in outcome.results] == [
+            j.job_id for j in jobs
+        ]
         for res in outcome.results:
             assert res.metrics == ref[res.region_id]
 
@@ -268,129 +230,65 @@ class TestExecutorRecovery:
     ):
         _, _, serial = reference
         jobs = region_jobs[:2]
-        _patch_worker_entry(monkeypatch, _hang_first_attempt)
+        _patch_worker_entry(monkeypatch, _hang)
         timeout_s = 1.0
-        outcome = run_region_jobs(
-            jobs, workers=2, timeout_s=timeout_s, retries=1,
-        )
-        # Both jobs hang in round one, share its single deadline
-        # (ceil(2/2) = 1 budget), get terminated, and retry clean in a few
-        # hundredths of a second.  A budget per job would cost two.
-        assert outcome.stats.retries == len(jobs)
-        assert outcome.stats.serial_fallbacks == 0
-        assert not outcome.failures
+        outcome = run_region_jobs(jobs, workers=2, timeout_s=timeout_s)
+        # Both jobs hang, share the round's single deadline
+        # (ceil(2/2) = 1 budget), get terminated, and re-run in the parent
+        # in a few hundredths of a second.  A budget per job would cost two.
+        assert outcome.stats.serial_fallbacks == len(jobs)
         assert outcome.stats.elapsed_seconds < 2 * timeout_s
         ref = _metrics_by_id(serial)
         for res in outcome.results:
             assert res.metrics == ref[res.region_id]
 
-    def test_job_error_everywhere_is_terminal(self, region_jobs, monkeypatch):
-        jobs = region_jobs[:2]
-        # The job itself raises wherever it runs — including the parent's
-        # serial fallback — which is what makes a failure terminal.
-        _fail_everywhere(monkeypatch, {j.job_id for j in jobs})
-        outcome = run_region_jobs(
-            jobs, workers=1, retries=1, raise_on_failure=False,
-        )
-        assert outcome.stats.retries == len(jobs)
-        assert sorted(outcome.failures) == [j.job_id for j in jobs]
-        assert outcome.results == []
-        assert outcome.stats.failed_jobs == sorted(outcome.failures)
-        for desc in outcome.failures.values():
-            assert desc.startswith("SimulationError: region")
-
-    def test_terminal_failure_raises_by_default(
-        self, region_jobs, monkeypatch
-    ):
-        _fail_everywhere(monkeypatch, {region_jobs[0].job_id})
-        with pytest.raises(SimulationError, match="lost"):
-            run_region_jobs(region_jobs[:1], workers=1, retries=0)
-
-    def test_no_jobs_is_a_clean_no_op(self):
-        outcome = run_region_jobs([], workers=4)
-        assert outcome.results == [] and outcome.stats.num_jobs == 0
-
-    def test_crash_every_attempt_falls_back_serially(
+    def test_clean_round_needs_no_fallback(
         self, reference, region_jobs, monkeypatch
     ):
         _, _, serial = reference
         jobs = region_jobs[:3]
-        # Each round's pool breaks; the retry round breaks too, and the
-        # in-parent fallback finishes every job.
-        _patch_worker_entry(monkeypatch, _crash_every_attempt)
-        outcome = run_region_jobs(jobs, workers=2, retries=1)
-        assert outcome.stats.retries == len(jobs)
-        assert outcome.stats.serial_fallbacks == len(jobs)
-        assert not outcome.failures
-        ref = _metrics_by_id(serial)
-        assert [r.region_id for r in outcome.results] == [
-            j.job_id for j in jobs
-        ]
-        for res in outcome.results:
-            assert res.metrics == ref[res.region_id]
-
-    @pytest.mark.parametrize("retries", [0, 1, 2])
-    def test_retry_budget_bounds_pool_rounds(
-        self, region_jobs, monkeypatch, retries
-    ):
-        jobs = region_jobs[:2]
-        _patch_worker_entry(monkeypatch, _raise_every_attempt)
-        outcome = run_region_jobs(jobs, workers=2, retries=retries)
-        # Every job is re-submitted ``retries`` times, then falls back.
-        assert outcome.stats.retries == retries * len(jobs)
-        assert outcome.stats.serial_fallbacks == len(jobs)
-        assert not outcome.failures
-        assert len(outcome.results) == len(jobs)
-
-    def test_serial_mode_retries_in_process(
-        self, reference, region_jobs, monkeypatch
-    ):
-        _, _, serial = reference
-        jobs = region_jobs[:3]
-        real_timed = executor._timed_job
-        calls = []
-
-        def timed(job):
-            calls.append(job.job_id)
-            if calls.count(job.job_id) == 1:
-                raise SimulationError(f"first attempt of {job.job_id}")
-            return real_timed(job)
-
-        monkeypatch.setattr(executor, "_timed_job", timed)
-        outcome = run_region_jobs(
-            jobs, workers=1, retries=1,
-            backoff=RetryPolicy(base_delay_s=0.001, seed=7),
-        )
-        assert len(calls) == 2 * len(jobs)
-        assert outcome.stats.retries == len(jobs)
+        parent_calls = _count_parent_runs(monkeypatch)
+        outcome = run_region_jobs(jobs, workers=2)
         assert outcome.stats.serial_fallbacks == 0
-        assert outcome.stats.backoff_seconds > 0
-        assert not outcome.failures
+        assert parent_calls == []
         ref = _metrics_by_id(serial)
         assert {r.region_id: r.metrics for r in outcome.results} == {
             j.job_id: ref[j.job_id] for j in jobs
         }
 
-    def test_one_lost_job_keeps_the_others(
-        self, reference, region_jobs, monkeypatch
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_failing_everywhere_raises_naming_its_region(
+        self, region_jobs, monkeypatch, workers
     ):
-        _, _, serial = reference
         jobs = region_jobs[:3]
         doomed = jobs[1].job_id
         _fail_everywhere(monkeypatch, {doomed})
-        outcome = run_region_jobs(
-            jobs, workers=2, retries=1, raise_on_failure=False,
-        )
-        assert list(outcome.failures) == [doomed]
-        assert outcome.stats.failed_jobs == [doomed]
-        assert outcome.stats.retries == 1
-        assert outcome.stats.serial_fallbacks == 1
-        ref = _metrics_by_id(serial)
-        assert [r.region_id for r in outcome.results] == [
-            j.job_id for j in jobs if j.job_id != doomed
-        ]
-        for res in outcome.results:
-            assert res.metrics == ref[res.region_id]
+        with pytest.raises(
+            SimulationError, match=rf"^region {doomed} failed: .* lost$"
+        ) as exc:
+            run_region_jobs(jobs, workers=workers)
+        assert isinstance(exc.value.__cause__, SimulationError)
+
+    def test_serial_mode_runs_each_job_once(self, region_jobs, monkeypatch):
+        jobs = region_jobs[:3]
+        calls = []
+        real_timed = executor._timed_job
+
+        def timed(job):
+            calls.append(job.job_id)
+            if job.job_id == jobs[0].job_id:
+                raise SimulationError("first job fails")
+            return real_timed(job)
+
+        monkeypatch.setattr(executor, "_timed_job", timed)
+        with pytest.raises(SimulationError, match=f"region {jobs[0].job_id}"):
+            run_region_jobs(jobs, workers=1)
+        # No in-process retry: the failing job ran once and stopped the run.
+        assert calls == [jobs[0].job_id]
+
+    def test_no_jobs_is_a_clean_no_op(self):
+        outcome = run_region_jobs([], workers=4)
+        assert outcome.results == [] and outcome.stats.num_jobs == 0
 
     def test_duplicate_job_ids_are_rejected(self, region_jobs):
         jobs = [region_jobs[0], region_jobs[0]]
@@ -399,26 +297,36 @@ class TestExecutorRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: worker-crash-per-round at jobs=4 is bit-identical to serial.
+# Acceptance: crashing every worker at jobs=4 is bit-identical to serial.
 # ---------------------------------------------------------------------------
 
 
 class TestWorkerCrashAcceptance:
-    def test_pipeline_survives_crashing_every_first_attempt(
+    def test_pipeline_survives_crashing_every_worker(
         self, reference, monkeypatch
     ):
         workload, _, serial = reference
-        _patch_worker_entry(monkeypatch, _crash_first_attempt)
+        _patch_worker_entry(monkeypatch, _crash)
         pipeline = LoopPointPipeline(workload, options=_options(jobs=4))
         result = pipeline.run(simulate_full=False)
         assert result.predicted == serial.predicted
         assert _metrics_by_id(result) == _metrics_by_id(serial)
-        health = result.health
-        assert health.retries == len(serial.region_results)
-        assert health.serial_fallbacks == 0
-        assert not health.ok and not health.degraded
-        assert f"retries={health.retries}" in health.summary()
-        assert health.summary().endswith("intact")
+        assert result.serial_fallbacks == len(serial.region_results)
+        assert serial.serial_fallbacks == 0
+
+
+class TestLostRegion:
+    @pytest.mark.parametrize("constrained", [False, True],
+                             ids=["binary", "constrained"])
+    def test_region_failing_everywhere_fails_the_run(
+        self, reference, monkeypatch, constrained
+    ):
+        workload, pipeline, _ = reference
+        doomed = max(r.region_id for r in pipeline.regions())
+        _fail_everywhere(monkeypatch, {doomed})
+        faulted = LoopPointPipeline(workload, options=_options(jobs=2))
+        with pytest.raises(SimulationError, match=rf"^region {doomed} "):
+            faulted.run(simulate_full=False, constrained=constrained)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +370,7 @@ class TestCacheCorruptionRecovery:
         )
         result = second.run(simulate_full=False)
         assert result.predicted == serial.predicted
-        assert result.health.ok
+        assert result.serial_fallbacks == 0
         assert sum(second.artifacts.evictions.values()) == len(damage)
         assert sum(second.artifacts.stores.values()) == len(damage)
         assert second.artifacts.last_outcome["select"] == (
@@ -522,7 +430,7 @@ class TestRerunFromCache:
         assert pipeline.artifacts.stats_line() == (
             "profile=hit select=hit | hits=2 misses=0 stores=0 evictions=0"
         )
-        assert result.health.ok
+        assert result.serial_fallbacks == 0
 
     @pytest.mark.parametrize("stage, outcomes", [
         ("record", "record=hit profile=miss select=miss"),
@@ -540,7 +448,6 @@ class TestRerunFromCache:
         pipeline, result = self._run(tmp_path, workload)
         assert pipeline.artifacts.stats_line().startswith(outcomes + " |")
         assert result.predicted == serial.predicted
-        assert result.health.ok
 
     @pytest.mark.parametrize("stage, outcomes", [
         ("record", "record=hit dcfg=miss live=miss"),
@@ -828,139 +735,30 @@ class TestFaultHelper:
         args = self.BASE + ["--jobs", "4"]
         clean = _run_cli(args, env)
         assert clean.returncode == 0, clean.stderr
+        assert "[health]" not in clean.stdout
         faulted = _run_cli(args, env, fault=["--crash-workers"])
         assert faulted.returncode == 0, faulted.stderr
         assert _predicted_lines(faulted.stdout) == _predicted_lines(
             clean.stdout
         )
         health = _health_line(faulted.stdout)
-        assert int(re.search(r"retries=(\d+)", health).group(1)) > 0
-        assert "serial_fallbacks=0" in health
-        assert health.endswith("intact")
+        assert int(re.fullmatch(
+            r"\[health\] serial_fallbacks=(\d+)", health
+        ).group(1)) > 0
 
-    def test_fail_last_region_degrades_or_fails(self):
+    def test_fail_last_region_fails_the_run(self):
         env = _cli_env()
-        args = self.BASE + ["--jobs", "2"]
-        dropped = _run_cli(
-            args + ["--degrade", "drop"], env, fault=["--fail-last-region"]
+        failed = _run_cli(
+            self.BASE + ["--jobs", "2"], env, fault=["--fail-last-region"]
         )
-        assert dropped.returncode == 0, dropped.stderr
-        health = _health_line(dropped.stdout)
-        assert re.search(r"dropped_regions=\[\d+\]", health)
-        assert "retries=1 serial_fallbacks=1" in health
-        assert health.endswith("degraded")
-        # Under the default 'fail' policy the lost region fails the run.
-        failed = _run_cli(args, env, fault=["--fail-last-region"])
         assert failed.returncode == 1
         assert _predicted_lines(failed.stdout) == []
-        assert "degrade policy is 'fail'" in failed.stdout + failed.stderr
-
-
-# ---------------------------------------------------------------------------
-# Graceful degradation and cluster renormalization.
-# ---------------------------------------------------------------------------
-
-
-class TestDegradation:
-    @pytest.fixture()
-    def doomed_region(self, reference, monkeypatch):
-        """One region whose job fails everywhere it runs (terminal)."""
-        _, pipeline, _ = reference
-        region_id = max(r.region_id for r in pipeline.regions())
-        _fail_everywhere(monkeypatch, {region_id})
-        return region_id
-
-    @staticmethod
-    def _assert_ladder_spent(health):
-        # One pool retry, then the in-parent serial fallback, both failed.
-        assert health.retries == 1
-        assert health.serial_fallbacks == 1
-
-    def test_fail_policy_raises_with_guidance(self, reference, doomed_region):
-        workload, _, _ = reference
-        pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2,
-        ))
-        with pytest.raises(SimulationError, match="degrade"):
-            pipeline.run(simulate_full=False)
-        self._assert_ladder_spent(pipeline.health)
-        assert any(
-            f.action == "raised" and f.region_id == doomed_region
-            for f in pipeline.health.failures
+        lost = re.search(
+            r"FAILED: region (\d+) failed: SimulationError: "
+            r"region (\d+) fails everywhere",
+            failed.stdout + failed.stderr,
         )
-
-    def test_drop_renormalizes_and_reports(self, reference, doomed_region):
-        workload, _, serial = reference
-        pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, degrade=DegradePolicy.DROP,
-        ))
-        result = pipeline.run(simulate_full=False)
-        health = result.health
-        self._assert_ladder_spent(health)
-        assert health.dropped_regions == [doomed_region]
-        assert 0.0 < health.retained_coverage < 1.0
-        assert health.degraded and not health.ok
-        assert "dropped_regions" in health.summary()
-        assert health.summary().endswith("degraded")
-        assert len(result.region_results) == len(serial.region_results) - 1
-        assert result.num_looppoints == serial.num_looppoints
-        assert result.predicted.instructions > 0
-
-    def test_fallback_resimulates_binary_driven(
-        self, reference, doomed_region
-    ):
-        workload, _, _ = reference
-        pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, degrade=DegradePolicy.FALLBACK,
-        ))
-        result = pipeline.run(simulate_full=False, constrained=True)
-        health = result.health
-        self._assert_ladder_spent(health)
-        assert health.fallback_regions == [doomed_region]
-        assert health.dropped_regions == []
-        assert health.retained_coverage == 1.0
-        assert health.degraded
-        assert any(
-            f.action == "fallback" and f.region_id == doomed_region
-            for f in health.failures
-        )
-
-    def test_fallback_in_binary_mode_degrades_to_drop(
-        self, reference, doomed_region
-    ):
-        workload, _, _ = reference
-        pipeline = LoopPointPipeline(workload, options=_options(
-            jobs=2, degrade=DegradePolicy.FALLBACK,
-        ))
-        # Binary-driven mode has no other simulation mode to fall back to.
-        result = pipeline.run(simulate_full=False)
-        self._assert_ladder_spent(result.health)
-        assert result.health.dropped_regions == [doomed_region]
-
-
-class TestRenormalizeClusters:
-    def test_mass_is_redistributed_proportionally(self, reference):
-        _, pipeline, _ = reference
-        clusters = list(pipeline.select().clusters)
-        dropped = {clusters[0].representative}
-        rescaled, coverage = renormalize_clusters(clusters, dropped)
-        assert len(rescaled) == len(clusters) - 1
-        total = sum(c.instruction_mass for c in clusters)
-        retained = sum(
-            c.instruction_mass for c in clusters
-            if c.representative not in dropped
-        )
-        assert coverage == pytest.approx(retained / total)
-        factor = total / retained
-        for old, new in zip(clusters[1:], rescaled):
-            assert new.multiplier == pytest.approx(old.multiplier * factor)
-
-    def test_dropping_everything_raises(self, reference):
-        _, pipeline, _ = reference
-        clusters = list(pipeline.select().clusters)
-        everything = {c.representative for c in clusters}
-        with pytest.raises(SimulationError, match="nothing left"):
-            renormalize_clusters(clusters, everything)
+        assert lost and lost.group(1) == lost.group(2)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,7 +810,6 @@ class TestStageFaults:
                 run_stage(faulted)
         # Stages are seeded, pure functions: one attempt, no retry.
         assert len(calls) == 1
-        assert faulted.health.ok
         assert faulted.artifacts.stores[stage] == 0
         assert not list(faulted.artifacts.root.glob(f"{stage}/*/*.pkl.gz"))
         # The same options against the same cache dir finish the stage.
@@ -1027,8 +824,8 @@ class TestStageFaults:
     def test_non_domain_errors_propagate_unrecorded(
         self, reference, tmp_path, monkeypatch
     ):
-        # A bug is not a domain fault: it escapes as itself, leaves no
-        # failure record and publishes nothing for its stage.
+        # A bug is not a domain fault: it escapes as itself and publishes
+        # nothing for its stage.
         calls = _raise_first_calls(
             monkeypatch, LoopPointPipeline, "_compute_profile",
             KeyError("bug"), times=99,
@@ -1037,7 +834,6 @@ class TestStageFaults:
         with pytest.raises(KeyError):
             pipeline.profile()
         assert len(calls) == 1
-        assert pipeline.health.failures == []
         assert pipeline.artifacts.stores["profile"] == 0
 
     def test_failed_run_reruns_to_the_reference(
@@ -1057,54 +853,19 @@ class TestStageFaults:
         assert rerun.artifacts.stats_line().startswith(
             "profile=hit select=miss | hits=1 misses=1 stores=1"
         )
-        assert result.health.ok
 
 
 # ---------------------------------------------------------------------------
-# Health accounting and report surfaces.
+# Fallback accounting on the result surfaces.
 # ---------------------------------------------------------------------------
 
 
-class TestHealthReporting:
-    def test_clean_health_is_ok_and_intact(self, reference):
+class TestFallbackReporting:
+    def test_result_table_has_fallback_column(self, reference):
         _, _, serial = reference
-        assert serial.health.ok
-        summary = serial.health.summary()
-        assert "retries=0" in summary and summary.endswith("intact")
-
-    def test_as_dict_round_trips_through_json(self):
-        health = RunHealth(retries=2, serial_fallbacks=1)
-        health.dropped_regions.append(7)
-        health.retained_coverage = 0.9
-        health.record(FailureRecord(
-            stage="simulate", error="boom", action="dropped",
-            region_id=7, attempts=3,
-        ))
-        data = json.loads(json.dumps(health.as_dict()))
-        assert data["degraded"] is True
-        assert data["failures"][0]["region_id"] == 7
-
-    def test_result_table_has_health_columns(self, reference):
-        _, _, serial = reference
-        table = format_result_table([serial])
-        assert "retry" in table and "cov%" in table
-        assert "100.0%" in table
-
-    def test_health_table_empty_for_clean_runs(self, reference):
-        _, _, serial = reference
-        assert format_health_table([serial]) == ""
-
-    def test_health_table_lists_failure_records(self, reference):
-        _, _, serial = reference
-        health = RunHealth()
-        health.record(FailureRecord(
-            stage="simulate", error="SimulationError: boom",
-            action="dropped", region_id=3, attempts=3,
-        ))
-        degraded = dataclasses.replace(serial, health=health)
-        table = format_health_table([degraded])
-        assert "dropped" in table and "boom" in table
-        assert "simulate" in table
+        header = format_result_table([serial]).splitlines()[0].split()
+        assert header[-1] == "fb"
+        assert "retry" not in header and "cov%" not in header
 
 
 class TestErrors:
@@ -1142,7 +903,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", [
         ["--fault-plan", "x"], ["--resume"], ["--manifest", "m.jsonl"],
-    ], ids=["fault-plan", "resume", "manifest"])
+        ["--job-retries", "1"], ["--degrade", "drop"],
+    ], ids=["fault-plan", "resume", "manifest", "job-retries", "degrade"])
     def test_retired_flags_are_gone(self, capsys, flag):
         from repro.cli import main
 
@@ -1154,9 +916,10 @@ class TestCli:
             in capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize(
-        "option", ["fault_plan", "manifest_path", "stage_retries"]
-    )
+    @pytest.mark.parametrize("option", [
+        "fault_plan", "manifest_path", "stage_retries", "job_retries",
+        "degrade", "retry_backoff_s", "retry_backoff_max_s", "retry_jitter",
+    ])
     def test_retired_options_are_gone(self, option):
         with pytest.raises(TypeError):
             LoopPointOptions(**{option: None})
@@ -1188,17 +951,18 @@ class TestCli:
             "[cache] profile=hit select=hit |"
         )
 
-    def test_faulted_cli_run_reports_health(self, capsys, monkeypatch):
+    def test_faulted_cli_run_reports_fallbacks(self, capsys, monkeypatch):
         from repro.cli import main
 
-        _patch_worker_entry(monkeypatch, _crash_first_attempt)
+        _patch_worker_entry(monkeypatch, _crash)
         rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
                    "--jobs", "4"])
         assert rc == 0
         out = capsys.readouterr().out
         health = [ln for ln in out.splitlines()
                   if ln.startswith("[health]")]
-        assert health and "serial_fallbacks=0" in health[0]
-        retries = int(re.search(r"retries=(\d+)", health[0]).group(1))
-        assert retries > 0
-        assert "intact" in health[0]
+        assert len(health) == 1
+        fallbacks = int(re.fullmatch(
+            r"\[health\] serial_fallbacks=(\d+)", health[0]
+        ).group(1))
+        assert fallbacks > 0

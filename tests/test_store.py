@@ -526,4 +526,4 @@ class TestPipelineIntegration:
         result = warm.run(simulate_full=False)
         assert sum(warm.artifacts.stores.values()) == 0
         assert warm.artifacts.last_outcome["select"] == "hit"
-        assert result.health.ok
+        assert result.serial_fallbacks == 0
