@@ -51,6 +51,7 @@ from repro.errors import (
     ReplayError,
     SimulationError,
 )
+from repro.obs import Tracer, obs_scope, read_trace
 from repro.parallel import (
     ArtifactCache,
     RegionJob,
@@ -121,6 +122,21 @@ def _patch_worker_entry(monkeypatch, fault):
     monkeypatch.setattr(executor, "_pool_timed_job", entry)
 
 
+def _log_pool_call(path, job):
+    """Append ``job``'s id to ``path``.  Workers are separate processes:
+    count their calls in a file (one short O_APPEND write per call is
+    atomic)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{job.job_id}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def _pool_calls(path):
+    return sorted(map(int, path.read_text().split())) if path.exists() else []
+
+
 def _crash(job):
     os._exit(3)
 
@@ -185,20 +201,14 @@ class TestExecutorRecovery:
         pool_log = tmp_path / "pool-calls"
 
         def raise_in_worker(job):
-            # Workers are separate processes: count their calls in a file
-            # (one short O_APPEND write per call is atomic).
-            fd = os.open(pool_log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-            try:
-                os.write(fd, f"{job.job_id}\n".encode())
-            finally:
-                os.close(fd)
+            _log_pool_call(pool_log, job)
             raise SimulationError(f"worker error, job {job.job_id}")
 
         _patch_worker_entry(monkeypatch, raise_in_worker)
         parent_calls = _count_parent_runs(monkeypatch)
         outcome = run_region_jobs(jobs, workers=2)
         ids = sorted(j.job_id for j in jobs)
-        assert sorted(map(int, pool_log.read_text().split())) == ids
+        assert _pool_calls(pool_log) == ids
         assert parent_calls == [j.job_id for j in jobs]
         assert outcome.stats.serial_fallbacks == len(jobs)
         ref = _metrics_by_id(serial)
@@ -255,6 +265,147 @@ class TestExecutorRecovery:
         assert {r.region_id: r.metrics for r in outcome.results} == {
             j.job_id: ref[j.job_id] for j in jobs
         }
+
+    def test_one_failed_job_keeps_the_others(
+        self, reference, region_jobs, monkeypatch
+    ):
+        _, _, serial = reference
+        jobs = region_jobs[:3]
+        doomed = jobs[1].job_id
+
+        def raise_for_one(job):
+            if job.job_id == doomed:
+                raise SimulationError(f"worker error, job {job.job_id}")
+
+        # A raising job leaves the pool intact: only it re-runs.
+        _patch_worker_entry(monkeypatch, raise_for_one)
+        parent_calls = _count_parent_runs(monkeypatch)
+        outcome = run_region_jobs(jobs, workers=2)
+        assert parent_calls == [doomed]
+        assert outcome.stats.serial_fallbacks == 1
+        ref = _metrics_by_id(serial)
+        assert {r.region_id: r.metrics for r in outcome.results} == {
+            j.job_id: ref[j.job_id] for j in jobs
+        }
+
+    def test_one_hung_job_keeps_the_others(
+        self, reference, region_jobs, monkeypatch
+    ):
+        _, _, serial = reference
+        jobs = region_jobs[:3]
+        stuck = jobs[0].job_id
+
+        def hang_one(job):
+            if job.job_id == stuck:
+                _hang(job)
+
+        _patch_worker_entry(monkeypatch, hang_one)
+        parent_calls = _count_parent_runs(monkeypatch)
+        timeout_s = 1.0
+        outcome = run_region_jobs(jobs, workers=2, timeout_s=timeout_s)
+        # The other worker finishes both remaining jobs within the
+        # round's deadline (ceil(3/2) = 2 budgets); only the hung one
+        # re-runs in the parent.
+        assert parent_calls == [stuck]
+        assert outcome.stats.serial_fallbacks == 1
+        assert outcome.stats.elapsed_seconds < 3 * timeout_s
+        ref = _metrics_by_id(serial)
+        for res in outcome.results:
+            assert res.metrics == ref[res.region_id]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_pool_runs_each_job_exactly_once(
+        self, region_jobs, monkeypatch, tmp_path, workers
+    ):
+        jobs = region_jobs[:4]
+        pool_log = tmp_path / "pool-calls"
+        _patch_worker_entry(
+            monkeypatch, functools.partial(_log_pool_call, pool_log)
+        )
+        parent_calls = _count_parent_runs(monkeypatch)
+        outcome = run_region_jobs(jobs, workers=workers)
+        assert _pool_calls(pool_log) == sorted(j.job_id for j in jobs)
+        assert parent_calls == []
+        assert outcome.stats.workers == min(workers, len(jobs))
+        assert outcome.stats.serial_fallbacks == 0
+
+    def test_results_follow_submission_order(self, reference, region_jobs):
+        _, _, serial = reference
+        jobs = list(reversed(region_jobs[:4]))
+        outcome = run_region_jobs(jobs, workers=2)
+        assert [r.region_id for r in outcome.results] == [
+            j.job_id for j in jobs
+        ]
+        ref = _metrics_by_id(serial)
+        for res in outcome.results:
+            assert res.metrics == ref[res.region_id]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stats_account_per_job_wall_time(self, region_jobs, workers):
+        jobs = region_jobs[:3]
+        stats = run_region_jobs(jobs, workers=workers).stats
+        assert stats.num_jobs == len(jobs)
+        assert sorted(stats.per_job_seconds) == sorted(j.job_id for j in jobs)
+        assert all(s > 0 for s in stats.per_job_seconds.values())
+        assert stats.serial_seconds == pytest.approx(
+            sum(stats.per_job_seconds.values())
+        )
+        if workers == 1:
+            assert stats.measured_speedup is None
+        else:
+            assert stats.measured_speedup == pytest.approx(
+                stats.serial_seconds / stats.elapsed_seconds
+            )
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("bad input"), KeyError("missing"),
+        SimulationError("sim broke"),
+    ], ids=["ValueError", "KeyError", "SimulationError"])
+    def test_parent_failure_names_region_and_keeps_cause(
+        self, region_jobs, monkeypatch, exc
+    ):
+        jobs = region_jobs[:2]
+        doomed = jobs[0].job_id
+
+        def timed(job):
+            raise exc
+
+        monkeypatch.setattr(executor, "_timed_job", timed)
+        with pytest.raises(
+            SimulationError,
+            match=rf"^region {doomed} failed: {type(exc).__name__}: ",
+        ) as raised:
+            run_region_jobs(jobs, workers=1)
+        assert raised.value.__cause__ is exc
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+    def test_trace_records_fallbacks(
+        self, region_jobs, monkeypatch, tmp_path, crash
+    ):
+        jobs = region_jobs[:3]
+        if crash:
+            _patch_worker_entry(monkeypatch, _crash)
+        path = str(tmp_path / "t.jsonl")
+        tracer = Tracer(path)
+        with obs_scope(tracer):
+            outcome = run_region_jobs(jobs, workers=2)
+        tracer.finish()
+        data = read_trace(path)
+        expected = len(jobs) if crash else 0
+        assert outcome.stats.serial_fallbacks == expected
+        assert data.counters()["fanout.serial_fallbacks"] == expected
+        (fanout,) = [s for s in data.spans if s.name == "fanout"]
+        assert fanout.attrs["serial_fallbacks"] == expected
+        assert fanout.attrs["mode"] == "pool"
+        regions = [s for s in data.spans if s.name.startswith("region:")]
+        # Crashed workers leave no span; the parent's re-runs carry the
+        # fallback attribute, and clean worker spans do not.
+        assert len(regions) == len(jobs)
+        assert all(s.parent == fanout.span_id for s in regions)
+        assert [bool(s.attrs.get("fallback")) for s in regions] == (
+            [crash] * len(jobs)
+        )
+        assert all((s.pid == data.root_pid) == crash for s in regions)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_job_failing_everywhere_raises_naming_its_region(
@@ -327,6 +478,31 @@ class TestLostRegion:
         faulted = LoopPointPipeline(workload, options=_options(jobs=2))
         with pytest.raises(SimulationError, match=rf"^region {doomed} "):
             faulted.run(simulate_full=False, constrained=constrained)
+
+    @pytest.mark.parametrize("constrained", [False, True],
+                             ids=["binary", "constrained"])
+    def test_region_failing_only_in_the_pool_recovers(
+        self, reference, monkeypatch, constrained
+    ):
+        workload, pipeline, serial = reference
+        if constrained:
+            serial = LoopPointPipeline(
+                workload, options=_options(jobs=1)
+            ).run(simulate_full=False, constrained=True)
+        doomed = min(r.region_id for r in pipeline.regions())
+
+        def raise_for_one(job):
+            if job.job_id == doomed:
+                raise SimulationError(f"worker error, job {job.job_id}")
+
+        _patch_worker_entry(monkeypatch, raise_for_one)
+        parent_calls = _count_parent_runs(monkeypatch)
+        faulted = LoopPointPipeline(workload, options=_options(jobs=2))
+        result = faulted.run(simulate_full=False, constrained=constrained)
+        assert parent_calls == [doomed]
+        assert result.serial_fallbacks == 1
+        assert result.predicted == serial.predicted
+        assert _metrics_by_id(result) == _metrics_by_id(serial)
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +1127,16 @@ class TestCli:
             "[cache] profile=hit select=hit |"
         )
 
+    def test_clean_cli_run_prints_no_health_line(self, capsys):
+        from repro.cli import main
+
+        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
+                   "--jobs", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert len(_predicted_lines(out)) == 1
+        assert not any(ln.startswith("[health]") for ln in out.splitlines())
+
     def test_faulted_cli_run_reports_fallbacks(self, capsys, monkeypatch):
         from repro.cli import main
 
@@ -966,3 +1152,27 @@ class TestCli:
             r"\[health\] serial_fallbacks=(\d+)", health[0]
         ).group(1))
         assert fallbacks > 0
+
+    def test_faulted_cli_run_records_fallbacks_in_history(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.obs.history import HistoryStore, history_path_for
+
+        _patch_worker_entry(monkeypatch, _crash)
+        cache = str(tmp_path / "cache")
+        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
+                   "--jobs", "4", "--cache-dir", cache])
+        assert rc == 0
+        out = capsys.readouterr().out
+        printed = int(re.search(
+            r"^\[health\] serial_fallbacks=(\d+)$", out, re.M
+        ).group(1))
+        records, corrupt = HistoryStore(
+            history_path_for(cache, "demo-matrix-1")
+        ).load()
+        assert corrupt == 0 and len(records) == 1
+        counters = records[0].counters
+        assert counters["fallbacks"] == printed > 0
+        assert "retries" not in counters
+        assert "coverage_pct" not in records[0].as_dict()
