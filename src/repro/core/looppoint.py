@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.online import LiveOptions, LiveReport, LiveResult
-    from ..lint.findings import LintReport
 
 from ..clustering.simpoint import (
     SimPointOptions,
@@ -97,9 +96,6 @@ class LoopPointOptions:
     #: being representatives (program initialization is microarchitecturally
     #: atypical); their mass still counts.
     startup_fraction: float = 0.05
-    #: Run the :mod:`repro.lint` invariant checks after :meth:`run` and
-    #: attach the report to the result.
-    lint: bool = False
     #: Worker processes for region simulation (0 = one per CPU); ``None``
     #: honours the ``REPRO_JOBS`` environment variable (default 1 =
     #: serial).  Parallel dispatch requires a registry-buildable workload
@@ -154,8 +150,6 @@ class LoopPointResult:
     actual: Optional[SimMetrics]
     region_results: List[SimulationResult]
     speedup: SpeedupReport
-    #: Invariant-verification report, present when options.lint is set.
-    lint_report: Optional["LintReport"] = None
     #: Live-sampling coverage/error accounting, present for
     #: :meth:`LoopPointPipeline.run_live` results only.
     live_report: Optional["LiveReport"] = None
@@ -820,12 +814,6 @@ class LoopPointPipeline:
             ],
             execution=None,
         )
-        lint_report = None
-        if self.options.lint:
-            from ..lint.runner import lint_pipeline
-
-            with tracer.span("stage:lint", stage="lint"):
-                lint_report = lint_pipeline(self)
         return LoopPointResult(
             workload=self.workload.full_name,
             wait_policy=self.options.wait_policy.value,
@@ -835,7 +823,6 @@ class LoopPointPipeline:
             actual=actual,
             region_results=live.region_results,
             speedup=speedup,
-            lint_report=lint_report,
             live_report=live.report,
             frequency_ghz=self.system.core.frequency_ghz,
             reference_frequency_ghz=self.system.core.frequency_ghz,
@@ -893,14 +880,6 @@ class LoopPointPipeline:
             region_results=region_results,
             execution=self.last_execution,
         )
-        lint_report = None
-        if self.options.lint:
-            # Imported lazily: lint consumes this module's pipeline, so a
-            # top-level import would be circular.
-            from ..lint.runner import lint_pipeline
-
-            with tracer.span("stage:lint", stage="lint"):
-                lint_report = lint_pipeline(self)
         return LoopPointResult(
             workload=self.workload.full_name,
             wait_policy=self.options.wait_policy.value,
@@ -910,7 +889,6 @@ class LoopPointPipeline:
             actual=actual,
             region_results=region_results,
             speedup=speedup,
-            lint_report=lint_report,
             serial_fallbacks=(
                 self.last_execution.serial_fallbacks
                 if self.last_execution is not None else 0

@@ -21,11 +21,15 @@ constrained replayer delivers syncs under the same rule.  A ring of
 capacity 1 delivers every block event on its own, which is the per-event
 reference the equivalence tests compare against.
 
-Programs :func:`~.schedcore.compile_streams` can tape run on the tape loop,
-:meth:`ExecutionEngine._run_tape`; the rest (dynamic schedules with
-criticals, custom constructs) run the generator loop in
-:meth:`ExecutionEngine.run`.  Both produce bit-identical results, and the
-generator loop is the reference the tape loop is tested against.
+One scheduling loop, :meth:`ExecutionEngine.run`, drives every program: the
+constructor compiles the thread program into per-thread tapes
+(:func:`~.schedcore.compile_streams`), and each scheduling round consumes
+a jittered quantum of the chosen thread's tape.  A construct type the
+tape compiler does not know is rejected at construction.  The tapes
+reproduce, event for event, what the constructs'
+:meth:`~repro.runtime.constructs.Construct.run` generators yield; the
+test suite checks that against a generator-driven reference engine that
+reuses this class's sync handlers.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from ..perf.ring import DEFAULT_CAPACITY, EventRing
 from ..policy import WaitPolicy
 from .events import (
     BarrierWait,
-    BlockExec,
     ChunkRequest,
     LockAcquire,
     LockRelease,
@@ -60,8 +63,9 @@ from .events import (
 from .flowcontrol import FlowControl
 from .observers import Observer
 from .schedcore import (
-    OP_CHUNK,
+    OP_CHUNK_TAPE,
     OP_DONE,
+    OP_RET,
     OP_SINGLE,
     OP_SYNC,
     OP_TABLE,
@@ -86,11 +90,10 @@ class ThreadState(Enum):
 
 
 class _Thread:
-    __slots__ = ("tid", "gen", "state", "response")
+    __slots__ = ("tid", "state", "response")
 
-    def __init__(self, tid: int, gen) -> None:
+    def __init__(self, tid: int) -> None:
         self.tid = tid
-        self.gen = gen
         self.state = ThreadState.RUNNABLE
         self.response: Any = None
 
@@ -122,7 +125,7 @@ class EngineResult:
 
 
 class ExecutionEngine:
-    """Interleaves thread generators and resolves synchronization."""
+    """Interleaves thread tapes and resolves synchronization."""
 
     def __init__(
         self,
@@ -150,10 +153,7 @@ class ExecutionEngine:
         self.flow_control = flow_control
         self.max_events = max_events
 
-        self._threads = [
-            _Thread(tid, thread_program.thread_main(tid, nthreads))
-            for tid in range(nthreads)
-        ]
+        self._threads = [_Thread(tid) for tid in range(nthreads)]
         #: The block-event ring owns the execution-count table.
         self._ring = EventRing(
             program.blocks, nthreads, self.observers, capacity=batch_capacity
@@ -169,20 +169,16 @@ class ExecutionEngine:
         self._chunks: Dict[int, int] = {}
         self._singles: set = set()
         self._rng = random.Random(seed)
-        #: Set whenever any thread's state changes; the scheduler only
-        #: rebuilds its runnable list (and re-checks completion/deadlock)
-        #: on dirty rounds.  The cached run-queue is keyed off this flag.
+        #: Set whenever a sync handler changes a thread's state; the
+        #: scheduler resyncs its run-queue after any dispatch that set it.
         self._sched_dirty = True
-        self._runnable: List[int] = []
         #: Observers that actually override ``on_sync``: sync delivery
         #: skips base-class no-ops.
         self._sync_obs = [
             ob for ob in self.observers
             if type(ob).on_sync is not Observer.on_sync
         ]
-        #: Per-thread scheduler tapes (see repro.exec_engine.schedcore);
-        #: ``None`` when some construct cannot be taped, which selects the
-        #: generator loop.
+        #: Per-thread scheduler tapes (see repro.exec_engine.schedcore).
         self._streams = compile_streams(thread_program, nthreads)
 
     # -- shared bookkeeping -------------------------------------------------
@@ -286,48 +282,20 @@ class ExecutionEngine:
         thread.response = granted
 
     def _dispatch(self, thread: _Thread, event) -> None:
-        """Handle one non-block event (block events never reach here)."""
+        """Handle one ``OP_SYNC`` event (chunk and single requests have
+        their own ops)."""
         if type(event) is BarrierWait:
             self._handle_barrier(thread, event)
         elif type(event) is LockAcquire:
             self._handle_lock_acquire(thread, event)
         elif type(event) is LockRelease:
             self._handle_lock_release(thread, event)
-        elif type(event) is ChunkRequest:
-            self._handle_chunk(thread, event)
-        elif type(event) is SingleRequest:
-            self._handle_single(thread, event)
         elif type(event) is Reduce:
             self._exec_block(thread.tid, self.omp.reduce_combine, 1)
         else:
             raise ExecutionError(f"unknown event {event!r}")
 
     # -- main loop ------------------------------------------------------------
-
-    def _rebuild_runnable(self) -> Optional[List[int]]:
-        """Recompute the cached run-queue; called on dirty rounds only.
-
-        Returns the runnable tid list, or ``None`` when every thread is
-        done.  Raises :class:`DeadlockError` when live threads are all
-        blocked.
-        """
-        threads = self._threads
-        runnable = [
-            t.tid for t in threads if t.state is ThreadState.RUNNABLE
-        ]
-        self._runnable = runnable
-        self._sched_dirty = False
-        if not runnable:
-            if all(t.state is ThreadState.DONE for t in threads):
-                return None
-            blocked = [
-                t.tid for t in threads if t.state is ThreadState.BLOCKED
-            ]
-            raise DeadlockError(
-                f"all live threads blocked: {blocked} "
-                f"(barriers={dict(self._barriers)!r})"
-            )
-        return runnable
 
     def _finish_run(self, num_events: int) -> EngineResult:
         """Common end-of-run tail: counts, observer finish, metrics."""
@@ -355,141 +323,17 @@ class ExecutionEngine:
         )
 
     def run(self) -> EngineResult:
-        """Execute the program to completion and return the summary."""
-        if self._streams is not None:
-            return self._run_tape(self._streams)
-        threads = self._threads
-        spin_block = self.omp.spin_block
-        spin_iters = self.omp.spin.iterations_per_visit
-        active = self.wait_policy is WaitPolicy.ACTIVE
-        rng = self._rng
-        ring = self._ring
+        """Execute the program to completion and return the summary.
 
-        # Hot-loop locals.  The inner loop inlines the BlockExec case
-        # around direct ring-buffer appends; every other event goes
-        # through ``_dispatch``.
-        per_thread_total = self.per_thread_total
-        per_thread_filtered = self.per_thread_filtered
-        runnable_state = ThreadState.RUNNABLE
-        getrandbits = rng.getrandbits
-        rng_random = rng.random
-        quantum = QUANTUM_INSTRUCTIONS
-        flow = self.flow_control
-        max_events = self.max_events
-        runnable: List[int] = []
-        num_events = 0
-        self._sched_dirty = True
-        ring_rows = ring.buffers()
-        append_row = ring_rows.append
-        ring_encode = ring.encode
-        ring_capacity = ring.capacity
-        ring_flush = ring.flush
-
-        while True:
-            # Thread states change only at sync blocking/waking and thread
-            # exit — the runnable list (and the completion/deadlock check)
-            # is recomputed only on rounds after such a change.
-            if self._sched_dirty:
-                runnable = self._rebuild_runnable()
-                if runnable is None:
-                    break
-
-            # Blocked threads under the ACTIVE policy burn spin iterations
-            # every scheduling round — host-schedule-dependent instruction
-            # counts, the noise source naive SimPoint trips over.
-            if active:
-                for t in threads:
-                    if t.state is ThreadState.BLOCKED:
-                        self._exec_block(t.tid, spin_block, spin_iters)
-
-            if flow is not None:
-                eligible = flow.eligible(per_thread_filtered, runnable)
-            else:
-                eligible = runnable
-            # Inlined ``rng.randrange(len(eligible))``: the exact
-            # ``Random._randbelow_with_getrandbits`` algorithm, consuming
-            # the identical generator stream (interleavings depend on it).
-            n_el = len(eligible)
-            k = n_el.bit_length()
-            r = getrandbits(k)
-            while r >= n_el:
-                r = getrandbits(k)
-            tid = eligible[r]
-            thread = threads[tid]
-
-            jitter = 1.0 + rng_random() * 0.5
-            stop_at = per_thread_total[tid] + int(quantum * jitter)
-            # The BlockExec case is inlined reading the event's
-            # precomputed slots; this thread's totals live in locals and
-            # sync back to engine state around any non-block event (whose
-            # handlers read/write that state).
-            send = thread.gen.send
-            response = thread.response
-            thread.response = None
-            total_acc = 0
-            filtered_acc = 0
-            ptt = per_thread_total[tid]
-            ptf = per_thread_filtered[tid]
-            while ptt < stop_at:
-                try:
-                    event = send(response)
-                except StopIteration:
-                    thread.state = ThreadState.DONE
-                    self._sched_dirty = True
-                    break
-                response = None
-                num_events += 1
-                if type(event) is BlockExec:
-                    n = event.n_total
-                    total_acc += n
-                    ptt += n
-                    if not event.is_library:
-                        filtered_acc += n
-                        ptf += n
-                    append_row(ring_encode(tid, event.bid, event.repeat))
-                    if len(ring_rows) >= ring_capacity:
-                        ring_flush()
-                else:
-                    per_thread_total[tid] = ptt
-                    per_thread_filtered[tid] = ptf
-                    self.total_instructions += total_acc
-                    self.filtered_instructions += filtered_acc
-                    total_acc = 0
-                    filtered_acc = 0
-                    self._dispatch(thread, event)
-                    response = thread.response
-                    thread.response = None
-                    ptt = per_thread_total[tid]
-                    ptf = per_thread_filtered[tid]
-                    if thread.state is not runnable_state:
-                        break
-            per_thread_total[tid] = ptt
-            per_thread_filtered[tid] = ptf
-            self.total_instructions += total_acc
-            self.filtered_instructions += filtered_acc
-            thread.response = response
-            if max_events is not None and num_events > max_events:
-                self.num_events = num_events
-                raise ExecutionError(
-                    f"exceeded max_events={max_events}; likely runaway "
-                    f"program"
-                )
-
-        return self._finish_run(num_events)
-
-    def _run_tape(self, streams: List[List]) -> EngineResult:
-        """The tape-driven hot loop (see :mod:`.schedcore`).
-
-        Bit-identical to :meth:`run`'s generator loop: identical event
-        order, rng-stream consumption, observer state and result.  The
-        differences are purely mechanical — block runs are consumed with
-        one ``bisect_left`` over a cumulative-instruction list per quantum
-        and C-speed slice ``extend``s into the ring buffers, and the
-        run-queue is maintained in place at each transition instead of
-        being rebuilt from thread states on every invalidation.  Sync ops
-        (barriers included) go through the same handlers as the generator
-        loop's events.
+        Each round picks a runnable thread (flow control may narrow the
+        choice) with the seeded rng and runs a jittered quantum of its
+        tape (see :mod:`.schedcore`): block runs are consumed with one
+        ``bisect_left`` over a cumulative-instruction list and C-speed
+        slice ``extend``s into the ring buffers; sync ops go through the
+        handlers one event at a time.  The run-queue is kept in ascending
+        tid order, maintained in place at each transition.
         """
+        streams = self._streams
         threads = self._threads
         omp = self.omp
         spin_block = omp.spin_block
@@ -529,12 +373,10 @@ class ExecutionEngine:
         # per-code tables.
         row_caches: List[Dict[int, List[int]]] = [{} for _ in range(nthreads)]
 
-        # The run-queue: ascending tids, maintained incrementally — the same
-        # order `_rebuild_runnable` produces.  Out-of-line handlers signal
-        # their state changes via ``_sched_dirty``; the queue is resynced
-        # right after dispatch.
+        # The run-queue: ascending tids, maintained incrementally.
+        # Out-of-line handlers signal their state changes via
+        # ``_sched_dirty``; the queue is resynced right after dispatch.
         runnable = [t.tid for t in threads if t.state is runnable_state]
-        self._runnable = runnable
         self._sched_dirty = False
         n_done = sum(1 for t in threads if t.state is done_state)
         # ``nbuf`` mirrors ``len(ring_rows)``; it is maintained at every
@@ -550,14 +392,16 @@ class ExecutionEngine:
         # Per-thread tape cursors.  Layout (list, not attributes — indexed
         # access is the fastest Python offers here):
         #   [0] op index            [1] run kind (0 none, 1 tiled, 2 table)
-        #   [2] run row codes (interned via ring.encode)  [3] unused
+        #   [2] run row codes (interned via ring.encode)
+        #   [3] current tape: the thread's stream, or a chunk tape
         #   [4] run pre_t  [5] run pre_f
         #   [6] event index in run  [7] run end (table) / pattern len
         #   [8] off_t  [9] off_f  (ptt/ptf = off + pre[idx])
         #   [10] tiled iterations left  [11] iter total  [12] iter filtered
+        #   [13] stream op index a chunk tape's OP_RET returns to
         cursors: List[list] = [
-            [0, 0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0]
-            for _ in range(nthreads)
+            [0, 0, None, streams[tid], None, None, 0, 0, 0, 0, 0, 0, 0, 0]
+            for tid in range(nthreads)
         ]
 
         # ``total_instructions == sum(per_thread_total)`` (likewise
@@ -713,7 +557,7 @@ class ExecutionEngine:
                 # writes it back immediately, because any of these branches
                 # may leave the quantum loop.
                 op_idx = cur[0]
-                op = streams[tid][op_idx]
+                op = cur[3][op_idx]
                 code = op[0]
                 if code == OP_TILED:
                     bids = op[1]
@@ -764,6 +608,12 @@ class ExecutionEngine:
                     runnable.remove(tid)
                     n_done += 1
                     break
+                if code == OP_RET:
+                    # End of a chunk tape: back to the stream's chunk op,
+                    # which requests the next chunk.  Not an event.
+                    cur[3] = streams[tid]
+                    cur[0] = cur[13]
+                    continue
 
                 # Sync op: sync engine state, dispatch through the
                 # shared handlers (which may execute blocks for this and
@@ -787,45 +637,7 @@ class ExecutionEngine:
                         self._sched_dirty = False
                     if thread.state is not runnable_state:
                         break
-                elif code == OP_CHUNK:
-                    self._handle_chunk(thread, ev)
-                    nbuf = len(ring_rows)
-                    start = thread.response
-                    thread.response = None
-                    ptt = per_thread_total[tid]
-                    ptf = per_thread_filtered[tid]
-                    if start < 0:
-                        cur[0] = op_idx + 1
-                    else:
-                        # Grant: run the chunk's table slice, then come
-                        # back to this op for the next request — exactly
-                        # the generator's request/consume loop.
-                        iter_off = op[6]
-                        i0 = iter_off[start]
-                        stop_iter = start + ev.chunk_size
-                        total = ev.total_iters
-                        if stop_iter > total:
-                            stop_iter = total
-                        i1 = iter_off[stop_iter]
-                        if i1 > i0:
-                            bids = op[2]
-                            cache = row_caches[tid]
-                            rows_l = cache.get(id(bids))
-                            if rows_l is None:
-                                rows_l = cache[id(bids)] = [
-                                    encode(tid, b, r)
-                                    for b, r in zip(bids, op[3])
-                                ]
-                            cur[2] = rows_l
-                            cur[4] = op[4]
-                            cur[5] = op[5]
-                            cur[6] = i0
-                            cur[7] = i1
-                            cur[8] = ptt - op[4][i0]
-                            cur[9] = ptf - op[5][i0]
-                            kind = 2
-                            cur[1] = 2
-                else:  # OP_SINGLE
+                elif code == OP_SINGLE:
                     self._handle_single(thread, ev)
                     nbuf = len(ring_rows)
                     granted = thread.response
@@ -852,6 +664,51 @@ class ExecutionEngine:
                         cur[9] = ptf
                         kind = 2
                         cur[1] = 2
+                else:  # OP_CHUNK / OP_CHUNK_TAPE
+                    self._handle_chunk(thread, ev)
+                    nbuf = len(ring_rows)
+                    start = thread.response
+                    thread.response = None
+                    ptt = per_thread_total[tid]
+                    ptf = per_thread_filtered[tid]
+                    if start < 0:
+                        cur[0] = op_idx + 1
+                    elif code == OP_CHUNK_TAPE:
+                        # Grant: run the chunk's own tape.  Its lock syncs
+                        # may block the thread mid-chunk; the cursor keeps
+                        # its place in that tape across block and wake.
+                        cur[13] = op_idx
+                        cur[3] = op[2][start // ev.chunk_size]
+                        cur[0] = 0
+                    else:
+                        # Grant: run the chunk's table slice, then come
+                        # back to this op for the next request — exactly
+                        # ParallelFor.run's request/consume loop.
+                        iter_off = op[6]
+                        i0 = iter_off[start]
+                        stop_iter = start + ev.chunk_size
+                        total = ev.total_iters
+                        if stop_iter > total:
+                            stop_iter = total
+                        i1 = iter_off[stop_iter]
+                        if i1 > i0:
+                            bids = op[2]
+                            cache = row_caches[tid]
+                            rows_l = cache.get(id(bids))
+                            if rows_l is None:
+                                rows_l = cache[id(bids)] = [
+                                    encode(tid, b, r)
+                                    for b, r in zip(bids, op[3])
+                                ]
+                            cur[2] = rows_l
+                            cur[4] = op[4]
+                            cur[5] = op[5]
+                            cur[6] = i0
+                            cur[7] = i1
+                            cur[8] = ptt - op[4][i0]
+                            cur[9] = ptf - op[5][i0]
+                            kind = 2
+                            cur[1] = 2
 
             per_thread_total[tid] = ptt
             per_thread_filtered[tid] = ptf

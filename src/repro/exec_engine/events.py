@@ -2,9 +2,11 @@
 
 Thread programs (see :mod:`repro.runtime.thread`) are Python generators that
 yield these events.  Two drivers understand them: the functional
-:class:`~repro.exec_engine.engine.ExecutionEngine` (Pin's role) and the
-timing :class:`~repro.timing.mcsim.MultiCoreSimulator` (Sniper's role), so
-the exact same program runs under both — the paper's binary-driven setup.
+:class:`~repro.exec_engine.engine.ExecutionEngine` (Pin's role), which runs
+them compiled into tapes that carry the same sync events, and the timing
+:class:`~repro.timing.mcsim.MultiCoreSimulator` (Sniper's role), which
+resumes the generators, so the exact same program runs under both — the
+paper's binary-driven setup.
 
 ``BlockExec`` may carry ``repeat > 1``: the block (an innermost self-loop
 body) executes that many consecutive times.  Batching keeps Python event

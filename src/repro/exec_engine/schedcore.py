@@ -1,15 +1,13 @@
-"""Compiled thread streams: columnar tapes for the scheduler hot loop.
+"""Compiled thread streams: the tapes the engine's scheduler runs.
 
 With observers fed in batches, the wall clock of a functional execution is
-the *scheduler*: per-round Python work plus one generator ``send`` per
-event.  This module removes the per-event half.  A
-:class:`~repro.runtime.thread.ThreadProgram` whose constructs are all
-built-ins compiles into per-thread **tapes**: flat op lists whose block
-runs are columnar (``bids``, ``repeats``, cumulative instruction prefix
-sums), so the engine consumes a whole scheduling quantum with one
-``bisect`` over a prefix-sum list and C-speed slice ``extend``s into the
-:class:`~repro.perf.ring.EventRing` buffers, instead of resuming a
-generator once per event.
+the *scheduler*.  The engine therefore never resumes a generator per
+event: every :class:`~repro.runtime.thread.ThreadProgram` compiles into
+per-thread **tapes**, flat op lists whose block runs are columnar
+(``bids``, ``repeats``, cumulative instruction prefix sums), so the engine
+consumes a whole scheduling quantum with one ``bisect`` over a prefix-sum
+list and C-speed slice ``extend``s into the
+:class:`~repro.perf.ring.EventRing` buffers.
 
 Two block-run encodings exist:
 
@@ -24,21 +22,29 @@ Two block-run encodings exist:
   sliced via ``iter_off``).
 
 Synchronization stays event-at-a-time: ``OP_SYNC`` carries the *interned*
-sync event (one instance per construct, shared with the generator path)
-and dispatches through the engine's existing handlers, so barrier/lock
-semantics, gseq numbering and observer callbacks are untouched.
+sync event (one instance per construct, shared with
+:meth:`~repro.runtime.constructs.Construct.run`) and dispatches through
+the engine's handlers, so barrier/lock semantics, gseq numbering and
+observer callbacks are those of the event stream.  A dynamic-schedule
+loop with a critical section compiles each chunk into its own sub-tape
+(``OP_CHUNK_TAPE``): grants start at multiples of the chunk size, so
+chunk ``k``'s ops are fixed, and lock syncs sit inside them.
 
-Bit-identity contract: consuming a tape produces the exact event sequence,
+Contract: consuming a tape produces exactly the event sequence,
 rng-stream consumption, observer callbacks and
-:class:`~repro.exec_engine.engine.EngineResult` of the generator path.
-Compilation is conservative: any construct subclass or combination this
-module does not understand makes :func:`compile_streams` return ``None``
-and the engine runs its generator loop instead.
+:class:`~repro.exec_engine.engine.EngineResult` of running every thread's
+:meth:`~repro.runtime.thread.ThreadProgram.thread_main` generator under
+the same schedule; the test suite keeps a generator-driven reference
+engine to check it.  Only the built-in construct types compile: any
+other :class:`~repro.runtime.constructs.Construct` subclass makes
+:func:`compile_streams` raise :class:`~repro.errors.ExecutionError`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
+
+from ..errors import ExecutionError
 
 #: Tape op codes.  Block runs (`OP_TILED`/`OP_TABLE`) are consumed by the
 #: engine's bisect loop; the rest dispatch one event through the engine's
@@ -50,13 +56,12 @@ OP_CHUNK = 3   # (3, event, bids, reps, pre_t, pre_f, iter_off)
 OP_SINGLE = 4  # (4, event, run_or_None)  run = (bids, reps, pre_t, pre_f)
 OP_DONE = 5    # (5,)  end-of-tape sentinel appended to every stream, so the
 #                hot loop never compares the op index against a length
+OP_CHUNK_TAPE = 6  # (6, event, chunk_tapes)  chunk_tapes[k]: chunk k's ops
+OP_RET = 7     # (7,)  ends every chunk tape: back to its OP_CHUNK_TAPE op
 
 #: The shared end-of-tape sentinel instance (``streams[tid][-1]`` always).
 DONE_OP = (OP_DONE,)
-
-
-class _Uncompilable(Exception):
-    """This program contains a construct the tape compiler cannot encode."""
+RET_OP = (OP_RET,)
 
 
 def _pattern_key(work) -> Optional[Tuple]:
@@ -197,11 +202,34 @@ def _work_ops(
     return [op] if op is not None else []
 
 
-def _crit_row(spec) -> Tuple:
-    """A one-event table op for a critical-section body block."""
+def _crit_ops(pf, start: int, stop: int, batch_limit: int) -> List[Tuple]:
+    """Ops for iterations ``[start, stop)`` of a loop with a critical
+    section, in :meth:`ParallelFor._iteration_events` order: the pending
+    table is flushed at each lock boundary."""
+    work = pf.work
+    crit = pf.critical
+    atom = pf.atomic
+    acq = (OP_SYNC, pf._lock_acq_event())
+    rel = (OP_SYNC, pf._lock_rel_event())
+    crit_rows = _Rows()
+    crit_rows.append(crit.block, 1)
+    crit_op = crit_rows.table_op()
+    ops: list = []
     rows = _Rows()
-    rows.append(spec.block, 1)
-    return rows.table_op()
+    for i in range(start, stop):
+        _emit_iteration(rows, work, i, batch_limit)
+        if i % crit.every == 0:
+            op = rows.table_op()
+            if op is not None:
+                ops.append(op)
+            rows = _Rows()
+            ops += (acq, crit_op, rel)
+        if atom is not None and i % atom.every == 0:
+            rows.append(atom.block, 1)
+    op = rows.table_op()
+    if op is not None:
+        ops.append(op)
+    return ops
 
 
 # Lazily-bound references into runtime.constructs (imported at first use;
@@ -280,36 +308,22 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
                 op = rows.table_op()
                 ops = [op] if op is not None else []
             else:
-                # Critical sections interleave lock syncs mid-stream:
-                # flush the pending table at each lock boundary.
-                acq = pf._lock_acq_event()
-                rel = pf._lock_rel_event()
-                crit_op = _crit_row(crit)
-                ops = []
-                rows = _Rows()
-                for i in range(start, stop):
-                    _emit_iteration(rows, work, i, batch_limit)
-                    if i % crit.every == 0:
-                        op = rows.table_op()
-                        if op is not None:
-                            ops.append(op)
-                        rows = _Rows()
-                        ops.append((OP_SYNC, acq))
-                        ops.append(crit_op)
-                        ops.append((OP_SYNC, rel))
-                    if atom is not None and i % atom.every == 0:
-                        rows.append(atom.block, 1)
-                op = rows.table_op()
-                if op is not None:
-                    ops.append(op)
+                ops = _crit_ops(pf, start, stop, batch_limit)
             per_tid.append(ops + tail)
         return per_tid
 
-    # Dynamic schedule: one shared table over the whole iteration space,
-    # sliced per granted chunk via iter_off.  Lock syncs cannot be placed
-    # inside a chunk-granted run, so dynamic + critical falls back.
+    # Dynamic schedule.  Grants start at multiples of the chunk size, so
+    # with a critical section each chunk compiles once into a sub-tape
+    # (lock syncs sit inside it); without one, one shared table over the
+    # whole iteration space is sliced per granted chunk via iter_off.
     if crit is not None:
-        raise _Uncompilable("dynamic schedule with critical section")
+        chunk_tapes = [
+            _crit_ops(pf, start, min(start + pf.chunk, pf.total_iters),
+                      batch_limit) + [RET_OP]
+            for start in range(0, pf.total_iters, pf.chunk)
+        ]
+        ops = [(OP_CHUNK_TAPE, pf._chunk_event(), chunk_tapes)] + tail
+        return [ops] * nthreads
     rows = _Rows()
     for i in range(pf.total_iters):
         rows.iter_off.append(len(rows))
@@ -350,12 +364,12 @@ def _compile_master(c, nthreads: int, batch_limit: int, memo=None):
     return [master_ops if tid == 0 else [] for tid in range(nthreads)]
 
 
-def compile_streams(thread_program, nthreads: int) -> Optional[List[List]]:
+def compile_streams(thread_program, nthreads: int) -> List[List]:
     """Compile every construct for every thread into per-thread tapes.
 
-    Returns ``streams[tid] -> [op, ...]``, or ``None`` when any construct
-    is not compilable (unknown subclass, dynamic schedule with a critical
-    section) — the caller falls back to the generator path.  Per-construct
+    Returns ``streams[tid] -> [op, ...]``.  Raises
+    :class:`~repro.errors.ExecutionError` naming the class of any
+    construct that is not one of the built-in types.  Per-construct
     results are cached on the construct instance keyed by ``nthreads``, so
     repeated engine construction over the same workload pays compilation
     once.
@@ -388,17 +402,16 @@ def compile_streams(thread_program, nthreads: int) -> Optional[List[List]]:
         if compiler is None:
             # Exact type match only: a subclass may override run() with
             # semantics the tape cannot represent.
-            return None
+            raise ExecutionError(
+                f"cannot tape construct {type(construct).__name__}: only "
+                f"ParallelFor, Serial, Barrier, Single and Master compile"
+            )
         cache = getattr(construct, "_sched_tape_cache", None)
         if cache is None:
             cache = construct._sched_tape_cache = {}
         per_tid = cache.get(nthreads)
         if per_tid is None:
-            try:
-                per_tid = compiler(construct)
-            except _Uncompilable:
-                return None
-            cache[nthreads] = per_tid
+            per_tid = cache[nthreads] = compiler(construct)
         for tid in range(nthreads):
             streams[tid].extend(per_tid[tid])
     for tape in streams:

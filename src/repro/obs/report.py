@@ -123,7 +123,9 @@ def _as_int(value: object, default: int = 0) -> int:
 def critical_path_lines(trace: TraceData) -> List[str]:
     """One line per fan-out: busy vs elapsed, the critical region, and
     worker efficiency — the parallel-run summary the paper's speedup
-    argument needs."""
+    argument needs.  Jobs re-run in the parent after the pool round
+    (``fallback`` region spans) are counted apart and are no part of the
+    busy time or efficiency."""
     children = trace.children()
     lines = []
     for span in trace.spans:
@@ -137,8 +139,10 @@ def critical_path_lines(trace: TraceData) -> List[str]:
             c for c in children.get(span.span_id, [])
             if c.name.startswith("region:")
         ]
-        busy = sum(c.dur for c in regions)
-        crit = max(regions, key=lambda c: c.dur) if regions else None
+        ran = [c for c in regions if not c.attrs.get("fallback")]
+        reruns = len(regions) - len(ran)
+        busy = sum(c.dur for c in ran)
+        crit = max(ran, key=lambda c: c.dur) if ran else None
         efficiency = (
             busy / (workers * span.dur)
             if workers > 0 and span.dur > 0 else 0.0
@@ -147,10 +151,11 @@ def critical_path_lines(trace: TraceData) -> List[str]:
             f"critical {crit.name} {crit.dur:.4f}s" if crit is not None
             else "no region spans"
         )
+        rerun_text = f", {reruns} re-run(s) in the parent" if reruns else ""
         lines.append(
-            f"fanout[{span.span_id}]: {len(regions)} region span(s) on "
-            f"{workers} worker(s), elapsed {span.dur:.4f}s, busy "
-            f"{busy:.4f}s, {crit_text}, efficiency {efficiency:.0%}"
+            f"fanout[{span.span_id}]: {len(ran)} region span(s) on "
+            f"{workers} worker(s){rerun_text}, elapsed {span.dur:.4f}s, "
+            f"busy {busy:.4f}s, {crit_text}, efficiency {efficiency:.0%}"
         )
     if not lines:
         lines.append("no fan-out spans (serial run, or simulate was cached)")

@@ -80,8 +80,13 @@ class ExecutionStats:
 
     @property
     def measured_speedup(self) -> Optional[float]:
-        """Observed serial-over-parallel wall-clock ratio."""
-        if self.workers <= 1 or self.elapsed_seconds <= 0:
+        """Observed serial-over-parallel wall-clock ratio; ``None`` for a
+        serial fan-out, and for one whose jobs all re-ran in the parent
+        (no job finished in the pool, so nothing ran in parallel)."""
+        if (
+            self.workers <= 1 or self.elapsed_seconds <= 0
+            or self.serial_fallbacks >= self.num_jobs
+        ):
             return None
         return self.serial_seconds / self.elapsed_seconds
 

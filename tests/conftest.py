@@ -99,27 +99,6 @@ class PerEvent(Observer):
             ob.on_finish()
 
 
-_UNTAPED = {}
-
-
-def untaped(thread_program):
-    """``thread_program`` with every construct's class swapped for a
-    trivial subclass.
-
-    ``compile_streams`` matches exact construct types, so the engine runs
-    such a program on its generator loop instead of the tape kernel.
-    """
-    for construct in thread_program.constructs:
-        base = type(construct)
-        sub = _UNTAPED.get(base)
-        if sub is None:
-            sub = _UNTAPED[base] = type(
-                f"Untaped{base.__name__}", (base,), {"__slots__": ()}
-            )
-        construct.__class__ = sub
-    return thread_program
-
-
 @pytest.fixture
 def toy():
     return build_toy()

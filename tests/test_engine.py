@@ -17,6 +17,7 @@ from repro.runtime import LoopWork, OmpRuntime, ParallelFor, ThreadProgram
 from repro.runtime.constructs import Construct
 
 from conftest import build_toy
+from reference_engine import ReferenceEngine
 
 
 def run_toy(policy=WaitPolicy.PASSIVE, seed=0, nthreads=4, observers=(),
@@ -117,6 +118,9 @@ class TestFlowControl:
 
 
 class TestSynchronization:
+    """The handlers' error paths, driven by constructs the tape compiler
+    rejects, so these run on the generator-driven reference engine."""
+
     def test_lock_release_without_ownership(self):
         program, tp, omp = build_toy()
 
@@ -128,8 +132,8 @@ class TestSynchronization:
                 return 0
 
         bad_tp = ThreadProgram([BadConstruct()])
-        engine = ExecutionEngine(program, bad_tp, omp, 2)
-        with pytest.raises(ExecutionError):
+        engine = ReferenceEngine(program, bad_tp, omp, 2)
+        with pytest.raises(ExecutionError, match="does not own"):
             engine.run()
 
     def test_partial_barrier_deadlocks(self):
@@ -143,8 +147,10 @@ class TestSynchronization:
             def total_instructions(self, nthreads):
                 return 0
 
-        engine = ExecutionEngine(program, ThreadProgram([HalfBarrier()]), omp, 2)
-        with pytest.raises(DeadlockError):
+        engine = ReferenceEngine(
+            program, ThreadProgram([HalfBarrier()]), omp, 2
+        )
+        with pytest.raises(DeadlockError, match=r"blocked: \[0\]"):
             engine.run()
 
     def test_lock_mutual_exclusion_order(self, toy_with_critical):

@@ -347,8 +347,9 @@ class TestEndToEnd:
         scale = get_scale()
         workload = get_workload("demo-matrix-1", None, 4, scale=scale)
         pipeline = LoopPointPipeline(
-            workload, options=LoopPointOptions(scale=scale, lint=True)
+            workload, options=LoopPointOptions(scale=scale)
         )
-        result = pipeline.run(simulate_full=False)
-        assert result.lint_report is not None
-        assert result.lint_report.exit_code == 0
+        pipeline.run(simulate_full=False)
+        report = lint_pipeline(pipeline)
+        assert report is not None
+        assert report.exit_code == 0

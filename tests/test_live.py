@@ -23,6 +23,7 @@ from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.dcfg.graph import build_dcfg_from_pinball
 from repro.dcfg.loops import loop_header_blocks
 from repro.errors import ProfilingError
+from repro.lint.runner import lint_pipeline
 from repro.obs import read_trace, render_diff, render_report
 from repro.pinplay.recorder import record_execution
 from repro.pinplay.region import RegionCut, extract_region_pinballs
@@ -303,22 +304,22 @@ def _pipeline_options(**kw):
 
 @pytest.fixture(scope="module")
 def pipeline_run():
-    """One full ``run_live`` with lint and tracing on."""
+    """One full ``run_live`` with tracing on, then lint over it."""
     import tempfile
 
     workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
     trace_path = tempfile.mktemp(suffix=".trace.jsonl")
     pipeline = LoopPointPipeline(
         workload,
-        options=_pipeline_options(lint=True, trace_path=trace_path),
+        options=_pipeline_options(trace_path=trace_path),
     )
     result = pipeline.run_live(simulate_full=False)
-    return pipeline, result, trace_path
+    return pipeline, result, trace_path, lint_pipeline(pipeline)
 
 
 class TestPipelineLive:
     def test_result_shape(self, pipeline_run):
-        _, result, _ = pipeline_run
+        _, result, _, _ = pipeline_run
         assert result.live_report is not None
         assert result.num_looppoints == result.live_report.num_clusters
         assert result.num_slices == result.live_report.num_regions
@@ -328,8 +329,7 @@ class TestPipelineLive:
     def test_lint_checks_the_streamed_profile_and_skips_dominance(
         self, pipeline_run
     ):
-        pipeline, result, _ = pipeline_run
-        report = result.lint_report
+        pipeline, _, _, report = pipeline_run
         assert report is not None
         # Markers and concurrency are checked against the live pass's
         # own profile and recording.
@@ -363,7 +363,7 @@ class TestPipelineLive:
         assert a.error_estimates == b.error_estimates
 
     def test_trace_has_live_coverage_section(self, pipeline_run):
-        _, result, trace_path = pipeline_run
+        _, result, trace_path, _ = pipeline_run
         data = read_trace(trace_path)
         counters = data.counters()
         assert counters["live.regions"] == result.live_report.num_regions
@@ -374,13 +374,13 @@ class TestPipelineLive:
         assert "fast-forwarded and extrapolated" in report
 
     def test_diff_reports_live_determinism(self, pipeline_run):
-        _, _, trace_path = pipeline_run
+        _, _, trace_path, _ = pipeline_run
         data = read_trace(trace_path)
         diff = render_diff(data, data)
         assert "live determinism OK" in diff
 
     def test_diff_flags_diverged_live_counters(self, pipeline_run, tmp_path):
-        _, _, trace_path = pipeline_run
+        _, _, trace_path, _ = pipeline_run
         data = read_trace(trace_path)
         other = copy.deepcopy(data)
         for record in other.metrics:

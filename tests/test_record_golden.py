@@ -5,9 +5,10 @@ entries and sync actions with their global sequence numbers) and the
 :class:`EngineResult` counters.  Selections (``test_select_golden.py``)
 are a lossy function of the interleaving; these digests pin the
 interleaving itself.  Each case records at tiny scale with seed 0 and the
-default flow control.  The taped cases run the scheduler's tape loop;
-``644.nab_s.1`` (a dynamic schedule with a critical section) cannot be
-taped and runs the engine's generator loop.
+default flow control, on the engine's one scheduling loop, the tape loop.
+``644.nab_s.1`` has dynamic-schedule loops with critical sections, which
+run each chunk as a sub-tape; its case keeps the key ``nab-generator``
+and the digest recorded when such loops ran on a generator loop.
 """
 
 from __future__ import annotations

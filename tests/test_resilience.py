@@ -52,6 +52,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.obs import Tracer, obs_scope, read_trace
+from repro.obs.report import critical_path_lines
 from repro.parallel import (
     ArtifactCache,
     RegionJob,
@@ -406,6 +407,32 @@ class TestExecutorRecovery:
             [crash] * len(jobs)
         )
         assert all((s.pid == data.root_pid) == crash for s in regions)
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+    def test_all_fallback_fanout_is_not_a_pool_run(
+        self, region_jobs, monkeypatch, tmp_path, crash
+    ):
+        """When every worker dies, no job finished in the pool: there is
+        no measured speedup, and the critical path counts the parent's
+        re-runs apart from pool region spans."""
+        jobs = region_jobs[:3]
+        if crash:
+            _patch_worker_entry(monkeypatch, _crash)
+        path = str(tmp_path / "t.jsonl")
+        tracer = Tracer(path)
+        with obs_scope(tracer):
+            outcome = run_region_jobs(jobs, workers=2)
+        tracer.finish()
+        (line,) = critical_path_lines(read_trace(path))
+        if crash:
+            assert outcome.stats.measured_speedup is None
+            assert "0 region span(s) on 2 worker(s), 3 re-run(s) in the " \
+                "parent," in line
+            assert "busy 0.0000s, no region spans, efficiency 0%" in line
+        else:
+            assert outcome.stats.measured_speedup is not None
+            assert "3 region span(s) on 2 worker(s), elapsed" in line
+            assert "re-run" not in line
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_job_failing_everywhere_raises_naming_its_region(

@@ -1,14 +1,15 @@
 """Run-queue invalidation: every runnable/unrunnable transition is dirty.
 
-The scheduler caches its run-queue and only rebuilds it on rounds after
-``_sched_dirty`` is raised (the tape loop additionally maintains the
-queue in-line at its own transition sites).  A transition that forgets to
+The engine's tape loop maintains its run-queue in-line at its own
+transition sites and resyncs it after any handler call that raised
+``_sched_dirty``; the reference engine (``reference_engine.py``) rebuilds
+it from thread states on every dirty round.  A transition that forgets to
 invalidate silently schedules from a stale queue — threads run after
 blocking, or stay invisible after waking — which corrupts the recorded
 interleaving without crashing.  These tests pin every transition:
 barrier arrival/release, lock contention handoff, and thread completion,
 both as direct flag assertions and as schedule bit-identity between the
-tape loop and the generator loop.
+tape loop and the reference engine.
 """
 
 import pytest
@@ -26,14 +27,13 @@ from repro.exec_engine.observers import (
 from repro.pinplay.recorder import Recorder
 from repro.policy import WaitPolicy
 
-from conftest import build_toy, untaped
+from conftest import build_toy
+from reference_engine import ReferenceEngine
 
 
-def _engine(**kwargs):
-    program, tp, omp = build_toy(
-        with_critical=kwargs.pop("with_critical", False)
-    )
-    return ExecutionEngine(program, tp, omp, 4, **kwargs)
+def _engine(engine_cls=ExecutionEngine):
+    program, tp, omp = build_toy()
+    return engine_cls(program, tp, omp, 4)
 
 
 class TestDirtyFlagPerTransition:
@@ -92,7 +92,7 @@ class TestDirtyFlagPerTransition:
         assert eng._locks[5].owner == 1  # direct handoff
 
     def test_rebuild_clears_flag_and_reflects_states(self):
-        eng = _engine()
+        eng = _engine(ReferenceEngine)
         eng._block_thread(eng._threads[2])
         assert eng._sched_dirty
         runnable = eng._rebuild_runnable()
@@ -103,7 +103,7 @@ class TestDirtyFlagPerTransition:
         """The degrade path: a finished thread must leave the queue on
         the very next rebuild, or the scheduler spins on a dead
         generator."""
-        eng = _engine()
+        eng = _engine(ReferenceEngine)
         result = eng.run()
         assert result.num_events > 0
         assert all(t.state is ThreadState.DONE for t in eng._threads)
@@ -154,8 +154,8 @@ def _observed(ob):
 
 class TestScheduleIdentityAcrossPaths:
     """A missed invalidation shows up as schedule divergence between the
-    tape loop (which maintains its run-queue in-line) and the generator
-    loop (which rebuilds it from thread states).  Lock-handoff traffic
+    tape loop (which maintains its run-queue in-line) and the reference
+    engine (which rebuilds it from thread states).  Lock-handoff traffic
     (criticals) exercises the out-of-line dirty resync inside the tape
     loop.  The cube covers every per-round configuration test of the
     tape loop: wait policy, flow control and the event bound, under both
@@ -166,14 +166,12 @@ class TestScheduleIdentityAcrossPaths:
         program, tp, omp = build_toy(
             nthreads_hint=nthreads, with_critical=True
         )
-        if not taped:
-            tp = untaped(tp)
         obs = OBSERVER_SETS[observers](nthreads)
-        engine = ExecutionEngine(
+        engine_cls = ExecutionEngine if taped else ReferenceEngine
+        engine = engine_cls(
             program, tp, omp, nthreads, wait_policy=policy, seed=11,
             observers=obs, flow_control=flow, max_events=max_events,
         )
-        assert (engine._streams is not None) == taped
         assert engine._ring.flush_on_sync == (observers == "order_strict")
         try:
             return engine.run(), [_observed(ob) for ob in obs]
