@@ -8,7 +8,6 @@ profilers, the pinball recorder).
 """
 
 from .events import (
-    BlockExec,
     BarrierWait,
     LockAcquire,
     LockRelease,
@@ -20,7 +19,6 @@ from .flowcontrol import FlowControl
 from .observers import Observer, InstructionCounter, TraceCollector
 
 __all__ = [
-    "BlockExec",
     "BarrierWait",
     "LockAcquire",
     "LockRelease",

@@ -25,11 +25,10 @@ One scheduling loop, :meth:`ExecutionEngine.run`, drives every program: the
 constructor compiles the thread program into per-thread tapes
 (:func:`~.schedcore.compile_streams`), and each scheduling round consumes
 a jittered quantum of the chosen thread's tape.  A construct type the
-tape compiler does not know is rejected at construction.  The tapes
-reproduce, event for event, what the constructs'
-:meth:`~repro.runtime.constructs.Construct.run` generators yield; the
-test suite checks that against a generator-driven reference engine that
-reuses this class's sync handlers.
+tape compiler does not know is rejected at construction.  The timing
+simulator runs the same tapes.  The test suite checks the tapes against
+a generator-driven reference engine that reuses this class's sync
+handlers.
 """
 
 from __future__ import annotations

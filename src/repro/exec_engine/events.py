@@ -1,55 +1,27 @@
-"""Events yielded by thread generators to an execution driver.
+"""The event protocol between thread programs and execution drivers.
 
-Thread programs (see :mod:`repro.runtime.thread`) are Python generators that
-yield these events.  Two drivers understand them: the functional
-:class:`~repro.exec_engine.engine.ExecutionEngine` (Pin's role), which runs
-them compiled into tapes that carry the same sync events, and the timing
-:class:`~repro.timing.mcsim.MultiCoreSimulator` (Sniper's role), which
-resumes the generators, so the exact same program runs under both — the
-paper's binary-driven setup.
+A thread's execution is a sequence of these events: block runs and sync
+actions.  :func:`~repro.exec_engine.schedcore.compile_streams` compiles a
+thread program into per-thread tapes whose sync ops carry the sync events
+below, and both drivers run those tapes: the functional
+:class:`~repro.exec_engine.engine.ExecutionEngine` (Pin's role) and the
+timing :class:`~repro.timing.mcsim.MultiCoreSimulator` (Sniper's role), so
+the exact same program runs under both — the paper's binary-driven setup.
 
-``BlockExec`` may carry ``repeat > 1``: the block (an innermost self-loop
-body) executes that many consecutive times.  Batching keeps Python event
-counts tractable at ref-input scales without changing observable semantics —
-drivers expand batches wherever per-iteration detail matters.
+Block runs are columns on the tapes (``bids``, ``repeats``), not event
+objects.  A run entry may carry ``repeat > 1``: the block (an innermost
+self-loop body) executes that many consecutive times.  Batching keeps Python
+event counts tractable at ref-input scales without changing observable
+semantics — drivers expand batches wherever per-iteration detail matters.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..isa.blocks import BasicBlock
-
 
 class Event:
-    """Base class for generator events."""
+    """Base class for events."""
 
     __slots__ = ()
-
-
-class BlockExec(Event):
-    """Execute ``block`` ``repeat`` consecutive times.
-
-    The derived values every driver needs per event — the block id, the
-    total instruction count, the library flag — are precomputed here so hot
-    loops read one slot each instead of chasing ``block.image`` attributes.
-    Instances are immutable in practice and constructs may intern and
-    re-yield the same instance many times (see ``LoopWork.emit``), which is
-    why drivers must never mutate or retain-and-compare event identities.
-    """
-
-    __slots__ = ("block", "repeat", "bid", "n_total", "is_library")
-
-    def __init__(self, block: "BasicBlock", repeat: int = 1) -> None:
-        self.block = block
-        self.repeat = repeat
-        self.bid = block.bid
-        self.n_total = block.n_instr * repeat
-        self.is_library = block.image.is_library
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BlockExec({self.block.name}, x{self.repeat})"
 
 
 class BarrierWait(Event):

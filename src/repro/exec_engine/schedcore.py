@@ -1,19 +1,20 @@
-"""Compiled thread streams: the tapes the engine's scheduler runs.
+"""Compiled thread streams: the tapes both drivers run.
 
-With observers fed in batches, the wall clock of a functional execution is
-the *scheduler*.  The engine therefore never resumes a generator per
-event: every :class:`~repro.runtime.thread.ThreadProgram` compiles into
-per-thread **tapes**, flat op lists whose block runs are columnar
-(``bids``, ``repeats``, cumulative instruction prefix sums), so the engine
-consumes a whole scheduling quantum with one ``bisect`` over a prefix-sum
-list and C-speed slice ``extend``s into the
-:class:`~repro.perf.ring.EventRing` buffers.
+Every :class:`~repro.runtime.thread.ThreadProgram` compiles into per-thread
+**tapes**, flat op lists whose block runs are columnar (``bids``,
+``repeats``, cumulative instruction prefix sums).  This compiler is the one
+place that says what a construct executes.  The functional
+:class:`~repro.exec_engine.engine.ExecutionEngine` consumes a whole
+scheduling quantum with one ``bisect`` over a prefix-sum list and C-speed
+slice ``extend``s into the :class:`~repro.perf.ring.EventRing` buffers.  The
+timing :class:`~repro.timing.mcsim.MultiCoreSimulator` walks the same
+tapes one event per turn, in simulated-time order.
 
 Two block-run encodings exist:
 
 * ``OP_TILED`` — a constant-trip worker loop (the common case): one
   iteration's event pattern plus per-iteration instruction totals.  The
-  engine replays ``n_iters`` copies arithmetically — compile cost is
+  drivers replay ``n_iters`` copies — compile cost is
   ``O(events per iteration)``, independent of the iteration count, which
   matters because engines are constructed per run.
 * ``OP_TABLE`` — an explicit event table with prefix sums, used where the
@@ -22,21 +23,24 @@ Two block-run encodings exist:
   sliced via ``iter_off``).
 
 Synchronization stays event-at-a-time: ``OP_SYNC`` carries the *interned*
-sync event (one instance per construct, shared with
-:meth:`~repro.runtime.constructs.Construct.run`) and dispatches through
-the engine's handlers, so barrier/lock semantics, gseq numbering and
-observer callbacks are those of the event stream.  A dynamic-schedule
-loop with a critical section compiles each chunk into its own sub-tape
-(``OP_CHUNK_TAPE``): grants start at multiples of the chunk size, so
-chunk ``k``'s ops are fixed, and lock syncs sit inside them.
+sync event (one instance per construct) and dispatches through the
+driver's handlers, so barrier/lock semantics, gseq numbering and observer
+callbacks are those of the event stream.  Chunk and single requests have
+their own ops (``OP_CHUNK``, ``OP_CHUNK_TAPE``, ``OP_SINGLE``): the
+driver's grant, decided when the request runs, picks what the thread runs
+next.  A dynamic-schedule loop with a critical section compiles each chunk
+into its own sub-tape (``OP_CHUNK_TAPE``): grants start at multiples of
+the chunk size, so chunk ``k``'s ops are fixed under any grant order, and
+lock syncs sit inside them.
 
-Contract: consuming a tape produces exactly the event sequence,
-rng-stream consumption, observer callbacks and
-:class:`~repro.exec_engine.engine.EngineResult` of running every thread's
-:meth:`~repro.runtime.thread.ThreadProgram.thread_main` generator under
-the same schedule; the test suite keeps a generator-driven reference
-engine to check it.  Only the built-in construct types compile: any
-other :class:`~repro.runtime.constructs.Construct` subclass makes
+Contract: a tape holds exactly the event sequence the construct's
+OpenMP semantics prescribe for its thread.  The test suite keeps
+generator-driven references, a functional engine and a timed simulator
+that resume one generator per construct event, and checks that running
+the tapes gives the same :class:`~repro.exec_engine.engine.EngineResult`,
+observer callbacks and :class:`~repro.timing.mcsim.SimulationResult`.
+Only the built-in construct types compile: any other
+:class:`~repro.runtime.constructs.Construct` subclass makes
 :func:`compile_streams` raise :class:`~repro.errors.ExecutionError`.
 """
 
@@ -83,7 +87,9 @@ def _pattern_key(work) -> Optional[Tuple]:
     return (id(work.header), tuple(body_key))
 
 
-def _pattern_cols(work, memo: Optional[dict] = None) -> Optional[Tuple]:
+def _pattern_cols(
+    work, batch_limit: int, memo: Optional[dict] = None
+) -> Optional[Tuple]:
     """One iteration's event pattern as columns, or ``None`` (callable
     trips).
 
@@ -103,36 +109,22 @@ def _pattern_cols(work, memo: Optional[dict] = None) -> Optional[Tuple]:
         if hit is not None:
             object.__setattr__(work, "_sched_pattern", hit)
             return hit
-    if not work._plan_built:
-        work._build_plan()
-    plan = work._iter_plan
-    if plan is None:
+    if any(callable(trip) for _block, trip in work.body):
         # Iteration-dependent trip counts: no constant pattern.  Cache the
         # negative result too (an empty tuple, distinguished from None).
         object.__setattr__(work, "_sched_pattern", ())
         return None
-    bids: List[int] = []
-    reps: List[int] = []
-    pre_t: List[int] = [0]
-    pre_f: List[int] = [0]
-    t = 0
-    f = 0
-    for ev in plan:
-        bids.append(ev.bid)
-        reps.append(ev.repeat)
-        t += ev.n_total
-        if not ev.is_library:
-            f += ev.n_total
-        pre_t.append(t)
-        pre_f.append(f)
-    cols = (bids, reps, pre_t, pre_f, len(bids), t, f)
+    rows = TableRows()
+    _emit_iteration(rows, work, 0, batch_limit)
+    cols = (rows.bids, rows.reps, rows.pre_t, rows.pre_f, len(rows),
+            rows.pre_t[-1], rows.pre_f[-1])
     object.__setattr__(work, "_sched_pattern", cols)
     if key is not None:
         memo[key] = cols
     return cols
 
 
-class _Rows:
+class TableRows:
     """An event-table builder tracking prefix sums and iteration offsets."""
 
     __slots__ = ("bids", "reps", "pre_t", "pre_f", "iter_off")
@@ -154,7 +146,8 @@ class _Rows:
         )
 
     def expand(self, block, n: int, batch_limit: int) -> None:
-        """The exact expansion :meth:`LoopWork.emit` performs."""
+        """``n`` back-to-back runs of ``block``, batched: rows of
+        ``batch_limit`` repeats, then the remainder."""
         while n > batch_limit:
             self.append(block, batch_limit)
             n -= batch_limit
@@ -173,9 +166,9 @@ class _Rows:
         )
 
 
-def _emit_iteration(rows: _Rows, work, i: int, batch_limit: int) -> None:
-    """Append iteration ``i``'s events — header then expanded body blocks —
-    matching :meth:`LoopWork.emit` event for event."""
+def _emit_iteration(rows: TableRows, work, i: int, batch_limit: int) -> None:
+    """Append iteration ``i``'s events: the header once, then each body
+    block for its trip count, batched."""
     rows.append(work.header, 1)
     for block, trip in work.body:
         rows.expand(block, trip(i) if callable(trip) else trip, batch_limit)
@@ -188,14 +181,14 @@ def _work_ops(
     """Ops for plain iterations ``[lo, hi)`` of ``work`` (no crit/atomic)."""
     if hi <= lo:
         return []
-    pat = _pattern_cols(work, memo)
+    pat = _pattern_cols(work, batch_limit, memo)
     if pat is not None:
         bids, reps, pre_t, pre_f, m, iter_t, iter_f = pat
         if m == 0:
             return []
         return [(OP_TILED, bids, reps, pre_t, pre_f, m, iter_t, iter_f,
                  hi - lo)]
-    rows = _Rows()
+    rows = TableRows()
     for i in range(lo, hi):
         _emit_iteration(rows, work, i, batch_limit)
     op = rows.table_op()
@@ -204,25 +197,26 @@ def _work_ops(
 
 def _crit_ops(pf, start: int, stop: int, batch_limit: int) -> List[Tuple]:
     """Ops for iterations ``[start, stop)`` of a loop with a critical
-    section, in :meth:`ParallelFor._iteration_events` order: the pending
-    table is flushed at each lock boundary."""
+    section: each iteration's work, then the critical section when due,
+    then the atomic update when due.  The pending table is flushed at each
+    lock boundary."""
     work = pf.work
     crit = pf.critical
     atom = pf.atomic
     acq = (OP_SYNC, pf._lock_acq_event())
     rel = (OP_SYNC, pf._lock_rel_event())
-    crit_rows = _Rows()
+    crit_rows = TableRows()
     crit_rows.append(crit.block, 1)
     crit_op = crit_rows.table_op()
     ops: list = []
-    rows = _Rows()
+    rows = TableRows()
     for i in range(start, stop):
         _emit_iteration(rows, work, i, batch_limit)
         if i % crit.every == 0:
             op = rows.table_op()
             if op is not None:
                 ops.append(op)
-            rows = _Rows()
+            rows = TableRows()
             ops += (acq, crit_op, rel)
         if atom is not None and i % atom.every == 0:
             rows.append(atom.block, 1)
@@ -265,7 +259,7 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
         shared = (
             {}
             if crit is None and atom is None
-            and _pattern_cols(work, memo) is not None
+            and _pattern_cols(work, batch_limit, memo) is not None
             else None
         )
         # Chunk boundaries depend only on (total_iters, nthreads): share
@@ -299,8 +293,8 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
                 ops = _work_ops(work, start, stop, batch_limit, memo)
             elif crit is None:
                 # Atomic updates are plain block events: fold them into
-                # the iteration table in _iteration_events order.
-                rows = _Rows()
+                # the iteration table, each after its iteration's work.
+                rows = TableRows()
                 for i in range(start, stop):
                     _emit_iteration(rows, work, i, batch_limit)
                     if i % atom.every == 0:
@@ -324,7 +318,7 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
         ]
         ops = [(OP_CHUNK_TAPE, pf._chunk_event(), chunk_tapes)] + tail
         return [ops] * nthreads
-    rows = _Rows()
+    rows = TableRows()
     for i in range(pf.total_iters):
         rows.iter_off.append(len(rows))
         _emit_iteration(rows, work, i, batch_limit)
@@ -350,7 +344,7 @@ def _compile_barrier(c, nthreads: int):
 
 
 def _compile_single(c, nthreads: int, batch_limit: int, memo=None):
-    rows = _Rows()
+    rows = TableRows()
     for i in range(c.iters):
         _emit_iteration(rows, c.work, i, batch_limit)
     run = (rows.bids, rows.reps, rows.pre_t, rows.pre_f) if rows.bids else None
@@ -400,8 +394,8 @@ def compile_streams(thread_program, nthreads: int) -> List[List]:
     for construct in thread_program.constructs:
         compiler = compilers.get(type(construct))
         if compiler is None:
-            # Exact type match only: a subclass may override run() with
-            # semantics the tape cannot represent.
+            # Exact type match only: a subclass may carry semantics the
+            # tape cannot represent.
             raise ExecutionError(
                 f"cannot tape construct {type(construct).__name__}: only "
                 f"ParallelFor, Serial, Barrier, Single and Master compile"

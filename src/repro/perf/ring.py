@@ -1,7 +1,7 @@
 """The batched event hot path: a fixed-capacity block-event ring.
 
 Per-event observer dispatch is the wall-clock bottleneck of every
-functional execution and constrained replay: each ``BlockExec`` used to be
+functional execution and constrained replay: each block event used to be
 routed one at a time through a Python ``for ob in observers`` loop, costing
 several function calls and attribute chases per event.  The
 :class:`EventRing` instead accumulates block events into a fixed-capacity

@@ -7,35 +7,43 @@ a regular program, freeing the threads from the recorded shared-memory
 order.  The paper's evaluation uses the former; this module implements the
 latter as the natural extension.
 
-Our ELFie materializes a region pinball back into *live thread programs*:
-each thread's remaining work (worker-loop iterations, synchronization
-events) is reconstructed from its log, and the synchronization objects are
-re-armed so the timing simulator resolves barriers/locks/chunking itself —
-unconstrained — starting from the checkpointed execution-counter state for
-exact address-stream resumption.  Spin/futex library entries recorded in
-the log are *dropped* (an ELFie re-executes synchronization natively rather
-than replaying the recorded waiting), which is precisely what removes the
-constrained-replay distortions.
+Our ELFie materializes a region pinball back into *live thread code*: each
+thread's remaining work (block runs, barriers, lock acquires and releases)
+is reconstructed from its log, and the synchronization objects are re-armed
+so the timing simulator resolves barriers and locks itself — unconstrained —
+starting from the checkpointed execution-counter state for exact
+address-stream resumption.  Chunk and single grants were resolved at record
+time; their work is already inlined in the code.  Spin/futex library
+entries recorded in the log are *dropped* (an ELFie re-executes
+synchronization natively rather than replaying the recorded waiting), which
+is precisely what removes the constrained-replay distortions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ReplayError
 from ..exec_engine.events import (
     BarrierWait,
-    BlockExec,
+    LockAcquire,
+    LockRelease,
     SYNC_BARRIER,
-    SYNC_CHUNK,
     SYNC_LOCK_ACQ,
     SYNC_LOCK_REL,
-    SYNC_SINGLE,
 )
+from ..exec_engine.schedcore import DONE_OP, OP_SYNC, TableRows
 from ..isa.image import Program
 from ..runtime.omp import OmpRuntime
 from .pinball import RegionPinball
+
+#: The sync kinds an ELFie's thread code holds, and their events.
+_SYNC_EVENTS = {
+    SYNC_BARRIER: BarrierWait,
+    SYNC_LOCK_ACQ: LockAcquire,
+    SYNC_LOCK_REL: LockRelease,
+}
 
 
 @dataclass
@@ -60,38 +68,41 @@ class ELFie:
     def num_entries(self) -> int:
         return sum(len(code) for code in self.thread_codes)
 
-    def thread_main(self, program: Program, tid: int) -> Iterator[object]:
-        """The generator one thread runs when the ELFie executes.
+    def tapes(self, program: Program) -> List[List[tuple]]:
+        """Per-thread tapes the timing simulator runs the ELFie from.
 
-        Yields the standard event protocol, so the ELFie runs under the
-        same drivers as a regular application binary.
+        Block entries become ``OP_TABLE`` rows, one row per entry;
+        barriers and lock acquires and releases become ``OP_SYNC`` ops,
+        which the timing model resolves live.  Those are the only kinds
+        :func:`pinball_to_elfie` writes: an entry of any other kind raises
+        :class:`~repro.errors.ReplayError`.
         """
-        from ..exec_engine.events import (
-            LockAcquire,
-            LockRelease,
-            SingleRequest,
-        )
-
-        for entry in self.thread_codes[tid]:
-            if entry[0] == "b":
-                yield BlockExec(program.blocks[entry[1]], entry[2])
-            else:
-                _tag, kind, obj_id = entry
-                if kind == SYNC_BARRIER:
-                    yield BarrierWait(obj_id)
-                elif kind == SYNC_LOCK_ACQ:
-                    yield LockAcquire(obj_id)
-                elif kind == SYNC_LOCK_REL:
-                    yield LockRelease(obj_id)
-                elif kind == SYNC_SINGLE:
-                    # Re-arbitrated at run time; the response is ignored
-                    # because the executed work is already in the code.
-                    yield SingleRequest(obj_id)
-                elif kind == SYNC_CHUNK:
-                    # Chunks were resolved at record time; an ELFie replays
-                    # the thread's own assignment (the work is inlined), so
-                    # nothing is re-requested.
+        blocks = program.blocks
+        tapes = []
+        for code in self.thread_codes:
+            tape: List[tuple] = []
+            rows = TableRows()
+            for entry in code:
+                if entry[0] == "b":
+                    rows.append(blocks[entry[1]], entry[2])
                     continue
+                _tag, kind, obj_id = entry
+                event = _SYNC_EVENTS.get(kind)
+                if event is None:
+                    raise ReplayError(
+                        f"ELFie entry of kind {kind!r} has no tape op"
+                    )
+                op = rows.table_op()
+                if op is not None:
+                    tape.append(op)
+                    rows = TableRows()
+                tape.append((OP_SYNC, event(obj_id)))
+            op = rows.table_op()
+            if op is not None:
+                tape.append(op)
+            tape.append(DONE_OP)
+            tapes.append(tape)
+        return tapes
 
 
 def pinball_to_elfie(

@@ -2,24 +2,24 @@
 
 A workload is a list of constructs executed in order by every thread (the
 fork-join model with a persistent thread pool).  Constructs are *pure work
-descriptions*: they yield :mod:`~repro.exec_engine.events` and never touch
-scheduling, timing, or the wait policy — those belong to the drivers.  This
-separation is what lets the identical program run under the functional engine
-(recording/profiling) and the timing simulator (the paper's binary-driven
-unconstrained simulation).
+descriptions*: they hold a loop's blocks, trip counts, schedule and sync
+options, and never touch scheduling, timing, or the wait policy — those
+belong to the drivers.  :func:`~repro.exec_engine.schedcore.compile_streams`
+is the one place that says what each construct executes: it compiles them
+into per-thread tapes, and both drivers run those tapes, so the identical
+program runs under the functional engine (recording/profiling) and the
+timing simulator (the paper's binary-driven unconstrained simulation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from ..errors import ProgramStructureError
 from ..exec_engine.events import (
     BarrierWait,
-    BlockExec,
     ChunkRequest,
-    Event,
     LockAcquire,
     LockRelease,
     Reduce,
@@ -40,7 +40,7 @@ def _trips(t: TripCount, outer_index: int) -> int:
     return t(outer_index) if callable(t) else t
 
 
-#: Largest ``repeat`` emitted for one batched self-loop event.  Batching
+#: Largest ``repeat`` of one batched self-loop event.  Batching
 #: keeps Python event counts low, but over-large batches make thread
 #: interleaving (and therefore per-slice per-thread BBV shares) artificially
 #: coarse; 64 iterations keeps an event well under typical scheduling quanta.
@@ -65,65 +65,6 @@ class LoopWork:
             raise ProgramStructureError(
                 f"LoopWork header {self.header.name!r} is not a loop header"
             )
-        # Event-interning caches, built lazily on first emit (events need
-        # block.image, which the program builder may assign after
-        # construction).  ``_iter_plan`` is the per-outer-iteration event
-        # tuple when every trip count is constant; ``_ev_cache`` interns
-        # ``(bid, repeat)`` events for iteration-dependent trip counts.
-        # BlockExec events are immutable, so yielding the same instance
-        # many times is observably identical to fresh construction — it
-        # just skips the per-event allocation on the hot path.
-        object.__setattr__(self, "_iter_plan", None)
-        object.__setattr__(self, "_plan_built", False)
-        object.__setattr__(self, "_ev_cache", {})
-
-    def _expand(self, block: BasicBlock, n: int, out: list) -> None:
-        while n > BATCH_LIMIT:
-            out.append(BlockExec(block, BATCH_LIMIT))
-            n -= BATCH_LIMIT
-        if n > 0:
-            out.append(BlockExec(block, n))
-
-    def _build_plan(self) -> None:
-        if all(not callable(trip) for _block, trip in self.body):
-            events: list = [BlockExec(self.header, 1)]
-            for block, trip in self.body:
-                self._expand(block, trip, events)
-            object.__setattr__(self, "_iter_plan", tuple(events))
-        object.__setattr__(self, "_plan_built", True)
-
-    def emit(self, tid: int, start: int, stop: int) -> Iterator[Event]:
-        """Yield the events of outer iterations ``[start, stop)``."""
-        if not self._plan_built:
-            self._build_plan()
-        plan = self._iter_plan
-        if plan is not None:
-            for _ in range(start, stop):
-                yield from plan
-            return
-        body = self.body
-        cache = self._ev_cache
-        header_ev = cache.get((self.header.bid, 1))
-        if header_ev is None:
-            header_ev = BlockExec(self.header, 1)
-            cache[(self.header.bid, 1)] = header_ev
-        for i in range(start, stop):
-            yield header_ev
-            for block, trip in body:
-                n = _trips(trip, i)
-                while n > BATCH_LIMIT:
-                    ev = cache.get((block.bid, BATCH_LIMIT))
-                    if ev is None:
-                        ev = BlockExec(block, BATCH_LIMIT)
-                        cache[(block.bid, BATCH_LIMIT)] = ev
-                    yield ev
-                    n -= BATCH_LIMIT
-                if n > 0:
-                    ev = cache.get((block.bid, n))
-                    if ev is None:
-                        ev = BlockExec(block, n)
-                        cache[(block.bid, n)] = ev
-                    yield ev
 
     def instructions_per_iteration(self, outer_index: int = 0) -> int:
         """Instruction cost of one outer iteration (for sizing workloads)."""
@@ -168,10 +109,10 @@ class Construct:
     list.
 
     Sync events are *interned* per construct (built lazily, since the
-    derived ids need ``uid``): every ``run`` — and the scheduler tapes of
-    :mod:`~repro.exec_engine.schedcore` — yields the same immutable
-    instance instead of allocating per arrival.  Drivers never mutate or
-    key on event identity, so this is observably identical.
+    derived ids need ``uid``): the scheduler tapes of
+    :mod:`~repro.exec_engine.schedcore` carry the same immutable instance
+    wherever it occurs instead of allocating per arrival.  Drivers never
+    mutate or key on event identity, so this is observably identical.
     """
 
     def __init__(self) -> None:
@@ -201,10 +142,6 @@ class Construct:
     @property
     def single_id(self) -> int:
         return self.uid * 4 + 2
-
-    def run(self, tid: int, nthreads: int) -> Iterator[Event]:
-        """Yield this construct's events for thread ``tid``."""
-        raise NotImplementedError
 
     def total_instructions(self, nthreads: int) -> int:
         """Approximate application (main-image) instructions, all threads."""
@@ -273,56 +210,6 @@ class ParallelFor(Construct):
             ev = self._ev_lock_rel = LockRelease(self.critical.lock_id)
         return ev
 
-    def _iteration_events(self, tid: int, start: int, stop: int) -> Iterator[Event]:
-        crit, atom = self.critical, self.atomic
-        if crit is None and atom is None:
-            yield from self.work.emit(tid, start, stop)
-            return
-        if crit is not None:
-            acq = self._lock_acq_event()
-            rel = self._lock_rel_event()
-            crit_ev = self.__dict__.get("_ev_crit_block")
-            if crit_ev is None:
-                crit_ev = self._ev_crit_block = BlockExec(crit.block, 1)
-        if atom is not None:
-            atom_ev = self.__dict__.get("_ev_atom_block")
-            if atom_ev is None:
-                atom_ev = self._ev_atom_block = BlockExec(atom.block, 1)
-        for i in range(start, stop):
-            yield from self.work.emit(tid, i, i + 1)
-            if crit is not None and i % crit.every == 0:
-                yield acq
-                yield crit_ev
-                yield rel
-            if atom is not None and i % atom.every == 0:
-                yield atom_ev
-
-    def run(self, tid: int, nthreads: int) -> Iterator[Event]:
-        # The critical/atomic-free case delegates straight to the work's
-        # emit — one less generator frame for every send on the hot path.
-        plain = self.critical is None and self.atomic is None
-        if self.schedule == SCHEDULE_STATIC:
-            start, stop = static_chunk(self.total_iters, nthreads, tid)
-            if plain:
-                yield from self.work.emit(tid, start, stop)
-            else:
-                yield from self._iteration_events(tid, start, stop)
-        else:
-            request = self._chunk_event()
-            while True:
-                start = yield request
-                if start is None or start < 0:
-                    break
-                stop = min(start + self.chunk, self.total_iters)
-                if plain:
-                    yield from self.work.emit(tid, start, stop)
-                else:
-                    yield from self._iteration_events(tid, start, stop)
-        if self.reduction:
-            yield self._reduce_event()
-        if not self.nowait:
-            yield self._barrier_event()
-
     def total_instructions(self, nthreads: int) -> int:
         total = 0
         for i in range(self.total_iters):
@@ -342,11 +229,6 @@ class Serial(Construct):
         self.work = work
         self.iters = iters
 
-    def run(self, tid: int, nthreads: int) -> Iterator[Event]:
-        if tid == 0:
-            yield from self.work.emit(tid, 0, self.iters)
-        yield self._barrier_event()
-
     def total_instructions(self, nthreads: int) -> int:
         return sum(
             self.work.instructions_per_iteration(i) for i in range(self.iters)
@@ -355,9 +237,6 @@ class Serial(Construct):
 
 class Barrier(Construct):
     """An explicit ``#pragma omp barrier``."""
-
-    def run(self, tid: int, nthreads: int) -> Iterator[Event]:
-        yield self._barrier_event()
 
     def total_instructions(self, nthreads: int) -> int:
         return 0
@@ -370,12 +249,6 @@ class Single(Construct):
         super().__init__()
         self.work = work
         self.iters = iters
-
-    def run(self, tid: int, nthreads: int) -> Iterator[Event]:
-        granted = yield self._single_event()
-        if granted:
-            yield from self.work.emit(tid, 0, self.iters)
-        yield self._barrier_event()
 
     def total_instructions(self, nthreads: int) -> int:
         return sum(
@@ -390,12 +263,6 @@ class Master(Construct):
         super().__init__()
         self.work = work
         self.iters = iters
-
-    def run(self, tid: int, nthreads: int) -> Iterator[Event]:
-        if tid == 0:
-            yield from self.work.emit(tid, 0, self.iters)
-        return
-        yield  # pragma: no cover - makes this a generator even for tid != 0
 
     def total_instructions(self, nthreads: int) -> int:
         return sum(

@@ -3,15 +3,16 @@
 :class:`ThreadProgram` is the dynamic half of a workload — the static half is
 the :class:`~repro.isa.image.Program`.  Assigning construct uids here (by
 position) makes sync-object ids stable across runs and across processes,
-which the pinball recorder/replayer relies on.
+which the pinball recorder/replayer relies on.  Drivers do not walk the
+constructs themselves: :func:`~repro.exec_engine.schedcore.compile_streams`
+compiles a thread program into the per-thread tapes they run.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from ..errors import ProgramStructureError
-from ..exec_engine.events import Event
 from .constructs import Construct
 
 
@@ -24,13 +25,6 @@ class ThreadProgram:
         self.constructs: List[Construct] = list(constructs)
         for uid, construct in enumerate(self.constructs):
             construct.uid = uid
-
-    def thread_main(self, tid: int, nthreads: int) -> Iterator[Event]:
-        """The generator one thread runs: every construct, in order."""
-        if not 0 <= tid < nthreads:
-            raise ProgramStructureError(f"tid {tid} out of range 0..{nthreads - 1}")
-        for construct in self.constructs:
-            yield from construct.run(tid, nthreads)
 
     def total_instructions(self, nthreads: int) -> int:
         """Approximate application (main-image) instructions, all threads."""

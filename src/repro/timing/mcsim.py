@@ -15,9 +15,17 @@ program start: the paper's "perfect warmup".  A region may instead name a
 (exact execution and marker counts and predictor state, clocks advanced by
 the non-memory cost terms, no cache probes) and warms only from there.
 
+The threads run the per-thread tapes that
+:func:`~repro.exec_engine.schedcore.compile_streams` compiles for the
+functional engine too, so a construct's semantics are defined once; chunk
+and single grants resolve in the timed loop, at simulated time.
+
 **ELFies** (:meth:`MultiCoreSimulator.run_elfie`), the other unconstrained
 route of Sec. II, run on the same thread loop (:meth:`_run_threads`) with
-passive waits: an ELFie's threads are ordinary event generators.
+passive waits: an ELFie's thread code compiles to block-run tables plus
+barrier and lock ops (:meth:`~repro.pinplay.elfie.ELFie.tapes`).  The loop
+gives each event to the runnable thread with the lowest core clock, ties
+to the lowest tid.
 
 **Checkpoint-driven constrained** (:meth:`MultiCoreSimulator.run_pinball`):
 replays a (region) pinball's logs while *enforcing the recorded sync order*.
@@ -40,12 +48,19 @@ from ..config import SystemConfig
 from ..errors import DeadlockError, RegionError, SimulationError
 from ..exec_engine.events import (
     BarrierWait,
-    BlockExec,
-    ChunkRequest,
     LockAcquire,
     LockRelease,
     Reduce,
-    SingleRequest,
+)
+from ..exec_engine.schedcore import (
+    OP_CHUNK_TAPE,
+    OP_DONE,
+    OP_RET,
+    OP_SINGLE,
+    OP_SYNC,
+    OP_TABLE,
+    OP_TILED,
+    compile_streams,
 )
 from ..isa.blocks import BasicBlock
 from ..isa.image import Program
@@ -128,13 +143,28 @@ class SimulationResult:
 
 
 class _SimThread:
-    __slots__ = ("tid", "gen", "state", "response")
+    """A thread's state and its place in its tape.
 
-    def __init__(self, tid: int, gen) -> None:
+    ``tape[op]`` is the next op; ``ret`` is the stream op a chunk tape's
+    ``OP_RET`` returns to.  The current block run is entries ``[i, end)``
+    of the columns ``bids``/``reps``/``pre`` (instruction prefix sums),
+    with ``left`` passes over it to go (a tiled run's iterations).
+    """
+
+    __slots__ = (
+        "tid", "state", "tape", "op", "ret",
+        "bids", "reps", "pre", "i", "end", "left",
+    )
+
+    def __init__(self, tid: int, tape: List[tuple]) -> None:
         self.tid = tid
-        self.gen = gen
         self.state = _RUNNABLE
-        self.response = None
+        self.tape = tape
+        self.op = 0
+        self.ret = 0
+        self.bids = self.reps = self.pre = ()
+        self.i = self.end = 0
+        self.left = 0
 
 
 class _SimLock:
@@ -540,13 +570,10 @@ class MultiCoreSimulator:
         if whole_run:
             regions = [RegionOfInterest(region_id=-1)]
         ctl = _RegionController(self, regions, nthreads)
-        gens = [
-            thread_program.thread_main(tid, nthreads)
-            for tid in range(nthreads)
-        ]
+        streams = compile_streams(thread_program, nthreads)
         try:
             self._run_threads(
-                ctl, gens, wait_policy is WaitPolicy.ACTIVE, max_events
+                ctl, streams, wait_policy is WaitPolicy.ACTIVE, max_events
             )
             ctl.finalize(whole_run, clip_at_end)
         finally:
@@ -560,37 +587,51 @@ class MultiCoreSimulator:
     def _run_threads(
         self,
         ctl,
-        gens: Sequence,
+        streams: Sequence[List[tuple]],
         active: bool,
         max_events: Optional[int] = None,
     ) -> None:
-        """Run one generator per thread in simulated-time order.
+        """Run one tape per thread in simulated-time order.
 
-        The runnable thread with the lowest core clock takes the next
-        event; sync events are resolved at simulated cycles.  ``ctl`` is a
-        :class:`_RegionController` or a :class:`_DetailWindow`: the loop
-        reports blocks, events and barrier releases to it, stops once it
-        is ``finished``, and, when every live thread is blocked, ends the
-        run if its ``stop_when_blocked`` is set and raises
-        :class:`DeadlockError` otherwise.
+        ``streams[tid]`` is thread ``tid``'s tape (see
+        :mod:`~repro.exec_engine.schedcore`).  The runnable thread with the
+        lowest core clock, ties to the lowest tid, takes the next event:
+        one block run entry or one sync op.  Sync events are resolved at
+        simulated cycles; chunk and single grants are decided here, when
+        the request runs.  ``ctl`` is a :class:`_RegionController` or a
+        :class:`_DetailWindow`: the loop reports blocks, events and barrier
+        releases to it, stops once it is ``finished``, and, when every live
+        thread is blocked, ends the run if its ``stop_when_blocked`` is set
+        and raises :class:`DeadlockError` otherwise.
         """
-        threads = [_SimThread(tid, gen) for tid, gen in enumerate(gens)]
+        threads = [_SimThread(tid, tape) for tid, tape in enumerate(streams)]
         cores = self.cores
+        blocks = self.program.blocks
+        chunk_fetch = self.omp.chunk_fetch
+        exec_block = self._exec
+        pre_block = ctl.pre_block
+        post_block = ctl.post_block
+        post_event = ctl.post_event
 
         barriers: Dict[int, List[Tuple[int, int]]] = {}
         locks: Dict[int, _SimLock] = {}
         chunks: Dict[int, int] = {}
         singles: set = set()
         num_events = 0
+        maxev = max_events if max_events is not None else 1 << 62
 
         while not ctl.finished:
-            best = None
-            best_cycle = None
+            # The lowest (clock, tid) runnable thread, and the runner-up.
+            best = second = None
+            best_cycle = second_cycle = 0
             for t in threads:
                 if t.state == _RUNNABLE:
                     c = cores[t.tid].cycle
-                    if best_cycle is None or c < best_cycle:
+                    if best is None or c < best_cycle:
+                        second, second_cycle = best, best_cycle
                         best, best_cycle = t, c
+                    elif second is None or c < second_cycle:
+                        second, second_cycle = t, c
             if best is None:
                 blocked = [t.tid for t in threads if t.state == _BLOCKED]
                 if blocked and not ctl.stop_when_blocked:
@@ -601,55 +642,127 @@ class MultiCoreSimulator:
 
             thread = best
             tid = thread.tid
-            # Single-event turns keep inter-core drift at one block batch,
-            # which bounds region-boundary jitter on the global clock.
-            try:
-                event = thread.gen.send(thread.response)
-            except StopIteration:
-                thread.state = _DONE
-                continue
-            thread.response = None
-            num_events += 1
-            etype = type(event)
-            if etype is BlockExec:
-                ctl.pre_block(event.block, event.repeat)
-                if ctl.finished:
+            core = cores[tid]
+            # Turns are single events, which keeps inter-core drift at one
+            # block batch and so bounds region-boundary jitter on the
+            # global clock.  A block event moves only its own core's clock
+            # and thread states change only at sync events, so after a
+            # block event the scan would pick this thread again exactly
+            # while its (clock, tid) stays below the runner-up's.
+            limit = (
+                second_cycle + (tid < second.tid) if second is not None
+                else float("inf")
+            )
+            bids = thread.bids
+            reps = thread.reps
+            pre = thread.pre
+            i = thread.i
+            end = thread.end
+            while True:
+                if i < end:
+                    block = blocks[bids[i]]
+                    repeat = reps[i]
+                    num_events += 1
+                    pre_block(block, repeat)
+                    if ctl.finished:
+                        return
+                    exec_block(tid, block, repeat)
+                    post_block(pre[i + 1] - pre[i])
+                    i += 1
+                    post_event(tid)
+                    if num_events > maxev:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events}"
+                        )
+                    if core.cycle < limit:
+                        continue
+                    break
+                if thread.left > 1:
+                    # The next iteration of a tiled run.
+                    thread.left -= 1
+                    i = 0
                     continue
-                self._exec(tid, event.block, event.repeat)
-                ctl.post_block(event.block.n_instr * event.repeat)
-            elif etype is BarrierWait:
-                if self._handle_barrier_timed(
-                    thread, event.barrier_id, barriers, threads, active
-                ):
-                    ctl.post_barrier_release()
-            elif etype is LockAcquire:
-                self._handle_lock_acquire_timed(
-                    thread, event.lock_id, locks, active
-                )
-            elif etype is LockRelease:
-                self._handle_lock_release_timed(
-                    thread, event.lock_id, locks, threads, active
-                )
-            elif etype is ChunkRequest:
-                cursor = chunks.get(event.loop_id, 0)
-                self._exec(tid, self.omp.chunk_fetch, 1)
-                if cursor >= event.total_iters:
-                    thread.response = -1
-                else:
-                    thread.response = cursor
-                    chunks[event.loop_id] = cursor + event.chunk_size
-            elif etype is SingleRequest:
-                granted = event.single_id not in singles
-                if granted:
-                    singles.add(event.single_id)
-                thread.response = granted
-            elif etype is Reduce:
-                self._exec(tid, self.omp.reduce_combine, 1)
-            else:
-                raise SimulationError(f"unknown event {event!r}")
-            ctl.post_event(tid)
-            if max_events is not None and num_events > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+                op = thread.tape[thread.op]
+                code = op[0]
+                if code == OP_TILED:
+                    thread.op += 1
+                    bids, reps, pre = op[1], op[2], op[3]
+                    i, end, thread.left = 0, op[5], op[8]
+                    continue
+                if code == OP_TABLE:
+                    thread.op += 1
+                    bids, reps, pre = op[1], op[2], op[3]
+                    i, end, thread.left = op[5], op[6], 1
+                    continue
+                if code == OP_RET:
+                    # End of a chunk tape: back to its chunk op, which
+                    # requests the next chunk.  Not an event.
+                    thread.tape = streams[tid]
+                    thread.op = thread.ret
+                    continue
+                if code == OP_DONE:
+                    thread.state = _DONE
+                    break
+
+                # A sync op: one event, then a fresh scan.
+                thread.op += 1
+                num_events += 1
+                event = op[1]
+                if code == OP_SYNC:
+                    etype = type(event)
+                    if etype is BarrierWait:
+                        if self._handle_barrier_timed(
+                            thread, event.barrier_id, barriers, threads,
+                            active,
+                        ):
+                            ctl.post_barrier_release()
+                    elif etype is LockAcquire:
+                        self._handle_lock_acquire_timed(
+                            thread, event.lock_id, locks, active
+                        )
+                    elif etype is LockRelease:
+                        self._handle_lock_release_timed(
+                            thread, event.lock_id, locks, threads, active
+                        )
+                    elif etype is Reduce:
+                        exec_block(tid, self.omp.reduce_combine, 1)
+                    else:
+                        raise SimulationError(f"unknown event {event!r}")
+                elif code == OP_SINGLE:
+                    if event.single_id not in singles:
+                        singles.add(event.single_id)
+                        run = op[2]
+                        if run is not None:
+                            bids, reps, pre = run[0], run[1], run[2]
+                            i, end, thread.left = 0, len(bids), 1
+                else:  # OP_CHUNK / OP_CHUNK_TAPE
+                    start = chunks.get(event.loop_id, 0)
+                    exec_block(tid, chunk_fetch, 1)
+                    if start < event.total_iters:
+                        chunks[event.loop_id] = start + event.chunk_size
+                        # Granted: run the chunk, then request again.
+                        thread.op -= 1
+                        if code == OP_CHUNK_TAPE:
+                            thread.ret = thread.op
+                            thread.tape = op[2][start // event.chunk_size]
+                            thread.op = 0
+                        else:
+                            iter_off = op[6]
+                            stop = min(
+                                start + event.chunk_size, event.total_iters
+                            )
+                            bids, reps, pre = op[2], op[3], op[4]
+                            i, end = iter_off[start], iter_off[stop]
+                            thread.left = 1
+                post_event(tid)
+                if num_events > maxev:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+                break
+            thread.bids = bids
+            thread.reps = reps
+            thread.pre = pre
+            thread.i = i
+            thread.end = end
 
     # -- timed synchronization (binary-driven) ------------------------------
 
@@ -771,11 +884,7 @@ class MultiCoreSimulator:
         window = _DetailWindow(
             self, list(elfie.detail_positions) or [0] * nthreads
         )
-        self._run_threads(
-            window,
-            [elfie.thread_main(self.program, tid) for tid in range(nthreads)],
-            active=False,
-        )
+        self._run_threads(window, elfie.tapes(self.program), active=False)
         return window.result(elfie.region_id, "ELFie")
 
     # ======================================================================

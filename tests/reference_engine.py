@@ -1,34 +1,214 @@
-"""The generator-driven reference engine the tape loop is tested against.
+"""Generator-driven references the tape drivers are tested against.
 
-:class:`ReferenceEngine` runs every thread's
-:meth:`~repro.runtime.thread.ThreadProgram.thread_main` generator,
-resuming it once per event, and resolves each sync event through
-:class:`~repro.exec_engine.engine.ExecutionEngine`'s own handlers.  It
-shares nothing with the tape loop but those handlers, the ring and the
-bookkeeping, so a tape that drifts from what the constructs yield shows
-up as a different :class:`~repro.exec_engine.engine.EngineResult` or
-observer log.  It also runs constructs the tape compiler rejects, which
-is how the handlers' own error paths are tested.
+The tape compiler (:mod:`repro.exec_engine.schedcore`) is the only place
+in ``src/`` that says what a construct executes.  This module says it a
+second way, as one Python generator per thread that yields every
+construct's events in order (:func:`thread_main`): :class:`BlockExec`
+block events and the sync events of :mod:`~repro.exec_engine.events`.
+It runs those generators under both drivers' own sync handlers:
+
+* :class:`ReferenceEngine` resumes them once per event under the
+  functional engine's seeded scheduler;
+* :class:`ReferenceSimulator` resumes them once per event in
+  simulated-time order, on the timing simulator's timed handlers,
+  region controller and detail window.  ELFies run from
+  :func:`elfie_thread_main`.
+
+Each shares nothing with its tape loop but those handlers and the
+bookkeeping, so a tape that drifts from the constructs' semantics shows
+up as a different :class:`~repro.exec_engine.engine.EngineResult`,
+observer log or :class:`~repro.timing.mcsim.SimulationResult`.  The
+references also run test-only constructs the tape compiler rejects (a
+:class:`~repro.runtime.constructs.Construct` subclass with its own
+``run`` generator), which is how the handlers' own error paths are
+tested.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
-from repro.errors import DeadlockError, ExecutionError
+from repro.errors import (
+    DeadlockError,
+    ExecutionError,
+    ProgramStructureError,
+    SimulationError,
+)
 from repro.exec_engine.engine import (
     QUANTUM_INSTRUCTIONS,
     EngineResult,
     ExecutionEngine,
     ThreadState,
 )
-from repro.exec_engine.events import BlockExec, ChunkRequest, SingleRequest
+from repro.exec_engine.events import (
+    SYNC_BARRIER,
+    SYNC_LOCK_ACQ,
+    SYNC_LOCK_REL,
+    BarrierWait,
+    ChunkRequest,
+    Event,
+    LockAcquire,
+    LockRelease,
+    Reduce,
+    SingleRequest,
+)
 from repro.policy import WaitPolicy
+from repro.runtime.constructs import (
+    BATCH_LIMIT,
+    SCHEDULE_STATIC,
+    Barrier,
+    Master,
+    ParallelFor,
+    Serial,
+    Single,
+    static_chunk,
+)
+from repro.timing.mcsim import _BLOCKED, _DONE, _RUNNABLE, MultiCoreSimulator
 
-#: What the base constructor tapes: no constructs, so it accepts any
+#: What the base constructors tape: no constructs, so they accept any
 #: program the reference is given.
 _NO_CONSTRUCTS = SimpleNamespace(constructs=())
+
+
+# -- the constructs' events, as generators -------------------------------------
+
+
+class BlockExec(Event):
+    """Execute ``block`` ``repeat`` consecutive times: one block run entry
+    as an event object, with the derived values the drivers read."""
+
+    __slots__ = ("block", "repeat", "bid", "n_total", "is_library")
+
+    def __init__(self, block, repeat: int = 1) -> None:
+        self.block = block
+        self.repeat = repeat
+        self.bid = block.bid
+        self.n_total = block.n_instr * repeat
+        self.is_library = block.image.is_library
+
+    def __repr__(self) -> str:
+        return f"BlockExec({self.block.name}, x{self.repeat})"
+
+
+def emit(work, start: int, stop: int) -> Iterator[Event]:
+    """The events of a :class:`LoopWork`'s outer iterations
+    ``[start, stop)``: the header once, then each body block for its trip
+    count as batched self-loop runs of at most ``BATCH_LIMIT``."""
+    for i in range(start, stop):
+        yield BlockExec(work.header, 1)
+        for block, trip in work.body:
+            n = trip(i) if callable(trip) else trip
+            while n > BATCH_LIMIT:
+                yield BlockExec(block, BATCH_LIMIT)
+                n -= BATCH_LIMIT
+            if n > 0:
+                yield BlockExec(block, n)
+
+
+def _iteration_events(pf: ParallelFor, start: int, stop: int):
+    """Iterations ``[start, stop)`` of a loop: each iteration's work, then
+    its critical section and its atomic update when due."""
+    crit, atom = pf.critical, pf.atomic
+    for i in range(start, stop):
+        yield from emit(pf.work, i, i + 1)
+        if crit is not None and i % crit.every == 0:
+            yield LockAcquire(crit.lock_id)
+            yield BlockExec(crit.block, 1)
+            yield LockRelease(crit.lock_id)
+        if atom is not None and i % atom.every == 0:
+            yield BlockExec(atom.block, 1)
+
+
+def _parallel_for(pf: ParallelFor, tid: int, nthreads: int):
+    if pf.schedule == SCHEDULE_STATIC:
+        start, stop = static_chunk(pf.total_iters, nthreads, tid)
+        yield from _iteration_events(pf, start, stop)
+    else:
+        request = ChunkRequest(pf.loop_id, pf.chunk, pf.total_iters)
+        while True:
+            start = yield request
+            if start is None or start < 0:
+                break
+            stop = min(start + pf.chunk, pf.total_iters)
+            yield from _iteration_events(pf, start, stop)
+    if pf.reduction:
+        yield Reduce()
+    if not pf.nowait:
+        yield BarrierWait(pf.implicit_barrier_id)
+
+
+def _serial(c: Serial, tid: int, nthreads: int):
+    if tid == 0:
+        yield from emit(c.work, 0, c.iters)
+    yield BarrierWait(c.implicit_barrier_id)
+
+
+def _barrier(c: Barrier, tid: int, nthreads: int):
+    yield BarrierWait(c.implicit_barrier_id)
+
+
+def _single(c: Single, tid: int, nthreads: int):
+    granted = yield SingleRequest(c.single_id)
+    if granted:
+        yield from emit(c.work, 0, c.iters)
+    yield BarrierWait(c.implicit_barrier_id)
+
+
+def _master(c: Master, tid: int, nthreads: int):
+    if tid == 0:
+        yield from emit(c.work, 0, c.iters)
+
+
+_GENERATORS = {
+    ParallelFor: _parallel_for,
+    Serial: _serial,
+    Barrier: _barrier,
+    Single: _single,
+    Master: _master,
+}
+
+
+def construct_events(construct, tid: int, nthreads: int) -> Iterator[Event]:
+    """The events ``construct`` yields for thread ``tid``.  Chunk requests
+    take the granted start (or -1) as their response, single requests
+    whether the thread won."""
+    make = _GENERATORS.get(type(construct))
+    if make is None:
+        # A test-only construct spells out its own events.
+        return construct.run(tid, nthreads)
+    return make(construct, tid, nthreads)
+
+
+def thread_main(thread_program, tid: int, nthreads: int) -> Iterator[Event]:
+    """The generator one thread runs: every construct, in order."""
+    if not 0 <= tid < nthreads:
+        raise ProgramStructureError(
+            f"tid {tid} out of range 0..{nthreads - 1}"
+        )
+    for construct in thread_program.constructs:
+        yield from construct_events(construct, tid, nthreads)
+
+
+_ELFIE_SYNCS = {
+    SYNC_BARRIER: BarrierWait,
+    SYNC_LOCK_ACQ: LockAcquire,
+    SYNC_LOCK_REL: LockRelease,
+}
+
+
+def elfie_thread_main(elfie, program, tid: int) -> Iterator[Event]:
+    """The generator thread ``tid`` of an ELFie runs: one event per code
+    entry."""
+    for entry in elfie.thread_codes[tid]:
+        if entry[0] == "b":
+            yield BlockExec(program.blocks[entry[1]], entry[2])
+        else:
+            _tag, kind, obj_id = entry
+            yield _ELFIE_SYNCS[kind](obj_id)
+
+
+# -- the functional reference --------------------------------------------------
 
 
 class ReferenceEngine(ExecutionEngine):
@@ -38,7 +218,7 @@ class ReferenceEngine(ExecutionEngine):
         super().__init__(program, _NO_CONSTRUCTS, omp, nthreads, **kwargs)
         self.thread_program = thread_program
         self._gens = [
-            thread_program.thread_main(tid, nthreads)
+            thread_main(thread_program, tid, nthreads)
             for tid in range(nthreads)
         ]
         self._runnable: List[int] = []
@@ -157,3 +337,115 @@ class ReferenceEngine(ExecutionEngine):
                 )
 
         return self._finish_run(num_events)
+
+
+# -- the timed reference -------------------------------------------------------
+
+
+class _GenThread:
+    __slots__ = ("tid", "gen", "state", "response")
+
+    def __init__(self, tid: int, gen) -> None:
+        self.tid = tid
+        self.gen = gen
+        self.state = _RUNNABLE
+        self.response = None
+
+
+class ReferenceSimulator(MultiCoreSimulator):
+    """Runs the generators on the timed handlers; same API and results.
+
+    ``run_binary`` and ``run_elfie`` are the simulator's own (checks,
+    region controller, detail window, finalization); only the thread loop
+    differs: it resumes one generator per event, rescanning the threads
+    before every event.
+    """
+
+    def run_binary(self, thread_program, nthreads, *args, **kwargs):
+        self._gens = [
+            thread_main(thread_program, tid, nthreads)
+            for tid in range(nthreads)
+        ]
+        return super().run_binary(_NO_CONSTRUCTS, nthreads, *args, **kwargs)
+
+    def run_elfie(self, elfie):
+        self._gens = [
+            elfie_thread_main(elfie, self.program, tid)
+            for tid in range(elfie.nthreads)
+        ]
+        return super().run_elfie(elfie)
+
+    def _run_threads(self, ctl, streams, active, max_events=None) -> None:
+        threads = [_GenThread(tid, gen) for tid, gen in enumerate(self._gens)]
+        cores = self.cores
+        barriers: dict = {}
+        locks: dict = {}
+        chunks: dict = {}
+        singles: set = set()
+        num_events = 0
+
+        while not ctl.finished:
+            best = None
+            best_cycle = None
+            for t in threads:
+                if t.state == _RUNNABLE:
+                    c = cores[t.tid].cycle
+                    if best_cycle is None or c < best_cycle:
+                        best, best_cycle = t, c
+            if best is None:
+                blocked = [t.tid for t in threads if t.state == _BLOCKED]
+                if blocked and not ctl.stop_when_blocked:
+                    raise DeadlockError(
+                        f"timing sim: all live threads blocked {blocked}"
+                    )
+                return
+
+            thread = best
+            tid = thread.tid
+            try:
+                event = thread.gen.send(thread.response)
+            except StopIteration:
+                thread.state = _DONE
+                continue
+            thread.response = None
+            num_events += 1
+            etype = type(event)
+            if etype is BlockExec:
+                ctl.pre_block(event.block, event.repeat)
+                if ctl.finished:
+                    continue
+                self._exec(tid, event.block, event.repeat)
+                ctl.post_block(event.block.n_instr * event.repeat)
+            elif etype is BarrierWait:
+                if self._handle_barrier_timed(
+                    thread, event.barrier_id, barriers, threads, active
+                ):
+                    ctl.post_barrier_release()
+            elif etype is LockAcquire:
+                self._handle_lock_acquire_timed(
+                    thread, event.lock_id, locks, active
+                )
+            elif etype is LockRelease:
+                self._handle_lock_release_timed(
+                    thread, event.lock_id, locks, threads, active
+                )
+            elif etype is ChunkRequest:
+                cursor = chunks.get(event.loop_id, 0)
+                self._exec(tid, self.omp.chunk_fetch, 1)
+                if cursor >= event.total_iters:
+                    thread.response = -1
+                else:
+                    thread.response = cursor
+                    chunks[event.loop_id] = cursor + event.chunk_size
+            elif etype is SingleRequest:
+                granted = event.single_id not in singles
+                if granted:
+                    singles.add(event.single_id)
+                thread.response = granted
+            elif etype is Reduce:
+                self._exec(tid, self.omp.reduce_combine, 1)
+            else:
+                raise SimulationError(f"unknown event {event!r}")
+            ctl.post_event(tid)
+            if max_events is not None and num_events > max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")

@@ -8,7 +8,6 @@ from repro.core.report import format_result_table, mean_abs
 from repro.core.speedup import SpeedupReport
 from repro.exec_engine.events import (
     BarrierWait,
-    BlockExec,
     ChunkRequest,
     LockAcquire,
     LockRelease,
@@ -17,6 +16,8 @@ from repro.exec_engine.events import (
 )
 from repro.isa import ProgramBuilder
 from repro.isa.blocks import BRANCH_LOOP, BranchSpec
+
+from reference_engine import BlockExec
 
 
 class TestErrorHierarchy:

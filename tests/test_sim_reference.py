@@ -1,0 +1,173 @@
+"""The timing simulator's tape loop against the timed reference.
+
+``run_binary`` and ``run_elfie`` walk per-thread tapes and keep a thread's
+turn while its clock stays below the runner-up's.
+:class:`~reference_engine.ReferenceSimulator` resumes the constructs'
+generators instead, rescanning the threads before every event, on the
+same timed handlers.  Over generated programs — dynamic loops with
+critical and atomic sections, static loops, single, master and serial
+phases, 1-8 threads, both wait policies — both must give the same
+:class:`~repro.timing.mcsim.SimulationResult`s, execution counts and core
+clocks for a whole run, for marker regions with warm starts, and for an
+ELFie of a recorded region.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.config import GAINESTOWN_8CORE
+from repro.errors import ReproError
+from repro.pinplay.elfie import pinball_to_elfie
+from repro.pinplay.recorder import record_execution
+from repro.pinplay.region import RegionCut, extract_region_pinballs
+from repro.policy import WaitPolicy
+from repro.profiling.markers import Marker
+from repro.runtime import (
+    LoopWork,
+    Master,
+    ParallelFor,
+    Serial,
+    Single,
+    ThreadProgram,
+)
+from repro.runtime.constructs import (
+    SCHEDULE_DYNAMIC,
+    SCHEDULE_STATIC,
+    AtomicSpec,
+    CriticalSpec,
+)
+from repro.timing.mcsim import MultiCoreSimulator, RegionOfInterest
+
+from reference_engine import ReferenceSimulator
+from test_tape_reference import (
+    ATOM,
+    BODY,
+    CRIT,
+    HDR,
+    OMP,
+    PROGRAM,
+    TRIPS,
+    loop_specs,
+)
+
+SYSTEM = GAINESTOWN_8CORE
+
+#: A loop: ``test_tape_reference``'s spec plus a schedule and whether it
+#: has a critical section.
+loops = st.tuples(
+    st.just("loop"),
+    loop_specs,
+    st.sampled_from([SCHEDULE_STATIC, SCHEDULE_DYNAMIC]),
+    st.booleans(),
+)
+#: A phase one thread, or the first to arrive, runs alone.
+solos = st.tuples(
+    st.sampled_from(["single", "master", "serial"]),
+    st.integers(0, 6),
+    st.sampled_from(sorted(TRIPS)),
+)
+phases = st.lists(loops | solos, min_size=1, max_size=3)
+
+_SOLO = {"single": Single, "master": Master, "serial": Serial}
+
+
+def _build(phase_list):
+    constructs = []
+    header_runs = 0
+    for k, phase in enumerate(phase_list):
+        if phase[0] == "loop":
+            _kind, spec, schedule, critical = phase
+            atom_every = spec["atomic_every"]
+            constructs.append(ParallelFor(
+                LoopWork(HDR, [(BODY, TRIPS[spec["trips"]])]),
+                total_iters=spec["total_iters"],
+                schedule=schedule,
+                chunk=spec["chunk"],
+                nowait=spec["nowait"],
+                reduction=spec["reduction"],
+                critical=(CriticalSpec(lock_id=1 + k % 2, block=CRIT,
+                                       every=spec["every"])
+                          if critical else None),
+                atomic=(AtomicSpec(ATOM, every=atom_every)
+                        if atom_every is not None else None),
+            ))
+            header_runs += spec["total_iters"]
+        else:
+            kind, iters, trips = phase
+            work = LoopWork(HDR, [(BODY, TRIPS[trips])])
+            constructs.append(_SOLO[kind](work, iters))
+            header_runs += iters
+    return ThreadProgram(constructs), header_runs
+
+
+def _outcome(sim_cls, call):
+    """A run's results and end state, or the error it raised."""
+    sim = sim_cls(PROGRAM, SYSTEM, OMP)
+    try:
+        results = call(sim)
+    except ReproError as exc:  # both sides must fail alike
+        return ("error", type(exc).__name__, str(exc))
+    return (
+        results,
+        sim.exec_counts,
+        [core.cycle for core in sim.cores],
+    )
+
+
+def _same(call):
+    assert _outcome(MultiCoreSimulator, call) == _outcome(
+        ReferenceSimulator, call
+    )
+
+
+def _regions(header_runs, cuts, warm):
+    """Two marker regions on the loop header, in execution order."""
+    a1, b1, a2, b2 = sorted(c % header_runs for c in cuts)
+    if not a1 < b1 <= a2 < b2:
+        return [RegionOfInterest(region_id=0, start=Marker(HDR.pc, a1))]
+    return [
+        RegionOfInterest(
+            region_id=0, start=Marker(HDR.pc, a1), end=Marker(HDR.pc, b1),
+            warm_start=Marker(HDR.pc, a1 // 2) if warm else None,
+        ),
+        RegionOfInterest(
+            region_id=1, start=Marker(HDR.pc, a2), end=Marker(HDR.pc, b2),
+            warm_start=Marker(HDR.pc, (b1 + a2) // 2),
+        ),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phase_list=phases,
+    nthreads=st.integers(1, 8),
+    policy=st.sampled_from([WaitPolicy.PASSIVE, WaitPolicy.ACTIVE]),
+    cuts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+    warm=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_timed_tapes_match_reference(
+    phase_list, nthreads, policy, cuts, warm, seed
+):
+    tp, header_runs = _build(phase_list)
+
+    # A whole run.
+    _same(lambda sim: sim.run_binary(tp, nthreads, policy))
+    if header_runs < 4:
+        return
+
+    # Marker regions, with warm starts.
+    regions = _regions(header_runs, cuts, warm)
+    _same(lambda sim: sim.run_binary(tp, nthreads, policy, regions))
+
+    # An ELFie of the first region, recorded under the functional engine.
+    pinball, _ = record_execution(
+        PROGRAM, tp, OMP, nthreads, wait_policy=policy, seed=seed,
+    )
+    roi = regions[0]
+    (region_pinball,) = extract_region_pinballs(PROGRAM, pinball, [
+        RegionCut(region_id=0, start=roi.start, end=roi.end),
+    ])
+    elfie = pinball_to_elfie(PROGRAM, OMP, region_pinball)
+    _same(lambda sim: sim.run_elfie(elfie))

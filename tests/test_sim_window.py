@@ -1,11 +1,13 @@
 """Stalls and detail windows of the timing simulator's thread loops.
 
-``run_binary`` and ``run_elfie`` share one generator loop.  When every
-live thread is blocked, the region controller treats it as a deadlock,
-while an ELFie's detail window ends the run: a barrier clipped at the
-region edge leaves threads waiting that no arrival will release.
+``run_binary`` and ``run_elfie`` share one tape loop.  When every live
+thread is blocked, the region controller treats it as a deadlock, while
+an ELFie's detail window ends the run: a barrier clipped at the region
+edge leaves threads waiting that no arrival will release.
 ``run_pinball`` and ``run_elfie`` raise ``RegionError`` when a thread's
-detail position lies past its log or code.
+detail position lies past its log or code.  ``run_binary`` tapes only
+the built-in constructs, and an ELFie tapes only the sync kinds its
+conversion writes.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import replace
 import pytest
 
 from repro.config import GAINESTOWN_8CORE
-from repro.errors import DeadlockError, RegionError
-from repro.exec_engine.events import SYNC_BARRIER, BarrierWait
+from repro.errors import DeadlockError, ExecutionError, RegionError, ReplayError
+from repro.exec_engine.events import SYNC_BARRIER, SYNC_SINGLE, BarrierWait
+from repro.exec_engine.schedcore import OP_SYNC, compile_streams
 from repro.pinplay import extract_region_pinballs, record_execution
 from repro.pinplay.elfie import ELFie, pinball_to_elfie
 from repro.pinplay.region import RegionCut
@@ -25,18 +28,11 @@ from repro.profiling import profile_pinball
 from repro.runtime.constructs import Construct
 from repro.runtime.thread import ThreadProgram
 from repro.timing import MultiCoreSimulator
+from repro.timing import mcsim as mcsim_module
 
 from conftest import build_toy
 
 SYS4 = GAINESTOWN_8CORE.with_cores(4)
-
-
-class _BarrierAllButLast(Construct):
-    """A barrier every thread but the last one reaches."""
-
-    def run(self, tid, nthreads):
-        if tid < nthreads - 1:
-            yield BarrierWait(self.implicit_barrier_id)
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +60,33 @@ def _sim(toy):
 
 
 @pytest.mark.parametrize("policy", [WaitPolicy.PASSIVE, WaitPolicy.ACTIVE])
-def test_run_binary_raises_when_all_live_threads_block(toy, policy):
+def test_run_binary_raises_when_all_live_threads_block(
+    toy, policy, monkeypatch
+):
+    """The toy's tapes, then a barrier every thread but the last reaches."""
+
+    def barrier_all_but_last(thread_program, nthreads):
+        streams = compile_streams(thread_program, nthreads)
+        for tape in streams[:-1]:
+            tape.insert(-1, (OP_SYNC, BarrierWait(999)))
+        return streams
+
+    monkeypatch.setattr(mcsim_module, "compile_streams", barrier_all_but_last)
     _program, tp, _omp = toy
-    stalled = ThreadProgram(list(tp.constructs) + [_BarrierAllButLast()])
     with pytest.raises(DeadlockError, match=r"blocked \[0, 1, 2\]"):
-        _sim(toy).run_binary(stalled, 4, policy)
+        _sim(toy).run_binary(tp, 4, policy)
+
+
+class _CustomBarrier(Construct):
+    def total_instructions(self, nthreads):
+        return 0
+
+
+def test_run_binary_rejects_unknown_construct(toy):
+    _program, tp, _omp = toy
+    custom = ThreadProgram(list(tp.constructs) + [_CustomBarrier()])
+    with pytest.raises(ExecutionError, match="_CustomBarrier"):
+        _sim(toy).run_binary(custom, 4, WaitPolicy.PASSIVE)
 
 
 def test_run_elfie_ends_at_clipped_barrier(toy):
@@ -93,6 +111,21 @@ def test_run_elfie_ends_at_clipped_barrier(toy):
     # never runs.
     assert sim.exec_counts[0][bid] == 3
     assert sim.exec_counts[1][bid] == 4
+
+
+def test_elfie_rejects_unknown_sync_kind(toy):
+    program, _tp, _omp = toy
+    bid = program.blocks[0].bid
+    elfie = ELFie(
+        program_name=program.name,
+        nthreads=1,
+        region_id=0,
+        thread_codes=[[("b", bid, 3), ("sync", SYNC_SINGLE, 5)]],
+        start_exec_counts=[],
+        detail_positions=[0],
+    )
+    with pytest.raises(ReplayError, match="'single'"):
+        _sim(toy).run_elfie(elfie)
 
 
 def test_pinball_detail_past_log_raises(toy, region_pinball):

@@ -40,9 +40,6 @@ class TestValidation:
                 self._tp = tp
                 self.constructs = tp.constructs
 
-            def thread_main(self, tid, n):
-                return self._tp.thread_main(tid, n)
-
             def total_instructions(self, n):
                 return self._tp.total_instructions(n) + 1
 
