@@ -2,8 +2,7 @@
 
 from .errors import mean_absolute, geomean, signed_error_pct
 from .tables import ascii_table, bar_chart
-from .experiments import EvaluationCache, get_cache
-from .export import write_csv, write_result_json, write_suite_json, result_summary
+from .experiments import EvaluationCache
 
 __all__ = [
     "mean_absolute",
@@ -12,9 +11,4 @@ __all__ = [
     "ascii_table",
     "bar_chart",
     "EvaluationCache",
-    "get_cache",
-    "write_csv",
-    "write_result_json",
-    "write_suite_json",
-    "result_summary",
 ]

@@ -134,13 +134,3 @@ class EvaluationCache:
             )
         return self._full_results[key]
 
-
-_GLOBAL_CACHE: Optional[EvaluationCache] = None
-
-
-def get_cache() -> EvaluationCache:
-    """The process-wide cache used by the benchmark session."""
-    global _GLOBAL_CACHE
-    if _GLOBAL_CACHE is None:
-        _GLOBAL_CACHE = EvaluationCache()
-    return _GLOBAL_CACHE

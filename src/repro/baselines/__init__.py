@@ -13,7 +13,6 @@
 from .naive_simpoint import NaiveSimPointPipeline, NaiveProfile
 from .barrierpoint import BarrierPointPipeline, BarrierProfile
 from .time_sampling import TimeSamplingResult, run_time_sampling, estimate_evaluation_days
-from .hybrid import HybridChoice, choose_method
 
 __all__ = [
     "NaiveSimPointPipeline",
@@ -23,6 +22,4 @@ __all__ = [
     "TimeSamplingResult",
     "run_time_sampling",
     "estimate_evaluation_days",
-    "HybridChoice",
-    "choose_method",
 ]

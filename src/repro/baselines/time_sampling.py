@@ -41,10 +41,6 @@ class TimeSamplingResult:
             / self.actual.cycles
         )
 
-    @property
-    def detail_fraction(self) -> float:
-        return self.detailed_instructions / max(1, self.total_instructions)
-
 
 def run_time_sampling(
     workload: Workload,

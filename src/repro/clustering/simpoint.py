@@ -81,10 +81,6 @@ class SimPointSelection:
     #: 1..maxK.
     bic_by_k: Dict[int, float]
 
-    @property
-    def representative_indices(self) -> List[int]:
-        return [c.representative for c in self.clusters]
-
 
 def select_simpoints(
     bbvs: np.ndarray,

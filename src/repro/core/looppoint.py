@@ -697,20 +697,34 @@ class LoopPointPipeline:
         whose artifacts were published load from the cache, everything
         after the kill point recomputes.
         """
+        return self._traced(
+            "constrained" if constrained else "binary",
+            lambda: self._run(simulate_full, constrained),
+        )
+
+    def _traced(
+        self,
+        trace_mode: str,
+        body: Callable[[], LoopPointResult],
+        **span_attrs: Any,
+    ) -> LoopPointResult:
+        """``body()`` in one ``run`` span, under a :class:`Tracer` for
+        ``trace_mode`` when the options name a trace path (kept as
+        ``last_trace``)."""
         tracer = None
         if self.options.trace_path:
             tracer = Tracer(
                 self.options.trace_path,
                 workload=self.workload.full_name,
-                mode="constrained" if constrained else "binary",
+                mode=trace_mode,
                 jobs=self.options.resolved_jobs(),
             )
         try:
             with obs_scope(tracer):
                 with active_tracer().span(
-                    "run", workload=self.workload.full_name
+                    "run", workload=self.workload.full_name, **span_attrs
                 ):
-                    result = self._run(simulate_full, constrained)
+                    result = body()
             return result
         finally:
             if tracer is not None:
@@ -735,24 +749,10 @@ class LoopPointPipeline:
         from ..analysis.online import LiveOptions
 
         options = live_options or self._live_options or LiveOptions()
-        tracer = None
-        if self.options.trace_path:
-            tracer = Tracer(
-                self.options.trace_path,
-                workload=self.workload.full_name,
-                mode="live",
-                jobs=self.options.resolved_jobs(),
-            )
-        try:
-            with obs_scope(tracer):
-                with active_tracer().span(
-                    "run", workload=self.workload.full_name, mode="live",
-                ):
-                    result = self._run_live(options, simulate_full)
-            return result
-        finally:
-            if tracer is not None:
-                self.last_trace = tracer.finish()
+        return self._traced(
+            "live", lambda: self._run_live(options, simulate_full),
+            mode="live",
+        )
 
     def _run_live(
         self, live_options: "LiveOptions", simulate_full: bool

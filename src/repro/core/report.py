@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .looppoint import LoopPointResult
 
@@ -30,10 +30,3 @@ def format_result_table(results: Sequence[LoopPointResult]) -> str:
             f"{fmt(sp.measured_speedup)} {r.serial_fallbacks:>4}"
         )
     return "\n".join(lines)
-
-
-def mean_abs(values: Iterable[float]) -> float:
-    vals = [abs(v) for v in values]
-    if not vals:
-        raise ValueError("no values to average")
-    return sum(vals) / len(vals)

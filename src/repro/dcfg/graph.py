@@ -73,9 +73,6 @@ class DCFG:
                     stack.append(child)
         return seen
 
-    def edge_trip_count(self, src: int, dst: int) -> int:
-        return self.edge_counts.get((src, dst), 0)
-
     def block(self, bid: int) -> BasicBlock:
         return self.program.blocks[bid]
 
@@ -182,10 +179,6 @@ class DCFGBuilder(Observer):
 
     def result(self) -> DCFG:
         return self.dcfg
-
-    @property
-    def tracks_threads(self) -> bool:
-        return self._thread_edges is not None
 
     def thread_graph(self, tid: int) -> DCFG:
         """One thread's own subgraph (requires ``track_threads=True``).

@@ -27,10 +27,6 @@ class ReplayError(ReproError):
     """A pinball could not be replayed (corrupt log or divergence)."""
 
 
-class ReplayDivergenceError(ReplayError):
-    """Replayed execution diverged from the recorded one."""
-
-
 class ProfilingError(ReproError):
     """Profiling/slicing failed (e.g. no valid loop boundary found)."""
 

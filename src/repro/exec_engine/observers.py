@@ -23,7 +23,6 @@ reductions.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -93,7 +92,7 @@ class InstructionCounter(Observer):
     Batch deliveries are accepted as column references and reduced only on
     the first counter read: the ring allocates fresh column arrays per
     flush (never reused), so keeping the references is safe, and a run
-    whose counters nobody inspects pays five list appends per flush.
+    whose counters nobody inspects pays one tuple append per flush.
     """
 
     needs_flush_before_sync = False  # pure accumulator; order-independent
@@ -105,7 +104,6 @@ class InstructionCounter(Observer):
         self._filtered = 0  # application (non-library) instructions
         self._per_thread_total = [0] * nthreads
         self._per_thread_filtered = [0] * nthreads
-        self._per_block: Counter = Counter()
         self._pending: List[tuple] = []
 
     def on_block(
@@ -116,19 +114,18 @@ class InstructionCounter(Observer):
         n = block.n_instr * repeat
         self._total += n
         self._per_thread_total[tid] += n
-        self._per_block[block.bid] += repeat
         if not block.image.is_library:
             self._filtered += n
             self._per_thread_filtered[tid] += n
 
     def on_block_batch(self, batch: "EventBatch") -> None:
         self._pending.append(
-            (batch.tid, batch.bid, batch.repeat, batch.n_instr, batch.flags)
+            (batch.tid, batch.repeat, batch.n_instr, batch.flags)
         )
 
     def _drain(self) -> None:
         nthreads = self.nthreads
-        for tid, bid, repeat, n_instr, flags in self._pending:
+        for tid, repeat, n_instr, flags in self._pending:
             n = n_instr * repeat
             self._total += int(n.sum())
             app = (flags & FLAG_LIBRARY) == 0
@@ -140,9 +137,6 @@ class InstructionCounter(Observer):
             for t in range(nthreads):
                 self._per_thread_total[t] += int(by_thread[t])
                 self._per_thread_filtered[t] += int(by_thread_app[t])
-            by_bid = np.bincount(bid, weights=repeat)
-            for b in np.flatnonzero(by_bid):
-                self._per_block[int(b)] += int(by_bid[b])
         self._pending.clear()
 
     @property
@@ -169,12 +163,6 @@ class InstructionCounter(Observer):
         if self._pending:
             self._drain()
         return self._per_thread_filtered
-
-    @property
-    def per_block(self) -> Counter:
-        if self._pending:
-            self._drain()
-        return self._per_block
 
     @property
     def library_instructions(self) -> int:

@@ -33,6 +33,12 @@ into its own sub-tape (``OP_CHUNK_TAPE``): grants start at multiples of
 the chunk size, so chunk ``k``'s ops are fixed under any grant order, and
 lock syncs sit inside them.
 
+Recorded checkpoints tape too, for the timing simulator only:
+:func:`log_tape` turns a log of block entries and sync entries into one
+``OP_TABLE`` row per block entry and one op per sync entry.  An ELFie's
+syncs become ``OP_SYNC`` ops; a pinball's become ``OP_GSEQ`` ops, which
+run in recorded ``gseq`` order.
+
 Contract: a tape holds exactly the event sequence the construct's
 OpenMP semantics prescribe for its thread.  The test suite keeps
 generator-driven references, a functional engine and a timed simulator
@@ -46,7 +52,7 @@ Only the built-in construct types compile: any other
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ExecutionError
 
@@ -62,6 +68,8 @@ OP_DONE = 5    # (5,)  end-of-tape sentinel appended to every stream, so the
 #                hot loop never compares the op index against a length
 OP_CHUNK_TAPE = 6  # (6, event, chunk_tapes)  chunk_tapes[k]: chunk k's ops
 OP_RET = 7     # (7,)  ends every chunk tape: back to its OP_CHUNK_TAPE op
+OP_GSEQ = 8    # (8, gseq, (kind, obj_id))  a recorded sync action, due at
+#                its gseq turn: pinball tapes only, for the timing simulator
 
 #: The shared end-of-tape sentinel instance (``streams[tid][-1]`` always).
 DONE_OP = (OP_DONE,)
@@ -164,6 +172,30 @@ class TableRows:
             OP_TABLE, self.bids, self.reps, self.pre_t, self.pre_f,
             0, len(self.bids),
         )
+
+
+def log_tape(log, blocks, sync_op: Callable[[tuple], Tuple]) -> List[Tuple]:
+    """One thread's tape from a recorded log or ELFie code.
+
+    Each ``("b", bid, repeat)`` entry becomes one ``OP_TABLE`` row (one
+    event); any other entry becomes the op ``sync_op(entry)`` returns.
+    """
+    tape: List[Tuple] = []
+    rows = TableRows()
+    for entry in log:
+        if entry[0] == "b":
+            rows.append(blocks[entry[1]], entry[2])
+            continue
+        op = rows.table_op()
+        if op is not None:
+            tape.append(op)
+            rows = TableRows()
+        tape.append(sync_op(entry))
+    op = rows.table_op()
+    if op is not None:
+        tape.append(op)
+    tape.append(DONE_OP)
+    return tape
 
 
 def _emit_iteration(rows: TableRows, work, i: int, batch_limit: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import ProgramStructureError
-from .instructions import AddressGen, Instruction, InstrKind, mix64
+from .instructions import AddressGen, Instruction, InstrKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .image import Image, Routine
@@ -102,19 +102,6 @@ class BasicBlock:
         )
 
     # -- dynamic helpers -------------------------------------------------
-
-    def cond_outcome(self, tid: int, exec_index: int) -> bool:
-        """Deterministic outcome of a data-dependent conditional branch.
-
-        Pure function of ``(tid, exec_index, pc)`` so that every execution
-        mode (functional, replay, timing) observes the same stream.
-        """
-        if self.cond_prob is None:
-            raise ProgramStructureError(
-                f"block {self.name!r} has no conditional branch"
-            )
-        h = mix64(self.pc * 1000003 + tid * 7919 + exec_index)
-        return (h & 0xFFFF) < int(self.cond_prob * 0x10000)
 
     @property
     def is_library(self) -> bool:

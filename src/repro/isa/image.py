@@ -10,7 +10,7 @@ region boundaries.  We preserve that structure exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ProgramStructureError
 from .blocks import BasicBlock
@@ -67,9 +67,6 @@ class Image:
                 next_bid += 1
         return next_bid
 
-    def contains_pc(self, pc: int) -> bool:
-        return self.base <= pc < self._next_pc
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "lib" if self.is_library else "main"
         return f"Image({self.name!r}, {kind}, base={self.base:#x})"
@@ -95,13 +92,6 @@ class Program:
         if image.name in self.images:
             raise ProgramStructureError(f"duplicate image {image.name!r}")
         self.images[image.name] = image
-
-    @property
-    def main_image(self) -> Image:
-        for image in self.images.values():
-            if not image.is_library:
-                return image
-        raise ProgramStructureError(f"program {self.name!r} has no main image")
 
     def finalize(self) -> None:
         """Lay out all images: assign PCs and dense block ids."""
@@ -130,9 +120,6 @@ class Program:
             if name in img.routines:
                 return img.routines[name]
         raise ProgramStructureError(f"no routine named {name!r}")
-
-    def iter_blocks(self) -> Iterator[BasicBlock]:
-        return iter(self.blocks)
 
     def loop_headers(self, main_only: bool = False) -> List[BasicBlock]:
         """All static loop-header blocks, optionally main-image only."""

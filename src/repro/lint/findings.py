@@ -191,10 +191,6 @@ class LintReport:
         return self.by_severity(Severity.ERROR)
 
     @property
-    def warnings(self) -> List[Finding]:
-        return self.by_severity(Severity.WARNING)
-
-    @property
     def has_errors(self) -> bool:
         return bool(self.errors)
 

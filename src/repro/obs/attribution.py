@@ -73,15 +73,6 @@ class ErrorAttribution:
             ),
         )[:n]
 
-    def reconciliation_residue(self) -> float:
-        """|sum(per-cluster errors) - total| — zero modulo float rounding."""
-        if self.total_error_cycles is None:
-            return 0.0
-        return abs(
-            sum(c.error_cycles or 0.0 for c in self.clusters)
-            - self.total_error_cycles
-        )
-
 
 def attribute_error(
     scored: Sequence[Tuple[int, float, float]],

@@ -33,7 +33,7 @@ from ..exec_engine.events import (
     SYNC_LOCK_ACQ,
     SYNC_LOCK_REL,
 )
-from ..exec_engine.schedcore import DONE_OP, OP_SYNC, TableRows
+from ..exec_engine.schedcore import OP_SYNC, log_tape
 from ..isa.image import Program
 from ..runtime.omp import OmpRuntime
 from .pinball import RegionPinball
@@ -44,6 +44,15 @@ _SYNC_EVENTS = {
     SYNC_LOCK_ACQ: LockAcquire,
     SYNC_LOCK_REL: LockRelease,
 }
+
+
+def _sync_op(entry: tuple) -> tuple:
+    """The ``OP_SYNC`` op of one sync entry of an ELFie's code."""
+    _tag, kind, obj_id = entry
+    event = _SYNC_EVENTS.get(kind)
+    if event is None:
+        raise ReplayError(f"ELFie entry of kind {kind!r} has no tape op")
+    return (OP_SYNC, event(obj_id))
 
 
 @dataclass
@@ -77,32 +86,10 @@ class ELFie:
         :func:`pinball_to_elfie` writes: an entry of any other kind raises
         :class:`~repro.errors.ReplayError`.
         """
-        blocks = program.blocks
-        tapes = []
-        for code in self.thread_codes:
-            tape: List[tuple] = []
-            rows = TableRows()
-            for entry in code:
-                if entry[0] == "b":
-                    rows.append(blocks[entry[1]], entry[2])
-                    continue
-                _tag, kind, obj_id = entry
-                event = _SYNC_EVENTS.get(kind)
-                if event is None:
-                    raise ReplayError(
-                        f"ELFie entry of kind {kind!r} has no tape op"
-                    )
-                op = rows.table_op()
-                if op is not None:
-                    tape.append(op)
-                    rows = TableRows()
-                tape.append((OP_SYNC, event(obj_id)))
-            op = rows.table_op()
-            if op is not None:
-                tape.append(op)
-            tape.append(DONE_OP)
-            tapes.append(tape)
-        return tapes
+        return [
+            log_tape(code, program.blocks, _sync_op)
+            for code in self.thread_codes
+        ]
 
 
 def pinball_to_elfie(

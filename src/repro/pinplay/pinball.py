@@ -20,6 +20,8 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from ..errors import ReplayError
+from ..exec_engine.schedcore import OP_GSEQ, log_tape
+from ..isa.image import Program
 
 #: Log entry forms:
 #:   ``("b", bid, repeat)``                     block execution
@@ -28,6 +30,12 @@ LogEntry = Tuple
 ThreadLog = List[LogEntry]
 
 _MAGIC = "repro-pinball-v1"
+
+
+def _gseq_op(entry: LogEntry) -> tuple:
+    """The ``OP_GSEQ`` op of one recorded sync entry."""
+    _s, kind, obj_id, _response, gseq = entry
+    return (OP_GSEQ, gseq, (kind, obj_id))
 
 
 @dataclass
@@ -52,6 +60,18 @@ class Pinball:
     @property
     def num_entries(self) -> int:
         return sum(len(log) for log in self.logs)
+
+    def tapes(self, program: Program) -> List[List[tuple]]:
+        """Per-thread tapes the timing simulator replays the logs from.
+
+        Block entries become ``OP_TABLE`` rows, one row per entry; each
+        sync entry becomes an ``OP_GSEQ`` op carrying its ``gseq`` and its
+        ``(kind, obj_id)`` object key, which the simulator runs in
+        recorded order.
+        """
+        return [
+            log_tape(log, program.blocks, _gseq_op) for log in self.logs
+        ]
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the pinball to ``path`` (gzip-compressed pickle)."""

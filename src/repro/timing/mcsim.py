@@ -1,38 +1,46 @@
-"""The multicore simulator: binary-driven and checkpoint-driven modes.
+"""The multicore simulator: one timed thread loop, three routes.
+
+Every route runs per-thread tapes (see
+:mod:`~repro.exec_engine.schedcore`) on one loop,
+:meth:`MultiCoreSimulator._run_threads`: the runnable thread with the
+lowest core clock, ties to the lowest tid, takes the next event.  Block
+events move only their own core's clock; sync events resolve at simulated
+cycles.  The routes differ only in where their tapes come from and what
+their sync ops do.
 
 **Binary-driven unconstrained** (:meth:`MultiCoreSimulator.run_binary`): the
-timing model owns thread progress.  Threads are advanced in simulated-time
-order; barriers, locks, and dynamic scheduling are resolved at simulated
-time, so spin-loop instruction counts and chunk assignments follow the
-*target* microarchitecture — the paper's preferred mode (Sec. II "How to
-simulate").  Regions of interest are delimited by ``(PC, count)`` markers
-(LoopPoint), global instruction counts (the naive SimPoint baseline), or
-barrier ordinals (BarrierPoint).  Disjoint regions are measured in one
-sweep.  Before a region the simulator warms caches and predictor with the
-full cost model, by default all the way from the previous region's end or
-program start: the paper's "perfect warmup".  A region may instead name a
-``warm_start`` marker.  The sweep then fast-forwards functionally up to it
-(exact execution and marker counts and predictor state, clocks advanced by
-the non-memory cost terms, no cache probes) and warms only from there.
-
-The threads run the per-thread tapes that
-:func:`~repro.exec_engine.schedcore.compile_streams` compiles for the
+timing model owns thread progress.  Barriers, locks, and dynamic
+scheduling are resolved at simulated time, so spin-loop instruction counts
+and chunk assignments follow the *target* microarchitecture — the paper's
+preferred mode (Sec. II "How to simulate").  The threads run the tapes
+that :func:`~repro.exec_engine.schedcore.compile_streams` compiles for the
 functional engine too, so a construct's semantics are defined once; chunk
-and single grants resolve in the timed loop, at simulated time.
+and single grants resolve in the timed loop.  Regions of interest are
+delimited by ``(PC, count)`` markers (LoopPoint), global instruction
+counts (the naive SimPoint baseline), or barrier ordinals
+(BarrierPoint).  Disjoint regions are measured in one sweep.  Before a
+region the simulator warms caches and predictor with the full cost model,
+by default all the way from the previous region's end or program start:
+the paper's "perfect warmup".  A region may instead name a ``warm_start``
+marker.  The sweep then fast-forwards functionally up to it (exact
+execution and marker counts and predictor state, clocks advanced by the
+non-memory cost terms, no cache probes) and warms only from there.
 
 **ELFies** (:meth:`MultiCoreSimulator.run_elfie`), the other unconstrained
-route of Sec. II, run on the same thread loop (:meth:`_run_threads`) with
-passive waits: an ELFie's thread code compiles to block-run tables plus
-barrier and lock ops (:meth:`~repro.pinplay.elfie.ELFie.tapes`).  The loop
-gives each event to the runnable thread with the lowest core clock, ties
-to the lowest tid.
+route of Sec. II, run with passive waits: an ELFie's thread code compiles
+to block-run tables plus barrier and lock ops
+(:meth:`~repro.pinplay.elfie.ELFie.tapes`) that the timing model resolves
+live.
 
 **Checkpoint-driven constrained** (:meth:`MultiCoreSimulator.run_pinball`):
-replays a (region) pinball's logs while *enforcing the recorded sync order*.
-Recorded spin iterations are re-executed verbatim and threads are stalled
-artificially to honour ``gseq`` order — reproducing the distortions the
-paper measures in Sec. V-A.1.  The recorded order gates which thread may
-go next, so this walk has its own loop.
+replays a (region) pinball's logs while *enforcing the recorded sync
+order*.  A log compiles to block-run tables plus one ``OP_GSEQ`` op per
+recorded sync action (:meth:`~repro.pinplay.pinball.Pinball.tapes`).  A
+thread that reaches such an op before its ``gseq`` turn blocks until the
+thread of the turn before wakes it; at its turn its core stalls to the
+object's last sync cycle.  Recorded spin iterations are re-executed
+verbatim, so this reproduces the distortions the paper measures in
+Sec. V-A.1.
 
 ELFie and pinball runs measure their detail portion with one
 :class:`_DetailWindow`: per-thread warmup/detail crossings, each core
@@ -55,6 +63,7 @@ from ..exec_engine.events import (
 from ..exec_engine.schedcore import (
     OP_CHUNK_TAPE,
     OP_DONE,
+    OP_GSEQ,
     OP_RET,
     OP_SINGLE,
     OP_SYNC,
@@ -64,7 +73,7 @@ from ..exec_engine.schedcore import (
 )
 from ..isa.blocks import BasicBlock
 from ..isa.image import Program
-from ..pinplay.pinball import Pinball, RegionPinball
+from ..pinplay.pinball import Pinball
 from ..policy import SpinParams, WaitPolicy
 from ..profiling.markers import Marker, MarkerTracker
 from ..runtime.omp import OmpRuntime
@@ -136,10 +145,6 @@ class SimulationResult:
     #: Instructions a binary-driven sweep ran with the full cost model
     #: just before this region, outside any region: its warm window.
     warm_instructions: int = 0
-
-    @property
-    def runtime_cycles(self) -> int:
-        return self.end_cycle - self.start_cycle
 
 
 class _SimThread:
@@ -402,17 +407,25 @@ class _DetailWindow:
     into the detail portion, and the shared L3 at the first crossing.  The
     region's clock starts once every thread has crossed.
 
-    The window also serves as the ELFie's thread-loop controller.  A
-    barrier clipped at the region edge leaves threads waiting that no
-    arrival will release, so a run whose live threads all block just ends.
+    The window is also the thread loop's controller for both checkpoint
+    routes.  ``stop_when_blocked`` says what a run whose live threads all
+    block means.  For an ELFie it is the end: a barrier clipped at the
+    region edge leaves threads waiting that no arrival will release.  For
+    a pinball it is a :class:`DeadlockError`: a recorded order no thread
+    can meet.
     """
 
-    stop_when_blocked = True
     finished = False
 
-    def __init__(self, sim: "MultiCoreSimulator", detail_at: List[int]):
+    def __init__(
+        self,
+        sim: "MultiCoreSimulator",
+        detail_at: List[int],
+        stop_when_blocked: bool,
+    ):
         self._sim = sim
         self._detail_at = detail_at
+        self.stop_when_blocked = stop_when_blocked
         self._progress = [0] * len(detail_at)
         self._snaps: List[Optional[Dict[str, int]]] = [
             sim._core_snapshot(t) if at <= 0 else None
@@ -598,7 +611,10 @@ class MultiCoreSimulator:
         lowest core clock, ties to the lowest tid, takes the next event:
         one block run entry or one sync op.  Sync events are resolved at
         simulated cycles; chunk and single grants are decided here, when
-        the request runs.  ``ctl`` is a :class:`_RegionController` or a
+        the request runs.  An ``OP_GSEQ`` op (pinball tapes) runs only at
+        its ``gseq`` turn: a thread that reaches it early blocks there,
+        without an event, until the op of the turn before wakes it.
+        ``ctl`` is a :class:`_RegionController` or a
         :class:`_DetailWindow`: the loop reports blocks, events and barrier
         releases to it, stops once it is ``finished``, and, when every live
         thread is blocked, ends the run if its ``stop_when_blocked`` is set
@@ -617,6 +633,14 @@ class MultiCoreSimulator:
         locks: Dict[int, _SimLock] = {}
         chunks: Dict[int, int] = {}
         singles: set = set()
+        # The recorded order: the next gseq due, the thread blocked at each
+        # later one, and each sync object's last sync cycle.  PinPlay
+        # enforces the recorded order of *conflicting* accesses, not one
+        # global total order, so the time coupling is per object while the
+        # gseq gate fixes the global interleaving of sync actions.
+        next_gseq = 0
+        gated: Dict[int, _SimThread] = {}
+        last_sync: Dict[tuple, int] = {}
         num_events = 0
         maxev = max_events if max_events is not None else 1 << 62
 
@@ -704,6 +728,12 @@ class MultiCoreSimulator:
                     thread.state = _DONE
                     break
 
+                if code == OP_GSEQ and op[1] != next_gseq:
+                    # Not this thread's turn: wait at the op.
+                    thread.state = _BLOCKED
+                    gated[op[1]] = thread
+                    break
+
                 # A sync op: one event, then a fresh scan.
                 thread.op += 1
                 num_events += 1
@@ -728,6 +758,17 @@ class MultiCoreSimulator:
                         exec_block(tid, self.omp.reduce_combine, 1)
                     else:
                         raise SimulationError(f"unknown event {event!r}")
+                elif code == OP_GSEQ:
+                    # The artificial stall: this thread may have been ready
+                    # long before its turn at this object.
+                    key = op[2]
+                    if core.cycle < last_sync.get(key, 0):
+                        core.cycle = last_sync[key]
+                    last_sync[key] = core.cycle
+                    next_gseq += 1
+                    waiter = gated.pop(next_gseq, None)
+                    if waiter is not None:
+                        waiter.state = _RUNNABLE
                 elif code == OP_SINGLE:
                     if event.single_id not in singles:
                         singles.add(event.single_id)
@@ -864,28 +905,14 @@ class MultiCoreSimulator:
     def run_elfie(self, elfie) -> SimulationResult:
         """Execute an :class:`~repro.pinplay.elfie.ELFie` unconstrained.
 
-        The ELFie's reconstructed thread code runs on the binary-driven
-        thread loop with passive waits (barriers and locks re-resolved by
-        the timing model), starting from the checkpointed execution
-        counters.  Warmup entries run with the full cost model; a
-        :class:`_DetailWindow` measures the detail portion.  A barrier
-        clipped at the region edge may leave threads waiting at the end;
-        the run then simply stops.
+        The ELFie's reconstructed thread code runs on the thread loop with
+        passive waits (barriers and locks re-resolved by the timing
+        model), starting from the checkpointed execution counters.  Warmup
+        entries run with the full cost model; a :class:`_DetailWindow`
+        measures the detail portion.  A barrier clipped at the region edge
+        may leave threads waiting at the end; the run then simply stops.
         """
-        nthreads = elfie.nthreads
-        if nthreads > self.system.num_cores:
-            raise SimulationError(
-                f"ELFie has {nthreads} threads, system has "
-                f"{self.system.num_cores} cores"
-            )
-        if elfie.start_exec_counts:
-            for tid in range(nthreads):
-                self.exec_counts[tid] = list(elfie.start_exec_counts[tid])
-        window = _DetailWindow(
-            self, list(elfie.detail_positions) or [0] * nthreads
-        )
-        self._run_threads(window, elfie.tapes(self.program), active=False)
-        return window.result(elfie.region_id, "ELFie")
+        return self._run_checkpoint("ELFie", elfie, stop_when_blocked=True)
 
     # ======================================================================
     # Checkpoint-driven constrained simulation
@@ -896,69 +923,39 @@ class MultiCoreSimulator:
 
         The recorded sync order is enforced exactly: a thread whose next
         sync action is not yet due stalls (its recorded spin iterations, if
-        any, were already captured in the logs).  For a
-        :class:`RegionPinball`, warmup entries run with the full cost model
-        and a :class:`_DetailWindow`, shared with :meth:`run_elfie`,
-        measures only the detail portion.
+        any, were already captured in the logs), and a recorded order no
+        thread can meet raises :class:`DeadlockError`.  For a
+        :class:`~repro.pinplay.pinball.RegionPinball`, warmup entries run
+        with the full cost model and a :class:`_DetailWindow`, shared with
+        :meth:`run_elfie`, measures only the detail portion.
         """
-        nthreads = pinball.nthreads
-        if nthreads > self.system.num_cores:
-            raise SimulationError(
-                f"pinball has {nthreads} threads, system has "
-                f"{self.system.num_cores} cores"
-            )
-        logs = pinball.logs
-        is_region = isinstance(pinball, RegionPinball)
-        if is_region and pinball.start_exec_counts:
-            for tid in range(nthreads):
-                self.exec_counts[tid] = list(pinball.start_exec_counts[tid])
-        window = _DetailWindow(
-            self,
-            list(pinball.detail_positions) if is_region and
-            pinball.detail_positions else [0] * nthreads,
+        return self._run_checkpoint(
+            "pinball", pinball, stop_when_blocked=False
         )
 
-        pos = [0] * nthreads
-        ends = [len(log) for log in logs]
-        next_gseq = 0
-        # PinPlay enforces the recorded order of *conflicting* accesses (the
-        # per-address .race dependencies), not one global total order; the
-        # time coupling is therefore per synchronization object, while the
-        # gseq gate still fixes the global interleaving of sync actions.
-        last_sync_cycle: Dict[tuple, int] = {}
-        cores = self.cores
-        program = self.program
+    def _run_checkpoint(
+        self, what: str, checkpoint, stop_when_blocked: bool
+    ) -> SimulationResult:
+        """Run an ELFie's or a pinball's tapes with passive waits.
 
-        live = set(t for t in range(nthreads) if pos[t] < ends[t])
-        while live:
-            best = None
-            best_cycle = None
-            for t in live:
-                entry = logs[t][pos[t]]
-                if entry[0] == "s" and entry[4] != next_gseq:
-                    continue
-                c = cores[t].cycle
-                if best_cycle is None or c < best_cycle:
-                    best, best_cycle = t, c
-            if best is None:
-                raise DeadlockError(f"constrained sim stuck at gseq {next_gseq}")
-            t = best
-            entry = logs[t][pos[t]]
-            if entry[0] == "b":
-                block = program.blocks[entry[1]]
-                self._exec(t, block, entry[2])
-            else:
-                # The artificial stall: this thread may have been ready long
-                # before its turn at this object in the recorded order.
-                key = (entry[1], entry[2])
-                due = last_sync_cycle.get(key, 0)
-                if cores[t].cycle < due:
-                    cores[t].cycle = due
-                next_gseq += 1
-                last_sync_cycle[key] = cores[t].cycle
-            pos[t] += 1
-            window.post_event(t)
-            if pos[t] >= ends[t]:
-                live.discard(t)
-
-        return window.result(getattr(pinball, "region_id", -1), "pinball")
+        A region checkpoint starts from its execution counters and measures
+        its detail portion; a whole-program pinball has neither and is
+        measured whole.
+        """
+        nthreads = checkpoint.nthreads
+        if nthreads > self.system.num_cores:
+            raise SimulationError(
+                f"{what} has {nthreads} threads, system has "
+                f"{self.system.num_cores} cores"
+            )
+        for tid, counts in enumerate(
+            getattr(checkpoint, "start_exec_counts", ())
+        ):
+            self.exec_counts[tid] = list(counts)
+        window = _DetailWindow(
+            self,
+            list(getattr(checkpoint, "detail_positions", ())) or [0] * nthreads,
+            stop_when_blocked,
+        )
+        self._run_threads(window, checkpoint.tapes(self.program), active=False)
+        return window.result(getattr(checkpoint, "region_id", -1), what)

@@ -76,9 +76,6 @@ class Phase:
             per = [share + (1 if i < rem else 0) for i in range(len(self.body))]
         return LoopWork(self.header, list(zip(self.body, per)))
 
-    def instructions_per_outer_iter(self, trips: int) -> int:
-        return self.work(trips).instructions_per_iteration()
-
 
 class AppAssembler:
     """Builds the static program of one workload model."""

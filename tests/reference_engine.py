@@ -12,7 +12,9 @@ It runs those generators under both drivers' own sync handlers:
 * :class:`ReferenceSimulator` resumes them once per event in
   simulated-time order, on the timing simulator's timed handlers,
   region controller and detail window.  ELFies run from
-  :func:`elfie_thread_main`.
+  :func:`elfie_thread_main`; pinballs replay by a walk of the logs that
+  filters the threads by the recorded order before every entry, where
+  the tape loop gates them.
 
 Each shares nothing with its tape loop but those handlers and the
 bookkeeping, so a tape that drifts from the constructs' semantics shows
@@ -53,6 +55,7 @@ from repro.exec_engine.events import (
     Reduce,
     SingleRequest,
 )
+from repro.pinplay.pinball import RegionPinball
 from repro.policy import WaitPolicy
 from repro.runtime.constructs import (
     BATCH_LIMIT,
@@ -64,7 +67,13 @@ from repro.runtime.constructs import (
     Single,
     static_chunk,
 )
-from repro.timing.mcsim import _BLOCKED, _DONE, _RUNNABLE, MultiCoreSimulator
+from repro.timing.mcsim import (
+    _BLOCKED,
+    _DONE,
+    _RUNNABLE,
+    MultiCoreSimulator,
+    _DetailWindow,
+)
 
 #: What the base constructors tape: no constructs, so they accept any
 #: program the reference is given.
@@ -358,7 +367,9 @@ class ReferenceSimulator(MultiCoreSimulator):
     ``run_binary`` and ``run_elfie`` are the simulator's own (checks,
     region controller, detail window, finalization); only the thread loop
     differs: it resumes one generator per event, rescanning the threads
-    before every event.
+    before every event.  ``run_pinball`` walks the logs entry by entry
+    with the recorded order as an eligibility filter, on the same detail
+    window.
     """
 
     def run_binary(self, thread_program, nthreads, *args, **kwargs):
@@ -374,6 +385,68 @@ class ReferenceSimulator(MultiCoreSimulator):
             for tid in range(elfie.nthreads)
         ]
         return super().run_elfie(elfie)
+
+    def run_pinball(self, pinball):
+        """The constrained replay as its own walk of the logs: before every
+        entry, the eligible thread with the lowest clock, ties to the
+        lowest tid, takes it; a thread whose next entry is a sync action
+        is eligible only at that action's ``gseq`` turn."""
+        nthreads = pinball.nthreads
+        if nthreads > self.system.num_cores:
+            raise SimulationError(
+                f"pinball has {nthreads} threads, system has "
+                f"{self.system.num_cores} cores"
+            )
+        logs = pinball.logs
+        is_region = isinstance(pinball, RegionPinball)
+        if is_region and pinball.start_exec_counts:
+            for tid in range(nthreads):
+                self.exec_counts[tid] = list(pinball.start_exec_counts[tid])
+        window = _DetailWindow(
+            self,
+            list(pinball.detail_positions) if is_region and
+            pinball.detail_positions else [0] * nthreads,
+            stop_when_blocked=False,
+        )
+
+        pos = [0] * nthreads
+        ends = [len(log) for log in logs]
+        next_gseq = 0
+        last_sync_cycle: dict = {}
+        cores = self.cores
+        live = set(t for t in range(nthreads) if pos[t] < ends[t])
+        while live:
+            best = None
+            best_cycle = None
+            for t in sorted(live):
+                entry = logs[t][pos[t]]
+                if entry[0] == "s" and entry[4] != next_gseq:
+                    continue
+                c = cores[t].cycle
+                if best_cycle is None or c < best_cycle:
+                    best, best_cycle = t, c
+            if best is None:
+                raise DeadlockError(
+                    f"constrained sim stuck at gseq {next_gseq}"
+                )
+            t = best
+            entry = logs[t][pos[t]]
+            if entry[0] == "b":
+                self._exec(t, self.program.blocks[entry[1]], entry[2])
+            else:
+                # The artificial stall.
+                key = (entry[1], entry[2])
+                due = last_sync_cycle.get(key, 0)
+                if cores[t].cycle < due:
+                    cores[t].cycle = due
+                next_gseq += 1
+                last_sync_cycle[key] = cores[t].cycle
+            pos[t] += 1
+            window.post_event(t)
+            if pos[t] >= ends[t]:
+                live.discard(t)
+
+        return window.result(getattr(pinball, "region_id", -1), "pinball")
 
     def _run_threads(self, ctl, streams, active, max_events=None) -> None:
         threads = [_GenThread(tid, gen) for tid, gen in enumerate(self._gens)]

@@ -97,7 +97,9 @@ class TestTimeSampling:
         result = run_time_sampling(
             demo, detail_instructions=2000, period_instructions=20000,
         )
-        assert result.detail_fraction < 0.25
+        assert result.detailed_instructions / max(
+            1, result.total_instructions
+        ) < 0.25
 
     def test_invalid_parameters(self, demo):
         with pytest.raises(SimulationError):

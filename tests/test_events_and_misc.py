@@ -4,7 +4,7 @@ speedup report rows, and the bar-chart/table helpers used by benchmarks."""
 import pytest
 
 from repro import errors as err
-from repro.core.report import format_result_table, mean_abs
+from repro.core.report import format_result_table
 from repro.core.speedup import SpeedupReport
 from repro.exec_engine.events import (
     BarrierWait,
@@ -29,7 +29,6 @@ class TestErrorHierarchy:
 
     def test_specific_parents(self):
         assert issubclass(err.DeadlockError, err.ExecutionError)
-        assert issubclass(err.ReplayDivergenceError, err.ReplayError)
 
     def test_catchable_as_base(self):
         with pytest.raises(err.ReproError):
@@ -77,11 +76,6 @@ class TestSpeedupReport:
 
 
 class TestReportHelpers:
-    def test_mean_abs(self):
-        assert mean_abs([-1.0, 3.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            mean_abs([])
-
     def test_format_result_table_empty_actual(self, demo_workload):
         from repro.core import LoopPointOptions, LoopPointPipeline
         from conftest import TEST_SCALE

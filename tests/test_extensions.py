@@ -1,9 +1,8 @@
-"""Tests for the extension features: CLI, ELFies, stability analysis,
-and the hybrid methodology."""
+"""Tests for the extension features: CLI, ELFies and stability
+analysis."""
 
 import pytest
 
-from repro.baselines import choose_method
 from repro.cli import build_parser, main, run_one
 from repro.config import GAINESTOWN_8CORE
 from repro.errors import ReplayError
@@ -17,7 +16,7 @@ from repro.policy import WaitPolicy
 from repro.profiling import analyze_stability, profile_pinball
 from repro.timing import MultiCoreSimulator
 
-from conftest import TEST_SCALE, build_toy
+from conftest import build_toy
 
 
 class TestCLI:
@@ -148,19 +147,3 @@ class TestStabilityAnalysis:
             assert (r.slice_index in unstable) == (
                 not r.is_stable(report.drift_bound)
             )
-
-
-class TestHybrid:
-    def test_picks_looppoint_for_barrier_free_app(self):
-        from repro.workloads.registry import get_workload
-
-        xz = get_workload("657.xz_s.2", scale=TEST_SCALE)
-        choice = choose_method(xz)
-        assert choice.method == "looppoint"
-        assert not choice.barrierpoint_practical
-
-    def test_speedup_fields_consistent(self, demo_workload):
-        choice = choose_method(demo_workload)
-        assert choice.chosen_parallel_speedup > 1.0
-        if choice.method == "barrierpoint":
-            assert choice.barrierpoint_parallel >= choice.looppoint_parallel

@@ -59,26 +59,6 @@ class TestBasicBlock:
         writes = [m[2] for m in block.mem_ops]
         assert writes == [False, True, True]
 
-    def test_cond_outcome_deterministic_and_pc_dependent(self):
-        b = _mk_block(branch=BranchSpec(BRANCH_COND, taken_prob=0.5))
-        b.pc = 0x400000
-        outcomes = [b.cond_outcome(0, i) for i in range(64)]
-        assert outcomes == [b.cond_outcome(0, i) for i in range(64)]
-        b2 = _mk_block(branch=BranchSpec(BRANCH_COND, taken_prob=0.5))
-        b2.pc = 0x400100
-        assert outcomes != [b2.cond_outcome(0, i) for i in range(64)]
-
-    def test_cond_outcome_rate_tracks_probability(self):
-        b = _mk_block(branch=BranchSpec(BRANCH_COND, taken_prob=0.2))
-        b.pc = 0x400444
-        taken = sum(b.cond_outcome(0, i) for i in range(4000))
-        assert 0.15 < taken / 4000 < 0.25
-
-    def test_cond_outcome_requires_cond_branch(self):
-        b = _mk_block(branch=BranchSpec(BRANCH_LOOP))
-        with pytest.raises(ProgramStructureError):
-            b.cond_outcome(0, 0)
-
     def test_is_library_requires_layout(self):
         b = _mk_block()
         with pytest.raises(ProgramStructureError):
@@ -148,11 +128,6 @@ class TestProgramBuilderLayout:
         pb.routine("r")
         with pytest.raises(ProgramStructureError):
             pb.routine("r")
-
-    def test_main_image_property(self):
-        program, *_ = self._program()
-        assert program.main_image.name == "app"
-        assert not program.main_image.is_library
 
 
 class TestBuilderBlocks:

@@ -89,14 +89,14 @@ def _observers(track_threads):
     )
 
 
-def _state(recorder, builder):
+def _state(recorder, builder, track_threads):
     graph = builder.result()
     state = [
         recorder.logs,
         list(graph.edge_counts.items()),
         list(graph.node_counts.items()),
     ]
-    if builder.tracks_threads:
+    if track_threads:
         state.append([
             (list(g.edge_counts.items()), list(g.node_counts.items()))
             for g in builder.thread_graphs()
@@ -113,7 +113,7 @@ def _per_event(stream, track_threads):
             builder.on_block(tid, BLOCKS[bid], repeat, 0)
         else:
             recorder.on_sync(*event[1:])
-    return _state(recorder, builder)
+    return _state(recorder, builder, track_threads)
 
 
 def _through_ring(stream, track_threads, capacity, flush_at):
@@ -131,7 +131,7 @@ def _through_ring(stream, track_threads, capacity, flush_at):
         else:
             recorder.on_sync(*event[1:])
     ring.flush()
-    return _state(recorder, builder)
+    return _state(recorder, builder, track_threads)
 
 
 @st.composite

@@ -9,7 +9,11 @@ critical and atomic sections, static loops, single, master and serial
 phases, 1-8 threads, both wait policies — both must give the same
 :class:`~repro.timing.mcsim.SimulationResult`s, execution counts and core
 clocks for a whole run, for marker regions with warm starts, and for an
-ELFie of a recorded region.
+ELFie of a recorded region.  ``run_pinball`` gates each recorded sync
+action at its ``gseq`` turn in the same tape loop; the reference walks
+the logs entry by entry instead.  Both must agree on the recorded
+pinball and on its region pinballs, under either wait policy, warmed
+from program start or from a later cut.
 """
 
 from __future__ import annotations
@@ -146,9 +150,10 @@ def _regions(header_runs, cuts, warm):
     cuts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
     warm=st.booleans(),
     seed=st.integers(0, 2**16),
+    warm_frac=st.sampled_from([0.25, 0.5, 1.0]),
 )
 def test_timed_tapes_match_reference(
-    phase_list, nthreads, policy, cuts, warm, seed
+    phase_list, nthreads, policy, cuts, warm, seed, warm_frac
 ):
     tp, header_runs = _build(phase_list)
 
@@ -171,3 +176,18 @@ def test_timed_tapes_match_reference(
     ])
     elfie = pinball_to_elfie(PROGRAM, OMP, region_pinball)
     _same(lambda sim: sim.run_elfie(elfie))
+
+    # The whole pinball, the region pinball warmed from program start,
+    # and the region pinball warmed from a cut a fraction of the way to
+    # the region start.
+    _same(lambda sim: sim.run_pinball(pinball))
+    _same(lambda sim: sim.run_pinball(region_pinball))
+    start = region_pinball.metadata["warmup_filtered"]
+    (warm_cut,) = extract_region_pinballs(PROGRAM, pinball, [
+        RegionCut(region_id=0, start=roi.start, end=roi.end,
+                  warmup_filtered=int(start * warm_frac)),
+    ])
+    assert warm_cut.metadata["detail_total"] == (
+        region_pinball.metadata["detail_total"]
+    )
+    _same(lambda sim: sim.run_pinball(warm_cut))

@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import GAINESTOWN_8CORE
 from repro.core.warmup import region_cuts_for_selection
-from repro.errors import RegionError, SimulationError
-from repro.pinplay import extract_region_pinballs, record_execution
+from repro.errors import DeadlockError, RegionError, SimulationError
+from repro.exec_engine.events import SYNC_LOCK_ACQ
+from repro.pinplay import Pinball, extract_region_pinballs, record_execution
 from repro.policy import WaitPolicy
 from repro.profiling import Marker, profile_pinball
 from repro.timing import MultiCoreSimulator, RegionOfInterest
@@ -218,6 +219,26 @@ class TestCheckpointDriven:
         a = fresh_sim(program, omp).run_pinball(pinball)
         b = fresh_sim(program, omp).run_pinball(pinball)
         assert a.metrics.cycles == b.metrics.cycles
+
+    def test_unmeetable_recorded_order_deadlocks(self, toy_parts):
+        """Sync heads that skip gseq 1: thread 1 waits for a turn that
+        never comes, after thread 0 has run out of entries."""
+        program, _tp, omp = toy_parts
+        bid = program.blocks[0].bid
+        pinball = Pinball(
+            program_name=program.name, nthreads=2, wait_policy="passive",
+            seed=0, total_instructions=0, filtered_instructions=0,
+            logs=[
+                [("b", bid, 3), ("s", SYNC_LOCK_ACQ, 1, None, 0),
+                 ("b", bid, 2)],
+                [("b", bid, 1), ("s", SYNC_LOCK_ACQ, 1, None, 2)],
+            ],
+        )
+        sim = fresh_sim(program, omp)
+        with pytest.raises(DeadlockError):
+            sim.run_pinball(pinball)
+        assert sim.exec_counts[0][bid] == 5
+        assert sim.exec_counts[1][bid] == 1
 
     def test_constrained_differs_from_unconstrained(self, toy_parts,
                                                     toy_profile, full_run):

@@ -1,20 +1,9 @@
-"""Tests for workload validation and result export, including a
-suite-wide model validation sweep."""
-
-import json
+"""Tests for workload validation, including a suite-wide model
+validation sweep."""
 
 import pytest
 
-from repro.analysis.export import (
-    metrics_dict,
-    result_summary,
-    write_csv,
-    write_result_json,
-    write_suite_json,
-)
-from repro.core import LoopPointOptions, LoopPointPipeline
-from repro.errors import ReproError, WorkloadError
-from repro.timing.metrics import SimMetrics
+from repro.errors import WorkloadError
 from repro.workloads import NPB_APPS, SPEC_TRAIN_APPS, get_workload
 from repro.workloads.validation import (
     observed_primitives,
@@ -62,48 +51,3 @@ class TestValidation:
         seen = observed_primitives(demo_workload)
         assert seen["sta4"] and seen["bar"]
         assert not seen["dyn4"]
-
-
-class TestExport:
-    def test_write_csv_roundtrip(self, tmp_path):
-        path = write_csv(
-            tmp_path / "fig.csv", ["app", "err"], [["lbm", 1.2], ["xz", 9.9]]
-        )
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "app,err"
-        assert lines[1] == "lbm,1.2"
-
-    def test_write_csv_validates_width(self, tmp_path):
-        with pytest.raises(ReproError):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], [[1]])
-
-    def test_metrics_dict_includes_rates(self):
-        m = SimMetrics(cycles=100, instructions=400, l2_misses=4)
-        d = metrics_dict(m)
-        assert d["ipc"] == pytest.approx(4.0)
-        assert d["l2_mpki"] == pytest.approx(10.0)
-        assert d["cycles"] == 100
-
-    @pytest.fixture(scope="class")
-    def demo_result(self, demo_workload):
-        pipeline = LoopPointPipeline(
-            demo_workload, options=LoopPointOptions(scale=TEST_SCALE)
-        )
-        return pipeline.run()
-
-    def test_result_summary_fields(self, demo_result):
-        summary = result_summary(demo_result)
-        assert summary["num_looppoints"] == demo_result.num_looppoints
-        assert "runtime_error_pct" in summary
-        assert len(summary["regions"]) == demo_result.num_looppoints
-
-    def test_result_json_roundtrip(self, tmp_path, demo_result):
-        path = write_result_json(tmp_path / "r.json", demo_result)
-        loaded = json.loads(path.read_text())
-        assert loaded["workload"] == demo_result.workload
-        assert loaded["speedup"]["theoretical_serial"] > 1.0
-
-    def test_suite_json(self, tmp_path, demo_result):
-        path = write_suite_json(tmp_path / "suite.json", [demo_result] * 2)
-        loaded = json.loads(path.read_text())
-        assert len(loaded) == 2
