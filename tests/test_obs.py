@@ -257,6 +257,27 @@ class TestPipelineTracing:
         roots = data.roots()
         assert len(roots) == 1 and roots[0].name == "run"
 
+    def test_trace_names_the_binary_mode(self, traced_parallel):
+        pipeline, _, data = traced_parallel
+        assert data.meta["mode"] == "binary"
+        assert data.meta["workload"] == pipeline.workload.full_name
+        # Only run_live tags its root span with a mode.
+        assert "mode" not in data.roots()[0].attrs
+
+    def test_trace_names_the_live_mode(self, tmp_path):
+        workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
+        path = str(tmp_path / "live.trace.jsonl")
+        pipeline = LoopPointPipeline(
+            workload, options=_options(jobs=1, trace_path=path)
+        )
+        pipeline.run_live(simulate_full=False)
+        data = read_trace(path)
+        assert data.meta["mode"] == "live"
+        (root,) = data.roots()
+        assert root.name == "run" and root.attrs["mode"] == "live"
+        assert pipeline.last_trace["trace_id"] == data.trace_id
+        assert pipeline.last_trace["spans"] == len(data.spans)
+
     def test_stage_walls_cover_run_wall(self, traced_parallel):
         _, _, data = traced_parallel
         root = data.roots()[0]
