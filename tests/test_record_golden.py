@@ -9,6 +9,9 @@ default flow control, on the engine's one scheduling loop, the tape loop.
 ``644.nab_s.1`` has dynamic-schedule loops with critical sections, which
 run each chunk as a sub-tape; its case keeps the key ``nab-generator``
 and the digest recorded when such loops ran on a generator loop.
+``627.cam4_s.1`` has plain dynamic-schedule loops (no critical section)
+and ``638.imagick_s.1`` is the one workload with a ``single``: their
+cases pin chunk grants and the single grant.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ CASES = {
     "xz-active": ("657.xz_s.2", "train", 4, "active"),
     "is-live": ("npb-is", "C", 8, "passive"),
     "nab-generator": ("644.nab_s.1", "train", 4, "passive"),
+    "cam4-dynamic": ("627.cam4_s.1", "train", 8, "passive"),
+    "imagick-single": ("638.imagick_s.1", "train", 4, "active"),
 }
 
 GOLDEN = {
@@ -43,6 +48,10 @@ GOLDEN = {
         "acccd22d9edfdd2b2a6287182f8b6415ebd9c21283c02b09d9565f792d2da47c",
     "nab-generator":
         "4b7cabe43373c64f40e732f227824b97356a8cf4e24126bf7f6049c3f1818ff4",
+    "cam4-dynamic":
+        "3aa9d1d141a5b12e4b0c8dd254c73bf7a257c54823c8ea348fd1fd0e8e7ebe20",
+    "imagick-single":
+        "bcf4bd38b95db44b39faa3df413c4ec0019b56143a49d711d0bab010d22e400c",
 }
 
 

@@ -13,6 +13,9 @@ on one recording (tiny scale, record seed 0):
 Each case has two digests: ``"sim"`` over the first three runs and
 ``"elfie"`` over the last, so a change to ELFie conversion moves only the
 second.  Every simulation gets a fresh simulator, as the pipeline does.
+``cam4-dynamic`` pins plain dynamic-schedule chunk grants and
+``imagick-single`` the grant of a ``single``, both resolved in simulated
+time.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ CASES = {
     "xz-active": ("657.xz_s.2", "train", 4, "active"),
     "is-live": ("npb-is", "C", 8, "passive"),
     "nab-4t": ("644.nab_s.1", "train", 4, "passive"),
+    "cam4-dynamic": ("627.cam4_s.1", "train", 8, "passive"),
+    "imagick-single": ("638.imagick_s.1", "train", 4, "active"),
 }
 
 #: Every sixth profile slice is a simulated region.
@@ -68,6 +73,18 @@ GOLDEN = {
             "13f8df5b48c3d4e1f086f0651b1aa2294d6e891bf3b8e690bee8875281106923",
         "elfie":
             "94528bedf04b320da79eca7a93b9f4d72a28c9188828be9126af4081984f48ca",
+    },
+    "cam4-dynamic": {
+        "sim":
+            "5ae8e9305b317902d9424601776f703406be34c0a105bc7e4e1d77526e14389d",
+        "elfie":
+            "c4f6f658282ac311736bb67ca730a8c9bc447c7087daaa11875b979433371cd1",
+    },
+    "imagick-single": {
+        "sim":
+            "9bc2dc2cd3ff143d972c61e448bb2e68f067ff6ee8d963a5c890550a25d28359",
+        "elfie":
+            "e9026c7b8c0dbe4fde945164bd5eeb4953629a177f9e22bc2848a4ba5e22f2ff",
     },
 }
 

@@ -27,82 +27,12 @@ from repro.pinplay.recorder import record_execution
 from repro.pinplay.region import RegionCut, extract_region_pinballs
 from repro.policy import WaitPolicy
 from repro.profiling.markers import Marker
-from repro.runtime import (
-    LoopWork,
-    Master,
-    ParallelFor,
-    Serial,
-    Single,
-    ThreadProgram,
-)
-from repro.runtime.constructs import (
-    SCHEDULE_DYNAMIC,
-    SCHEDULE_STATIC,
-    AtomicSpec,
-    CriticalSpec,
-)
 from repro.timing.mcsim import MultiCoreSimulator, RegionOfInterest
 
 from reference_engine import ReferenceSimulator
-from test_tape_reference import (
-    ATOM,
-    BODY,
-    CRIT,
-    HDR,
-    OMP,
-    PROGRAM,
-    TRIPS,
-    loop_specs,
-)
+from test_tape_reference import HDR, OMP, PROGRAM, build_phases, phases
 
 SYSTEM = GAINESTOWN_8CORE
-
-#: A loop: ``test_tape_reference``'s spec plus a schedule and whether it
-#: has a critical section.
-loops = st.tuples(
-    st.just("loop"),
-    loop_specs,
-    st.sampled_from([SCHEDULE_STATIC, SCHEDULE_DYNAMIC]),
-    st.booleans(),
-)
-#: A phase one thread, or the first to arrive, runs alone.
-solos = st.tuples(
-    st.sampled_from(["single", "master", "serial"]),
-    st.integers(0, 6),
-    st.sampled_from(sorted(TRIPS)),
-)
-phases = st.lists(loops | solos, min_size=1, max_size=3)
-
-_SOLO = {"single": Single, "master": Master, "serial": Serial}
-
-
-def _build(phase_list):
-    constructs = []
-    header_runs = 0
-    for k, phase in enumerate(phase_list):
-        if phase[0] == "loop":
-            _kind, spec, schedule, critical = phase
-            atom_every = spec["atomic_every"]
-            constructs.append(ParallelFor(
-                LoopWork(HDR, [(BODY, TRIPS[spec["trips"]])]),
-                total_iters=spec["total_iters"],
-                schedule=schedule,
-                chunk=spec["chunk"],
-                nowait=spec["nowait"],
-                reduction=spec["reduction"],
-                critical=(CriticalSpec(lock_id=1 + k % 2, block=CRIT,
-                                       every=spec["every"])
-                          if critical else None),
-                atomic=(AtomicSpec(ATOM, every=atom_every)
-                        if atom_every is not None else None),
-            ))
-            header_runs += spec["total_iters"]
-        else:
-            kind, iters, trips = phase
-            work = LoopWork(HDR, [(BODY, TRIPS[trips])])
-            constructs.append(_SOLO[kind](work, iters))
-            header_runs += iters
-    return ThreadProgram(constructs), header_runs
 
 
 def _outcome(sim_cls, call):
@@ -155,7 +85,7 @@ def _regions(header_runs, cuts, warm):
 def test_timed_tapes_match_reference(
     phase_list, nthreads, policy, cuts, warm, seed, warm_frac
 ):
-    tp, header_runs = _build(phase_list)
+    tp, header_runs = build_phases(phase_list)
 
     # A whole run.
     _same(lambda sim: sim.run_binary(tp, nthreads, policy))
