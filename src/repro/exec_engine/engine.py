@@ -62,13 +62,11 @@ from .events import (
 from .flowcontrol import FlowControl
 from .observers import Observer
 from .schedcore import (
-    OP_CHUNK_TAPE,
+    OP_CHUNK,
     OP_DONE,
     OP_RET,
-    OP_SINGLE,
+    OP_RUN,
     OP_SYNC,
-    OP_TABLE,
-    OP_TILED,
     compile_streams,
 )
 
@@ -363,8 +361,8 @@ class ExecutionEngine:
         ring_flush = ring.flush
         encode = ring.encode
 
-        # Interned row-code lists, one cache per tid keyed by ``id()`` of an
-        # op's bid column (alive in the tapes for the whole run).
+        # Interned row-code lists, one cache per tid keyed by ``id()`` of a
+        # run op's bid column (alive in the tapes for the whole run).
         # Structurally identical constructs share pattern columns, so a
         # workload's few distinct patterns encode once per tid; every
         # consume window then costs a single slice + ``extend`` (or one
@@ -390,14 +388,14 @@ class ExecutionEngine:
 
         # Per-thread tape cursors.  Layout (list, not attributes — indexed
         # access is the fastest Python offers here):
-        #   [0] op index            [1] run kind (0 none, 1 tiled, 2 table)
+        #   [0] op index            [1] in a run (0/1)
         #   [2] run row codes (interned via ring.encode)
-        #   [3] current tape: the thread's stream, or a chunk tape
+        #   [3] current tape: the thread's stream, or a sub-tape
         #   [4] run pre_t  [5] run pre_f
-        #   [6] event index in run  [7] run end (table) / pattern len
+        #   [6] event index in the pattern  [7] pattern length
         #   [8] off_t  [9] off_f  (ptt/ptf = off + pre[idx])
-        #   [10] tiled iterations left  [11] iter total  [12] iter filtered
-        #   [13] stream op index a chunk tape's OP_RET returns to
+        #   [10] passes left  [11] pass total  [12] pass filtered
+        #   [13] stream op index a sub-tape's OP_RET returns to
         cursors: List[list] = [
             [0, 0, None, streams[tid], None, None, 0, 0, 0, 0, 0, 0, 0, 0]
             for tid in range(nthreads)
@@ -448,29 +446,30 @@ class ExecutionEngine:
             ptf = per_thread_filtered[tid]
             stop_at = ptt + int(quantum * (1.0 + rng_random() * 0.5))
             cur = cursors[tid]
-            kind = cur[1]
+            in_run = cur[1]
 
             while ptt < stop_at:
-                if kind == 1:
-                    # Tiled run: consume within the current iteration's
-                    # pattern, then roll the per-iteration offsets.
+                if in_run:
+                    # Block run: consume within the current pass over the
+                    # pattern, then roll the per-pass offsets.
                     pre_t = cur[4]
                     e = cur[6]
                     m = cur[7]
                     off_t = cur[8]
                     if e == 0:
-                        # At an iteration boundary: every iteration whose
-                        # last event still starts inside the quantum is
-                        # consumed whole — emit all of them as one
-                        # ``pattern * q`` extend instead of a bisect and
-                        # three extends per iteration.  Identical event
-                        # stream, counters and rng use; only the ring's
-                        # flush boundaries may shift (observer state is
-                        # boundary-independent by the batching contract).
+                        # At a pass boundary: every pass whose last event
+                        # still starts inside the quantum is consumed
+                        # whole — emit all of them as one ``pattern * q``
+                        # extend instead of a bisect and three extends per
+                        # pass.  These are exactly the events the bisect
+                        # rule admits, with the same counters and rng use;
+                        # only the ring's flush boundaries may shift
+                        # (observer state is boundary-independent by the
+                        # batching contract).
                         budget = stop_at - off_t - pre_t[m - 1]
                         if budget > 0:
-                            iter_t = cur[11]
-                            q = (budget - 1) // iter_t + 1
+                            pass_t = cur[11]
+                            q = (budget - 1) // pass_t + 1
                             left = cur[10]
                             if q > left:
                                 q = left
@@ -478,13 +477,15 @@ class ExecutionEngine:
                             num_events += n
                             if n == 1:
                                 append_row(cur[2][0])
+                            elif q == 1:
+                                extend_rows(cur[2])
                             else:
                                 extend_rows(cur[2] * q)
                             nbuf += n
                             if nbuf >= ring_capacity:
                                 ring_flush()
                                 nbuf = 0
-                            off_t += iter_t * q
+                            off_t += pass_t * q
                             cur[8] = off_t
                             cur[9] += cur[12] * q
                             ptt = off_t
@@ -493,7 +494,7 @@ class ExecutionEngine:
                             if left:
                                 cur[10] = left
                                 continue
-                            kind = 0
+                            in_run = 0
                             cur[1] = 0
                             continue
                     j = bisect(pre_t, stop_at - off_t, e, m)
@@ -520,33 +521,7 @@ class ExecutionEngine:
                         cur[8] = off_t + cur[11]
                         cur[9] += cur[12]
                         continue
-                    kind = 0
-                    cur[1] = 0
-                    continue
-                if kind == 2:
-                    # Table run: one bisect over the explicit prefix sums.
-                    pre_t = cur[4]
-                    i = cur[6]
-                    end = cur[7]
-                    off_t = cur[8]
-                    j = bisect(pre_t, stop_at - off_t, i, end)
-                    if j > i:
-                        n = j - i
-                        num_events += n
-                        if n == 1:
-                            append_row(cur[2][i])
-                        else:
-                            extend_rows(cur[2][i:j])
-                        nbuf += n
-                        if nbuf >= ring_capacity:
-                            ring_flush()
-                            nbuf = 0
-                        ptt = off_t + pre_t[j]
-                        ptf = cur[9] + cur[5][j]
-                    if j < end:
-                        cur[6] = j
-                        break
-                    kind = 0
+                    in_run = 0
                     cur[1] = 0
                     continue
 
@@ -558,7 +533,7 @@ class ExecutionEngine:
                 op_idx = cur[0]
                 op = cur[3][op_idx]
                 code = op[0]
-                if code == OP_TILED:
+                if code == OP_RUN:
                     bids = op[1]
                     cache = row_caches[tid]
                     rows_l = cache.get(id(bids))
@@ -566,41 +541,21 @@ class ExecutionEngine:
                         rows_l = cache[id(bids)] = [
                             encode(tid, b, r) for b, r in zip(bids, op[2])
                         ]
+                    m = len(bids)
                     cur[0] = op_idx + 1
                     cur[2] = rows_l
                     cur[4] = op[3]
                     cur[5] = op[4]
                     cur[6] = 0
-                    cur[7] = op[5]
+                    cur[7] = m
                     cur[8] = ptt
                     cur[9] = ptf
-                    cur[10] = op[8]
-                    cur[11] = op[6]
-                    cur[12] = op[7]
-                    kind = 1
+                    cur[10] = op[5]
+                    cur[11] = op[3][m]
+                    cur[12] = op[4][m]
+                    in_run = 1
                     cur[1] = 1
                     continue
-                if code == OP_TABLE:
-                    bids = op[1]
-                    cache = row_caches[tid]
-                    rows_l = cache.get(id(bids))
-                    if rows_l is None:
-                        rows_l = cache[id(bids)] = [
-                            encode(tid, b, r) for b, r in zip(bids, op[2])
-                        ]
-                    i0 = op[5]
-                    cur[0] = op_idx + 1
-                    cur[2] = rows_l
-                    cur[4] = op[3]
-                    cur[5] = op[4]
-                    cur[6] = i0
-                    cur[7] = op[6]
-                    cur[8] = ptt - op[3][i0]
-                    cur[9] = ptf - op[4][i0]
-                    kind = 2
-                    cur[1] = 2
-                    continue
-
                 if code == OP_DONE:
                     # End-of-tape sentinel: the cursor stays parked on it.
                     threads[tid].state = done_state
@@ -608,8 +563,7 @@ class ExecutionEngine:
                     n_done += 1
                     break
                 if code == OP_RET:
-                    # End of a chunk tape: back to the stream's chunk op,
-                    # which requests the next chunk.  Not an event.
+                    # End of a sub-tape: back to the stream.  Not an event.
                     cur[3] = streams[tid]
                     cur[0] = cur[13]
                     continue
@@ -636,78 +590,33 @@ class ExecutionEngine:
                         self._sched_dirty = False
                     if thread.state is not runnable_state:
                         break
-                elif code == OP_SINGLE:
-                    self._handle_single(thread, ev)
-                    nbuf = len(ring_rows)
-                    granted = thread.response
+                else:
+                    # A chunk or single request.  A grant runs its
+                    # sub-tape, whose lock syncs may block the thread
+                    # partway; the cursor keeps its place in that tape
+                    # across block and wake.  A chunk's OP_RET comes back
+                    # to this op for the next request, until the loop's
+                    # iterations run out.
+                    if code == OP_CHUNK:
+                        self._handle_chunk(thread, ev)
+                        start = thread.response
+                        sub = (op[2][start // ev.chunk_size] if start >= 0
+                               else None)
+                        ret = op_idx
+                    else:  # OP_SINGLE
+                        self._handle_single(thread, ev)
+                        sub = op[2] if thread.response else None
+                        ret = op_idx + 1
                     thread.response = None
+                    nbuf = len(ring_rows)
                     ptt = per_thread_total[tid]
                     ptf = per_thread_filtered[tid]
-                    cur[0] = op_idx + 1
-                    run = op[2]
-                    if granted and run is not None:
-                        bids = run[0]
-                        cache = row_caches[tid]
-                        rows_l = cache.get(id(bids))
-                        if rows_l is None:
-                            rows_l = cache[id(bids)] = [
-                                encode(tid, b, r)
-                                for b, r in zip(bids, run[1])
-                            ]
-                        cur[2] = rows_l
-                        cur[4] = run[2]
-                        cur[5] = run[3]
-                        cur[6] = 0
-                        cur[7] = len(run[0])
-                        cur[8] = ptt
-                        cur[9] = ptf
-                        kind = 2
-                        cur[1] = 2
-                else:  # OP_CHUNK / OP_CHUNK_TAPE
-                    self._handle_chunk(thread, ev)
-                    nbuf = len(ring_rows)
-                    start = thread.response
-                    thread.response = None
-                    ptt = per_thread_total[tid]
-                    ptf = per_thread_filtered[tid]
-                    if start < 0:
+                    if sub is None:
                         cur[0] = op_idx + 1
-                    elif code == OP_CHUNK_TAPE:
-                        # Grant: run the chunk's own tape.  Its lock syncs
-                        # may block the thread mid-chunk; the cursor keeps
-                        # its place in that tape across block and wake.
-                        cur[13] = op_idx
-                        cur[3] = op[2][start // ev.chunk_size]
-                        cur[0] = 0
                     else:
-                        # Grant: run the chunk's table slice, then come
-                        # back to this op for the next request — exactly
-                        # ParallelFor.run's request/consume loop.
-                        iter_off = op[6]
-                        i0 = iter_off[start]
-                        stop_iter = start + ev.chunk_size
-                        total = ev.total_iters
-                        if stop_iter > total:
-                            stop_iter = total
-                        i1 = iter_off[stop_iter]
-                        if i1 > i0:
-                            bids = op[2]
-                            cache = row_caches[tid]
-                            rows_l = cache.get(id(bids))
-                            if rows_l is None:
-                                rows_l = cache[id(bids)] = [
-                                    encode(tid, b, r)
-                                    for b, r in zip(bids, op[3])
-                                ]
-                            cur[2] = rows_l
-                            cur[4] = op[4]
-                            cur[5] = op[5]
-                            cur[6] = i0
-                            cur[7] = i1
-                            cur[8] = ptt - op[4][i0]
-                            cur[9] = ptf - op[5][i0]
-                            kind = 2
-                            cur[1] = 2
+                        cur[13] = ret
+                        cur[3] = sub
+                        cur[0] = 0
 
             per_thread_total[tid] = ptt
             per_thread_filtered[tid] = ptf

@@ -10,34 +10,32 @@ slice ``extend``s into the :class:`~repro.perf.ring.EventRing` buffers.  The
 timing :class:`~repro.timing.mcsim.MultiCoreSimulator` walks the same
 tapes one event per turn, in simulated-time order.
 
-Two block-run encodings exist:
-
-* ``OP_TILED`` — a constant-trip worker loop (the common case): one
-  iteration's event pattern plus per-iteration instruction totals.  The
-  drivers replay ``n_iters`` copies — compile cost is
-  ``O(events per iteration)``, independent of the iteration count, which
-  matters because engines are constructed per run.
-* ``OP_TABLE`` — an explicit event table with prefix sums, used where the
-  per-iteration pattern varies (iteration-dependent trip counts, atomic
-  interleavings, critical-section fragments, dynamic-schedule chunks
-  sliced via ``iter_off``).
+A block run (``OP_RUN``) is a row pattern with its prefix sums, repeated
+for some number of passes.  A constant-trip worker loop (the common case)
+is one iteration's pattern repeated once per iteration, so compile cost
+is ``O(events per iteration)``, independent of the iteration count, which
+matters because engines are constructed per run.  Where the pattern
+varies (iteration-dependent trip counts, atomic interleavings,
+critical-section fragments, recorded logs) the run is an explicit event
+table of one pass.
 
 Synchronization stays event-at-a-time: ``OP_SYNC`` carries the *interned*
 sync event (one instance per construct) and dispatches through the
 driver's handlers, so barrier/lock semantics, gseq numbering and observer
 callbacks are those of the event stream.  Chunk and single requests have
-their own ops (``OP_CHUNK``, ``OP_CHUNK_TAPE``, ``OP_SINGLE``): the
-driver's grant, decided when the request runs, picks what the thread runs
-next.  A dynamic-schedule loop with a critical section compiles each chunk
-into its own sub-tape (``OP_CHUNK_TAPE``): grants start at multiples of
-the chunk size, so chunk ``k``'s ops are fixed under any grant order, and
-lock syncs sit inside them.
+their own ops (``OP_CHUNK``, ``OP_SINGLE``): the driver's grant, decided
+when the request runs, picks what the thread runs next.  Every grant runs
+a sub-tape that ends in ``OP_RET``, which returns to the stream: a
+dynamic-schedule loop compiles each chunk once into its own sub-tape
+(grants start at multiples of the chunk size, so chunk ``k``'s ops are
+fixed under any grant order, and lock syncs sit inside them), and a
+``single`` carries the sub-tape of its work.
 
 Recorded checkpoints tape too, for the timing simulator only:
-:func:`log_tape` turns a log of block entries and sync entries into one
-``OP_TABLE`` row per block entry and one op per sync entry.  An ELFie's
-syncs become ``OP_SYNC`` ops; a pinball's become ``OP_GSEQ`` ops, which
-run in recorded ``gseq`` order.
+:func:`log_tape` turns a log of block entries and sync entries into
+one-pass ``OP_RUN`` ops, one row per block entry, and one op per sync
+entry.  An ELFie's syncs become ``OP_SYNC`` ops; a pinball's become
+``OP_GSEQ`` ops, which run in recorded ``gseq`` order.
 
 Contract: a tape holds exactly the event sequence the construct's
 OpenMP semantics prescribe for its thread.  The test suite keeps
@@ -56,19 +54,18 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import ExecutionError
 
-#: Tape op codes.  Block runs (`OP_TILED`/`OP_TABLE`) are consumed by the
-#: engine's bisect loop; the rest dispatch one event through the engine's
-#: sync handlers.
-OP_TILED = 0   # (0, bids, reps, pre_t, pre_f, m, iter_t, iter_f, n_iters)
-OP_TABLE = 1   # (1, bids, reps, pre_t, pre_f, i0, i1)
-OP_SYNC = 2    # (2, event)
-OP_CHUNK = 3   # (3, event, bids, reps, pre_t, pre_f, iter_off)
-OP_SINGLE = 4  # (4, event, run_or_None)  run = (bids, reps, pre_t, pre_f)
-OP_DONE = 5    # (5,)  end-of-tape sentinel appended to every stream, so the
+#: Tape op codes.  Block runs are consumed by the drivers' run loops; the
+#: rest dispatch one event through the drivers' sync handlers, except
+#: ``OP_RET`` and ``OP_DONE``, which are not events.
+OP_RUN = 0     # (0, bids, reps, pre_t, pre_f, passes)  pre_* have one
+#                more entry than bids; the pattern runs ``passes`` times
+OP_SYNC = 1    # (1, event)
+OP_CHUNK = 2   # (2, event, chunk_tapes)  chunk_tapes[k]: chunk k's ops
+OP_SINGLE = 3  # (3, event, tape_or_None)  the winner's ops
+OP_DONE = 4    # (4,)  end-of-tape sentinel appended to every stream, so the
 #                hot loop never compares the op index against a length
-OP_CHUNK_TAPE = 6  # (6, event, chunk_tapes)  chunk_tapes[k]: chunk k's ops
-OP_RET = 7     # (7,)  ends every chunk tape: back to its OP_CHUNK_TAPE op
-OP_GSEQ = 8    # (8, gseq, (kind, obj_id))  a recorded sync action, due at
+OP_RET = 5     # (5,)  ends every sub-tape: back to the stream
+OP_GSEQ = 6    # (6, gseq, (kind, obj_id))  a recorded sync action, due at
 #                its gseq turn: pinball tapes only, for the timing simulator
 
 #: The shared end-of-tape sentinel instance (``streams[tid][-1]`` always).
@@ -101,12 +98,11 @@ def _pattern_cols(
     """One iteration's event pattern as columns, or ``None`` (callable
     trips).
 
-    Returns ``(bids, reps, pre_t, pre_f, m, iter_t, iter_f)`` where
-    ``pre_t[i]``/``pre_f[i]`` are total/filtered instructions of pattern
-    events ``[0, i)`` (length ``m + 1``) and ``iter_t``/``iter_f`` the full
-    iteration's totals.  Cached on the :class:`LoopWork` — the pattern is
-    range-independent — and, when ``memo`` is given, shared across
-    structurally identical works within one compilation.
+    Returns ``(bids, reps, pre_t, pre_f)`` where ``pre_t[i]``/``pre_f[i]``
+    are total/filtered instructions of pattern events ``[0, i)``.  Cached
+    on the :class:`LoopWork` — the pattern is range-independent — and,
+    when ``memo`` is given, shared across structurally identical works
+    within one compilation.
     """
     cached = getattr(work, "_sched_pattern", None)
     if cached is not None:
@@ -124,8 +120,7 @@ def _pattern_cols(
         return None
     rows = TableRows()
     _emit_iteration(rows, work, 0, batch_limit)
-    cols = (rows.bids, rows.reps, rows.pre_t, rows.pre_f, len(rows),
-            rows.pre_t[-1], rows.pre_f[-1])
+    cols = (rows.bids, rows.reps, rows.pre_t, rows.pre_f)
     object.__setattr__(work, "_sched_pattern", cols)
     if key is not None:
         memo[key] = cols
@@ -133,16 +128,15 @@ def _pattern_cols(
 
 
 class TableRows:
-    """An event-table builder tracking prefix sums and iteration offsets."""
+    """An event-table builder tracking prefix sums."""
 
-    __slots__ = ("bids", "reps", "pre_t", "pre_f", "iter_off")
+    __slots__ = ("bids", "reps", "pre_t", "pre_f")
 
     def __init__(self) -> None:
         self.bids: List[int] = []
         self.reps: List[int] = []
         self.pre_t: List[int] = [0]
         self.pre_f: List[int] = [0]
-        self.iter_off: List[int] = []
 
     def append(self, block, rep: int) -> None:
         n = block.n_instr * rep
@@ -162,23 +156,19 @@ class TableRows:
         if n > 0:
             self.append(block, n)
 
-    def __len__(self) -> int:
-        return len(self.bids)
-
-    def table_op(self) -> Optional[Tuple]:
+    def ops(self) -> List[Tuple]:
+        """The table as a one-pass run op, or no op when it is empty."""
         if not self.bids:
-            return None
-        return (
-            OP_TABLE, self.bids, self.reps, self.pre_t, self.pre_f,
-            0, len(self.bids),
-        )
+            return []
+        return [(OP_RUN, self.bids, self.reps, self.pre_t, self.pre_f, 1)]
 
 
 def log_tape(log, blocks, sync_op: Callable[[tuple], Tuple]) -> List[Tuple]:
     """One thread's tape from a recorded log or ELFie code.
 
-    Each ``("b", bid, repeat)`` entry becomes one ``OP_TABLE`` row (one
-    event); any other entry becomes the op ``sync_op(entry)`` returns.
+    Each ``("b", bid, repeat)`` entry becomes one row (one event) of a
+    one-pass ``OP_RUN``; any other entry becomes the op ``sync_op(entry)``
+    returns.
     """
     tape: List[Tuple] = []
     rows = TableRows()
@@ -186,14 +176,10 @@ def log_tape(log, blocks, sync_op: Callable[[tuple], Tuple]) -> List[Tuple]:
         if entry[0] == "b":
             rows.append(blocks[entry[1]], entry[2])
             continue
-        op = rows.table_op()
-        if op is not None:
-            tape.append(op)
-            rows = TableRows()
+        tape += rows.ops()
+        rows = TableRows()
         tape.append(sync_op(entry))
-    op = rows.table_op()
-    if op is not None:
-        tape.append(op)
+    tape += rows.ops()
     tape.append(DONE_OP)
     return tape
 
@@ -210,51 +196,47 @@ def _work_ops(
     work, lo: int, hi: int, batch_limit: int,
     memo: Optional[dict] = None,
 ) -> List[Tuple]:
-    """Ops for plain iterations ``[lo, hi)`` of ``work`` (no crit/atomic)."""
+    """Ops for plain iterations ``[lo, hi)`` of ``work``: the constant
+    pattern repeated ``hi - lo`` times, or an explicit table."""
     if hi <= lo:
         return []
     pat = _pattern_cols(work, batch_limit, memo)
     if pat is not None:
-        bids, reps, pre_t, pre_f, m, iter_t, iter_f = pat
-        if m == 0:
-            return []
-        return [(OP_TILED, bids, reps, pre_t, pre_f, m, iter_t, iter_f,
-                 hi - lo)]
+        return [(OP_RUN, *pat, hi - lo)]
     rows = TableRows()
     for i in range(lo, hi):
         _emit_iteration(rows, work, i, batch_limit)
-    op = rows.table_op()
-    return [op] if op is not None else []
+    return rows.ops()
 
 
-def _crit_ops(pf, start: int, stop: int, batch_limit: int) -> List[Tuple]:
-    """Ops for iterations ``[start, stop)`` of a loop with a critical
-    section: each iteration's work, then the critical section when due,
-    then the atomic update when due.  The pending table is flushed at each
-    lock boundary."""
+def _loop_ops(
+    pf, lo: int, hi: int, batch_limit: int, memo: Optional[dict] = None,
+) -> List[Tuple]:
+    """Ops for iterations ``[lo, hi)`` of a loop, a static thread's share
+    or a dynamic chunk alike: each iteration's work, then the critical
+    section when due, then the atomic update when due.  The pending table
+    is flushed at each lock boundary."""
     work = pf.work
     crit = pf.critical
     atom = pf.atomic
-    acq = (OP_SYNC, pf._lock_acq_event())
-    rel = (OP_SYNC, pf._lock_rel_event())
-    crit_rows = TableRows()
-    crit_rows.append(crit.block, 1)
-    crit_op = crit_rows.table_op()
-    ops: list = []
+    if crit is None and atom is None:
+        return _work_ops(work, lo, hi, batch_limit, memo)
+    if crit is not None:
+        crit_rows = TableRows()
+        crit_rows.append(crit.block, 1)
+        crit_ops = [(OP_SYNC, pf._lock_acq_event()), *crit_rows.ops(),
+                    (OP_SYNC, pf._lock_rel_event())]
+    ops: List[Tuple] = []
     rows = TableRows()
-    for i in range(start, stop):
+    for i in range(lo, hi):
         _emit_iteration(rows, work, i, batch_limit)
-        if i % crit.every == 0:
-            op = rows.table_op()
-            if op is not None:
-                ops.append(op)
+        if crit is not None and i % crit.every == 0:
+            ops += rows.ops()
             rows = TableRows()
-            ops += (acq, crit_op, rel)
+            ops += crit_ops
         if atom is not None and i % atom.every == 0:
             rows.append(atom.block, 1)
-    op = rows.table_op()
-    if op is not None:
-        ops.append(op)
+    ops += rows.ops()
     return ops
 
 
@@ -273,93 +255,57 @@ def _compile_parallel_for(pf, nthreads: int, batch_limit: int, memo=None):
         _SCHEDULE_STATIC = SCHEDULE_STATIC
         _static_chunk = static_chunk
 
-    work = pf.work
-    crit = pf.critical
-    atom = pf.atomic
+    total = pf.total_iters
     tail: List[Tuple] = []
     if pf.reduction:
         tail.append((OP_SYNC, pf._reduce_event()))
     if not pf.nowait:
         tail.append((OP_SYNC, pf._barrier_event()))
 
+    # Constant-pattern iterations with no lock traffic compile to the same
+    # op list whenever their counts match (the run op repeats the pattern,
+    # so only ``hi - lo`` matters): build each distinct count once and
+    # share the list across threads and chunks.  Compilation happens per
+    # engine construction, so this is hot.
+    by_count = (
+        {}
+        if pf.critical is None and pf.atomic is None
+        and _pattern_cols(pf.work, batch_limit, memo) is not None
+        else None
+    )
+
+    def span(lo: int, hi: int, end: List[Tuple]) -> List[Tuple]:
+        if by_count is None:
+            return _loop_ops(pf, lo, hi, batch_limit, memo) + end
+        ops = by_count.get(hi - lo)
+        if ops is None:
+            ops = by_count[hi - lo] = (
+                _loop_ops(pf, lo, hi, batch_limit, memo) + end
+            )
+        return ops
+
     if pf.schedule == _SCHEDULE_STATIC:
-        # Constant-pattern chunks with no lock traffic compile to the same
-        # op list whenever their chunk *sizes* match (the tiled op rolls
-        # iterations arithmetically, so only ``hi - lo`` matters) — build
-        # each distinct size once and share the list across threads.
-        # Compilation happens per engine construction, so this is hot.
-        shared = (
-            {}
-            if crit is None and atom is None
-            and _pattern_cols(work, batch_limit, memo) is not None
-            else None
-        )
         # Chunk boundaries depend only on (total_iters, nthreads): share
         # them across the hundreds of same-shape constructs one compile
         # sees (phase repetitions all split the same iteration space).
         chunks = None
         if memo is not None:
-            chunk_key = ("chunks", pf.total_iters, nthreads)
+            chunk_key = ("chunks", total, nthreads)
             chunks = memo.get(chunk_key)
         if chunks is None:
-            chunks = [
-                _static_chunk(pf.total_iters, nthreads, t)
-                for t in range(nthreads)
-            ]
+            chunks = [_static_chunk(total, nthreads, t)
+                      for t in range(nthreads)]
             if memo is not None:
                 memo[chunk_key] = chunks
-        per_tid = []
-        for tid in range(nthreads):
-            start, stop = chunks[tid]
-            if shared is not None:
-                ops = shared.get(stop - start)
-                if ops is None:
-                    ops = (
-                        _work_ops(work, start, stop, batch_limit, memo)
-                        + tail
-                    )
-                    shared[stop - start] = ops
-                per_tid.append(ops)
-                continue
-            if crit is None and atom is None:
-                ops = _work_ops(work, start, stop, batch_limit, memo)
-            elif crit is None:
-                # Atomic updates are plain block events: fold them into
-                # the iteration table, each after its iteration's work.
-                rows = TableRows()
-                for i in range(start, stop):
-                    _emit_iteration(rows, work, i, batch_limit)
-                    if i % atom.every == 0:
-                        rows.append(atom.block, 1)
-                op = rows.table_op()
-                ops = [op] if op is not None else []
-            else:
-                ops = _crit_ops(pf, start, stop, batch_limit)
-            per_tid.append(ops + tail)
-        return per_tid
+        return [span(start, stop, tail) for start, stop in chunks]
 
-    # Dynamic schedule.  Grants start at multiples of the chunk size, so
-    # with a critical section each chunk compiles once into a sub-tape
-    # (lock syncs sit inside it); without one, one shared table over the
-    # whole iteration space is sliced per granted chunk via iter_off.
-    if crit is not None:
-        chunk_tapes = [
-            _crit_ops(pf, start, min(start + pf.chunk, pf.total_iters),
-                      batch_limit) + [RET_OP]
-            for start in range(0, pf.total_iters, pf.chunk)
-        ]
-        ops = [(OP_CHUNK_TAPE, pf._chunk_event(), chunk_tapes)] + tail
-        return [ops] * nthreads
-    rows = TableRows()
-    for i in range(pf.total_iters):
-        rows.iter_off.append(len(rows))
-        _emit_iteration(rows, work, i, batch_limit)
-        if atom is not None and i % atom.every == 0:
-            rows.append(atom.block, 1)
-    rows.iter_off.append(len(rows))
-    op = (OP_CHUNK, pf._chunk_event(), rows.bids, rows.reps,
-          rows.pre_t, rows.pre_f, rows.iter_off)
-    ops = [op] + tail
+    # Dynamic schedule: grants start at multiples of the chunk size, so
+    # each chunk compiles once into a sub-tape.
+    chunk_tapes = [
+        span(start, min(start + pf.chunk, total), [RET_OP])
+        for start in range(0, total, pf.chunk)
+    ]
+    ops = [(OP_CHUNK, pf._chunk_event(), chunk_tapes)] + tail
     return [ops] * nthreads
 
 
@@ -376,11 +322,8 @@ def _compile_barrier(c, nthreads: int):
 
 
 def _compile_single(c, nthreads: int, batch_limit: int, memo=None):
-    rows = TableRows()
-    for i in range(c.iters):
-        _emit_iteration(rows, c.work, i, batch_limit)
-    run = (rows.bids, rows.reps, rows.pre_t, rows.pre_f) if rows.bids else None
-    ops = [(OP_SINGLE, c._single_event(), run),
+    work = _work_ops(c.work, 0, c.iters, batch_limit, memo)
+    ops = [(OP_SINGLE, c._single_event(), work + [RET_OP] if work else None),
            (OP_SYNC, c._barrier_event())]
     return [ops] * nthreads
 

@@ -80,11 +80,11 @@ class ELFie:
     def tapes(self, program: Program) -> List[List[tuple]]:
         """Per-thread tapes the timing simulator runs the ELFie from.
 
-        Block entries become ``OP_TABLE`` rows, one row per entry;
-        barriers and lock acquires and releases become ``OP_SYNC`` ops,
-        which the timing model resolves live.  Those are the only kinds
-        :func:`pinball_to_elfie` writes: an entry of any other kind raises
-        :class:`~repro.errors.ReplayError`.
+        Block entries become rows of one-pass ``OP_RUN`` ops, one row per
+        entry; barriers and lock acquires and releases become ``OP_SYNC``
+        ops, which the timing model resolves live.  Those are the only
+        kinds :func:`pinball_to_elfie` writes: an entry of any other kind
+        raises :class:`~repro.errors.ReplayError`.
         """
         return [
             log_tape(code, program.blocks, _sync_op)

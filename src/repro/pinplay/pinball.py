@@ -64,10 +64,10 @@ class Pinball:
     def tapes(self, program: Program) -> List[List[tuple]]:
         """Per-thread tapes the timing simulator replays the logs from.
 
-        Block entries become ``OP_TABLE`` rows, one row per entry; each
-        sync entry becomes an ``OP_GSEQ`` op carrying its ``gseq`` and its
-        ``(kind, obj_id)`` object key, which the simulator runs in
-        recorded order.
+        Block entries become rows of one-pass ``OP_RUN`` ops, one row per
+        entry; each sync entry becomes an ``OP_GSEQ`` op carrying its
+        ``gseq`` and its ``(kind, obj_id)`` object key, which the
+        simulator runs in recorded order.
         """
         return [
             log_tape(log, program.blocks, _gseq_op) for log in self.logs

@@ -28,13 +28,13 @@ non-memory cost terms, no cache probes) and warms only from there.
 
 **ELFies** (:meth:`MultiCoreSimulator.run_elfie`), the other unconstrained
 route of Sec. II, run with passive waits: an ELFie's thread code compiles
-to block-run tables plus barrier and lock ops
+to block runs plus barrier and lock ops
 (:meth:`~repro.pinplay.elfie.ELFie.tapes`) that the timing model resolves
 live.
 
 **Checkpoint-driven constrained** (:meth:`MultiCoreSimulator.run_pinball`):
 replays a (region) pinball's logs while *enforcing the recorded sync
-order*.  A log compiles to block-run tables plus one ``OP_GSEQ`` op per
+order*.  A log compiles to block runs plus one ``OP_GSEQ`` op per
 recorded sync action (:meth:`~repro.pinplay.pinball.Pinball.tapes`).  A
 thread that reaches such an op before its ``gseq`` turn blocks until the
 thread of the turn before wakes it; at its turn its core stalls to the
@@ -61,14 +61,12 @@ from ..exec_engine.events import (
     Reduce,
 )
 from ..exec_engine.schedcore import (
-    OP_CHUNK_TAPE,
+    OP_CHUNK,
     OP_DONE,
     OP_GSEQ,
     OP_RET,
-    OP_SINGLE,
+    OP_RUN,
     OP_SYNC,
-    OP_TABLE,
-    OP_TILED,
     compile_streams,
 )
 from ..isa.blocks import BasicBlock
@@ -150,10 +148,10 @@ class SimulationResult:
 class _SimThread:
     """A thread's state and its place in its tape.
 
-    ``tape[op]`` is the next op; ``ret`` is the stream op a chunk tape's
+    ``tape[op]`` is the next op; ``ret`` is the stream op a sub-tape's
     ``OP_RET`` returns to.  The current block run is entries ``[i, end)``
     of the columns ``bids``/``reps``/``pre`` (instruction prefix sums),
-    with ``left`` passes over it to go (a tiled run's iterations).
+    with ``left`` passes over the pattern to go, this one included.
     """
 
     __slots__ = (
@@ -702,25 +700,19 @@ class MultiCoreSimulator:
                         continue
                     break
                 if thread.left > 1:
-                    # The next iteration of a tiled run.
+                    # The next pass over the run's pattern.
                     thread.left -= 1
                     i = 0
                     continue
                 op = thread.tape[thread.op]
                 code = op[0]
-                if code == OP_TILED:
+                if code == OP_RUN:
                     thread.op += 1
                     bids, reps, pre = op[1], op[2], op[3]
-                    i, end, thread.left = 0, op[5], op[8]
-                    continue
-                if code == OP_TABLE:
-                    thread.op += 1
-                    bids, reps, pre = op[1], op[2], op[3]
-                    i, end, thread.left = op[5], op[6], 1
+                    i, end, thread.left = 0, len(bids), op[5]
                     continue
                 if code == OP_RET:
-                    # End of a chunk tape: back to its chunk op, which
-                    # requests the next chunk.  Not an event.
+                    # End of a sub-tape: back to the stream.  Not an event.
                     thread.tape = streams[tid]
                     thread.op = thread.ret
                     continue
@@ -769,32 +761,23 @@ class MultiCoreSimulator:
                     waiter = gated.pop(next_gseq, None)
                     if waiter is not None:
                         waiter.state = _RUNNABLE
-                elif code == OP_SINGLE:
-                    if event.single_id not in singles:
+                else:  # OP_CHUNK / OP_SINGLE: a grant runs its sub-tape
+                    sub = None
+                    if code == OP_CHUNK:
+                        start = chunks.get(event.loop_id, 0)
+                        exec_block(tid, chunk_fetch, 1)
+                        if start < event.total_iters:
+                            chunks[event.loop_id] = start + event.chunk_size
+                            sub = op[2][start // event.chunk_size]
+                            # Run the chunk, then request again.
+                            thread.op -= 1
+                    elif event.single_id not in singles:
                         singles.add(event.single_id)
-                        run = op[2]
-                        if run is not None:
-                            bids, reps, pre = run[0], run[1], run[2]
-                            i, end, thread.left = 0, len(bids), 1
-                else:  # OP_CHUNK / OP_CHUNK_TAPE
-                    start = chunks.get(event.loop_id, 0)
-                    exec_block(tid, chunk_fetch, 1)
-                    if start < event.total_iters:
-                        chunks[event.loop_id] = start + event.chunk_size
-                        # Granted: run the chunk, then request again.
-                        thread.op -= 1
-                        if code == OP_CHUNK_TAPE:
-                            thread.ret = thread.op
-                            thread.tape = op[2][start // event.chunk_size]
-                            thread.op = 0
-                        else:
-                            iter_off = op[6]
-                            stop = min(
-                                start + event.chunk_size, event.total_iters
-                            )
-                            bids, reps, pre = op[2], op[3], op[4]
-                            i, end = iter_off[start], iter_off[stop]
-                            thread.left = 1
+                        sub = op[2]
+                    if sub is not None:
+                        thread.ret = thread.op
+                        thread.tape = sub
+                        thread.op = 0
                 post_event(tid)
                 if num_events > maxev:
                     raise SimulationError(f"exceeded max_events={max_events}")

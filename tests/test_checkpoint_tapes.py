@@ -1,8 +1,8 @@
 """Tests for checkpoint tapes and their run on the timed thread loop.
 
 A recorded log (pinball) or an ELFie's thread code compiles to a tape
-with :func:`~repro.exec_engine.schedcore.log_tape`: one ``OP_TABLE`` row
-per block entry and one op per sync entry.  A pinball's sync entries
+with :func:`~repro.exec_engine.schedcore.log_tape`: one row of a
+one-pass ``OP_RUN`` per block entry and one op per sync entry.  A pinball's sync entries
 become ``OP_GSEQ`` ops, which ``MultiCoreSimulator._run_threads`` runs in
 recorded ``gseq`` order: a thread that reaches one early blocks without
 an event, and at its turn its core stalls to the object's last sync
@@ -27,8 +27,8 @@ from repro.exec_engine.events import (
 from repro.exec_engine.schedcore import (
     DONE_OP,
     OP_GSEQ,
+    OP_RUN,
     OP_SYNC,
-    OP_TABLE,
     log_tape,
 )
 from repro.pinplay import (
@@ -113,11 +113,11 @@ class TestLogTape:
         n = program.blocks[1].n_instr
         tape = log_tape([("b", 1, 2), ("b", 1, 3)], program.blocks, _gseq_op)
         assert len(tape) == 2
-        code, bids, reps, pre_t, pre_f, i0, i1 = tape[0]
-        assert code == OP_TABLE
+        code, bids, reps, pre_t, pre_f, passes = tape[0]
+        assert code == OP_RUN
         assert (bids, reps) == ([1, 1], [2, 3])
         assert pre_t == pre_f == [0, 2 * n, 5 * n]
-        assert (i0, i1) == (0, 2)
+        assert passes == 1
         assert tape[1] is DONE_OP
 
     def test_sync_entries_split_tables(self, toy_parts):
@@ -126,7 +126,7 @@ class TestLogTape:
         tape = log_tape(
             [("b", 0, 1), sync, ("b", 3, 4)], program.blocks, _gseq_op
         )
-        assert [op[0] for op in tape] == [OP_TABLE, OP_GSEQ, OP_TABLE,
+        assert [op[0] for op in tape] == [OP_RUN, OP_GSEQ, OP_RUN,
                                           DONE_OP[0]]
         assert tape[0][1] == [0] and tape[2][1] == [3]
         assert tape[1] == (OP_GSEQ, 0, (SYNC_LOCK_ACQ, 7))
@@ -159,7 +159,8 @@ class TestPinballTapes:
         program, *_ = toy_parts
         for log, tape in zip(recorded.logs, recorded.tapes(program)):
             assert tape[-1] is DONE_OP
-            rows = sum(op[6] - op[5] for op in tape if op[0] == OP_TABLE)
+            rows = sum(len(op[1]) * op[5] for op in tape
+                       if op[0] == OP_RUN)
             gseqs = sum(1 for op in tape if op[0] == OP_GSEQ)
             assert rows + gseqs == len(log)
             assert gseqs == sum(1 for entry in log if entry[0] == "s")
@@ -168,8 +169,8 @@ class TestPinballTapes:
                                                     recorded):
         program, *_ = toy_parts
         tapes = recorded.tapes(program)
-        total = sum(op[3][op[6]] for tape in tapes for op in tape
-                    if op[0] == OP_TABLE)
+        total = sum(op[3][-1] * op[5] for tape in tapes for op in tape
+                    if op[0] == OP_RUN)
         assert total == recorded.total_instructions
         # Every recorded turn is due exactly once, on some thread.
         turns = sorted(op[1] for tape in tapes for op in tape
@@ -185,7 +186,7 @@ class TestElfieTapes:
             [("b", 0, 1), ("sync", SYNC_BARRIER, 3), ("b", 0, 2)],
         ])
         (tape,) = elfie.tapes(program)
-        assert [op[0] for op in tape] == [OP_TABLE, OP_SYNC, OP_TABLE,
+        assert [op[0] for op in tape] == [OP_RUN, OP_SYNC, OP_RUN,
                                           DONE_OP[0]]
         event = tape[1][1]
         assert type(event) is BarrierWait and event.barrier_id == 3

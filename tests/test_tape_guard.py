@@ -2,9 +2,11 @@
 
 The engine has one scheduling loop, the tape loop, so
 :func:`~repro.exec_engine.schedcore.compile_streams` must compile every
-registered workload.  A :class:`~repro.runtime.constructs.Construct`
-subclass the tape compiler does not know is rejected when the engine is
-built, with an error that names its class.
+registered workload, into the seven op codes of the tape format, with
+one chunk op per dynamic-schedule loop holding one sub-tape per chunk.
+A :class:`~repro.runtime.constructs.Construct` subclass the tape
+compiler does not know is rejected when the engine is built, with an
+error that names its class.
 """
 
 from __future__ import annotations
@@ -14,25 +16,49 @@ import pytest
 from repro.config import get_scale
 from repro.errors import ExecutionError
 from repro.exec_engine.engine import ExecutionEngine
+from repro.exec_engine import schedcore
 from repro.exec_engine.events import BarrierWait
 from repro.exec_engine.schedcore import (
     DONE_OP,
-    OP_CHUNK_TAPE,
+    OP_CHUNK,
+    OP_DONE,
+    OP_GSEQ,
+    OP_RET,
+    OP_RUN,
+    OP_SINGLE,
+    OP_SYNC,
+    RET_OP,
     compile_streams,
 )
 from repro.runtime import ParallelFor, ThreadProgram
-from repro.runtime.constructs import Construct
+from repro.runtime.constructs import SCHEDULE_DYNAMIC, Construct
 from repro.workloads.registry import list_workloads, get_workload
 
 from conftest import build_toy
 
-#: The registered workloads whose dynamic-schedule loops hold a critical
-#: section: they run their chunks as sub-tapes.
-CHUNK_TAPE_WORKLOADS = {"644.nab_s.1", "644.nab_s.2"}
+#: The seven op codes a tape may hold.
+OP_CODES = {OP_RUN, OP_SYNC, OP_CHUNK, OP_SINGLE, OP_DONE, OP_RET, OP_GSEQ}
+
+
+def test_tape_format_has_seven_op_codes():
+    codes = {
+        value for name, value in vars(schedcore).items()
+        if name.startswith("OP_")
+    }
+    assert codes == OP_CODES == set(range(7))
 
 
 def test_registry_has_26_workloads():
     assert len(list_workloads()) == 26
+
+
+def _sub_tapes(op):
+    """The sub-tapes a grant op carries."""
+    if op[0] == OP_CHUNK:
+        return op[2]
+    if op[0] == OP_SINGLE and op[2] is not None:
+        return [op[2]]
+    return []
 
 
 @pytest.mark.parametrize("name", list_workloads())
@@ -41,10 +67,25 @@ def test_every_registered_workload_tapes(name):
     streams = compile_streams(w.thread_program, w.nthreads)
     assert len(streams) == w.nthreads
     assert all(tape[-1] is DONE_OP for tape in streams)
-    chunk_tapes = any(
-        op[0] == OP_CHUNK_TAPE for tape in streams for op in tape
-    )
-    assert chunk_tapes == (name in CHUNK_TAPE_WORKLOADS)
+    dynamic = [
+        c for c in w.thread_program.constructs
+        if type(c) is ParallelFor and c.schedule == SCHEDULE_DYNAMIC
+    ]
+    for tape in streams:
+        assert {op[0] for op in tape} <= OP_CODES
+        chunk_ops = [op for op in tape if op[0] == OP_CHUNK]
+        # Every dynamic loop compiles to one chunk op holding one sub-tape
+        # per chunk, in order.
+        assert [op[1].loop_id for op in chunk_ops] == [
+            c.loop_id for c in dynamic
+        ]
+        for op, loop in zip(chunk_ops, dynamic):
+            assert len(op[2]) == -(-loop.total_iters // loop.chunk)
+        for op in tape:
+            for sub in _sub_tapes(op):
+                # A sub-tape holds block runs and lock syncs, then OP_RET.
+                assert sub[-1] is RET_OP
+                assert {o[0] for o in sub[:-1]} <= {OP_RUN, OP_SYNC}
 
 
 class CustomBarrier(Construct):
