@@ -23,9 +23,3 @@ def geomean(values: Iterable[float]) -> float:
         raise ValueError("geomean needs positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
-
-def signed_error_pct(predicted: float, actual: float) -> float:
-    """Signed percentage error of a prediction."""
-    if actual == 0:
-        raise ValueError("actual value is zero; error undefined")
-    return 100.0 * (predicted - actual) / actual

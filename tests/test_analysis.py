@@ -1,7 +1,5 @@
 """Tests for the analysis helpers and the evaluation cache."""
 
-import math
-
 import pytest
 
 from repro.analysis import (
@@ -10,7 +8,6 @@ from repro.analysis import (
     bar_chart,
     geomean,
     mean_absolute,
-    signed_error_pct,
 )
 from repro.policy import WaitPolicy
 
@@ -28,12 +25,6 @@ class TestStats:
         assert geomean([10, 10, 10]) == pytest.approx(10.0)
         with pytest.raises(ValueError):
             geomean([1, 0])
-
-    def test_signed_error(self):
-        assert signed_error_pct(110, 100) == pytest.approx(10.0)
-        assert signed_error_pct(90, 100) == pytest.approx(-10.0)
-        with pytest.raises(ValueError):
-            signed_error_pct(1, 0)
 
 
 class TestTables:

@@ -1,8 +1,6 @@
 """Deeper tests of the cache hierarchy under workload-like access patterns
 — the behaviours the workload models rely on for their personalities."""
 
-import pytest
-
 from repro.config import GAINESTOWN_8CORE, LINE_SHIFT
 from repro.isa.instructions import RandomAccess, StridedAccess
 from repro.timing.hierarchy import L1, L2, L3, MEM, MemoryHierarchy

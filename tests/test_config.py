@@ -1,18 +1,15 @@
 """Tests for repro.config: cache geometry, system variants, scales."""
 
 import dataclasses
-import os
 
 import pytest
 
 from repro.config import (
     CacheConfig,
-    CoreConfig,
     GAINESTOWN_8CORE,
     GAINESTOWN_16CORE,
     LINE_SHIFT,
     ReproScale,
-    SystemConfig,
     get_scale,
 )
 from repro.errors import WorkloadError

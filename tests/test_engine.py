@@ -9,11 +9,9 @@ from repro.exec_engine import (
     InstructionCounter,
     TraceCollector,
 )
-from repro.exec_engine.events import BarrierWait, LockAcquire, LockRelease
-from repro.isa import ProgramBuilder
-from repro.isa.blocks import BRANCH_LOOP, BranchSpec
+from repro.exec_engine.events import BarrierWait, LockRelease
 from repro.policy import WaitPolicy
-from repro.runtime import LoopWork, OmpRuntime, ParallelFor, ThreadProgram
+from repro.runtime import ThreadProgram
 from repro.runtime.constructs import Construct
 
 from conftest import build_toy

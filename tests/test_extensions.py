@@ -3,7 +3,7 @@ analysis."""
 
 import pytest
 
-from repro.cli import build_parser, main, run_one
+from repro.cli import build_parser, main
 from repro.config import GAINESTOWN_8CORE
 from repro.errors import ReplayError
 from repro.pinplay import (

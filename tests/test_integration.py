@@ -1,7 +1,6 @@
 """Cross-cutting integration tests: the paper's key invariants exercised
 end to end on real workload models."""
 
-import numpy as np
 import pytest
 
 from repro.core import LoopPointOptions, LoopPointPipeline

@@ -2,7 +2,6 @@
 round-trips, BIC sanity, and projection geometry."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.bic import bic_score

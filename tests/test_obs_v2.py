@@ -16,7 +16,6 @@ Covers the second-generation obs contracts:
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import pytest
@@ -29,7 +28,6 @@ from repro.obs import (
     HistoryStore,
     TraceError,
     TraceLimits,
-    Tracer,
     attribute_error,
     check_regression,
     read_trace,

@@ -18,7 +18,7 @@ from repro.pinplay.pinball import append_block
 from repro.policy import WaitPolicy
 from repro.profiling import Marker, profile_pinball
 
-from conftest import TEST_SCALE, build_toy
+from conftest import build_toy
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,10 @@
 """Tests for markers, filtering, BBV collection, and loop-aligned slicing."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ProfilingError, RegionError
 from repro.isa.blocks import BasicBlock
-from repro.pinplay import ConstrainedReplayer, record_execution
+from repro.pinplay import record_execution
 from repro.policy import WaitPolicy
 from repro.profiling import (
     BBVCollector,

@@ -2,10 +2,7 @@
 barrier convoys, lock handoff order, dynamic-chunk arbitration, and the
 active/passive timing contrast."""
 
-import pytest
-
 from repro.config import GAINESTOWN_8CORE
-from repro.exec_engine.events import LockAcquire, LockRelease
 from repro.isa import ProgramBuilder
 from repro.isa.blocks import BRANCH_LOOP, BranchSpec
 from repro.policy import WaitPolicy
@@ -16,11 +13,7 @@ from repro.runtime import (
     ParallelFor,
     ThreadProgram,
 )
-from repro.runtime.constructs import (
-    Construct,
-    CriticalSpec,
-    SCHEDULE_DYNAMIC,
-)
+from repro.runtime.constructs import CriticalSpec, SCHEDULE_DYNAMIC
 from repro.timing import MultiCoreSimulator
 from repro.workloads.generators import make_trips
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig, GAINESTOWN_8CORE
-from repro.isa import ProgramBuilder, StridedAccess
+from repro.isa import ProgramBuilder
 from repro.isa.blocks import BRANCH_COND, BRANCH_LOOP, BranchSpec
 from repro.timing.branch import (
     BranchPredictor,
