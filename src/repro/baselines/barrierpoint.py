@@ -91,7 +91,7 @@ class _BarrierSlicer(Observer):
         self._region_total = 0
         self._region_filtered = 0
 
-    def on_block(self, tid, block, repeat, start_index) -> None:
+    def on_block(self, tid, block, repeat) -> None:
         n = block.n_instr * repeat
         self._total += n
         self._region_total += n

@@ -79,7 +79,7 @@ class _RawSlicer(Observer):
         self._start = 0
         self.slices: List[NaiveSlice] = []
 
-    def on_block(self, tid, block, repeat, start_index) -> None:
+    def on_block(self, tid, block, repeat) -> None:
         n = block.n_instr * repeat
         self._bbv[block.bid] += n
         self._count += n

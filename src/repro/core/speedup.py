@@ -37,8 +37,9 @@ class SpeedupReport:
     theoretical_parallel: float
     actual_serial: Optional[float] = None
     actual_parallel: Optional[float] = None
-    #: Observed wall-clock accounting of a parallel region fan-out: the sum
-    #: of per-region wall times, the elapsed wall time, and their ratio.
+    #: Observed wall-clock accounting of a parallel region fan-out: the
+    #: serial cost (see :class:`~repro.parallel.executor.ExecutionStats`),
+    #: the elapsed wall time, and their ratio.
     measured_serial_seconds: Optional[float] = None
     measured_parallel_seconds: Optional[float] = None
     measured_speedup: Optional[float] = None

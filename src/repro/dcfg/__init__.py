@@ -9,7 +9,6 @@ natural loops; loop headers in the *main image* become the marker-eligible
 from .graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
 from .dominators import immediate_dominators
 from .loops import Loop, find_natural_loops, loop_header_blocks
-from .routines import routine_summary
 
 __all__ = [
     "DCFG",
@@ -19,5 +18,4 @@ __all__ = [
     "Loop",
     "find_natural_loops",
     "loop_header_blocks",
-    "routine_summary",
 ]

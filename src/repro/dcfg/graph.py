@@ -96,7 +96,6 @@ class DCFGBuilder(Observer):
     """
 
     needs_flush_before_sync = False
-    needs_start_index = False
 
     def __init__(
         self, program: Program, nthreads: int, track_threads: bool = False
@@ -110,7 +109,7 @@ class DCFGBuilder(Observer):
             if track_threads else None
         )
 
-    def on_block(self, tid: int, block, repeat: int, start_index: int) -> None:
+    def on_block(self, tid: int, block, repeat: int) -> None:
         bid = block.bid
         dcfg = self.dcfg
         src = self._last[tid]

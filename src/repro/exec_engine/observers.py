@@ -46,20 +46,8 @@ class Observer:
     #: across syncs, so sync-dense programs still flush full batches.
     needs_flush_before_sync = True
 
-    #: Whether this observer reads ``EventBatch.start_index``.  True (the
-    #: safe default) because the base ``on_block_batch`` shim replays
-    #: batches through ``on_block(tid, block, repeat, start_index)``.
-    #: Observers that override ``on_block_batch`` without touching the
-    #: column set this False; when every attached observer does, the ring
-    #: skips the argsort-based start-index reconstruction at flush time
-    #: and advances its count table with a cheap scatter-add instead.
-    needs_start_index = True
-
-    def on_block(
-        self, tid: int, block: BasicBlock, repeat: int, start_index: int
-    ) -> None:
-        """``block`` executed ``repeat`` times on ``tid``; ``start_index`` is
-        the thread's prior execution count of this block."""
+    def on_block(self, tid: int, block: BasicBlock, repeat: int) -> None:
+        """``block`` executed ``repeat`` times on ``tid``."""
 
     def on_block_batch(self, batch: "EventBatch") -> None:
         """A batch of block events in execution order.
@@ -73,9 +61,8 @@ class Observer:
         tids = batch.tid.tolist()
         bids = batch.bid.tolist()
         repeats = batch.repeat.tolist()
-        starts = batch.start_index.tolist()
         for i in range(batch.size):
-            on_block(tids[i], blocks[bids[i]], repeats[i], starts[i])
+            on_block(tids[i], blocks[bids[i]], repeats[i])
 
     def on_sync(
         self, tid: int, kind: str, obj_id: int, response, gseq: int
@@ -96,7 +83,6 @@ class InstructionCounter(Observer):
     """
 
     needs_flush_before_sync = False  # pure accumulator; order-independent
-    needs_start_index = False  # batch reduction never reads start_index
 
     def __init__(self, nthreads: int) -> None:
         self.nthreads = nthreads
@@ -106,9 +92,7 @@ class InstructionCounter(Observer):
         self._per_thread_filtered = [0] * nthreads
         self._pending: List[tuple] = []
 
-    def on_block(
-        self, tid: int, block: BasicBlock, repeat: int, start_index: int
-    ) -> None:
+    def on_block(self, tid: int, block: BasicBlock, repeat: int) -> None:
         if self._pending:
             self._drain()
         n = block.n_instr * repeat
@@ -182,7 +166,6 @@ class SyncEventLog(Observer):
     # Records only the sync stream (gseq values come from the driver), so
     # block-batch flush timing cannot affect its final state.
     needs_flush_before_sync = False
-    needs_start_index = False  # block batches are ignored entirely
 
     def on_block_batch(self, batch: "EventBatch") -> None:
         """No-op: block events carry nothing this log records.
@@ -224,8 +207,6 @@ class TraceCollector(Observer):
     from a clipped one — a fingerprint built from a silently clipped trace
     would misrepresent the run.
     """
-
-    needs_start_index = False  # stores only (tid, bid, repeat) columns
 
     def __init__(self, limit: Optional[int] = 5_000_000) -> None:
         # The block and sync streams are stored separately, so interleaving
@@ -269,9 +250,7 @@ class TraceCollector(Observer):
             self._blocks_cache_n = self._n_blocks
         return self._blocks_cache
 
-    def on_block(
-        self, tid: int, block: BasicBlock, repeat: int, start_index: int
-    ) -> None:
+    def on_block(self, tid: int, block: BasicBlock, repeat: int) -> None:
         if self.limit is not None and self._n_blocks >= self.limit:
             self.truncated = True
             self.dropped_blocks += 1

@@ -14,8 +14,8 @@ Pass families (the scheduling unit of :func:`~repro.lint.runner.lint_pipeline`):
 * :mod:`~repro.lint.marker_passes` — marker validity (main-image loop
   headers only) and the slice population clustering needs.
 * :mod:`~repro.lint.dcfg_passes` — the marker-dominance certification
-  (MARK006), built on the worklist dataflow solver in
-  :mod:`~repro.lint.dataflow`.
+  (MARK006), built on the DCFG's own dominators and natural loops
+  (:mod:`repro.dcfg`).
 * :mod:`~repro.lint.concurrency_passes` — the sync event stream
   (lock-order cycles, barrier divergence, vector-clock happens-before
   races).

@@ -77,7 +77,7 @@ class ConcurrencyAnalyzer(Observer):
 
     # -- observer interface ----------------------------------------------
 
-    def on_block(self, tid: int, block, repeat: int, start_index: int) -> None:
+    def on_block(self, tid: int, block, repeat: int) -> None:
         if block.image is not None and block.image.is_library:
             return
         if not any(is_write for (_s, _m, is_write, _d) in block.mem_ops):

@@ -4,8 +4,9 @@ A selected region is delimited by its start and end ``(PC, count)``
 markers.  The pass certifies, on the dynamic graph of the analysis
 replay (merged and per thread), that the start marker's block dominates
 the end marker's block, or that the two share an enclosing cycle.  The
-graph analyses run on the dataflow framework in
-:mod:`repro.lint.dataflow`, and a refuted claim carries its witness: the
+graph analyses are the DCFG's own: immediate dominators and natural
+loops from :mod:`repro.dcfg`, plus :func:`path_avoiding`, a breadth-first
+search that builds witnesses.  A refuted claim carries its witness: the
 concrete counterexample path.
 
 The graph's own bookkeeping (flow conservation, reachability from the
@@ -16,16 +17,12 @@ pipeline graphs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from collections import deque
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from ..dcfg.dominators import dominates, immediate_dominators
 from ..dcfg.graph import DCFG, ENTRY
-from .dataflow import (
-    dominance_sets,
-    dominates,
-    loop_nesting_forest,
-    nesting_depth,
-    path_avoiding,
-)
+from ..dcfg.loops import find_natural_loops
 from .findings import Finding, make_finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,6 +38,42 @@ def _node_name(dcfg: DCFG, node: int) -> str:
         return dcfg.block(node).name
     except (IndexError, AttributeError):
         return f"node {node}"
+
+
+def path_avoiding(
+    dcfg: DCFG,
+    src: int,
+    dst: int,
+    avoid: Iterable[int],
+) -> Optional[Tuple[int, ...]]:
+    """A shortest ``src → dst`` path that avoids ``avoid``, or ``None``.
+
+    This is the counterexample generator for dominance claims: "``a``
+    dominates ``b``" is refuted exactly by a path from the entry to ``b``
+    that never passes ``a``.  ``src`` and ``dst`` themselves are exempt
+    from the avoid set.
+    """
+    banned = set(avoid) - {src, dst}
+    if src == dst:
+        return (src,)
+    succ = dcfg.successors()
+    parent: Dict[int, int] = {}
+    seen = {src}
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        for child in succ.get(node, ()):
+            if child in banned or child in seen:
+                continue
+            parent[child] = node
+            if child == dst:
+                chain = [dst]
+                while chain[-1] != src:
+                    chain.append(parent[chain[-1]])
+                return tuple(reversed(chain))
+            seen.add(child)
+            queue.append(child)
+    return None
 
 
 def _certify_region_on_graph(
@@ -78,9 +111,8 @@ def _certify_region_on_graph(
         return None
     if start_bid == end_bid:
         return None  # a node trivially dominates itself
-    forward = path_avoiding(graph, start_bid, end_bid, ())
     backward = path_avoiding(graph, end_bid, start_bid, ())
-    if forward is None:
+    if end_bid not in graph.reachable_from(start_bid):
         witness = tuple(
             _node_name(graph, n) for n in (backward or ())
         )
@@ -97,10 +129,10 @@ def _certify_region_on_graph(
             ),
             witness=witness or None,
         )
-    dom = dominance_sets(graph, ENTRY)
-    if end_bid not in dom:
+    idom = immediate_dominators(graph, ENTRY)
+    if end_bid not in idom:
         return None  # end never reached from entry on this graph
-    if dominates(dom, start_bid, end_bid):
+    if dominates(idom, start_bid, end_bid):
         return None  # statically certified
     if backward is not None:
         # Start and end share a cycle: the region legitimately wraps an
@@ -111,9 +143,12 @@ def _certify_region_on_graph(
     witness = tuple(
         _node_name(graph, n) for n in (counterexample or ())
     )
-    forest = loop_nesting_forest(graph)
-    depth_s = nesting_depth(forest, start_bid)
-    depth_e = nesting_depth(forest, end_bid)
+    # A block's loop depth is the number of natural-loop bodies holding
+    # it; where every cycle has a single entry (as on pipeline graphs)
+    # that is its depth in the loop-nesting forest.
+    bodies = [loop.body for loop in find_natural_loops(graph)]
+    depth_s = sum(start_bid in body for body in bodies)
+    depth_e = sum(end_bid in body for body in bodies)
     return make_finding(
         "MARK006",
         f"region {region_id} ({scope})",

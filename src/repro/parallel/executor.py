@@ -30,10 +30,14 @@ Workers enter through :func:`_pool_timed_job`; the parent calls
 point can kill a worker process but never the run.
 
 The executor also measures what the paper can only estimate: per-job wall
-times (their sum is the measured *serial* cost) against the fan-out's
-elapsed wall time (the measured *parallel* cost).  The ratio is the
-observed speedup that :func:`repro.core.speedup.compute_speedups` reports
-next to the theoretical Eq. numbers.
+times (the measured *serial* cost) against the fan-out's elapsed wall time
+(the measured *parallel* cost).  The ratio is the observed speedup that
+:func:`repro.core.speedup.compute_speedups` reports next to the
+theoretical Eq. numbers.  The serial cost depends on the job kind.
+Checkpoint jobs are independent, so it is the sum of their walls.  A
+binary job sweeps the program from its start up to its own region, so
+the serial sweep costs about what the longest job does.  Summing binary
+walls would count the shared prefix once per region.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ class ExecutionStats:
 
     num_jobs: int
     workers: int
-    #: Sum of per-job wall times — what a serial sweep over independently
-    #: simulated regions would cost.
+    #: What a serial run of the jobs would cost: the sum of per-job wall
+    #: times for checkpoint jobs, the longest one for binary sweeps.
     serial_seconds: float
     #: Elapsed wall time of the whole fan-out.
     elapsed_seconds: float
@@ -176,10 +180,11 @@ def run_region_jobs(
                 done[job.job_id] = (result, seconds)
         span.set("serial_fallbacks", fallbacks)
     per_job = {job_id: seconds for job_id, (_, seconds) in done.items()}
+    binary = any(job.roi is not None for job in jobs)
     stats = ExecutionStats(
         num_jobs=len(jobs),
         workers=workers,
-        serial_seconds=sum(per_job.values()),
+        serial_seconds=(max if binary else sum)(per_job.values()),
         elapsed_seconds=time.perf_counter() - t0,
         serial_fallbacks=fallbacks,
         per_job_seconds=per_job,

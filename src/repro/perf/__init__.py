@@ -10,13 +10,12 @@ Timing lives outside the package: ``benchmarks/e2e`` measures every
 layer and end to end.
 """
 
-from .kernels import assign_labels, squared_distances, weighted_means
+from .kernels import assign_labels, weighted_means
 from .ring import (
     DEFAULT_CAPACITY,
     FLAG_LIBRARY,
     EventBatch,
     EventRing,
-    batch_start_indices,
 )
 
 __all__ = [
@@ -25,7 +24,5 @@ __all__ = [
     "EventBatch",
     "EventRing",
     "assign_labels",
-    "batch_start_indices",
-    "squared_distances",
     "weighted_means",
 ]

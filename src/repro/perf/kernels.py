@@ -23,21 +23,6 @@ import numpy as np
 DEFAULT_CHUNK_ROWS = 16384
 
 
-def squared_distances(
-    points: np.ndarray, centroids: np.ndarray
-) -> np.ndarray:
-    """Full ``(n, k)`` squared-distance matrix in the GEMM form.
-
-    Clamped at zero: cancellation in ``|x|^2 + |c|^2 - 2 x . c^T`` can
-    produce tiny negative values for near-coincident pairs.
-    """
-    x2 = np.einsum("ij,ij->i", points, points)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (points @ centroids.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def assign_labels(
     points: np.ndarray,
     centroids: np.ndarray,

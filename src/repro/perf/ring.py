@@ -5,8 +5,8 @@ functional execution and constrained replay: each block event used to be
 routed one at a time through a Python ``for ob in observers`` loop, costing
 several function calls and attribute chases per event.  The
 :class:`EventRing` instead accumulates block events into a fixed-capacity
-ring and flushes them to observers as an :class:`EventBatch` — six parallel
-numpy columns ``(tid, bid, repeat, n_instr, flags, start_index)`` — so
+ring and flushes them to observers as an :class:`EventBatch` — five parallel
+numpy columns ``(tid, bid, repeat, n_instr, flags)`` — so
 observers can reduce whole batches with ``np.add.at``/``np.bincount``
 instead of doing per-event Python work.
 
@@ -54,8 +54,8 @@ DEFAULT_CAPACITY = 8192
 
 #: Batches smaller than this are delivered per-event through ``on_block``
 #: instead of being materialized as numpy columns: below this size the
-#: fixed cost of array construction plus the argsort-based start-index
-#: reconstruction exceeds plain Python dispatch.  Only order-strict
+#: fixed cost of array construction and the count-table scatter-add
+#: exceeds plain Python dispatch.  Only order-strict
 #: observer sets (``flush_on_sync`` rings flushing at every sync) ever see
 #: batches this small in steady state.
 SMALL_BATCH_THRESHOLD = 48
@@ -64,18 +64,12 @@ SMALL_BATCH_THRESHOLD = 48
 class EventBatch:
     """One flushed batch of block events as parallel numpy columns.
 
-    ``start_index[i]`` is thread ``tid[i]``'s execution count of block
-    ``bid[i]`` *before* event ``i`` — the same value a per-event
-    ``on_block`` call receives — reconstructed vectorially at flush time.
-    When no attached observer declares ``needs_start_index``, the ring
-    skips the reconstruction and ``start_index`` is ``None``.
     ``blocks`` is the program's block table so shims (and observers that
     need block attributes not carried by a column) can resolve ``bid``.
     """
 
     __slots__ = (
-        "size", "tid", "bid", "repeat", "n_instr", "flags", "start_index",
-        "blocks",
+        "size", "tid", "bid", "repeat", "n_instr", "flags", "blocks",
     )
 
     def __init__(
@@ -86,7 +80,6 @@ class EventBatch:
         repeat: np.ndarray,
         n_instr: np.ndarray,
         flags: np.ndarray,
-        start_index: np.ndarray,
         blocks: Sequence,
     ) -> None:
         self.size = size
@@ -95,7 +88,6 @@ class EventBatch:
         self.repeat = repeat
         self.n_instr = n_instr
         self.flags = flags
-        self.start_index = start_index
         self.blocks = blocks
 
     @property
@@ -109,55 +101,14 @@ class EventBatch:
         return (self.flags & FLAG_LIBRARY) != 0
 
 
-def batch_start_indices(
-    tid: np.ndarray,
-    bid: np.ndarray,
-    repeat: np.ndarray,
-    flat_counts: np.ndarray,
-    nblocks: int,
-) -> np.ndarray:
-    """Per-event pre-execution counts for a batch; updates ``flat_counts``.
-
-    ``flat_counts`` is the flattened ``(nthreads * nblocks)`` execution-count
-    table *before* the batch; it is advanced in place to the post-batch
-    state.  Within the batch, an event's start index is the table value plus
-    the sum of earlier same-``(tid, bid)`` repeats — an exclusive prefix sum
-    segmented by key, computed with one stable argsort.
-    """
-    key = tid * nblocks + bid
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    sorted_repeat = repeat[order]
-    inclusive = np.cumsum(sorted_repeat)
-    exclusive = inclusive - sorted_repeat
-    is_group_start = np.empty(len(sorted_key), dtype=bool)
-    is_group_start[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=is_group_start[1:])
-    group_id = np.cumsum(is_group_start) - 1
-    group_base = exclusive[is_group_start]
-    within_group = exclusive - group_base[group_id]
-    start_sorted = flat_counts[sorted_key] + within_group
-    start = np.empty_like(start_sorted)
-    start[order] = start_sorted
-    # Advance the table by each key's total batch repeat: the group's last
-    # inclusive sum minus its base.
-    group_start_pos = np.flatnonzero(is_group_start)
-    group_end_pos = np.append(group_start_pos[1:], len(sorted_key)) - 1
-    flat_counts[sorted_key[group_start_pos]] += (
-        inclusive[group_end_pos] - group_base
-    )
-    return start
-
-
 class EventRing:
     """Fixed-capacity block-event ring shared by the engine and replayer.
 
     :meth:`append` is the per-event hot path and does the minimum possible
     work (one interning lookup, one list append and a capacity check); the
     per-event columns — ``tid``/``bid``/``repeat`` decoded through per-code
-    tables, ``n_instr``/``flags`` from per-block tables, ``start_index``
-    from the running execution-count table — materialize vectorially at
-    flush.
+    tables, ``n_instr``/``flags`` from per-block tables — materialize
+    vectorially at flush, where the execution-count table advances too.
 
     The ring owns the authoritative execution-count table while batching is
     active: drivers read it back through :meth:`exec_counts` after the final
@@ -183,15 +134,6 @@ class EventRing:
         #: conservative default for observers that do not say otherwise).
         self.flush_on_sync = any(
             getattr(ob, "needs_flush_before_sync", True)
-            for ob in self.observers
-        )
-        #: Whether any observer reads ``EventBatch.start_index``.  When
-        #: none does (every built-in batch consumer stores or reduces the
-        #: raw columns), flush skips the argsort-based reconstruction and
-        #: advances the count table with a scatter-add; the batch then
-        #: carries ``start_index=None``.
-        self.need_start_index = any(
-            getattr(ob, "needs_start_index", True)
             for ob in self.observers
         )
         nblocks = len(blocks)
@@ -319,20 +261,10 @@ class EventRing:
         tid = self._tab_tid[arr]
         bid = self._tab_bid[arr]
         repeat = self._tab_rep[arr]
-        if self.need_start_index:
-            start = batch_start_indices(
-                tid, bid, repeat, self._flat_counts, self._nblocks
-            )
-        else:
-            # No attached observer reads per-event start indices: advance
-            # the count table directly (bit-identical post-batch counts).
-            # Per-code histogram first: the scatter-add then runs over
-            # the handful of distinct codes, not the whole batch.
-            hist = np.bincount(arr, minlength=self._tab_len)
-            np.add.at(
-                self._flat_counts, self._tab_key, hist * self._tab_rep
-            )
-            start = None
+        # Per-code histogram first: the scatter-add then runs over the
+        # handful of distinct codes, not the whole batch.
+        hist = np.bincount(arr, minlength=self._tab_len)
+        np.add.at(self._flat_counts, self._tab_key, hist * self._tab_rep)
         batch = EventBatch(
             size=size,
             tid=tid,
@@ -340,7 +272,6 @@ class EventRing:
             repeat=repeat,
             n_instr=self._tab_ninstr[arr],
             flags=self._tab_flags[arr],
-            start_index=start,
             blocks=self.blocks,
         )
         for ob in self.observers:
@@ -363,12 +294,10 @@ class EventRing:
         observers = self.observers
         for c in codes:
             t, b, r = rows[c]
-            idx = t * nblocks + b
-            start = int(counts[idx])
-            counts[idx] = start + r
+            counts[t * nblocks + b] += r
             block = blocks[b]
             for ob in observers:
-                ob.on_block(t, block, r, start)
+                ob.on_block(t, block, r)
         codes.clear()
 
     def exec_counts(self) -> List[List[int]]:

@@ -37,7 +37,6 @@ class Recorder(Observer):
     """
 
     needs_flush_before_sync = False
-    needs_start_index = False
 
     def __init__(self, nthreads: int) -> None:
         self.logs = [[] for _ in range(nthreads)]
@@ -69,7 +68,7 @@ class Recorder(Observer):
             n += 1
         del queued[:n]
 
-    def on_block(self, tid, block, repeat, start_index) -> None:
+    def on_block(self, tid, block, repeat) -> None:
         # Only library blocks (spin runs, sync paths) are merged.
         append_block(self.logs[tid], block.bid, repeat,
                      mergeable=block.image.is_library)

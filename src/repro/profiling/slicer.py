@@ -106,13 +106,11 @@ class LoopAlignedSlicer(Observer):
         # at sync boundaries (see EventRing's ordering contract); marker
         # ordering within the block stream is preserved by segmentation.
         self.needs_flush_before_sync = False
-        # Only the phase-aligned per-event shim reads start indices.
-        self.needs_start_index = phase_aligned
         self._marker_by_bid: Optional[np.ndarray] = None
 
     # -- observer interface ---------------------------------------------------
 
-    def on_block(self, tid: int, block, repeat: int, start_index: int) -> None:
+    def on_block(self, tid: int, block, repeat: int) -> None:
         # A marker execution closes the current slice if the target was met
         # (or, in phase-aligned mode, if this marker is a phase change and
         # the slice is big enough); the marker execution itself belongs to

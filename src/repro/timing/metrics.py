@@ -38,10 +38,6 @@ class SimMetrics:
         return self._mpki(self.branch_mispredicts)
 
     @property
-    def l1d_mpki(self) -> float:
-        return self._mpki(self.l1d_misses)
-
-    @property
     def l2_mpki(self) -> float:
         return self._mpki(self.l2_misses)
 

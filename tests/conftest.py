@@ -86,9 +86,9 @@ class PerEvent(Observer):
     def __init__(self, *inner):
         self.inner = inner
 
-    def on_block(self, tid, block, repeat, start_index):
+    def on_block(self, tid, block, repeat):
         for ob in self.inner:
-            ob.on_block(tid, block, repeat, start_index)
+            ob.on_block(tid, block, repeat)
 
     def on_sync(self, tid, kind, obj_id, response, gseq):
         for ob in self.inner:

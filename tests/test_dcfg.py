@@ -8,7 +8,6 @@ from repro.dcfg import (
     find_natural_loops,
     immediate_dominators,
     loop_header_blocks,
-    routine_summary,
 )
 from repro.dcfg.dominators import dominates
 from repro.dcfg.graph import ENTRY
@@ -156,13 +155,3 @@ class TestDCFGFromExecution:
         # Batched self-loops produce self edges with large counts.
         self_edges = [c for (s, d), c in dcfg.edge_counts.items() if s == d]
         assert self_edges and max(self_edges) > 10
-
-    def test_routine_summary(self, toy_dcfg):
-        program, dcfg = toy_dcfg
-        stats = routine_summary(dcfg, program)
-        names = {s.name for s in stats}
-        assert "compute" in names
-        assert any(s.is_library for s in stats)
-        # Sorted by instruction mass, descending.
-        instrs = [s.instructions for s in stats]
-        assert instrs == sorted(instrs, reverse=True)

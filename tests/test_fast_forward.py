@@ -16,6 +16,7 @@ interior cuts, untracked PCs and already-passed markers.
 import numpy as np
 import pytest
 
+from repro.dcfg.dominators import dominates, immediate_dominators
 from repro.dcfg.graph import ENTRY, build_dcfg_from_pinball
 from repro.errors import ReplayError
 from repro.exec_engine.observers import (
@@ -23,7 +24,6 @@ from repro.exec_engine.observers import (
     Observer,
     TraceCollector,
 )
-from repro.lint.dataflow import dominance_sets, dominates
 from repro.lint.dcfg_passes import _certify_region_on_graph
 from repro.pinplay.recorder import record_execution
 from repro.pinplay.replayer import ConstrainedReplayer
@@ -54,7 +54,7 @@ class Gate(Observer):
         self.scnt = 0
         self.ecnt = 0
 
-    def on_block(self, tid, block, repeat, start_index):
+    def on_block(self, tid, block, repeat):
         if block.bid == self.eb:
             if self.ecnt <= self.ec < self.ecnt + repeat:
                 self.on = False
@@ -65,7 +65,7 @@ class Gate(Observer):
             self.scnt += repeat
         if self.on:
             for ob in self.inner:
-                ob.on_block(tid, block, repeat, start_index)
+                ob.on_block(tid, block, repeat)
 
     def on_sync(self, tid, kind, obj_id, response, gseq):
         if self.on:
@@ -196,8 +196,7 @@ class TestWrapAroundMarkers:
             g, body.bid, hdr.bid, 0, "merged"
         ) is None
         # ...and NOT by static dominance: this is the wrap rung.
-        dom = dominance_sets(g, ENTRY)
-        assert not dominates(dom, body.bid, hdr.bid)
+        assert not dominates(immediate_dominators(g), body.bid, hdr.bid)
 
     def test_wrap_region_bit_identical(self):
         program, pinball, hdr, body, start, end = self._wrap_setup()

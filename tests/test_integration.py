@@ -79,7 +79,7 @@ class TestWorkInvariance:
             def __init__(self):
                 self.tracker = MarkerTracker(headers)
 
-            def on_block(self, tid, block, repeat, start_index):
+            def on_block(self, tid, block, repeat):
                 self.tracker.record(block.bid, repeat)
 
         functional = Counting()

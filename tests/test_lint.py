@@ -191,12 +191,12 @@ class TestConcurrencyPasses:
         an = ConcurrencyAnalyzer(2)
         block = _FakeBlock(3)
         an.on_sync(0, SYNC_LOCK_ACQ, 1, None, 0)
-        an.on_block(0, block, 1, 0)
+        an.on_block(0, block, 1)
         an.on_sync(0, SYNC_LOCK_REL, 1, None, 1)
         # Advance t1's clock without ordering it against t0.
         an.on_sync(1, SYNC_LOCK_ACQ, 2, None, 2)
         an.on_sync(1, SYNC_LOCK_REL, 2, None, 3)
-        an.on_block(1, block, 1, 0)
+        an.on_block(1, block, 1)
         findings = check_races(an)
         assert _rules(findings) == {"CONC003"}
 
@@ -206,11 +206,11 @@ class TestConcurrencyPasses:
         an = ConcurrencyAnalyzer(2)
         block = _FakeBlock(3)
         an.on_sync(0, SYNC_LOCK_ACQ, 1, None, 0)
-        an.on_block(0, block, 1, 0)
+        an.on_block(0, block, 1)
         an.on_sync(0, SYNC_LOCK_REL, 1, None, 1)
         an.on_sync(1, SYNC_LOCK_ACQ, 1, None, 2)
         an.on_sync(1, SYNC_LOCK_REL, 1, None, 3)
-        an.on_block(1, block, 1, 0)
+        an.on_block(1, block, 1)
         assert check_races(an) == []
 
     def test_barrier_divergence(self):

@@ -113,6 +113,24 @@ class TestParallelEquivalence:
         assert stats is not None
         assert stats.num_jobs == len(result.region_results)
 
+    def test_binary_fanout_serial_cost_is_the_longest_sweep(self, serial_run):
+        # Job i re-sweeps regions 0..i, so the last job is the serial
+        # sweep; summing the walls would count the prefix once per region.
+        workload, _, _ = serial_run
+        pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
+        sp = pipeline.run(simulate_full=False).speedup
+        per_job = pipeline.last_execution.per_job_seconds
+        assert len(per_job) >= 2
+        assert sp.measured_serial_seconds == max(per_job.values())
+
+    def test_checkpoint_fanout_serial_cost_is_the_sum(self, serial_run):
+        workload, _, _ = serial_run
+        pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
+        sp = pipeline.run(simulate_full=False, constrained=True).speedup
+        per_job = pipeline.last_execution.per_job_seconds
+        assert len(per_job) >= 2
+        assert sp.measured_serial_seconds == sum(per_job.values())
+
     def test_constrained_parallel_matches_serial(self, serial_run):
         workload, _, _ = serial_run
         serial_pipe = LoopPointPipeline(workload, options=_options(jobs=1))

@@ -254,7 +254,7 @@ class TestWalkPickOrder:
             def __init__(self):
                 self.seen = []
 
-            def on_block(self, tid, block, repeat, start_index):
+            def on_block(self, tid, block, repeat):
                 self.seen.append((tid, ("b", block.bid, repeat)))
 
             def on_sync(self, tid, kind, obj_id, response, gseq):

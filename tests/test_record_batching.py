@@ -55,7 +55,7 @@ class _Capture(Observer):
     def __init__(self):
         self.stream = []
 
-    def on_block(self, tid, block, repeat, start_index):
+    def on_block(self, tid, block, repeat):
         self.stream.append(("b", tid, block.bid, repeat))
 
     def on_sync(self, tid, kind, obj_id, response, gseq):
@@ -109,8 +109,8 @@ def _per_event(stream, track_threads):
     for event in stream:
         if event[0] == "b":
             _, tid, bid, repeat = event
-            recorder.on_block(tid, BLOCKS[bid], repeat, 0)
-            builder.on_block(tid, BLOCKS[bid], repeat, 0)
+            recorder.on_block(tid, BLOCKS[bid], repeat)
+            builder.on_block(tid, BLOCKS[bid], repeat)
         else:
             recorder.on_sync(*event[1:])
     return _state(recorder, builder, track_threads)
@@ -122,7 +122,6 @@ def _through_ring(stream, track_threads, capacity, flush_at):
         BLOCKS, NTHREADS, (recorder, builder), capacity=capacity
     )
     assert not ring.flush_on_sync
-    assert not ring.need_start_index
     for i, event in enumerate(stream):
         if i in flush_at:
             ring.flush()

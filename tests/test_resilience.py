@@ -348,9 +348,9 @@ class TestExecutorRecovery:
         assert stats.num_jobs == len(jobs)
         assert sorted(stats.per_job_seconds) == sorted(j.job_id for j in jobs)
         assert all(s > 0 for s in stats.per_job_seconds.values())
-        assert stats.serial_seconds == pytest.approx(
-            sum(stats.per_job_seconds.values())
-        )
+        # Each binary job sweeps from program start: the serial cost is
+        # one sweep, not the sum of the overlapping ones.
+        assert stats.serial_seconds == max(stats.per_job_seconds.values())
         if workers == 1:
             assert stats.measured_speedup is None
         else:

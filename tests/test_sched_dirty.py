@@ -117,8 +117,8 @@ class _StrictOrderLog(Observer):
     def __init__(self, nthreads):
         self.events = []
 
-    def on_block(self, tid, block, repeat, start_index):
-        self.events.append((tid, block.bid, repeat, start_index))
+    def on_block(self, tid, block, repeat):
+        self.events.append((tid, block.bid, repeat))
 
     def on_sync(self, tid, kind, obj_id, response, gseq):
         self.events.append((tid, kind, obj_id, gseq))

@@ -38,7 +38,7 @@ def _slicer(marker_bids, slice_size):
 
 
 def _batch(events):
-    """The ring's column form of ``events`` (no start indices)."""
+    """The ring's column form of ``events``."""
     tid, bid, repeat = (
         np.array(col, dtype=np.int64) for col in zip(*events)
     )
@@ -49,13 +49,13 @@ def _batch(events):
     )
     return EventBatch(
         size=len(events), tid=tid, bid=bid, repeat=repeat,
-        n_instr=n_instr, flags=flags, start_index=None, blocks=BLOCKS,
+        n_instr=n_instr, flags=flags, blocks=BLOCKS,
     )
 
 
 def _per_event(slicer, events):
     for tid, bid, repeat in events:
-        slicer.on_block(tid, BLOCKS[bid], repeat, 0)
+        slicer.on_block(tid, BLOCKS[bid], repeat)
 
 
 def _state(slicer):

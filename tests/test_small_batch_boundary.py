@@ -3,7 +3,7 @@
 ``EventRing.flush`` takes a scalar per-event path below the threshold
 and the columnar numpy path at or above it.  The boundary is a silent
 bit-identity hazard: the two paths must produce *identical* observer
-state, exec counts, and start indices for the same event stream, and the
+state and exec counts for the same event stream, and the
 engine's rng consumption must not depend on which path a capacity choice
 happens to trigger.  These tests pin the exact switch point and both
 sides of it.
@@ -34,12 +34,12 @@ class _BatchSpy(Observer):
     def __init__(self):
         self.calls = []
 
-    def on_block(self, tid, block, repeat, start_index):
-        self.calls.append((tid, block.bid, repeat, start_index))
+    def on_block(self, tid, block, repeat):
+        self.calls.append((tid, block.bid, repeat))
 
 
 def _stream(n, nblocks):
-    """A stream with repeated (tid, bid) pairs so start indices matter."""
+    """A stream with repeated (tid, bid) pairs so counts accumulate."""
     return [(i % 3, (i * 7) % nblocks, 1 + (i % 4)) for i in range(n)]
 
 
@@ -63,10 +63,9 @@ class TestFlushPathBitIdentity:
         blocks = program.blocks
         ref_counts = [[0] * nblocks for _ in range(3)]
         for tid, bid, repeat in stream:
-            start = ref_counts[tid][bid]
             ref_counts[tid][bid] += repeat
             for ob in (ref_spy, ref_counter):
-                ob.on_block(tid, blocks[bid], repeat, start)
+                ob.on_block(tid, blocks[bid], repeat)
 
         assert spy.calls == ref_spy.calls
         assert counter.per_thread_total == ref_counter.per_thread_total
