@@ -23,8 +23,9 @@ Package map (see DESIGN.md for the full inventory):
   SimPoint clustering.
 * :mod:`repro.timing` — the multicore timing simulator (Sniper's role).
 * :mod:`repro.core` — the LoopPoint pipeline itself.
-* :mod:`repro.parallel` — process-pool region fan-out + on-disk artifact
-  cache (``--jobs`` / ``--cache-dir``).
+* :mod:`repro.parallel` — process-pool fan-out of checkpoint-driven
+  region pinballs (``LoopPointOptions.jobs`` / ``REPRO_JOBS``) + on-disk
+  artifact cache (``--cache-dir``).
 * :mod:`repro.baselines` — naive SimPoint, BarrierPoint, time-based sampling.
 * :mod:`repro.workloads` — SPEC CPU2017-like / NPB-like workload models.
 """

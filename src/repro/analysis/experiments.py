@@ -37,8 +37,8 @@ class EvaluationCache:
     """Memoizes pipelines and results across experiments.
 
     ``cache_dir`` makes the pipelines' stage artifacts disk-backed (shared
-    across processes and sessions); ``jobs`` sets their region-simulation
-    parallelism (``None`` honours ``REPRO_JOBS``).
+    across processes and sessions); ``jobs`` sets their checkpoint-driven
+    region-simulation parallelism (``None`` honours ``REPRO_JOBS``).
     """
 
     def __init__(

@@ -14,7 +14,6 @@ output, exactly the artifact's workflow (Appendix E).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -56,23 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="passive", help="OpenMP wait policy (default: passive)",
     )
     parser.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for region simulation (default: REPRO_JOBS "
-             "or 1; 0 = one per CPU); results are bit-identical to serial",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent artifact cache: the record, dcfg, profile, "
              "select and live stage outputs are stored here and reused by "
              "later runs (stage outcomes are printed per workload); "
              "rerunning the same command with the same directory restarts "
              "a killed run from its last finished stage",
-    )
-    parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SEC",
-        help="per-region wall-clock budget in a worker before the job is "
-             "abandoned and re-run once in the parent; a region that also "
-             "fails there fails the run",
     )
     parser.add_argument(
         "--trace", nargs="?", const="1", default=None, metavar="FILE",
@@ -190,9 +178,7 @@ def run_one(
     input_class: Optional[str],
     wait_policy: WaitPolicy,
     simulate_full: bool,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    job_timeout_s: Optional[float] = None,
     trace_path: Optional[str] = None,
     live: bool = False,
     live_threshold: Optional[float] = None,
@@ -203,14 +189,11 @@ def run_one(
     scale = get_scale()
     t0 = time.time()
     workload = get_workload(name, input_class, ncores, scale=scale)
-    overrides = {}
-    if job_timeout_s is not None:
-        overrides["job_timeout_s"] = job_timeout_s
     pipeline = LoopPointPipeline(
         workload,
         options=LoopPointOptions(
-            wait_policy=wait_policy, scale=scale, jobs=jobs,
-            cache_dir=cache_dir, trace_path=trace_path, **overrides,
+            wait_policy=wait_policy, scale=scale,
+            cache_dir=cache_dir, trace_path=trace_path,
         ),
     )
     if live:
@@ -233,7 +216,7 @@ def run_one(
             "obs",
             f"trace={t['path']} spans={t['spans']} trace_id={t['trace_id']}",
         )
-    # Grep-able metric line: CI diffs these between clean, faulted and
+    # Grep-able metric line: CI diffs these between clean and
     # killed-then-rerun runs to assert bit-identity.
     p = result.predicted
     console.status(
@@ -256,17 +239,9 @@ def run_one(
             f"coverage={lr.extrapolated_fraction * 100:.0f}% "
             f"error_estimate={err}",
         )
-    if result.serial_fallbacks:
-        console.status(
-            "health", f"serial_fallbacks={result.serial_fallbacks}"
-        )
     err = (
         f"{result.runtime_error_pct:.2f}%"
         if result.runtime_error_pct is not None else "--"
-    )
-    measured = (
-        f"{result.speedup.measured_speedup:.1f}x"
-        if result.speedup.measured_speedup is not None else "--"
     )
     wall_s = time.time() - t0
     if cache_dir:
@@ -281,8 +256,6 @@ def run_one(
         err,
         f"{result.speedup.theoretical_serial:.1f}x",
         f"{result.speedup.theoretical_parallel:.1f}x",
-        measured,
-        result.serial_fallbacks,
         f"{wall_s:.1f}s",
     ]
 
@@ -317,8 +290,7 @@ def _record_history(
         run_id = hashlib.sha256(
             f"{full_name}:{ts:.6f}:{os.getpid()}".encode()
         ).hexdigest()[:16]
-    counters = {"fallbacks": result.serial_fallbacks,
-                "slices": result.num_slices}
+    counters = {"slices": result.num_slices}
     if result.live_report is not None:
         lr = result.live_report
         counters["live_simulated"] = lr.num_simulated
@@ -388,14 +360,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         return worst
 
-    if args.jobs is not None and args.jobs < 0:
-        parser.error(f"--jobs must be >= 0, got {args.jobs}")
-    if args.job_timeout is not None and not (
-        math.isfinite(args.job_timeout) and args.job_timeout > 0
-    ):
-        parser.error(
-            f"--job-timeout must be finite and > 0, got {args.job_timeout}"
-        )
     if args.live_threshold is not None and not args.live:
         parser.error("--live-threshold only makes sense with --live")
 
@@ -416,10 +380,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             rows.append(
                 run_one(name, args.ncores, args.input_class, policy,
                         simulate_full=not args.no_fullsim,
-                        jobs=args.jobs, cache_dir=args.cache_dir,
-                        job_timeout_s=args.job_timeout,
-                        trace_path=trace_path, live=args.live,
-                        live_threshold=args.live_threshold,
+                        cache_dir=args.cache_dir, trace_path=trace_path,
+                        live=args.live, live_threshold=args.live_threshold,
                         console=console)
             )
         except ReproError as exc:
@@ -429,8 +391,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     console.result()
     console.result(ascii_table(
         ["workload", "slices", "looppoints", "runtime err",
-         "serial speedup", "parallel speedup", "measured speedup",
-         "fallbacks", "wall"],
+         "serial speedup", "parallel speedup", "wall"],
         rows,
         title="LoopPoint end-to-end results",
     ))

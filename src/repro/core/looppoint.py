@@ -18,7 +18,6 @@ Stages, each cached on first use:
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
@@ -45,11 +44,7 @@ from ..errors import (
 )
 from ..obs.tracer import Tracer, active_metrics, active_tracer, obs_scope
 from ..parallel.artifacts import ArtifactCache
-from ..parallel.executor import (
-    DEFAULT_JOB_TIMEOUT_S,
-    ExecutionStats,
-    run_region_jobs,
-)
+from ..parallel.executor import ExecutionStats, run_region_jobs
 from ..parallel.jobs import RegionJob, WorkloadSpec
 from ..dcfg.graph import DCFG, DCFGBuilder, build_dcfg_from_pinball
 from ..exec_engine.flowcontrol import DEFAULT_FLOW_WINDOW
@@ -96,20 +91,18 @@ class LoopPointOptions:
     #: being representatives (program initialization is microarchitecturally
     #: atypical); their mass still counts.
     startup_fraction: float = 0.05
-    #: Worker processes for region simulation (0 = one per CPU); ``None``
-    #: honours the ``REPRO_JOBS`` environment variable (default 1 =
-    #: serial).  Parallel dispatch requires a registry-buildable workload
-    #: and falls back to serial otherwise — results are bit-identical
-    #: either way.
+    #: Worker processes for checkpoint-driven region simulation (0 = one
+    #: per CPU); ``None`` honours the ``REPRO_JOBS`` environment variable
+    #: (default 1 = serial).  Parallel dispatch requires a
+    #: registry-buildable workload and falls back to serial otherwise —
+    #: results are bit-identical either way.  Binary-driven regions share
+    #: one sweep and always run serially.
     jobs: Optional[int] = None
     #: Persistent artifact cache directory for every cached stage output
     #: (record, dcfg, profile, select, live); ``None`` disables on-disk
     #: caching.  Rerunning the same command against the same directory
     #: restarts a killed run from its last published stage.
     cache_dir: Optional[str] = None
-    #: Per-region wall-clock budget in a worker before the job is
-    #: abandoned and re-run in the parent.
-    job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S
     #: Span-trace output path (JSON lines; the CLI defaults it into the
     #: cache directory); ``None`` disables tracing — the instrumented
     #: seams then hit the :data:`repro.obs.tracer.NULL_TRACER` fast path.
@@ -123,11 +116,6 @@ class LoopPointOptions:
             )
         if self.jobs is not None:
             resolve_jobs(self.jobs)  # rejects a negative count
-        if not (math.isfinite(self.job_timeout_s) and self.job_timeout_s > 0):
-            raise WorkloadError(
-                f"job_timeout_s must be finite and > 0, got "
-                f"{self.job_timeout_s}"
-            )
 
     def resolved_scale(self) -> ReproScale:
         return self.scale if self.scale is not None else get_scale()
@@ -572,53 +560,23 @@ class LoopPointPipeline:
         self._workload_spec_result = (True, spec)
         return spec
 
-    def _run_jobs(
-        self, jobs: List[RegionJob], workers: int
-    ) -> List[SimulationResult]:
-        outcome = run_region_jobs(
-            jobs, workers, timeout_s=self.options.job_timeout_s,
-        )
-        self.last_execution = outcome.stats
-        return outcome.results
-
     def simulate_regions(self) -> List[SimulationResult]:
         """Stage 4 (binary-driven): detailed simulation of all looppoints.
 
-        Serial (``jobs=1``): one sweep over :meth:`regions`, fast-forwarding
-        functionally up to each region's warm start and warming with the
-        full cost model from there.  Parallel (``jobs>1``): the job for a
-        looppoint carries every earlier looppoint too and its worker runs
-        that same sweep up to its own region, so each result is
-        bit-identical to the serial one by construction — whether or not a
-        bounded warm window has converged to perfect warmup.
+        One sweep over :meth:`regions`, fast-forwarding functionally up to
+        each region's warm start and warming with the full cost model from
+        there.  The sweep is serial whatever ``jobs`` says: a region's
+        result depends on the sweep up to it, so a worker for the last
+        region would repeat the whole sweep.
         """
         rois = self.regions()
-        workers = self.options.resolved_jobs()
-        spec = (
-            self._workload_spec()
-            if workers > 1 and len(rois) > 1
-            else None
+        self.last_execution = None
+        return self._fresh_simulator().run_binary(
+            self.workload.thread_program,
+            self.workload.nthreads,
+            self.options.wait_policy,
+            regions=rois,
         )
-        if spec is None:
-            self.last_execution = None
-            return self._fresh_simulator().run_binary(
-                self.workload.thread_program,
-                self.workload.nthreads,
-                self.options.wait_policy,
-                regions=rois,
-            )
-        jobs = [
-            RegionJob(
-                job_id=roi.region_id,
-                workload=spec,
-                system=self.system,
-                wait_policy=self.options.wait_policy.value,
-                roi=roi,
-                earlier_rois=tuple(rois[:i]),
-            )
-            for i, roi in enumerate(rois)
-        ]
-        return self._run_jobs(jobs, workers)
 
     def simulate_full(self) -> SimulationResult:
         """Reference: the whole application in detail (the paper's
@@ -674,12 +632,13 @@ class LoopPointPipeline:
                 job_id=pinball.region_id,
                 workload=spec,
                 system=self.system,
-                wait_policy=self.options.wait_policy.value,
                 pinball=pinball,
             )
             for pinball in pinballs
         ]
-        return self._run_jobs(jobs, workers)
+        outcome = run_region_jobs(jobs, workers)
+        self.last_execution = outcome.stats
+        return outcome.results
 
     # -- the headline entry point -------------------------------------------
 

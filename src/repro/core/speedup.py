@@ -10,11 +10,13 @@ prefix.  *Serial* sums the representatives;
 *parallel* assumes enough machines to simulate them concurrently, so the
 largest region bounds time-to-results.
 
-*Measured* speedup (ISSUE 2) is none of those estimates: when region
-simulations were fanned out across a process pool, the executor's
-wall-clock accounting — the sum of per-region wall times over the elapsed
-fan-out time — is reported alongside, so the paper's parallel-simulation
-claim becomes an observed quantity of every ``jobs>1`` run.
+*Measured* speedup is none of those estimates: when region pinballs were
+fanned out across a process pool (checkpoint-driven simulation at
+``jobs>1``), the executor's wall-clock accounting — the sum of per-region
+wall times over the elapsed fan-out time — is reported alongside, so the
+paper's parallel-simulation claim becomes an observed quantity.
+Binary-driven regions share one serial sweep, so a binary run has no
+measured speedup.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class SpeedupReport:
     actual_serial: Optional[float] = None
     actual_parallel: Optional[float] = None
     #: Observed wall-clock accounting of a parallel region fan-out: the
-    #: serial cost (see :class:`~repro.parallel.executor.ExecutionStats`),
-    #: the elapsed wall time, and their ratio.
+    #: serial cost (the sum of per-job walls), the elapsed wall time, and
+    #: their ratio.
     measured_serial_seconds: Optional[float] = None
     measured_parallel_seconds: Optional[float] = None
     measured_speedup: Optional[float] = None

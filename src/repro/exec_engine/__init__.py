@@ -16,7 +16,7 @@ from .events import (
 )
 from .engine import ExecutionEngine, EngineResult, ThreadState
 from .flowcontrol import FlowControl
-from .observers import Observer, InstructionCounter, TraceCollector
+from .observers import Observer
 
 __all__ = [
     "BarrierWait",
@@ -29,6 +29,4 @@ __all__ = [
     "ThreadState",
     "FlowControl",
     "Observer",
-    "InstructionCounter",
-    "TraceCollector",
 ]

@@ -1,11 +1,11 @@
-"""Parallel region simulation and persistent artifacts (ISSUE 2).
+"""Parallel region simulation and persistent artifacts.
 
 Two cooperating subsystems turn the paper's parallel-simulation claim into
 an observable quantity:
 
-* :mod:`~repro.parallel.executor` fans independent region simulations out
-  across a process pool and measures the resulting serial-vs-parallel
-  wall-clock speedup;
+* :mod:`~repro.parallel.executor` fans independent region-pinball
+  simulations out across a process pool and measures the resulting
+  serial-vs-parallel wall-clock speedup;
 * :mod:`~repro.parallel.artifacts` persists the record/profile/select
   stage outputs on disk, content-addressed, so repeated runs skip straight
   to simulation.

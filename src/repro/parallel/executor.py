@@ -5,7 +5,9 @@ parallel*: each selected region is independent once recorded, so throwing
 ``N`` workers at ``N`` regions bounds time-to-results by the largest region
 rather than the sum.  This module realizes that with a
 ``concurrent.futures.ProcessPoolExecutor`` over the picklable
-:class:`~repro.parallel.jobs.RegionJob` specs.
+:class:`~repro.parallel.jobs.RegionJob` specs, one per region pinball.
+Binary-driven regions share one sweep from program start, so they run
+serially in the parent and never reach this module.
 
 Robustness contract: one pool round, then the parent, then raise.
 
@@ -29,15 +31,12 @@ Workers enter through :func:`_pool_timed_job`; the parent calls
 :func:`_timed_job` directly, so a crash confined to the worker entry
 point can kill a worker process but never the run.
 
-The executor also measures what the paper can only estimate: per-job wall
-times (the measured *serial* cost) against the fan-out's elapsed wall time
-(the measured *parallel* cost).  The ratio is the observed speedup that
+The executor also measures what the paper can only estimate: the sum of
+per-job wall times (the measured *serial* cost; jobs are independent
+region pinballs) against the fan-out's elapsed wall time (the measured
+*parallel* cost).  The ratio is the observed speedup that
 :func:`repro.core.speedup.compute_speedups` reports next to the
-theoretical Eq. numbers.  The serial cost depends on the job kind.
-Checkpoint jobs are independent, so it is the sum of their walls.  A
-binary job sweeps the program from its start up to its own region, so
-the serial sweep costs about what the longest job does.  Summing binary
-walls would count the shared prefix once per region.
+theoretical Eq. numbers.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ class ExecutionStats:
 
     num_jobs: int
     workers: int
-    #: What a serial run of the jobs would cost: the sum of per-job wall
-    #: times for checkpoint jobs, the longest one for binary sweeps.
+    #: What a serial run of the jobs would cost: the sum of per-job walls.
     serial_seconds: float
     #: Elapsed wall time of the whole fan-out.
     elapsed_seconds: float
@@ -180,11 +178,10 @@ def run_region_jobs(
                 done[job.job_id] = (result, seconds)
         span.set("serial_fallbacks", fallbacks)
     per_job = {job_id: seconds for job_id, (_, seconds) in done.items()}
-    binary = any(job.roi is not None for job in jobs)
     stats = ExecutionStats(
         num_jobs=len(jobs),
         workers=workers,
-        serial_seconds=(max if binary else sum)(per_job.values()),
+        serial_seconds=sum(per_job.values()),
         elapsed_seconds=time.perf_counter() - t0,
         serial_fallbacks=fallbacks,
         per_job_seconds=per_job,

@@ -5,11 +5,12 @@ A region simulation is dispatched to a worker process as a
 interpreter.  Workload models cannot be pickled directly (trip-count
 profiles are closures, see :func:`repro.workloads.generators.make_trips`),
 so a job carries a :class:`WorkloadSpec` — the registry coordinates from
-which the worker rebuilds an *identical* workload — plus the picklable
-payload that names the region: a :class:`~repro.timing.mcsim.RegionOfInterest`
-for binary-driven simulation or a self-contained
-:class:`~repro.pinplay.pinball.RegionPinball` for checkpoint-driven
-simulation.
+which the worker rebuilds an *identical* workload — plus the
+self-contained :class:`~repro.pinplay.pinball.RegionPinball` it replays.
+Only checkpoint-driven regions are dispatched: each pinball carries its
+own warmup prefix, so regions are independent.  Binary-driven regions
+share one sweep from program start and always run serially in the
+parent.
 
 Determinism contract: workload builders are pure functions of
 ``(name, input_class, nthreads, scale)`` and every stochastic choice in the
@@ -24,17 +25,12 @@ silently different result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..config import ReproScale, SystemConfig
 from ..errors import SimulationError, WorkloadError
 from ..pinplay.pinball import RegionPinball
-from ..policy import WaitPolicy
-from ..timing.mcsim import (
-    MultiCoreSimulator,
-    RegionOfInterest,
-    SimulationResult,
-)
+from ..timing.mcsim import MultiCoreSimulator, SimulationResult
 from ..workloads.base import Workload
 
 
@@ -113,29 +109,13 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class RegionJob:
-    """One region simulation, self-contained and picklable.
-
-    Exactly one of ``roi`` (binary-driven: sweep from program start over
-    ``earlier_rois`` and then ``roi``, returning ``roi``'s result) or
-    ``pinball`` (checkpoint-driven: constrained replay of an extracted
-    region pinball) must be set.  Carrying every earlier region makes the
-    worker's sweep the serial sweep's prefix, so its result is the serial
-    one even where bounded warmup leaves earlier regions' timing visible.
-    """
+    """One checkpoint-driven region simulation, self-contained and
+    picklable: a constrained replay of an extracted region pinball."""
 
     job_id: int
     workload: WorkloadSpec
     system: SystemConfig
-    wait_policy: str
-    roi: Optional[RegionOfInterest] = None
-    pinball: Optional[RegionPinball] = None
-    earlier_rois: Tuple[RegionOfInterest, ...] = ()
-
-    def __post_init__(self) -> None:
-        if (self.roi is None) == (self.pinball is None):
-            raise SimulationError(
-                f"job {self.job_id}: exactly one of roi/pinball must be set"
-            )
+    pinball: RegionPinball
 
 
 #: Per-worker-process workload cache: rebuilding the program for every job
@@ -163,12 +143,4 @@ def execute_region_job(job: RegionJob) -> SimulationResult:
     """
     workload = _workload_for(job.workload)
     sim = MultiCoreSimulator(workload.program, job.system, workload.omp)
-    if job.pinball is not None:
-        return sim.run_pinball(job.pinball)
-    results = sim.run_binary(
-        workload.thread_program,
-        workload.nthreads,
-        WaitPolicy(job.wait_policy),
-        regions=[*job.earlier_rois, job.roi],
-    )
-    return results[-1]
+    return sim.run_pinball(job.pinball)

@@ -16,7 +16,7 @@ from .registry import (
     NPB_APPS,
 )
 from .demo import build_demo_matrix
-from .validation import ValidationReport, validate_workload, validate_or_raise
+from .validation import ValidationReport, validate_workload
 
 __all__ = [
     "Workload",
@@ -27,5 +27,4 @@ __all__ = [
     "build_demo_matrix",
     "ValidationReport",
     "validate_workload",
-    "validate_or_raise",
 ]

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 
 from ..dcfg.graph import build_dcfg_from_pinball
 from ..dcfg.loops import loop_header_blocks
-from ..errors import WorkloadError
 from ..exec_engine.engine import ExecutionEngine
 from ..pinplay.recorder import record_execution
 from ..policy import WaitPolicy
@@ -186,16 +185,3 @@ def validate_workload(
     )
     return report
 
-
-def validate_or_raise(workload: Workload, **kwargs) -> ValidationReport:
-    """:func:`validate_workload`, raising on any failed check."""
-    report = validate_workload(workload, **kwargs)
-    if not report.passed:
-        raise WorkloadError(
-            f"{workload.full_name} failed validation: "
-            + ", ".join(
-                f"{name} ({report.details.get(name, '')})"
-                for name in report.failures()
-            )
-        )
-    return report

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, ExecutionError
-from repro.exec_engine import (
-    ExecutionEngine,
-    FlowControl,
-    InstructionCounter,
-    TraceCollector,
-)
+from repro.exec_engine import ExecutionEngine, FlowControl
 from repro.exec_engine.events import BarrierWait, LockRelease
 from repro.policy import WaitPolicy
 from repro.runtime import ThreadProgram
@@ -16,6 +11,7 @@ from repro.runtime.constructs import Construct
 
 from conftest import build_toy
 from reference_engine import ReferenceEngine
+from reference_observers import InstructionCounter, TraceCollector
 
 
 def run_toy(policy=WaitPolicy.PASSIVE, seed=0, nthreads=4, observers=(),

@@ -19,11 +19,7 @@ import pytest
 from repro.dcfg.dominators import dominates, immediate_dominators
 from repro.dcfg.graph import ENTRY, build_dcfg_from_pinball
 from repro.errors import ReplayError
-from repro.exec_engine.observers import (
-    InstructionCounter,
-    Observer,
-    TraceCollector,
-)
+from repro.exec_engine.observers import Observer
 from repro.lint.dcfg_passes import _certify_region_on_graph
 from repro.pinplay.recorder import record_execution
 from repro.pinplay.replayer import ConstrainedReplayer
@@ -33,6 +29,7 @@ from repro.profiling.markers import Marker
 from repro.workloads import NPB_APPS, get_workload
 
 from conftest import TEST_SCALE, build_toy
+from reference_observers import InstructionCounter, TraceCollector
 
 ALL_WORKLOADS = ["demo-matrix-1", "demo-matrix-2", "demo-matrix-3"] + NPB_APPS
 

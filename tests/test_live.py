@@ -408,7 +408,7 @@ class TestCliLive:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "1", "--live", "--live-threshold", "nan"])
+                   "--live", "--live-threshold", "nan"])
         assert rc == 1
         assert "threshold must be finite" in capsys.readouterr().err
 
@@ -417,7 +417,7 @@ class TestCliLive:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "1", "--live"])
+                   "--live"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "[live]" in out
@@ -432,7 +432,7 @@ class TestCliLive:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "1", "--live", "--live-threshold", "0"])
+                   "--live", "--live-threshold", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("[live]"))

@@ -3,7 +3,8 @@
 Covers the contracts the obs subsystem promises:
 
 * spans nest, carry attributes, and survive the worker-process boundary
-  (``jobs=4`` region spans stitch under the parent's fan-out span);
+  (``jobs=4`` region-pinball spans stitch under the parent's fan-out
+  span);
 * telemetry is deterministic modulo timestamps — two seeded runs produce
   identical counters;
 * the NullTracer fast path is bit-identical to an untraced run;
@@ -238,14 +239,15 @@ class TestTracer:
 
 @pytest.fixture(scope="module")
 def traced_parallel(tmp_path_factory):
-    """One jobs=4 traced run shared by the stitching assertions."""
+    """One jobs=4 traced checkpoint-driven run (the route that fans out)
+    shared by the stitching assertions."""
     tmp = tmp_path_factory.mktemp("obs-par")
     workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
     path = str(tmp / "par.trace.jsonl")
     pipeline = LoopPointPipeline(
         workload, options=_options(jobs=4, trace_path=path)
     )
-    result = pipeline.run(simulate_full=False)
+    result = pipeline.run(simulate_full=False, constrained=True)
     return pipeline, result, read_trace(path)
 
 
@@ -257,8 +259,14 @@ class TestPipelineTracing:
         roots = data.roots()
         assert len(roots) == 1 and roots[0].name == "run"
 
-    def test_trace_names_the_binary_mode(self, traced_parallel):
-        pipeline, _, data = traced_parallel
+    def test_trace_names_the_binary_mode(self, tmp_path):
+        workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
+        path = str(tmp_path / "binary.trace.jsonl")
+        pipeline = LoopPointPipeline(
+            workload, options=_options(jobs=1, trace_path=path)
+        )
+        pipeline.run(simulate_full=False)
+        data = read_trace(path)
         assert data.meta["mode"] == "binary"
         assert data.meta["workload"] == pipeline.workload.full_name
         # Only run_live tags its root span with a mode.
@@ -332,7 +340,7 @@ class TestPipelineTracing:
         workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
         untraced = LoopPointPipeline(
             workload, options=_options(jobs=4)
-        ).run(simulate_full=False)
+        ).run(simulate_full=False, constrained=True)
         assert untraced.predicted == traced.predicted
         assert (
             [r.metrics.cycles for r in untraced.region_results]

@@ -19,13 +19,14 @@ from conftest import TEST_SCALE
 from repro.analysis.experiments import EvaluationCache
 from repro.config import default_jobs
 from repro.core.extrapolation import extrapolate_metrics
+from repro.core import looppoint
 from repro.core.looppoint import (
     LoopPointOptions,
     LoopPointPipeline,
     LoopPointResult,
 )
 from repro.core.speedup import SpeedupReport
-from repro.errors import ClusteringError, SimulationError, WorkloadError
+from repro.errors import ClusteringError, WorkloadError
 from repro.parallel import (
     ArtifactCache,
     CacheError,
@@ -99,10 +100,23 @@ class TestParallelEquivalence:
             assert a.start_cycle == b.start_cycle
             assert a.end_cycle == b.end_cycle
 
+    def test_binary_route_never_fans_out(self, serial_run, monkeypatch):
+        workload, _, serial = serial_run
+
+        def no_fanout(*args, **kwargs):
+            raise AssertionError("binary regions reached the fan-out")
+
+        monkeypatch.setattr(looppoint, "run_region_jobs", no_fanout)
+        parallel = LoopPointPipeline(workload, options=_options(jobs=4))
+        assert pickle.dumps(parallel.simulate_regions()) == pickle.dumps(
+            serial.region_results
+        )
+        assert parallel.last_execution is None
+
     def test_parallel_run_reports_measured_speedup(self, serial_run):
         workload, _, serial = serial_run
         pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
-        result = pipeline.run(simulate_full=False)
+        result = pipeline.run(simulate_full=False, constrained=True)
         assert serial.speedup.measured_speedup is None
         sp = result.speedup
         assert sp.measured_workers == 2
@@ -112,16 +126,6 @@ class TestParallelEquivalence:
         stats = pipeline.last_execution
         assert stats is not None
         assert stats.num_jobs == len(result.region_results)
-
-    def test_binary_fanout_serial_cost_is_the_longest_sweep(self, serial_run):
-        # Job i re-sweeps regions 0..i, so the last job is the serial
-        # sweep; summing the walls would count the prefix once per region.
-        workload, _, _ = serial_run
-        pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
-        sp = pipeline.run(simulate_full=False).speedup
-        per_job = pipeline.last_execution.per_job_seconds
-        assert len(per_job) >= 2
-        assert sp.measured_serial_seconds == max(per_job.values())
 
     def test_checkpoint_fanout_serial_cost_is_the_sum(self, serial_run):
         workload, _, _ = serial_run
@@ -165,29 +169,22 @@ class TestJobSpecs:
                 scale=spec.scale,
             ).build()
 
-    def test_region_job_needs_exactly_one_region(self, serial_run):
-        workload, pipeline, _ = serial_run
-        spec = WorkloadSpec.from_workload(workload, TEST_SCALE)
-        with pytest.raises(SimulationError):
-            RegionJob(
-                job_id=0, workload=spec, system=pipeline.system,
-                wait_policy="passive",
-            )
-
     def test_run_region_jobs_serial_path(self, serial_run):
-        workload, pipeline, serial = serial_run
+        workload, pipeline, _ = serial_run
         spec = WorkloadSpec.from_workload(workload, TEST_SCALE)
         jobs = [
             RegionJob(
-                job_id=roi.region_id, workload=spec, system=pipeline.system,
-                wait_policy="passive", roi=roi,
+                job_id=pinball.region_id, workload=spec,
+                system=pipeline.system, pinball=pinball,
             )
-            for roi in pipeline.regions()[:2]
+            for pinball in pipeline.region_pinballs()[:2]
         ]
         outcome = run_region_jobs(jobs, workers=1)
         assert outcome.stats.workers == 1
         assert outcome.stats.measured_speedup is None
-        by_id = {r.region_id: r for r in serial.region_results}
+        by_id = {
+            r.region_id: r for r in pipeline.simulate_regions_constrained()
+        }
         for res in outcome.results:
             assert res.metrics == by_id[res.region_id].metrics
 
@@ -444,40 +441,3 @@ class TestDefaultJobs:
     def test_options_negative_rejected(self):
         with pytest.raises(WorkloadError, match="jobs must be >= 0"):
             LoopPointOptions(jobs=-1)
-
-    def test_cli_negative_jobs_exits_before_recording(
-        self, monkeypatch, capsys
-    ):
-        import repro.cli as cli
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("run_one reached with --jobs -1")
-
-        monkeypatch.setattr(cli, "run_one", no_run)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["-p", "demo-matrix-1", "-n", "4", "--jobs", "-1"])
-        assert exc.value.code == 2
-        assert "--jobs must be >= 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("inf"), float("nan")])
-    def test_options_reject_bad_job_timeout(self, timeout):
-        with pytest.raises(WorkloadError, match="job_timeout_s"):
-            LoopPointOptions(job_timeout_s=timeout)
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--job-timeout", "0"], "--job-timeout must be finite and > 0"),
-        (["--job-timeout", "inf"], "--job-timeout must be finite and > 0"),
-    ])
-    def test_cli_bad_job_budget_exits_before_recording(
-        self, monkeypatch, capsys, flags, message
-    ):
-        import repro.cli as cli
-
-        def no_run(*args, **kwargs):
-            raise AssertionError(f"run_one reached with {flags}")
-
-        monkeypatch.setattr(cli, "run_one", no_run)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["-p", "demo-matrix-1", "-n", "4", *flags])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err

@@ -15,12 +15,7 @@ import pytest
 from repro.clustering.kmeans import kmeans, kmeanspp_seed
 from repro.clustering.simpoint import SimPointOptions, select_simpoints
 from repro.exec_engine.engine import ExecutionEngine
-from repro.exec_engine.observers import (
-    InstructionCounter,
-    Observer,
-    SyncEventLog,
-    TraceCollector,
-)
+from repro.exec_engine.observers import Observer, SyncEventLog
 from repro.perf.kernels import assign_labels, weighted_means
 from repro.perf.ring import EventRing
 from repro.pinplay.recorder import record_execution
@@ -30,6 +25,7 @@ from repro.profiling.filters import FilterPolicy
 from repro.profiling.slicer import LoopAlignedSlicer
 
 from conftest import PerEvent, build_toy
+from reference_observers import InstructionCounter, TraceCollector
 
 
 def _observers(nthreads, limit=None):

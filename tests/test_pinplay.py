@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import RegionError, ReplayError
-from repro.exec_engine import TraceCollector
 from repro.exec_engine.engine import QUANTUM_INSTRUCTIONS
 from repro.exec_engine.observers import Observer
 from repro.pinplay import (
@@ -19,6 +18,7 @@ from repro.policy import WaitPolicy
 from repro.profiling import Marker, profile_pinball
 
 from conftest import build_toy
+from reference_observers import TraceCollector
 
 
 @pytest.fixture(scope="module")

@@ -21,9 +21,12 @@ The two acceptance scenarios:
   bit-identically without re-running record or profile (through the CLI
   in a subprocess, so the SIGKILL takes out that process and not
   pytest);
-* crashing every pool worker at ``jobs=4`` produces results
-  bit-identical to the serial run, with the parent's re-runs counted in
-  ``result.serial_fallbacks``.
+* crashing every pool worker of a checkpoint-driven run at ``jobs=4``
+  produces results bit-identical to the serial run, with the parent's
+  re-runs counted in ``result.serial_fallbacks``.
+
+Only checkpoint-driven (region pinball) simulation fans out, so every
+pool fault here is caused on a constrained run or on pinball jobs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import functools
 import gzip
 import os
 import pickle
-import re
 import subprocess
 import sys
 import time
@@ -82,16 +84,26 @@ def reference():
 
 
 @pytest.fixture(scope="module")
+def constrained_reference(reference):
+    """One clean serial checkpoint-driven run: the reference for every
+    fan-out, since only region pinballs fan out."""
+    workload, _, _ = reference
+    return LoopPointPipeline(workload, options=_options(jobs=1)).run(
+        simulate_full=False, constrained=True,
+    )
+
+
+@pytest.fixture(scope="module")
 def region_jobs(reference):
-    """Picklable jobs for every looppoint, for executor-level tests."""
+    """Picklable jobs for every region pinball, for executor-level tests."""
     workload, pipeline, _ = reference
     spec = WorkloadSpec.from_workload(workload, TEST_SCALE)
     jobs = [
         RegionJob(
-            job_id=roi.region_id, workload=spec, system=pipeline.system,
-            wait_policy="passive", roi=roi,
+            job_id=pinball.region_id, workload=spec,
+            system=pipeline.system, pinball=pinball,
         )
-        for roi in pipeline.regions()
+        for pinball in pipeline.region_pinballs()
     ]
     return jobs
 
@@ -195,9 +207,9 @@ def _raise_first_calls(monkeypatch, target, name, exc, times=1):
 
 class TestExecutorRecovery:
     def test_worker_error_runs_once_in_pool_then_in_parent(
-        self, reference, region_jobs, monkeypatch, tmp_path
+        self, constrained_reference, region_jobs, monkeypatch, tmp_path
     ):
-        _, _, serial = reference
+        serial = constrained_reference
         jobs = region_jobs[:3]
         pool_log = tmp_path / "pool-calls"
 
@@ -218,9 +230,9 @@ class TestExecutorRecovery:
         }
 
     def test_worker_crash_falls_back_to_the_parent(
-        self, reference, region_jobs, monkeypatch
+        self, constrained_reference, region_jobs, monkeypatch
     ):
-        _, _, serial = reference
+        serial = constrained_reference
         jobs = region_jobs[:3]
         # Every worker dies, which breaks the pool; the parent's re-run
         # does not enter through the worker entry point and finishes all.
@@ -237,9 +249,9 @@ class TestExecutorRecovery:
             assert res.metrics == ref[res.region_id]
 
     def test_hung_worker_costs_one_round_budget(
-        self, reference, region_jobs, monkeypatch
+        self, constrained_reference, region_jobs, monkeypatch
     ):
-        _, _, serial = reference
+        serial = constrained_reference
         jobs = region_jobs[:2]
         _patch_worker_entry(monkeypatch, _hang)
         timeout_s = 1.0
@@ -254,9 +266,9 @@ class TestExecutorRecovery:
             assert res.metrics == ref[res.region_id]
 
     def test_clean_round_needs_no_fallback(
-        self, reference, region_jobs, monkeypatch
+        self, constrained_reference, region_jobs, monkeypatch
     ):
-        _, _, serial = reference
+        serial = constrained_reference
         jobs = region_jobs[:3]
         parent_calls = _count_parent_runs(monkeypatch)
         outcome = run_region_jobs(jobs, workers=2)
@@ -268,9 +280,9 @@ class TestExecutorRecovery:
         }
 
     def test_one_failed_job_keeps_the_others(
-        self, reference, region_jobs, monkeypatch
+        self, constrained_reference, region_jobs, monkeypatch
     ):
-        _, _, serial = reference
+        serial = constrained_reference
         jobs = region_jobs[:3]
         doomed = jobs[1].job_id
 
@@ -290,9 +302,9 @@ class TestExecutorRecovery:
         }
 
     def test_one_hung_job_keeps_the_others(
-        self, reference, region_jobs, monkeypatch
+        self, constrained_reference, region_jobs, monkeypatch
     ):
-        _, _, serial = reference
+        serial = constrained_reference
         jobs = region_jobs[:3]
         stuck = jobs[0].job_id
 
@@ -330,8 +342,10 @@ class TestExecutorRecovery:
         assert outcome.stats.workers == min(workers, len(jobs))
         assert outcome.stats.serial_fallbacks == 0
 
-    def test_results_follow_submission_order(self, reference, region_jobs):
-        _, _, serial = reference
+    def test_results_follow_submission_order(
+        self, constrained_reference, region_jobs
+    ):
+        serial = constrained_reference
         jobs = list(reversed(region_jobs[:4]))
         outcome = run_region_jobs(jobs, workers=2)
         assert [r.region_id for r in outcome.results] == [
@@ -348,9 +362,7 @@ class TestExecutorRecovery:
         assert stats.num_jobs == len(jobs)
         assert sorted(stats.per_job_seconds) == sorted(j.job_id for j in jobs)
         assert all(s > 0 for s in stats.per_job_seconds.values())
-        # Each binary job sweeps from program start: the serial cost is
-        # one sweep, not the sum of the overlapping ones.
-        assert stats.serial_seconds == max(stats.per_job_seconds.values())
+        assert stats.serial_seconds == sum(stats.per_job_seconds.values())
         if workers == 1:
             assert stats.measured_speedup is None
         else:
@@ -481,12 +493,13 @@ class TestExecutorRecovery:
 
 class TestWorkerCrashAcceptance:
     def test_pipeline_survives_crashing_every_worker(
-        self, reference, monkeypatch
+        self, reference, constrained_reference, monkeypatch
     ):
-        workload, _, serial = reference
+        workload, _, _ = reference
+        serial = constrained_reference
         _patch_worker_entry(monkeypatch, _crash)
         pipeline = LoopPointPipeline(workload, options=_options(jobs=4))
-        result = pipeline.run(simulate_full=False)
+        result = pipeline.run(simulate_full=False, constrained=True)
         assert result.predicted == serial.predicted
         assert _metrics_by_id(result) == _metrics_by_id(serial)
         assert result.serial_fallbacks == len(serial.region_results)
@@ -494,28 +507,21 @@ class TestWorkerCrashAcceptance:
 
 
 class TestLostRegion:
-    @pytest.mark.parametrize("constrained", [False, True],
-                             ids=["binary", "constrained"])
     def test_region_failing_everywhere_fails_the_run(
-        self, reference, monkeypatch, constrained
+        self, reference, monkeypatch
     ):
         workload, pipeline, _ = reference
         doomed = max(r.region_id for r in pipeline.regions())
         _fail_everywhere(monkeypatch, {doomed})
         faulted = LoopPointPipeline(workload, options=_options(jobs=2))
         with pytest.raises(SimulationError, match=rf"^region {doomed} "):
-            faulted.run(simulate_full=False, constrained=constrained)
+            faulted.run(simulate_full=False, constrained=True)
 
-    @pytest.mark.parametrize("constrained", [False, True],
-                             ids=["binary", "constrained"])
     def test_region_failing_only_in_the_pool_recovers(
-        self, reference, monkeypatch, constrained
+        self, reference, constrained_reference, monkeypatch
     ):
-        workload, pipeline, serial = reference
-        if constrained:
-            serial = LoopPointPipeline(
-                workload, options=_options(jobs=1)
-            ).run(simulate_full=False, constrained=True)
+        workload, pipeline, _ = reference
+        serial = constrained_reference
         doomed = min(r.region_id for r in pipeline.regions())
 
         def raise_for_one(job):
@@ -525,7 +531,7 @@ class TestLostRegion:
         _patch_worker_entry(monkeypatch, raise_for_one)
         parent_calls = _count_parent_runs(monkeypatch)
         faulted = LoopPointPipeline(workload, options=_options(jobs=2))
-        result = faulted.run(simulate_full=False, constrained=constrained)
+        result = faulted.run(simulate_full=False, constrained=True)
         assert parent_calls == [doomed]
         assert result.serial_fallbacks == 1
         assert result.predicted == serial.predicted
@@ -840,8 +846,7 @@ class TestSigkillRerunAcceptance:
 
     def test_live_kill_after_dcfg_then_rerun(self, tmp_path):
         env = _cli_env()
-        base = ["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                "--jobs", "1", "--live"]
+        base = ["-p", "demo-matrix-1", "-n", "4", "--no-fullsim", "--live"]
 
         def metric_lines(output):
             return [
@@ -872,12 +877,6 @@ class TestSigkillRerunAcceptance:
 # ---------------------------------------------------------------------------
 
 
-def _health_line(output):
-    lines = [ln for ln in output.splitlines() if ln.startswith("[health]")]
-    assert len(lines) == 1, output
-    return lines[0]
-
-
 def _load_fault_helper():
     """Import ``ci/run_faulted.py`` as a module."""
     import importlib.util
@@ -896,10 +895,9 @@ class TestFaultHelper:
     @pytest.mark.parametrize("argv", [
         ["--kill-after", "profile", "-p", "demo-matrix-1"],
         ["--", "-p", "demo-matrix-1"],
-        ["--crash-workers", "--fail-last-region", "--", "-p",
-         "demo-matrix-1"],
+        ["--hang-workers", "--", "-p", "demo-matrix-1"],
         ["--kill-after", "simulate", "--", "-p", "demo-matrix-1"],
-    ], ids=["no-separator", "no-fault", "two-faults", "uncached-stage"])
+    ], ids=["no-separator", "no-fault", "unknown-fault", "uncached-stage"])
     def test_bad_usage_exits_2(self, argv, capsys):
         helper = _load_fault_helper()
         # Usage errors stop before anything is patched.
@@ -932,36 +930,6 @@ class TestFaultHelper:
                 cache.store(other, {"k": other}, other)
                 assert cache.load(other, {"k": other}) == other
         assert cache.stores[stage] == 0
-
-    def test_crash_workers_reproduces_clean_metrics(self):
-        env = _cli_env()
-        args = self.BASE + ["--jobs", "4"]
-        clean = _run_cli(args, env)
-        assert clean.returncode == 0, clean.stderr
-        assert "[health]" not in clean.stdout
-        faulted = _run_cli(args, env, fault=["--crash-workers"])
-        assert faulted.returncode == 0, faulted.stderr
-        assert _predicted_lines(faulted.stdout) == _predicted_lines(
-            clean.stdout
-        )
-        health = _health_line(faulted.stdout)
-        assert int(re.fullmatch(
-            r"\[health\] serial_fallbacks=(\d+)", health
-        ).group(1)) > 0
-
-    def test_fail_last_region_fails_the_run(self):
-        env = _cli_env()
-        failed = _run_cli(
-            self.BASE + ["--jobs", "2"], env, fault=["--fail-last-region"]
-        )
-        assert failed.returncode == 1
-        assert _predicted_lines(failed.stdout) == []
-        lost = re.search(
-            r"FAILED: region (\d+) failed: SimulationError: "
-            r"region (\d+) fails everywhere",
-            failed.stdout + failed.stderr,
-        )
-        assert lost and lost.group(1) == lost.group(2)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,8 +1074,9 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", [
         ["--fault-plan", "x"], ["--resume"], ["--manifest", "m.jsonl"],
-        ["--job-retries", "1"], ["--degrade", "drop"],
-    ], ids=["fault-plan", "resume", "manifest", "job-retries", "degrade"])
+        ["--job-retries", "1"], ["--degrade", "drop"], ["--jobs", "2"],
+    ], ids=["fault-plan", "resume", "manifest", "job-retries", "degrade",
+            "jobs"])
     def test_retired_flags_are_gone(self, capsys, flag):
         from repro.cli import main
 
@@ -1140,7 +1109,7 @@ class TestCli:
         from repro.cli import main
 
         base = ["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                "--jobs", "1", "--cache-dir", str(tmp_path)]
+                "--cache-dir", str(tmp_path)]
         assert main(base) == 0
         first = capsys.readouterr().out
         cold = _predicted_lines(first)
@@ -1153,53 +1122,3 @@ class TestCli:
         assert _cache_line(second).startswith(
             "[cache] profile=hit select=hit |"
         )
-
-    def test_clean_cli_run_prints_no_health_line(self, capsys):
-        from repro.cli import main
-
-        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert len(_predicted_lines(out)) == 1
-        assert not any(ln.startswith("[health]") for ln in out.splitlines())
-
-    def test_faulted_cli_run_reports_fallbacks(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        _patch_worker_entry(monkeypatch, _crash)
-        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "4"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        health = [ln for ln in out.splitlines()
-                  if ln.startswith("[health]")]
-        assert len(health) == 1
-        fallbacks = int(re.fullmatch(
-            r"\[health\] serial_fallbacks=(\d+)", health[0]
-        ).group(1))
-        assert fallbacks > 0
-
-    def test_faulted_cli_run_records_fallbacks_in_history(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.cli import main
-        from repro.obs.history import HistoryStore, history_path_for
-
-        _patch_worker_entry(monkeypatch, _crash)
-        cache = str(tmp_path / "cache")
-        rc = main(["-p", "demo-matrix-1", "-n", "4", "--no-fullsim",
-                   "--jobs", "4", "--cache-dir", cache])
-        assert rc == 0
-        out = capsys.readouterr().out
-        printed = int(re.search(
-            r"^\[health\] serial_fallbacks=(\d+)$", out, re.M
-        ).group(1))
-        records, corrupt = HistoryStore(
-            history_path_for(cache, "demo-matrix-1")
-        ).load()
-        assert corrupt == 0 and len(records) == 1
-        counters = records[0].counters
-        assert counters["fallbacks"] == printed > 0
-        assert "retries" not in counters
-        assert "coverage_pct" not in records[0].as_dict()

@@ -18,17 +18,13 @@ from repro.errors import ExecutionError
 from repro.exec_engine.engine import ExecutionEngine, ThreadState
 from repro.exec_engine.events import BarrierWait, LockAcquire, LockRelease
 from repro.exec_engine.flowcontrol import FlowControl
-from repro.exec_engine.observers import (
-    InstructionCounter,
-    Observer,
-    SyncEventLog,
-    TraceCollector,
-)
+from repro.exec_engine.observers import Observer, SyncEventLog
 from repro.pinplay.recorder import Recorder
 from repro.policy import WaitPolicy
 
 from conftest import build_toy
 from reference_engine import ReferenceEngine
+from reference_observers import InstructionCounter, TraceCollector
 
 
 def _engine(engine_cls=ExecutionEngine):

@@ -12,14 +12,11 @@ sides of it.
 import pytest
 
 from repro.exec_engine.engine import ExecutionEngine
-from repro.exec_engine.observers import (
-    InstructionCounter,
-    Observer,
-    TraceCollector,
-)
+from repro.exec_engine.observers import Observer
 from repro.perf.ring import EventRing, SMALL_BATCH_THRESHOLD
 
 from conftest import PerEvent, build_toy
+from reference_observers import InstructionCounter, TraceCollector
 
 BOUNDARY_SIZES = [
     SMALL_BATCH_THRESHOLD - 1,  # last scalar flush

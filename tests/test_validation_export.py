@@ -3,13 +3,8 @@ validation sweep."""
 
 import pytest
 
-from repro.errors import WorkloadError
 from repro.workloads import NPB_APPS, SPEC_TRAIN_APPS, get_workload
-from repro.workloads.validation import (
-    observed_primitives,
-    validate_or_raise,
-    validate_workload,
-)
+from repro.workloads.validation import observed_primitives, validate_workload
 
 from conftest import TEST_SCALE
 
@@ -18,9 +13,6 @@ class TestValidation:
     def test_demo_passes(self, demo_workload):
         report = validate_workload(demo_workload)
         assert report.passed, report.failures()
-
-    def test_validate_or_raise_passes(self, demo_workload):
-        assert validate_or_raise(demo_workload).passed
 
     def test_detects_broken_estimate(self, demo_workload):
         # Sabotage the metadata-free path by wrapping total_instructions.
@@ -38,8 +30,6 @@ class TestValidation:
         broken.thread_program = Lying(demo_workload.thread_program)
         report = validate_workload(broken)
         assert "instruction_estimate" in report.failures()
-        with pytest.raises(WorkloadError):
-            validate_or_raise(broken)
 
     @pytest.mark.parametrize("name", SPEC_TRAIN_APPS + NPB_APPS)
     def test_suite_models_validate(self, name):
