@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true",
-        help="suppress status lines ([cache], [health], [obs], ...); the "
+        help="suppress status lines ([cache], [obs], [predicted], ...); the "
              "final results table and errors still print",
     )
     parser.add_argument(

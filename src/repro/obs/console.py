@@ -1,7 +1,7 @@
 """One code path for the CLI's ``[tag] message`` status lines.
 
 ``run-looppoint`` historically sprinkled ``print(..., flush=True)`` calls;
-this helper gives the ``[cache]``/``[health]``/``[obs]``/``[predicted]``
+this helper gives the ``[cache]``/``[obs]``/``[predicted]``/``[live]``
 lines a single format and a single suppression point (``--quiet``), and
 routes diagnostics to stderr where they belong.
 

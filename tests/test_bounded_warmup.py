@@ -3,12 +3,15 @@
 A region's ``warm_start`` marker makes ``run_binary`` fast-forward
 functionally up to it and warm with the full cost model from there.  These
 tests cover where the pipeline places warm starts, the region controller's
-edge cases, and what fast-forward keeps exact.
+edge cases, what fast-forward keeps exact, and that ``jobs>1`` leaves the
+serial sweep alone where bounded warmup does not converge.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.config import GAINESTOWN_8CORE
+from repro.config import GAINESTOWN_8CORE, get_scale
 from repro.core import warmup
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.core.warmup import binary_warm_starts
@@ -18,6 +21,7 @@ from repro.pinplay.region import RegionCut
 from repro.policy import WaitPolicy
 from repro.profiling import Marker, profile_pinball
 from repro.timing import MultiCoreSimulator, RegionOfInterest
+from repro.workloads.registry import get_workload
 
 from conftest import TEST_SCALE, build_toy
 
@@ -217,3 +221,34 @@ class TestFastForwardState:
                     == core_b.predictor.mispredicts)
             assert core_a.predictor._counters == core_b.predictor._counters
 
+
+# ---------------------------------------------------------------------------
+# The binary sweep is serial whatever jobs says, so jobs=N is the serial
+# result.
+# ---------------------------------------------------------------------------
+
+
+class TestParallelBounded:
+    def test_jobs2_matches_jobs1_where_bounded_differs(self):
+        scale = get_scale("tiny")
+        workload = get_workload("npb-is", "C", 4, scale=scale)
+
+        def pipeline(jobs):
+            return LoopPointPipeline(workload, options=LoopPointOptions(
+                wait_policy=WaitPolicy.ACTIVE, scale=scale, jobs=jobs,
+            ))
+
+        serial_pipe = pipeline(1)
+        serial = serial_pipe.simulate_regions()
+        rois = serial_pipe.regions()
+        perfect = serial_pipe._fresh_simulator().run_binary(
+            workload.thread_program, workload.nthreads, WaitPolicy.ACTIVE,
+            regions=[replace(r, warm_start=None) for r in rois],
+        )
+        # The configuration matters: bounded warmup moves some regions.
+        assert any(
+            a.metrics != b.metrics for a, b in zip(serial, perfect)
+        )
+        parallel_pipe = pipeline(2)
+        assert parallel_pipe.simulate_regions() == serial
+        assert parallel_pipe.last_execution is None

@@ -272,6 +272,18 @@ class TestPipelineTracing:
         # Only run_live tags its root span with a mode.
         assert "mode" not in data.roots()[0].attrs
 
+    def test_binary_trace_has_no_fanout_span(self, tmp_path):
+        # jobs=4 on the binary route: one serial sweep, no pool.
+        workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
+        path = str(tmp_path / "binary4.trace.jsonl")
+        LoopPointPipeline(
+            workload, options=_options(jobs=4, trace_path=path)
+        ).run(simulate_full=False)
+        names = {s.name for s in read_trace(path).spans}
+        assert "stage:simulate" in names
+        assert "fanout" not in names
+        assert not [n for n in names if n.startswith("region:")]
+
     def test_trace_names_the_live_mode(self, tmp_path):
         workload = build_demo_matrix(1, nthreads=4, scale=TEST_SCALE)
         path = str(tmp_path / "live.trace.jsonl")

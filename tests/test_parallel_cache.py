@@ -9,6 +9,8 @@ separation, the all-slices-ineligible guard, and the EvaluationCache
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
 import pickle
 import random
@@ -26,7 +28,7 @@ from repro.core.looppoint import (
     LoopPointResult,
 )
 from repro.core.speedup import SpeedupReport
-from repro.errors import ClusteringError, WorkloadError
+from repro.errors import ClusteringError, SimulationError, WorkloadError
 from repro.parallel import (
     ArtifactCache,
     CacheError,
@@ -36,6 +38,8 @@ from repro.parallel import (
     canonical_key,
     run_region_jobs,
 )
+from repro.parallel.executor import DEFAULT_JOB_TIMEOUT_S
+from repro.parallel.jobs import execute_region_job
 from repro.timing.metrics import SimMetrics
 from repro.workloads.demo import build_demo_matrix
 
@@ -113,6 +117,37 @@ class TestParallelEquivalence:
         )
         assert parallel.last_execution is None
 
+    def test_binary_route_ignores_repro_jobs(self, serial_run, monkeypatch):
+        # jobs unset resolves through REPRO_JOBS, which must not reach the
+        # pool either.
+        workload, _, serial = serial_run
+
+        def no_fanout(*args, **kwargs):
+            raise AssertionError("binary regions reached the fan-out")
+
+        monkeypatch.setattr(looppoint, "run_region_jobs", no_fanout)
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        pipeline = LoopPointPipeline(workload, options=_options())
+        assert pipeline.options.resolved_jobs() == 4
+        assert pickle.dumps(pipeline.simulate_regions()) == pickle.dumps(
+            serial.region_results
+        )
+        assert pipeline.last_execution is None
+
+    def test_binary_run_reports_no_measured_speedup(self, serial_run):
+        # Nothing fanned out, so there is nothing measured to report.
+        workload, _, serial = serial_run
+        result = LoopPointPipeline(
+            workload, options=_options(jobs=2)
+        ).run(simulate_full=False)
+        sp = result.speedup
+        assert sp.measured_speedup is None
+        assert sp.measured_workers is None
+        assert sp.measured_serial_seconds is None
+        assert sp.measured_parallel_seconds is None
+        assert result.serial_fallbacks == 0
+        assert result.predicted == serial.predicted
+
     def test_parallel_run_reports_measured_speedup(self, serial_run):
         workload, _, serial = serial_run
         pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
@@ -187,6 +222,61 @@ class TestJobSpecs:
         }
         for res in outcome.results:
             assert res.metrics == by_id[res.region_id].metrics
+
+    def test_region_job_carries_only_a_pinball(self):
+        assert [f.name for f in dataclasses.fields(RegionJob)] == [
+            "job_id", "workload", "system", "pinball",
+        ]
+
+    def test_unpickled_job_replays_its_pinball(self, serial_run):
+        # What a worker receives: the job after a pickle round trip.
+        workload, pipeline, _ = serial_run
+        spec = WorkloadSpec.from_workload(workload, TEST_SCALE)
+        pinball = pipeline.region_pinballs()[0]
+        job = RegionJob(
+            job_id=pinball.region_id, workload=spec,
+            system=pipeline.system, pinball=pinball,
+        )
+        shipped = pickle.loads(pickle.dumps(job))
+        by_id = {
+            r.region_id: r for r in pipeline.simulate_regions_constrained()
+        }
+        result = execute_region_job(shipped)
+        assert result.region_id == pinball.region_id
+        assert result.metrics == by_id[pinball.region_id].metrics
+
+    @pytest.mark.parametrize("fingerprint", [
+        "num_blocks", "approx_instructions",
+    ])
+    def test_worker_rebuild_detects_registry_drift(
+        self, serial_run, fingerprint
+    ):
+        workload, _, _ = serial_run
+        spec = WorkloadSpec.from_workload(workload, TEST_SCALE)
+        drifted = dataclasses.replace(
+            spec, **{fingerprint: getattr(spec, fingerprint) + 1}
+        )
+        with pytest.raises(SimulationError, match="registry drift"):
+            drifted.build()
+
+    def test_constrained_fanout_uses_the_default_job_budget(
+        self, serial_run, monkeypatch
+    ):
+        # The pipeline sets no per-job budget of its own: the executor's
+        # default applies, and only direct callers shorten it.
+        workload, _, _ = serial_run
+        default = inspect.signature(run_region_jobs).parameters["timeout_s"]
+        assert default.default == DEFAULT_JOB_TIMEOUT_S
+        calls = []
+
+        def recording(jobs, workers, *args, **kwargs):
+            calls.append((len(jobs), workers, args, kwargs))
+            return run_region_jobs(jobs, 1)
+
+        monkeypatch.setattr(looppoint, "run_region_jobs", recording)
+        pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
+        results = pipeline.simulate_regions_constrained()
+        assert calls == [(len(results), 2, (), {})]
 
     def test_execution_stats_speedup(self):
         stats = ExecutionStats(

@@ -34,7 +34,9 @@ from __future__ import annotations
 import functools
 import gzip
 import os
+import inspect
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -534,6 +536,29 @@ class TestLostRegion:
         result = faulted.run(simulate_full=False, constrained=True)
         assert parent_calls == [doomed]
         assert result.serial_fallbacks == 1
+        assert result.predicted == serial.predicted
+        assert _metrics_by_id(result) == _metrics_by_id(serial)
+
+
+    @pytest.mark.parametrize("fault", ["crash", "lost"])
+    def test_binary_run_never_meets_a_pool_fault(
+        self, reference, monkeypatch, fault
+    ):
+        # Binary regions never reach the executor, so neither a crashing
+        # pool nor a job that fails everywhere touches a jobs=2 run.
+        workload, pipeline, serial = reference
+        if fault == "crash":
+            _patch_worker_entry(monkeypatch, _crash)
+        else:
+            _fail_everywhere(
+                monkeypatch, {r.region_id for r in pipeline.regions()}
+            )
+        parent_calls = _count_parent_runs(monkeypatch)
+        faulted = LoopPointPipeline(workload, options=_options(jobs=2))
+        result = faulted.run(simulate_full=False)
+        assert parent_calls == []
+        assert faulted.last_execution is None
+        assert result.serial_fallbacks == 0
         assert result.predicted == serial.predicted
         assert _metrics_by_id(result) == _metrics_by_id(serial)
 
@@ -1039,6 +1064,15 @@ class TestFallbackReporting:
         assert "retry" not in header and "cov%" not in header
 
 
+    def test_binary_row_reads_no_measured_speedup_or_fallbacks(
+        self, reference
+    ):
+        _, _, serial = reference
+        row = format_result_table([serial]).splitlines()[2].split()
+        assert row[0] == serial.workload
+        assert row[-2:] == ["--x", "0"]
+
+
 class TestErrors:
     def test_every_public_error_is_a_repro_error(self):
         # Callers catch ReproError to handle library failures without
@@ -1122,3 +1156,60 @@ class TestCli:
         assert _cache_line(second).startswith(
             "[cache] profile=hit select=hit |"
         )
+
+    BASE = ["-p", "demo-matrix-1", "-n", "4", "--no-fullsim"]
+
+    def test_run_one_takes_no_job_settings(self):
+        from repro.cli import run_one
+
+        params = inspect.signature(run_one).parameters
+        assert not [name for name in params if "job" in name]
+
+    def test_clean_cli_run_prints_no_health_line(self, capsys):
+        from repro.cli import main
+
+        assert main(self.BASE) == 0
+        out = capsys.readouterr().out
+        assert len(_predicted_lines(out)) == 1
+        assert not any(ln.startswith("[health]") for ln in out.splitlines())
+
+    def test_result_table_has_no_measured_columns(self, capsys):
+        from repro.cli import main
+
+        assert main(self.BASE) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[lines.index("LoopPoint end-to-end results") + 1]
+        assert re.split(r"\s{2,}", header.strip()) == [
+            "workload", "slices", "looppoints", "runtime err",
+            "serial speedup", "parallel speedup", "wall",
+        ]
+
+    def test_cli_run_ignores_repro_jobs(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        assert main(self.BASE) == 0
+        clean = _predicted_lines(capsys.readouterr().out)
+
+        def no_fanout(*args, **kwargs):
+            raise AssertionError("run-looppoint reached the fan-out")
+
+        monkeypatch.setattr(looppoint, "run_region_jobs", no_fanout)
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        assert main(self.BASE) == 0
+        assert _predicted_lines(capsys.readouterr().out) == clean
+
+    def test_cli_history_record_counts_no_fallbacks(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.obs.history import HistoryStore, history_path_for
+
+        cache = str(tmp_path / "cache")
+        assert main([*self.BASE, "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        records, corrupt = HistoryStore(
+            history_path_for(cache, "demo-matrix-1")
+        ).load()
+        assert corrupt == 0 and len(records) == 1
+        assert records[0].mode == "offline"
+        assert sorted(records[0].counters) == ["slices"]
